@@ -140,10 +140,10 @@ def cmd_chsh(args, argv):
     if abs(t.trace() - 1.0) > 1e-8:
         rep.data["warning"] = f"operator trace {t.trace()} is not 1"
     if args.optimize:
-        value, _settings = chsh_optimize(t, restarts=args.restarts, seed=args.seed)
+        value, _settings = chsh_optimize(t)
         rep.verdict(
             "tsirelson", value <= 2 * np.sqrt(2) + 1e-8, value, 1e-8,
-            "optimizer lower bound must stay below the quantum maximum",
+            "exact maximum; above 2*sqrt(2) only for operators that are not PSD",
         )
         rep.data["chsh_value"] = value
     else:
@@ -161,10 +161,13 @@ def cmd_prbox(args, argv):
     box = with_qubit_realizations(pr_box())
     verdict = quantum_extension(box, positivity_samples=args.samples, seed=args.seed)
     rep.data["extension"] = verdict.to_json()
+    note = "INFEASIBLE is the expected (desired) outcome"
+    if verdict.verdict == "ERROR":
+        note = (f"LP solver failed (HiGHS status {verdict.solver_status}: "
+                f"{verdict.solver_message}); no verdict")
     rep.verdict(
         "pr_box_excluded", verdict.verdict == "INFEASIBLE",
-        verdict.residual, 1e-4,
-        "INFEASIBLE is the expected (desired) outcome",
+        verdict.residual, 1e-4, note,
     )
     if args.schedule:
         schedule = tuple(int(x) for x in args.schedule.split(","))
@@ -314,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", help="operator JSON file")
     sp.add_argument("--singlet", action="store_true")
     sp.add_argument("--optimize", action="store_true")
-    sp.add_argument("--restarts", type=int, default=32)
+    sp.add_argument("--restarts", type=int,
+                    help="ignored: the CHSH maximum is computed exactly")
     common(sp)
     sp.set_defaults(func=cmd_chsh)
 

@@ -51,6 +51,7 @@ def hermitian_basis(d: int) -> np.ndarray:
             out[k, i, j] = 1j * s
             out[k, j, i] = -1j * s
             k += 1
+    out.flags.writeable = False  # shared by every caller through the cache
     return out
 
 

@@ -1,4 +1,4 @@
-"""No-signalling checkers, CHSH evaluation/optimization, and the LP-based
+"""No-signalling checkers, CHSH values and exact maximum, and the LP-based
 quantum-extension feasibility test that excludes the PR box.
 
 Two levels of no-signalling are checked: conditional probability tables
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from .bases import ProductState
 from .gleason import (
@@ -32,6 +32,7 @@ from .linalg import (
 )
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +263,6 @@ def equator_basis(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def bloch_basis(theta: float, phi: float) -> np.ndarray:
-    """Qubit basis for a general Bloch direction (theta, phi)."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array(
-        [[c, -s], [np.exp(1j * phi) * s, np.exp(1j * phi) * c]], dtype=complex
-    )
-
-
 def _observable(basis: np.ndarray) -> np.ndarray:
     return proj(basis[:, 0]) - proj(basis[:, 1])
 
@@ -329,33 +322,30 @@ def singlet_chsh_instance() -> ChshInstance:
     return ChshInstance(tuple(equator_basis(a) for a in angles), singlet())
 
 
-def chsh_optimize(
-    t: HermitianOperator, restarts: int = 32, seed: int = 0
-) -> tuple:
-    """Multi-start local ascent over the four measurement directions.
+def _bloch_basis(n: np.ndarray) -> np.ndarray:
+    """Qubit basis whose first column is the +1 eigenvector of n . sigma."""
+    theta = np.arctan2(np.hypot(n[0], n[1]), n[2])
+    phase = np.exp(1j * np.arctan2(n[1], n[0]))
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[c, -s * phase.conjugate()], [s * phase, c]], dtype=complex)
 
-    Each setting is a full Bloch direction (theta, phi).  Returns
-    (best value, settings) — a lower bound on the true maximum.
+
+def chsh_optimize(t: HermitianOperator) -> tuple:
+    """Exact CHSH maximum over qubit measurements: (value, (a, a', b, b')).
+
+    With T_ij = tr(t sigma_i (x) sigma_j) = U S V^T, the maximum is
+    2 sqrt(s_1^2 + s_2^2) for any Hermitian t (Horodecki, Horodecki &
+    Horodecki, Phys. Lett. A 200, 340 (1995)), attained at a, a' = U_0, U_1
+    and b, b' = cos(th) V_0 +- sin(th) V_1 with th = atan2(s_2, s_1).
     """
     if t.dims != (2, 2):
         raise ValidationError("chsh_optimize needs a two-qubit operator")
-    rng = make_rng(seed)
-
-    def settings_of(x):
-        return tuple(bloch_basis(x[2 * k], x[2 * k + 1]) for k in range(4))
-
-    def neg_chsh(x):
-        return -float(np.trace(t.mat @ bell_operator(settings_of(x))).real)
-
-    best_val, best_x = -np.inf, None
-    for _ in range(restarts):
-        x0 = rng.uniform(0, np.pi, 8)
-        x0[1::2] *= 2.0  # phi in [0, 2pi)
-        res = minimize(neg_chsh, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-        if -res.fun > best_val:
-            best_val, best_x = -res.fun, res.x
-    return float(best_val), settings_of(best_x)
+    corr = np.einsum("abcd,ica,jdb->ij", t.mat.reshape(2, 2, 2, 2), _PAULI, _PAULI).real
+    u, s, vt = np.linalg.svd(corr)
+    th = np.arctan2(s[1], s[0])
+    even, odd = np.cos(th) * vt[0], np.sin(th) * vt[1]
+    settings = tuple(_bloch_basis(n) for n in (u[:, 0], u[:, 1], even + odd, even - odd))
+    return float(2.0 * np.hypot(s[0], s[1])), settings
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +369,15 @@ def _positivity_rows(rng: np.random.Generator, dims, count: int) -> np.ndarray:
     return np.array(rows[:count])
 
 
-def _trace_row(d_total: int) -> np.ndarray:
-    return feature_of(np.eye(d_total))
-
-
 @dataclass(frozen=True)
 class ExtensionVerdict:
-    verdict: str  # FEASIBLE | INFEASIBLE | AMBIGUOUS
+    verdict: str  # FEASIBLE | INFEASIBLE | AMBIGUOUS | ERROR
     residual: float
     t: HermitianOperator | None = None
     seesaw_min: float | None = None
     rounds: int = 1
+    solver_status: int | None = None  # HiGHS status of a failed solve (ERROR)
+    solver_message: str | None = None
 
     def to_json(self) -> dict:
         out = {
@@ -402,6 +390,9 @@ class ExtensionVerdict:
             out["seesaw_min"] = self.seesaw_min
         if self.t is not None:
             out["t"] = self.t.to_json()
+        if self.solver_status is not None:
+            out["solver_status"] = self.solver_status
+            out["solver_message"] = self.solver_message
         return out
 
 
@@ -432,7 +423,8 @@ def quantum_extension(
     sampled product projectors.  A see-saw pass then hunts for product
     states on which the candidate t is negative; violators are added as
     constraints and the LP re-solved.  INFEASIBLE is declared when the
-    residual floor exceeds 1e-4.
+    residual floor exceeds 1e-4; a failed solve gives ERROR with the HiGHS
+    status and message, never a verdict.
     """
     dims = tuple(r[next(iter(r))].shape[0] for r in box.realizations or ())
     if not dims:
@@ -459,13 +451,14 @@ def quantum_extension(
         a_ub[n_eq:2 * n_eq, -1] = -1.0
         b_ub[n_eq:2 * n_eq] = -eq_vals
         a_ub[2 * n_eq:, :n_var] = -pos_rows
-        a_eq = np.concatenate([_trace_row(d_total), [0.0]])[None, :]
+        a_eq = np.concatenate([feature_of(np.eye(d_total)), [0.0]])[None, :]
         res = linprog(
             c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
             bounds=[(None, None)] * n_var + [(0, None)], method="highs",
         )
-        if not res.success:
-            return ExtensionVerdict("INFEASIBLE", np.inf, rounds=rounds)
+        if not res.success:  # the LP is always feasible, so this is a solver fault
+            return ExtensionVerdict("ERROR", np.nan, rounds=rounds,
+                                    solver_status=res.status, solver_message=res.message)
         residual = float(res.x[-1])
         t = HermitianOperator(dims, vec_to_herm(res.x[:n_var]))
         if residual > 1e-4:
@@ -487,7 +480,8 @@ def max_chsh_lp(realizations, sample_schedule=(250, 500, 1000, 2000), seed: int 
     """LP upper bounds on CHSH over sampled product-positive unit-trace t.
 
     The positivity samples are nested across the schedule, so the sequence
-    of bounds is nonincreasing.  Returns the list of bounds.
+    of bounds is nonincreasing.  Returns the list of bounds (inf where the
+    LP is unbounded); any other solver failure raises ValidationError.
     """
     dims = tuple(r[next(iter(r))].shape[0] for r in realizations)
     d_total = int(np.prod(dims))
@@ -497,12 +491,15 @@ def max_chsh_lp(realizations, sample_schedule=(250, 500, 1000, 2000), seed: int 
     objective = feature_of(bell_operator(settings))
     rng = make_rng(seed)
     all_rows = _positivity_rows(rng, dims, max(sample_schedule))
-    a_eq = _trace_row(d_total)[None, :]
+    a_eq = feature_of(np.eye(d_total))[None, :]
     bounds = []
     for count in sample_schedule:
         res = linprog(
             -objective, A_ub=-all_rows[:count], b_ub=np.zeros(count),
             A_eq=a_eq, b_eq=[1.0], bounds=[(None, None)] * n_var, method="highs",
         )
-        bounds.append(np.inf if res.status == 3 else float(-res.fun))
+        if res.status not in (0, 3):  # 3: unbounded, too few samples to pin t down
+            raise ValidationError(f"max_chsh_lp: linprog status {res.status} at "
+                                  f"{count} samples: {res.message}")
+        bounds.append(float(-res.fun) if res.status == 0 else np.inf)
     return bounds

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from nsgleason.cli import main
 from nsgleason.linalg import make_rng, random_density
@@ -33,7 +34,7 @@ def run(argv, capsys):
 
 def test_chsh_optimize_singlet(singlet_file, capsys):
     code, rep = run(
-        ["chsh", "--t", singlet_file, "--optimize", "--restarts", "8", "--seed", "7"],
+        ["chsh", "--t", singlet_file, "--optimize", "--seed", "7"],
         capsys,
     )
     assert code == 0
@@ -132,6 +133,28 @@ def test_prbox_exclusion(capsys):
     assert rep["verdicts"]["lp_bounds_nonincreasing"]["pass"]
 
 
+def test_chsh_restarts_accepted_and_ignored(singlet_file, capsys):
+    base = ["chsh", "--t", singlet_file, "--optimize", "--seed", "3"]
+    code, rep = run(base + ["--restarts", "3"], capsys)
+    _, plain = run(base, capsys)
+    assert code == 0
+    assert rep["chsh_value"] == plain["chsh_value"]
+
+
+def test_prbox_solver_error_reported(monkeypatch, capsys):
+    def fake_linprog(*args, **kwargs):
+        return OptimizeResult(status=4, success=False, x=None, fun=None,
+                              message="Numerical difficulties encountered.")
+
+    monkeypatch.setattr("nsgleason.nosig.linprog", fake_linprog)
+    code, rep = run(["prbox", "--samples", "50", "--seed", "2"], capsys)
+    assert code == 1
+    assert rep["extension"]["verdict"] == "ERROR"
+    excluded = rep["verdicts"]["pr_box_excluded"]
+    assert not excluded["pass"]
+    assert "HiGHS status 4" in excluded["note"]
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["not-a-command"]) == 2
 
@@ -146,14 +169,8 @@ def test_reports_reproducible(singlet_file, capsys):
         rep.pop("timings_ms", None)
         return rep
 
-    _, rep1 = run(
-        ["chsh", "--t", singlet_file, "--optimize", "--restarts", "4",
-         "--seed", "11"], capsys,
-    )
-    _, rep2 = run(
-        ["chsh", "--t", singlet_file, "--optimize", "--restarts", "4",
-         "--seed", "11"], capsys,
-    )
+    _, rep1 = run(["chsh", "--t", singlet_file, "--optimize", "--seed", "11"], capsys)
+    _, rep2 = run(["chsh", "--t", singlet_file, "--optimize", "--seed", "11"], capsys)
     assert strip_timings(rep1) == strip_timings(rep2)
 
 

@@ -38,6 +38,13 @@ def test_hermitian_basis_orthonormal():
     np.testing.assert_allclose(gram, np.eye(9), atol=1e-12)
 
 
+def test_hermitian_basis_read_only():
+    basis = hermitian_basis(3)
+    with pytest.raises(ValueError):
+        basis[0, 0, 0] = 2.0
+    assert hermitian_basis(3)[0, 0, 0] == 1.0
+
+
 def test_herm_vec_round_trip():
     rng = make_rng(1)
     m = random_hermitian(rng, (2, 2)).mat

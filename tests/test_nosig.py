@@ -2,9 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, minimize
 
 from nsgleason.framefn import OperatorInduced, make_signalling_example
-from nsgleason.linalg import HermitianOperator, make_rng, proj, random_density
+from nsgleason.linalg import (
+    HermitianOperator,
+    ValidationError,
+    make_rng,
+    proj,
+    random_density,
+    random_hermitian,
+)
 from nsgleason.nosig import (
     TSIRELSON,
     Box,
@@ -101,24 +111,99 @@ def test_chsh_deterministic_box_exactly_2():
 
 
 def test_chsh_optimize_singlet():
-    val, settings = chsh_optimize(singlet(), restarts=16, seed=4)
+    val, settings = chsh_optimize(singlet())
     assert val == pytest.approx(TSIRELSON, abs=1e-4)
     assert len(settings) == 4
+    assert abs(val - TSIRELSON) <= 1e-12
+    assert abs(chsh_value(ChshInstance(settings, singlet())) - TSIRELSON) <= 1e-12
 
 
 def test_chsh_optimize_maximally_mixed():
-    val, _ = chsh_optimize(
-        HermitianOperator((2, 2), np.eye(4) / 4), restarts=4, seed=5
-    )
+    val, settings = chsh_optimize(HermitianOperator((2, 2), np.eye(4) / 4))
     assert abs(val) <= 1e-6
+    for basis in settings:  # T = 0: any orthonormal settings are optimal
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-15)
 
 
 def test_chsh_optimize_swap_below_tsirelson():
     swap = np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float
     )
-    val, _ = chsh_optimize(HermitianOperator((2, 2), swap / 2), restarts=8, seed=6)
+    val, _ = chsh_optimize(HermitianOperator((2, 2), swap / 2))
     assert val <= TSIRELSON + 1e-4
+
+
+SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def dense_chsh(t, dirs):
+    """CHSH of t at Bloch quadruples dirs[n] = (a, a', b, b'), from 4x4 traces."""
+    a, a2, b, b2 = np.einsum("nki,ijl->knjl", dirs, SIGMA)
+    bell = (np.einsum("nij,nkl->nikjl", a, b + b2)
+            + np.einsum("nij,nkl->nikjl", a2, b - b2)).reshape(-1, 4, 4)
+    return np.einsum("ij,nji->n", t.mat, bell).real
+
+
+def nelder_mead_chsh(t, restarts=4, seed=0):
+    """Independent optimizer path: best multi-start Nelder-Mead CHSH value."""
+    rng = make_rng(seed)
+
+    def neg(x):
+        th, ph = x[0::2], x[1::2]
+        dirs = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], 1)
+        return -dense_chsh(t, dirs[None])[0]
+
+    runs = [minimize(neg, rng.uniform(0, 2 * np.pi, 8), method="Nelder-Mead",
+                     options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
+            for _ in range(restarts)]
+    return max(-r.fun for r in runs)
+
+
+hermitian_4x4 = st.lists(
+    st.floats(-1, 1, allow_nan=False), min_size=32, max_size=32
+).map(lambda x: np.reshape(x[:16], (4, 4)) + 1j * np.reshape(x[16:], (4, 4)))
+
+
+@given(hermitian_4x4)
+@settings(max_examples=60, deadline=None)
+def test_chsh_optimize_settings_reproduce_value(g):
+    t = HermitianOperator((2, 2), 0.5 * (g + g.conj().T))  # PSD or not
+    val, bases = chsh_optimize(t)
+    assert abs(chsh_value(ChshInstance(bases, t)) - val) <= 1e-12
+
+
+def test_chsh_optimize_dominates_random_settings():
+    rng = make_rng(8)
+    ops = [random_density(rng, (2, 2)), random_hermitian(rng, (2, 2)), singlet()]
+    for t in ops:
+        dirs = rng.standard_normal((2000, 4, 3))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        assert dense_chsh(t, dirs).max() <= chsh_optimize(t)[0] + 1e-12
+
+
+def test_chsh_optimize_product_state():
+    # rho_A (x) rho_B has a rank-one correlation matrix (s_2 = 0).
+    rho_a = (np.eye(2) + 0.6 * SIGMA[0] + 0.2 * SIGMA[2]) / 2
+    rho_b = (np.eye(2) - 0.5 * SIGMA[1]) / 2
+    t = HermitianOperator((2, 2), np.kron(rho_a, rho_b))
+    val, bases = chsh_optimize(t)
+    assert val == pytest.approx(2 * np.hypot(0.6, 0.2) * 0.5, abs=1e-12)
+    assert abs(chsh_value(ChshInstance(bases, t)) - val) <= 1e-12
+    assert val <= 2.0
+
+
+def test_chsh_optimize_matches_nelder_mead():
+    rng = make_rng(9)
+    ops = [singlet(), random_density(rng, (2, 2)), random_hermitian(rng, (2, 2))]
+    for seed, t in enumerate(ops):
+        exact, nm = chsh_optimize(t)[0], nelder_mead_chsh(t, seed=seed)
+        assert nm <= exact + 1e-12
+        assert nm >= exact - 1e-6
+
+
+def test_chsh_optimize_rejects_qutrits():
+    with pytest.raises(ValidationError):
+        chsh_optimize(HermitianOperator((3, 3), np.eye(9) / 9))
 
 
 def test_quantum_extension_singlet_feasible():
@@ -163,6 +248,32 @@ def test_max_chsh_lp_monotone_and_bounded():
         assert b2 <= b1 + 1e-9
     assert bounds[-1] < 3.2
     assert bounds[-1] >= TSIRELSON - 1e-6  # the LP relaxes the true quantum set
+
+
+def failed_linprog(status, message):
+    def fake(*args, **kwargs):
+        return OptimizeResult(status=status, success=False, message=message,
+                              x=None, fun=None)
+    return fake
+
+
+def test_quantum_extension_solver_failure_is_error(monkeypatch):
+    monkeypatch.setattr("nsgleason.nosig.linprog",
+                        failed_linprog(4, "Numerical difficulties encountered."))
+    verdict = quantum_extension(with_qubit_realizations(pr_box()),
+                                positivity_samples=50, seed=0)
+    assert verdict.verdict == "ERROR"
+    assert verdict.solver_status == 4
+    assert "Numerical" in verdict.solver_message
+    assert verdict.to_json()["solver_status"] == 4
+
+
+def test_max_chsh_lp_solver_failure_raises(monkeypatch):
+    monkeypatch.setattr("nsgleason.nosig.linprog",
+                        failed_linprog(2, "The problem is infeasible."))
+    box = with_qubit_realizations(pr_box())
+    with pytest.raises(ValidationError, match="status 2"):
+        max_chsh_lp(box.realizations, (50,), seed=0)
 
 
 def test_box_json_round_trip():
