@@ -40,7 +40,6 @@ from .framefn import (
     OperatorInduced,
     SignallingFamily,
     Tabulated,
-    evaluate,
     make_signalling_example,
     sample_from_operator,
     weight_check,

@@ -23,6 +23,7 @@ from .linalg import HermitianOperator, ValidationError
 from .nosig import (
     Box,
     ChshInstance,
+    SolverError,
     check_box,
     check_framefn,
     chsh_optimize,
@@ -171,7 +172,14 @@ def cmd_prbox(args, argv):
     )
     if args.schedule:
         schedule = tuple(int(x) for x in args.schedule.split(","))
-        bounds = max_chsh_lp(box.realizations, schedule, seed=args.seed)
+        try:
+            bounds = max_chsh_lp(box.realizations, schedule, seed=args.seed)
+        except SolverError as exc:
+            rep.data["max_chsh_lp"] = {"schedule": list(schedule), "solver_status": exc.status,
+                                       "solver_message": exc.message}
+            rep.verdict("lp_final_bound", False, None, 3.2,
+                        f"LP solver failed (HiGHS status {exc.status}: {exc.message}); no bound")
+            return rep.finish(args.out)
         rep.data["max_chsh_lp"] = {"schedule": list(schedule), "bounds": bounds}
         mono = all(b2 <= b1 + 1e-9 for b1, b2 in zip(bounds, bounds[1:]))
         rep.verdict("lp_bounds_nonincreasing", mono, bounds, 1e-9)

@@ -14,13 +14,13 @@ kinds are provided:
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import ProductBasis, ProductState
+from .gleason import feature_of, state_features
 from .linalg import HermitianOperator, ValidationError
 
 EVAL_TOL = 1e-10
@@ -117,11 +117,6 @@ class SignallingFamily:
 FrameFunction = OperatorInduced | Tabulated | SignallingFamily
 
 
-def evaluate(f, s: ProductState) -> float:
-    """Evaluate a frame function on a product state."""
-    return f(s)
-
-
 @dataclass(frozen=True)
 class WeightReport:
     sums: tuple
@@ -153,40 +148,17 @@ def make_signalling_example(dims, theta: float) -> SignallingFamily:
 
 
 def sample_from_operator(t: HermitianOperator, design) -> Tabulated:
-    """Tabulate <v|t|v> over a design of product states."""
-    table = {}
+    """Tabulate <v|t|v> over a design of product states: feature rows times vec(t)."""
+    design = list(design)
     for s in design:
         if s.dims != t.dims:
             raise ValidationError(f"design state dims {s.dims} != operator dims {t.dims}")
-        table[s.key()] = t.expectation(s.full())
-    return Tabulated(t.dims, table)
+    values = state_features(design) @ feature_of(t.mat) if design else ()
+    return Tabulated(t.dims, {s.key(): float(v) for s, v in zip(design, values)})
 
 
 # ---------------------------------------------------------------------------
-# Sample-table serialization (CSV and JSON): one row per (state, value).
-
-def samples_to_rows(design, values) -> list:
-    return [
-        {"state": json.dumps(s.to_json()), "value": float(v)}
-        for s, v in zip(design, values)
-    ]
-
-
-def write_samples_csv(path, design, values) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["state", "value"])
-        writer.writeheader()
-        writer.writerows(samples_to_rows(design, values))
-
-
-def read_samples_csv(path) -> tuple:
-    design, values = [], []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            design.append(ProductState.from_json(json.loads(row["state"])))
-            values.append(float(row["value"]))
-    return design, values
-
+# Sample-table serialization (JSON): one row per (state, value).
 
 def write_samples_json(path, design, values) -> None:
     with open(path, "w") as fh:

@@ -25,8 +25,8 @@ from .linalg import (
     ValidationError,
     hermitian_eig,
     make_rng,
-    proj,
     random_unit,
+    tensor_rows,
 )
 
 
@@ -55,26 +55,63 @@ def hermitian_basis(d: int) -> np.ndarray:
     return out
 
 
-def herm_to_vec(mat: np.ndarray) -> np.ndarray:
-    """Real coordinate vector of a Hermitian matrix in hermitian_basis."""
-    basis = hermitian_basis(mat.shape[0])
-    return np.einsum("kij,ji->k", basis, mat).real
+_S = 1.0 / np.sqrt(2.0)
 
 
-def vec_to_herm(x: np.ndarray) -> np.ndarray:
-    basis = hermitian_basis(int(round(np.sqrt(len(x)))))
-    return np.einsum("k,kij->ij", x, basis)
+def _coordinates(diag, sym, anti) -> np.ndarray:
+    """tr(B_k E) from diag = E_ii, sym = Re(E_ij + E_ji), anti = Im(E_ij - E_ji).
+
+    In the hermitian_basis ordering these are E_ii, then s sym and s anti
+    for each pair i < j, with s = 1/sqrt(2).
+    """
+    d = diag.shape[-1]
+    out = np.empty(diag.shape[:-1] + (d * d,))
+    out[..., :d] = diag.real
+    out[..., d::2] = _S * sym
+    out[..., d + 1::2] = _S * anti
+    return out
 
 
 def feature_of(op: np.ndarray) -> np.ndarray:
-    """Feature row of an operator E: tr(t E) = feature_of(E) . vec(t)."""
-    # tr(B_k E) with B_k Hermitian; real when E is Hermitian.
-    basis = hermitian_basis(op.shape[0])
-    return np.einsum("kij,ji->k", basis, op).real
+    """Feature row of an operator E: tr(t E) = feature_of(E) . vec(t).
+
+    A stack of operators of shape (..., D, D) gives a stack of rows.
+    """
+    op = np.asarray(op)
+    iu, ju = np.triu_indices(op.shape[-1], 1)
+    upper, lower = op[..., iu, ju], op[..., ju, iu]
+    diag = np.diagonal(op, axis1=-2, axis2=-1)
+    return _coordinates(diag, (upper + lower).real, (upper - lower).imag)
 
 
-def feature_of_state(s: ProductState) -> np.ndarray:
-    return feature_of(proj(s.full()))
+def projector_features(psi: np.ndarray) -> np.ndarray:
+    """Feature rows of the projectors |psi_n><psi_n| for psi of shape (N, D).
+
+    Row n equals feature_of(proj(psi_n)) up to rounding, without building
+    the (N, D, D) stack of projectors: E_ij = psi_i conj(psi_j) and E_ji is
+    its conjugate.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    iu, ju = np.triu_indices(psi.shape[-1], 1)
+    upper = psi[..., iu] * psi[..., ju].conj()
+    return _coordinates(psi * psi.conj(), 2.0 * upper.real, 2.0 * upper.imag)
+
+
+def state_features(states) -> np.ndarray:
+    """Feature rows of a sequence of product states, one row per state."""
+    sites = [np.array(f) for f in zip(*(s.factors for s in states))]
+    return projector_features(tensor_rows(sites))
+
+
+def vec_to_herm(x: np.ndarray) -> np.ndarray:
+    """Hermitian matrix with coordinates x in hermitian_basis (inverse of feature_of)."""
+    d = int(round(np.sqrt(len(x))))
+    iu, ju = np.triu_indices(d, 1)
+    sym, anti = _S * x[d::2], _S * x[d + 1::2]
+    out = np.diag(x[:d]).astype(complex)
+    out[iu, ju] = sym + 1j * anti
+    out[ju, iu] = sym - 1j * anti
+    return out
 
 
 class Classification(str, Enum):
@@ -99,31 +136,28 @@ class SpanningDesign:
 def spanning_design(dims, oversample: float = 1.5, seed: int = 0) -> SpanningDesign:
     """Draw random product states until their features have full rank.
 
-    The target count is ceil(oversample * D^2); if full rank is not reached
-    within 10x that budget the seed is declared non-generic and an error is
+    The target count is ceil(oversample * D^2); each time the rank falls
+    short, D^2 more states are drawn.  If full rank is not reached within
+    10x the first target the seed is declared non-generic and an error is
     raised.
     """
     dims = tuple(int(d) for d in dims)
-    d_total = int(np.prod(dims))
-    n_feat = d_total * d_total
+    n_feat = int(np.prod(dims)) ** 2
     target = int(np.ceil(oversample * n_feat))
+    budget = 10 * target
     rng = make_rng(seed)
-    states, rows = [], []
-    for _ in range(10 * target):
-        s = ProductState(tuple(random_unit(rng, d) for d in dims))
-        states.append(s)
-        rows.append(feature_of_state(s))
-        if len(states) >= target:
-            rank = np.linalg.matrix_rank(np.array(rows), tol=1e-10)
-            if rank == n_feat:
-                return SpanningDesign(dims, tuple(states), int(rank))
-            target += n_feat  # keep drawing
-    rank = np.linalg.matrix_rank(np.array(rows), tol=1e-10)
-    if rank == n_feat:
-        return SpanningDesign(dims, tuple(states), int(rank))
-    raise ValidationError(
-        f"feature rank {rank} < {n_feat} within 10x budget (non-generic seed)"
-    )
+    states = []
+    while True:
+        states += [ProductState(tuple(random_unit(rng, d) for d in dims))
+                   for _ in range(min(target, budget) - len(states))]
+        rank = np.linalg.matrix_rank(state_features(states), tol=1e-10)
+        if rank == n_feat:
+            return SpanningDesign(dims, tuple(states), int(rank))
+        if len(states) >= budget:
+            raise ValidationError(
+                f"feature rank {rank} < {n_feat} within 10x budget (non-generic seed)"
+            )
+        target += n_feat
 
 
 @dataclass(frozen=True)
@@ -160,35 +194,41 @@ def product_seesaw_min(
 ) -> Witness:
     """Minimize <v (x) w|t|v (x) w> by alternating local eigenvector descent.
 
-    Returns the worst (lowest-value) product state found over all restarts.
-    Two sites only.
+    All restarts run as one stack; a restart stops once its value changes
+    by less than 1e-14 between sweeps.  Returns the worst (lowest-value)
+    product state found, the first one on ties.  Two sites only.
     """
     if t.nsites != 2:
         raise ValidationError("see-saw requires exactly two sites")
     d1, d2 = t.dims
-    arr = t.mat.reshape(d1, d2, d1, d2)
+    # tt[(i, j), (k, l)] = t[(i, k), (j, l)]: contracting site 2 with w* (x) w
+    # leaves the site-1 operator, contracting site 1 with v* (x) v the site-2 one.
+    tt = t.mat.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
     rng = make_rng(seed)
-    best_val, best = np.inf, None
-    for _ in range(restarts):
-        w = random_unit(rng, d2)
-        v = random_unit(rng, d1)
-        prev = np.inf
-        for _ in range(iters):
-            # Contract site 2: A_w[i,j] = sum_kl arr[i,k,j,l] conj(w_k) w_l
-            a_w = np.einsum("ikjl,k,l->ij", arr, w.conj(), w)
-            vals, vecs = np.linalg.eigh(0.5 * (a_w + a_w.conj().T))
-            v = vecs[:, 0]
-            b_v = np.einsum("ikjl,i,j->kl", arr, v.conj(), v)
-            vals, vecs = np.linalg.eigh(0.5 * (b_v + b_v.conj().T))
-            w = vecs[:, 0]
-            cur = float(vals[0])
-            if abs(prev - cur) < 1e-14:
-                break
-            prev = cur
-        val = float(np.einsum("ikjl,i,k,j,l->", arr, v.conj(), w.conj(), v, w).real)
-        if val < best_val:
-            best_val, best = val, (v, w)
-    return Witness(tuple(best), best_val)
+    # Each restart draws w, then a v that the first sweep replaces.
+    w, v = map(np.array, zip(*[(random_unit(rng, d2), random_unit(rng, d1))
+                               for _ in range(restarts)]))
+    prev = np.full(restarts, np.inf)
+    live = np.arange(restarts)
+    for _ in range(iters):
+        if not live.size:
+            break
+        _, v[live] = _lowest_eigenpairs(tensor_rows([w[live].conj(), w[live]]) @ tt.T, d1)
+        vals, w[live] = _lowest_eigenpairs(tensor_rows([v[live].conj(), v[live]]) @ tt, d2)
+        done = np.abs(prev[live] - vals) < 1e-14
+        prev[live] = vals
+        live = live[~done]
+    psi = tensor_rows([v, w])
+    values = np.einsum("ri,ri->r", psi.conj(), psi @ t.mat.T).real
+    best = int(np.argmin(values))
+    return Witness((v[best], w[best]), float(values[best]))
+
+
+def _lowest_eigenpairs(flat: np.ndarray, d: int) -> tuple:
+    """Lowest eigenvalue and eigenvector of each operator in an (R, d*d) stack."""
+    ops = flat.reshape(-1, d, d)
+    vals, vecs = np.linalg.eigh(0.5 * (ops + ops.conj().transpose(0, 2, 1)))
+    return vals[:, 0], vecs[:, :, 0]
 
 
 def classify_product_positivity(
@@ -232,16 +272,12 @@ def reconstruct_pvm(
     if not design.full_rank:
         raise ValidationError("design features are rank-deficient")
     states = design.states
-    n_hold = int(round(holdout * len(states)))
-    fit, hold = states[: len(states) - n_hold], states[len(states) - n_hold:]
-    rows = np.array([feature_of_state(s) for s in fit])
-    vals = np.array([f(s) for s in fit])
-    x = _solve_lstsq(rows, vals)
+    n_fit = len(states) - int(round(holdout * len(states)))
+    rows = state_features(states)
+    vals = np.array([f(s) for s in states])
+    x = _solve_lstsq(rows[:n_fit], vals[:n_fit])
     t = HermitianOperator(design.dims, vec_to_herm(x))
-    if hold:
-        residual = max(abs(f(s) - t.expectation(s.full())) for s in hold)
-    else:
-        residual = 0.0
+    residual = np.max(np.abs(rows[n_fit:] @ x - vals[n_fit:]), initial=0.0)
     cls, wit = classify_product_positivity(t, restarts=restarts, seed=seed)
     return Reconstruction(t, float(residual), cls, wit)
 
@@ -253,15 +289,14 @@ def reconstruct_povm(samples, dims, restarts: int = 64, seed: int = 0) -> Recons
     satisfying 0 <= e_i <= 1.  Works for any local dims >= 2.
     """
     dims = tuple(int(d) for d in dims)
-    rows, vals = [], []
-    for (e1, e2), val in samples:
+    samples = list(samples)
+    for (e1, e2), _ in samples:
         for e in (e1, e2):
             ev = np.linalg.eigvalsh(np.asarray(e, dtype=complex))
             if ev[0] < -1e-10 or ev[-1] > 1 + 1e-10:
                 raise ValidationError("effect spectrum outside [0, 1]")
-        rows.append(feature_of(np.kron(e1, e2)))
-        vals.append(val)
-    rows, vals = np.array(rows), np.array(vals)
+    rows = feature_of(np.array([np.kron(e1, e2) for (e1, e2), _ in samples]))
+    vals = np.array([val for _, val in samples])
     n_feat = int(np.prod(dims)) ** 2
     if np.linalg.matrix_rank(rows, tol=1e-10) < n_feat:
         raise ValidationError("effect samples are rank-deficient")

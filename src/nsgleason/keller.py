@@ -169,7 +169,6 @@ def _heuristic(n: int, target: int, graph: Graph, budget: int, seed: int):
     """Seeded greedy-with-restarts local search; best-effort only."""
     verts = _all_vertices(n)
     rng = np.random.Generator(np.random.Philox(seed))
-    best = None
     for _ in range(max(1, budget)):
         order = rng.permutation(len(verts))
         clique: list = []
@@ -179,8 +178,6 @@ def _heuristic(n: int, target: int, graph: Graph, budget: int, seed: int):
                 clique.append(idx)
                 if len(clique) == target:
                     return CliqueCandidate(n, verts[np.array(clique)])
-        if best is None or len(clique) > best.size:
-            best = CliqueCandidate(n, verts[np.array(clique)])
     return None
 
 

@@ -22,11 +22,6 @@ class ValidationError(ValueError):
     """Raised when an input fails a structural invariant beyond tolerance."""
 
 
-def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
 def proj(v: np.ndarray) -> np.ndarray:
     """Rank-1 projector |v><v|."""
     v = np.asarray(v, dtype=complex)
@@ -44,6 +39,14 @@ def tensor(factors) -> np.ndarray:
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
         out = np.kron(out, np.asarray(f, dtype=complex))
+    return out
+
+
+def tensor_rows(stacks) -> np.ndarray:
+    """Row-wise Kronecker product: row n is tensor(s[n] for s in stacks)."""
+    out = np.asarray(stacks[0], dtype=complex)
+    for s in stacks[1:]:
+        out = (out[:, :, None] * np.asarray(s, dtype=complex)[:, None, :]).reshape(len(out), -1)
     return out
 
 

@@ -20,6 +20,7 @@ from .bases import ProductState
 from .gleason import (
     feature_of,
     product_seesaw_min,
+    projector_features,
     vec_to_herm,
 )
 from .linalg import (
@@ -33,6 +34,14 @@ from .linalg import (
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+class SolverError(ValidationError):
+    """A linprog solve failed; carries the HiGHS status and message."""
+
+    def __init__(self, status: int, message: str, where: str):
+        super().__init__(f"{where}: linprog status {status}: {message}")
+        self.status, self.message = status, message
 
 
 # ---------------------------------------------------------------------------
@@ -157,21 +166,22 @@ def deterministic_box() -> Box:
     return Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), table)
 
 
+def _basis_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows u[:, i] (x) v[:, j] over the columns of u and v, i major."""
+    return (u.T[:, None, :, None] * v.T[None, :, None, :]).reshape(-1, len(u) * len(v))
+
+
 def box_from_operator(t: HermitianOperator, realizations) -> Box:
     """Box induced by tr(t (p_A (x) q_B)) at the given measurement bases."""
     settings = tuple(tuple(site.keys()) for site in realizations)
     n_out = tuple(next(iter(site.values())).shape[1] for site in realizations)
     outcomes = tuple(tuple(range(n)) for n in n_out)
+    coords = feature_of(t.mat)
     table = {}
     for a in settings[0]:
-        u = realizations[0][a]
         for b in settings[1]:
-            v = realizations[1][b]
-            p = np.zeros((n_out[0], n_out[1]))
-            for i in range(n_out[0]):
-                for j in range(n_out[1]):
-                    p[i, j] = t.expectation(np.kron(u[:, i], v[:, j]))
-            p = np.clip(p, 0.0, None)
+            psi = _basis_products(realizations[0][a], realizations[1][b])
+            p = np.clip((projector_features(psi) @ coords).reshape(n_out), 0.0, None)
             table[(a, b)] = p / p.sum() * 1.0 if abs(p.sum() - 1) > 1e-12 else p
     return Box(settings, outcomes, table, tuple(realizations))
 
@@ -359,14 +369,9 @@ def _positivity_rows(rng: np.random.Generator, dims, count: int) -> np.ndarray:
     constraint).
     """
     d1, d2 = dims
-    rows = []
-    while len(rows) < count:
-        u = random_onb(rng, d1)
-        v = random_onb(rng, d2)
-        for i in range(d1):
-            for j in range(d2):
-                rows.append(feature_of(proj(np.kron(u[:, i], v[:, j]))))
-    return np.array(rows[:count])
+    n_bases = -(-count // (d1 * d2))
+    psi = [_basis_products(random_onb(rng, d1), random_onb(rng, d2)) for _ in range(n_bases)]
+    return projector_features(np.concatenate(psi)[:count])
 
 
 @dataclass(frozen=True)
@@ -398,19 +403,10 @@ class ExtensionVerdict:
 
 def _box_equalities(box: Box):
     """Feature rows and targets for tr(t (p_A (x) q_B)) = P(A,B|a,b)."""
-    if box.realizations is None:
-        raise ValidationError("quantum_extension requires projective realizations")
-    rows, vals = [], []
-    for a in box.settings[0]:
-        u = box.realizations[0][a]
-        for b in box.settings[1]:
-            v = box.realizations[1][b]
-            p = box.block(a, b)
-            for i in range(p.shape[0]):
-                for j in range(p.shape[1]):
-                    rows.append(feature_of(proj(np.kron(u[:, i], v[:, j]))))
-                    vals.append(p[i, j])
-    return np.array(rows), np.array(vals)
+    pairs = [(a, b) for a in box.settings[0] for b in box.settings[1]]
+    psi = [_basis_products(box.realizations[0][a], box.realizations[1][b]) for a, b in pairs]
+    vals = [box.block(a, b).ravel() for a, b in pairs]
+    return projector_features(np.concatenate(psi)), np.concatenate(vals)
 
 
 def quantum_extension(
@@ -471,9 +467,7 @@ def quantum_extension(
         if rounds >= max_rounds:
             return ExtensionVerdict("AMBIGUOUS", residual, t=t,
                                     seesaw_min=wit.value, rounds=rounds)
-        pos_rows = np.vstack(
-            [pos_rows, feature_of(proj(np.kron(wit.factors[0], wit.factors[1])))]
-        )
+        pos_rows = np.vstack([pos_rows, projector_features(np.kron(*wit.factors)[None])])
 
 
 def max_chsh_lp(realizations, sample_schedule=(250, 500, 1000, 2000), seed: int = 0):
@@ -481,7 +475,7 @@ def max_chsh_lp(realizations, sample_schedule=(250, 500, 1000, 2000), seed: int 
 
     The positivity samples are nested across the schedule, so the sequence
     of bounds is nonincreasing.  Returns the list of bounds (inf where the
-    LP is unbounded); any other solver failure raises ValidationError.
+    LP is unbounded); any other solver failure raises SolverError.
     """
     dims = tuple(r[next(iter(r))].shape[0] for r in realizations)
     d_total = int(np.prod(dims))
@@ -499,7 +493,6 @@ def max_chsh_lp(realizations, sample_schedule=(250, 500, 1000, 2000), seed: int 
             A_eq=a_eq, b_eq=[1.0], bounds=[(None, None)] * n_var, method="highs",
         )
         if res.status not in (0, 3):  # 3: unbounded, too few samples to pin t down
-            raise ValidationError(f"max_chsh_lp: linprog status {res.status} at "
-                                  f"{count} samples: {res.message}")
+            raise SolverError(res.status, res.message, f"max_chsh_lp at {count} samples")
         bounds.append(float(-res.fun) if res.status == 0 else np.inf)
     return bounds

@@ -59,20 +59,11 @@ def operator_to_map(t: HermitianOperator) -> OperatorMap:
 def choi_of(t: HermitianOperator) -> HermitianOperator:
     """Choi matrix of the induced map, sum_ij E_ij (x) phi(E_ij).
 
-    In the convention fixed by :class:`OperatorMap` this reproduces t
-    itself; the operation exists to pin the convention bit-exactly and to
-    carry the positivity tests.
+    In the convention fixed by :class:`OperatorMap`, phi(E_ij)[k, l] =
+    t[(i,k), (j,l)], so the Choi matrix is t itself: this returns a new
+    operator equal to t, and the positivity tests read t directly.
     """
-    phi = OperatorMap(t)
-    d1, d2 = t.dims
-    choi = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    eij = np.zeros((d1, d1), dtype=complex)
-    for i in range(d1):
-        for j in range(d1):
-            eij[:] = 0.0
-            eij[i, j] = 1.0
-            choi += np.kron(eij, phi(eij))
-    return HermitianOperator(t.dims, choi)
+    return HermitianOperator(t.dims, t.mat)
 
 
 class Orientation(str, Enum):
@@ -99,8 +90,8 @@ class OrientationClass:
 
 def classify_orientation(t: HermitianOperator) -> OrientationClass:
     """CP / co-CP / both / neither, by Choi positivity under the site-1 flip."""
-    ev_direct = min_eigenvalue(choi_of(t).mat)
-    ev_flipped = min_eigenvalue(choi_of(partial_transpose(t, 0)).mat)
+    ev_direct = min_eigenvalue(t.mat)
+    ev_flipped = min_eigenvalue(partial_transpose(t, 0).mat)
     cp = ev_direct >= -PSD_TOL
     co_cp = ev_flipped >= -PSD_TOL
     if cp and co_cp:
@@ -151,7 +142,7 @@ def kraus_factorize(t: HermitianOperator, rank_tol: float = 1e-12) -> KrausSet:
         )
     flipped = cls.value == Orientation.CO_CP
     source = partial_transpose(t, 0) if flipped else t
-    spec = hermitian_eig(choi_of(source))
+    spec = hermitian_eig(source)
     d1, d2 = t.dims
     ops = []
     for lam, col in zip(spec.eigenvalues, spec.eigenvectors.T):

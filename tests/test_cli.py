@@ -155,6 +155,22 @@ def test_prbox_solver_error_reported(monkeypatch, capsys):
     assert "HiGHS status 4" in excluded["note"]
 
 
+def test_prbox_schedule_solver_error_reported(monkeypatch, capsys):
+    def fake_linprog(*args, **kwargs):
+        return OptimizeResult(status=4, success=False, x=None, fun=None,
+                              message="Numerical difficulties encountered.")
+
+    monkeypatch.setattr("nsgleason.nosig.linprog", fake_linprog)
+    code, rep = run(["prbox", "--samples", "50", "--schedule", "50,100", "--seed", "2"],
+                    capsys)
+    assert code == 1
+    assert rep["extension"]["verdict"] == "ERROR"
+    assert rep["max_chsh_lp"]["solver_status"] == 4
+    final = rep["verdicts"]["lp_final_bound"]
+    assert not final["pass"]
+    assert "HiGHS status 4" in final["note"]
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["not-a-command"]) == 2
 

@@ -2,20 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-
+from nsgleason.bases import ProductState
 from nsgleason.framefn import make_signalling_example, sample_from_operator
 from nsgleason.gleason import (
     Classification,
     classify_product_positivity,
     hermitian_basis,
+    product_seesaw_min,
+    projector_features,
     random_product_effects,
     reconstruct_povm,
     reconstruct_pvm,
     sample_effects_from_operator,
     spanning_design,
+    state_features,
+    feature_of,
     vec_to_herm,
-    herm_to_vec,
 )
 from nsgleason.linalg import (
     HermitianOperator,
@@ -25,6 +30,7 @@ from nsgleason.linalg import (
     proj,
     random_density,
     random_hermitian,
+    random_unit,
 )
 
 SWAP = np.array(
@@ -48,7 +54,7 @@ def test_hermitian_basis_read_only():
 def test_herm_vec_round_trip():
     rng = make_rng(1)
     m = random_hermitian(rng, (2, 2)).mat
-    np.testing.assert_allclose(vec_to_herm(herm_to_vec(m)), m, atol=1e-12)
+    np.testing.assert_allclose(vec_to_herm(feature_of(m)), m, atol=1e-12)
 
 
 def test_spanning_design_ranks():
@@ -170,3 +176,144 @@ def test_classification_invariant_under_partial_transpose():
         _, wit1 = classify_product_positivity(t, seed=seed)
         _, wit2 = classify_product_positivity(partial_transpose(t, 1), seed=seed)
         assert abs(wit1.value - wit2.value) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Closed-form features and the batched see-saw against test-only dense paths.
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def einsum_features(op):
+    """tr(B_k E) summed over the dense hermitian_basis stack."""
+    return np.einsum("kij,ji->k", hermitian_basis(op.shape[0]), op).real
+
+
+def random_matrix(rng, d, hermitian):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    z = z + z.conj().T if hermitian else z
+    return z / np.abs(z).max()
+
+
+@given(seeds, st.integers(min_value=1, max_value=9), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_feature_of_matches_dense_basis(seed, d, hermitian):
+    rng = make_rng(seed)
+    ops = np.array([random_matrix(rng, d, hermitian) for _ in range(3)])
+    dense = np.array([einsum_features(op) for op in ops])
+    assert np.max(np.abs(feature_of(ops) - dense)) <= 1e-15
+    for op, row in zip(ops, dense):
+        assert np.max(np.abs(feature_of(op) - row)) <= 1e-15
+
+
+@given(seeds, st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (2, 2, 2)]))
+@settings(max_examples=40, deadline=None)
+def test_product_state_rows_match_dense_basis(seed, dims):
+    rng = make_rng(seed)
+    states = [ProductState(tuple(random_unit(rng, d) for d in dims)) for _ in range(5)]
+    dense = np.array([einsum_features(proj(s.full())) for s in states])
+    assert np.max(np.abs(state_features(states) - dense)) <= 1e-15
+    psi = np.array([s.full() for s in states])
+    assert np.max(np.abs(projector_features(psi) - dense)) <= 1e-15
+
+
+@given(seeds, st.integers(min_value=1, max_value=9))
+@settings(max_examples=40, deadline=None)
+def test_coordinates_round_trip(seed, d):
+    rng = make_rng(seed)
+    m = random_matrix(rng, d, hermitian=True)
+    np.testing.assert_allclose(vec_to_herm(feature_of(m)), m, rtol=0, atol=1e-15)
+    x = rng.standard_normal(d * d)
+    np.testing.assert_allclose(feature_of(vec_to_herm(x)), x, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(vec_to_herm(x), np.einsum("k,kij->ij", x, hermitian_basis(d)))
+
+
+def looped_seesaw_min(t, restarts, seed, iters=300):
+    """One restart at a time, as the see-saw ran before it was batched."""
+    d1, d2 = t.dims
+    arr = t.mat.reshape(d1, d2, d1, d2)
+    rng = make_rng(seed)
+    best_val, best = np.inf, None
+    for _ in range(restarts):
+        w = random_unit(rng, d2)
+        v = random_unit(rng, d1)
+        prev = np.inf
+        for _ in range(iters):
+            a_w = np.einsum("ikjl,k,l->ij", arr, w.conj(), w)
+            vals, vecs = np.linalg.eigh(0.5 * (a_w + a_w.conj().T))
+            v = vecs[:, 0]
+            b_v = np.einsum("ikjl,i,j->kl", arr, v.conj(), v)
+            vals, vecs = np.linalg.eigh(0.5 * (b_v + b_v.conj().T))
+            w = vecs[:, 0]
+            cur = float(vals[0])
+            if abs(prev - cur) < 1e-14:
+                break
+            prev = cur
+        val = float(np.einsum("ikjl,i,k,j,l->", arr, v.conj(), w.conj(), v, w).real)
+        if val < best_val:
+            best_val, best = val, (v, w)
+    return best_val, best
+
+
+@given(seeds, st.sampled_from([(2, 2), (2, 3), (3, 3), (4, 4)]),
+       st.sampled_from(["hermitian", "partial_transpose", "shifted_swap"]),
+       st.sampled_from([1, 3, 300]))
+@settings(max_examples=30, deadline=None)
+def test_batched_seesaw_matches_loop(seed, dims, kind, iters):
+    # Capped runs (iters 1 and 3) end where each start leads, so they pin the draws.
+    rng = make_rng(seed)
+    if kind == "hermitian":
+        t = random_hermitian(rng, dims)
+    elif kind == "partial_transpose":
+        t = partial_transpose(random_density(rng, dims), 0)
+    else:  # product-positive swap, shifted by a random amount around zero
+        d = dims[0]
+        swap = np.eye(d * d)[[j * d + i for i in range(d) for j in range(d)]]
+        t = HermitianOperator((d, d), swap / 2 + rng.uniform(-0.2, 0.2) * np.eye(d * d))
+    wit = product_seesaw_min(t, restarts=8, seed=seed, iters=iters)
+    value, _ = looped_seesaw_min(t, restarts=8, seed=seed, iters=iters)
+    assert abs(wit.value - value) <= 1e-12
+    assert (wit.value >= -1e-8) == (value >= -1e-8)
+    assert abs(t.expectation(np.kron(*wit.factors)) - wit.value) <= 1e-12
+
+
+def looped_spanning_design(dims, seed, oversample=1.5):
+    """Draw-by-draw design with per-row dense features and a rank check per target."""
+    n_feat = int(np.prod(dims)) ** 2
+    target = int(np.ceil(oversample * n_feat))
+    rng = make_rng(seed)
+    states, rows = [], []
+    for _ in range(10 * target):
+        s = ProductState(tuple(random_unit(rng, d) for d in dims))
+        states.append(s)
+        rows.append(einsum_features(proj(s.full())))
+        if len(states) >= target:
+            rank = np.linalg.matrix_rank(np.array(rows), tol=1e-10)
+            if rank == n_feat:
+                return states, rank
+            target += n_feat
+    raise AssertionError("reference design did not reach full rank")
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
+@pytest.mark.parametrize("seed", range(4))
+def test_spanning_design_matches_draw_by_draw_loop(dims, seed):
+    design = spanning_design(dims, seed=seed)
+    states, rank = looped_spanning_design(dims, seed)
+    assert [s.key() for s in design.states] == [s.key() for s in states]
+    assert design.feature_rank == rank == int(np.prod(dims)) ** 2
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_spanning_design_short_target_draws_more(seed):
+    # ceil(0.5 * 16) = 8 rows cannot span 16 dimensions: 16 more are drawn.
+    design = spanning_design((2, 2), oversample=0.5, seed=seed)
+    states, _ = looped_spanning_design((2, 2), seed, oversample=0.5)
+    assert len(design.states) == 24
+    assert [s.key() for s in design.states] == [s.key() for s in states]
+
+
+def test_spanning_design_budget_exhausted():
+    # One state is the first target, so the budget is 10 states: rank <= 10 < 16.
+    with pytest.raises(ValidationError, match="non-generic"):
+        spanning_design((2, 2), oversample=0.01, seed=0)
