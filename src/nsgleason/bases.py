@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    ORTHONORMALITY_TOL,
     ValidationError,
     canonical_phase,
     check_unit,
@@ -44,6 +45,26 @@ class ProductState:
             f.setflags(write=False)
             facs.append(f)
         object.__setattr__(self, "factors", tuple(facs))
+
+    @classmethod
+    def batch(cls, stacks) -> tuple:
+        """States from per-site (N, d_s) stacks, row k of each holding a factor
+        of state k: the constructor's phases and unit checks, one pass a site."""
+        sites = [canonical_phase(f) for f in stacks]
+        if len({len(f) for f in sites}) > 1:
+            raise ValidationError("per-site stacks hold different numbers of states")
+        # A norm within tol/2 of 1 here passes check_unit, whose norm differs
+        # by a few ulps; check_unit itself decides (and raises) for the rest.
+        suspects = sorted((k, s) for s, f in enumerate(sites) for k in
+                          np.flatnonzero(np.abs(np.linalg.norm(f, axis=1) - 1) > ORTHONORMALITY_TOL / 2))
+        for k, s in suspects:
+            check_unit(sites[s][k])
+        for f in sites:
+            f.setflags(write=False)
+        states = tuple(object.__new__(cls) for _ in range(len(sites[0]) if sites else 0))
+        for e, facs in zip(states, zip(*sites)):
+            object.__setattr__(e, "factors", facs)
+        return states
 
     @property
     def dims(self) -> tuple:
@@ -119,10 +140,8 @@ class UnentangledBasis:
         )
         if not elems:
             raise ValidationError("empty basis")
-        dims = elems[0].dims
-        for e in elems:
-            if e.dims != dims:
-                raise ValidationError("inconsistent dims across basis elements")
+        if any(e.dims != elems[0].dims for e in elems):
+            raise ValidationError("inconsistent dims across basis elements")
         object.__setattr__(self, "elements", elems)
 
     @property
@@ -141,7 +160,10 @@ class UnentangledBasis:
 
     @classmethod
     def from_json(cls, data: dict) -> "UnentangledBasis":
-        return cls(tuple(ProductState.from_json(e) for e in data["elements"]))
+        elems = [[vector_from_json({"entries": f}) for f in e["factors"]] for e in data["elements"]]
+        if len({tuple(map(len, e)) for e in elems}) > 1:
+            raise ValidationError("inconsistent dims across basis elements")
+        return cls(ProductState.batch([np.array(site) for site in zip(*elems)]))
 
 
 @dataclass(frozen=True)
@@ -155,41 +177,39 @@ class BasisReport:
     failures: tuple = ()
 
 
-def _site_overlaps(b: UnentangledBasis) -> list:
-    """Per-site N x N matrices of absolute factor overlaps |<f_i^s|f_j^s>|."""
-    out = []
+def _upper(n: int) -> np.ndarray:
+    """Mask of the entries i < j of an N x N matrix."""
+    return np.arange(n)[:, None] < np.arange(n)
+
+
+def _site_overlaps(b: UnentangledBasis):
+    """Yield, site by site, the N x N matrix of |<f_i^s|f_j^s>|; all sites
+    share one buffer, so use each matrix before asking for the next."""
+    n = len(b.elements)
+    gram, out = np.empty((n, n), dtype=complex), np.empty((n, n))
     for s in range(b.elements[0].nsites):
         f = np.array([e.factors[s] for e in b.elements])
-        out.append(np.abs(f.conj() @ f.T))
-    return out
+        yield np.abs(np.matmul(f.conj(), f.T, out=gram), out=out)
 
 
 def validate_unentangled(b: UnentangledBasis) -> BasisReport:
     """Check pairwise orthogonality (factorwise) and completeness.
 
-    Overlaps are computed per site and multiplied, never via full
-    D-dimensional vectors, so large bases (e.g. 2^10 elements) stay cheap.
+    Overlaps are computed one site at a time and multiplied in place, never
+    via full D-dimensional vectors, so large bases (e.g. 2^10 elements) stay
+    cheap.
     """
     n = len(b.elements)
     total = np.ones((n, n))
     for ov in _site_overlaps(b):
         total *= ov
-    iu = np.triu_indices(n, k=1)
-    pair_overlaps = total[iu]
-    failures = []
-    if pair_overlaps.size:
-        worst_idx = int(np.argmax(pair_overlaps))
-        worst = float(pair_overlaps[worst_idx])
-        worst_pair = (int(iu[0][worst_idx]), int(iu[1][worst_idx]))
-        bad = np.nonzero(pair_overlaps > ORTHO_PAIR_TOL)[0]
-        failures = [
-            (int(iu[0][k]), int(iu[1][k]), float(pair_overlaps[k])) for k in bad
-        ]
-    else:
-        worst, worst_pair = 0.0, None
+    total[~_upper(n)] = -1.0  # pairs i < j are read in row-major order
+    failures = tuple((int(i), int(j), float(total[i, j]))
+                     for i, j in zip(*np.nonzero(total > ORTHO_PAIR_TOL)))
+    worst_pair = divmod(int(np.argmax(total)), n) if n > 1 else None
+    worst = float(total[worst_pair]) if worst_pair else 0.0
     complete = n == b.dim
-    is_valid = complete and not failures
-    return BasisReport(is_valid, complete, worst, worst_pair, tuple(failures))
+    return BasisReport(complete and not failures, complete, worst, worst_pair, failures)
 
 
 @dataclass(frozen=True)
@@ -229,20 +249,12 @@ class TwistMove:
         return cls(int(data["site"]), tuple(data["pair"]), rot)
 
 
-def _factors_agree(e1: ProductState, e2: ProductState, site: int) -> bool:
-    for s in range(e1.nsites):
-        if s == site:
-            continue
-        if abs(np.vdot(e1.factors[s], e2.factors[s])) < 1 - SAME_FACTOR_TOL:
-            return False
-    return True
-
-
 def apply_twist(b: UnentangledBasis, m: TwistMove) -> UnentangledBasis:
     """Apply a twist move; all elements except the referenced pair are unchanged."""
     i, j = m.pair
     ei, ej = b.elements[i], b.elements[j]
-    if not _factors_agree(ei, ej, m.site):
+    if any(abs(np.vdot(f, g)) < 1 - SAME_FACTOR_TOL
+           for s, (f, g) in enumerate(zip(ei.factors, ej.factors)) if s != m.site):
         raise ValidationError(
             f"elements {i},{j} do not agree on all factors except site {m.site}"
         )
@@ -266,21 +278,19 @@ def find_local_pairs(b: UnentangledBasis) -> list:
     """All (site, (i, j)) pairs differing in exactly one tensor factor.
 
     These are the 2-dim local subspaces a twist move can act on.  Exhaustive
-    over element pairs; overlap matrices are computed per site, so even the
-    2^10-element tiling bases are handled quickly.
+    over element pairs, listed with i < j in row-major order; each pair's
+    count of differing sites and last differing site are accumulated one
+    site at a time, so even the 2^10-element tiling bases are handled
+    quickly.
     """
-    site_ov = _site_overlaps(b)
-    differs = np.stack([ov < 1 - SAME_FACTOR_TOL for ov in site_ov])
-    n_diff = differs.sum(axis=0)
-    out = []
-    n = len(b.elements)
-    iu = np.triu_indices(n, k=1)
-    single = np.nonzero(n_diff[iu] == 1)[0]
-    for k in single:
-        i, j = int(iu[0][k]), int(iu[1][k])
-        site = int(np.nonzero(differs[:, i, j])[0][0])
-        out.append((site, (i, j)))
-    return out
+    n, small = len(b.elements), np.min_scalar_type(b.elements[0].nsites)
+    n_diff, last = np.zeros((n, n), dtype=small), np.zeros((n, n), dtype=small)
+    for s, ov in enumerate(_site_overlaps(b)):
+        differs = ov < 1 - SAME_FACTOR_TOL
+        n_diff += differs
+        np.putmask(last, differs, s)
+    i, j = np.nonzero((n_diff == 1) & _upper(n))
+    return [(int(s), (int(a), int(c))) for s, a, c in zip(last[i, j], i, j)]
 
 
 @dataclass(frozen=True)
@@ -291,16 +301,20 @@ class TwistCertificate:
     initial: UnentangledBasis
     final: ProductBasis
 
-    def replay(self, tol: float = 1e-8) -> bool:
+    def walk(self):
+        """Apply the moves in order, yielding each intermediate basis."""
         b = self.initial
         for m in self.moves:
             b = apply_twist(b, m)
+            yield b
+
+    def replay(self, tol: float = 1e-8) -> bool:
+        b = self.initial
+        for b in self.walk():
+            pass
         # Compare as sets of elements up to phase, within tolerance.
         final_elems = self.final.to_unentangled().elements
-        for e in b.elements:
-            if not any(abs(e.overlap(f)) > 1 - tol for f in final_elems):
-                return False
-        return True
+        return all(any(abs(e.overlap(f)) > 1 - tol for f in final_elems) for e in b.elements)
 
     def to_json(self) -> dict:
         return {
@@ -340,11 +354,7 @@ def _as_product_basis(b: UnentangledBasis) -> ProductBasis | None:
                 idx = len(reps[s]) - 1
             sig.append(idx)
         signatures.append(tuple(sig))
-    dims = b.dims
-    for s in range(nsites):
-        if len(reps[s]) != dims[s]:
-            return None
-    if len(set(signatures)) != len(signatures):
+    if tuple(map(len, reps)) != b.dims or len(set(signatures)) != len(signatures):
         return None
     try:
         return ProductBasis(tuple(tuple(r) for r in reps))
@@ -358,33 +368,18 @@ def _alignment_score(b: UnentangledBasis) -> int:
     A full product basis maximizes this: every pair of elements either shares
     a site factor or has orthogonal ones.
     """
-    elems = b.elements
-    nsites = elems[0].nsites
-    score = 0
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            for s in range(nsites):
-                ov = abs(np.vdot(elems[i].factors[s], elems[j].factors[s]))
-                if ov > 1 - SAME_FACTOR_TOL or ov < ORTHO_PAIR_TOL:
-                    score += 1
-    return score
+    upper = _upper(len(b.elements))
+    return sum(int(np.count_nonzero(((ov > 1 - SAME_FACTOR_TOL) | (ov < ORTHO_PAIR_TOL)) & upper))
+               for ov in _site_overlaps(b))
 
 
-def _span_coefficients(g: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """Express g in span{u, v}; returns (alpha, beta) or None if outside."""
+def _rotation_to_target(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """2x2 unitary sending (u, v) to (g, g_perp) inside span{u, v}; None when
+    g lies outside that span."""
     a = np.vdot(u, g)
     c = np.vdot(v, g)
     if abs(a) ** 2 + abs(c) ** 2 < 1 - 1e-8:
         return None
-    return a, c
-
-
-def _rotation_to_target(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """2x2 unitary sending (u, v) to (g, g_perp) inside span{u, v}."""
-    coeffs = _span_coefficients(g, u, v)
-    if coeffs is None:
-        return None
-    a, c = coeffs
     nrm = np.hypot(abs(a), abs(c))
     a, c = a / nrm, c / nrm
     # Rows act on the (u, v) pair: new_1 = a*u + c*v = g, new_2 = its complement.
@@ -401,11 +396,12 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
     initial = b
     moves = []
     tried = 0
-    for _ in range(budget):
+    for step in itertools.count():
         pb = _as_product_basis(b)
         if pb is not None:
-            cert = TwistCertificate(tuple(moves), initial, pb)
-            return SearchResult(True, cert)
+            return SearchResult(True, TwistCertificate(tuple(moves), initial, pb))
+        if step >= budget:
+            return SearchResult(False, None, "move budget exhausted", tried)
         pairs = find_local_pairs(b)
         if not pairs:
             return SearchResult(
@@ -419,8 +415,7 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
             # Candidate targets: site factors of other elements (align with
             # an existing local frame) plus computational axes in the span.
             targets = [e.factors[site] for k, e in enumerate(b.elements) if k not in (i, j)]
-            d_loc = len(u)
-            targets.extend(np.eye(d_loc)[k] for k in range(d_loc))
+            targets += list(np.eye(len(u)))
             tried_keys = set()
             for g in targets:
                 rot = _rotation_to_target(u, v, np.asarray(g, dtype=complex))
@@ -443,11 +438,6 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
             return SearchResult(False, None, "no strictly improving move found", tried)
         moves.append(best[3])
         b = best[4]
-    pb = _as_product_basis(b)
-    if pb is not None:
-        cert = TwistCertificate(tuple(moves), initial, pb)
-        return SearchResult(True, cert)
-    return SearchResult(False, None, "move budget exhausted", tried)
 
 
 # ---------------------------------------------------------------------------

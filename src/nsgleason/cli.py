@@ -16,7 +16,13 @@ import time
 import numpy as np
 
 from . import keller as kel
-from .bases import UnentangledBasis, twist_search, twisted_example_certificate, validate_unentangled
+from .bases import (
+    UnentangledBasis,
+    find_local_pairs,
+    twist_search,
+    twisted_example_certificate,
+    validate_unentangled,
+)
 from .framefn import make_signalling_example, sample_from_operator
 from .gleason import reconstruct_pvm, spanning_design
 from .linalg import HermitianOperator, ValidationError
@@ -64,7 +70,8 @@ class Report:
         self.data["timings_ms"]["total"] = round(
             1000 * (time.perf_counter() - self._t0), 3
         )
-        text = json.dumps(self.data, indent=2, default=_jsonable)
+        # JSON has no NaN or infinity: _finite reports them as null.
+        text = json.dumps(_finite(self.data), indent=2, default=_jsonable, allow_nan=False)
         if out:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
@@ -80,6 +87,17 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+def _finite(obj):
+    """A copy of a report with every non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        return None
+    return obj
 
 
 def _load_operator(path) -> HermitianOperator:
@@ -194,10 +212,7 @@ def cmd_twist(args, argv):
         ok = cert.replay()
         rep.verdict("certificate_replay", ok, len(cert.moves), 1e-8,
                     "bundled nine-element example")
-        b = cert.initial
-        for m in cert.moves:
-            from .bases import apply_twist
-            b = apply_twist(b, m)
+        for b in cert.walk():
             v = validate_unentangled(b)
             if not v.is_valid:
                 rep.verdict("intermediate_valid", False, v.worst_overlap, 1e-10)
@@ -281,7 +296,6 @@ def cmd_keller(args, argv):
         v = validate_unentangled(basis)
         rep.verdict("basis_valid", v.is_valid, v.worst_overlap, 1e-10)
         if graph == kel.Graph.G_STAR:
-            from .bases import find_local_pairs
             n_pairs = len(find_local_pairs(basis))
             rep.verdict("no_local_pairs", n_pairs == 0, n_pairs, None,
                         "facet-free cliques admit no twist moves")

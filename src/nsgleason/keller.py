@@ -51,17 +51,43 @@ class CliqueCandidate:
         return len(self.vectors)
 
 
+# Vertices pack into uint64 words, 2 bits (a lane) per coordinate.  Digits
+# a, b differ by exactly 2 iff a ^ b == 0b10; with lo/hi the low/high bit of
+# each lane of a ^ b, G-adjacency is "some lane has hi & ~lo", and G* adds
+# "at least two lanes have hi | lo".
+_LANES, _LO_BITS = 32, np.uint64(0x5555555555555555)
+
+
+def _pack(vecs) -> np.ndarray:
+    """(..., n) digits in {0,1,2,3} -> (..., ceil(n/32)) uint64 words."""
+    vecs = np.asarray(vecs, dtype=np.uint64)
+    n = vecs.shape[-1]
+    lanes = np.zeros(vecs.shape[:-1] + (max(1, -(-n // _LANES)) * _LANES,), np.uint64)
+    lanes[..., :n] = vecs
+    lanes = lanes.reshape(vecs.shape[:-1] + (-1, _LANES))
+    return np.bitwise_or.reduce(lanes << (2 * np.arange(_LANES, dtype=np.uint64)), axis=-1)
+
+
+def _adjacent(p, q, graph: Graph) -> np.ndarray:
+    """Adjacency of packed vertices, broadcast over all but the last axis."""
+    x = p ^ q
+    lo = x & _LO_BITS
+    hi = (x >> np.uint64(1)) & _LO_BITS
+    ok = np.any(hi & ~lo, axis=-1)
+    if graph == Graph.G:
+        return ok
+    y = hi | lo
+    return ok & (np.any(y & (y - np.uint64(1)), axis=-1) | (np.count_nonzero(y, axis=-1) >= 2))
+
+
 def edge(m, m2, graph: Graph = Graph.G) -> bool:
     """Adjacency test for a single vertex pair."""
-    m = np.asarray(m, dtype=int)
-    m2 = np.asarray(m2, dtype=int)
+    m, m2 = np.asarray(m, dtype=int), np.asarray(m2, dtype=int)
     if m.shape != m2.shape:
         raise ValidationError("length mismatch")
-    diff = np.abs(m - m2)
-    has_two = bool(np.any(diff == 2))
-    if graph == Graph.G:
-        return has_two
-    return has_two and int(np.count_nonzero(diff)) >= 2
+    if m.size and (min(m.min(), m2.min()) < 0 or max(m.max(), m2.max()) > 3):
+        raise ValidationError("coordinates must lie in {0,1,2,3}")
+    return bool(_adjacent(_pack(m), _pack(m2), graph))
 
 
 @dataclass(frozen=True)
@@ -87,30 +113,18 @@ class CliqueReport:
 
 
 def verify_clique(c: CliqueCandidate, graph: Graph = Graph.G_STAR) -> CliqueReport:
-    """Check all pairs; blockwise vectorized so 2^10 vectors verify fast."""
-    vecs = c.vectors.astype(np.int8)
-    n_vec = len(vecs)
+    """Check all pairs, blockwise vectorized on packed vertices, so 2^10
+    vectors verify fast; ``first_failure`` is the first non-adjacent pair
+    (i, j), i < j, in row-major order."""
+    packed = _pack(c.vectors)
+    n_vec = len(packed)
     first_failure = None
-    block = 256
-    done = False
-    for i0 in range(0, n_vec, block):
-        bi = vecs[i0:i0 + block]
-        # diff[a, b, k] = |bi[a, k] - vecs[b, k]| for b > global index of a
-        diff = np.abs(bi[:, None, :].astype(np.int16) - vecs[None, :, :])
-        has_two = np.any(diff == 2, axis=2)
-        if graph == Graph.G_STAR:
-            ok = has_two & (np.count_nonzero(diff, axis=2) >= 2)
-        else:
-            ok = has_two
-        for a in range(len(bi)):
-            i = i0 + a
-            row = ok[a, i + 1:]
-            if not row.all():
-                j = int(i + 1 + np.argmin(row))
-                first_failure = (i, j)
-                done = True
-                break
-        if done:
+    for i0 in range(0, n_vec, 256):
+        ok = _adjacent(packed[i0:i0 + 256, None], packed[None], graph)
+        ok |= np.arange(n_vec) <= np.arange(i0, i0 + len(ok))[:, None]
+        bad = np.flatnonzero(~ok.all(axis=1))
+        if bad.size:
+            first_failure = (i0 + int(bad[0]), int(np.argmin(ok[bad[0]])))
             break
     is_clique = first_failure is None
     is_tiling = is_clique and c.size == 2 ** c.n
@@ -134,16 +148,8 @@ def _all_vertices(n: int) -> np.ndarray:
 def _exhaustive(n: int, target: int, graph: Graph):
     """Deterministic branch-and-bound clique enumeration over all 4^n vertices."""
     verts = _all_vertices(n)
-    n_v = len(verts)
-    adj = np.zeros((n_v, n_v), dtype=bool)
-    for i in range(n_v):
-        diff = np.abs(verts[i][None, :].astype(np.int16) - verts)
-        has_two = np.any(diff == 2, axis=1)
-        if graph == Graph.G_STAR:
-            adj[i] = has_two & (np.count_nonzero(diff, axis=1) >= 2)
-        else:
-            adj[i] = has_two
-    np.fill_diagonal(adj, False)
+    packed = _pack(verts)
+    adj = _adjacent(packed[:, None], packed[None], graph)
 
     clique = []
 
@@ -160,24 +166,28 @@ def _exhaustive(n: int, target: int, graph: Graph):
             clique.pop()
         return False
 
-    if extend(list(range(n_v))):
+    if extend(list(range(len(verts)))):
         return CliqueCandidate(n, verts[np.array(clique)])
     return None
 
 
 def _heuristic(n: int, target: int, graph: Graph, budget: int, seed: int):
-    """Seeded greedy-with-restarts local search; best-effort only."""
+    """Seeded greedy-with-restarts local search; best-effort only.  Each
+    restart takes, in a random order, every vertex adjacent to all taken so
+    far: the next is the first entry of the order still ``live``."""
     verts = _all_vertices(n)
+    packed = _pack(verts)
     rng = np.random.Generator(np.random.Philox(seed))
     for _ in range(max(1, budget)):
         order = rng.permutation(len(verts))
+        live = np.ones(len(verts), dtype=bool)
         clique: list = []
-        for idx in order:
-            v = verts[idx]
-            if all(edge(v, verts[j], graph) for j in clique):
-                clique.append(idx)
-                if len(clique) == target:
-                    return CliqueCandidate(n, verts[np.array(clique)])
+        while live.any():
+            v = order[np.argmax(live[order])]
+            clique.append(v)
+            if len(clique) == target:
+                return CliqueCandidate(n, verts[np.array(clique)])
+            live &= _adjacent(packed[v], packed, graph)
     return None
 
 
@@ -218,15 +228,7 @@ def basis_from_clique(c: CliqueCandidate) -> UnentangledBasis:
     Orthogonality holds factorwise: a coordinate pair differing by exactly 2
     maps to orthogonal qubit states ((0,2) -> |0>,|1>; (1,3) -> |+>,|->).
     """
-    report = verify_clique(c, Graph.G)
-    if not (report.is_clique and c.size == 2 ** c.n):
-        raise ValidationError(
-            "candidate is not a verified G-clique of size 2^n"
-        )
-    elems = tuple(
-        ProductState(tuple(DIGIT_STATES[d] for d in vec)) for vec in c.vectors
-    )
-    return UnentangledBasis(elems)
+    return _clique_states(c, Graph.G, c.size == 2 ** c.n, "G-clique of size 2^n")
 
 
 def family_from_clique(c: CliqueCandidate, graph: Graph = Graph.G) -> UnentangledBasis:
@@ -236,13 +238,14 @@ def family_from_clique(c: CliqueCandidate, graph: Graph = Graph.G) -> Unentangle
     family need not span (C^2)^n; use this to inspect structural properties
     such as local pairs on best-effort search results.
     """
-    report = verify_clique(c, graph)
-    if not report.is_clique:
-        raise ValidationError(f"candidate is not a verified {graph.value}-clique")
-    elems = tuple(
-        ProductState(tuple(DIGIT_STATES[d] for d in vec)) for vec in c.vectors
-    )
-    return UnentangledBasis(elems)
+    return _clique_states(c, graph, True, f"{graph.value}-clique")
+
+
+def _clique_states(c: CliqueCandidate, graph: Graph, sized: bool, what: str) -> UnentangledBasis:
+    if not (verify_clique(c, graph).is_clique and sized):
+        raise ValidationError(f"candidate is not a verified {what}")
+    digits = np.array(DIGIT_STATES)
+    return UnentangledBasis(ProductState.batch([digits[col] for col in c.vectors.T]))
 
 
 # ---------------------------------------------------------------------------

@@ -53,13 +53,24 @@ def tensor_rows(stacks) -> np.ndarray:
 def canonical_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Rescale a vector so its first nonzero amplitude is real positive.
 
-    Makes equality-up-to-global-phase checks deterministic.
+    Makes equality-up-to-global-phase checks deterministic.  A stack of
+    vectors (along the last axis) is phased row by row, bit-identically to
+    phasing each row alone.
     """
     v = np.asarray(v, dtype=complex)
-    for x in v:
-        if abs(x) > tol:
-            return v * (x.conjugate() / abs(x))
-    return v.copy()
+    if v.ndim == 1:  # a loop is several times faster on one short vector
+        for x in v:
+            if abs(x) > tol:
+                return v * (x.conjugate() / abs(x))
+        return v.copy()
+    # abs() of a complex scalar is hypot(re, im); np.abs of an array rounds
+    # differently.  The product is out of place, like the loop's.
+    v = v.copy()
+    big = np.hypot(v.real, v.imag) > tol
+    has = big.any(axis=-1)
+    lead = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)[has, 0]
+    v[has] = v[has] * (lead.conjugate() / np.hypot(lead.real, lead.imag))[:, None]
+    return v
 
 
 def check_unit(v: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> None:

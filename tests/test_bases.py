@@ -119,6 +119,16 @@ def test_certificate_intermediates_stay_valid():
         assert validate_unentangled(b).worst_overlap <= 1e-10
 
 
+def test_certificate_walk_yields_each_step():
+    cert = twisted_example_certificate()
+    steps = list(cert.walk())
+    assert len(steps) == len(cert.moves)
+    b = cert.initial
+    for m, nb in zip(cert.moves, steps):
+        b = apply_twist(b, m)
+        assert [e.key() for e in nb.elements] == [e.key() for e in b.elements]
+
+
 def test_twist_search_solves_example():
     res = twist_search(twisted_example_basis())
     assert res.found

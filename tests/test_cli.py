@@ -171,6 +171,24 @@ def test_prbox_schedule_solver_error_reported(monkeypatch, capsys):
     assert "HiGHS status 4" in final["note"]
 
 
+def test_prbox_solver_error_report_is_strict_json(monkeypatch, capsys):
+    def fake_linprog(*args, **kwargs):
+        return OptimizeResult(status=4, success=False, x=None, fun=None,
+                              message="Numerical difficulties encountered.")
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    monkeypatch.setattr("nsgleason.nosig.linprog", fake_linprog)
+    code = main(["prbox", "--samples", "50", "--schedule", "50,100", "--seed", "2"])
+    rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 1
+    assert rep["extension"]["residual"] is None
+    excluded = rep["verdicts"]["pr_box_excluded"]
+    assert not excluded["pass"] and excluded["value"] is None
+    assert not rep["verdicts"]["lp_final_bound"]["pass"]
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["not-a-command"]) == 2
 

@@ -79,6 +79,16 @@ def test_exhaustive_n2_gstar_none():
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("n,omega", [(2, 2), (3, 5)])
+def test_exhaustive_gstar_clique_number(n, omega):
+    # Keller clique numbers (Debroni et al., SODA 2011): a maximum G*-clique
+    # is found, and the exhaustive search proves that none is larger.
+    found = clique_search(n, omega, SearchMode.EXHAUSTIVE, graph=Graph.G_STAR)
+    assert found is not None and found.size == omega
+    assert verify_clique(found, Graph.G_STAR).is_clique
+    assert clique_search(n, omega + 1, SearchMode.EXHAUSTIVE, graph=Graph.G_STAR) is None
+
+
 def test_exhaustive_n1():
     found = clique_search(1, 2, SearchMode.EXHAUSTIVE, graph=Graph.G)
     assert sorted(map(tuple, found.vectors.tolist())) in (

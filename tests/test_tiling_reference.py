@@ -1,0 +1,344 @@
+"""The packed Keller engine and the streamed basis checks against test-only
+copies of the per-pair loops they replace: results must agree exactly."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nsgleason import bases
+from nsgleason.bases import (
+    ORTHO_PAIR_TOL,
+    SAME_FACTOR_TOL,
+    BasisReport,
+    ProductBasis,
+    ProductState,
+    TwistMove,
+    UnentangledBasis,
+    apply_twist,
+    find_local_pairs,
+    twist_search,
+    validate_unentangled,
+)
+from nsgleason.keller import (
+    DIGIT_STATES,
+    CliqueCandidate,
+    CliqueReport,
+    Graph,
+    SearchMode,
+    _adjacent,
+    _all_vertices,
+    _pack,
+    basis_from_clique,
+    bundled_candidate,
+    clique_search,
+    edge,
+    family_from_clique,
+    verify_clique,
+)
+from nsgleason.linalg import ValidationError, canonical_phase, check_unit, make_rng, random_onb
+
+seeds = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+# ---------------------------------------------------------------------------
+# Reference loops: the per-pair implementations the engine replaced.
+
+def ref_edge(m, m2, graph):
+    diff = np.abs(np.asarray(m, dtype=int) - np.asarray(m2, dtype=int))
+    has_two = bool(np.any(diff == 2))
+    return has_two if graph == Graph.G else has_two and int(np.count_nonzero(diff)) >= 2
+
+
+def ref_verify(c, graph):
+    vecs = c.vectors
+    first_failure = None
+    for i0 in range(0, len(vecs), 256):
+        diff = np.abs(vecs[i0:i0 + 256, None, :].astype(np.int16) - vecs[None, :, :])
+        ok = np.any(diff == 2, axis=2)
+        if graph == Graph.G_STAR:
+            ok &= np.count_nonzero(diff, axis=2) >= 2
+        for a in range(len(ok)):
+            row = ok[a, i0 + a + 1:]
+            if first_failure is None and not row.all():
+                first_failure = (i0 + a, int(i0 + a + 1 + np.argmin(row)))
+    ok = first_failure is None
+    tiling = ok and c.size == 2 ** c.n
+    return CliqueReport(ok, graph, c.size, c.n, first_failure, tiling,
+                        tiling and graph == Graph.G_STAR)
+
+
+def ref_heuristic(n, target, graph, budget, seed):
+    verts = _all_vertices(n)
+    rng = np.random.Generator(np.random.Philox(seed))
+    for _ in range(max(1, budget)):
+        clique = []
+        for idx in rng.permutation(len(verts)):
+            if all(ref_edge(verts[idx], verts[j], graph) for j in clique):
+                clique.append(idx)
+                if len(clique) == target:
+                    return verts[np.array(clique)]
+    return None
+
+
+def ref_site_overlaps(b):
+    out = []
+    for s in range(b.elements[0].nsites):
+        f = np.array([e.factors[s] for e in b.elements])
+        out.append(np.abs(f.conj() @ f.T))
+    return out
+
+
+def ref_validate(b):
+    n = len(b.elements)
+    total = np.ones((n, n))
+    for ov in ref_site_overlaps(b):
+        total *= ov
+    iu = np.triu_indices(n, k=1)
+    pairs = total[iu]
+    if not pairs.size:
+        return BasisReport(n == b.dim, n == b.dim, 0.0, None, ())
+    k = int(np.argmax(pairs))
+    failures = tuple((int(iu[0][q]), int(iu[1][q]), float(pairs[q]))
+                     for q in np.nonzero(pairs > ORTHO_PAIR_TOL)[0])
+    complete = n == b.dim
+    return BasisReport(complete and not failures, complete, float(pairs[k]),
+                       (int(iu[0][k]), int(iu[1][k])), failures)
+
+
+def ref_find_local_pairs(b):
+    differs = np.stack([ov < 1 - SAME_FACTOR_TOL for ov in ref_site_overlaps(b)])
+    iu = np.triu_indices(len(b.elements), k=1)
+    out = []
+    for k in np.nonzero(differs.sum(axis=0)[iu] == 1)[0]:
+        i, j = int(iu[0][k]), int(iu[1][k])
+        out.append((int(np.nonzero(differs[:, i, j])[0][0]), (i, j)))
+    return out
+
+
+def ref_alignment_score(b):
+    score = 0
+    for e, f in itertools.combinations(b.elements, 2):
+        for s in range(e.nsites):
+            ov = abs(np.vdot(e.factors[s], f.factors[s]))
+            score += ov > 1 - SAME_FACTOR_TOL or ov < ORTHO_PAIR_TOL
+    return score
+
+
+def twisted(seed, dims, n_moves):
+    """A random product basis with ``n_moves`` random local twists applied."""
+    rng = make_rng(seed)
+    b = ProductBasis(tuple(tuple(random_onb(rng, d).T) for d in dims)).to_unentangled()
+    for _ in range(n_moves):
+        pairs = find_local_pairs(b)
+        site, pair = pairs[int(rng.integers(len(pairs)))]
+        b = apply_twist(b, TwistMove(site, pair, random_onb(rng, 2)))
+    return b
+
+
+# ---------------------------------------------------------------------------
+# Keller engine
+
+@pytest.mark.parametrize("graph", list(Graph))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_packed_adjacency_matches_edge_loop(n, graph):
+    verts = _all_vertices(n)
+    packed = _pack(verts)
+    ref = np.array([[ref_edge(a, b, graph) for b in verts] for a in verts])
+    np.testing.assert_array_equal(_adjacent(packed[:, None], packed[None], graph), ref)
+    assert [[edge(a, b, graph) for b in verts] for a in verts] == ref.tolist()
+
+
+@given(seeds, st.integers(min_value=1, max_value=70))
+@settings(max_examples=40, deadline=None)
+def test_packed_adjacency_multiword(seed, n):
+    rng = np.random.default_rng(seed)
+    vecs = rng.integers(0, 4, (12, n))
+    vecs[6:] = vecs[:6]  # pairs that differ in at most two coordinates
+    for _ in range(2):
+        vecs[np.arange(6, 12), rng.integers(0, n, 6)] = rng.integers(0, 4, 6)
+    for graph in Graph:
+        got = _adjacent(_pack(vecs)[:, None], _pack(vecs)[None], graph)
+        ref = [[ref_edge(a, b, graph) for b in vecs] for a in vecs]
+        assert got.tolist() == ref
+
+
+def test_edge_rejects_digits_outside_range():
+    with pytest.raises(ValidationError):
+        edge((0, 4), (0, 2))
+
+
+@given(seeds, st.integers(min_value=0, max_value=6), st.sampled_from(list(Graph)))
+@settings(max_examples=25, deadline=None)
+def test_verify_first_failure_on_corrupted_cliques(seed, n_bad, graph):
+    rng = np.random.default_rng(seed)
+    base = np.array(list(itertools.product([0, 2], repeat=7)), dtype=np.int8)
+    vecs = base.copy()
+    for k in rng.choice(len(vecs), n_bad, replace=False):
+        while True:
+            v = rng.integers(0, 4, 7)
+            if not (vecs == v).all(axis=1).any():
+                vecs[k] = v
+                break
+    c = CliqueCandidate(7, vecs)
+    assert verify_clique(c, graph) == ref_verify(c, graph)
+
+
+def test_verify_bundled_matches_loop():
+    c = bundled_candidate()
+    for graph in Graph:
+        assert verify_clique(c, graph) == ref_verify(c, graph)
+
+
+HEURISTIC_CASES = [(3, 5, 5), (3, 8, 3), (4, 8, 2), (4, 12, 3), (5, 16, 1), (5, 28, 1)]
+
+
+@pytest.mark.parametrize("graph", list(Graph))
+@pytest.mark.parametrize("n,size,budget", HEURISTIC_CASES)
+def test_heuristic_matches_loop(n, size, budget, graph):
+    hits = 0
+    for seed in range(4):
+        got = clique_search(n, size, SearchMode.HEURISTIC, budget, seed, graph)
+        ref = ref_heuristic(n, size, graph, budget, seed)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            hits += 1
+            np.testing.assert_array_equal(got.vectors, ref)
+    if (n, size) == (3, 5):
+        assert hits
+
+
+# ---------------------------------------------------------------------------
+# Streamed overlaps
+
+def clique_bases():
+    g = clique_search(3, 8, graph=Graph.G)
+    gs = clique_search(3, 5, graph=Graph.G_STAR)
+    return [basis_from_clique(g), family_from_clique(gs, Graph.G_STAR),
+            basis_from_clique(bundled_candidate())]
+
+
+@pytest.mark.parametrize("b", clique_bases(), ids=["g3", "gstar3", "bundled"])
+def test_clique_basis_checks_match_loops(b):
+    assert validate_unentangled(b) == ref_validate(b)
+    assert find_local_pairs(b) == ref_find_local_pairs(b)
+
+
+@given(seeds, st.sampled_from([(3, 3), (2, 2, 2), (2, 3), (3, 3, 3), (4,)]),
+       st.integers(min_value=0, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_basis_checks_match_loops(seed, dims, n_moves):
+    b = twisted(seed, dims, n_moves)
+    assert validate_unentangled(b) == ref_validate(b)
+    assert find_local_pairs(b) == ref_find_local_pairs(b)
+    assert bases._alignment_score(b) == ref_alignment_score(b)
+    # Invalid inputs: a repeated element, and a single-element family.
+    dup = UnentangledBasis(b.elements[1:] + b.elements[:2])
+    assert validate_unentangled(dup) == ref_validate(dup)
+    assert find_local_pairs(dup) == ref_find_local_pairs(dup)
+    one = UnentangledBasis(b.elements[:1])
+    assert validate_unentangled(one) == ref_validate(one)
+
+
+def check_twist_search(b, n_moves):
+    def search():
+        res = twist_search(b, budget=8)
+        cert = res.certificate.to_json() if res.found else None
+        return res.found, res.reason, res.moves_tried, cert
+
+    got = search()
+    # One move is always undone by one improving move back.
+    assert got[0] or n_moves > 1
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bases, "_alignment_score", ref_alignment_score)
+        m.setattr(bases, "find_local_pairs", ref_find_local_pairs)
+        assert search() == got
+
+
+@given(seeds, st.sampled_from([(3, 3), (2, 2, 2)]), st.integers(min_value=1, max_value=3))
+@settings(max_examples=20, deadline=None)
+def test_twist_search_matches_loops(seed, dims, n_moves):
+    check_twist_search(twisted(seed, dims, n_moves), n_moves)
+
+
+@given(seeds, st.integers(min_value=1, max_value=3))
+@settings(max_examples=3, deadline=None)
+def test_twist_search_333_matches_loops(seed, n_moves):
+    check_twist_search(twisted(seed, (3, 3, 3), n_moves), n_moves)
+
+
+# ---------------------------------------------------------------------------
+# Batched product-state construction
+
+def ref_states(stacks):
+    return [ProductState(tuple(f[k] for f in stacks)) for k in range(len(stacks[0]))]
+
+
+def raised(fn):
+    try:
+        fn()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@given(seeds, st.sampled_from([(2,), (3, 3), (2, 2, 2), (4, 1, 3)]),
+       st.integers(min_value=1, max_value=30))
+@settings(max_examples=60, deadline=None)
+def test_batch_matches_constructor(seed, dims, n):
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for d in dims:
+        f = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        lead = rng.integers(0, d, n)  # zero (or almost zero) leading entries
+        for k in range(n):
+            f[k, :lead[k]] = rng.choice([0.0, 1e-13, -3e-13j])
+        stacks.append(f / np.linalg.norm(f, axis=1, keepdims=True))
+    got = ProductState.batch(stacks)
+    assert [e.key() for e in got] == [e.key() for e in ref_states(stacks)]
+    assert all(not f.flags.writeable for e in got for f in e.factors)
+    # Non-unit factors: the same first error, also near the tolerance.
+    for eps in rng.choice([1e-6, 2e-12, 1.1e-12, 9e-13, 4e-13], 3):
+        bad = [f.copy() for f in stacks]
+        for _ in range(int(rng.integers(1, 3))):
+            bad[int(rng.integers(len(dims)))][int(rng.integers(n))] *= 1 + eps
+        assert raised(lambda: ProductState.batch(bad)) == raised(lambda: ref_states(bad))
+
+
+def test_batch_keeps_unit_check_message():
+    stacks = [np.array([[1.0, 0.0], [0.6, 0.6]])]
+    with pytest.raises(ValidationError) as exc:
+        ProductState.batch(stacks)
+    with pytest.raises(ValidationError) as ref:
+        check_unit(canonical_phase(stacks[0][1]))
+    assert str(exc.value) == str(ref.value)
+
+
+def test_batch_rejects_stacks_of_different_lengths():
+    with pytest.raises(ValidationError, match="different numbers of states"):
+        ProductState.batch([np.eye(2), np.eye(2)[:1]])
+
+
+@given(seeds, st.integers(min_value=0, max_value=3))
+@settings(max_examples=15, deadline=None)
+def test_from_json_matches_constructor(seed, n_moves):
+    b = twisted(seed, (3, 2), n_moves)
+    data = b.to_json()
+    ref = [ProductState.from_json(e) for e in data["elements"]]
+    got = UnentangledBasis.from_json(data).elements
+    assert [e.key() for e in got] == [e.key() for e in ref]
+
+
+def test_from_json_rejects_mixed_dims():
+    data = twisted(0, (2, 2), 0).to_json()
+    data["elements"][1]["factors"].pop()
+    with pytest.raises(ValidationError, match="inconsistent dims"):
+        UnentangledBasis.from_json(data)
+
+
+def test_clique_basis_matches_constructor():
+    c = clique_search(3, 8, graph=Graph.G)
+    ref = [ProductState(tuple(DIGIT_STATES[d] for d in vec)) for vec in c.vectors]
+    assert [e.key() for e in basis_from_clique(c).elements] == [e.key() for e in ref]
