@@ -15,11 +15,11 @@ from nsgleason import (
     jordan_symmetrization_check,
     kraus_factorize,
     make_rng,
-    operator_to_map,
     partial_transpose,
     proj,
     random_hermitian,
 )
+from nsgleason.orientation import OperatorMap
 
 phi_plus = proj(np.array([1.0, 0, 0, 1]) / np.sqrt(2))
 swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
@@ -43,7 +43,7 @@ for name, t in examples.items():
     try:
         ks = kraus_factorize(t)
         a = np.array([[0.3, 0.1], [0.1, 0.7]], dtype=complex)
-        direct = operator_to_map(t)(a)
+        direct = OperatorMap(t)(a)
         via_kraus = ks.apply(a)
         err = np.max(np.abs(direct - via_kraus))
         print(f"{name:20s}: {len(ks.operators)} Kraus operators "

@@ -78,7 +78,6 @@ from .orientation import (
     classify_orientation,
     jordan_symmetrization_check,
     kraus_factorize,
-    operator_to_map,
 )
 from .presheaf import (
     Context,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances as tol
 from .linalg import (
-    ORTHONORMALITY_TOL,
     ValidationError,
     canonical_phase,
     check_unit,
@@ -23,13 +23,6 @@ from .linalg import (
     vector_from_json,
     vector_to_json,
 )
-
-# Two factors agreeing up to phase must overlap by at least this much.
-SAME_FACTOR_TOL = 1e-10
-# Pairwise element overlaps below this count as orthogonal.
-ORTHO_PAIR_TOL = 1e-8
-UNITARY_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class ProductState:
@@ -53,10 +46,10 @@ class ProductState:
         sites = [canonical_phase(f) for f in stacks]
         if len({len(f) for f in sites}) > 1:
             raise ValidationError("per-site stacks hold different numbers of states")
-        # A norm within tol/2 of 1 here passes check_unit, whose norm differs
+        # A norm within UNIT_NORM/2 of 1 here passes check_unit, whose norm differs
         # by a few ulps; check_unit itself decides (and raises) for the rest.
         suspects = sorted((k, s) for s, f in enumerate(sites) for k in
-                          np.flatnonzero(np.abs(np.linalg.norm(f, axis=1) - 1) > ORTHONORMALITY_TOL / 2))
+                          np.flatnonzero(np.abs(np.linalg.norm(f, axis=1) - 1) > tol.UNIT_NORM / 2))
         for k, s in suspects:
             check_unit(sites[s][k])
         for f in sites:
@@ -110,7 +103,7 @@ class ProductBasis:
             if len(vecs) != d:
                 raise ValidationError(f"local basis has {len(vecs)} vectors in dim {d}")
             gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
-            if np.max(np.abs(gram - np.eye(d))) > 1e-10:
+            if np.max(np.abs(gram - np.eye(d))) > tol.LOCAL_BASIS:
                 raise ValidationError("local basis Gram matrix deviates from identity")
             bases.append(vecs)
         object.__setattr__(self, "local_bases", tuple(bases))
@@ -205,7 +198,7 @@ def validate_unentangled(b: UnentangledBasis) -> BasisReport:
         total *= ov
     total[~_upper(n)] = -1.0  # pairs i < j are read in row-major order
     failures = tuple((int(i), int(j), float(total[i, j]))
-                     for i, j in zip(*np.nonzero(total > ORTHO_PAIR_TOL)))
+                     for i, j in zip(*np.nonzero(total > tol.ORTHO_PAIR)))
     worst_pair = divmod(int(np.argmax(total)), n) if n > 1 else None
     worst = float(total[worst_pair]) if worst_pair else 0.0
     complete = n == b.dim
@@ -228,7 +221,7 @@ class TwistMove:
         u = np.asarray(self.rotation, dtype=complex)
         if u.shape != (2, 2):
             raise ValidationError("rotation must be 2x2")
-        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > UNITARY_TOL:
+        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > tol.UNITARY:
             raise ValidationError("rotation is not unitary within tolerance")
         u.setflags(write=False)
         object.__setattr__(self, "rotation", u)
@@ -253,14 +246,14 @@ def apply_twist(b: UnentangledBasis, m: TwistMove) -> UnentangledBasis:
     """Apply a twist move; all elements except the referenced pair are unchanged."""
     i, j = m.pair
     ei, ej = b.elements[i], b.elements[j]
-    if any(abs(np.vdot(f, g)) < 1 - SAME_FACTOR_TOL
+    if any(abs(np.vdot(f, g)) < 1 - tol.SAME_FACTOR
            for s, (f, g) in enumerate(zip(ei.factors, ej.factors)) if s != m.site):
         raise ValidationError(
             f"elements {i},{j} do not agree on all factors except site {m.site}"
         )
     u_i = ei.factors[m.site]
     u_j = ej.factors[m.site]
-    if abs(np.vdot(u_i, u_j)) > ORTHO_PAIR_TOL:
+    if abs(np.vdot(u_i, u_j)) > tol.ORTHO_PAIR:
         raise ValidationError("pair factors at the twist site are not orthogonal")
     new_i = m.rotation[0, 0] * u_i + m.rotation[0, 1] * u_j
     new_j = m.rotation[1, 0] * u_i + m.rotation[1, 1] * u_j
@@ -286,7 +279,7 @@ def find_local_pairs(b: UnentangledBasis) -> list:
     n, small = len(b.elements), np.min_scalar_type(b.elements[0].nsites)
     n_diff, last = np.zeros((n, n), dtype=small), np.zeros((n, n), dtype=small)
     for s, ov in enumerate(_site_overlaps(b)):
-        differs = ov < 1 - SAME_FACTOR_TOL
+        differs = ov < 1 - tol.SAME_FACTOR
         n_diff += differs
         np.putmask(last, differs, s)
     i, j = np.nonzero((n_diff == 1) & _upper(n))
@@ -308,13 +301,14 @@ class TwistCertificate:
             b = apply_twist(b, m)
             yield b
 
-    def replay(self, tol: float = 1e-8) -> bool:
+    def replay(self) -> bool:
         b = self.initial
         for b in self.walk():
             pass
         # Compare as sets of elements up to phase, within tolerance.
         final_elems = self.final.to_unentangled().elements
-        return all(any(abs(e.overlap(f)) > 1 - tol for f in final_elems) for e in b.elements)
+        return all(any(abs(e.overlap(f)) > 1 - tol.REPLAY_MATCH for f in final_elems)
+                   for e in b.elements)
 
     def to_json(self) -> dict:
         return {
@@ -346,7 +340,7 @@ def _as_product_basis(b: UnentangledBasis) -> ProductBasis | None:
             f = e.factors[s]
             idx = None
             for k, r in enumerate(reps[s]):
-                if abs(np.vdot(f, r)) > 1 - SAME_FACTOR_TOL:
+                if abs(np.vdot(f, r)) > 1 - tol.SAME_FACTOR:
                     idx = k
                     break
             if idx is None:
@@ -369,7 +363,7 @@ def _alignment_score(b: UnentangledBasis) -> int:
     a site factor or has orthogonal ones.
     """
     upper = _upper(len(b.elements))
-    return sum(int(np.count_nonzero(((ov > 1 - SAME_FACTOR_TOL) | (ov < ORTHO_PAIR_TOL)) & upper))
+    return sum(int(np.count_nonzero(((ov > 1 - tol.SAME_FACTOR) | (ov < tol.ORTHO_PAIR)) & upper))
                for ov in _site_overlaps(b))
 
 
@@ -378,7 +372,7 @@ def _rotation_to_target(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarr
     g lies outside that span."""
     a = np.vdot(u, g)
     c = np.vdot(v, g)
-    if abs(a) ** 2 + abs(c) ** 2 < 1 - 1e-8:
+    if abs(a) ** 2 + abs(c) ** 2 < 1 - tol.IN_SPAN:
         return None
     nrm = np.hypot(abs(a), abs(c))
     a, c = a / nrm, c / nrm
@@ -421,7 +415,7 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
                 rot = _rotation_to_target(u, v, np.asarray(g, dtype=complex))
                 if rot is None:
                     continue
-                key = np.round(rot, 9).tobytes()
+                key = np.round(rot, tol.MOVE_KEY_DECIMALS).tobytes()
                 if key in tried_keys:
                     continue
                 tried_keys.add(key)

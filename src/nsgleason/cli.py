@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from . import keller as kel
+from . import tolerances as tol
 from .bases import (
     UnentangledBasis,
     find_local_pairs,
@@ -27,8 +28,8 @@ from .framefn import make_signalling_example, sample_from_operator
 from .gleason import reconstruct_pvm, spanning_design
 from .linalg import HermitianOperator, ValidationError
 from .nosig import (
+    TSIRELSON,
     Box,
-    ChshInstance,
     SolverError,
     check_box,
     check_framefn,
@@ -118,12 +119,11 @@ def cmd_reconstruct(args, argv):
     rec = reconstruct_pvm(f, design, holdout=args.holdout, seed=args.seed)
     frob = float(np.linalg.norm(rec.t.mat - t.mat))
     rep.data["classification"] = rec.classification.value
-    rep.verdict("round_trip_frobenius", frob <= 1e-8, frob, 1e-8)
-    rep.verdict("holdout_residual", rec.residual <= 1e-6, rec.residual, 1e-6)
-    rep.verdict(
-        "unit_trace", abs(rec.t.trace() - 1) <= 1e-8, rec.t.trace(), 1e-8,
-        "expected for weight-1 frame functions",
-    )
+    rep.verdict("round_trip_frobenius", frob <= tol.ROUND_TRIP, frob, tol.ROUND_TRIP)
+    rep.verdict("holdout_residual", rec.residual <= tol.HOLDOUT_RESIDUAL, rec.residual,
+                tol.HOLDOUT_RESIDUAL)
+    rep.verdict("unit_trace", abs(rec.t.trace() - 1) <= tol.UNIT_TRACE, rec.t.trace(),
+                tol.UNIT_TRACE, "expected for weight-1 frame functions")
     return rep.finish(args.out)
 
 
@@ -131,21 +131,16 @@ def cmd_check(args, argv):
     rep = Report(argv, args.seed)
     if args.box:
         report = check_box(_load_box(args.box))
-        rep.verdict(
-            "box_no_signalling", report.max_discrepancy <= 1e-10,
-            report.max_discrepancy, 1e-10,
-        )
+        rep.verdict("box_no_signalling", report.passed, report.max_discrepancy,
+                    tol.NO_SIGNALLING)
         if report.witness:
             rep.data["witness"] = report.witness
     else:
         dims = tuple(int(d) for d in args.dims.split(","))
         f = make_signalling_example(dims, args.theta)
         report = check_framefn(f, trials=args.trials, seed=args.seed)
-        rep.verdict(
-            "framefn_no_signalling", report.max_discrepancy <= 1e-10,
-            report.max_discrepancy, 1e-10,
-            "violation is the expected outcome for theta not in pi*Z",
-        )
+        rep.verdict("framefn_no_signalling", report.passed, report.max_discrepancy,
+                    tol.NO_SIGNALLING, "violation is the expected outcome for theta not in pi*Z")
         if report.witness:
             rep.data["witness"] = {
                 k: v for k, v in report.witness.items() if k in ("trial", "site")
@@ -156,22 +151,19 @@ def cmd_check(args, argv):
 def cmd_chsh(args, argv):
     rep = Report(argv, args.seed)
     t = singlet() if args.singlet else _load_operator(args.t)
-    if abs(t.trace() - 1.0) > 1e-8:
+    if abs(t.trace() - 1.0) > tol.UNIT_TRACE:
         rep.data["warning"] = f"operator trace {t.trace()} is not 1"
+    note = ""
     if args.optimize:
-        value, _settings = chsh_optimize(t)
-        rep.verdict(
-            "tsirelson", value <= 2 * np.sqrt(2) + 1e-8, value, 1e-8,
-            "exact maximum; above 2*sqrt(2) only for operators that are not PSD",
-        )
-        rep.data["chsh_value"] = value
+        value = chsh_optimize(t)[0]
+        note = "exact maximum; above 2*sqrt(2) only for operators that are not PSD"
+    elif args.singlet:
+        value = chsh_value(singlet_chsh_instance())
     else:
-        inst = singlet_chsh_instance() if args.singlet else None
-        if inst is None:
-            raise ValidationError("non-optimize mode requires --singlet settings")
-        value = chsh_value(ChshInstance(inst.settings, t))
-        rep.data["chsh_value"] = value
-        rep.verdict("tsirelson", value <= 2 * np.sqrt(2) + 1e-8, value, 1e-8)
+        raise ValidationError("non-optimize mode requires --singlet settings")
+    rep.data["chsh_value"] = value
+    rep.verdict("tsirelson", value <= TSIRELSON + tol.TSIRELSON_SLACK, value,
+                tol.TSIRELSON_SLACK, note)
     return rep.finish(args.out)
 
 
@@ -184,10 +176,8 @@ def cmd_prbox(args, argv):
     if verdict.verdict == "ERROR":
         note = (f"LP solver failed (HiGHS status {verdict.solver_status}: "
                 f"{verdict.solver_message}); no verdict")
-    rep.verdict(
-        "pr_box_excluded", verdict.verdict == "INFEASIBLE",
-        verdict.residual, 1e-4, note,
-    )
+    rep.verdict("pr_box_excluded", verdict.verdict == "INFEASIBLE", verdict.residual,
+                tol.INFEASIBLE_RESIDUAL, note)
     if args.schedule:
         schedule = tuple(int(x) for x in args.schedule.split(","))
         try:
@@ -195,13 +185,14 @@ def cmd_prbox(args, argv):
         except SolverError as exc:
             rep.data["max_chsh_lp"] = {"schedule": list(schedule), "solver_status": exc.status,
                                        "solver_message": exc.message}
-            rep.verdict("lp_final_bound", False, None, 3.2,
+            rep.verdict("lp_final_bound", False, None, tol.LP_CHSH_BOUND,
                         f"LP solver failed (HiGHS status {exc.status}: {exc.message}); no bound")
             return rep.finish(args.out)
         rep.data["max_chsh_lp"] = {"schedule": list(schedule), "bounds": bounds}
-        mono = all(b2 <= b1 + 1e-9 for b1, b2 in zip(bounds, bounds[1:]))
-        rep.verdict("lp_bounds_nonincreasing", mono, bounds, 1e-9)
-        rep.verdict("lp_final_bound", bounds[-1] < 3.2, bounds[-1], 3.2)
+        mono = all(b2 <= b1 + tol.LP_MONOTONE for b1, b2 in zip(bounds, bounds[1:]))
+        rep.verdict("lp_bounds_nonincreasing", mono, bounds, tol.LP_MONOTONE)
+        rep.verdict("lp_final_bound", bounds[-1] < tol.LP_CHSH_BOUND, bounds[-1],
+                    tol.LP_CHSH_BOUND)
     return rep.finish(args.out)
 
 
@@ -209,16 +200,11 @@ def cmd_twist(args, argv):
     rep = Report(argv, args.seed)
     if args.fig1:
         cert = twisted_example_certificate()
-        ok = cert.replay()
-        rep.verdict("certificate_replay", ok, len(cert.moves), 1e-8,
+        rep.verdict("certificate_replay", cert.replay(), len(cert.moves), tol.REPLAY_MATCH,
                     "bundled nine-element example")
-        for b in cert.walk():
-            v = validate_unentangled(b)
-            if not v.is_valid:
-                rep.verdict("intermediate_valid", False, v.worst_overlap, 1e-10)
-                break
-        else:
-            rep.verdict("intermediate_valid", True, 0.0, 1e-10)
+        steps = [validate_unentangled(b) for b in cert.walk()]
+        rep.verdict("intermediate_valid", all(v.is_valid for v in steps),
+                    max(v.worst_overlap for v in steps), tol.ORTHO_PAIR)
     else:
         with open(args.basis) as fh:
             b = UnentangledBasis.from_json(json.load(fh))
@@ -227,7 +213,7 @@ def cmd_twist(args, argv):
         rep.data["reason"] = res.reason
         if res.found:
             rep.verdict("certificate_replay", res.certificate.replay(),
-                        len(res.certificate.moves), 1e-8)
+                        len(res.certificate.moves), tol.REPLAY_MATCH)
             if args.out_cert:
                 with open(args.out_cert, "w") as fh:
                     json.dump(res.certificate.to_json(), fh)
@@ -243,11 +229,8 @@ def cmd_classify(args, argv):
     t = _load_operator(args.t)
     cls = classify_orientation(t)
     rep.data["orientation"] = cls.to_json()
-    rep.verdict(
-        "orientation_classified", cls.value.value != "NEITHER",
-        cls.value.value, 1e-10,
-        "NEITHER means no local time orientation renders the map CP",
-    )
+    rep.verdict("orientation_classified", cls.value.value != "NEITHER", cls.value.value,
+                tol.PSD, "NEITHER means no local time orientation renders the map CP")
     return rep.finish(args.out)
 
 
@@ -259,8 +242,8 @@ def cmd_section(args, argv):
     report = check_section(table, edges)
     rep.data["n_contexts"] = len(contexts)
     rep.data["n_edges"] = len(edges)
-    rep.verdict("section_consistent", report.max_distance <= 1e-10,
-                report.max_distance, 1e-10, report.worst_edge or "")
+    rep.verdict("section_consistent", report.passed, report.max_distance,
+                tol.SECTION_CONSISTENT, report.worst_edge or "")
     return rep.finish(args.out)
 
 
@@ -294,7 +277,7 @@ def cmd_keller(args, argv):
         cand = kel.load_clique(args.file)
         basis = kel.basis_from_clique(cand)
         v = validate_unentangled(basis)
-        rep.verdict("basis_valid", v.is_valid, v.worst_overlap, 1e-10)
+        rep.verdict("basis_valid", v.is_valid, v.worst_overlap, tol.ORTHO_PAIR)
         if graph == kel.Graph.G_STAR:
             n_pairs = len(find_local_pairs(basis))
             rep.verdict("no_local_pairs", n_pairs == 0, n_pairs, None,

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances as tol
 from .bases import ProductBasis, ProductState
 from .gleason import feature_of, state_features
 from .linalg import HermitianOperator, ValidationError
-
-EVAL_TOL = 1e-10
 
 
 class LookupError_(KeyError):
@@ -45,7 +44,7 @@ class OperatorInduced:
         if s.dims != self.t.dims:
             raise ValidationError(f"state dims {s.dims} != operator dims {self.t.dims}")
         val = self.t.expectation(s.full())
-        if self.nonnegative and val < -EVAL_TOL:
+        if self.nonnegative and val < -tol.NONNEGATIVE_EVAL:
             raise ValidationError(f"declared non-negative but f = {val:.3e}")
         return val
 
@@ -93,11 +92,6 @@ class SignallingFamily:
             raise ValidationError("signalling family needs two sites of dim >= 2")
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def degenerate(self) -> bool:
-        """True when theta is a multiple of pi, i.e. the family is non-signalling."""
-        return abs(np.sin(self.theta)) < 1e-15
-
     def _rotated_target(self, v: np.ndarray) -> np.ndarray:
         angle = self.theta * abs(v[1]) ** 2
         target = np.zeros(self.dims[1], dtype=complex)
@@ -125,7 +119,7 @@ class WeightReport:
 
     @property
     def constant(self) -> bool:
-        return self.spread <= 1e-8
+        return self.spread <= tol.WEIGHT_SPREAD
 
 
 def weight_check(f, bases) -> WeightReport:

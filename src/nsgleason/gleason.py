@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import tolerances as tol
 from .bases import ProductState
 from .linalg import (
     HermitianOperator,
@@ -150,7 +151,7 @@ def spanning_design(dims, oversample: float = 1.5, seed: int = 0) -> SpanningDes
     while True:
         states += [ProductState(tuple(random_unit(rng, d) for d in dims))
                    for _ in range(min(target, budget) - len(states))]
-        rank = np.linalg.matrix_rank(state_features(states), tol=1e-10)
+        rank = np.linalg.matrix_rank(state_features(states), tol=tol.FEATURE_RANK)
         if rank == n_feat:
             return SpanningDesign(dims, tuple(states), int(rank))
         if len(states) >= budget:
@@ -195,8 +196,9 @@ def product_seesaw_min(
     """Minimize <v (x) w|t|v (x) w> by alternating local eigenvector descent.
 
     All restarts run as one stack; a restart stops once its value changes
-    by less than 1e-14 between sweeps.  Returns the worst (lowest-value)
-    product state found, the first one on ties.  Two sites only.
+    by less than ``tolerances.SEESAW_CONVERGED`` between sweeps.  Returns
+    the worst (lowest-value) product state found, the first one on ties.
+    Two sites only.
     """
     if t.nsites != 2:
         raise ValidationError("see-saw requires exactly two sites")
@@ -215,7 +217,7 @@ def product_seesaw_min(
             break
         _, v[live] = _lowest_eigenpairs(tensor_rows([w[live].conj(), w[live]]) @ tt.T, d1)
         vals, w[live] = _lowest_eigenpairs(tensor_rows([v[live].conj(), v[live]]) @ tt, d2)
-        done = np.abs(prev[live] - vals) < 1e-14
+        done = np.abs(prev[live] - vals) < tol.SEESAW_CONVERGED
         prev[live] = vals
         live = live[~done]
     psi = tensor_rows([v, w])
@@ -242,17 +244,12 @@ def classify_product_positivity(
     a claim of global optimality.
     """
     spec = hermitian_eig(t)
-    if spec.eigenvalues[-1] >= -1e-10 and abs(t.trace() - 1.0) <= 1e-8:
+    if spec.eigenvalues[-1] >= -tol.PSD and abs(t.trace() - 1.0) <= tol.UNIT_TRACE:
         return Classification.DENSITY_MATRIX, None
     wit = product_seesaw_min(t, restarts=restarts, seed=seed)
-    if wit.value >= -1e-8:
+    if wit.value >= -tol.PRODUCT_POSITIVE:
         return Classification.PRODUCT_POSITIVE_ONLY, wit
     return Classification.INDEFINITE_ON_PRODUCTS, wit
-
-
-def _solve_lstsq(rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    x, *_ = np.linalg.lstsq(rows, vals, rcond=None)
-    return x
 
 
 def reconstruct_pvm(
@@ -275,7 +272,7 @@ def reconstruct_pvm(
     n_fit = len(states) - int(round(holdout * len(states)))
     rows = state_features(states)
     vals = np.array([f(s) for s in states])
-    x = _solve_lstsq(rows[:n_fit], vals[:n_fit])
+    x = np.linalg.lstsq(rows[:n_fit], vals[:n_fit], rcond=None)[0]
     t = HermitianOperator(design.dims, vec_to_herm(x))
     residual = np.max(np.abs(rows[n_fit:] @ x - vals[n_fit:]), initial=0.0)
     cls, wit = classify_product_positivity(t, restarts=restarts, seed=seed)
@@ -293,14 +290,14 @@ def reconstruct_povm(samples, dims, restarts: int = 64, seed: int = 0) -> Recons
     for (e1, e2), _ in samples:
         for e in (e1, e2):
             ev = np.linalg.eigvalsh(np.asarray(e, dtype=complex))
-            if ev[0] < -1e-10 or ev[-1] > 1 + 1e-10:
+            if ev[0] < -tol.EFFECT_SPECTRUM or ev[-1] > 1 + tol.EFFECT_SPECTRUM:
                 raise ValidationError("effect spectrum outside [0, 1]")
     rows = feature_of(np.array([np.kron(e1, e2) for (e1, e2), _ in samples]))
     vals = np.array([val for _, val in samples])
     n_feat = int(np.prod(dims)) ** 2
-    if np.linalg.matrix_rank(rows, tol=1e-10) < n_feat:
+    if np.linalg.matrix_rank(rows, tol=tol.FEATURE_RANK) < n_feat:
         raise ValidationError("effect samples are rank-deficient")
-    x = _solve_lstsq(rows, vals)
+    x = np.linalg.lstsq(rows, vals, rcond=None)[0]
     t = HermitianOperator(dims, vec_to_herm(x))
     residual = float(np.max(np.abs(rows @ x - vals)))
     cls, wit = classify_product_positivity(t, restarts=restarts, seed=seed)
@@ -317,7 +314,7 @@ def random_product_effects(rng: np.random.Generator, dims, count: int) -> list:
             h = 0.5 * (z + z.conj().T)
             ev = np.linalg.eigvalsh(h)
             # Affinely squash the spectrum into [0, 1].
-            h = (h - ev[0] * np.eye(d)) / max(ev[-1] - ev[0], 1e-12)
+            h = (h - ev[0] * np.eye(d)) / max(ev[-1] - ev[0], tol.EFFECT_SPREAD_FLOOR)
             effs.append(h)
         out.append(tuple(effs))
     return out

@@ -2,8 +2,8 @@
 
 Everything here works on plain numpy arrays; :class:`HermitianOperator` is a
 thin validated wrapper that remembers the tensor factorization of the space it
-acts on.  Tolerances are fixed module-wide and chosen for double precision at
-total dimension up to ~1024.
+acts on.  Its tolerances, chosen for double precision at total dimension up
+to ~1024, live in :mod:`nsgleason.tolerances`.
 """
 
 from __future__ import annotations
@@ -12,10 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Fixed numerical tolerances (double precision, D <= 1024).
-HERMITICITY_TOL = 1e-10
-ORTHONORMALITY_TOL = 1e-12
-EIG_RESIDUAL_TOL = 1e-8
+from . import tolerances as tol
 
 
 class ValidationError(ValueError):
@@ -50,7 +47,7 @@ def tensor_rows(stacks) -> np.ndarray:
     return out
 
 
-def canonical_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def canonical_phase(v: np.ndarray) -> np.ndarray:
     """Rescale a vector so its first nonzero amplitude is real positive.
 
     Makes equality-up-to-global-phase checks deterministic.  A stack of
@@ -60,23 +57,23 @@ def canonical_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.ndim == 1:  # a loop is several times faster on one short vector
         for x in v:
-            if abs(x) > tol:
+            if abs(x) > tol.PHASE_AMPLITUDE:
                 return v * (x.conjugate() / abs(x))
         return v.copy()
     # abs() of a complex scalar is hypot(re, im); np.abs of an array rounds
     # differently.  The product is out of place, like the loop's.
     v = v.copy()
-    big = np.hypot(v.real, v.imag) > tol
+    big = np.hypot(v.real, v.imag) > tol.PHASE_AMPLITUDE
     has = big.any(axis=-1)
     lead = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)[has, 0]
     v[has] = v[has] * (lead.conjugate() / np.hypot(lead.real, lead.imag))[:, None]
     return v
 
 
-def check_unit(v: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> None:
+def check_unit(v: np.ndarray) -> None:
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > tol:
-        raise ValidationError(f"vector norm {nrm!r} deviates from 1 beyond {tol}")
+    if abs(nrm - 1.0) > tol.UNIT_NORM:
+        raise ValidationError(f"vector norm {nrm!r} deviates from 1 beyond {tol.UNIT_NORM}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +98,9 @@ class HermitianOperator:
                 f"matrix shape {mat.shape} incompatible with dims {dims}"
             )
         herm_err = np.max(np.abs(mat - mat.conj().T)) if d_total else 0.0
-        if herm_err > HERMITICITY_TOL:
+        if herm_err > tol.HERMITICITY:
             raise ValidationError(
-                f"matrix deviates from Hermiticity by {herm_err:.3e} > {HERMITICITY_TOL}"
+                f"matrix deviates from Hermiticity by {herm_err:.3e} > {tol.HERMITICITY}"
             )
         # Symmetrize so downstream eigensolves see an exactly Hermitian matrix.
         mat = 0.5 * (mat + mat.conj().T)
@@ -165,7 +162,7 @@ def hermitian_eig(a: HermitianOperator | np.ndarray) -> Spectrum:
     else:
         mat = np.asarray(a, dtype=complex)
         herm_err = np.max(np.abs(mat - mat.conj().T))
-        if herm_err > HERMITICITY_TOL:
+        if herm_err > tol.HERMITICITY:
             raise ValidationError(
                 f"matrix deviates from Hermiticity by {herm_err:.3e}"
             )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from . import tolerances as tol
 from .bases import ProductState
 from .gleason import (
     feature_of,
@@ -68,9 +69,9 @@ class Box:
                 p = np.asarray(self.table[(a, b)], dtype=float)
                 if p.shape != (n1, n2):
                     raise ValidationError(f"table block ({a},{b}) has shape {p.shape}")
-                if p.min() < -1e-12:
+                if p.min() < -tol.NEGATIVE_PROBABILITY:
                     raise ValidationError("negative probability in table")
-                if abs(p.sum() - 1.0) > 1e-10:
+                if abs(p.sum() - 1.0) > tol.BLOCK_SUM:
                     raise ValidationError(
                         f"table block ({a},{b}) sums to {p.sum()!r}, not 1"
                     )
@@ -172,17 +173,15 @@ def _basis_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def box_from_operator(t: HermitianOperator, realizations) -> Box:
-    """Box induced by tr(t (p_A (x) q_B)) at the given measurement bases."""
+    """Box of tr(t (p_A (x) q_B)) at the given measurement bases; Box raises
+    ValidationError on a negative or unnormalized block."""
     settings = tuple(tuple(site.keys()) for site in realizations)
     n_out = tuple(next(iter(site.values())).shape[1] for site in realizations)
     outcomes = tuple(tuple(range(n)) for n in n_out)
     coords = feature_of(t.mat)
-    table = {}
-    for a in settings[0]:
-        for b in settings[1]:
-            psi = _basis_products(realizations[0][a], realizations[1][b])
-            p = np.clip((projector_features(psi) @ coords).reshape(n_out), 0.0, None)
-            table[(a, b)] = p / p.sum() * 1.0 if abs(p.sum() - 1) > 1e-12 else p
+    table = {(a, b): (projector_features(_basis_products(realizations[0][a], realizations[1][b]))
+                      @ coords).reshape(n_out)
+             for a in settings[0] for b in settings[1]}
     return Box(settings, outcomes, table, tuple(realizations))
 
 
@@ -193,7 +192,7 @@ class NoSigReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_discrepancy <= 1e-10
+        return self.max_discrepancy <= tol.NO_SIGNALLING
 
 
 def check_box(box: Box) -> NoSigReport:
@@ -217,7 +216,7 @@ def check_box(box: Box) -> NoSigReport:
                             "setting": a,
                             "remote_pair": (labels[i], labels[j]),
                         }
-    return NoSigReport(worst, witness if worst > 1e-10 else None)
+    return NoSigReport(worst, witness if worst > tol.NO_SIGNALLING else None)
 
 
 def check_framefn(f, trials: int = 100, seed: int = 0) -> NoSigReport:
@@ -257,7 +256,7 @@ def check_framefn(f, trials: int = 100, seed: int = 0) -> NoSigReport:
                 "remote_state": x,
                 "bases": (b1, b2),
             }
-    return NoSigReport(float(worst), witness if worst > 1e-10 else None)
+    return NoSigReport(float(worst), witness if worst > tol.NO_SIGNALLING else None)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +286,7 @@ class ChshInstance:
     def __post_init__(self):
         for basis in self.settings:
             basis = np.asarray(basis, dtype=complex)
-            if np.max(np.abs(basis.conj().T @ basis - np.eye(2))) > 1e-10:
+            if np.max(np.abs(basis.conj().T @ basis - np.eye(2))) > tol.LOCAL_BASIS:
                 raise ValidationError("CHSH setting basis is not orthonormal")
         if self.t.dims != (2, 2):
             raise ValidationError("CHSH instance needs a two-qubit operator")
@@ -389,7 +388,7 @@ class ExtensionVerdict:
             "verdict": self.verdict,
             "residual": self.residual,
             "rounds": self.rounds,
-            "infeasibility_threshold": 1e-4,
+            "infeasibility_threshold": tol.INFEASIBLE_RESIDUAL,
         }
         if self.seesaw_min is not None:
             out["seesaw_min"] = self.seesaw_min
@@ -419,8 +418,8 @@ def quantum_extension(
     sampled product projectors.  A see-saw pass then hunts for product
     states on which the candidate t is negative; violators are added as
     constraints and the LP re-solved.  INFEASIBLE is declared when the
-    residual floor exceeds 1e-4; a failed solve gives ERROR with the HiGHS
-    status and message, never a verdict.
+    residual floor exceeds ``tolerances.INFEASIBLE_RESIDUAL``; a failed solve
+    gives ERROR with the HiGHS status and message, never a verdict.
     """
     dims = tuple(r[next(iter(r))].shape[0] for r in box.realizations or ())
     if not dims:
@@ -457,11 +456,11 @@ def quantum_extension(
                                     solver_status=res.status, solver_message=res.message)
         residual = float(res.x[-1])
         t = HermitianOperator(dims, vec_to_herm(res.x[:n_var]))
-        if residual > 1e-4:
+        if residual > tol.INFEASIBLE_RESIDUAL:
             return ExtensionVerdict("INFEASIBLE", residual, t=None, rounds=rounds)
         wit = product_seesaw_min(t, restarts=16, seed=seed + rounds)
-        if wit.value >= -1e-8:
-            verdict = "FEASIBLE" if residual <= 1e-8 else "AMBIGUOUS"
+        if wit.value >= -tol.PRODUCT_POSITIVE:
+            verdict = "FEASIBLE" if residual <= tol.FEASIBLE_RESIDUAL else "AMBIGUOUS"
             return ExtensionVerdict(verdict, residual, t=t,
                                     seesaw_min=wit.value, rounds=rounds)
         if rounds >= max_rounds:

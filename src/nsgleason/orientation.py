@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import tolerances as tol
 from .linalg import (
     HermitianOperator,
     ValidationError,
@@ -24,8 +25,6 @@ from .linalg import (
     min_eigenvalue,
     partial_transpose,
 )
-
-PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,6 @@ class OperatorMap:
         d1, d2 = self.t.dims
         arr = self.t.mat.reshape(d1, d2, d1, d2)
         return np.einsum("ikjl,ij->kl", arr, np.asarray(a, dtype=complex))
-
-
-def operator_to_map(t: HermitianOperator) -> OperatorMap:
-    return OperatorMap(t)
 
 
 def choi_of(t: HermitianOperator) -> HermitianOperator:
@@ -84,7 +79,7 @@ class OrientationClass:
             "class": self.value.value,
             "min_eig_choi": self.min_eig_choi,
             "min_eig_flipped_choi": self.min_eig_flipped_choi,
-            "psd_tolerance": PSD_TOL,
+            "psd_tolerance": tol.PSD,
         }
 
 
@@ -92,8 +87,8 @@ def classify_orientation(t: HermitianOperator) -> OrientationClass:
     """CP / co-CP / both / neither, by Choi positivity under the site-1 flip."""
     ev_direct = min_eigenvalue(t.mat)
     ev_flipped = min_eigenvalue(partial_transpose(t, 0).mat)
-    cp = ev_direct >= -PSD_TOL
-    co_cp = ev_flipped >= -PSD_TOL
+    cp = ev_direct >= -tol.PSD
+    co_cp = ev_flipped >= -tol.PSD
     if cp and co_cp:
         value = Orientation.BOTH
     elif cp:
@@ -128,7 +123,7 @@ class KrausSet:
         return out
 
 
-def kraus_factorize(t: HermitianOperator, rank_tol: float = 1e-12) -> KrausSet:
+def kraus_factorize(t: HermitianOperator) -> KrausSet:
     """Eigendecompose the (possibly flipped) Choi matrix into Kraus operators.
 
     If Choi(t) is not PSD but the site-1 flip's Choi is, the flip is applied
@@ -146,7 +141,7 @@ def kraus_factorize(t: HermitianOperator, rank_tol: float = 1e-12) -> KrausSet:
     d1, d2 = t.dims
     ops = []
     for lam, col in zip(spec.eigenvalues, spec.eigenvectors.T):
-        if lam <= rank_tol:
+        if lam <= tol.KRAUS_RANK:
             continue
         v = col.reshape(d1, d2)
         ops.append(np.sqrt(lam) * v.T)
@@ -160,7 +155,7 @@ class SymmetrizationReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation <= 1e-10
+        return self.max_deviation <= tol.JORDAN_SYMMETRY
 
 
 def jordan_symmetrization_check(

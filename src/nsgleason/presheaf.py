@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances as tol
 from .bases import ProductState
+from .gleason import feature_of
 from .linalg import HermitianOperator, ValidationError, make_rng, proj, random_onb
-
-PVM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -32,15 +32,15 @@ class Context:
         d = projs[0].shape[0]
         total = np.zeros((d, d), dtype=complex)
         for i, p in enumerate(projs):
-            if np.max(np.abs(p - p.conj().T)) > PVM_TOL:
+            if np.max(np.abs(p - p.conj().T)) > tol.PVM:
                 raise ValidationError(f"projector {i} not Hermitian")
-            if np.max(np.abs(p @ p - p)) > PVM_TOL:
+            if np.max(np.abs(p @ p - p)) > tol.PVM:
                 raise ValidationError(f"projector {i} not idempotent")
             for q in projs[:i]:
-                if np.max(np.abs(p @ q)) > PVM_TOL:
+                if np.max(np.abs(p @ q)) > tol.PVM:
                     raise ValidationError("projectors not mutually orthogonal")
             total += p
-        if np.max(np.abs(total - np.eye(d))) > PVM_TOL:
+        if np.max(np.abs(total - np.eye(d))) > tol.PVM:
             raise ValidationError("projectors do not sum to identity")
         object.__setattr__(self, "projectors", projs)
 
@@ -109,7 +109,7 @@ class RefinementEdge:
                 raise ValidationError(f"{side} aggregation group count mismatch")
             for k, g in enumerate(groups):
                 summed = sum(fine_ctx.projectors[i] for i in g)
-                if np.max(np.abs(summed - coarse_ctx.projectors[k])) > 1e-8:
+                if np.max(np.abs(summed - coarse_ctx.projectors[k])) > tol.COARSE_GRAIN:
                     raise ValidationError(
                         f"{side} coarse projector {k} is not the sum of its fine ones"
                     )
@@ -146,22 +146,21 @@ class SectionTable:
 def section_from_operator(t: HermitianOperator, family) -> SectionTable:
     """Tabulate tr(t (p (x) q)) for every context in the family.
 
-    Requires t product-positive within tolerance: a negative entry beyond
-    -1e-12 aborts.  Distributions are normalized when tr(t) = 1.
+    Entries are not rescaled, so each distribution sums to tr(t).  An entry
+    below ``-tolerances.NEGATIVE_PROBABILITY`` raises ValidationError: t is
+    not product-positive.
     """
     family = tuple(family)
+    coords = feature_of(t.mat)
     dists = {}
     for ctx in family:
-        p = np.zeros(ctx.shape)
-        for i, pl in enumerate(ctx.left.projectors):
-            for j, pr in enumerate(ctx.right.projectors):
-                val = np.trace(t.mat @ np.kron(pl, pr)).real
-                if val < -1e-12:
-                    raise ValidationError(
-                        f"negative probability {val:.3e} in context {ctx.label}: "
-                        "operator is not product-positive within tolerance"
-                    )
-                p[i, j] = val
+        ops = [np.kron(pl, pr) for pl in ctx.left.projectors for pr in ctx.right.projectors]
+        p = (feature_of(np.array(ops)) @ coords).reshape(ctx.shape)
+        if p.min() < -tol.NEGATIVE_PROBABILITY:
+            raise ValidationError(
+                f"negative probability {p.min():.3e} in context {ctx.label}: "
+                "operator is not product-positive within tolerance"
+            )
         dists[ctx.label] = p
     return SectionTable(family, dists)
 
@@ -189,7 +188,7 @@ def section_from_framefn(f, family) -> SectionTable:
 
 def _rank1_vector(p: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(p)
-    if abs(vals[-1] - 1.0) > 1e-8 or (len(vals) > 1 and vals[-2] > 1e-8):
+    if abs(vals[-1] - 1.0) > tol.RANK_ONE or (len(vals) > 1 and vals[-2] > tol.RANK_ONE):
         raise ValidationError("projector is not rank-1")
     return vecs[:, -1]
 
@@ -201,7 +200,7 @@ class ConsistencyReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_distance <= 1e-10
+        return self.max_distance <= tol.SECTION_CONSISTENT
 
 
 def check_section(s: SectionTable, edges) -> ConsistencyReport:

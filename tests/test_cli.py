@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
+from nsgleason import tolerances
+from nsgleason.bases import twisted_example_certificate, validate_unentangled
 from nsgleason.cli import main
 from nsgleason.linalg import make_rng, random_density
 from nsgleason.nosig import singlet
@@ -47,6 +49,11 @@ def test_twist_example_replay(capsys):
     assert code == 0
     assert rep["verdicts"]["certificate_replay"]["pass"]
     assert rep["verdicts"]["intermediate_valid"]["pass"]
+    # The value is the worst overlap measured along the walk, not a placeholder.
+    steps = twisted_example_certificate().walk()
+    worst = max(validate_unentangled(b).worst_overlap for b in steps)
+    assert worst > 0.0
+    assert rep["verdicts"]["intermediate_valid"]["value"] == worst
 
 
 def test_reconstruct_round_trip(rho_file, capsys):
@@ -111,6 +118,17 @@ def test_keller_basis_from_file(tmp_path, capsys):
     )
     assert code == 0
     assert rep["verdicts"]["basis_valid"]["pass"]
+
+
+def test_basis_verdicts_cite_the_applied_tolerance(tmp_path, capsys):
+    # validate_unentangled decides orthogonality by ORTHO_PAIR; the reports say so.
+    out_clique = str(tmp_path / "c.txt")
+    run(["keller", "search", "--n", "2", "--size", "4", "--graph", "g",
+         "--exhaustive", "--out-clique", out_clique], capsys)
+    _, basis = run(["keller", "basis", "--file", out_clique, "--graph", "g"], capsys)
+    _, fig1 = run(["twist", "--fig1"], capsys)
+    assert basis["verdicts"]["basis_valid"]["tolerance"] == tolerances.ORTHO_PAIR
+    assert fig1["verdicts"]["intermediate_valid"]["tolerance"] == tolerances.ORTHO_PAIR
 
 
 def test_check_framefn_violation_exit_1(capsys):

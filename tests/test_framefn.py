@@ -96,12 +96,6 @@ def test_signalling_family_values_in_unit_interval():
         assert -1e-12 <= f(s) <= 1 + 1e-12
 
 
-def test_signalling_family_theta_zero_degenerate():
-    f = make_signalling_example((2, 2), 0.0)
-    assert f.degenerate
-    assert not make_signalling_example((2, 2), np.pi / 4).degenerate
-
-
 def test_signalling_marginal_depends_on_basis():
     # Explicit two-basis witness: sum_j f(v_j (x) w) differs between the
     # computational site-1 basis and a rotated one.

@@ -220,6 +220,21 @@ def test_quantum_extension_singlet_feasible():
             )
 
 
+def test_box_from_operator_rejects_unnormalized_operator():
+    # Each block of a trace-2 singlet sums to 2; nothing rescales it to 1.
+    t = HermitianOperator((2, 2), 2 * singlet().mat)
+    with pytest.raises(ValidationError, match="sums to"):
+        box_from_operator(t, optimal_realizations())
+
+
+def test_box_from_operator_rejects_negative_probability():
+    # Unit trace, but <00|t|00> = -0.26: the computational box is not clipped.
+    t = HermitianOperator((2, 2), np.diag([-0.26, 0.5, 0.5, 0.26]))
+    computational = {0: equator_basis(0.0)}
+    with pytest.raises(ValidationError, match="negative probability"):
+        box_from_operator(t, (computational, computational))
+
+
 def test_quantum_extension_white_noise():
     real = optimal_realizations()
     table = {(a, b): np.full((2, 2), 0.25) for a in (0, 1) for b in (0, 1)}

@@ -25,6 +25,7 @@ from nsgleason.presheaf import (
     section_from_operator,
     trivial_context,
 )
+from nsgleason.tolerances import NEGATIVE_PROBABILITY
 
 
 def comp_context(d, label):
@@ -114,6 +115,27 @@ def test_section_from_operator_rejects_non_product_positive():
     ctxs, _ = random_context_family((2, 2), 2, seed=3)
     with pytest.raises(ValidationError):
         section_from_operator(t, ctxs)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_section_from_operator_negativity_cut_off(scale):
+    # The cut-off is the one Box applies: <00|t|00> = -eps passes only for
+    # eps <= NEGATIVE_PROBABILITY.
+    eps = scale * NEGATIVE_PROBABILITY
+    t = HermitianOperator((2, 2), np.diag([-eps, 0.5, 0.5, 0.5 + eps]))
+    ctx = ProductContext(comp_context(2, "L"), comp_context(2, "R"))
+    if scale > 1:
+        with pytest.raises(ValidationError):
+            section_from_operator(t, [ctx])
+    else:
+        assert section_from_operator(t, [ctx])[ctx][0, 0] == -eps
+
+
+def test_section_from_operator_is_not_normalized():
+    # Entries sum to tr(t); nothing rescales a trace-2 operator's distributions.
+    t = HermitianOperator((2, 2), 2 * singlet().mat)
+    ctx = ProductContext(comp_context(2, "L"), comp_context(2, "R"))
+    assert section_from_operator(t, [ctx])[ctx].sum() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_check_section_passes_for_operator_tables():

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from nsgleason import bases
 from nsgleason.bases import (
-    ORTHO_PAIR_TOL,
-    SAME_FACTOR_TOL,
     BasisReport,
     ProductBasis,
     ProductState,
@@ -39,6 +37,7 @@ from nsgleason.keller import (
     verify_clique,
 )
 from nsgleason.linalg import ValidationError, canonical_phase, check_unit, make_rng, random_onb
+from nsgleason.tolerances import ORTHO_PAIR, SAME_FACTOR
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -102,14 +101,14 @@ def ref_validate(b):
         return BasisReport(n == b.dim, n == b.dim, 0.0, None, ())
     k = int(np.argmax(pairs))
     failures = tuple((int(iu[0][q]), int(iu[1][q]), float(pairs[q]))
-                     for q in np.nonzero(pairs > ORTHO_PAIR_TOL)[0])
+                     for q in np.nonzero(pairs > ORTHO_PAIR)[0])
     complete = n == b.dim
     return BasisReport(complete and not failures, complete, float(pairs[k]),
                        (int(iu[0][k]), int(iu[1][k])), failures)
 
 
 def ref_find_local_pairs(b):
-    differs = np.stack([ov < 1 - SAME_FACTOR_TOL for ov in ref_site_overlaps(b)])
+    differs = np.stack([ov < 1 - SAME_FACTOR for ov in ref_site_overlaps(b)])
     iu = np.triu_indices(len(b.elements), k=1)
     out = []
     for k in np.nonzero(differs.sum(axis=0)[iu] == 1)[0]:
@@ -123,7 +122,7 @@ def ref_alignment_score(b):
     for e, f in itertools.combinations(b.elements, 2):
         for s in range(e.nsites):
             ov = abs(np.vdot(e.factors[s], f.factors[s]))
-            score += ov > 1 - SAME_FACTOR_TOL or ov < ORTHO_PAIR_TOL
+            score += ov > 1 - SAME_FACTOR or ov < ORTHO_PAIR
     return score
 
 
