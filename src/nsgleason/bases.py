@@ -19,6 +19,7 @@ from .linalg import (
     ValidationError,
     canonical_phase,
     check_unit,
+    check_unit_rows,
     tensor,
     vector_from_json,
     vector_to_json,
@@ -46,12 +47,7 @@ class ProductState:
         sites = [canonical_phase(f) for f in stacks]
         if len({len(f) for f in sites}) > 1:
             raise ValidationError("per-site stacks hold different numbers of states")
-        # A norm within UNIT_NORM/2 of 1 here passes check_unit, whose norm differs
-        # by a few ulps; check_unit itself decides (and raises) for the rest.
-        suspects = sorted((k, s) for s, f in enumerate(sites) for k in
-                          np.flatnonzero(np.abs(np.linalg.norm(f, axis=1) - 1) > tol.UNIT_NORM / 2))
-        for k, s in suspects:
-            check_unit(sites[s][k])
+        check_unit_rows(sites)
         for f in sites:
             f.setflags(write=False)
         states = tuple(object.__new__(cls) for _ in range(len(sites[0]) if sites else 0))

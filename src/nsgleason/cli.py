@@ -9,6 +9,7 @@ expected outcome, stated in the report), and 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -211,16 +212,16 @@ def cmd_twist(args, argv):
         res = twist_search(b, budget=args.budget)
         rep.data["found"] = res.found
         rep.data["reason"] = res.reason
+        cert = res.certificate
         if res.found:
-            rep.verdict("certificate_replay", res.certificate.replay(),
-                        len(res.certificate.moves), tol.REPLAY_MATCH)
-            if args.out_cert:
-                with open(args.out_cert, "w") as fh:
-                    json.dump(res.certificate.to_json(), fh)
-                rep.data["artifacts"].append(args.out_cert)
+            rep.verdict("certificate_replay", cert.replay(), len(cert.moves), tol.REPLAY_MATCH)
         else:
             rep.verdict("twist_search", False, res.moves_tried, None,
                         "exhaustion is not a proof of non-membership")
+    if cert is not None and args.out_cert:
+        with open(args.out_cert, "w") as fh:
+            json.dump(cert.to_json(), fh)
+        rep.data["artifacts"].append(args.out_cert)
     return rep.finish(args.out)
 
 
@@ -289,6 +290,7 @@ def cmd_keller(args, argv):
     return rep.finish(args.out)
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nsgleason",

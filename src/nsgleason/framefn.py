@@ -21,57 +21,69 @@ import numpy as np
 
 from . import tolerances as tol
 from .bases import ProductBasis, ProductState
-from .gleason import feature_of, state_features
-from .linalg import HermitianOperator, ValidationError
+from .gleason import feature_of, projector_features, site_stacks
+from .linalg import HermitianOperator, ValidationError, check_unit_rows, tensor_rows
 
 
 class LookupError_(KeyError):
     """Tabulated frame function queried outside its design."""
 
 
+class _Evaluated:
+    """values() and f(s) for the kinds below, whose ``_values`` is their formula; each
+    kind binds __call__ itself, so a per-class wrapper (a tracer) can swap it."""
+
+    def values(self, stacks) -> np.ndarray:
+        """f on N product states given as per-site (N, d) stacks of factors, used as
+        given (not re-phased) after the dims and unit-norm checks of ProductState."""
+        sites = [np.asarray(f, dtype=complex) for f in stacks]
+        dims = tuple(f.shape[-1] for f in sites)
+        if dims != self.dims:
+            raise ValidationError(f"state dims {dims} != frame-function dims {self.dims}")
+        check_unit_rows(sites)
+        return self._values(sites)
+
+    def __call__(self, s: ProductState) -> float:
+        return float(self.values([f[None] for f in s.factors])[0])
+
+
 @dataclass(frozen=True)
-class OperatorInduced:
+class OperatorInduced(_Evaluated):
     """f(v) = <v|t|v>."""
 
     t: HermitianOperator
     nonnegative: bool = False
+    __call__ = _Evaluated.__call__
 
     @property
     def dims(self) -> tuple:
         return self.t.dims
 
-    def __call__(self, s: ProductState) -> float:
-        if s.dims != self.t.dims:
-            raise ValidationError(f"state dims {s.dims} != operator dims {self.t.dims}")
-        val = self.t.expectation(s.full())
-        if self.nonnegative and val < -tol.NONNEGATIVE_EVAL:
-            raise ValidationError(f"declared non-negative but f = {val:.3e}")
-        return val
+    def _values(self, sites) -> np.ndarray:
+        vals = projector_features(tensor_rows(sites)) @ feature_of(self.t.mat)
+        if self.nonnegative and vals.min(initial=0.0) < -tol.NONNEGATIVE_EVAL:
+            raise ValidationError(f"declared non-negative but f = {vals.min():.3e}")
+        return vals
 
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(_Evaluated):
     """Values stored on an explicit design; lookup is by bit-exact state key."""
 
     dims: tuple
     table: dict  # ProductState.key() -> float
+    __call__ = _Evaluated.__call__
 
-    def __call__(self, s: ProductState) -> float:
-        if s.dims != self.dims:
-            raise ValidationError(f"state dims {s.dims} != table dims {self.dims}")
+    def _values(self, sites) -> np.ndarray:
+        # A row of the sites laid side by side holds ProductState.key()'s bytes.
         try:
-            return self.table[s.key()]
+            return np.array([self.table[row.tobytes()] for row in np.hstack(sites)], dtype=float)
         except KeyError:
             raise LookupError_("state not in tabulated design") from None
 
-    def perturbed(self, key: bytes, delta: float) -> "Tabulated":
-        table = dict(self.table)
-        table[key] += delta
-        return Tabulated(self.dims, table)
-
 
 @dataclass(frozen=True)
-class SignallingFamily:
+class SignallingFamily(_Evaluated):
     """Two-site frame function with remote-basis-dependent marginals.
 
     f(v (x) w) = a(v) * b_v(w) with a(v) = |<v|e1>|^2 and
@@ -85,6 +97,7 @@ class SignallingFamily:
 
     dims: tuple
     theta: float
+    __call__ = _Evaluated.__call__
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -92,20 +105,11 @@ class SignallingFamily:
             raise ValidationError("signalling family needs two sites of dim >= 2")
         object.__setattr__(self, "dims", dims)
 
-    def _rotated_target(self, v: np.ndarray) -> np.ndarray:
-        angle = self.theta * abs(v[1]) ** 2
-        target = np.zeros(self.dims[1], dtype=complex)
-        target[0] = np.cos(angle)
-        target[1] = np.sin(angle)
-        return target
-
-    def __call__(self, s: ProductState) -> float:
-        if s.dims != self.dims:
-            raise ValidationError(f"state dims {s.dims} != family dims {self.dims}")
-        v, w = s.factors
-        a = abs(v[0]) ** 2
-        b = abs(np.vdot(self._rotated_target(v), w)) ** 2
-        return a * b
+    def _values(self, sites) -> np.ndarray:
+        v, w = sites
+        angle = self.theta * np.abs(v[:, 1]) ** 2
+        b = np.abs(np.cos(angle) * w[:, 0] + np.sin(angle) * w[:, 1]) ** 2
+        return np.abs(v[:, 0]) ** 2 * b
 
 
 FrameFunction = OperatorInduced | Tabulated | SignallingFamily
@@ -142,12 +146,9 @@ def make_signalling_example(dims, theta: float) -> SignallingFamily:
 
 
 def sample_from_operator(t: HermitianOperator, design) -> Tabulated:
-    """Tabulate <v|t|v> over a design of product states: feature rows times vec(t)."""
+    """Tabulate <v|t|v> over a design of product states, as OperatorInduced(t) values it."""
     design = list(design)
-    for s in design:
-        if s.dims != t.dims:
-            raise ValidationError(f"design state dims {s.dims} != operator dims {t.dims}")
-    values = state_features(design) @ feature_of(t.mat) if design else ()
+    values = OperatorInduced(t).values(site_stacks(design)) if design else ()
     return Tabulated(t.dims, {s.key(): float(v) for s, v in zip(design, values)})
 
 

@@ -26,7 +26,7 @@ from .linalg import (
     ValidationError,
     hermitian_eig,
     make_rng,
-    random_unit,
+    random_units,
     tensor_rows,
 )
 
@@ -98,10 +98,14 @@ def projector_features(psi: np.ndarray) -> np.ndarray:
     return _coordinates(psi * psi.conj(), 2.0 * upper.real, 2.0 * upper.imag)
 
 
+def site_stacks(states) -> list:
+    """Per-site (N, d) stacks of the factors of a sequence of product states."""
+    return [np.array(f) for f in zip(*(s.factors for s in states))]
+
+
 def state_features(states) -> np.ndarray:
     """Feature rows of a sequence of product states, one row per state."""
-    sites = [np.array(f) for f in zip(*(s.factors for s in states))]
-    return projector_features(tensor_rows(sites))
+    return projector_features(tensor_rows(site_stacks(states)))
 
 
 def vec_to_herm(x: np.ndarray) -> np.ndarray:
@@ -138,19 +142,20 @@ def spanning_design(dims, oversample: float = 1.5, seed: int = 0) -> SpanningDes
     """Draw random product states until their features have full rank.
 
     The target count is ceil(oversample * D^2); each time the rank falls
-    short, D^2 more states are drawn.  If full rank is not reached within
-    10x the first target the seed is declared non-generic and an error is
-    raised.
+    short, D^2 more states are drawn (a round in one stacked draw, the same
+    states as random_unit draws).  Without full rank within 10x the first
+    target the seed is declared non-generic and an error is raised.
     """
     dims = tuple(int(d) for d in dims)
     n_feat = int(np.prod(dims)) ** 2
     target = int(np.ceil(oversample * n_feat))
     budget = 10 * target
     rng = make_rng(seed)
-    states = []
+    sites = [np.empty((0, d), dtype=complex) for d in dims]
     while True:
-        states += [ProductState(tuple(random_unit(rng, d) for d in dims))
-                   for _ in range(min(target, budget) - len(states))]
+        more = random_units(rng, dims, min(target, budget) - len(sites[0]))
+        sites = [np.concatenate(pair) for pair in zip(sites, more)]
+        states = ProductState.batch(sites)
         rank = np.linalg.matrix_rank(state_features(states), tol=tol.FEATURE_RANK)
         if rank == n_feat:
             return SpanningDesign(dims, tuple(states), int(rank))
@@ -208,8 +213,7 @@ def product_seesaw_min(
     tt = t.mat.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
     rng = make_rng(seed)
     # Each restart draws w, then a v that the first sweep replaces.
-    w, v = map(np.array, zip(*[(random_unit(rng, d2), random_unit(rng, d1))
-                               for _ in range(restarts)]))
+    w, v = random_units(rng, (d2, d1), restarts)
     prev = np.full(restarts, np.inf)
     live = np.arange(restarts)
     for _ in range(iters):
@@ -270,8 +274,9 @@ def reconstruct_pvm(
         raise ValidationError("design features are rank-deficient")
     states = design.states
     n_fit = len(states) - int(round(holdout * len(states)))
-    rows = state_features(states)
-    vals = np.array([f(s) for s in states])
+    sites = site_stacks(states)
+    rows = projector_features(tensor_rows(sites))
+    vals = f.values(sites)
     x = np.linalg.lstsq(rows[:n_fit], vals[:n_fit], rcond=None)[0]
     t = HermitianOperator(design.dims, vec_to_herm(x))
     residual = np.max(np.abs(rows[n_fit:] @ x - vals[n_fit:]), initial=0.0)

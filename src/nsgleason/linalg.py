@@ -43,7 +43,8 @@ def tensor_rows(stacks) -> np.ndarray:
     """Row-wise Kronecker product: row n is tensor(s[n] for s in stacks)."""
     out = np.asarray(stacks[0], dtype=complex)
     for s in stacks[1:]:
-        out = (out[:, :, None] * np.asarray(s, dtype=complex)[:, None, :]).reshape(len(out), -1)
+        out = (out[:, :, None] * np.asarray(s, dtype=complex)[:, None, :]).reshape(
+            len(out), out.shape[1] * np.shape(s)[1])
     return out
 
 
@@ -74,6 +75,15 @@ def check_unit(v: np.ndarray) -> None:
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > tol.UNIT_NORM:
         raise ValidationError(f"vector norm {nrm!r} deviates from 1 beyond {tol.UNIT_NORM}")
+
+
+def check_unit_rows(stacks) -> None:
+    """check_unit on the rows of per-site (N, d) stacks, state by state."""
+    # Norms within UNIT_NORM/2 of 1 pass check_unit (its norm differs by ulps); it decides the rest.
+    suspects = sorted((k, s) for s, f in enumerate(stacks) for k in
+                      np.flatnonzero(np.abs(np.linalg.norm(f, axis=1) - 1) > tol.UNIT_NORM / 2))
+    for k, s in suspects:
+        check_unit(stacks[s][k])
 
 
 @dataclass(frozen=True)
@@ -208,20 +218,44 @@ def partial_trace(t: HermitianOperator, site: int) -> HermitianOperator:
 # ---------------------------------------------------------------------------
 # Random sampling helpers (all take an explicit numpy Generator).
 
+def units_from_normals(z: np.ndarray) -> np.ndarray:
+    """random_unit's vectors from (N, 2d) rows of its normals: real parts, then imaginary."""
+    d = z.shape[1] // 2
+    v = z[:, :d] + 1j * z[:, d:]
+    # Rounds as np.linalg.norm's two BLAS dots do; einsum and .sum(-1) do not.
+    sq = v.real[:, None] @ v.real[:, :, None] + v.imag[:, None] @ v.imag[:, :, None]
+    return canonical_phase(v / np.sqrt(sq[:, 0]))
+
+
+def onbs_from_normals(z: np.ndarray) -> np.ndarray:
+    """random_onb's bases from (N, 2d^2) rows of its normals, by one stacked QR."""
+    d = int(np.sqrt(z.shape[1] // 2))  # exact: the argument is a square
+    q, r = np.linalg.qr(z[:, :d * d].reshape(-1, d, d) + 1j * z[:, d * d:].reshape(-1, d, d))
+    r = np.diagonal(r, axis1=1, axis2=2)
+    return canonical_phase((q * (r / np.abs(r))[:, None]).swapaxes(1, 2)).swapaxes(1, 2)
+
+
+def random_units(rng: np.random.Generator, dims, n: int) -> list:
+    """Per-site (n, d) stacks: random_unit at each site of n states in turn, in one draw."""
+    z = np.split(rng.standard_normal((n, 2 * sum(dims))), 2 * np.cumsum(dims)[:-1], axis=1)
+    return [units_from_normals(x) for x in z]
+
+
+def random_onbs(rng: np.random.Generator, dims, n: int) -> list:
+    """Per-site (n, d, d) stacks: random_onb at each site, n times over, in one draw."""
+    sq = [d * d for d in dims]
+    z = np.split(rng.standard_normal((n, 2 * sum(sq))), 2 * np.cumsum(sq)[:-1], axis=1)
+    return [onbs_from_normals(x) for x in z]
+
+
 def random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-random unit vector in C^d, canonical phase."""
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return canonical_phase(v / np.linalg.norm(v))
+    return random_units(rng, (d,), 1)[0][0]
 
 
 def random_onb(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-random orthonormal basis of C^d, as columns, canonical phases."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    for k in range(d):
-        q[:, k] = canonical_phase(q[:, k])
-    return q
+    return random_onbs(rng, (d,), 1)[0][0]
 
 
 def random_hermitian(rng: np.random.Generator, dims) -> HermitianOperator:

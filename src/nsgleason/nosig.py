@@ -17,7 +17,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import tolerances as tol
-from .bases import ProductState
 from .gleason import (
     feature_of,
     product_seesaw_min,
@@ -28,9 +27,10 @@ from .linalg import (
     HermitianOperator,
     ValidationError,
     make_rng,
+    onbs_from_normals,
     proj,
-    random_onb,
-    random_unit,
+    random_onbs,
+    units_from_normals,
 )
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -168,8 +168,10 @@ def deterministic_box() -> Box:
 
 
 def _basis_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows u[:, i] (x) v[:, j] over the columns of u and v, i major."""
-    return (u.T[:, None, :, None] * v.T[None, :, None, :]).reshape(-1, len(u) * len(v))
+    """Rows u[:, i] (x) v[:, j] over the columns of u and v, i major (for
+    stacks of bases, pair by pair)."""
+    u, v = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
+    return (u[..., None, :, None] * v[..., None, :, None, :]).reshape(-1, u.shape[-1] * v.shape[-1])
 
 
 def box_from_operator(t: HermitianOperator, realizations) -> Box:
@@ -224,39 +226,40 @@ def check_framefn(f, trials: int = 100, seed: int = 0) -> NoSigReport:
 
     For random fixed remote states x and random pairs of local bases, the
     sums over the two local bases must agree.  Reports the worst discrepancy
-    and the configuration achieving it.
+    and the first trial achieving it.  Each trial draws its site, then the
+    normals of x and of both bases; the states are built from the normals
+    as stacks afterwards, and ``f.values`` runs once for each site.
     """
     dims = f.dims
     if len(dims) != 2:
         raise ValidationError("check_framefn handles two-site frame functions")
     rng = make_rng(seed)
-    worst, witness = 0.0, None
-    for trial in range(trials):
-        site = int(rng.integers(0, 2))
-        remote = 1 - site
-        x = random_unit(rng, dims[remote])
-        b1 = random_onb(rng, dims[site])
-        b2 = random_onb(rng, dims[site])
+    sites, normals = [], []
+    for _ in range(trials):
+        sites.append(int(rng.integers(0, 2)))
+        normals.append(rng.standard_normal(2 * dims[1 - sites[-1]] + 4 * dims[sites[-1]] ** 2))
 
-        def marginal(basis):
-            total = 0.0
-            for k in range(dims[site]):
-                factors = [None, None]
-                factors[site] = basis[:, k]
-                factors[remote] = x
-                total += f(ProductState(tuple(factors)))
-            return total
+    def draws(z, site):
+        """Remote states, and the bases b1, b2 of each trial in turn."""
+        n_x = 2 * dims[1 - site]
+        return units_from_normals(z[:, :n_x]), onbs_from_normals(
+            z[:, n_x:].reshape(-1, 2 * dims[site] ** 2))
 
-        d = abs(marginal(b1) - marginal(b2))
-        if d > worst:
-            worst = d
-            witness = {
-                "trial": trial,
-                "site": site,
-                "remote_state": x,
-                "bases": (b1, b2),
-            }
-    return NoSigReport(float(worst), witness if worst > tol.NO_SIGNALLING else None)
+    gaps = np.zeros(trials)
+    for site, d in enumerate(dims):
+        idx = [k for k in range(trials) if sites[k] == site]
+        if idx:
+            x, b = draws(np.array([normals[k] for k in idx]), site)
+            stacks = [b.swapaxes(1, 2).reshape(-1, d), np.repeat(x, 2 * d, axis=0)]
+            m = f.values(stacks[::-1] if site else stacks).reshape(-1, 2, d).sum(axis=2)
+            gaps[idx] = np.abs(m[:, 0] - m[:, 1])
+    worst = float(gaps.max(initial=0.0))
+    if worst <= tol.NO_SIGNALLING:
+        return NoSigReport(worst)
+    trial = int(np.argmax(gaps))
+    x, b = draws(normals[trial][None], sites[trial])
+    return NoSigReport(worst, {"trial": trial, "site": sites[trial], "remote_state": x[0],
+                               "bases": (b[0], b[1])})
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +370,8 @@ def _positivity_rows(rng: np.random.Generator, dims, count: int) -> np.ndarray:
     polytope is bounded (each sampled value is pinned to [0, 1] by the trace
     constraint).
     """
-    d1, d2 = dims
-    n_bases = -(-count // (d1 * d2))
-    psi = [_basis_products(random_onb(rng, d1), random_onb(rng, d2)) for _ in range(n_bases)]
-    return projector_features(np.concatenate(psi)[:count])
+    u, v = random_onbs(rng, dims, -(-count // int(np.prod(dims))))
+    return projector_features(_basis_products(u, v)[:count])
 
 
 @dataclass(frozen=True)

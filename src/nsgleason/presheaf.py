@@ -16,8 +16,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .bases import ProductState
-from .gleason import feature_of
-from .linalg import HermitianOperator, ValidationError, make_rng, proj, random_onb
+from .linalg import HermitianOperator, ValidationError, make_rng, proj, random_onbs
 
 
 @dataclass(frozen=True)
@@ -64,10 +63,6 @@ class Context:
 def rank1_context(basis: np.ndarray, label: str) -> Context:
     """Rank-1 PVM from an orthonormal basis given as columns."""
     return Context(tuple(proj(basis[:, k]) for k in range(basis.shape[1])), label)
-
-
-def trivial_context(d: int, label: str) -> Context:
-    return Context((np.eye(d, dtype=complex),), label)
 
 
 @dataclass(frozen=True)
@@ -146,16 +141,17 @@ class SectionTable:
 def section_from_operator(t: HermitianOperator, family) -> SectionTable:
     """Tabulate tr(t (p (x) q)) for every context in the family.
 
+    Each table is one contraction of t with the context's projector stacks.
     Entries are not rescaled, so each distribution sums to tr(t).  An entry
     below ``-tolerances.NEGATIVE_PROBABILITY`` raises ValidationError: t is
     not product-positive.
     """
     family = tuple(family)
-    coords = feature_of(t.mat)
+    t4 = t.mat.reshape(t.dims + t.dims)
     dists = {}
     for ctx in family:
-        ops = [np.kron(pl, pr) for pl in ctx.left.projectors for pr in ctx.right.projectors]
-        p = (feature_of(np.array(ops)) @ coords).reshape(ctx.shape)
+        p = np.einsum("abce,ica,jeb->ij", t4, np.array(ctx.left.projectors),
+                      np.array(ctx.right.projectors)).real
         if p.min() < -tol.NEGATIVE_PROBABILITY:
             raise ValidationError(
                 f"negative probability {p.min():.3e} in context {ctx.label}: "
@@ -176,13 +172,8 @@ def section_from_framefn(f, family) -> SectionTable:
     family = tuple(family)
     dists = {}
     for ctx in family:
-        p = np.zeros(ctx.shape)
-        for i, pl in enumerate(ctx.left.projectors):
-            for j, pr in enumerate(ctx.right.projectors):
-                vl = _rank1_vector(pl)
-                vr = _rank1_vector(pr)
-                p[i, j] = f(ProductState((vl, vr)))
-        dists[ctx.label] = p
+        left, right = ([_rank1_vector(p) for p in c.projectors] for c in (ctx.left, ctx.right))
+        dists[ctx.label] = np.array([[f(ProductState((vl, vr))) for vr in right] for vl in left])
     return SectionTable(family, dists)
 
 
@@ -223,11 +214,11 @@ def random_context_family(dims, n_fine: int, seed: int = 0):
     on one site), giving two edges per draw.
     """
     d1, d2 = dims
-    rng = make_rng(seed)
+    left, right = random_onbs(make_rng(seed), dims, n_fine)
     contexts, edges = [], []
     for k in range(n_fine):
-        lb = rank1_context(random_onb(rng, d1), f"L{k}")
-        rb = rank1_context(random_onb(rng, d2), f"R{k}")
+        lb = rank1_context(left[k], f"L{k}")
+        rb = rank1_context(right[k], f"R{k}")
         fine = ProductContext(lb, rb)
         contexts.append(fine)
         groups_l = ((0, 1),) + tuple((i,) for i in range(2, d1))

@@ -56,6 +56,28 @@ def test_twist_example_replay(capsys):
     assert rep["verdicts"]["intermediate_valid"]["value"] == worst
 
 
+def test_twist_fig1_writes_certificate(tmp_path, monkeypatch, capsys):
+    # The README example, run where it writes cert.json.
+    monkeypatch.chdir(tmp_path)
+    code, rep = run(["twist", "--fig1", "--out-cert", "cert.json"], capsys)
+    assert code == 0
+    assert rep["artifacts"] == ["cert.json"]
+    written = json.loads((tmp_path / "cert.json").read_text())
+    assert written == json.loads(json.dumps(twisted_example_certificate().to_json()))
+
+
+def test_parser_defaults_do_not_leak_between_calls(capsys):
+    # The parser is built once per process; each call still starts from the defaults.
+    code, rep = run(["check", "--dims", "2,2", "--theta", "0", "--trials", "5",
+                     "--seed", "4"], capsys)
+    assert (code, rep["seed"], rep["verdicts"]["framefn_no_signalling"]["pass"]) == (0, 4, True)
+    code, rep = run(["twist", "--fig1"], capsys)
+    assert (code, rep["seed"]) == (0, 0)
+    code, rep = run(["check", "--trials", "5"], capsys)
+    assert (code, rep["seed"]) == (1, 0)  # theta pi/4 signals on (3, 3)
+    assert rep["verdicts"]["framefn_no_signalling"]["value"] >= 1e-3
+
+
 def test_reconstruct_round_trip(rho_file, capsys):
     code, rep = run(["reconstruct", "--operator", rho_file, "--seed", "1"], capsys)
     assert code == 0

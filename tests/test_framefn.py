@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nsgleason import tolerances
 from nsgleason.bases import ProductBasis, ProductState
 from nsgleason.framefn import (
+    LookupError_,
     OperatorInduced,
+    SignallingFamily,
+    Tabulated,
     make_signalling_example,
     read_samples_json,
     sample_from_operator,
@@ -14,11 +20,15 @@ from nsgleason.framefn import (
 )
 from nsgleason.linalg import (
     HermitianOperator,
+    ValidationError,
     make_rng,
+    partial_transpose,
     proj,
     random_density,
+    random_hermitian,
     random_onb,
     random_unit,
+    random_units,
 )
 
 SWAP = np.array(
@@ -67,8 +77,6 @@ def test_weight_equals_trace_over_any_product_basis():
 
 
 def test_partial_transpose_is_conjugation_relabel():
-    from nsgleason.linalg import partial_transpose, random_hermitian
-
     rng = make_rng(4)
     t = random_hermitian(rng, (3, 3))
     f_pt = OperatorInduced(partial_transpose(t, 1))
@@ -129,7 +137,7 @@ def test_tabulated_perturbation_shows_in_spread():
     basis = ProductBasis(tuple(tuple(random_onb(rng, 2).T) for _ in range(2)))
     design = basis.elements()
     f = sample_from_operator(t, design)
-    g = f.perturbed(design[0].key(), 0.05)
+    g = Tabulated(f.dims, {**f.table, design[0].key(): f.table[design[0].key()] + 0.05})
     rep = weight_check(g, [basis])
     # Single basis: spread 0, but the weight shifted by the perturbation.
     assert rep.weight == pytest.approx(1.0 + 0.05, abs=1e-12)
@@ -158,3 +166,79 @@ def test_sample_table_serialization(tmp_path):
     np.testing.assert_allclose(back_values, values)
     for s, bs in zip(design, back_design):
         assert abs(s.overlap(bs)) == pytest.approx(1.0, abs=1e-12)
+
+
+def per_state_value(f, s):
+    """f(s) as each kind computed it one state at a time before values() existed."""
+    if s.dims != f.dims:
+        raise ValidationError("dims")
+    if isinstance(f, OperatorInduced):
+        val = f.t.expectation(s.full())
+        if f.nonnegative and val < -tolerances.NONNEGATIVE_EVAL:
+            raise ValidationError("negative")
+        return val
+    if isinstance(f, Tabulated):
+        try:
+            return f.table[s.key()]
+        except KeyError:
+            raise LookupError_("missing") from None
+    v, w = s.factors
+    target = np.zeros(f.dims[1], dtype=complex)
+    target[:2] = np.cos(f.theta * abs(v[1]) ** 2), np.sin(f.theta * abs(v[1]) ** 2)
+    return abs(v[0]) ** 2 * abs(np.vdot(target, w)) ** 2
+
+
+def outcome(call):
+    """The value array a call returns, or the type of the error it raises."""
+    try:
+        return np.array(call(), dtype=float)
+    except (ValidationError, LookupError_) as exc:
+        return type(exc)
+
+
+FRAME_KINDS = ["density", "psd_declared", "indefinite_declared", "tabulated",
+               "tabulated_miss", "signalling"]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (3, 3), (3, 4), (5, 2)]),
+       st.sampled_from(FRAME_KINDS), st.integers(0, 12))
+@settings(max_examples=80, deadline=None)
+def test_values_match_per_state_loop(seed, dims, kind, n):
+    rng = make_rng(seed)
+    states = ProductState.batch(random_units(rng, dims, n))
+    stacks = [np.array(site) for site in zip(*(s.factors for s in states))] or [
+        np.empty((0, d), dtype=complex) for d in dims]
+    if kind == "density":
+        f = OperatorInduced(random_density(rng, dims))
+    elif kind == "psd_declared":
+        f = OperatorInduced(random_density(rng, dims), nonnegative=True)
+    elif kind == "indefinite_declared":  # negative on some product states
+        f = OperatorInduced(partial_transpose(random_hermitian(rng, dims), 0), nonnegative=True)
+    elif kind.startswith("tabulated"):
+        f = sample_from_operator(random_density(rng, dims), states[:-1] if kind.endswith("miss")
+                                 else states)
+    else:
+        f = SignallingFamily(dims, rng.uniform(0, np.pi))
+    got = outcome(lambda: f.values(stacks))
+    want = outcome(lambda: [per_state_value(f, s) for s in states])
+    if isinstance(want, type):
+        assert got is want
+        return
+    if isinstance(f, Tabulated):
+        assert got.tobytes() == want.tobytes()
+    # The batched contractions sum in another order: a few hundred ulps.
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose([f(s) for s in states], got, rtol=1e-13, atol=1e-14)
+
+
+def test_values_reject_what_product_states_reject():
+    f = make_signalling_example((3, 3), np.pi / 4)
+    rng = make_rng(11)
+    v, w = random_units(rng, (3, 3), 4)
+    with pytest.raises(ValidationError, match="dims"):
+        f.values([v, w[:, :2]])
+    w[2] *= 1 + 1e-9
+    with pytest.raises(ValidationError, match="norm"):
+        f.values([v, w])
+    with pytest.raises(ValidationError, match="norm"):
+        ProductState((v[2], w[2]))

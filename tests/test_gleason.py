@@ -21,6 +21,7 @@ from nsgleason.gleason import (
     state_features,
     feature_of,
     vec_to_herm,
+    _lowest_eigenpairs,
 )
 from nsgleason.linalg import (
     HermitianOperator,
@@ -31,6 +32,7 @@ from nsgleason.linalg import (
     random_density,
     random_hermitian,
     random_unit,
+    tensor_rows,
 )
 
 SWAP = np.array(
@@ -275,6 +277,41 @@ def test_batched_seesaw_matches_loop(seed, dims, kind, iters):
     assert abs(wit.value - value) <= 1e-12
     assert (wit.value >= -1e-8) == (value >= -1e-8)
     assert abs(t.expectation(np.kron(*wit.factors)) - wit.value) <= 1e-12
+
+
+def sequentially_drawn_seesaw_min(t, restarts, seed, iters=300):
+    """product_seesaw_min with its start vectors drawn one random_unit call
+    at a time, as before the draws were stacked: (v, w, value)."""
+    d1, d2 = t.dims
+    tt = t.mat.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
+    rng = make_rng(seed)
+    w, v = map(np.array, zip(*[(random_unit(rng, d2), random_unit(rng, d1))
+                               for _ in range(restarts)]))
+    prev = np.full(restarts, np.inf)
+    live = np.arange(restarts)
+    for _ in range(iters):
+        if not live.size:
+            break
+        _, v[live] = _lowest_eigenpairs(tensor_rows([w[live].conj(), w[live]]) @ tt.T, d1)
+        vals, w[live] = _lowest_eigenpairs(tensor_rows([v[live].conj(), v[live]]) @ tt, d2)
+        done = np.abs(prev[live] - vals) < 1e-14
+        prev[live] = vals
+        live = live[~done]
+    psi = tensor_rows([v, w])
+    values = np.einsum("ri,ri->r", psi.conj(), psi @ t.mat.T).real
+    best = int(np.argmin(values))
+    return v[best], w[best], float(values[best])
+
+
+@given(seeds, st.sampled_from([(2, 2), (2, 3), (3, 3), (4, 3)]), st.sampled_from([1, 300]))
+@settings(max_examples=20, deadline=None)
+def test_seesaw_matches_sequentially_drawn_starts_bytewise(seed, dims, iters):
+    t = partial_transpose(random_density(make_rng(seed), dims), 0)
+    wit = product_seesaw_min(t, restarts=8, seed=seed, iters=iters)
+    v, w, value = sequentially_drawn_seesaw_min(t, 8, seed, iters)
+    assert wit.factors[0].tobytes() == v.tobytes()
+    assert wit.factors[1].tobytes() == w.tobytes()
+    assert wit.value == value
 
 
 def looped_spanning_design(dims, seed, oversample=1.5):

@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsgleason.linalg import (
     HermitianOperator,
     ValidationError,
+    canonical_phase,
     hermitian_eig,
     make_rng,
     partial_trace,
     partial_transpose,
     proj,
     random_hermitian,
+    random_onb,
+    random_onbs,
     random_unit,
+    random_units,
     tensor,
     vector_from_json,
     vector_to_json,
@@ -162,3 +168,44 @@ def test_vector_json_round_trip():
     rng = make_rng(23)
     v = random_unit(rng, 5)
     np.testing.assert_array_equal(vector_from_json(vector_to_json(v)), v)
+
+
+def sequential_unit(rng, d):
+    """One random_unit draw, as it was written before draws were stacked."""
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return canonical_phase(v / np.linalg.norm(v))
+
+
+def sequential_onb(rng, d):
+    """One random_onb draw, as it was written before draws were stacked."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    for k in range(d):
+        q[:, k] = canonical_phase(q[:, k])
+    return q
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_stacked_draws_match_sequential_draws(seed, dims, n):
+    for stacked, sequential in ((random_units, sequential_unit), (random_onbs, sequential_onb)):
+        rng, ref = make_rng(seed), make_rng(seed)
+        got = stacked(rng, dims, n)
+        want = [[sequential(ref, d) for d in dims] for _ in range(n)]
+        for s, d in enumerate(dims):
+            assert got[s].shape[0] == n
+            assert np.ascontiguousarray(got[s]).tobytes() == b"".join(
+                np.ascontiguousarray(w[s]).tobytes() for w in want)
+        # Both generators stand at the same place in the stream afterwards.
+        assert rng.standard_normal() == ref.standard_normal()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+@settings(max_examples=30, deadline=None)
+def test_single_draws_match_sequential_draws(seed, d):
+    rng, ref = make_rng(seed), make_rng(seed)
+    assert random_unit(rng, d).tobytes() == sequential_unit(ref, d).tobytes()
+    assert (np.ascontiguousarray(random_onb(rng, d)).tobytes()
+            == np.ascontiguousarray(sequential_onb(ref, d)).tobytes())

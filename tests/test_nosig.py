@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, minimize
 
+from nsgleason.bases import ProductState
 from nsgleason.framefn import OperatorInduced, make_signalling_example
+from nsgleason.gleason import projector_features
 from nsgleason.linalg import (
     HermitianOperator,
     ValidationError,
@@ -14,10 +16,13 @@ from nsgleason.linalg import (
     proj,
     random_density,
     random_hermitian,
+    random_onb,
+    random_unit,
 )
 from nsgleason.nosig import (
     TSIRELSON,
     Box,
+    _positivity_rows,
     ChshInstance,
     box_from_operator,
     check_box,
@@ -85,6 +90,71 @@ def test_signalling_family_witnessed():
     assert rep.max_discrepancy >= 1e-3
     assert rep.witness is not None
     assert rep.witness["site"] == 0  # signalling toward site 1's basis choice
+
+
+def looped_check_framefn(f, trials, seed):
+    """check_framefn one trial and one product state at a time, as it ran
+    before its draws were stacked: (worst, trial, site, x, b1, b2)."""
+    dims = f.dims
+    rng = make_rng(seed)
+    worst, witness = 0.0, None
+    for trial in range(trials):
+        site = int(rng.integers(0, 2))
+        remote = 1 - site
+        x = random_unit(rng, dims[remote])
+        b1 = random_onb(rng, dims[site])
+        b2 = random_onb(rng, dims[site])
+
+        def marginal(basis):
+            total = 0.0
+            for k in range(dims[site]):
+                factors = [None, None]
+                factors[site] = basis[:, k]
+                factors[remote] = x
+                total += f(ProductState(tuple(factors)))
+            return total
+
+        d = abs(marginal(b1) - marginal(b2))
+        if d > worst:
+            worst, witness = d, (trial, site, x, b1, b2)
+    return worst, witness
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 4)])
+@pytest.mark.parametrize("seed", range(10))
+def test_check_framefn_matches_looped_check(dims, seed):
+    f = make_signalling_example(dims, np.pi / 4)
+    rep = check_framefn(f, trials=40, seed=seed)
+    worst, (trial, site, x, b1, b2) = looped_check_framefn(f, 40, seed)
+    assert abs(rep.max_discrepancy - worst) <= 1e-12
+    w = rep.witness
+    assert (w["trial"], w["site"]) == (trial, site)
+    for got, want in ((w["remote_state"], x), (w["bases"][0], b1), (w["bases"][1], b2)):
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    # An operator-induced frame function does not signal: no witness, and the
+    # same discrepancy at rounding level.
+    f = OperatorInduced(random_density(make_rng(seed), dims))
+    rep = check_framefn(f, trials=40, seed=seed)
+    assert rep.witness is None
+    assert abs(rep.max_discrepancy - looped_check_framefn(f, 40, seed)[0]) <= 1e-12
+
+
+def looped_positivity_rows(rng, dims, count):
+    """_positivity_rows with one random_onb call per local basis."""
+    d1, d2 = dims
+    psi = []
+    for _ in range(-(-count // (d1 * d2))):
+        u, v = random_onb(rng, d1), random_onb(rng, d2)
+        psi.append((u.T[:, None, :, None] * v.T[None, :, None, :]).reshape(-1, d1 * d2))
+    return projector_features(np.concatenate(psi)[:count])
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 3), (4, 2)]),
+       st.integers(1, 60))
+@settings(max_examples=30, deadline=None)
+def test_positivity_rows_match_looped_draws(seed, dims, count):
+    got = _positivity_rows(make_rng(seed), dims, count)
+    assert got.tobytes() == looped_positivity_rows(make_rng(seed), dims, count).tobytes()
 
 
 def test_chsh_singlet_standard_settings():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from nsgleason.framefn import make_signalling_example
+from nsgleason.gleason import feature_of
 from nsgleason.linalg import (
     HermitianOperator,
     ValidationError,
     make_rng,
+    partial_transpose,
     proj,
     random_density,
 )
@@ -23,7 +25,6 @@ from nsgleason.presheaf import (
     restrict,
     section_from_framefn,
     section_from_operator,
-    trivial_context,
 )
 from nsgleason.tolerances import NEGATIVE_PROBABILITY
 
@@ -181,7 +182,7 @@ def test_signalling_family_fails_on_cross_site_edge():
     table = section_from_framefn(f, [fine1, fine2])
     # The shared coarse distribution (site-1 marginal forgotten) is stored
     # once, computed from fine1; the edge from fine2 must then fail.
-    coarse_label_ctx = ProductContext(trivial_context(2, "any"), r)
+    coarse_label_ctx = ProductContext(Context((np.eye(2, dtype=complex),), "any"), r)
     stored = {
         fine1.label: table[fine1],
         fine2.label: table[fine2],
@@ -233,3 +234,19 @@ def test_rank1_sections_match_framefn_values():
         for j in range(2):
             val = f(ProductState((u[:, i], v[:, j])))
             assert table[ctx][i, j] == pytest.approx(val, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (4, 4)])
+@pytest.mark.parametrize("kind", ["density", "partial_transpose"])
+def test_section_from_operator_matches_kron_features(dims, kind):
+    rng = make_rng(sum(dims))
+    t = random_density(rng, dims)
+    if kind == "partial_transpose":
+        t = partial_transpose(t, 1)
+    contexts, _ = random_context_family(dims, 6, seed=3)
+    got = section_from_operator(t, contexts)
+    for ctx in contexts:
+        # Each entry as it was computed before the contraction: kron, then features.
+        ops = [np.kron(pl, pr) for pl in ctx.left.projectors for pr in ctx.right.projectors]
+        want = (feature_of(np.array(ops)) @ feature_of(t.mat)).reshape(ctx.shape)
+        np.testing.assert_allclose(got[ctx], want, rtol=0, atol=1e-14)
