@@ -37,8 +37,7 @@ class _Evaluated:
         """f on N product states given as per-site (N, d) stacks of factors, used as
         given (not re-phased) after the dims and unit-norm checks of ProductState."""
         sites = [np.asarray(f, dtype=complex) for f in stacks]
-        dims = tuple(f.shape[-1] for f in sites)
-        if dims != self.dims:
+        if (dims := tuple(f.shape[-1] for f in sites)) != self.dims:
             raise ValidationError(f"state dims {dims} != frame-function dims {self.dims}")
         check_unit_rows(sites)
         return self._values(sites)

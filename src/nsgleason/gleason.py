@@ -18,6 +18,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import tolerances as tol
 from .bases import ProductState
@@ -156,7 +157,10 @@ def spanning_design(dims, oversample: float = 1.5, seed: int = 0) -> SpanningDes
         more = random_units(rng, dims, min(target, budget) - len(sites[0]))
         sites = [np.concatenate(pair) for pair in zip(sites, more)]
         states = ProductState.batch(sites)
-        rank = np.linalg.matrix_rank(state_features(states), tol=tol.FEATURE_RANK)
+        rows = state_features(states)
+        # A Cholesky factor of Gram - FULL_RANK_GRAM * I certifies full rank; SVD decides the rest.
+        full = lapack.dpotrf(rows.T @ rows - tol.FULL_RANK_GRAM * np.eye(n_feat))[1] == 0
+        rank = n_feat if full else np.linalg.matrix_rank(rows, tol=tol.FEATURE_RANK)
         if rank == n_feat:
             return SpanningDesign(dims, tuple(states), int(rank))
         if len(states) >= budget:

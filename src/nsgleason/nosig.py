@@ -168,8 +168,7 @@ def deterministic_box() -> Box:
 
 
 def _basis_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows u[:, i] (x) v[:, j] over the columns of u and v, i major (for
-    stacks of bases, pair by pair)."""
+    """Rows u[:, i] (x) v[:, j] over the columns of u and v, i major; stacks pair by pair."""
     u, v = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
     return (u[..., None, :, None] * v[..., None, :, None, :]).reshape(-1, u.shape[-1] * v.shape[-1])
 
@@ -224,11 +223,9 @@ def check_box(box: Box) -> NoSigReport:
 def check_framefn(f, trials: int = 100, seed: int = 0) -> NoSigReport:
     """Probe a two-site frame function for remote-basis-dependent marginals.
 
-    For random fixed remote states x and random pairs of local bases, the
-    sums over the two local bases must agree.  Reports the worst discrepancy
-    and the first trial achieving it.  Each trial draws its site, then the
-    normals of x and of both bases; the states are built from the normals
-    as stacks afterwards, and ``f.values`` runs once for each site.
+    For random fixed remote states x and random pairs of local bases, the sums over the
+    two local bases must agree.  Reports the worst discrepancy and its first trial.  Trials
+    draw their site, then normals for x, b1, b2; ``f.values`` runs once per site on stacks.
     """
     dims = f.dims
     if len(dims) != 2:

@@ -147,11 +147,10 @@ def section_from_operator(t: HermitianOperator, family) -> SectionTable:
     not product-positive.
     """
     family = tuple(family)
-    t4 = t.mat.reshape(t.dims + t.dims)
     dists = {}
     for ctx in family:
-        p = np.einsum("abce,ica,jeb->ij", t4, np.array(ctx.left.projectors),
-                      np.array(ctx.right.projectors)).real
+        p = np.einsum("abce,ica,jeb->ij", t.mat.reshape(t.dims + t.dims),
+                      np.array(ctx.left.projectors), np.array(ctx.right.projectors)).real
         if p.min() < -tol.NEGATIVE_PROBABILITY:
             raise ValidationError(
                 f"negative probability {p.min():.3e} in context {ctx.label}: "
