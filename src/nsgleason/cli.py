@@ -9,7 +9,6 @@ expected outcome, stated in the report), and 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -290,7 +289,6 @@ def cmd_keller(args, argv):
     return rep.finish(args.out)
 
 
-@functools.cache  # parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nsgleason",

@@ -37,13 +37,18 @@ class _Evaluated:
         """f on N product states given as per-site (N, d) stacks of factors, used as
         given (not re-phased) after the dims and unit-norm checks of ProductState."""
         sites = [np.asarray(f, dtype=complex) for f in stacks]
-        if (dims := tuple(f.shape[-1] for f in sites)) != self.dims:
-            raise ValidationError(f"state dims {dims} != frame-function dims {self.dims}")
+        self._check_dims(tuple(f.shape[-1] for f in sites))
         check_unit_rows(sites)
         return self._values(sites)
 
     def __call__(self, s: ProductState) -> float:
-        return float(self.values([f[None] for f in s.factors])[0])
+        # s passed ProductState's unit-norm check when it was made.
+        self._check_dims(s.dims)
+        return float(self._values([f[None] for f in s.factors])[0])
+
+    def _check_dims(self, dims: tuple) -> None:
+        if dims != self.dims:
+            raise ValidationError(f"state dims {dims} != frame-function dims {self.dims}")
 
 
 @dataclass(frozen=True)

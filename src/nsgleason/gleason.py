@@ -18,7 +18,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import tolerances as tol
 from .bases import ProductState
@@ -157,10 +156,7 @@ def spanning_design(dims, oversample: float = 1.5, seed: int = 0) -> SpanningDes
         more = random_units(rng, dims, min(target, budget) - len(sites[0]))
         sites = [np.concatenate(pair) for pair in zip(sites, more)]
         states = ProductState.batch(sites)
-        rows = state_features(states)
-        # A Cholesky factor of Gram - FULL_RANK_GRAM * I certifies full rank; SVD decides the rest.
-        full = lapack.dpotrf(rows.T @ rows - tol.FULL_RANK_GRAM * np.eye(n_feat))[1] == 0
-        rank = n_feat if full else np.linalg.matrix_rank(rows, tol=tol.FEATURE_RANK)
+        rank = np.linalg.matrix_rank(state_features(states), tol=tol.FEATURE_RANK)
         if rank == n_feat:
             return SpanningDesign(dims, tuple(states), int(rank))
         if len(states) >= budget:
@@ -278,9 +274,8 @@ def reconstruct_pvm(
         raise ValidationError("design features are rank-deficient")
     states = design.states
     n_fit = len(states) - int(round(holdout * len(states)))
-    sites = site_stacks(states)
-    rows = projector_features(tensor_rows(sites))
-    vals = f.values(sites)
+    rows = state_features(states)
+    vals = np.array([f(s) for s in states])
     x = np.linalg.lstsq(rows[:n_fit], vals[:n_fit], rcond=None)[0]
     t = HermitianOperator(design.dims, vec_to_herm(x))
     residual = np.max(np.abs(rows[n_fit:] @ x - vals[n_fit:]), initial=0.0)

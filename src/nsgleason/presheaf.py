@@ -171,8 +171,13 @@ def section_from_framefn(f, family) -> SectionTable:
     family = tuple(family)
     dists = {}
     for ctx in family:
-        left, right = ([_rank1_vector(p) for p in c.projectors] for c in (ctx.left, ctx.right))
-        dists[ctx.label] = np.array([[f(ProductState((vl, vr))) for vr in right] for vl in left])
+        p = np.zeros(ctx.shape)
+        for i, pl in enumerate(ctx.left.projectors):
+            for j, pr in enumerate(ctx.right.projectors):
+                vl = _rank1_vector(pl)
+                vr = _rank1_vector(pr)
+                p[i, j] = f(ProductState((vl, vr)))
+        dists[ctx.label] = p
     return SectionTable(family, dists)
 
 

@@ -27,7 +27,6 @@ REPLAY_MATCH = 1e-8  # |<e|f>| > 1 - REPLAY_MATCH: a replayed element is a final
 
 # Reconstruction, positivity and orientation (gleason, framefn, orientation).
 FEATURE_RANK = 1e-10  # singular values below this do not count toward a feature rank
-FULL_RANK_GRAM = 1e-6  # all Gram eigenvalues (sigma^2, to ~N^2 eps) above this: full feature rank
 SEESAW_CONVERGED = 1e-14  # a see-saw restart stops once its value moves by less
 PSD = 1e-10  # min eigenvalue >= -PSD: positive semidefinite (density or Choi matrix)
 UNIT_TRACE = 1e-8  # |tr t - 1| <= UNIT_TRACE: unit trace

@@ -66,18 +66,6 @@ def test_twist_fig1_writes_certificate(tmp_path, monkeypatch, capsys):
     assert written == json.loads(json.dumps(twisted_example_certificate().to_json()))
 
 
-def test_parser_defaults_do_not_leak_between_calls(capsys):
-    # The parser is built once per process; each call still starts from the defaults.
-    code, rep = run(["check", "--dims", "2,2", "--theta", "0", "--trials", "5",
-                     "--seed", "4"], capsys)
-    assert (code, rep["seed"], rep["verdicts"]["framefn_no_signalling"]["pass"]) == (0, 4, True)
-    code, rep = run(["twist", "--fig1"], capsys)
-    assert (code, rep["seed"]) == (0, 0)
-    code, rep = run(["check", "--trials", "5"], capsys)
-    assert (code, rep["seed"]) == (1, 0)  # theta pi/4 signals on (3, 3)
-    assert rep["verdicts"]["framefn_no_signalling"]["value"] >= 1e-3
-
-
 def test_reconstruct_round_trip(rho_file, capsys):
     code, rep = run(["reconstruct", "--operator", rho_file, "--seed", "1"], capsys)
     assert code == 0

@@ -231,6 +231,16 @@ def test_values_match_per_state_loop(seed, dims, kind, n):
     np.testing.assert_allclose([f(s) for s in states], got, rtol=1e-13, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["operator", "table", "signalling"])
+def test_call_rejects_state_of_other_dims(kind):
+    f = {"operator": OperatorInduced(HermitianOperator((3, 3), np.eye(9))),
+         "table": Tabulated((3, 3), {}),
+         "signalling": make_signalling_example((3, 3), 0.3)}[kind]
+    rng = make_rng(12)
+    with pytest.raises(ValidationError, match="dims"):
+        f(ProductState((random_unit(rng, 3), random_unit(rng, 2))))
+
+
 def test_values_reject_what_product_states_reject():
     f = make_signalling_example((3, 3), np.pi / 4)
     rng = make_rng(11)
