@@ -14,7 +14,6 @@ from .linalg import (
     ValidationError,
     hermitian_eig,
     make_rng,
-    partial_trace,
     partial_transpose,
     proj,
     random_density,

@@ -166,18 +166,25 @@ class BasisReport:
     failures: tuple = ()
 
 
+_PAIR_BLOCK = 1 << 18  # find_local_pairs gathers this many pair verdicts at a time
+
+
 def _upper(n: int) -> np.ndarray:
     """Mask of the entries i < j of an N x N matrix."""
     return np.arange(n)[:, None] < np.arange(n)
 
 
-def _site_overlaps(b: UnentangledBasis):
+def site_stacks(states) -> list:
+    """Per-site (N, d) stacks of the factors of a sequence of product states."""
+    return [np.array(f) for f in zip(*(s.factors for s in states))]
+
+
+def _site_overlaps(stacks):
     """Yield, site by site, the N x N matrix of |<f_i^s|f_j^s>|; all sites
     share one buffer, so use each matrix before asking for the next."""
-    n = len(b.elements)
+    n = len(stacks[0])
     gram, out = np.empty((n, n), dtype=complex), np.empty((n, n))
-    for s in range(b.elements[0].nsites):
-        f = np.array([e.factors[s] for e in b.elements])
+    for f in stacks:
         yield np.abs(np.matmul(f.conj(), f.T, out=gram), out=out)
 
 
@@ -190,7 +197,7 @@ def validate_unentangled(b: UnentangledBasis) -> BasisReport:
     """
     n = len(b.elements)
     total = np.ones((n, n))
-    for ov in _site_overlaps(b):
+    for ov in _site_overlaps(site_stacks(b.elements)):
         total *= ov
     total[~_upper(n)] = -1.0  # pairs i < j are read in row-major order
     failures = tuple((int(i), int(j), float(total[i, j]))
@@ -238,19 +245,26 @@ class TwistMove:
         return cls(int(data["site"]), tuple(data["pair"]), rot)
 
 
+def _check_twist_pair(b: UnentangledBasis, site: int, i: int, j: int) -> None:
+    """Elements i and j must agree on every factor but ``site``, and be
+    orthogonal there, for a twist move at ``site`` to act on them."""
+    ei, ej = b.elements[i], b.elements[j]
+    if any(abs(np.vdot(f, g)) < 1 - tol.SAME_FACTOR
+           for s, (f, g) in enumerate(zip(ei.factors, ej.factors)) if s != site):
+        raise ValidationError(
+            f"elements {i},{j} do not agree on all factors except site {site}"
+        )
+    if abs(np.vdot(ei.factors[site], ej.factors[site])) > tol.ORTHO_PAIR:
+        raise ValidationError("pair factors at the twist site are not orthogonal")
+
+
 def apply_twist(b: UnentangledBasis, m: TwistMove) -> UnentangledBasis:
     """Apply a twist move; all elements except the referenced pair are unchanged."""
     i, j = m.pair
-    ei, ej = b.elements[i], b.elements[j]
-    if any(abs(np.vdot(f, g)) < 1 - tol.SAME_FACTOR
-           for s, (f, g) in enumerate(zip(ei.factors, ej.factors)) if s != m.site):
-        raise ValidationError(
-            f"elements {i},{j} do not agree on all factors except site {m.site}"
-        )
+    _check_twist_pair(b, m.site, i, j)
+    ei = b.elements[i]
     u_i = ei.factors[m.site]
-    u_j = ej.factors[m.site]
-    if abs(np.vdot(u_i, u_j)) > tol.ORTHO_PAIR:
-        raise ValidationError("pair factors at the twist site are not orthogonal")
+    u_j = b.elements[j].factors[m.site]
     new_i = m.rotation[0, 0] * u_i + m.rotation[0, 1] * u_j
     new_j = m.rotation[1, 0] * u_i + m.rotation[1, 1] * u_j
     elems = list(b.elements)
@@ -267,19 +281,34 @@ def find_local_pairs(b: UnentangledBasis) -> list:
     """All (site, (i, j)) pairs differing in exactly one tensor factor.
 
     These are the 2-dim local subspaces a twist move can act on.  Exhaustive
-    over element pairs, listed with i < j in row-major order; each pair's
-    count of differing sites and last differing site are accumulated one
-    site at a time, so even the 2^10-element tiling bases are handled
-    quickly.
+    over element pairs, listed with i < j in row-major order.  At each site
+    the elements fall into classes of bit-equal factors (``np.unique`` of
+    the rows' bytes), and a k x k table of |overlap| between the k distinct
+    factors says which classes differ (|<f|g>| < 1 - SAME_FACTOR).  Each
+    pair's count of differing sites is gathered from these tables a block of
+    rows at a time, so no N x N overlap matrix is formed; each site of a
+    2^10-element tiling basis has two classes.  The pairs that differ at one
+    site then look up which.
     """
     n, small = len(b.elements), np.min_scalar_type(b.elements[0].nsites)
-    n_diff, last = np.zeros((n, n), dtype=small), np.zeros((n, n), dtype=small)
-    for s, ov in enumerate(_site_overlaps(b)):
-        differs = ov < 1 - tol.SAME_FACTOR
-        n_diff += differs
-        np.putmask(last, differs, s)
-    i, j = np.nonzero((n_diff == 1) & _upper(n))
-    return [(int(s), (int(a), int(c))) for s, a, c in zip(last[i, j], i, j)]
+    classes, tables = [], []
+    for f in site_stacks(b.elements):
+        keys = np.ascontiguousarray(f).view(np.dtype((np.void, f.itemsize * f.shape[1])))
+        _, first, ids = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        classes.append(ids.reshape(-1))
+        tables.append(np.abs(f[first].conj() @ f[first].T) < 1 - tol.SAME_FACTOR)
+    out = []
+    step = max(1, _PAIR_BLOCK // n)
+    for r0 in range(0, n, step):
+        r, cols = np.arange(r0, min(n, r0 + step)), np.arange(r0 + 1, n)
+        n_diff = np.zeros((len(r), len(cols)), dtype=small)
+        for ids, table in zip(classes, tables):
+            n_diff += np.take(table[:, ids[cols]], ids[r], axis=0)
+        i, j = np.nonzero((n_diff == 1) & (r[:, None] < cols))
+        i, j = r[i], cols[j]
+        site = np.argmax([table[ids[i], ids[j]] for ids, table in zip(classes, tables)], axis=0)
+        out += zip(site.tolist(), zip(i.tolist(), j.tolist()))
+    return out
 
 
 @dataclass(frozen=True)
@@ -352,15 +381,21 @@ def _as_product_basis(b: UnentangledBasis) -> ProductBasis | None:
         return None
 
 
+def _aligned(ov: np.ndarray) -> np.ndarray:
+    """Which |overlaps| belong to factors that are equal or orthogonal."""
+    return (ov > 1 - tol.SAME_FACTOR) | (ov < tol.ORTHO_PAIR)
+
+
 def _alignment_score(b: UnentangledBasis) -> int:
     """Count (site, pair) slots whose factors are equal or orthogonal.
 
     A full product basis maximizes this: every pair of elements either shares
-    a site factor or has orthogonal ones.
+    a site factor or has orthogonal ones.  :func:`twist_search` ranks moves by
+    the change they make to this count.
     """
     upper = _upper(len(b.elements))
-    return sum(int(np.count_nonzero(((ov > 1 - tol.SAME_FACTOR) | (ov < tol.ORTHO_PAIR)) & upper))
-               for ov in _site_overlaps(b))
+    return sum(int(np.count_nonzero(_aligned(ov) & upper))
+               for ov in _site_overlaps(site_stacks(b.elements)))
 
 
 def _rotation_to_target(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray | None:
@@ -376,8 +411,37 @@ def _rotation_to_target(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarr
     return np.array([[a, c], [-np.conj(c), np.conj(a)]])
 
 
+def _twist_gains(aligned, rows, selfs, site, i, j, new, at_site) -> np.ndarray:
+    """Change in the alignment score when elements i and j take the rotated
+    factors ``new[k]`` (2, d) at ``site``, one entry per candidate k.
+
+    ``aligned`` is the current basis's (sites, N, N) stack of aligned slots,
+    ``rows`` and ``selfs`` its per-site row counts (diagonal excluded) and
+    diagonal, and ``at_site`` its (N, d) factor stack at ``site``.
+    """
+    others = np.arange(len(aligned)) != site
+    pair = aligned[:, i, j]
+    old = rows[:, i].sum() + rows[:, j].sum() - pair.sum()
+    # At the other sites both elements hold element i's factor: they repeat
+    # its slots against every third element, and agree with each other.
+    kept = 2 * (rows[others, i].sum() - pair[others].sum()) + selfs[others, i].sum()
+    hits = _aligned(np.abs(new.conj() @ at_site.T))
+    hits[:, :, [i, j]] = False
+    inner = _aligned(np.abs(np.sum(new[:, 0].conj() * new[:, 1], axis=-1)))
+    return kept - old + hits.sum(axis=(1, 2)) + inner
+
+
 def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
     """Greedy untwisting: apply moves that strictly improve alignment.
+
+    Alignment is the count of :func:`_alignment_score`.  A candidate move
+    changes two elements, so it is scored from the two rows it changes: at
+    the twist site, elements i and j take the rotated factors and are
+    compared with every other element; at every other site, element j takes
+    element i's factors, whose slots are read off the current basis.  Each
+    candidate still passes :func:`apply_twist`'s checks (the pair checks once
+    per pair, the unit norm of both rotated factors per candidate); only the
+    chosen move is applied.
 
     Ties break deterministically (lowest site, then lowest element pair).  A
     returned certificate is a positive proof of twisted-product membership; an
@@ -397,8 +461,11 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
             return SearchResult(
                 False, None, "no local pairs exist; no twist move applies", tried
             )
-        base_score = _alignment_score(b)
-        best = None  # (score, site, pair, move, new_basis)
+        stacks = site_stacks(b.elements)
+        aligned = np.array([_aligned(ov) for ov in _site_overlaps(stacks)])
+        selfs = aligned.diagonal(axis1=1, axis2=2)
+        rows = aligned.sum(axis=2) - selfs
+        best = None  # (gain, move)
         for site, (i, j) in sorted(pairs):
             u = b.elements[i].factors[site]
             v = b.elements[j].factors[site]
@@ -406,28 +473,43 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
             # an existing local frame) plus computational axes in the span.
             targets = [e.factors[site] for k, e in enumerate(b.elements) if k not in (i, j)]
             targets += list(np.eye(len(u)))
-            tried_keys = set()
-            for g in targets:
-                rot = _rotation_to_target(u, v, np.asarray(g, dtype=complex))
-                if rot is None:
-                    continue
-                key = np.round(rot, tol.MOVE_KEY_DECIMALS).tobytes()
+            rots = [rot for g in targets
+                    if (rot := _rotation_to_target(u, v, np.asarray(g, dtype=complex))) is not None]
+            try:
+                _check_twist_pair(b, site, i, j)
+                pair_ok = True
+            except ValidationError:
+                pair_ok = False
+            tried_keys, candidates = set(), []
+            for rot, key in zip(rots, np.round(rots, tol.MOVE_KEY_DECIMALS)):
+                key = key.tobytes()
                 if key in tried_keys:
                     continue
                 tried_keys.add(key)
                 move = TwistMove(site, (i, j), rot)
+                if not pair_ok:
+                    continue
+                r = move.rotation
+                new = (canonical_phase(r[0, 0] * u + r[0, 1] * v),
+                       canonical_phase(r[1, 0] * u + r[1, 1] * v))
                 try:
-                    nb = apply_twist(b, move)
+                    for f in new:
+                        check_unit(f)
                 except ValidationError:
                     continue
                 tried += 1
-                score = _alignment_score(nb)
-                if score > base_score and (best is None or score > best[0]):
-                    best = (score, site, (i, j), move, nb)
+                candidates.append((move, new))
+            if not candidates:
+                continue
+            gains = _twist_gains(aligned, rows, selfs, site, i, j,
+                                 np.array([c[1] for c in candidates]), stacks[site])
+            k = int(np.argmax(gains))
+            if gains[k] > 0 and (best is None or gains[k] > best[0]):
+                best = (gains[k], candidates[k][0])
         if best is None:
             return SearchResult(False, None, "no strictly improving move found", tried)
-        moves.append(best[3])
-        b = best[4]
+        moves.append(best[1])
+        b = apply_twist(b, best[1])
 
 
 # ---------------------------------------------------------------------------

@@ -300,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="write the JSON run report to this path")
-        sp.add_argument("--json", action="store_true",
-                        help="reports are always JSON; accepted for compatibility")
 
     sp = sub.add_parser("reconstruct", help="round-trip operator reconstruction")
     sp.add_argument("--operator", required=True, help="operator JSON file")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .bases import ProductBasis, ProductState
-from .gleason import feature_of, projector_features, site_stacks
+from .bases import ProductBasis, ProductState, site_stacks
+from .gleason import feature_of, projector_features
 from .linalg import HermitianOperator, ValidationError, check_unit_rows, tensor_rows
 
 

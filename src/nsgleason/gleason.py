@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tolerances as tol
-from .bases import ProductState
+from .bases import ProductState, site_stacks
 from .linalg import (
     HermitianOperator,
     ValidationError,
@@ -96,11 +96,6 @@ def projector_features(psi: np.ndarray) -> np.ndarray:
     iu, ju = np.triu_indices(psi.shape[-1], 1)
     upper = psi[..., iu] * psi[..., ju].conj()
     return _coordinates(psi * psi.conj(), 2.0 * upper.real, 2.0 * upper.imag)
-
-
-def site_stacks(states) -> list:
-    """Per-site (N, d) stacks of the factors of a sequence of product states."""
-    return [np.array(f) for f in zip(*(s.factors for s in states))]
 
 
 def state_features(states) -> np.ndarray:

@@ -203,18 +203,6 @@ def partial_transpose(t: HermitianOperator, site: int) -> HermitianOperator:
     return HermitianOperator(t.dims, arr.reshape(d_total, d_total))
 
 
-def partial_trace(t: HermitianOperator, site: int) -> HermitianOperator:
-    """Trace out the given tensor factor."""
-    n = t.nsites
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} out of range for {n} factors")
-    arr = _as_tensor(t)
-    arr = np.trace(arr, axis1=site, axis2=n + site)
-    new_dims = t.dims[:site] + t.dims[site + 1:]
-    d_total = int(np.prod(new_dims)) if new_dims else 1
-    return HermitianOperator(new_dims, arr.reshape(d_total, d_total))
-
-
 # ---------------------------------------------------------------------------
 # Random sampling helpers (all take an explicit numpy Generator).
 

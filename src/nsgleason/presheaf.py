@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .bases import ProductState
-from .linalg import HermitianOperator, ValidationError, make_rng, proj, random_onbs
+from .linalg import HermitianOperator, ValidationError, canonical_phase, make_rng, proj, random_onbs
 
 
 @dataclass(frozen=True)
@@ -164,20 +163,20 @@ def section_from_framefn(f, family) -> SectionTable:
     """Tabulate a frame function over rank-1 product contexts.
 
     Each context's PVMs must be rank-1 so that outcomes correspond to
-    product states.  For coarser contexts, build the coarse distribution by
-    hand (e.g. via :func:`restrict` from a chosen fine context) — that is
-    exactly where a signalling frame function becomes inconsistent.
+    product states.  Outcome (i, j) is the state of the i-th left and j-th
+    right vector, phased as ProductState phases it; each context takes one
+    ``f.values`` call on the stacks of its outcome states.  For coarser
+    contexts, build the coarse distribution by hand (e.g. via
+    :func:`restrict` from a chosen fine context) — that is exactly where a
+    signalling frame function becomes inconsistent.
     """
     family = tuple(family)
     dists = {}
     for ctx in family:
-        p = np.zeros(ctx.shape)
-        for i, pl in enumerate(ctx.left.projectors):
-            for j, pr in enumerate(ctx.right.projectors):
-                vl = _rank1_vector(pl)
-                vr = _rank1_vector(pr)
-                p[i, j] = f(ProductState((vl, vr)))
-        dists[ctx.label] = p
+        left, right = (canonical_phase(np.array([_rank1_vector(p) for p in c.projectors]))
+                       for c in (ctx.left, ctx.right))
+        stacks = [np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))]
+        dists[ctx.label] = f.values(stacks).reshape(ctx.shape)
     return SectionTable(family, dists)
 
 

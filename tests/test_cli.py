@@ -221,6 +221,12 @@ def test_usage_error_exit_2(capsys):
     assert main(["not-a-command"]) == 2
 
 
+def test_json_flag_is_gone(capsys):
+    # Reports are always JSON; the flag that said so did nothing.
+    assert main(["twist", "--fig1", "--json"]) == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["classify", "--t", "/nonexistent.json"]) == 2
 

@@ -11,7 +11,6 @@ from nsgleason.linalg import (
     canonical_phase,
     hermitian_eig,
     make_rng,
-    partial_trace,
     partial_transpose,
     proj,
     random_hermitian,
@@ -133,27 +132,6 @@ def test_partial_transpose_site_out_of_range():
     op = HermitianOperator((2, 2), np.eye(4))
     with pytest.raises(ValueError):
         partial_transpose(op, 2)
-
-
-def test_partial_trace_product_operator():
-    rng = make_rng(13)
-    a = random_hermitian(rng, (2,)).mat
-    b = random_hermitian(rng, (3,)).mat
-    op = HermitianOperator((2, 3), np.kron(a, b))
-    np.testing.assert_allclose(
-        partial_trace(op, 1).mat, np.trace(b) * a, atol=1e-12
-    )
-
-
-def test_partial_trace_bell():
-    op = HermitianOperator((2, 2), proj(PHI_PLUS))
-    np.testing.assert_allclose(partial_trace(op, 1).mat, np.eye(2) / 2, atol=1e-12)
-
-
-def test_partial_trace_preserves_trace():
-    rng = make_rng(17)
-    op = random_hermitian(rng, (3, 4))
-    assert abs(partial_trace(op, 0).trace() - op.trace()) <= 1e-12
 
 
 def test_operator_json_round_trip():

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nsgleason.framefn import make_signalling_example
+from nsgleason.bases import ProductState
+from nsgleason.framefn import (
+    LookupError_,
+    OperatorInduced,
+    make_signalling_example,
+    sample_from_operator,
+)
 from nsgleason.gleason import feature_of
 from nsgleason.linalg import (
     HermitianOperator,
@@ -12,6 +20,7 @@ from nsgleason.linalg import (
     partial_transpose,
     proj,
     random_density,
+    random_hermitian,
 )
 from nsgleason.nosig import singlet
 from nsgleason.presheaf import (
@@ -20,6 +29,7 @@ from nsgleason.presheaf import (
     RefinementEdge,
     SectionTable,
     check_section,
+    _rank1_vector,
     random_context_family,
     rank1_context,
     restrict,
@@ -250,3 +260,51 @@ def test_section_from_operator_matches_kron_features(dims, kind):
         ops = [np.kron(pl, pr) for pl in ctx.left.projectors for pr in ctx.right.projectors]
         want = (feature_of(np.array(ops)) @ feature_of(t.mat)).reshape(ctx.shape)
         np.testing.assert_allclose(got[ctx], want, rtol=0, atol=1e-14)
+
+
+def ref_section_states(ctx):
+    """The outcome states of a rank-1 product context, one ProductState each."""
+    return [ProductState((_rank1_vector(pl), _rank1_vector(pr)))
+            for pl in ctx.left.projectors for pr in ctx.right.projectors]
+
+
+def section_or_error(call):
+    """The distributions a section call returns, or the type of the error it raises."""
+    try:
+        return call()
+    except (ValidationError, LookupError_) as exc:
+        return type(exc)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (3, 3), (2, 3), (4, 3)]),
+       st.sampled_from(["density", "indefinite", "tabulated", "tabulated_miss",
+                        "signalling", "coarse"]))
+@settings(max_examples=60, deadline=None)
+def test_section_from_framefn_matches_per_state_loop(seed, dims, kind):
+    rng = make_rng(seed)
+    contexts, _ = random_context_family(dims, 3, seed=seed)
+    fine = contexts[0::3]  # the rank-1 contexts; the others coarse-grain one site
+    family = contexts[:3] if kind == "coarse" else fine
+    states = [s for ctx in fine for s in ref_section_states(ctx)]
+    if kind == "density" or kind == "coarse":
+        f = OperatorInduced(random_density(rng, dims))
+    elif kind == "indefinite":
+        f = OperatorInduced(random_hermitian(rng, dims))
+    elif kind.startswith("tabulated"):
+        f = sample_from_operator(random_density(rng, dims),
+                                 states[1:] if kind.endswith("miss") else states)
+    else:
+        f = make_signalling_example(dims, rng.uniform(0, np.pi))
+    got = section_or_error(lambda: section_from_framefn(f, family).distributions)
+    want = section_or_error(lambda: {ctx.label: np.array([f(s) for s in ref_section_states(ctx)])
+                                     .reshape(ctx.shape) for ctx in family})
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got.keys() == want.keys()
+    for label, p in want.items():
+        assert got[label].dtype == p.dtype and got[label].shape == p.shape
+        if kind.startswith("tabulated"):
+            assert got[label].tobytes() == p.tobytes()
+        # One batched contraction per context sums in another order than f(s).
+        np.testing.assert_allclose(got[label], p, rtol=1e-13, atol=1e-14)

@@ -13,10 +13,15 @@ from nsgleason.bases import (
     BasisReport,
     ProductBasis,
     ProductState,
+    SearchResult,
+    TwistCertificate,
     TwistMove,
     UnentangledBasis,
+    _as_product_basis,
+    _rotation_to_target,
     apply_twist,
     find_local_pairs,
+    site_stacks,
     twist_search,
     validate_unentangled,
 )
@@ -37,7 +42,7 @@ from nsgleason.keller import (
     verify_clique,
 )
 from nsgleason.linalg import ValidationError, canonical_phase, check_unit, make_rng, random_onb
-from nsgleason.tolerances import ORTHO_PAIR, SAME_FACTOR
+from nsgleason.tolerances import MOVE_KEY_DECIMALS, ORTHO_PAIR, SAME_FACTOR
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -124,6 +129,49 @@ def ref_alignment_score(b):
             ov = abs(np.vdot(e.factors[s], f.factors[s]))
             score += ov > 1 - SAME_FACTOR or ov < ORTHO_PAIR
     return score
+
+
+def ref_twist_search(b, budget):
+    """twist_search applying every candidate move and rescoring the whole basis."""
+    initial, moves, tried = b, [], 0
+    for step in itertools.count():
+        pb = _as_product_basis(b)
+        if pb is not None:
+            return SearchResult(True, TwistCertificate(tuple(moves), initial, pb))
+        if step >= budget:
+            return SearchResult(False, None, "move budget exhausted", tried)
+        pairs = ref_find_local_pairs(b)
+        if not pairs:
+            return SearchResult(False, None, "no local pairs exist; no twist move applies", tried)
+        base_score = bases._alignment_score(b)
+        best = None
+        for site, (i, j) in sorted(pairs):
+            u = b.elements[i].factors[site]
+            v = b.elements[j].factors[site]
+            targets = [e.factors[site] for k, e in enumerate(b.elements) if k not in (i, j)]
+            targets += list(np.eye(len(u)))
+            tried_keys = set()
+            for g in targets:
+                rot = _rotation_to_target(u, v, np.asarray(g, dtype=complex))
+                if rot is None:
+                    continue
+                key = np.round(rot, MOVE_KEY_DECIMALS).tobytes()
+                if key in tried_keys:
+                    continue
+                tried_keys.add(key)
+                move = TwistMove(site, (i, j), rot)
+                try:
+                    nb = apply_twist(b, move)
+                except ValidationError:
+                    continue
+                tried += 1
+                score = bases._alignment_score(nb)
+                if score > base_score and (best is None or score > best[0]):
+                    best = (score, move, nb)
+        if best is None:
+            return SearchResult(False, None, "no strictly improving move found", tried)
+        moves.append(best[1])
+        b = best[2]
 
 
 def twisted(seed, dims, n_moves):
@@ -239,6 +287,15 @@ def test_basis_checks_match_loops(seed, dims, n_moves):
     assert find_local_pairs(dup) == ref_find_local_pairs(dup)
     one = UnentangledBasis(b.elements[:1])
     assert validate_unentangled(one) == ref_validate(one)
+    # Repeated factors that differ in their bits: their classes split, but
+    # the tolerance still calls them equal.
+    rng = make_rng(seed)
+    jit = UnentangledBasis(tuple(ProductState(tuple(
+        f * np.exp(1j * rng.uniform(0, 2 * np.pi)) + 1e-13 * rng.standard_normal(len(f))
+        for f in e.factors)) for e in b.elements))
+    assert find_local_pairs(jit) == ref_find_local_pairs(jit) == find_local_pairs(b)
+    site_factors = [e.factors[0].tobytes() for e in jit.elements]
+    assert len(set(site_factors)) == len(site_factors)
 
 
 def check_twist_search(b, n_moves):
@@ -266,6 +323,62 @@ def test_twist_search_matches_loops(seed, dims, n_moves):
 @settings(max_examples=3, deadline=None)
 def test_twist_search_333_matches_loops(seed, n_moves):
     check_twist_search(twisted(seed, (3, 3, 3), n_moves), n_moves)
+
+
+def moved(b, rng, eps):
+    """b with one factor of one element moved by about eps: eps = 3e-9 keeps
+    it within ORTHO_PAIR of orthogonal, so rotated factors fail the unit-norm
+    check; eps = 1 makes pairs that fail apply_twist's orthogonality check."""
+    k, s = int(rng.integers(len(b.elements))), int(rng.integers(b.elements[0].nsites))
+    facs = list(b.elements[k].factors)
+    g = facs[s] + eps * (rng.standard_normal(len(facs[s])) + 1j * rng.standard_normal(len(facs[s])))
+    facs[s] = g / np.linalg.norm(g)
+    return UnentangledBasis(b.elements[:k] + (ProductState(tuple(facs)),) + b.elements[k + 1:])
+
+
+def search_outcome(res):
+    return res.found, res.reason, res.moves_tried, res.certificate.to_json() if res.found else None
+
+
+@given(seeds, st.sampled_from([(3, 3), (2, 2, 2), (2, 3), (3, 3, 3)]),
+       st.integers(min_value=0, max_value=3), st.sampled_from([0.0, 3e-9, 1.0]))
+@settings(max_examples=30, deadline=None)
+def test_twist_gains_match_full_rescoring(seed, dims, n_moves, eps):
+    rng = make_rng(seed)
+    b = twisted(seed, dims, n_moves)
+    if eps:
+        b = moved(b, rng, eps)
+    stacks = site_stacks(b.elements)
+    aligned = np.array([bases._aligned(ov) for ov in bases._site_overlaps(stacks)])
+    selfs = aligned.diagonal(axis1=1, axis2=2)
+    rows = aligned.sum(axis=2) - selfs
+    base = ref_alignment_score(b)
+    pairs = find_local_pairs(b)
+    for site, (i, j) in [pairs[k] for k in rng.permutation(len(pairs))[:4]]:
+        changes, new = [], []
+        for rot in [random_onb(rng, 2) for _ in range(3)] + [np.eye(2)]:
+            try:
+                nb = apply_twist(b, TwistMove(site, (i, j), rot))
+            except ValidationError:
+                continue
+            changes.append(bases._alignment_score(nb) - base)
+            new.append([nb.elements[i].factors[site], nb.elements[j].factors[site]])
+        if new:
+            gains = bases._twist_gains(aligned, rows, selfs, site, i, j, np.array(new),
+                                       stacks[site])
+            assert gains.tolist() == changes
+
+
+@given(seeds, st.sampled_from([(3, 3), (2, 2, 2), (2, 3), (3, 3, 3)]),
+       st.integers(min_value=1, max_value=3), st.sampled_from([0.0, 3e-9, 1.0]))
+@settings(max_examples=30, deadline=None)
+def test_twist_search_matches_candidate_by_candidate_search(seed, dims, n_moves, eps):
+    b = twisted(seed, dims, n_moves)
+    if eps:
+        b = moved(b, make_rng(seed + 1), eps)
+    data = b.to_json()
+    got = search_outcome(twist_search(UnentangledBasis.from_json(data), budget=8))
+    assert got == search_outcome(ref_twist_search(UnentangledBasis.from_json(data), budget=8))
 
 
 # ---------------------------------------------------------------------------
