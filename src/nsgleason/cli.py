@@ -101,19 +101,19 @@ def _finite(obj):
     return obj
 
 
-def _load_operator(path) -> HermitianOperator:
+def _load(path, cls):
+    """cls.from_json of a JSON file; a file of the wrong shape is an input error."""
     with open(path) as fh:
-        return HermitianOperator.from_json(json.load(fh))
-
-
-def _load_box(path) -> Box:
-    with open(path) as fh:
-        return Box.from_json(json.load(fh))
+        data = json.load(fh)
+    try:
+        return cls.from_json(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: not a {cls.__name__} file ({exc!r})") from exc
 
 
 def cmd_reconstruct(args, argv):
     rep = Report(argv, args.seed)
-    t = _load_operator(args.operator)
+    t = _load(args.operator, HermitianOperator)
     design = spanning_design(t.dims, oversample=args.oversample, seed=args.seed)
     f = sample_from_operator(t, design.states)
     rec = reconstruct_pvm(f, design, holdout=args.holdout, seed=args.seed)
@@ -130,14 +130,13 @@ def cmd_reconstruct(args, argv):
 def cmd_check(args, argv):
     rep = Report(argv, args.seed)
     if args.box:
-        report = check_box(_load_box(args.box))
+        report = check_box(_load(args.box, Box))
         rep.verdict("box_no_signalling", report.passed, report.max_discrepancy,
                     tol.NO_SIGNALLING)
         if report.witness:
             rep.data["witness"] = report.witness
     else:
-        dims = tuple(int(d) for d in args.dims.split(","))
-        f = make_signalling_example(dims, args.theta)
+        f = make_signalling_example(args.dims, args.theta)
         report = check_framefn(f, trials=args.trials, seed=args.seed)
         rep.verdict("framefn_no_signalling", report.passed, report.max_discrepancy,
                     tol.NO_SIGNALLING, "violation is the expected outcome for theta not in pi*Z")
@@ -150,7 +149,7 @@ def cmd_check(args, argv):
 
 def cmd_chsh(args, argv):
     rep = Report(argv, args.seed)
-    t = singlet() if args.singlet else _load_operator(args.t)
+    t = singlet() if args.singlet else _load(args.t, HermitianOperator)
     if abs(t.trace() - 1.0) > tol.UNIT_TRACE:
         rep.data["warning"] = f"operator trace {t.trace()} is not 1"
     note = ""
@@ -179,16 +178,15 @@ def cmd_prbox(args, argv):
     rep.verdict("pr_box_excluded", verdict.verdict == "INFEASIBLE", verdict.residual,
                 tol.INFEASIBLE_RESIDUAL, note)
     if args.schedule:
-        schedule = tuple(int(x) for x in args.schedule.split(","))
         try:
-            bounds = max_chsh_lp(box.realizations, schedule, seed=args.seed)
+            bounds = max_chsh_lp(box.realizations, args.schedule, seed=args.seed)
         except SolverError as exc:
-            rep.data["max_chsh_lp"] = {"schedule": list(schedule), "solver_status": exc.status,
+            rep.data["max_chsh_lp"] = {"schedule": args.schedule, "solver_status": exc.status,
                                        "solver_message": exc.message}
             rep.verdict("lp_final_bound", False, None, tol.LP_CHSH_BOUND,
                         f"LP solver failed (HiGHS status {exc.status}: {exc.message}); no bound")
             return rep.finish(args.out)
-        rep.data["max_chsh_lp"] = {"schedule": list(schedule), "bounds": bounds}
+        rep.data["max_chsh_lp"] = {"schedule": args.schedule, "bounds": bounds}
         mono = all(b2 <= b1 + tol.LP_MONOTONE for b1, b2 in zip(bounds, bounds[1:]))
         rep.verdict("lp_bounds_nonincreasing", mono, bounds, tol.LP_MONOTONE)
         rep.verdict("lp_final_bound", bounds[-1] < tol.LP_CHSH_BOUND, bounds[-1],
@@ -226,7 +224,7 @@ def cmd_twist(args, argv):
 
 def cmd_classify(args, argv):
     rep = Report(argv, args.seed)
-    t = _load_operator(args.t)
+    t = _load(args.t, HermitianOperator)
     cls = classify_orientation(t)
     rep.data["orientation"] = cls.to_json()
     rep.verdict("orientation_classified", cls.value.value != "NEITHER", cls.value.value,
@@ -236,7 +234,7 @@ def cmd_classify(args, argv):
 
 def cmd_section(args, argv):
     rep = Report(argv, args.seed)
-    t = _load_operator(args.t)
+    t = _load(args.t, HermitianOperator)
     contexts, edges = random_context_family(t.dims, args.contexts, seed=args.seed)
     table = section_from_operator(t, contexts)
     report = check_section(table, edges)
@@ -275,18 +273,32 @@ def cmd_keller(args, argv):
                 rep.data["artifacts"].append(args.out_clique)
     elif args.action == "basis":
         cand = kel.load_clique(args.file)
+        report = kel.verify_clique(cand, graph)
+        rep.data["report"] = report.to_json()
+        rep.verdict("clique_valid", report.is_clique, report.size, None,
+                    f"pairwise adjacency in {graph.value}")
         basis = kel.basis_from_clique(cand)
         v = validate_unentangled(basis)
         rep.verdict("basis_valid", v.is_valid, v.worst_overlap, tol.ORTHO_PAIR)
         if graph == kel.Graph.G_STAR:
             n_pairs = len(find_local_pairs(basis))
-            rep.verdict("no_local_pairs", n_pairs == 0, n_pairs, None,
-                        "facet-free cliques admit no twist moves")
+            note = ("facet-free cliques admit no twist moves" if report.is_clique else
+                    "counted on a candidate that is not a G_STAR-clique, so no "
+                    "absence of local pairs is implied")
+            rep.verdict("no_local_pairs", n_pairs == 0, n_pairs, None, note)
         if args.out_basis:
             with open(args.out_basis, "w") as fh:
                 json.dump(basis.to_json(), fh)
             rep.data["artifacts"].append(args.out_basis)
     return rep.finish(args.out)
+
+
+def int_list(text: str) -> tuple:
+    """argparse type of a comma list of integers, such as "3,3"."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="no-signalling checks (box or frame function)")
     sp.add_argument("--box", help="box JSON file")
-    sp.add_argument("--dims", default="3,3")
+    sp.add_argument("--dims", type=int_list, default=(3, 3))
     sp.add_argument("--theta", type=float, default=np.pi / 4)
     sp.add_argument("--trials", type=int, default=100)
     common(sp)
@@ -327,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("prbox", help="PR-box quantum-extension feasibility")
     sp.add_argument("--samples", type=int, default=2000)
-    sp.add_argument("--schedule", help="comma list of LP sample counts, e.g. 250,500,1000,2000")
+    sp.add_argument("--schedule", type=int_list,
+                    help="comma list of LP sample counts, e.g. 250,500,1000,2000")
     common(sp)
     sp.set_defaults(func=cmd_prbox)
 
@@ -377,7 +390,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args, ["nsgleason"] + argv)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,7 +14,6 @@ kinds are provided:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,21 +154,3 @@ def sample_from_operator(t: HermitianOperator, design) -> Tabulated:
     values = OperatorInduced(t).values(site_stacks(design)) if design else ()
     return Tabulated(t.dims, {s.key(): float(v) for s, v in zip(design, values)})
 
-
-# ---------------------------------------------------------------------------
-# Sample-table serialization (JSON): one row per (state, value).
-
-def write_samples_json(path, design, values) -> None:
-    with open(path, "w") as fh:
-        json.dump(
-            [{"state": s.to_json(), "value": float(v)} for s, v in zip(design, values)],
-            fh,
-        )
-
-
-def read_samples_json(path) -> tuple:
-    with open(path) as fh:
-        rows = json.load(fh)
-    design = [ProductState.from_json(r["state"]) for r in rows]
-    values = [float(r["value"]) for r in rows]
-    return design, values

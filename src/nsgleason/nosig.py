@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from . import tolerances as tol
@@ -380,6 +381,7 @@ class ExtensionVerdict:
     rounds: int = 1
     solver_status: int | None = None  # HiGHS status of a failed solve (ERROR)
     solver_message: str | None = None
+    candidate: str | None = None  # which LP gave t: "vertex" | "recentred"
 
     def to_json(self) -> dict:
         out = {
@@ -387,10 +389,13 @@ class ExtensionVerdict:
             "residual": self.residual,
             "rounds": self.rounds,
             "infeasibility_threshold": tol.INFEASIBLE_RESIDUAL,
+            "feasible_threshold": tol.FEASIBLE_RESIDUAL,
+            "product_positive_threshold": tol.PRODUCT_POSITIVE,
         }
         if self.seesaw_min is not None:
             out["seesaw_min"] = self.seesaw_min
         if self.t is not None:
+            out["candidate"] = self.candidate
             out["t"] = self.t.to_json()
         if self.solver_status is not None:
             out["solver_status"] = self.solver_status
@@ -406,18 +411,73 @@ def _box_equalities(box: Box):
     return projector_features(np.concatenate(psi)), np.concatenate(vals)
 
 
+def _vertex_lp(eq_rows, eq_vals, pos_rows, trace_row):
+    """min s over |eq_rows x - eq_vals| <= s, pos_rows x >= 0, trace_row x = 1.
+
+    Variables [x, s]; HiGHS returns a vertex of the optimal face.
+    """
+    n_eq, n_var = eq_rows.shape
+    c = np.zeros(n_var + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((2 * n_eq + len(pos_rows), n_var + 1))
+    b_ub = np.zeros(2 * n_eq + len(pos_rows))
+    a_ub[:n_eq, :n_var] = eq_rows
+    a_ub[:n_eq, -1] = -1.0
+    b_ub[:n_eq] = eq_vals
+    a_ub[n_eq:2 * n_eq, :n_var] = -eq_rows
+    a_ub[n_eq:2 * n_eq, -1] = -1.0
+    b_ub[n_eq:2 * n_eq] = -eq_vals
+    a_ub[2 * n_eq:, :n_var] = -pos_rows
+    a_eq = np.concatenate([trace_row, [0.0]])[None, :]
+    return linprog(
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+        bounds=[(None, None)] * n_var + [(0, None)], method="highs",
+    )
+
+
+def _recentring_lp(x0, null, pos_rows):
+    """max m <= 1 over pos_rows (x0 + null z) >= m: the least sampled value, pushed up.
+
+    x = x0 + null z spans the operators that meet the box equalities and unit
+    trace exactly, so the LP has only the null-space columns and m.
+    """
+    k = null.shape[1]
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    a_ub = np.hstack([-(pos_rows @ null), np.ones((len(pos_rows), 1))])
+    return linprog(c, A_ub=a_ub, b_ub=pos_rows @ x0,
+                   bounds=[(None, None)] * k + [(None, 1.0)], method="highs")
+
+
 def quantum_extension(
     box: Box, positivity_samples: int = 2000, seed: int = 0, max_rounds: int = 5
 ) -> ExtensionVerdict:
     """Can a unit-trace, product-positive Hermitian t reproduce the box?
 
-    Solves min s subject to |tr(t (p_A (x) q_B)) - P(A,B|a,b)| <= s for all
-    realized settings/outcomes, tr(t) = 1, and tr(t (p (x) q)) >= 0 for
-    sampled product projectors.  A see-saw pass then hunts for product
-    states on which the candidate t is negative; violators are added as
-    constraints and the LP re-solved.  INFEASIBLE is declared when the
-    residual floor exceeds ``tolerances.INFEASIBLE_RESIDUAL``; a failed solve
-    gives ERROR with the HiGHS status and message, never a verdict.
+    Two LPs give candidates for t, each over the box equalities
+    tr(t (p_A (x) q_B)) = P(A,B|a,b), tr(t) = 1 and tr(t (p (x) q)) >= 0 on
+    sampled product projectors:
+
+    - the vertex LP minimises the residual s of the equalities,
+      |tr(t (p_A (x) q_B)) - P(A,B|a,b)| <= s, and returns a vertex of its
+      optimal face; it alone decides INFEASIBLE, when s exceeds
+      ``tolerances.INFEASIBLE_RESIDUAL``;
+    - the re-centring LP, run once the vertex residual is at most
+      ``tolerances.FEASIBLE_RESIDUAL``, keeps the equalities exact
+      (x = x0 + N z over their null space N) and maximises the least sampled
+      value m <= 1, which moves t off the boundary of the sampled cone.
+
+    A see-saw then hunts for product states on which a candidate is below
+    ``-tolerances.PRODUCT_POSITIVE``; violators join the positivity rows and
+    the next round re-solves.  Round 1 runs the vertex LP, then the
+    re-centring LP if the vertex fails its see-saw; later rounds run the
+    re-centring LP, and the vertex LP only when that gives m < 0 or misses
+    the equalities by more than ``FEASIBLE_RESIDUAL`` (measured, since
+    HiGHS accepts rows off by up to 1e-7; a miss comes from x0, so later
+    rounds run the vertex LP alone).  For boxes of quantum states
+    FEASIBLE is the expected verdict, mostly from the re-centred candidate
+    in round 1; AMBIGUOUS means ``max_rounds`` ran out.  A failed solve gives
+    ERROR with the HiGHS status and message, never a verdict.
     """
     dims = tuple(r[next(iter(r))].shape[0] for r in box.realizations or ())
     if not dims:
@@ -425,46 +485,66 @@ def quantum_extension(
     d_total = int(np.prod(dims))
     n_var = d_total * d_total
     eq_rows, eq_vals = _box_equalities(box)
+    trace_row = feature_of(np.eye(d_total))
     rng = make_rng(seed)
     pos_rows = _positivity_rows(rng, dims, positivity_samples)
+    fit_rows, fit_vals = np.vstack([eq_rows, trace_row]), np.append(eq_vals, 1.0)
+    affine = None  # (x0, N) of the exact equalities, built on first use
 
-    rounds = 0
-    while True:
-        rounds += 1
-        n_eq = len(eq_vals)
-        # Variables: [x (n_var), s (1)]; minimize s.
-        c = np.zeros(n_var + 1)
-        c[-1] = 1.0
-        a_ub = np.zeros((2 * n_eq + len(pos_rows), n_var + 1))
-        b_ub = np.zeros(2 * n_eq + len(pos_rows))
-        a_ub[:n_eq, :n_var] = eq_rows
-        a_ub[:n_eq, -1] = -1.0
-        b_ub[:n_eq] = eq_vals
-        a_ub[n_eq:2 * n_eq, :n_var] = -eq_rows
-        a_ub[n_eq:2 * n_eq, -1] = -1.0
-        b_ub[n_eq:2 * n_eq] = -eq_vals
-        a_ub[2 * n_eq:, :n_var] = -pos_rows
-        a_eq = np.concatenate([feature_of(np.eye(d_total)), [0.0]])[None, :]
-        res = linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-            bounds=[(None, None)] * n_var + [(0, None)], method="highs",
-        )
-        if not res.success:  # the LP is always feasible, so this is a solver fault
+    rounds, tried = 0, []
+    recentre = False  # the last vertex residual is at most FEASIBLE_RESIDUAL
+    exact = True  # no re-centred t missed the equalities; x0 decides this for every round
+
+    def attempt(kind):
+        """Solve one LP and see-saw its t: a verdict, None (t was negative on a
+        product state, recorded in ``tried``) or False (no usable re-centred t)."""
+        nonlocal affine, recentre, exact
+        if kind == "vertex":
+            res = _vertex_lp(eq_rows, eq_vals, pos_rows, trace_row)
+        else:
+            if affine is None:
+                affine = (np.linalg.lstsq(fit_rows, fit_vals, rcond=None)[0],
+                          null_space(fit_rows))
+            res = _recentring_lp(*affine, pos_rows)
+        if not res.success:  # both LPs are always feasible, so this is a solver fault
             return ExtensionVerdict("ERROR", np.nan, rounds=rounds,
                                     solver_status=res.status, solver_message=res.message)
-        residual = float(res.x[-1])
-        t = HermitianOperator(dims, vec_to_herm(res.x[:n_var]))
-        if residual > tol.INFEASIBLE_RESIDUAL:
-            return ExtensionVerdict("INFEASIBLE", residual, t=None, rounds=rounds)
+        if kind == "vertex":
+            x, residual = res.x[:n_var], float(res.x[-1])
+            if residual > tol.INFEASIBLE_RESIDUAL:
+                return ExtensionVerdict("INFEASIBLE", residual, t=None, rounds=rounds)
+            recentre = residual <= tol.FEASIBLE_RESIDUAL
+        else:
+            x = affine[0] + affine[1] @ res.x[:-1]
+            residual = float(np.max(np.abs(fit_rows @ x - fit_vals)))
+            exact = residual <= tol.FEASIBLE_RESIDUAL
+            if res.x[-1] < 0 or not exact:
+                return False
+        t = HermitianOperator(dims, vec_to_herm(x))
         wit = product_seesaw_min(t, restarts=16, seed=seed + rounds)
         if wit.value >= -tol.PRODUCT_POSITIVE:
             verdict = "FEASIBLE" if residual <= tol.FEASIBLE_RESIDUAL else "AMBIGUOUS"
-            return ExtensionVerdict(verdict, residual, t=t,
-                                    seesaw_min=wit.value, rounds=rounds)
+            return ExtensionVerdict(verdict, residual, t=t, seesaw_min=wit.value,
+                                    rounds=rounds, candidate=kind)
+        tried.append((kind, t, residual, wit))
+        return None
+
+    while True:
+        rounds += 1
+        tried.clear()
+        out = attempt("recentred") if rounds > 1 and recentre and exact else False
+        if out is False:
+            out = attempt("vertex")
+            if out is None and rounds == 1 and recentre:
+                out = attempt("recentred")
+        if isinstance(out, ExtensionVerdict):
+            return out
         if rounds >= max_rounds:
-            return ExtensionVerdict("AMBIGUOUS", residual, t=t,
-                                    seesaw_min=wit.value, rounds=rounds)
-        pos_rows = np.vstack([pos_rows, projector_features(np.kron(*wit.factors)[None])])
+            kind, t, residual, wit = tried[-1]
+            return ExtensionVerdict("AMBIGUOUS", residual, t=t, seesaw_min=wit.value,
+                                    rounds=rounds, candidate=kind)
+        products = np.stack([np.kron(*wit.factors) for *_, wit in tried])
+        pos_rows = np.vstack([pos_rows, projector_features(products)])
 
 
 def max_chsh_lp(realizations, sample_schedule=(250, 500, 1000, 2000), seed: int = 0):

@@ -1,14 +1,18 @@
 """End-to-end CLI tests: exit codes, JSON reports, reproducibility."""
 
 import json
+import shlex
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from nsgleason import tolerances
+from nsgleason import cli, tolerances
 from nsgleason.bases import twisted_example_certificate, validate_unentangled
 from nsgleason.cli import main
+from nsgleason.keller import bundled_candidate, save_clique
 from nsgleason.linalg import make_rng, random_density
 from nsgleason.nosig import singlet
 
@@ -141,6 +145,42 @@ def test_basis_verdicts_cite_the_applied_tolerance(tmp_path, capsys):
     assert fig1["verdicts"]["intermediate_valid"]["tolerance"] == tolerances.ORTHO_PAIR
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands(prefix):
+    """argv of each README line that starts with `nsgleason <prefix>`."""
+    lines = README.read_text().splitlines()
+    return [shlex.split(ln.split("#")[0])[1:] for ln in lines
+            if ln.startswith(f"nsgleason {prefix}")]
+
+
+def test_readme_keller_basis_example(tmp_path, monkeypatch, capsys):
+    # clique.txt of the README's keller lines: the bundled candidate, a G-clique.
+    monkeypatch.chdir(tmp_path)
+    save_clique("clique.txt", bundled_candidate())
+    (argv,) = readme_commands("keller basis")
+    code, rep = run(argv, capsys)
+    assert code == 0
+    assert rep["verdicts"]["clique_valid"]["pass"] and rep["verdicts"]["basis_valid"]["pass"]
+    assert Path("basis.json").exists() and rep["artifacts"][0] == "basis.json"
+    (verify,) = readme_commands("keller verify")
+    assert run(verify, capsys)[0] == 0
+
+
+def test_keller_basis_verifies_clique_against_graph(tmp_path, capsys):
+    # The bundled candidate is a G-clique only: under G* its clique check fails first.
+    path = str(tmp_path / "c.txt")
+    save_clique(path, bundled_candidate())
+    code, rep = run(["keller", "basis", "--file", path], capsys)
+    assert code == 1
+    verdicts = rep["verdicts"]
+    assert list(verdicts)[0] == "clique_valid" and not verdicts["clique_valid"]["pass"]
+    assert rep["report"]["graph"] == "G_STAR" and rep["report"]["first_failure"]
+    assert verdicts["basis_valid"]["pass"]
+    assert "not a G_STAR-clique" in verdicts["no_local_pairs"]["note"]
+
+
 def test_check_framefn_violation_exit_1(capsys):
     code, rep = run(
         ["check", "--dims", "3,3", "--theta", str(np.pi / 4), "--trials", "50",
@@ -225,6 +265,40 @@ def test_json_flag_is_gone(capsys):
     # Reports are always JSON; the flag that said so did nothing.
     assert main(["twist", "--fig1", "--json"]) == 2
     assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["check", "--dims", "3,x"], ["check", "--dims", ""],
+                                  ["prbox", "--schedule", "250,,500"]])
+def test_malformed_int_list_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "not a comma list of integers" in capsys.readouterr().err
+
+
+def test_int_lists_are_parsed(monkeypatch, capsys):
+    seen = []
+    make = cli.make_signalling_example
+    monkeypatch.setattr("nsgleason.cli.make_signalling_example",
+                        lambda dims, theta: seen.append(dims) or make(dims, theta))
+    main(["check", "--dims", "2,3", "--trials", "5"])
+    assert seen == [(2, 3)]
+
+
+def test_internal_value_error_is_not_a_usage_error(singlet_file, monkeypatch):
+    def fault(t):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("nsgleason.cli.classify_orientation", fault)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["classify", "--t", singlet_file])
+
+
+@pytest.mark.parametrize("data", [{"dims": [2, 2], "entries": [[1.0, 0.0]]}, {"dims": [2, 2]},
+                                  [1, 2]])
+def test_malformed_operator_file_exit_2(data, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["classify", "--t", str(path)]) == 2
+    assert "not a HermitianOperator file" in capsys.readouterr().err
 
 
 def test_missing_file_exit_2(capsys):

@@ -13,10 +13,8 @@ from nsgleason.framefn import (
     SignallingFamily,
     Tabulated,
     make_signalling_example,
-    read_samples_json,
     sample_from_operator,
     weight_check,
-    write_samples_json,
 )
 from nsgleason.linalg import (
     HermitianOperator,
@@ -151,21 +149,6 @@ def test_sample_values_within_rayleigh_bounds():
     ]
     f = sample_from_operator(t, design)
     assert all(0 <= v <= 1 for v in f.table.values())
-
-
-def test_sample_table_serialization(tmp_path):
-    rng = make_rng(10)
-    t = random_density(rng, (2, 2))
-    design = [
-        ProductState((random_unit(rng, 2), random_unit(rng, 2))) for _ in range(4)
-    ]
-    values = [t.expectation(s.full()) for s in design]
-    path = tmp_path / "t.json"
-    write_samples_json(path, design, values)
-    back_design, back_values = read_samples_json(path)
-    np.testing.assert_allclose(back_values, values)
-    for s, bs in zip(design, back_design):
-        assert abs(s.overlap(bs)) == pytest.approx(1.0, abs=1e-12)
 
 
 def per_state_value(f, s):

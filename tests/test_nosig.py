@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult, minimize
+from scipy.optimize import OptimizeResult, linprog, minimize
 
+from nsgleason import tolerances as tol
 from nsgleason.bases import ProductState
 from nsgleason.framefn import OperatorInduced, make_signalling_example
-from nsgleason.gleason import projector_features
+from nsgleason.gleason import feature_of, product_seesaw_min, projector_features, vec_to_herm
 from nsgleason.linalg import (
     HermitianOperator,
     ValidationError,
@@ -22,6 +23,7 @@ from nsgleason.linalg import (
 from nsgleason.nosig import (
     TSIRELSON,
     Box,
+    _box_equalities,
     _positivity_rows,
     ChshInstance,
     box_from_operator,
@@ -351,6 +353,201 @@ def test_quantum_extension_solver_failure_is_error(monkeypatch):
     assert verdict.solver_status == 4
     assert "Numerical" in verdict.solver_message
     assert verdict.to_json()["solver_status"] == 4
+
+
+def density_boxes(count, dims=(2, 3), base=700):
+    """(seed, box) of random densities at (d, d) with random realizations."""
+    for k in range(count):
+        for d in dims:
+            rng = make_rng(base + k)
+            t = random_density(rng, (d, d))
+            real = tuple({a: random_onb(rng, d) for a in (0, 1)} for _ in (0, 1))
+            yield k, box_from_operator(t, real)
+
+
+@pytest.fixture(scope="module")
+def density_extensions():
+    return [(k, box, quantum_extension(box, positivity_samples=500, seed=k))
+            for k, box in density_boxes(12)]
+
+
+def test_quantum_boxes_are_feasible(density_extensions):
+    verdicts = [v.verdict for *_, v in density_extensions]
+    assert len(verdicts) >= 20
+    assert verdicts.count("FEASIBLE") >= 0.9 * len(verdicts)
+    assert "INFEASIBLE" not in verdicts and "ERROR" not in verdicts
+    assert "recentred" in {v.candidate for *_, v in density_extensions}
+
+
+def test_feasible_extensions_reproduce_their_boxes(density_extensions):
+    # Independent of the LP's feature rows: each entry is <u (x) v|t|u (x) v>.
+    checked = 0
+    for k, box, verdict in density_extensions:
+        if verdict.verdict != "FEASIBLE":
+            continue
+        t = verdict.t.mat
+        for a in box.settings[0]:
+            for b in box.settings[1]:
+                u, v = box.realizations[0][a], box.realizations[1][b]
+                for i in range(u.shape[1]):
+                    for j in range(v.shape[1]):
+                        psi = np.kron(u[:, i], v[:, j])
+                        value = (psi.conj() @ t @ psi).real
+                        assert abs(value - box.block(a, b)[i, j]) <= tol.FEASIBLE_RESIDUAL
+        assert abs(np.trace(t).real - 1.0) <= tol.UNIT_TRACE
+        wit = product_seesaw_min(verdict.t, restarts=64, seed=10_000 + k)
+        assert wit.value >= -tol.PRODUCT_POSITIVE
+        checked += 1
+    assert checked >= 20
+
+
+def counting_linprog(monkeypatch, fail_at=None):
+    """Route nosig's linprog through a counter; call number fail_at fails."""
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(len(calls) + 1)
+        if len(calls) == fail_at:
+            return failed_linprog(4, "Numerical difficulties encountered.")()
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr("nsgleason.nosig.linprog", fake)
+    return calls
+
+
+@pytest.mark.parametrize("seed, verdict, rounds", [(0, "FEASIBLE", 4), (1, "FEASIBLE", 2),
+                                                   (2, "AMBIGUOUS", 5)])
+def test_later_rounds_solve_one_lp(monkeypatch, seed, verdict, rounds):
+    # Round 1 solves the vertex and the re-centring LP; later rounds only the latter.
+    box = [b for k, b in density_boxes(seed + 1, dims=(3,)) if k == seed][0]
+    calls = counting_linprog(monkeypatch)
+    out = quantum_extension(box, positivity_samples=300, seed=seed)
+    assert (out.verdict, out.rounds, out.candidate) == (verdict, rounds, "recentred")
+    assert len(calls) == rounds + 1
+    assert out.residual <= tol.FEASIBLE_RESIDUAL
+    assert (out.seesaw_min >= -tol.PRODUCT_POSITIVE) == (verdict == "FEASIBLE")
+
+
+def noisy_pr_box(visibility):
+    table = {k: visibility * p + (1 - visibility) / 4 for k, p in pr_box().table.items()}
+    return with_qubit_realizations(Box(pr_box().settings, pr_box().outcomes, table))
+
+
+def test_negative_margin_falls_back_to_the_vertex_lp(monkeypatch):
+    # Visibility 0.75 (CHSH 3) is outside the quantum set.  The re-centred
+    # witnesses of rounds 1-4 leave no exact fit positive on every sampled state
+    # (m < 0 in round 5), so the vertex LP runs again and finds the residual floor.
+    seen = counting_linprog(monkeypatch)
+    out = quantum_extension(noisy_pr_box(0.75), positivity_samples=500, seed=1)
+    assert (out.verdict, out.rounds, len(seen)) == ("INFEASIBLE", 5, 7)
+    assert out.residual > tol.INFEASIBLE_RESIDUAL
+
+
+def nudged_box(eps):
+    """A (2,2) density box with P(0,0|0,0) and P(0,1|0,0) moved by +-eps: site 2
+    signals by eps, below the 1e-7 row tolerance of HiGHS."""
+    _, box = next(density_boxes(1, dims=(2,)))
+    table = dict(box.table)
+    block = table[(0, 0)].copy()
+    block[0] += [eps, -eps]
+    table[(0, 0)] = block
+    return Box(box.settings, box.outcomes, table, box.realizations)
+
+
+@pytest.mark.parametrize("eps, verdict, candidate, calls", [(2e-8, "FEASIBLE", "recentred", 2),
+                                                            (4e-8, "AMBIGUOUS", "vertex", 6)])
+def test_recentred_residual_is_measured(monkeypatch, eps, verdict, candidate, calls):
+    # The vertex LP reports residual 0 for both boxes; the least-squares fit misses
+    # the equalities by eps / 4, and only a measured miss within FEASIBLE_RESIDUAL
+    # gives a FEASIBLE re-centred t.  A miss is final: later rounds solve one LP.
+    seen = counting_linprog(monkeypatch)
+    out = quantum_extension(nudged_box(eps), positivity_samples=500, seed=0)
+    assert (out.verdict, out.candidate, len(seen)) == (verdict, candidate, calls)
+    if candidate == "recentred":
+        assert out.residual == pytest.approx(eps / 4, rel=1e-3)
+
+
+def parent_round_one(box, samples, seed):
+    """Round 1 of quantum_extension before the re-centring LP existed, copied:
+    (verdict, residual, t, seesaw_min), or None when the round decided nothing."""
+    dims = tuple(r[next(iter(r))].shape[0] for r in box.realizations)
+    d_total = int(np.prod(dims))
+    n_var = d_total * d_total
+    eq_rows, eq_vals = _box_equalities(box)
+    pos_rows = _positivity_rows(make_rng(seed), dims, samples)
+    n_eq = len(eq_vals)
+    c = np.zeros(n_var + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((2 * n_eq + len(pos_rows), n_var + 1))
+    b_ub = np.zeros(2 * n_eq + len(pos_rows))
+    a_ub[:n_eq, :n_var] = eq_rows
+    a_ub[:n_eq, -1] = -1.0
+    b_ub[:n_eq] = eq_vals
+    a_ub[n_eq:2 * n_eq, :n_var] = -eq_rows
+    a_ub[n_eq:2 * n_eq, -1] = -1.0
+    b_ub[n_eq:2 * n_eq] = -eq_vals
+    a_ub[2 * n_eq:, :n_var] = -pos_rows
+    a_eq = np.concatenate([feature_of(np.eye(d_total)), [0.0]])[None, :]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+                  bounds=[(None, None)] * n_var + [(0, None)], method="highs")
+    residual = float(res.x[-1])
+    if residual > tol.INFEASIBLE_RESIDUAL:
+        return "INFEASIBLE", residual, None, None
+    t = HermitianOperator(dims, vec_to_herm(res.x[:n_var]))
+    wit = product_seesaw_min(t, restarts=16, seed=seed + 1)
+    if wit.value >= -tol.PRODUCT_POSITIVE:
+        verdict = "FEASIBLE" if residual <= tol.FEASIBLE_RESIDUAL else "AMBIGUOUS"
+        return verdict, residual, t, wit.value
+    return None
+
+
+def test_round_one_decisions_are_unchanged():
+    cases = [(with_qubit_realizations(pr_box()), 2000, seed) for seed in range(3)]
+    cases += [(noisy_pr_box(v), 500, 5) for v in (0.5, 0.7, 0.8, 0.95)]
+    cases += [(box_from_operator(singlet(), optimal_realizations()), 500, 1)]
+    cases += [(Box(((0, 1), (0, 1)), ((0, 1), (0, 1)),
+                   {(a, b): np.full((2, 2), 0.25) for a in (0, 1) for b in (0, 1)},
+                   optimal_realizations()), 300, 2)]
+    cases += [(with_qubit_realizations(deterministic_box()), 300, 3)]
+    cases += [(box, 1000, i) for i, (_, box) in enumerate(density_boxes(12, base=500))]
+    decided = []
+    for box, samples, seed in cases:
+        ref = parent_round_one(box, samples, seed)
+        if ref is None:
+            continue
+        verdict, residual, t, seesaw = ref
+        out = quantum_extension(box, positivity_samples=samples, seed=seed)
+        assert (out.verdict, out.residual, out.seesaw_min, out.rounds) == (
+            verdict, residual, seesaw, 1)
+        if t is None:
+            assert out.t is None
+        else:
+            assert out.candidate == "vertex"
+            assert out.t.mat.tobytes() == t.mat.tobytes()
+        decided.append(verdict)
+    assert decided.count("INFEASIBLE") >= 6 and decided.count("FEASIBLE") >= 4
+
+
+def test_recentring_solver_failure_is_error(monkeypatch):
+    box = next(box for k, box in density_boxes(1, dims=(3,)))
+    assert parent_round_one(box, 500, 0) is None  # round 1 reaches the second LP
+    calls = counting_linprog(monkeypatch, fail_at=2)
+    verdict = quantum_extension(box, positivity_samples=500, seed=0)
+    assert len(calls) == 2
+    assert (verdict.verdict, verdict.rounds, verdict.t) == ("ERROR", 1, None)
+    assert verdict.solver_status == 4 and "Numerical" in verdict.solver_message
+    assert verdict.to_json()["solver_status"] == 4
+
+
+def test_extension_verdict_cites_its_tolerances(density_extensions):
+    _, _, verdict = density_extensions[0]
+    out = verdict.to_json()
+    assert out["feasible_threshold"] == tol.FEASIBLE_RESIDUAL
+    assert out["product_positive_threshold"] == tol.PRODUCT_POSITIVE
+    assert out["infeasibility_threshold"] == tol.INFEASIBLE_RESIDUAL
+    assert out["candidate"] == verdict.candidate in ("vertex", "recentred")
+    excluded = quantum_extension(with_qubit_realizations(pr_box()), 500, seed=0).to_json()
+    assert excluded["verdict"] == "INFEASIBLE" and "candidate" not in excluded
 
 
 def test_max_chsh_lp_solver_failure_raises(monkeypatch):

@@ -233,6 +233,19 @@ def test_verify_first_failure_on_corrupted_cliques(seed, n_bad, graph):
     assert verify_clique(c, graph) == ref_verify(c, graph)
 
 
+@pytest.mark.parametrize("row", [0, 7, 8, 23, 24, 55, 56, 119, 120, 126])
+def test_verify_finds_the_failure_in_any_row(row):
+    # One grid vector gets a 1 where it had a 0: its only non-G-adjacent partner
+    # is the later vector with a 2 there, so the first failure is in this row,
+    # at the first or last row of a verification block.
+    vecs = np.array(list(itertools.product([0, 2], repeat=7)), dtype=np.int8)
+    vecs[row, np.flatnonzero(vecs[row] == 0)[-1]] = 1
+    c = CliqueCandidate(7, vecs)
+    for graph in Graph:
+        assert verify_clique(c, graph) == ref_verify(c, graph)
+    assert verify_clique(c, Graph.G).first_failure[0] == row
+
+
 def test_verify_bundled_matches_loop():
     c = bundled_candidate()
     for graph in Graph:
