@@ -11,7 +11,9 @@ import numpy as np
 
 from nsgleason import (
     HermitianOperator,
+    OrientationClass,
     classify_orientation,
+    classify_product_positivity,
     jordan_symmetrization_check,
     kraus_factorize,
     make_rng,
@@ -37,6 +39,15 @@ for name, t in examples.items():
     print(f"{name:20s}: {c.value.value:8s} "
           f"(min eig Choi {c.min_eig_choi:+.4f}, "
           f"flipped {c.min_eig_flipped_choi:+.4f})")
+
+print("\n=== product-positivity: the certificate, else the see-saw ===")
+for name, t in examples.items():
+    cls, evidence = classify_product_positivity(t)
+    if isinstance(evidence, OrientationClass):
+        how = f"{evidence.value.value} certificate, no see-saw"
+    else:
+        how = f"see-saw minimum {evidence.value:+.1e}"
+    print(f"{name:20s}: {cls.value:22s} ({how})")
 
 print("\n=== Kraus form exists exactly in the positive orientation ===")
 for name, t in examples.items():

@@ -119,6 +119,11 @@ def cmd_reconstruct(args, argv):
     rec = reconstruct_pvm(f, design, holdout=args.holdout, seed=args.seed)
     frob = float(np.linalg.norm(rec.t.mat - t.mat))
     rep.data["classification"] = rec.classification.value
+    if rec.certificate is not None:
+        rep.data["evidence"] = {"orientation_certificate": rec.certificate.to_json()}
+    elif rec.witness is not None:
+        rep.data["evidence"] = {"seesaw_min": rec.witness.value,
+                                "product_positive_threshold": tol.PRODUCT_POSITIVE}
     rep.verdict("round_trip_frobenius", frob <= tol.ROUND_TRIP, frob, tol.ROUND_TRIP)
     rep.verdict("holdout_residual", rec.residual <= tol.HOLDOUT_RESIDUAL, rec.residual,
                 tol.HOLDOUT_RESIDUAL)
@@ -277,7 +282,9 @@ def cmd_keller(args, argv):
         rep.data["report"] = report.to_json()
         rep.verdict("clique_valid", report.is_clique, report.size, None,
                     f"pairwise adjacency in {graph.value}")
-        basis = kel.basis_from_clique(cand)
+        # The G report decides the basis too; under G* the G check runs once more.
+        basis = (kel.basis_from_report(cand, report) if graph == kel.Graph.G
+                 else kel.basis_from_clique(cand))
         v = validate_unentangled(basis)
         rep.verdict("basis_valid", v.is_valid, v.worst_overlap, tol.ORTHO_PAIR)
         if graph == kel.Graph.G_STAR:

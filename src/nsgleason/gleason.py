@@ -24,11 +24,12 @@ from .bases import ProductState, site_stacks
 from .linalg import (
     HermitianOperator,
     ValidationError,
-    hermitian_eig,
     make_rng,
+    min_eigenvalue,
     random_units,
     tensor_rows,
 )
+from .orientation import Orientation, OrientationClass, classify_orientation
 
 
 @lru_cache(maxsize=8)
@@ -171,10 +172,15 @@ class Witness:
 
 @dataclass(frozen=True)
 class Reconstruction:
+    """A recovered operator, its hold-out residual and its classification,
+    with the evidence classify_product_positivity gave: the orientation
+    ``certificate`` or the see-saw ``witness``."""
+
     t: HermitianOperator
     residual: float
     classification: Classification
     witness: Witness | None = None
+    certificate: OrientationClass | None = None
 
     def to_json(self) -> dict:
         out = {
@@ -182,6 +188,8 @@ class Reconstruction:
             "residual": self.residual,
             "classification": self.classification.value,
         }
+        if self.certificate is not None:
+            out["certificate"] = self.certificate.to_json()
         if self.witness is not None:
             out["witness"] = {
                 "factors": [[[z.real, z.imag] for z in f] for f in self.witness.factors],
@@ -237,18 +245,37 @@ def classify_product_positivity(
 ) -> tuple:
     """Classify t by its behaviour on product states.
 
-    Returns (classification, witness).  DENSITY_MATRIX requires global PSD
-    and unit trace; otherwise the see-saw searches for a negative product
-    expectation.  The witness records the worst product state found, without
-    a claim of global optimality.
+    Returns (classification, evidence).  DENSITY_MATRIX requires global PSD
+    and unit trace.  A two-site t that is PSD (CP) or whose site-1 partial
+    transpose is PSD (CO_CP) has every product value at least that
+    operator's least eigenvalue; the evidence is the
+    :class:`OrientationClass`.  Only the NEITHER class goes to the see-saw,
+    which searches for a negative product expectation; the evidence is its
+    :class:`Witness`, the worst product state found, without a claim of
+    global optimality.  On other than two sites only the density check runs
+    (the see-saw rejects such t).
     """
-    spec = hermitian_eig(t)
-    if spec.eigenvalues[-1] >= -tol.PSD and abs(t.trace() - 1.0) <= tol.UNIT_TRACE:
+    unit_trace = abs(t.trace() - 1.0) <= tol.UNIT_TRACE
+    if t.nsites == 2:
+        cert = classify_orientation(t)
+        if cert.value in (Orientation.CP, Orientation.BOTH) and unit_trace:
+            return Classification.DENSITY_MATRIX, cert
+        if cert.value is not Orientation.NEITHER:
+            return Classification.PRODUCT_POSITIVE_ONLY, cert
+    elif min_eigenvalue(t.mat) >= -tol.PSD and unit_trace:
         return Classification.DENSITY_MATRIX, None
     wit = product_seesaw_min(t, restarts=restarts, seed=seed)
     if wit.value >= -tol.PRODUCT_POSITIVE:
         return Classification.PRODUCT_POSITIVE_ONLY, wit
     return Classification.INDEFINITE_ON_PRODUCTS, wit
+
+
+def _classified(t: HermitianOperator, residual: float, restarts: int, seed: int):
+    """The Reconstruction of t, with its classification's evidence filed by kind."""
+    cls, evidence = classify_product_positivity(t, restarts=restarts, seed=seed)
+    if isinstance(evidence, Witness):
+        return Reconstruction(t, residual, cls, witness=evidence)
+    return Reconstruction(t, residual, cls, certificate=evidence)
 
 
 def reconstruct_pvm(
@@ -274,8 +301,7 @@ def reconstruct_pvm(
     x = np.linalg.lstsq(rows[:n_fit], vals[:n_fit], rcond=None)[0]
     t = HermitianOperator(design.dims, vec_to_herm(x))
     residual = np.max(np.abs(rows[n_fit:] @ x - vals[n_fit:]), initial=0.0)
-    cls, wit = classify_product_positivity(t, restarts=restarts, seed=seed)
-    return Reconstruction(t, float(residual), cls, wit)
+    return _classified(t, float(residual), restarts, seed)
 
 
 def reconstruct_povm(samples, dims, restarts: int = 64, seed: int = 0) -> Reconstruction:
@@ -299,8 +325,7 @@ def reconstruct_povm(samples, dims, restarts: int = 64, seed: int = 0) -> Recons
     x = np.linalg.lstsq(rows, vals, rcond=None)[0]
     t = HermitianOperator(dims, vec_to_herm(x))
     residual = float(np.max(np.abs(rows @ x - vals)))
-    cls, wit = classify_product_positivity(t, restarts=restarts, seed=seed)
-    return Reconstruction(t, residual, cls, wit)
+    return _classified(t, residual, restarts, seed)
 
 
 def random_product_effects(rng: np.random.Generator, dims, count: int) -> list:

@@ -230,7 +230,16 @@ def basis_from_clique(c: CliqueCandidate) -> UnentangledBasis:
     Orthogonality holds factorwise: a coordinate pair differing by exactly 2
     maps to orthogonal qubit states ((0,2) -> |0>,|1>; (1,3) -> |+>,|->).
     """
-    return _clique_states(c, Graph.G, c.size == 2 ** c.n, "G-clique of size 2^n")
+    return basis_from_report(c, verify_clique(c, Graph.G))
+
+
+def basis_from_report(c: CliqueCandidate, report: CliqueReport) -> UnentangledBasis:
+    """basis_from_clique with the verification already done: ``report`` is
+    verify_clique(c, graph), whose tiling certificate decides (a G*-clique is
+    also a G-clique)."""
+    if (report.size, report.n) != (c.size, c.n):
+        raise ValidationError("report is not of this candidate")
+    return _clique_states(c, report.tiling_certificate, "G-clique of size 2^n")
 
 
 def family_from_clique(c: CliqueCandidate, graph: Graph = Graph.G) -> UnentangledBasis:
@@ -240,11 +249,11 @@ def family_from_clique(c: CliqueCandidate, graph: Graph = Graph.G) -> Unentangle
     family need not span (C^2)^n; use this to inspect structural properties
     such as local pairs on best-effort search results.
     """
-    return _clique_states(c, graph, True, f"{graph.value}-clique")
+    return _clique_states(c, verify_clique(c, graph).is_clique, f"{graph.value}-clique")
 
 
-def _clique_states(c: CliqueCandidate, graph: Graph, sized: bool, what: str) -> UnentangledBasis:
-    if not (verify_clique(c, graph).is_clique and sized):
+def _clique_states(c: CliqueCandidate, verified: bool, what: str) -> UnentangledBasis:
+    if not verified:
         raise ValidationError(f"candidate is not a verified {what}")
     digits = np.array(DIGIT_STATES)
     return UnentangledBasis(ProductState.batch([digits[col] for col in c.vectors.T]))

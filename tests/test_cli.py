@@ -10,10 +10,19 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from nsgleason import cli, tolerances
+from nsgleason import keller as kel
 from nsgleason.bases import twisted_example_certificate, validate_unentangled
 from nsgleason.cli import main
-from nsgleason.keller import bundled_candidate, save_clique
-from nsgleason.linalg import make_rng, random_density
+from nsgleason.gleason import product_seesaw_min
+from nsgleason.keller import bundled_candidate, save_clique, verify_clique
+from nsgleason.linalg import (
+    HermitianOperator,
+    ValidationError,
+    make_rng,
+    partial_transpose,
+    random_density,
+    random_hermitian,
+)
 from nsgleason.nosig import singlet
 
 
@@ -76,6 +85,38 @@ def test_reconstruct_round_trip(rho_file, capsys):
     assert rep["verdicts"]["round_trip_frobenius"]["pass"]
     assert rep["verdicts"]["unit_trace"]["pass"]
     assert rep["classification"] == "DENSITY_MATRIX"
+
+
+def operator_file(tmp_path, t):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(t.to_json()))
+    return str(path)
+
+
+def test_reconstruct_report_cites_orientation_certificate(tmp_path, capsys):
+    # rho^Gamma is PSD after the site-1 flip: the CO_CP certificate decides.
+    t = partial_transpose(random_density(make_rng(3), (3, 3)), 0)
+    code, rep = run(["reconstruct", "--operator", operator_file(tmp_path, t)], capsys)
+    assert code == 0
+    assert rep["classification"] == "PRODUCT_POSITIVE_ONLY"
+    cert = rep["evidence"]["orientation_certificate"]
+    assert list(rep["evidence"]) == ["orientation_certificate"]
+    assert cert["class"] == "CO_CP" and cert["psd_tolerance"] == tolerances.PSD
+    assert cert["min_eig_choi"] < -tolerances.PSD <= cert["min_eig_flipped_choi"]
+
+
+def test_reconstruct_report_cites_seesaw_minimum(tmp_path, capsys):
+    # A traceless t is negative on some product state and in the NEITHER class.
+    t = random_hermitian(make_rng(4), (3, 3))
+    t = HermitianOperator((3, 3), t.mat - t.trace() / 9 * np.eye(9))
+    code, rep = run(["reconstruct", "--operator", operator_file(tmp_path, t)], capsys)
+    assert code == 1  # the unit-trace verdict fails
+    assert rep["classification"] == "INDEFINITE_ON_PRODUCTS"
+    assert rep["evidence"] == {
+        "seesaw_min": pytest.approx(product_seesaw_min(t).value, abs=1e-8),
+        "product_positive_threshold": tolerances.PRODUCT_POSITIVE,
+    }
+    assert rep["evidence"]["seesaw_min"] < -tolerances.PRODUCT_POSITIVE
 
 
 def test_classify_singlet(singlet_file, capsys):
@@ -179,6 +220,39 @@ def test_keller_basis_verifies_clique_against_graph(tmp_path, capsys):
     assert rep["report"]["graph"] == "G_STAR" and rep["report"]["first_failure"]
     assert verdicts["basis_valid"]["pass"]
     assert "not a G_STAR-clique" in verdicts["no_local_pairs"]["note"]
+
+
+@pytest.mark.parametrize("graph, verified", [("g", ["G"]), ("gstar", ["G_STAR", "G"])])
+def test_keller_basis_verifies_each_graph_once(tmp_path, monkeypatch, capsys, graph, verified):
+    # The --graph report is reused for the basis on G; under G* one G check follows.
+    path = str(tmp_path / "c.txt")
+    save_clique(path, bundled_candidate())
+    graphs = []
+
+    def counting(c, g=kel.Graph.G_STAR):
+        graphs.append(g.value)
+        return verify_clique(c, g)
+
+    monkeypatch.setattr(kel, "verify_clique", counting)
+    code, rep = run(["keller", "basis", "--file", path, "--graph", graph], capsys)
+    assert graphs == verified
+    assert code == (0 if graph == "g" else 1)
+    assert rep["report"] == verify_clique(bundled_candidate(), kel.Graph[verified[0]]).to_json()
+    assert rep["verdicts"]["basis_valid"]["pass"]
+
+
+def test_basis_from_report_needs_the_candidates_tiling_certificate():
+    cand = bundled_candidate()
+    basis = kel.basis_from_report(cand, verify_clique(cand, kel.Graph.G))
+    assert [e.key() for e in basis.elements] == [
+        e.key() for e in kel.basis_from_clique(cand).elements]
+    small = kel.clique_search(2, 4, kel.SearchMode.EXHAUSTIVE, graph=kel.Graph.G)
+    # Not a G*-clique; a clique of size 8 < 2^10; another candidate's certificate.
+    for report in (verify_clique(cand, kel.Graph.G_STAR),
+                   verify_clique(kel.CliqueCandidate(cand.n, cand.vectors[:8]), kel.Graph.G),
+                   verify_clique(small, kel.Graph.G)):
+        with pytest.raises(ValidationError):
+            kel.basis_from_report(cand, report)
 
 
 def test_check_framefn_violation_exit_1(capsys):

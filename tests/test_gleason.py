@@ -28,12 +28,15 @@ from nsgleason.linalg import (
     ValidationError,
     make_rng,
     partial_transpose,
+    hermitian_eig,
     proj,
     random_density,
     random_hermitian,
     random_unit,
     tensor_rows,
 )
+from nsgleason.orientation import Orientation, OrientationClass, classify_orientation
+from nsgleason.tolerances import PRODUCT_POSITIVE, PSD, UNIT_TRACE
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float
@@ -89,9 +92,17 @@ def test_reconstruct_partial_transpose_of_entangled_projector():
     rec = reconstruct_pvm(sample_from_operator(t, design.states), design, seed=4)
     assert np.linalg.norm(rec.t.mat - t.mat) <= 1e-8
     assert rec.classification is Classification.PRODUCT_POSITIVE_ONLY
-    # Min eigenvalue is -1/3, min product value is 0.
+    # Min eigenvalue is -1/3; the site-1 flip gives the PSD proj(phi)^T, so
+    # the orientation certificate decides and no see-saw runs.
     assert np.linalg.eigvalsh(t.mat)[0] == pytest.approx(-1 / 3, abs=1e-10)
-    assert rec.witness.value == pytest.approx(0.0, abs=1e-8)
+    assert rec.witness is None
+    assert rec.certificate.value is Orientation.CO_CP
+    assert rec.certificate.min_eig_choi == pytest.approx(-1 / 3, abs=1e-8)
+    assert rec.certificate.min_eig_flipped_choi == pytest.approx(0.0, abs=1e-8)
+    rep = rec.to_json()
+    assert rep["certificate"] == rec.certificate.to_json() and "witness" not in rep
+    # The min product value is 0.
+    assert product_seesaw_min(rec.t, seed=4).value == pytest.approx(0.0, abs=1e-8)
 
 
 def test_reconstruct_signalling_residual_floor():
@@ -159,9 +170,15 @@ def test_classify_bell_projector_density():
 
 
 def test_classify_swap_half():
-    cls, wit = classify_product_positivity(HermitianOperator((2, 2), SWAP / 2))
+    t = HermitianOperator((2, 2), SWAP / 2)
+    cls, cert = classify_product_positivity(t)
     assert cls is Classification.PRODUCT_POSITIVE_ONLY
-    assert wit.value == pytest.approx(0.0, abs=1e-8)
+    # Unit trace but one eigenvalue -1/2; the site-1 flip is the Bell projector.
+    assert cert.value is Orientation.CO_CP
+    assert cert.min_eig_choi == pytest.approx(-0.5, abs=1e-12)
+    assert cert.min_eig_flipped_choi == pytest.approx(0.0, abs=1e-12)
+    # The min product value is 0.
+    assert product_seesaw_min(t).value == pytest.approx(0.0, abs=1e-8)
 
 
 def test_classify_shifted_swap_indefinite():
@@ -354,3 +371,66 @@ def test_spanning_design_budget_exhausted():
     # One state is the first target, so the budget is 10 states: rank <= 10 < 16.
     with pytest.raises(ValidationError, match="non-generic"):
         spanning_design((2, 2), oversample=0.01, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# The orientation certificate against the see-saw-only classification.
+
+
+def seesaw_only_classification(t, restarts=64, seed=0):
+    """The rule without the certificate: density check, then the see-saw on
+    every other operator.  Returns (classification, witness or None)."""
+    if hermitian_eig(t).eigenvalues[-1] >= -PSD and abs(t.trace() - 1.0) <= UNIT_TRACE:
+        return Classification.DENSITY_MATRIX, None
+    wit = product_seesaw_min(t, restarts=restarts, seed=seed)
+    if wit.value >= -PRODUCT_POSITIVE:
+        return Classification.PRODUCT_POSITIVE_ONLY, wit
+    return Classification.INDEFINITE_ON_PRODUCTS, wit
+
+
+def operator_of_kind(rng, dims, kind, c):
+    """A test operator; ``c`` in [0, 1] sets its free scale or weight."""
+    if kind == "partial_transpose":  # rho^Gamma, flipped at a random site
+        return partial_transpose(random_density(rng, dims), int(rng.integers(2)))
+    if kind == "scaled_density":  # PSD, trace 1 + 2c or 1 - c/2
+        scale = 1 + 2 * c if rng.integers(2) else 1 - c / 2
+        return HermitianOperator(dims, scale * random_density(rng, dims).mat)
+    if kind == "shifted_swap":  # SWAP/d +- c I on (d, d)
+        d = dims[0]
+        swap = np.eye(d * d)[[j * d + i for i in range(d) for j in range(d)]]
+        return HermitianOperator((d, d), swap / d + rng.choice([-1, 1]) * c * np.eye(d * d))
+    if kind == "hermitian":
+        return random_hermitian(rng, dims)
+    # Mixture of two (generically entangled) projectors, the first one
+    # partially transposed in the decomposable kind: product-positive, and
+    # for 0 < c < 1 usually in the NEITHER class.
+    d_total = int(np.prod(dims))
+    a = HermitianOperator(dims, proj(random_unit(rng, d_total)))
+    if kind == "decomposable_mixture":
+        a = partial_transpose(a, 0)
+    return HermitianOperator(dims, c * a.mat + (1 - c) * proj(random_unit(rng, d_total)))
+
+
+@given(seeds, st.sampled_from([(2, 2), (2, 3), (3, 3), (4, 4)]),
+       st.sampled_from(["partial_transpose", "scaled_density", "shifted_swap", "hermitian",
+                        "projector_mixture", "decomposable_mixture"]),
+       st.sampled_from([0.0, 1e-3, 0.05, 0.3, 0.5, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_certificate_agrees_with_seesaw_only_rule(seed, dims, kind, c):
+    rng = make_rng(seed)
+    t = operator_of_kind(rng, dims, kind, c)
+    cls, evidence = classify_product_positivity(t, seed=seed)
+    want, ref_wit = seesaw_only_classification(t, seed=seed)
+    assert cls is want
+    if isinstance(evidence, OrientationClass):
+        assert evidence.value is not Orientation.NEITHER
+        if ref_wit is None:
+            ref_wit = product_seesaw_min(t, seed=seed)
+        # A product value is bounded below by the least eigenvalue of t and of t^Gamma.
+        bound = max(evidence.min_eig_choi, evidence.min_eig_flipped_choi)
+        assert ref_wit.value >= bound - 1e-10
+    else:  # decided by the see-saw: the same witness bytes
+        assert classify_orientation(t).value is Orientation.NEITHER
+        assert evidence.value == ref_wit.value
+        for got, ref in zip(evidence.factors, ref_wit.factors):
+            assert got.tobytes() == ref.tobytes()
