@@ -27,7 +27,7 @@ print("=== spanning design ===")
 design = spanning_design(dims, seed=2024)
 print(f"{len(design.states)} product states spanning a "
       f"{np.prod(dims) ** 2}-dimensional operator space "
-      f"(feature rank {design.feature_rank}, full rank: {design.full_rank})")
+      f"(feature rank {design.feature_rank})")
 
 print("\n=== round trip for a random density matrix ===")
 rho = random_density(rng, dims)

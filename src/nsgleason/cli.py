@@ -125,8 +125,9 @@ def cmd_reconstruct(args, argv):
         rep.data["evidence"] = {"seesaw_min": rec.witness.value,
                                 "product_positive_threshold": tol.PRODUCT_POSITIVE}
     rep.verdict("round_trip_frobenius", frob <= tol.ROUND_TRIP, frob, tol.ROUND_TRIP)
+    in_sample = int(round(args.holdout * len(design.states))) == 0
     rep.verdict("holdout_residual", rec.residual <= tol.HOLDOUT_RESIDUAL, rec.residual,
-                tol.HOLDOUT_RESIDUAL)
+                tol.HOLDOUT_RESIDUAL, "in sample: no rows were held out" if in_sample else "")
     rep.verdict("unit_trace", abs(rec.t.trace() - 1) <= tol.UNIT_TRACE, rec.t.trace(),
                 tol.UNIT_TRACE, "expected for weight-1 frame functions")
     return rep.finish(args.out)
@@ -283,8 +284,12 @@ def cmd_keller(args, argv):
         rep.verdict("clique_valid", report.is_clique, report.size, None,
                     f"pairwise adjacency in {graph.value}")
         # The G report decides the basis too; under G* the G check runs once more.
-        basis = (kel.basis_from_report(cand, report) if graph == kel.Graph.G
-                 else kel.basis_from_clique(cand))
+        try:
+            basis = (kel.basis_from_report(cand, report) if graph == kel.Graph.G
+                     else kel.basis_from_clique(cand))
+        except ValidationError as exc:  # no basis, so nothing more to check
+            rep.verdict("basis_exists", False, None, None, str(exc))
+            return rep.finish(args.out)
         v = validate_unentangled(basis)
         rep.verdict("basis_valid", v.is_valid, v.worst_overlap, tol.ORTHO_PAIR)
         if graph == kel.Graph.G_STAR:

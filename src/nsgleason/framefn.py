@@ -21,7 +21,7 @@ import numpy as np
 from . import tolerances as tol
 from .bases import ProductBasis, ProductState, site_stacks
 from .gleason import feature_of, projector_features
-from .linalg import HermitianOperator, ValidationError, check_unit_rows, tensor_rows
+from .linalg import HermitianOperator, ValidationError, check_unit_rows
 
 
 class LookupError_(KeyError):
@@ -63,7 +63,7 @@ class OperatorInduced(_Evaluated):
         return self.t.dims
 
     def _values(self, sites) -> np.ndarray:
-        vals = projector_features(tensor_rows(sites)) @ feature_of(self.t.mat)
+        vals = projector_features(sites) @ feature_of(self.t.mat)
         if self.nonnegative and vals.min(initial=0.0) < -tol.NONNEGATIVE_EVAL:
             raise ValidationError(f"declared non-negative but f = {vals.min():.3e}")
         return vals

@@ -32,6 +32,9 @@ from .linalg import (
 from .orientation import Orientation, OrientationClass, classify_orientation
 
 
+_S = 1.0 / np.sqrt(2.0)
+
+
 @lru_cache(maxsize=8)
 def hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal (Hilbert-Schmidt) basis of d x d Hermitian matrices.
@@ -44,20 +47,16 @@ def hermitian_basis(d: int) -> np.ndarray:
     for i in range(d):
         out[k, i, i] = 1.0
         k += 1
-    s = 1.0 / np.sqrt(2.0)
     for i in range(d):
         for j in range(i + 1, d):
-            out[k, i, j] = s
-            out[k, j, i] = s
+            out[k, i, j] = _S
+            out[k, j, i] = _S
             k += 1
-            out[k, i, j] = 1j * s
-            out[k, j, i] = -1j * s
+            out[k, i, j] = 1j * _S
+            out[k, j, i] = -1j * _S
             k += 1
     out.flags.writeable = False  # shared by every caller through the cache
     return out
-
-
-_S = 1.0 / np.sqrt(2.0)
 
 
 def _coordinates(diag, sym, anti) -> np.ndarray:
@@ -86,22 +85,18 @@ def feature_of(op: np.ndarray) -> np.ndarray:
     return _coordinates(diag, (upper + lower).real, (upper - lower).imag)
 
 
-def projector_features(psi: np.ndarray) -> np.ndarray:
-    """Feature rows of the projectors |psi_n><psi_n| for psi of shape (N, D).
+def projector_features(stacks) -> np.ndarray:
+    """Feature rows of the product projectors |psi_n><psi_n|, psi_n the tensor
+    product of row n of each per-site (N, d) stack.
 
     Row n equals feature_of(proj(psi_n)) up to rounding, without building
     the (N, D, D) stack of projectors: E_ij = psi_i conj(psi_j) and E_ji is
     its conjugate.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = tensor_rows(stacks)
     iu, ju = np.triu_indices(psi.shape[-1], 1)
     upper = psi[..., iu] * psi[..., ju].conj()
     return _coordinates(psi * psi.conj(), 2.0 * upper.real, 2.0 * upper.imag)
-
-
-def state_features(states) -> np.ndarray:
-    """Feature rows of a sequence of product states, one row per state."""
-    return projector_features(tensor_rows(site_stacks(states)))
 
 
 def vec_to_herm(x: np.ndarray) -> np.ndarray:
@@ -129,10 +124,6 @@ class SpanningDesign:
     states: tuple
     feature_rank: int
 
-    @property
-    def full_rank(self) -> bool:
-        return self.feature_rank == int(np.prod(self.dims)) ** 2
-
 
 def spanning_design(dims, oversample: float = 1.5, seed: int = 0) -> SpanningDesign:
     """Draw random product states until their features have full rank.
@@ -151,11 +142,10 @@ def spanning_design(dims, oversample: float = 1.5, seed: int = 0) -> SpanningDes
     while True:
         more = random_units(rng, dims, min(target, budget) - len(sites[0]))
         sites = [np.concatenate(pair) for pair in zip(sites, more)]
-        states = ProductState.batch(sites)
-        rank = np.linalg.matrix_rank(state_features(states), tol=tol.FEATURE_RANK)
+        rank = np.linalg.matrix_rank(projector_features(sites), tol=tol.FEATURE_RANK)
         if rank == n_feat:
-            return SpanningDesign(dims, tuple(states), int(rank))
-        if len(states) >= budget:
+            return SpanningDesign(dims, ProductState.batch(sites), int(rank))
+        if len(sites[0]) >= budget:
             raise ValidationError(
                 f"feature rank {rank} < {n_feat} within 10x budget (non-generic seed)"
             )
@@ -270,82 +260,85 @@ def classify_product_positivity(
     return Classification.INDEFINITE_ON_PRODUCTS, wit
 
 
-def _classified(t: HermitianOperator, residual: float, restarts: int, seed: int):
-    """The Reconstruction of t, with its classification's evidence filed by kind."""
+def fit(rows, values, dims, n_fit=None, restarts: int = 64, seed: int = 0) -> Reconstruction:
+    """Least-squares t with tr(t E_k) = values[k], ``rows[k]`` the feature row of
+    E_k, classified by classify_product_positivity.
+
+    The leading ``n_fit`` rows (default all) feed the solve; unless D^2 of their
+    singular values exceed ``tolerances.FEATURE_RANK``, ValidationError is raised.
+    The residual is the max absolute deviation on the rest, in sample if none.
+    """
+    n_fit = len(rows) if n_fit is None else n_fit
+    x, _, _, sv = np.linalg.lstsq(rows[:n_fit], values[:n_fit], rcond=None)
+    rank, n_feat = int(np.count_nonzero(sv > tol.FEATURE_RANK)), int(np.prod(dims)) ** 2
+    if rank < n_feat:
+        raise ValidationError(f"{n_fit} fit rows have feature rank {rank} < {n_feat}")
+    t = HermitianOperator(dims, vec_to_herm(x))
+    test = slice(n_fit if n_fit < len(rows) else 0, None)
+    residual = float(np.max(np.abs(rows[test] @ x - values[test])))
     cls, evidence = classify_product_positivity(t, restarts=restarts, seed=seed)
-    if isinstance(evidence, Witness):
-        return Reconstruction(t, residual, cls, witness=evidence)
-    return Reconstruction(t, residual, cls, certificate=evidence)
+    kind = "witness" if isinstance(evidence, Witness) else "certificate"
+    return Reconstruction(t, residual, cls, **{kind: evidence})
 
 
 def reconstruct_pvm(
     f, design: SpanningDesign, holdout: float = 0.2, restarts: int = 64, seed: int = 0
 ) -> Reconstruction:
-    """Recover the operator behind a frame function by least squares.
+    """Recover the operator behind a frame function: :func:`fit` on the design.
 
-    The design is split deterministically: the leading (1 - holdout)
-    fraction feeds the solve, the rest measures the residual (max absolute
-    deviation — single-point failures stay visible).  Local dims must be at
-    least 3; use :func:`reconstruct_povm` for qubit sites.
+    The leading (1 - holdout) fraction of the states feeds the solve, the
+    rest measures the residual (in sample if no state is held out); fitted
+    states that do not span operator space raise ValidationError.  Local dims
+    must be at least 3; use :func:`reconstruct_povm` for qubit sites.
     """
     if min(design.dims) < 3:
         raise ValidationError(
             "projective reconstruction requires local dims >= 3; use the effect path"
         )
-    if not design.full_rank:
-        raise ValidationError("design features are rank-deficient")
-    states = design.states
-    n_fit = len(states) - int(round(holdout * len(states)))
-    rows = state_features(states)
-    vals = np.array([f(s) for s in states])
-    x = np.linalg.lstsq(rows[:n_fit], vals[:n_fit], rcond=None)[0]
-    t = HermitianOperator(design.dims, vec_to_herm(x))
-    residual = np.max(np.abs(rows[n_fit:] @ x - vals[n_fit:]), initial=0.0)
-    return _classified(t, float(residual), restarts, seed)
+    vals = np.array([f(s) for s in design.states])
+    n_fit = len(vals) - int(round(holdout * len(vals)))
+    return fit(projector_features(site_stacks(design.states)), vals, design.dims, n_fit,
+               restarts=restarts, seed=seed)
+
+
+def _effect_rows(effects) -> np.ndarray:
+    """Feature rows of the product effects of (e1, e2) pairs, one batched Kronecker product."""
+    e1, e2 = (np.asarray(site, dtype=complex) for site in zip(*effects))
+    d = e1.shape[-1] * e2.shape[-1]
+    return feature_of((e1[:, :, None, :, None] * e2[:, None, :, None, :]).reshape(-1, d, d))
 
 
 def reconstruct_povm(samples, dims, restarts: int = 64, seed: int = 0) -> Reconstruction:
-    """Recover an operator from values on product effects f(e) = tr(t e).
-
-    ``samples`` is a sequence of ((e1, e2), value) with each local effect
-    satisfying 0 <= e_i <= 1.  Works for any local dims >= 2.
+    """Recover an operator from values on product effects f(e) = tr(t e) by
+    :func:`fit` on all samples: the residual is in sample, and samples that do
+    not span operator space raise ValidationError.  ``samples`` is a sequence
+    of ((e1, e2), value), each local effect 0 <= e_i <= 1, any local dims >= 2.
     """
-    dims = tuple(int(d) for d in dims)
-    samples = list(samples)
-    for (e1, e2), _ in samples:
-        for e in (e1, e2):
-            ev = np.linalg.eigvalsh(np.asarray(e, dtype=complex))
-            if ev[0] < -tol.EFFECT_SPECTRUM or ev[-1] > 1 + tol.EFFECT_SPECTRUM:
-                raise ValidationError("effect spectrum outside [0, 1]")
-    rows = feature_of(np.array([np.kron(e1, e2) for (e1, e2), _ in samples]))
-    vals = np.array([val for _, val in samples])
-    n_feat = int(np.prod(dims)) ** 2
-    if np.linalg.matrix_rank(rows, tol=tol.FEATURE_RANK) < n_feat:
-        raise ValidationError("effect samples are rank-deficient")
-    x = np.linalg.lstsq(rows, vals, rcond=None)[0]
-    t = HermitianOperator(dims, vec_to_herm(x))
-    residual = float(np.max(np.abs(rows @ x - vals)))
-    return _classified(t, residual, restarts, seed)
+    effects, vals = zip(*samples)
+    for site in zip(*effects):
+        ev = np.linalg.eigvalsh(np.asarray(site, dtype=complex))
+        if ev[:, 0].min() < -tol.EFFECT_SPECTRUM or ev[:, -1].max() > 1 + tol.EFFECT_SPECTRUM:
+            raise ValidationError("effect spectrum outside [0, 1]")
+    return fit(_effect_rows(effects), np.array(vals), dims, restarts=restarts, seed=seed)
 
 
 def random_product_effects(rng: np.random.Generator, dims, count: int) -> list:
-    """Random product effects e1 (x) e2 with spectra in [0, 1]."""
-    out = []
-    for _ in range(count):
-        effs = []
-        for d in dims:
-            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            h = 0.5 * (z + z.conj().T)
-            ev = np.linalg.eigvalsh(h)
-            # Affinely squash the spectrum into [0, 1].
-            h = (h - ev[0] * np.eye(d)) / max(ev[-1] - ev[0], tol.EFFECT_SPREAD_FLOOR)
-            effs.append(h)
-        out.append(tuple(effs))
-    return out
+    """Random product effects e1 (x) e2 with spectra in [0, 1], drawn as per-site stacks."""
+    sq = [d * d for d in dims]
+    z = np.split(rng.standard_normal((count, 2 * sum(sq))), 2 * np.cumsum(sq)[:-1], axis=1)
+    sites = []
+    for d, x in zip(dims, z):
+        h = (x[:, :d * d] + 1j * x[:, d * d:]).reshape(-1, d, d)
+        h = 0.5 * (h + h.conj().swapaxes(1, 2))
+        ev = np.linalg.eigvalsh(h)
+        # Affinely squash each spectrum into [0, 1].
+        spread = np.maximum(ev[:, -1] - ev[:, 0], tol.EFFECT_SPREAD_FLOOR)
+        sites.append((h - ev[:, :1, None] * np.eye(d)) / spread[:, None, None])
+    return list(zip(*sites))
 
 
 def sample_effects_from_operator(t: HermitianOperator, effects) -> list:
-    return [
-        ((e1, e2), float(np.trace(t.mat @ np.kron(e1, e2)).real))
-        for e1, e2 in effects
-    ]
+    """((e1, e2), tr(t (e1 (x) e2))) for each product effect, in one matmul."""
+    effects = list(effects)
+    values = _effect_rows(effects) @ feature_of(t.mat)
+    return [((e1, e2), float(v)) for (e1, e2), v in zip(effects, values)]

@@ -168,10 +168,11 @@ def deterministic_box() -> Box:
     return Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), table)
 
 
-def _basis_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows u[:, i] (x) v[:, j] over the columns of u and v, i major; stacks pair by pair."""
+def _basis_products(u: np.ndarray, v: np.ndarray) -> list:
+    """Per-site stacks of u[:, i] (x) v[:, j] over the columns, i major; stacks pair by pair."""
     u, v = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
-    return (u[..., None, :, None] * v[..., None, :, None, :]).reshape(-1, u.shape[-1] * v.shape[-1])
+    return [np.repeat(u, v.shape[-2], axis=-2).reshape(-1, u.shape[-1]),
+            np.concatenate([v] * u.shape[-2], axis=-2).reshape(-1, v.shape[-1])]
 
 
 def box_from_operator(t: HermitianOperator, realizations) -> Box:
@@ -369,7 +370,7 @@ def _positivity_rows(rng: np.random.Generator, dims, count: int) -> np.ndarray:
     constraint).
     """
     u, v = random_onbs(rng, dims, -(-count // int(np.prod(dims))))
-    return projector_features(_basis_products(u, v)[:count])
+    return projector_features([site[:count] for site in _basis_products(u, v)])
 
 
 @dataclass(frozen=True)
@@ -403,12 +404,19 @@ class ExtensionVerdict:
         return out
 
 
+def _operator_space(realizations):
+    """Local dims of realizations, the D^2 coordinates of t, and the feature row of tr(t)."""
+    dims = tuple(r[next(iter(r))].shape[0] for r in realizations)
+    d_total = int(np.prod(dims))
+    return dims, d_total * d_total, feature_of(np.eye(d_total))
+
+
 def _box_equalities(box: Box):
     """Feature rows and targets for tr(t (p_A (x) q_B)) = P(A,B|a,b)."""
     pairs = [(a, b) for a in box.settings[0] for b in box.settings[1]]
-    psi = [_basis_products(box.realizations[0][a], box.realizations[1][b]) for a, b in pairs]
+    stacks = [_basis_products(box.realizations[0][a], box.realizations[1][b]) for a, b in pairs]
     vals = [box.block(a, b).ravel() for a, b in pairs]
-    return projector_features(np.concatenate(psi)), np.concatenate(vals)
+    return projector_features([np.concatenate(s) for s in zip(*stacks)]), np.concatenate(vals)
 
 
 def _vertex_lp(eq_rows, eq_vals, pos_rows, trace_row):
@@ -479,13 +487,10 @@ def quantum_extension(
     in round 1; AMBIGUOUS means ``max_rounds`` ran out.  A failed solve gives
     ERROR with the HiGHS status and message, never a verdict.
     """
-    dims = tuple(r[next(iter(r))].shape[0] for r in box.realizations or ())
-    if not dims:
+    if not box.realizations:
         raise ValidationError("quantum_extension requires projective realizations")
-    d_total = int(np.prod(dims))
-    n_var = d_total * d_total
+    dims, n_var, trace_row = _operator_space(box.realizations)
     eq_rows, eq_vals = _box_equalities(box)
-    trace_row = feature_of(np.eye(d_total))
     rng = make_rng(seed)
     pos_rows = _positivity_rows(rng, dims, positivity_samples)
     fit_rows, fit_vals = np.vstack([eq_rows, trace_row]), np.append(eq_vals, 1.0)
@@ -543,8 +548,8 @@ def quantum_extension(
             kind, t, residual, wit = tried[-1]
             return ExtensionVerdict("AMBIGUOUS", residual, t=t, seesaw_min=wit.value,
                                     rounds=rounds, candidate=kind)
-        products = np.stack([np.kron(*wit.factors) for *_, wit in tried])
-        pos_rows = np.vstack([pos_rows, projector_features(products)])
+        factors = zip(*(wit.factors for *_, wit in tried))
+        pos_rows = np.vstack([pos_rows, projector_features([np.array(f) for f in factors])])
 
 
 def max_chsh_lp(realizations, sample_schedule=(250, 500, 1000, 2000), seed: int = 0):
@@ -554,20 +559,15 @@ def max_chsh_lp(realizations, sample_schedule=(250, 500, 1000, 2000), seed: int 
     of bounds is nonincreasing.  Returns the list of bounds (inf where the
     LP is unbounded); any other solver failure raises SolverError.
     """
-    dims = tuple(r[next(iter(r))].shape[0] for r in realizations)
-    d_total = int(np.prod(dims))
-    n_var = d_total * d_total
-    settings = [realizations[0][lbl] for lbl in realizations[0]]
-    settings += [realizations[1][lbl] for lbl in realizations[1]]
-    objective = feature_of(bell_operator(settings))
+    dims, n_var, trace_row = _operator_space(realizations)
+    objective = feature_of(bell_operator([m for site in realizations for m in site.values()]))
     rng = make_rng(seed)
     all_rows = _positivity_rows(rng, dims, max(sample_schedule))
-    a_eq = feature_of(np.eye(d_total))[None, :]
     bounds = []
     for count in sample_schedule:
         res = linprog(
             -objective, A_ub=-all_rows[:count], b_ub=np.zeros(count),
-            A_eq=a_eq, b_eq=[1.0], bounds=[(None, None)] * n_var, method="highs",
+            A_eq=trace_row[None, :], b_eq=[1.0], bounds=[(None, None)] * n_var, method="highs",
         )
         if res.status not in (0, 3):  # 3: unbounded, too few samples to pin t down
             raise SolverError(res.status, res.message, f"max_chsh_lp at {count} samples")

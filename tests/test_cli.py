@@ -13,7 +13,8 @@ from nsgleason import cli, tolerances
 from nsgleason import keller as kel
 from nsgleason.bases import twisted_example_certificate, validate_unentangled
 from nsgleason.cli import main
-from nsgleason.gleason import product_seesaw_min
+from nsgleason.framefn import sample_from_operator
+from nsgleason.gleason import product_seesaw_min, reconstruct_pvm, spanning_design
 from nsgleason.keller import bundled_candidate, save_clique, verify_clique
 from nsgleason.linalg import (
     HermitianOperator,
@@ -117,6 +118,30 @@ def test_reconstruct_report_cites_seesaw_minimum(tmp_path, capsys):
         "product_positive_threshold": tolerances.PRODUCT_POSITIVE,
     }
     assert rep["evidence"]["seesaw_min"] < -tolerances.PRODUCT_POSITIVE
+
+
+@pytest.mark.parametrize("flags, fitted", [(["--oversample", "1.0"], 65),
+                                           (["--holdout", "0.5"], 61), (["--holdout", "1"], 0)])
+def test_reconstruct_exits_2_when_fit_rows_do_not_span(rho_file, capsys, flags, fitted):
+    # (3, 3) operators have 81 coordinates; 65 of 81 states, 61 of 122 or none are fitted.
+    code = main(["reconstruct", "--operator", rho_file] + flags)
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == f"{fitted} fit rows have feature rank {fitted} < 81"
+
+
+def test_reconstruct_holdout_0_reports_the_in_sample_residual(rho_file, capsys):
+    code, rep = run(["reconstruct", "--operator", rho_file, "--holdout", "0"], capsys)
+    assert code == 0
+    verdict = rep["verdicts"]["holdout_residual"]
+    assert verdict["note"] == "in sample: no rows were held out"
+    with open(rho_file) as fh:
+        t = HermitianOperator.from_json(json.load(fh))
+    design = spanning_design(t.dims, seed=0)
+    rec = reconstruct_pvm(sample_from_operator(t, design.states), design, holdout=0.0)
+    assert verdict["value"] == rec.residual > 0.0
+    _, rep = run(["reconstruct", "--operator", rho_file], capsys)
+    assert rep["verdicts"]["holdout_residual"]["note"] == ""
 
 
 def test_classify_singlet(singlet_file, capsys):
@@ -239,6 +264,27 @@ def test_keller_basis_verifies_each_graph_once(tmp_path, monkeypatch, capsys, gr
     assert code == (0 if graph == "g" else 1)
     assert rep["report"] == verify_clique(bundled_candidate(), kel.Graph[verified[0]]).to_json()
     assert rep["verdicts"]["basis_valid"]["pass"]
+
+
+@pytest.mark.parametrize("lines, graph, is_clique", [
+    ("00 01 10 11", "g", False), ("00 01 10 11", "gstar", False),
+    ("00 02", "g", True), ("00 12", "gstar", True)])
+def test_keller_basis_reports_a_candidate_without_a_basis(tmp_path, capsys, lines, graph,
+                                                          is_clique):
+    # No G-clique of size 2^n, so no basis: the report and both verdicts, exit 1, no file.
+    path, out_basis = tmp_path / "c.txt", tmp_path / "basis.json"
+    path.write_text("\n".join(lines.split()) + "\n")
+    code, rep = run(["keller", "basis", "--file", str(path), "--graph", graph,
+                     "--out-basis", str(out_basis)], capsys)
+    assert code == 1
+    g = kel.Graph.G if graph == "g" else kel.Graph.G_STAR
+    assert rep["report"] == verify_clique(kel.load_clique(path), g).to_json()
+    verdicts = rep["verdicts"]
+    assert list(verdicts) == ["clique_valid", "basis_exists"]
+    assert verdicts["clique_valid"]["pass"] is is_clique
+    assert not verdicts["basis_exists"]["pass"]
+    assert verdicts["basis_exists"]["note"] == "candidate is not a verified G-clique of size 2^n"
+    assert rep["artifacts"] == [] and not out_basis.exists()
 
 
 def test_basis_from_report_needs_the_candidates_tiling_certificate():

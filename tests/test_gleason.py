@@ -1,15 +1,19 @@
 """Tests for operator reconstruction and product-positivity classification."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsgleason.bases import ProductState
+from nsgleason.bases import ProductState, site_stacks
 from nsgleason.framefn import make_signalling_example, sample_from_operator
 from nsgleason.gleason import (
     Classification,
+    Witness,
     classify_product_positivity,
+    fit,
     hermitian_basis,
     product_seesaw_min,
     projector_features,
@@ -18,7 +22,6 @@ from nsgleason.gleason import (
     reconstruct_pvm,
     sample_effects_from_operator,
     spanning_design,
-    state_features,
     feature_of,
     vec_to_herm,
     _lowest_eigenpairs,
@@ -36,7 +39,7 @@ from nsgleason.linalg import (
     tensor_rows,
 )
 from nsgleason.orientation import Orientation, OrientationClass, classify_orientation
-from nsgleason.tolerances import PRODUCT_POSITIVE, PSD, UNIT_TRACE
+from nsgleason.tolerances import FEATURE_RANK, PRODUCT_POSITIVE, PSD, UNIT_TRACE
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float
@@ -157,10 +160,39 @@ def test_povm_recovers_swap_half():
     assert rec.classification is Classification.PRODUCT_POSITIVE_ONLY
 
 
+def test_povm_sample_values_match_trace():
+    rng = make_rng(14)
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        t = random_hermitian(rng, dims)
+        effects = random_product_effects(rng, dims, 30)
+        samples = sample_effects_from_operator(t, effects)
+        for (e1, e2), ((s1, s2), value) in zip(effects, samples):
+            assert s1 is e1 and s2 is e2
+            assert abs(value - np.trace(t.mat @ np.kron(e1, e2)).real) <= 1e-14
+
+
+def test_povm_rejects_spanning_too_little():
+    # 15 effects cannot span the 16 dimensions of two-qubit operators.
+    rng = make_rng(15)
+    effects = random_product_effects(rng, (2, 2), 15)
+    samples = sample_effects_from_operator(random_density(rng, (2, 2)), effects)
+    with pytest.raises(ValidationError, match="feature rank 15 < 16"):
+        reconstruct_povm(samples, (2, 2))
+
+
 def test_povm_rejects_bad_effect():
     bad = np.diag([1.5, 0.0])
     with pytest.raises(ValidationError):
         reconstruct_povm([((bad, np.eye(2)), 0.3)], (2, 2))
+    # One effect outside [0, 1], at either site of any sample among valid ones.
+    for bad, position, site in itertools.product(
+            (np.diag([1.5, 0.0]), np.diag([0.5, -0.1])), (0, 20, 39), (0, 1)):
+        effects = random_product_effects(make_rng(16), (2, 2), 40)
+        pair = list(effects[position])
+        pair[site] = bad
+        effects[position] = tuple(pair)
+        with pytest.raises(ValidationError, match="spectrum"):
+            reconstruct_povm([(e, 0.25) for e in effects], (2, 2))
 
 
 def test_classify_bell_projector_density():
@@ -225,15 +257,17 @@ def test_feature_of_matches_dense_basis(seed, d, hermitian):
         assert np.max(np.abs(feature_of(op) - row)) <= 1e-15
 
 
-@given(seeds, st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (2, 2, 2)]))
-@settings(max_examples=40, deadline=None)
+@given(seeds, st.sampled_from([(1,), (3,), (5,), (1, 1), (2, 2), (2, 3), (3, 3), (4, 4),
+                               (2, 2, 2), (2, 3, 2), (3, 3, 2)]))
+@settings(max_examples=60, deadline=None)
 def test_product_state_rows_match_dense_basis(seed, dims):
+    # One to three sites; the full vectors also go in as a one-site stack.
     rng = make_rng(seed)
     states = [ProductState(tuple(random_unit(rng, d) for d in dims)) for _ in range(5)]
     dense = np.array([einsum_features(proj(s.full())) for s in states])
-    assert np.max(np.abs(state_features(states) - dense)) <= 1e-15
+    assert np.max(np.abs(projector_features(site_stacks(states)) - dense)) <= 1e-15
     psi = np.array([s.full() for s in states])
-    assert np.max(np.abs(projector_features(psi) - dense)) <= 1e-15
+    assert np.max(np.abs(projector_features([psi]) - dense)) <= 1e-15
 
 
 @given(seeds, st.integers(min_value=1, max_value=9))
@@ -371,6 +405,39 @@ def test_spanning_design_budget_exhausted():
     # One state is the first target, so the budget is 10 states: rank <= 10 < 16.
     with pytest.raises(ValidationError, match="non-generic"):
         spanning_design((2, 2), oversample=0.01, seed=0)
+
+
+@given(seeds, st.sampled_from([(2, 2), (2, 3), (3, 3)]), st.booleans(),
+       st.sampled_from([None, 1.5, 0.8]))
+@settings(max_examples=40, deadline=None)
+def test_fit_matches_lstsq_and_matrix_rank(seed, dims, deficient, fit_share):
+    # 2 D^2 random rows; a deficient set reads its first coordinate twice, and
+    # a fit share of 0.8 D^2 rows is too few to span.
+    rng = make_rng(seed)
+    n_feat = int(np.prod(dims)) ** 2
+    rows = rng.standard_normal((2 * n_feat, n_feat))
+    if deficient:
+        rows[:, -1] = rows[:, 0]
+    values = rows @ rng.standard_normal(n_feat) + 1e-3 * rng.standard_normal(2 * n_feat)
+    n_fit = None if fit_share is None else int(fit_share * n_feat)
+    x = np.linalg.lstsq(rows[:n_fit], values[:n_fit], rcond=None)[0]
+    if np.linalg.matrix_rank(rows[:n_fit], tol=FEATURE_RANK) < n_feat:
+        assert deficient or fit_share == 0.8
+        with pytest.raises(ValidationError, match="feature rank"):
+            fit(rows, values, dims, n_fit)
+        return
+    rec = fit(rows, values, dims, n_fit, restarts=8, seed=seed)
+    assert rec.t.mat.tobytes() == HermitianOperator(dims, vec_to_herm(x)).mat.tobytes()
+    test = slice(None) if n_fit is None else slice(n_fit, None)  # in sample without a holdout
+    assert rec.residual == np.max(np.abs(rows[test] @ x - values[test]))
+    cls, evidence = classify_product_positivity(rec.t, restarts=8, seed=seed)
+    assert rec.classification is cls
+    if isinstance(evidence, Witness):
+        assert rec.witness.value == evidence.value and rec.certificate is None
+        for got, want in zip(rec.witness.factors, evidence.factors):
+            assert got.tobytes() == want.tobytes()
+    else:
+        assert rec.certificate == evidence and rec.witness is None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from scipy.optimize import OptimizeResult, linprog, minimize
 from nsgleason import tolerances as tol
 from nsgleason.bases import ProductState
 from nsgleason.framefn import OperatorInduced, make_signalling_example
-from nsgleason.gleason import feature_of, product_seesaw_min, projector_features, vec_to_herm
+from nsgleason.gleason import _coordinates, feature_of, product_seesaw_min, vec_to_herm
 from nsgleason.linalg import (
     HermitianOperator,
     ValidationError,
@@ -141,14 +141,25 @@ def test_check_framefn_matches_looped_check(dims, seed):
     assert abs(rep.max_discrepancy - looped_check_framefn(f, 40, seed)[0]) <= 1e-12
 
 
+def full_vector_features(psi):
+    """Feature rows of |psi_n><psi_n| from full vectors psi of shape (N, D), as
+    projector_features built them before it took per-site stacks."""
+    iu, ju = np.triu_indices(psi.shape[-1], 1)
+    upper = psi[..., iu] * psi[..., ju].conj()
+    return _coordinates(psi * psi.conj(), 2.0 * upper.real, 2.0 * upper.imag)
+
+
+def full_basis_products(u, v):
+    """Full vectors u[:, i] (x) v[:, j] over the columns of u and v, i major."""
+    return (u.T[:, None, :, None] * v.T[None, :, None, :]).reshape(-1, len(u) * len(v))
+
+
 def looped_positivity_rows(rng, dims, count):
     """_positivity_rows with one random_onb call per local basis."""
     d1, d2 = dims
-    psi = []
-    for _ in range(-(-count // (d1 * d2))):
-        u, v = random_onb(rng, d1), random_onb(rng, d2)
-        psi.append((u.T[:, None, :, None] * v.T[None, :, None, :]).reshape(-1, d1 * d2))
-    return projector_features(np.concatenate(psi)[:count])
+    psi = [full_basis_products(random_onb(rng, d1), random_onb(rng, d2))
+           for _ in range(-(-count // (d1 * d2)))]
+    return full_vector_features(np.concatenate(psi)[:count])
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 3), (4, 2)]),
@@ -157,6 +168,24 @@ def looped_positivity_rows(rng, dims, count):
 def test_positivity_rows_match_looped_draws(seed, dims, count):
     got = _positivity_rows(make_rng(seed), dims, count)
     assert got.tobytes() == looped_positivity_rows(make_rng(seed), dims, count).tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 3), (4, 2)]),
+       st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_box_rows_match_full_vector_products(seed, dims, n_settings):
+    # Box tables and equality rows are byte-identical to the rows of full product vectors.
+    rng = make_rng(seed)
+    real = tuple({lbl: random_onb(rng, d) for lbl in range(n_settings)} for d in dims)
+    t = random_density(rng, dims)
+    box = box_from_operator(t, real)
+    products = {(a, b): full_basis_products(real[0][a], real[1][b]) for a in real[0] for b in real[1]}
+    for (a, b), psi in products.items():
+        want = (full_vector_features(psi) @ feature_of(t.mat)).reshape(dims)
+        assert box.block(a, b).tobytes() == want.tobytes()
+    rows, vals = _box_equalities(box)
+    assert rows.tobytes() == full_vector_features(np.concatenate(list(products.values()))).tobytes()
+    assert vals.tobytes() == np.concatenate([box.block(*k).ravel() for k in products]).tobytes()
 
 
 def test_chsh_singlet_standard_settings():
