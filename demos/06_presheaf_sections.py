@@ -6,6 +6,10 @@ context an outcome distribution, and these assignments restrict consistently
 along every refinement edge — they form a global section.  A signalling
 assignment cannot: two fine contexts that share a coarse-graining disagree
 about the shared node.
+
+Each context is stored as one (n, d, d) stack of projectors, and each
+refinement edge as two 0/1 aggregation matrices, one per site: restricting a
+fine distribution is A_L @ dist @ A_R^T.
 """
 
 import numpy as np

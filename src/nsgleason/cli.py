@@ -138,14 +138,14 @@ def cmd_check(args, argv):
     if args.box:
         report = check_box(_load(args.box, Box))
         rep.verdict("box_no_signalling", report.passed, report.max_discrepancy,
-                    tol.NO_SIGNALLING)
+                    report.tolerance)
         if report.witness:
             rep.data["witness"] = report.witness
     else:
         f = make_signalling_example(args.dims, args.theta)
         report = check_framefn(f, trials=args.trials, seed=args.seed)
         rep.verdict("framefn_no_signalling", report.passed, report.max_discrepancy,
-                    tol.NO_SIGNALLING, "violation is the expected outcome for theta not in pi*Z")
+                    report.tolerance, "violation is the expected outcome for theta not in pi*Z")
         if report.witness:
             rep.data["witness"] = {
                 k: v for k, v in report.witness.items() if k in ("trial", "site")
@@ -247,7 +247,7 @@ def cmd_section(args, argv):
     rep.data["n_contexts"] = len(contexts)
     rep.data["n_edges"] = len(edges)
     rep.verdict("section_consistent", report.passed, report.max_distance,
-                tol.SECTION_CONSISTENT, report.worst_edge or "")
+                report.tolerance, report.worst_edge or "")
     return rep.finish(args.out)
 
 
@@ -313,6 +313,13 @@ def int_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
 
 
+def unit_fraction(text: str) -> float:
+    """argparse type of a number in [0, 1], such as "0.2"."""
+    if not 0.0 <= float(text) <= 1.0:
+        raise argparse.ArgumentTypeError(f"not a number in [0, 1]: {text!r}")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nsgleason",
@@ -328,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reconstruct", help="round-trip operator reconstruction")
     sp.add_argument("--operator", required=True, help="operator JSON file")
     sp.add_argument("--oversample", type=float, default=1.5)
-    sp.add_argument("--holdout", type=float, default=0.2)
+    sp.add_argument("--holdout", type=unit_fraction, default=0.2)
     common(sp)
     sp.set_defaults(func=cmd_reconstruct)
 

@@ -291,6 +291,8 @@ def reconstruct_pvm(
     states that do not span operator space raise ValidationError.  Local dims
     must be at least 3; use :func:`reconstruct_povm` for qubit sites.
     """
+    if not 0.0 <= holdout <= 1.0:
+        raise ValidationError(f"holdout {holdout!r} is not in [0, 1]")
     if min(design.dims) < 3:
         raise ValidationError(
             "projective reconstruction requires local dims >= 3; use the effect path"

@@ -48,6 +48,13 @@ def tensor_rows(stacks) -> np.ndarray:
     return out
 
 
+def basis_products(u: np.ndarray, v: np.ndarray) -> list:
+    """Per-site stacks of u[:, i] (x) v[:, j] over the columns, i major; stacks pair by pair."""
+    u, v = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
+    return [np.repeat(u, v.shape[-2], axis=-2).reshape(-1, u.shape[-1]),
+            np.concatenate([v] * u.shape[-2], axis=-2).reshape(-1, v.shape[-1])]
+
+
 def canonical_phase(v: np.ndarray) -> np.ndarray:
     """Rescale a vector so its first nonzero amplitude is real positive.
 

@@ -27,6 +27,7 @@ from .gleason import (
 from .linalg import (
     HermitianOperator,
     ValidationError,
+    basis_products,
     make_rng,
     onbs_from_normals,
     proj,
@@ -168,13 +169,6 @@ def deterministic_box() -> Box:
     return Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), table)
 
 
-def _basis_products(u: np.ndarray, v: np.ndarray) -> list:
-    """Per-site stacks of u[:, i] (x) v[:, j] over the columns, i major; stacks pair by pair."""
-    u, v = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
-    return [np.repeat(u, v.shape[-2], axis=-2).reshape(-1, u.shape[-1]),
-            np.concatenate([v] * u.shape[-2], axis=-2).reshape(-1, v.shape[-1])]
-
-
 def box_from_operator(t: HermitianOperator, realizations) -> Box:
     """Box of tr(t (p_A (x) q_B)) at the given measurement bases; Box raises
     ValidationError on a negative or unnormalized block."""
@@ -182,7 +176,7 @@ def box_from_operator(t: HermitianOperator, realizations) -> Box:
     n_out = tuple(next(iter(site.values())).shape[1] for site in realizations)
     outcomes = tuple(tuple(range(n)) for n in n_out)
     coords = feature_of(t.mat)
-    table = {(a, b): (projector_features(_basis_products(realizations[0][a], realizations[1][b]))
+    table = {(a, b): (projector_features(basis_products(realizations[0][a], realizations[1][b]))
                       @ coords).reshape(n_out)
              for a in settings[0] for b in settings[1]}
     return Box(settings, outcomes, table, tuple(realizations))
@@ -192,10 +186,11 @@ def box_from_operator(t: HermitianOperator, realizations) -> Box:
 class NoSigReport:
     max_discrepancy: float
     witness: dict | None = None
+    tolerance = tol.NO_SIGNALLING  # a class constant: the largest max_discrepancy that passes
 
     @property
     def passed(self) -> bool:
-        return self.max_discrepancy <= tol.NO_SIGNALLING
+        return self.max_discrepancy <= self.tolerance
 
 
 def check_box(box: Box) -> NoSigReport:
@@ -370,7 +365,7 @@ def _positivity_rows(rng: np.random.Generator, dims, count: int) -> np.ndarray:
     constraint).
     """
     u, v = random_onbs(rng, dims, -(-count // int(np.prod(dims))))
-    return projector_features([site[:count] for site in _basis_products(u, v)])
+    return projector_features([site[:count] for site in basis_products(u, v)])
 
 
 @dataclass(frozen=True)
@@ -414,7 +409,7 @@ def _operator_space(realizations):
 def _box_equalities(box: Box):
     """Feature rows and targets for tr(t (p_A (x) q_B)) = P(A,B|a,b)."""
     pairs = [(a, b) for a in box.settings[0] for b in box.settings[1]]
-    stacks = [_basis_products(box.realizations[0][a], box.realizations[1][b]) for a, b in pairs]
+    stacks = [basis_products(box.realizations[0][a], box.realizations[1][b]) for a, b in pairs]
     vals = [box.block(a, b).ravel() for a, b in pairs]
     return projector_features([np.concatenate(s) for s in zip(*stacks)]), np.concatenate(vals)
 

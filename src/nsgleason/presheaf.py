@@ -1,50 +1,50 @@
 """Finite families of product measurement contexts and global sections.
 
-A context is a PVM; product contexts pair one PVM per site and are ordered
-by coarse-graining on each side.  A section assigns one outcome distribution
-to each context in a family; consistency means every distribution restricts
-correctly along every refinement edge.  Cross-site edges (coarsening one
-side to the trivial measurement) encode exactly the no-signalling
-constraints, so a signalling frame function shows up here as a failed edge.
+A context is a PVM held as one (n, d, d) projector stack; product contexts
+pair one per site, ordered by coarse-graining.  A refinement edge keeps a 0/1
+aggregation matrix A per site: the coarse stack is A @ fine, and restriction
+is A_L @ dist @ A_R^T.  A section assigns an outcome distribution to each
+context and is consistent when every one restricts correctly along every
+edge.  Cross-site edges (coarsening one side to the trivial measurement) are
+exactly the no-signalling constraints: a signalling frame function fails one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tolerances as tol
-from .linalg import HermitianOperator, ValidationError, canonical_phase, make_rng, proj, random_onbs
+from .linalg import (HermitianOperator, ValidationError, basis_products, canonical_phase, make_rng,
+                     random_onbs)
 
 
 @dataclass(frozen=True)
 class Context:
-    """A PVM: mutually orthogonal projectors summing to identity."""
+    """A PVM: a read-only (n, d, d) stack of mutually orthogonal projectors summing to identity."""
 
-    projectors: tuple
+    projectors: np.ndarray
     label: str
 
     def __post_init__(self):
-        projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
-        d = projs[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for i, p in enumerate(projs):
-            if np.max(np.abs(p - p.conj().T)) > tol.PVM:
-                raise ValidationError(f"projector {i} not Hermitian")
-            if np.max(np.abs(p @ p - p)) > tol.PVM:
-                raise ValidationError(f"projector {i} not idempotent")
-            for q in projs[:i]:
-                if np.max(np.abs(p @ q)) > tol.PVM:
-                    raise ValidationError("projectors not mutually orthogonal")
-            total += p
-        if np.max(np.abs(total - np.eye(d))) > tol.PVM:
+        p = np.array(self.projectors, dtype=complex)
+        p.flags.writeable = False
+        if p.ndim != 3 or p.shape[1] != p.shape[2]:
+            raise ValidationError(f"projectors of shape {p.shape} are not an (n, d, d) stack")
+        not_hermitian = np.abs(p - p.conj().swapaxes(1, 2)).max(axis=(1, 2)) > tol.PVM
+        if not_hermitian.any():
+            raise ValidationError(f"projector {np.argmax(not_hermitian)} not Hermitian")
+        # P_a P_b = delta_ab P_a: idempotent on the diagonal, orthogonal off it.
+        eye = np.eye(len(p))[:, :, None, None]
+        bad_products = np.abs(np.einsum("aij,bjk->abik", p, p) - eye * p).max(axis=(2, 3)) > tol.PVM
+        if np.diagonal(bad_products).any():
+            raise ValidationError(f"projector {np.argmax(np.diagonal(bad_products))} not idempotent")
+        if bad_products.any():
+            raise ValidationError("projectors not mutually orthogonal")
+        if np.abs(p.sum(axis=0) - np.eye(p.shape[-1])).max() > tol.PVM:
             raise ValidationError("projectors do not sum to identity")
-        object.__setattr__(self, "projectors", projs)
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        object.__setattr__(self, "projectors", p)
 
     @property
     def n_outcomes(self) -> int:
@@ -52,16 +52,26 @@ class Context:
 
     def coarse_grain(self, groups, label: str) -> "Context":
         """Merge outcome groups (a partition of outcome indices)."""
-        flat = [i for g in groups for i in g]
-        if sorted(flat) != list(range(self.n_outcomes)):
-            raise ValidationError("groups must partition the outcomes")
-        projs = tuple(sum(self.projectors[i] for i in g) for g in groups)
-        return Context(projs, label)
+        a = _aggregation(groups, self.n_outcomes, len(groups), "grouping")
+        return Context(np.einsum("kf,fij->kij", a, self.projectors), label)
+
+
+def _aggregation(groups, n_fine: int, n_coarse: int, name: str) -> np.ndarray:
+    """0/1 matrix A, A[k, i] = 1 iff group k holds outcome i, of groups partitioning range(n_fine)."""
+    flat = [i for g in groups for i in g]
+    if sorted(flat) != list(range(n_fine)):
+        raise ValidationError(f"{name} is not a partition")
+    if len(groups) != n_coarse:
+        raise ValidationError(f"{name} group count mismatch")
+    a = np.zeros((n_coarse, n_fine))
+    a[np.repeat(np.arange(n_coarse), [len(g) for g in groups]), flat] = 1.0
+    return a
 
 
 def rank1_context(basis: np.ndarray, label: str) -> Context:
     """Rank-1 PVM from an orthonormal basis given as columns."""
-    return Context(tuple(proj(basis[:, k]) for k in range(basis.shape[1])), label)
+    b = np.asarray(basis, dtype=complex).T  # outer products as proj forms them, to the bit
+    return Context(b[:, :, None] * b.conj()[:, None, :], label)
 
 
 @dataclass(frozen=True)
@@ -82,31 +92,29 @@ class ProductContext:
 class RefinementEdge:
     """fine -> coarse, with per-site outcome aggregation maps.
 
-    ``left_groups`` / ``right_groups`` list, for each coarse outcome, the
-    fine outcomes it aggregates.  Validated against the projectors.
+    ``left_groups`` / ``right_groups`` list, for each coarse outcome, the fine
+    outcomes it aggregates; ``left_aggregation`` / ``right_aggregation`` hold them
+    as 0/1 matrices, which must sum the fine projectors into the coarse ones.
     """
 
     coarse: ProductContext
     fine: ProductContext
     left_groups: tuple
     right_groups: tuple
+    left_aggregation: np.ndarray = field(init=False, repr=False, compare=False)
+    right_aggregation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for side, groups, coarse_ctx, fine_ctx in (
-            ("left", self.left_groups, self.coarse.left, self.fine.left),
-            ("right", self.right_groups, self.coarse.right, self.fine.right),
-        ):
-            flat = [i for g in groups for i in g]
-            if sorted(flat) != list(range(fine_ctx.n_outcomes)):
-                raise ValidationError(f"{side} aggregation is not a partition")
-            if len(groups) != coarse_ctx.n_outcomes:
-                raise ValidationError(f"{side} aggregation group count mismatch")
-            for k, g in enumerate(groups):
-                summed = sum(fine_ctx.projectors[i] for i in g)
-                if np.max(np.abs(summed - coarse_ctx.projectors[k])) > tol.COARSE_GRAIN:
-                    raise ValidationError(
-                        f"{side} coarse projector {k} is not the sum of its fine ones"
-                    )
+        for side in ("left", "right"):
+            fine, coarse = getattr(self.fine, side), getattr(self.coarse, side)
+            a = _aggregation(getattr(self, f"{side}_groups"), fine.n_outcomes, coarse.n_outcomes,
+                             f"{side} aggregation")
+            summed = np.einsum("kf,fij->kij", a, fine.projectors)
+            wrong = np.abs(summed - coarse.projectors).max(axis=(1, 2)) > tol.COARSE_GRAIN
+            if wrong.any():
+                k = np.argmax(wrong)
+                raise ValidationError(f"{side} coarse projector {k} is not the sum of its fine ones")
+            object.__setattr__(self, f"{side}_aggregation", a)
 
 
 def restrict(dist: np.ndarray, edge: RefinementEdge) -> np.ndarray:
@@ -116,11 +124,7 @@ def restrict(dist: np.ndarray, edge: RefinementEdge) -> np.ndarray:
         raise ValidationError(
             f"distribution shape {dist.shape} does not live on the fine context"
         )
-    out = np.zeros(edge.coarse.shape)
-    for i, gl in enumerate(edge.left_groups):
-        for j, gr in enumerate(edge.right_groups):
-            out[i, j] = dist[np.ix_(list(gl), list(gr))].sum()
-    return out
+    return edge.left_aggregation @ dist @ edge.right_aggregation.T
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ def section_from_operator(t: HermitianOperator, family) -> SectionTable:
     dists = {}
     for ctx in family:
         p = np.einsum("abce,ica,jeb->ij", t.mat.reshape(t.dims + t.dims),
-                      np.array(ctx.left.projectors), np.array(ctx.right.projectors)).real
+                      ctx.left.projectors, ctx.right.projectors).real
         if p.min() < -tol.NEGATIVE_PROBABILITY:
             raise ValidationError(
                 f"negative probability {p.min():.3e} in context {ctx.label}: "
@@ -173,28 +177,28 @@ def section_from_framefn(f, family) -> SectionTable:
     family = tuple(family)
     dists = {}
     for ctx in family:
-        left, right = (canonical_phase(np.array([_rank1_vector(p) for p in c.projectors]))
-                       for c in (ctx.left, ctx.right))
-        stacks = [np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))]
-        dists[ctx.label] = f.values(stacks).reshape(ctx.shape)
+        left, right = (canonical_phase(_rank1_vector(c.projectors)) for c in (ctx.left, ctx.right))
+        dists[ctx.label] = f.values(basis_products(left.T, right.T)).reshape(ctx.shape)
     return SectionTable(family, dists)
 
 
 def _rank1_vector(p: np.ndarray) -> np.ndarray:
+    """The unit vector of a rank-1 projector, or one row per projector of an (n, d, d) stack."""
     vals, vecs = np.linalg.eigh(p)
-    if abs(vals[-1] - 1.0) > tol.RANK_ONE or (len(vals) > 1 and vals[-2] > tol.RANK_ONE):
+    if (np.abs(vals[..., -1] - 1.0) > tol.RANK_ONE).any() or (vals[..., :-1] > tol.RANK_ONE).any():
         raise ValidationError("projector is not rank-1")
-    return vecs[:, -1]
+    return vecs[..., -1]
 
 
 @dataclass(frozen=True)
 class ConsistencyReport:
     max_distance: float
     worst_edge: str | None
+    tolerance = tol.SECTION_CONSISTENT  # a class constant: the largest max_distance that passes
 
     @property
     def passed(self) -> bool:
-        return self.max_distance <= tol.SECTION_CONSISTENT
+        return self.max_distance <= self.tolerance
 
 
 def check_section(s: SectionTable, edges) -> ConsistencyReport:
@@ -218,16 +222,16 @@ def random_context_family(dims, n_fine: int, seed: int = 0):
     """
     d1, d2 = dims
     left, right = random_onbs(make_rng(seed), dims, n_fine)
+    groups_l = ((0, 1),) + tuple((i,) for i in range(2, d1))
+    groups_r = ((0, 1),) + tuple((i,) for i in range(2, d2))
+    full_l = tuple((i,) for i in range(d1))
+    full_r = tuple((i,) for i in range(d2))
     contexts, edges = [], []
     for k in range(n_fine):
         lb = rank1_context(left[k], f"L{k}")
         rb = rank1_context(right[k], f"R{k}")
         fine = ProductContext(lb, rb)
         contexts.append(fine)
-        groups_l = ((0, 1),) + tuple((i,) for i in range(2, d1))
-        groups_r = ((0, 1),) + tuple((i,) for i in range(2, d2))
-        full_l = tuple((i,) for i in range(d1))
-        full_r = tuple((i,) for i in range(d2))
         coarse_left = ProductContext(lb.coarse_grain(groups_l, f"L{k}c"), rb)
         coarse_right = ProductContext(lb, rb.coarse_grain(groups_r, f"R{k}c"))
         contexts.extend([coarse_left, coarse_right])

@@ -24,7 +24,8 @@ from nsgleason.linalg import (
     random_density,
     random_hermitian,
 )
-from nsgleason.nosig import singlet
+from nsgleason.nosig import NoSigReport, pr_box, singlet
+from nsgleason.presheaf import ConsistencyReport
 
 
 @pytest.fixture
@@ -130,6 +131,17 @@ def test_reconstruct_exits_2_when_fit_rows_do_not_span(rho_file, capsys, flags, 
     assert json.loads(err)["error"] == f"{fitted} fit rows have feature rank {fitted} < 81"
 
 
+@pytest.mark.parametrize("holdout, message", [("-0.5", "not a number in [0, 1]"),
+                                              ("1.5", "not a number in [0, 1]"),
+                                              ("nan", "not a number in [0, 1]"),
+                                              ("x", "invalid unit_fraction value")])
+def test_reconstruct_holdout_outside_unit_interval_is_usage_error(rho_file, capsys, holdout, message):
+    code = main(["reconstruct", "--operator", rho_file, "--holdout", holdout])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert message in err
+
+
 def test_reconstruct_holdout_0_reports_the_in_sample_residual(rho_file, capsys):
     code, rep = run(["reconstruct", "--operator", rho_file, "--holdout", "0"], capsys)
     assert code == 0
@@ -157,6 +169,28 @@ def test_section_consistency(rho_file, capsys):
     code, rep = run(["section", "--t", rho_file, "--contexts", "5"], capsys)
     assert code == 0
     assert rep["verdicts"]["section_consistent"]["pass"]
+
+
+@pytest.mark.parametrize("cmd, report, verdict", [
+    ("section", ConsistencyReport, "section_consistent"),
+    ("box", NoSigReport, "box_no_signalling"),
+    ("framefn", NoSigReport, "framefn_no_signalling"),
+])
+def test_verdicts_cite_the_tolerance_their_report_applied(rho_file, tmp_path, monkeypatch, capsys,
+                                                          cmd, report, verdict):
+    box_file = tmp_path / "box.json"
+    box_file.write_text(json.dumps(pr_box().to_json()))
+    argv = {"section": ["section", "--t", rho_file, "--contexts", "3"],
+            "box": ["check", "--box", str(box_file)],
+            "framefn": ["check", "--trials", "5"]}[cmd]
+    code, rep = run(argv, capsys)
+    default = {"section": tolerances.SECTION_CONSISTENT}.get(cmd, tolerances.NO_SIGNALLING)
+    assert rep["verdicts"][verdict]["tolerance"] == default
+    # A report that applies another tolerance is cited with it, and decides by it.
+    monkeypatch.setattr(report, "tolerance", 2.0)
+    code, rep = run(argv, capsys)
+    assert rep["verdicts"][verdict]["tolerance"] == 2.0
+    assert rep["verdicts"][verdict]["pass"] and code == 0
 
 
 def test_keller_exhaustive_gstar_none(capsys):

@@ -123,6 +123,14 @@ def test_reconstruct_rejects_qubit_sites():
         reconstruct_pvm(sample_from_operator(rho, design.states), design)
 
 
+@pytest.mark.parametrize("holdout", [-0.5, 1.5])
+def test_reconstruct_rejects_holdout_outside_unit_interval(holdout):
+    design = spanning_design((3, 3), seed=9)
+    f = sample_from_operator(random_density(make_rng(9), (3, 3)), design.states)
+    with pytest.raises(ValidationError, match=r"holdout .* is not in \[0, 1\]"):
+        reconstruct_pvm(f, design, holdout=holdout)
+
+
 def test_reconstructed_weight1_has_unit_trace():
     rng = make_rng(9)
     design = spanning_design((3, 3), seed=9)

@@ -23,6 +23,7 @@ from nsgleason.linalg import (
 from nsgleason.nosig import (
     TSIRELSON,
     Box,
+    NoSigReport,
     _box_equalities,
     _positivity_rows,
     ChshInstance,
@@ -59,6 +60,14 @@ def test_pr_box_no_signalling():
     for a in (0, 1):
         for b in (0, 1):
             np.testing.assert_allclose(pr_box().block(a, b).sum(axis=1), [0.5, 0.5])
+
+
+def test_nosig_report_decides_by_its_tolerance(monkeypatch):
+    assert check_box(pr_box()).tolerance == NoSigReport.tolerance == tol.NO_SIGNALLING
+    assert NoSigReport(tol.NO_SIGNALLING).passed
+    assert not NoSigReport(2 * tol.NO_SIGNALLING).passed
+    monkeypatch.setattr(NoSigReport, "tolerance", 1.0)
+    assert NoSigReport(0.5).passed
 
 
 def test_deterministic_box_no_signalling():

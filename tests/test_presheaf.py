@@ -1,5 +1,7 @@
 """Tests for product contexts, sections, and marginalization consistency."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from nsgleason.linalg import (
 )
 from nsgleason.nosig import singlet
 from nsgleason.presheaf import (
+    ConsistencyReport,
     Context,
     ProductContext,
     RefinementEdge,
@@ -36,7 +39,7 @@ from nsgleason.presheaf import (
     section_from_framefn,
     section_from_operator,
 )
-from nsgleason.tolerances import NEGATIVE_PROBABILITY
+from nsgleason.tolerances import NEGATIVE_PROBABILITY, SECTION_CONSISTENT
 
 
 def comp_context(d, label):
@@ -48,6 +51,61 @@ def test_context_validation():
         Context((np.eye(2) / 2,), "bad")  # not idempotent
     with pytest.raises(ValidationError):
         Context((proj(np.array([1.0, 0])),), "incomplete")
+
+
+SKEW = np.array([[1, 1], [0, 0]], dtype=complex)  # idempotent, not Hermitian
+KET0, PLUS = proj(np.array([1.0, 0])), proj(np.array([1.0, 1.0]) / np.sqrt(2))
+FULL3 = ((0,), (1,), (2,))
+
+
+def comp3_edge(side, groups, coarse_groups=((0, 1), (2,))):
+    """Edge from comp x comp at d = 3 to the context coarse-grained on one side."""
+    ctx = comp_context(3, "C")
+    coarse = {"left": ctx, "right": ctx, side: ctx.coarse_grain(coarse_groups, "Cc")}
+    grouping = {"left_groups": FULL3, "right_groups": FULL3, f"{side}_groups": groups}
+    return RefinementEdge(ProductContext(coarse["left"], coarse["right"]),
+                          ProductContext(ctx, ctx), **grouping)
+
+
+def rank1_section(left):
+    f = OperatorInduced(HermitianOperator((3, 3), np.eye(9) / 9))
+    return section_from_framefn(f, [ProductContext(left, comp_context(3, "R"))])
+
+
+REJECTED = {
+    "context-not-a-stack": (lambda: Context(np.eye(2), "c"), "are not an (n, d, d) stack"),
+    "context-not-hermitian": (lambda: Context((SKEW, np.eye(2) - SKEW), "c"),
+                              "projector 0 not Hermitian"),
+    "context-not-idempotent": (lambda: Context((np.eye(2) / 2, np.eye(2) / 2), "c"),
+                               "projector 0 not idempotent"),
+    "context-not-orthogonal": (lambda: Context((KET0, PLUS), "c"),
+                               "projectors not mutually orthogonal"),
+    "context-incomplete": (lambda: Context((KET0,), "c"), "projectors do not sum to identity"),
+    "restrict-shape": (lambda: restrict(np.full((2, 3), 1 / 6), comp3_edge("right", ((0, 1), (2,)))),
+                       "does not live on the fine context"),
+    "rank1-rank-2-member": (lambda: rank1_section(comp_context(3, "L").coarse_grain(((0,), (1, 2)), "L")),
+                            "projector is not rank-1"),
+    "rank1-zero-member": (lambda: rank1_section(Context((np.zeros((3, 3)),) + tuple(
+        comp_context(3, "L").projectors), "L")), "projector is not rank-1"),
+}
+for _side in ("left", "right"):
+    REJECTED |= {
+        f"edge-{_side}-not-partition": (lambda s=_side: comp3_edge(s, ((0, 1), (1,))),
+                                        f"{_side} aggregation is not a partition"),
+        f"edge-{_side}-group-count": (lambda s=_side: comp3_edge(s, FULL3),
+                                      f"{_side} aggregation group count mismatch"),
+        f"edge-{_side}-not-sum": (lambda s=_side: comp3_edge(s, ((0, 2), (1,))),
+                                  f"{_side} coarse projector 0 is not the sum of its fine ones"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_invalid_inputs_are_rejected(case):
+    # Each defect alone, with the message that names it: the checks are batched,
+    # so a dropped comparison shows up as a missing or different message.
+    build, message = REJECTED[case]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build()
 
 
 def test_restrict_uniform():
@@ -226,6 +284,16 @@ def test_hand_perturbed_table_reports_distance():
     perturbed[fine.label] = p
     rep = check_section(SectionTable(table.contexts, perturbed), edges)
     assert rep.max_distance == pytest.approx(0.05, abs=1e-10)
+
+
+def test_consistency_report_decides_by_its_tolerance(monkeypatch):
+    ctxs, edges = random_context_family((2, 2), 1, seed=8)
+    rep = check_section(section_from_operator(random_density(make_rng(7), (2, 2)), ctxs), edges)
+    assert rep.tolerance == ConsistencyReport.tolerance == SECTION_CONSISTENT and rep.passed
+    assert ConsistencyReport(SECTION_CONSISTENT, "e").passed
+    assert not ConsistencyReport(2 * SECTION_CONSISTENT, "e").passed
+    monkeypatch.setattr(ConsistencyReport, "tolerance", 1.0)
+    assert ConsistencyReport(0.5, "e").passed
 
 
 def test_rank1_sections_match_framefn_values():
