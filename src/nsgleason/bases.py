@@ -20,9 +20,9 @@ from .linalg import (
     canonical_phase,
     check_unit,
     check_unit_rows,
+    complex_from_json,
+    complex_to_json,
     tensor,
-    vector_from_json,
-    vector_to_json,
 )
 
 @dataclass(frozen=True)
@@ -78,11 +78,11 @@ class ProductState:
         return b"".join(np.ascontiguousarray(f).tobytes() for f in self.factors)
 
     def to_json(self) -> dict:
-        return {"factors": [vector_to_json(f)["entries"] for f in self.factors]}
+        return {"factors": [complex_to_json(f) for f in self.factors]}
 
     @classmethod
     def from_json(cls, data: dict) -> "ProductState":
-        return cls(tuple(vector_from_json({"entries": e}) for e in data["factors"]))
+        return cls(tuple(complex_from_json(f, 1) for f in data["factors"]))
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,10 @@ class UnentangledBasis:
 
     @classmethod
     def from_json(cls, data: dict) -> "UnentangledBasis":
-        elems = [[vector_from_json({"entries": f}) for f in e["factors"]] for e in data["elements"]]
-        if len({tuple(map(len, e)) for e in elems}) > 1:
+        elems = [e["factors"] for e in data["elements"]]
+        if len(set(map(len, elems))) > 1:
             raise ValidationError("inconsistent dims across basis elements")
-        return cls(ProductState.batch([np.array(site) for site in zip(*elems)]))
+        return cls(ProductState.batch([complex_from_json(site, 2) for site in zip(*elems)]))
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,7 @@ class BasisReport:
     worst_overlap: float
     worst_pair: tuple | None
     failures: tuple = ()
+    tolerance = tol.ORTHO_PAIR  # a class constant: the largest pair overlap that passes
 
 
 _PAIR_BLOCK = 1 << 18  # find_local_pairs gathers this many pair verdicts at a time
@@ -201,7 +202,7 @@ def validate_unentangled(b: UnentangledBasis) -> BasisReport:
         total *= ov
     total[~_upper(n)] = -1.0  # pairs i < j are read in row-major order
     failures = tuple((int(i), int(j), float(total[i, j]))
-                     for i, j in zip(*np.nonzero(total > tol.ORTHO_PAIR)))
+                     for i, j in zip(*np.nonzero(total > BasisReport.tolerance)))
     worst_pair = divmod(int(np.argmax(total)), n) if n > 1 else None
     worst = float(total[worst_pair]) if worst_pair else 0.0
     complete = n == b.dim
@@ -234,15 +235,12 @@ class TwistMove:
         return {
             "site": self.site,
             "pair": list(self.pair),
-            "rotation": [[[z.real, z.imag] for z in row] for row in self.rotation],
+            "rotation": complex_to_json(self.rotation),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "TwistMove":
-        rot = np.array(
-            [[complex(re, im) for re, im in row] for row in data["rotation"]]
-        )
-        return cls(int(data["site"]), tuple(data["pair"]), rot)
+        return cls(int(data["site"]), tuple(data["pair"]), complex_from_json(data["rotation"], 2))
 
 
 def _check_twist_pair(b: UnentangledBasis, site: int, i: int, j: int) -> None:
@@ -339,10 +337,7 @@ class TwistCertificate:
         return {
             "moves": [m.to_json() for m in self.moves],
             "initial": self.initial.to_json(),
-            "final": [
-                [vector_to_json(v)["entries"] for v in lb]
-                for lb in self.final.local_bases
-            ],
+            "final": [complex_to_json(lb) for lb in self.final.local_bases],
         }
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import keller as kel
 from . import tolerances as tol
 from .bases import (
+    BasisReport,
     UnentangledBasis,
     find_local_pairs,
     twist_search,
@@ -71,8 +72,8 @@ class Report:
         self.data["timings_ms"]["total"] = round(
             1000 * (time.perf_counter() - self._t0), 3
         )
-        # JSON has no NaN or infinity: _finite reports them as null.
-        text = json.dumps(_finite(self.data), indent=2, default=_jsonable, allow_nan=False)
+        # JSON has no NaN or infinity: _jsonable reports them as null.
+        text = json.dumps(_jsonable(self.data), indent=2, allow_nan=False)
         if out:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
@@ -83,20 +84,15 @@ class Report:
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _finite(obj):
-    """A copy of a report with every non-finite float replaced by None."""
+    """A copy of a report with numpy scalars as Python numbers and every
+    non-finite float replaced by None."""
     if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_finite(v) for v in obj]
-    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
         return None
     return obj
 
@@ -208,11 +204,9 @@ def cmd_twist(args, argv):
                     "bundled nine-element example")
         steps = [validate_unentangled(b) for b in cert.walk()]
         rep.verdict("intermediate_valid", all(v.is_valid for v in steps),
-                    max(v.worst_overlap for v in steps), tol.ORTHO_PAIR)
+                    max(v.worst_overlap for v in steps), BasisReport.tolerance)
     else:
-        with open(args.basis) as fh:
-            b = UnentangledBasis.from_json(json.load(fh))
-        res = twist_search(b, budget=args.budget)
+        res = twist_search(_load(args.basis, UnentangledBasis), budget=args.budget)
         rep.data["found"] = res.found
         rep.data["reason"] = res.reason
         cert = res.certificate
@@ -291,7 +285,7 @@ def cmd_keller(args, argv):
             rep.verdict("basis_exists", False, None, None, str(exc))
             return rep.finish(args.out)
         v = validate_unentangled(basis)
-        rep.verdict("basis_valid", v.is_valid, v.worst_overlap, tol.ORTHO_PAIR)
+        rep.verdict("basis_valid", v.is_valid, v.worst_overlap, v.tolerance)
         if graph == kel.Graph.G_STAR:
             n_pairs = len(find_local_pairs(basis))
             note = ("facet-free cliques admit no twist moves" if report.is_clique else

@@ -24,6 +24,7 @@ from .bases import ProductState, site_stacks
 from .linalg import (
     HermitianOperator,
     ValidationError,
+    complex_to_json,
     make_rng,
     min_eigenvalue,
     random_units,
@@ -182,7 +183,7 @@ class Reconstruction:
             out["certificate"] = self.certificate.to_json()
         if self.witness is not None:
             out["witness"] = {
-                "factors": [[[z.real, z.imag] for z in f] for f in self.witness.factors],
+                "factors": [complex_to_json(f) for f in self.witness.factors],
                 "value": self.witness.value,
             }
         return out

@@ -80,7 +80,7 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
 
 def check_unit(v: np.ndarray) -> None:
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > tol.UNIT_NORM:
+    if not abs(nrm - 1.0) <= tol.UNIT_NORM:  # written so that a NaN norm fails
         raise ValidationError(f"vector norm {nrm!r} deviates from 1 beyond {tol.UNIT_NORM}")
 
 
@@ -88,9 +88,30 @@ def check_unit_rows(stacks) -> None:
     """check_unit on the rows of per-site (N, d) stacks, state by state."""
     # Norms within UNIT_NORM/2 of 1 pass check_unit (its norm differs by ulps); it decides the rest.
     suspects = sorted((k, s) for s, f in enumerate(stacks) for k in
-                      np.flatnonzero(np.abs(np.linalg.norm(f, axis=1) - 1) > tol.UNIT_NORM / 2))
+                      np.flatnonzero(~(np.abs(np.linalg.norm(f, axis=1) - 1) <= tol.UNIT_NORM / 2)))
     for k, s in suspects:
         check_unit(stacks[s][k])
+
+
+def complex_to_json(a) -> list:
+    """A complex array of any shape as nested lists, one [re, im] pair per entry."""
+    return np.asarray(a, dtype=complex)[..., None].view(float).tolist()
+
+
+def complex_from_json(data, ndim: int) -> np.ndarray:
+    """The ndim-d complex array complex_to_json wrote, bit for bit.  Raises ValidationError
+    unless ``data`` nests [re, im] pairs of finite numbers (not bools) regularly to depth ndim."""
+    obj = np.array(data, dtype=object)  # a ragged nesting stops early, at lists
+    if obj.shape[ndim:] != (2,) or not all(issubclass(k, (int, float)) and k is not bool
+                                           for k in set(map(type, obj.flat))):
+        raise ValidationError(f"not a regular {ndim}-d array of [re, im] pairs of numbers")
+    try:
+        pairs = obj.astype(float)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValidationError(f"complex array entry out of range: {exc}") from None
+    if not np.isfinite(pairs).all():
+        raise ValidationError("complex array has a non-finite entry")
+    return pairs.view(complex)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -115,7 +136,7 @@ class HermitianOperator:
                 f"matrix shape {mat.shape} incompatible with dims {dims}"
             )
         herm_err = np.max(np.abs(mat - mat.conj().T)) if d_total else 0.0
-        if herm_err > tol.HERMITICITY:
+        if not herm_err <= tol.HERMITICITY:  # NaN and infinite entries fail too
             raise ValidationError(
                 f"matrix deviates from Hermiticity by {herm_err:.3e} > {tol.HERMITICITY}"
             )
@@ -141,23 +162,13 @@ class HermitianOperator:
         return float(np.vdot(v, self.mat @ v).real)
 
     def to_json(self) -> dict:
-        entries = [[float(z.real), float(z.imag)] for z in self.mat.ravel()]
-        return {"dims": list(self.dims), "entries": entries}
+        return {"dims": list(self.dims), "entries": complex_to_json(self.mat.ravel())}
 
     @classmethod
     def from_json(cls, data: dict) -> "HermitianOperator":
         dims = tuple(int(d) for d in data["dims"])
         d_total = int(np.prod(dims))
-        flat = np.array([complex(re, im) for re, im in data["entries"]])
-        return cls(dims, flat.reshape(d_total, d_total))
-
-
-def vector_to_json(v: np.ndarray) -> dict:
-    return {"entries": [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]}
-
-
-def vector_from_json(data: dict) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data["entries"]])
+        return cls(dims, complex_from_json(data["entries"], 1).reshape(d_total, d_total))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,8 @@ from .linalg import (
     HermitianOperator,
     ValidationError,
     basis_products,
+    complex_from_json,
+    complex_to_json,
     make_rng,
     onbs_from_normals,
     proj,
@@ -71,9 +73,9 @@ class Box:
                 p = np.asarray(self.table[(a, b)], dtype=float)
                 if p.shape != (n1, n2):
                     raise ValidationError(f"table block ({a},{b}) has shape {p.shape}")
-                if p.min() < -tol.NEGATIVE_PROBABILITY:
+                if not p.min() >= -tol.NEGATIVE_PROBABILITY:  # NaN entries fail too
                     raise ValidationError("negative probability in table")
-                if abs(p.sum() - 1.0) > tol.BLOCK_SUM:
+                if not abs(p.sum() - 1.0) <= tol.BLOCK_SUM:
                     raise ValidationError(
                         f"table block ({a},{b}) sums to {p.sum()!r}, not 1"
                     )
@@ -92,13 +94,8 @@ class Box:
             },
         }
         if self.realizations is not None:
-            out["realizations"] = [
-                {
-                    str(lbl): [[[z.real, z.imag] for z in row] for row in np.asarray(m)]
-                    for lbl, m in site.items()
-                }
-                for site in self.realizations
-            ]
+            out["realizations"] = [{str(lbl): complex_to_json(m) for lbl, m in site.items()}
+                                   for site in self.realizations]
         return out
 
     @classmethod
@@ -114,15 +111,9 @@ class Box:
             table[(a, b)] = np.asarray(block, dtype=float)
         realizations = None
         if "realizations" in data:
-            realizations = tuple(
-                {
-                    _match_label(lbl, settings[i]): np.array(
-                        [[complex(re, im) for re, im in row] for row in mat]
-                    )
-                    for lbl, mat in site.items()
-                }
-                for i, site in enumerate(data["realizations"])
-            )
+            realizations = tuple({_match_label(lbl, settings[i]): complex_from_json(mat, 2)
+                                  for lbl, mat in site.items()}
+                                 for i, site in enumerate(data["realizations"]))
         return cls(settings, outcomes, table, realizations)
 
 

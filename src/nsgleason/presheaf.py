@@ -137,9 +137,6 @@ class SectionTable:
     def __getitem__(self, ctx: ProductContext) -> np.ndarray:
         return self.distributions[ctx.label]
 
-    def to_json(self) -> dict:
-        return {lbl: d.tolist() for lbl, d in self.distributions.items()}
-
 
 def section_from_operator(t: HermitianOperator, family) -> SectionTable:
     """Tabulate tr(t (p (x) q)) for every context in the family.

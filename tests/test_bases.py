@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from nsgleason import tolerances as tol
 from nsgleason.bases import (
+    BasisReport,
     ProductBasis,
+    ProductState,
     TwistMove,
     UnentangledBasis,
     apply_twist,
@@ -38,6 +41,25 @@ def test_example_basis_valid():
     rep = validate_unentangled(twisted_example_basis())
     assert rep.is_valid
     assert rep.worst_overlap <= 1e-10
+
+
+def test_basis_report_decides_by_its_tolerance(monkeypatch):
+    b = twisted_example_basis()
+    assert validate_unentangled(b).tolerance == BasisReport.tolerance == tol.ORTHO_PAIR
+    assert validate_unentangled(b).is_valid
+    monkeypatch.setattr(BasisReport, "tolerance", -1.0)
+    rep = validate_unentangled(b)
+    assert not rep.is_valid and len(rep.failures) == 36  # every pair of nine elements
+
+
+@pytest.mark.parametrize("value", [np.nan, complex(0, np.nan)])
+def test_product_state_rejects_nan_factor(value):
+    # One state alone (check_unit) and a stack of states (check_unit_rows).
+    bad = np.array([value, 0.0])
+    with pytest.raises(ValidationError, match="norm"):
+        ProductState((bad, np.array([1.0, 0.0])))
+    with pytest.raises(ValidationError, match="norm"):
+        ProductState.batch([np.array([[1.0, 0.0], bad]), np.eye(2)])
 
 
 def test_duplicated_element_invalid():

@@ -11,7 +11,12 @@ from scipy.optimize import OptimizeResult
 
 from nsgleason import cli, tolerances
 from nsgleason import keller as kel
-from nsgleason.bases import twisted_example_certificate, validate_unentangled
+from nsgleason.bases import (
+    BasisReport,
+    twisted_example_basis,
+    twisted_example_certificate,
+    validate_unentangled,
+)
 from nsgleason.cli import main
 from nsgleason.framefn import sample_from_operator
 from nsgleason.gleason import product_seesaw_min, reconstruct_pvm, spanning_design
@@ -175,16 +180,22 @@ def test_section_consistency(rho_file, capsys):
     ("section", ConsistencyReport, "section_consistent"),
     ("box", NoSigReport, "box_no_signalling"),
     ("framefn", NoSigReport, "framefn_no_signalling"),
+    ("twist", BasisReport, "intermediate_valid"),
+    ("keller", BasisReport, "basis_valid"),
 ])
 def test_verdicts_cite_the_tolerance_their_report_applied(rho_file, tmp_path, monkeypatch, capsys,
                                                           cmd, report, verdict):
-    box_file = tmp_path / "box.json"
+    box_file, clique_file = tmp_path / "box.json", str(tmp_path / "c.txt")
     box_file.write_text(json.dumps(pr_box().to_json()))
+    save_clique(clique_file, bundled_candidate())
     argv = {"section": ["section", "--t", rho_file, "--contexts", "3"],
             "box": ["check", "--box", str(box_file)],
-            "framefn": ["check", "--trials", "5"]}[cmd]
+            "framefn": ["check", "--trials", "5"],
+            "twist": ["twist", "--fig1"],
+            "keller": ["keller", "basis", "--file", clique_file, "--graph", "g"]}[cmd]
     code, rep = run(argv, capsys)
-    default = {"section": tolerances.SECTION_CONSISTENT}.get(cmd, tolerances.NO_SIGNALLING)
+    default = {"section": tolerances.SECTION_CONSISTENT, "twist": tolerances.ORTHO_PAIR,
+               "keller": tolerances.ORTHO_PAIR}.get(cmd, tolerances.NO_SIGNALLING)
     assert rep["verdicts"][verdict]["tolerance"] == default
     # A report that applies another tolerance is cited with it, and decides by it.
     monkeypatch.setattr(report, "tolerance", 2.0)
@@ -232,17 +243,6 @@ def test_keller_basis_from_file(tmp_path, capsys):
     )
     assert code == 0
     assert rep["verdicts"]["basis_valid"]["pass"]
-
-
-def test_basis_verdicts_cite_the_applied_tolerance(tmp_path, capsys):
-    # validate_unentangled decides orthogonality by ORTHO_PAIR; the reports say so.
-    out_clique = str(tmp_path / "c.txt")
-    run(["keller", "search", "--n", "2", "--size", "4", "--graph", "g",
-         "--exhaustive", "--out-clique", out_clique], capsys)
-    _, basis = run(["keller", "basis", "--file", out_clique, "--graph", "g"], capsys)
-    _, fig1 = run(["twist", "--fig1"], capsys)
-    assert basis["verdicts"]["basis_valid"]["tolerance"] == tolerances.ORTHO_PAIR
-    assert fig1["verdicts"]["intermediate_valid"]["tolerance"] == tolerances.ORTHO_PAIR
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -453,6 +453,41 @@ def test_malformed_operator_file_exit_2(data, tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["classify", "--t", str(path)]) == 2
     assert "not a HermitianOperator file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("argv, dims", [(["classify", "--t"], (2, 2)),
+                                        (["section", "--t"], (3, 3)), (["check", "--box"], None),
+                                        (["chsh", "--optimize", "--t"], (2, 2)),
+                                        (["reconstruct", "--operator"], (3, 3))],
+                         ids=["classify", "section", "box", "chsh", "reconstruct"])
+def test_non_finite_input_is_an_input_error(argv, dims, value, tmp_path, capsys):
+    # json writes and reads NaN and Infinity; no verdict may be drawn from them.
+    if dims is None:
+        data = pr_box().to_json()
+        data["table"]["0,0"] = [[value, value], [value, value]]
+    else:
+        data = random_density(make_rng(0), dims).to_json()
+        data["entries"][3 * int(np.prod(dims)) + 3] = [value, 0.0]  # entry (3, 3)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(argv + [str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("fault", ["no elements", "one-number entry"])
+def test_malformed_basis_file_exit_2(fault, tmp_path, capsys):
+    data = twisted_example_basis().to_json()
+    if fault == "no elements":
+        del data["elements"]
+    else:
+        data["elements"][0]["factors"][0][0] = [1.0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["twist", "--basis", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "not a UnentangledBasis file" in json.loads(err)["error"]
 
 
 def test_missing_file_exit_2(capsys):

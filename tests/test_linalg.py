@@ -1,14 +1,20 @@
 """Tests for the dense linear-algebra core."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nsgleason.linalg import (
     HermitianOperator,
     ValidationError,
     canonical_phase,
+    complex_from_json,
+    complex_to_json,
     hermitian_eig,
     make_rng,
     partial_transpose,
@@ -19,8 +25,6 @@ from nsgleason.linalg import (
     random_unit,
     random_units,
     tensor,
-    vector_from_json,
-    vector_to_json,
 )
 
 KET0 = np.array([1.0, 0.0])
@@ -87,6 +91,16 @@ def test_non_hermitian_rejected():
         HermitianOperator((2,), np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("value", [np.nan, complex(0, np.nan)])
+@pytest.mark.parametrize("where", [(1, 1), (0, 1)])
+def test_nan_entry_rejected(value, where):
+    # A comparison with NaN is false, so the Hermiticity check is written to fail on it.
+    mat = np.eye(2, dtype=complex)
+    mat[where] = mat[where[::-1]] = value
+    with pytest.raises(ValidationError, match="Hermiticity by nan"):
+        HermitianOperator((2,), mat)
+
+
 def test_partial_transpose_product_operator():
     rng = make_rng(5)
     a = random_hermitian(rng, (2,)).mat
@@ -145,7 +159,57 @@ def test_operator_json_round_trip():
 def test_vector_json_round_trip():
     rng = make_rng(23)
     v = random_unit(rng, 5)
-    np.testing.assert_array_equal(vector_from_json(vector_to_json(v)), v)
+    assert complex_from_json(complex_to_json(v), 1).tobytes() == v.tobytes()
+
+
+def pairs_written(a):
+    """The [re, im] comprehensions the JSON writers used before the codec."""
+    if a.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in a]
+    return [[[z.real, z.imag] for z in row] for row in a]
+
+
+def pairs_read(data, ndim):
+    """The complex(re, im) comprehensions the JSON readers used before the codec."""
+    if ndim == 1:
+        return np.array([complex(re, im) for re, im in data])
+    return np.array([[complex(re, im) for re, im in row] for row in data])
+
+
+# Signed zeros, subnormals and the largest doubles, mixed with any finite float.
+parts = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -2.2e-308, 1.7976931348623157e308,
+                                   -1e300]),
+                  st.floats(allow_nan=False, allow_infinity=False))
+shapes = st.one_of(st.tuples(st.integers(1, 6)), st.tuples(st.integers(2, 4), st.integers(1, 4)))
+NOT_FINITE_NUMBERS = ["0.5", True, False, None, float("nan"), float("inf"), float("-inf"),
+                      10**400, [0.5]]
+
+
+@given(shapes.flatmap(lambda s: hnp.arrays(float, s + (2,), elements=parts)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_codec_matches_the_pair_comprehensions(re_im, data):
+    a = re_im.view(complex)[..., 0]  # not re + 1j * im, which turns a real -0.0 into 0.0
+    encoded = complex_to_json(a)
+    assert json.dumps(encoded) == json.dumps(pairs_written(a))
+    assert complex_from_json(encoded, a.ndim).tobytes() == pairs_read(encoded, a.ndim).tobytes()
+    # One number replaced by something that is not a finite JSON number.
+    *where, last = [data.draw(st.integers(0, n - 1)) for n in a.shape + (2,)]
+    for value in NOT_FINITE_NUMBERS:
+        bad = copy.deepcopy(encoded)
+        row = bad
+        for k in where:
+            row = row[k]
+        row[last] = value
+        with pytest.raises(ValidationError):
+            complex_from_json(bad, a.ndim)
+    # A wrong last axis, a ragged nesting and the wrong depth.
+    triples = np.concatenate([np.array(encoded), np.ones(a.shape + (1,))], axis=-1).tolist()
+    ragged = copy.deepcopy(encoded)
+    ragged[0] = ragged[0][:-1]
+    for nested, ndim in [(triples, a.ndim), (ragged, a.ndim), (encoded, a.ndim + 1),
+                         (encoded, a.ndim - 1)]:
+        with pytest.raises(ValidationError):
+            complex_from_json(nested, ndim)
 
 
 def sequential_unit(rng, d):

@@ -345,6 +345,15 @@ def test_box_from_operator_rejects_negative_probability():
         box_from_operator(t, (computational, computational))
 
 
+@pytest.mark.parametrize("block", [[[np.nan] * 2] * 2, [[np.nan, 0.5], [0.5, 0.0]],
+                                   [[np.inf, 0.0], [0.0, 0.0]]])
+def test_box_rejects_non_finite_probabilities(block):
+    # A comparison with NaN is false, so both block checks are written to fail on it.
+    table = {**pr_box().table, (0, 0): np.array(block)}
+    with pytest.raises(ValidationError):
+        Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), table)
+
+
 def test_quantum_extension_white_noise():
     real = optimal_realizations()
     table = {(a, b): np.full((2, 2), 0.25) for a in (0, 1) for b in (0, 1)}
