@@ -25,9 +25,8 @@ dims = (3, 3)
 
 print("=== spanning design ===")
 design = spanning_design(dims, seed=2024)
-print(f"{len(design.states)} product states spanning a "
-      f"{np.prod(dims) ** 2}-dimensional operator space "
-      f"(feature rank {design.feature_rank})")
+print(f"{len(design.states)} random product states for an operator space of "
+      f"dimension {np.prod(dims) ** 2}; the fit checks that the rows it solves span it")
 
 print("\n=== round trip for a random density matrix ===")
 rho = random_density(rng, dims)

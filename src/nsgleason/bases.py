@@ -34,8 +34,8 @@ class ProductState:
     def __post_init__(self):
         facs = []
         for f in self.factors:
+            check_unit(f)  # before canonical_phase, which would divide by an infinite entry
             f = canonical_phase(np.asarray(f, dtype=complex))
-            check_unit(f)
             f.setflags(write=False)
             facs.append(f)
         object.__setattr__(self, "factors", tuple(facs))
@@ -44,10 +44,10 @@ class ProductState:
     def batch(cls, stacks) -> tuple:
         """States from per-site (N, d_s) stacks, row k of each holding a factor
         of state k: the constructor's phases and unit checks, one pass a site."""
+        check_unit_rows(stacks)  # before canonical_phase, as in the constructor
         sites = [canonical_phase(f) for f in stacks]
         if len({len(f) for f in sites}) > 1:
             raise ValidationError("per-site stacks hold different numbers of states")
-        check_unit_rows(sites)
         for f in sites:
             f.setflags(write=False)
         states = tuple(object.__new__(cls) for _ in range(len(sites[0]) if sites else 0))

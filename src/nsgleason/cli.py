@@ -72,12 +72,13 @@ class Report:
         self.data["timings_ms"]["total"] = round(
             1000 * (time.perf_counter() - self._t0), 3
         )
+        if out:
+            self.data["artifacts"].append(out)
         # JSON has no NaN or infinity: _jsonable reports them as null.
         text = json.dumps(_jsonable(self.data), indent=2, allow_nan=False)
         if out:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
-            self.data["artifacts"].append(out)
         print(text)
         all_pass = all(v["pass"] for v in self.data["verdicts"].values())
         return EXIT_PASS if all_pass else EXIT_VIOLATION
@@ -121,9 +122,8 @@ def cmd_reconstruct(args, argv):
         rep.data["evidence"] = {"seesaw_min": rec.witness.value,
                                 "product_positive_threshold": tol.PRODUCT_POSITIVE}
     rep.verdict("round_trip_frobenius", frob <= tol.ROUND_TRIP, frob, tol.ROUND_TRIP)
-    in_sample = int(round(args.holdout * len(design.states))) == 0
     rep.verdict("holdout_residual", rec.residual <= tol.HOLDOUT_RESIDUAL, rec.residual,
-                tol.HOLDOUT_RESIDUAL, "in sample: no rows were held out" if in_sample else "")
+                tol.HOLDOUT_RESIDUAL, "" if rec.held_out else "in sample: no rows were held out")
     rep.verdict("unit_trace", abs(rec.t.trace() - 1) <= tol.UNIT_TRACE, rec.t.trace(),
                 tol.UNIT_TRACE, "expected for weight-1 frame functions")
     return rep.finish(args.out)
@@ -314,6 +314,13 @@ def unit_fraction(text: str) -> float:
     return float(text)
 
 
+def positive_number(text: str) -> float:
+    """argparse type of a finite number > 0, such as "1.5"."""
+    if not 0.0 < float(text) < np.inf:
+        raise argparse.ArgumentTypeError(f"not a finite number > 0: {text!r}")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nsgleason",
@@ -328,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reconstruct", help="round-trip operator reconstruction")
     sp.add_argument("--operator", required=True, help="operator JSON file")
-    sp.add_argument("--oversample", type=float, default=1.5)
+    sp.add_argument("--oversample", type=positive_number, default=1.5)
     sp.add_argument("--holdout", type=unit_fraction, default=0.2)
     common(sp)
     sp.set_defaults(func=cmd_reconstruct)

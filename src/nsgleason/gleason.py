@@ -3,8 +3,8 @@
 A non-negative frame function with constant weight over all product bases of
 a two-site space (local dims >= 3) is induced by a unique self-adjoint
 operator t via f(v) = <v|t|v>.  This module inverts that correspondence
-numerically: it draws informationally complete designs of product states,
-solves the linear inverse problem by least squares, and classifies the
+numerically: it draws random product states, solves for t by least squares
+on rows that must span operator space, and classifies the
 recovered operator (density matrix / product-positive only / indefinite on
 products).  An effect-based path covers qubit sites, where rank-1 projective
 sampling is not informationally complete enough under the theorem's
@@ -119,38 +119,21 @@ class Classification(str, Enum):
 
 @dataclass(frozen=True)
 class SpanningDesign:
-    """Product states whose projector features span operator space."""
+    """Random product states for a reconstruction; :func:`fit` decides whether
+    the rows it solves span operator space."""
 
     dims: tuple
     states: tuple
-    feature_rank: int
 
 
 def spanning_design(dims, oversample: float = 1.5, seed: int = 0) -> SpanningDesign:
-    """Draw random product states until their features have full rank.
-
-    The target count is ceil(oversample * D^2); each time the rank falls
-    short, D^2 more states are drawn (a round in one stacked draw, the same
-    states as random_unit draws).  Without full rank within 10x the first
-    target the seed is declared non-generic and an error is raised.
-    """
+    """ceil(oversample * D^2) random product states, in one stacked draw (the
+    same states as random_unit draws).  ``oversample`` must be finite and > 0."""
+    if not 0.0 < oversample < np.inf:  # written so that NaN fails
+        raise ValidationError(f"oversample {oversample!r} is not a finite number > 0")
     dims = tuple(int(d) for d in dims)
-    n_feat = int(np.prod(dims)) ** 2
-    target = int(np.ceil(oversample * n_feat))
-    budget = 10 * target
-    rng = make_rng(seed)
-    sites = [np.empty((0, d), dtype=complex) for d in dims]
-    while True:
-        more = random_units(rng, dims, min(target, budget) - len(sites[0]))
-        sites = [np.concatenate(pair) for pair in zip(sites, more)]
-        rank = np.linalg.matrix_rank(projector_features(sites), tol=tol.FEATURE_RANK)
-        if rank == n_feat:
-            return SpanningDesign(dims, ProductState.batch(sites), int(rank))
-        if len(sites[0]) >= budget:
-            raise ValidationError(
-                f"feature rank {rank} < {n_feat} within 10x budget (non-generic seed)"
-            )
-        target += n_feat
+    count = int(np.ceil(oversample * int(np.prod(dims)) ** 2))
+    return SpanningDesign(dims, ProductState.batch(random_units(make_rng(seed), dims, count)))
 
 
 @dataclass(frozen=True)
@@ -163,12 +146,13 @@ class Witness:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """A recovered operator, its hold-out residual and its classification,
-    with the evidence classify_product_positivity gave: the orientation
-    ``certificate`` or the see-saw ``witness``."""
+    """A recovered operator, its residual on ``held_out`` rows (0: in sample)
+    and its classification, with the evidence classify_product_positivity
+    gave: the orientation ``certificate`` or the see-saw ``witness``."""
 
     t: HermitianOperator
     residual: float
+    held_out: int
     classification: Classification
     witness: Witness | None = None
     certificate: OrientationClass | None = None
@@ -267,7 +251,7 @@ def fit(rows, values, dims, n_fit=None, restarts: int = 64, seed: int = 0) -> Re
 
     The leading ``n_fit`` rows (default all) feed the solve; unless D^2 of their
     singular values exceed ``tolerances.FEATURE_RANK``, ValidationError is raised.
-    The residual is the max absolute deviation on the rest, in sample if none.
+    The residual is the max absolute deviation on the ``held_out`` rest, in sample if none.
     """
     n_fit = len(rows) if n_fit is None else n_fit
     x, _, _, sv = np.linalg.lstsq(rows[:n_fit], values[:n_fit], rcond=None)
@@ -275,11 +259,12 @@ def fit(rows, values, dims, n_fit=None, restarts: int = 64, seed: int = 0) -> Re
     if rank < n_feat:
         raise ValidationError(f"{n_fit} fit rows have feature rank {rank} < {n_feat}")
     t = HermitianOperator(dims, vec_to_herm(x))
-    test = slice(n_fit if n_fit < len(rows) else 0, None)
+    held_out = max(len(rows) - n_fit, 0)
+    test = slice(n_fit if held_out else 0, None)
     residual = float(np.max(np.abs(rows[test] @ x - values[test])))
     cls, evidence = classify_product_positivity(t, restarts=restarts, seed=seed)
     kind = "witness" if isinstance(evidence, Witness) else "certificate"
-    return Reconstruction(t, residual, cls, **{kind: evidence})
+    return Reconstruction(t, residual, held_out, cls, **{kind: evidence})
 
 
 def reconstruct_pvm(
@@ -288,8 +273,8 @@ def reconstruct_pvm(
     """Recover the operator behind a frame function: :func:`fit` on the design.
 
     The leading (1 - holdout) fraction of the states feeds the solve, the
-    rest measures the residual (in sample if no state is held out); fitted
-    states that do not span operator space raise ValidationError.  Local dims
+    rest measures the residual (``held_out`` of them; in sample if none);
+    fitted states that do not span operator space raise ValidationError.  Local dims
     must be at least 3; use :func:`reconstruct_povm` for qubit sites.
     """
     if not 0.0 <= holdout <= 1.0:

@@ -86,9 +86,9 @@ def check_unit(v: np.ndarray) -> None:
 
 def check_unit_rows(stacks) -> None:
     """check_unit on the rows of per-site (N, d) stacks, state by state."""
-    # Norms within UNIT_NORM/2 of 1 pass check_unit (its norm differs by ulps); it decides the rest.
-    suspects = sorted((k, s) for s, f in enumerate(stacks) for k in
-                      np.flatnonzero(~(np.abs(np.linalg.norm(f, axis=1) - 1) <= tol.UNIT_NORM / 2)))
+    # Norms (of |f|: f * conj f warns on inf) within UNIT_NORM/2 of 1 pass; check_unit decides.
+    suspects = sorted((k, s) for s, f in enumerate(stacks) for k in np.flatnonzero(
+        ~(np.abs(np.linalg.norm(np.abs(f), axis=1) - 1) <= tol.UNIT_NORM / 2)))
     for k, s in suspects:
         check_unit(stacks[s][k])
 
@@ -98,19 +98,26 @@ def complex_to_json(a) -> list:
     return np.asarray(a, dtype=complex)[..., None].view(float).tolist()
 
 
-def complex_from_json(data, ndim: int) -> np.ndarray:
-    """The ndim-d complex array complex_to_json wrote, bit for bit.  Raises ValidationError
-    unless ``data`` nests [re, im] pairs of finite numbers (not bools) regularly to depth ndim."""
-    obj = np.array(data, dtype=object)  # a ragged nesting stops early, at lists
-    if obj.shape[ndim:] != (2,) or not all(issubclass(k, (int, float)) and k is not bool
-                                           for k in set(map(type, obj.flat))):
-        raise ValidationError(f"not a regular {ndim}-d array of [re, im] pairs of numbers")
+def real_from_json(data) -> np.ndarray:
+    """The float array of a JSON nesting of finite numbers (not bools), bit for bit.
+    Raises ValidationError otherwise; a ragged nesting keeps lists as entries and fails."""
+    obj = np.array(data, dtype=object)
+    if not all(issubclass(k, (int, float)) and k is not bool for k in set(map(type, obj.flat))):
+        raise ValidationError("not a regular array of numbers")
     try:
-        pairs = obj.astype(float)
+        out = obj.astype(float)
     except OverflowError as exc:  # an int beyond the float range
-        raise ValidationError(f"complex array entry out of range: {exc}") from None
-    if not np.isfinite(pairs).all():
-        raise ValidationError("complex array has a non-finite entry")
+        raise ValidationError(f"array entry out of range: {exc}") from None
+    if not np.isfinite(out).all():
+        raise ValidationError("array has a non-finite entry")
+    return out
+
+
+def complex_from_json(data, ndim: int) -> np.ndarray:
+    """The ndim-d complex array complex_to_json wrote, or ValidationError as real_from_json."""
+    pairs = real_from_json(data)
+    if pairs.shape[ndim:] != (2,):
+        raise ValidationError(f"not a regular {ndim}-d array of [re, im] pairs of numbers")
     return pairs.view(complex)[..., 0]
 
 
@@ -135,8 +142,9 @@ class HermitianOperator:
             raise ValidationError(
                 f"matrix shape {mat.shape} incompatible with dims {dims}"
             )
-        herm_err = np.max(np.abs(mat - mat.conj().T)) if d_total else 0.0
-        if not herm_err <= tol.HERMITICITY:  # NaN and infinite entries fail too
+        finite = np.isfinite(mat).all()  # checked first: inf - inf would warn below
+        herm_err = np.max(np.abs(mat - mat.conj().T), initial=0.0) if finite else np.nan
+        if not herm_err <= tol.HERMITICITY:  # written so that NaN fails
             raise ValidationError(
                 f"matrix deviates from Hermiticity by {herm_err:.3e} > {tol.HERMITICITY}"
             )
@@ -182,20 +190,11 @@ class Spectrum:
 def hermitian_eig(a: HermitianOperator | np.ndarray) -> Spectrum:
     """Eigendecomposition with eigenvalues sorted descending.
 
-    Accepts a HermitianOperator or a raw matrix (validated against the
-    Hermiticity tolerance either way).
+    Accepts a HermitianOperator or a raw matrix, checked and symmetrized as a
+    one-site HermitianOperator.
     """
-    if isinstance(a, HermitianOperator):
-        mat = a.mat
-    else:
-        mat = np.asarray(a, dtype=complex)
-        herm_err = np.max(np.abs(mat - mat.conj().T))
-        if herm_err > tol.HERMITICITY:
-            raise ValidationError(
-                f"matrix deviates from Hermiticity by {herm_err:.3e}"
-            )
-        mat = 0.5 * (mat + mat.conj().T)
-    vals, vecs = np.linalg.eigh(mat)
+    op = a if isinstance(a, HermitianOperator) else HermitianOperator((len(a),), a)
+    vals, vecs = np.linalg.eigh(op.mat)
     order = np.argsort(vals)[::-1]
     return Spectrum(vals[order], vecs[:, order])
 

@@ -34,6 +34,7 @@ from .linalg import (
     onbs_from_normals,
     proj,
     random_onbs,
+    real_from_json,
     units_from_normals,
 )
 
@@ -108,7 +109,7 @@ class Box:
             # Labels may be ints or strings; match against declared settings.
             a = _match_label(a, settings[0])
             b = _match_label(b, settings[1])
-            table[(a, b)] = np.asarray(block, dtype=float)
+            table[(a, b)] = real_from_json(block)
         realizations = None
         if "realizations" in data:
             realizations = tuple({_match_label(lbl, settings[i]): complex_from_json(mat, 2)

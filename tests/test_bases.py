@@ -1,5 +1,7 @@
 """Tests for product/unentangled bases and twist moves."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,18 @@ def test_product_state_rejects_nan_factor(value):
         ProductState((bad, np.array([1.0, 0.0])))
     with pytest.raises(ValidationError, match="norm"):
         ProductState.batch([np.array([[1.0, 0.0], bad]), np.eye(2)])
+
+
+@pytest.mark.parametrize("value", [np.inf, complex(0, -np.inf)])
+def test_product_state_rejects_infinite_factor_without_a_warning(value):
+    # canonical_phase would divide by the infinite amplitude and warn.
+    bad = np.array([value, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="norm"):
+            ProductState((bad, np.array([1.0, 0.0])))
+        with pytest.raises(ValidationError, match="norm"):
+            ProductState.batch([np.array([[1.0, 0.0], bad]), np.eye(2)])
 
 
 def test_duplicated_element_invalid():

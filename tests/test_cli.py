@@ -127,9 +127,11 @@ def test_reconstruct_report_cites_seesaw_minimum(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, fitted", [(["--oversample", "1.0"], 65),
-                                           (["--holdout", "0.5"], 61), (["--holdout", "1"], 0)])
+                                           (["--holdout", "0.5"], 61), (["--holdout", "1"], 0),
+                                           (["--oversample", "0.5"], 33)])
 def test_reconstruct_exits_2_when_fit_rows_do_not_span(rho_file, capsys, flags, fitted):
-    # (3, 3) operators have 81 coordinates; 65 of 81 states, 61 of 122 or none are fitted.
+    # (3, 3) operators have 81 coordinates; 65 of 81 states, 61 of 122, none, or 33 of
+    # ceil(0.5 * 81) = 41 are fitted.
     code = main(["reconstruct", "--operator", rho_file] + flags)
     out, err = capsys.readouterr()
     assert code == 2 and not out
@@ -145,6 +147,16 @@ def test_reconstruct_holdout_outside_unit_interval_is_usage_error(rho_file, caps
     out, err = capsys.readouterr()
     assert code == 2 and not out
     assert message in err
+
+
+@pytest.mark.parametrize("oversample", ["-1", "0", "nan", "inf", "x"])
+def test_reconstruct_oversample_outside_range_is_usage_error(rho_file, capsys, oversample):
+    code = main(["reconstruct", "--operator", rho_file, "--oversample", oversample])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    # Rejected by the parser, with a usage message, before the library's own check runs.
+    assert "argument --oversample: " + ("invalid positive_number value" if oversample == "x"
+                                        else "not a finite number > 0") in err
 
 
 def test_reconstruct_holdout_0_reports_the_in_sample_residual(rho_file, capsys):
@@ -476,6 +488,22 @@ def test_non_finite_input_is_an_input_error(argv, dims, value, tmp_path, capsys)
     assert not out and "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("fault", ["strings", "bools"])
+def test_box_entries_must_be_numbers(fault, tmp_path, capsys):
+    # "0.5" and true are JSON, but not probabilities.
+    data = pr_box().to_json()
+    if fault == "strings":
+        data["table"] = {k: [[str(p) for p in row] for row in block]
+                         for k, block in data["table"].items()}
+    else:
+        data["table"]["0,0"] = [[True, False], [False, False]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--box", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "not a Box file" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("fault", ["no elements", "one-number entry"])
 def test_malformed_basis_file_exit_2(fault, tmp_path, capsys):
     data = twisted_example_basis().to_json()
@@ -514,3 +542,12 @@ def test_out_flag_writes_report(rho_file, tmp_path, capsys):
     with open(out) as fh:
         rep = json.load(fh)
     assert rep["verdicts"]["section_consistent"]["pass"]
+
+
+def test_out_path_is_listed_in_both_reports(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("pr.json").write_text(json.dumps(pr_box().to_json()))
+    code, printed = run(["check", "--box", "pr.json", "--out", "rep.json"], capsys)
+    assert code == 0
+    assert printed["artifacts"] == ["rep.json"]
+    assert json.loads(Path("rep.json").read_text()) == printed

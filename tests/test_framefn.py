@@ -1,5 +1,7 @@
 """Tests for frame functions: operator-induced, tabulated, signalling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,3 +237,8 @@ def test_values_reject_what_product_states_reject():
         f.values([v, w])
     with pytest.raises(ValidationError, match="norm"):
         ProductState((v[2], w[2]))
+    w[2, 0] = np.inf  # norms are taken of |w|: a complex product with inf would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="norm"):
+            f.values([v, w])

@@ -66,14 +66,22 @@ def test_herm_vec_round_trip():
 
 
 def test_spanning_design_ranks():
-    assert spanning_design((3, 3), seed=0).feature_rank == 81
-    assert spanning_design((2, 2), seed=0).feature_rank == 16
-    assert spanning_design((1, 1), seed=0).feature_rank == 1
+    for dims, n_feat in [((3, 3), 81), ((2, 2), 16), ((1, 1), 1)]:
+        rows = projector_features(site_stacks(spanning_design(dims, seed=0).states))
+        assert np.linalg.matrix_rank(rows, tol=FEATURE_RANK) == n_feat
 
 
 def test_spanning_design_oversample_count():
     d = spanning_design((3, 3), oversample=1.5, seed=0)
     assert len(d.states) == 122  # ceil(1.5 * 81)
+    # One draw, also below one state per coordinate: fit decides whether they span.
+    assert len(spanning_design((3, 3), oversample=0.5, seed=0).states) == 41
+
+
+@pytest.mark.parametrize("oversample", [0.0, -1.0, np.nan, np.inf])
+def test_spanning_design_rejects_oversample_outside_range(oversample):
+    with pytest.raises(ValidationError, match="is not a finite number > 0"):
+        spanning_design((3, 3), oversample=oversample)
 
 
 def test_reconstruct_round_trip_density():
@@ -121,6 +129,13 @@ def test_reconstruct_rejects_qubit_sites():
     rho = random_density(rng, (2, 2))
     with pytest.raises(ValidationError):
         reconstruct_pvm(sample_from_operator(rho, design.states), design)
+
+
+@pytest.mark.parametrize("holdout, held_out", [(0.2, 24), (0.0, 0)])
+def test_reconstruct_records_its_held_out_rows(holdout, held_out):
+    design = spanning_design((3, 3), seed=9)  # 122 states; round(0.2 * 122) = 24
+    f = sample_from_operator(random_density(make_rng(9), (3, 3)), design.states)
+    assert reconstruct_pvm(f, design, holdout=holdout).held_out == held_out
 
 
 @pytest.mark.parametrize("holdout", [-0.5, 1.5])
@@ -373,46 +388,21 @@ def test_seesaw_matches_sequentially_drawn_starts_bytewise(seed, dims, iters):
     assert wit.value == value
 
 
-def looped_spanning_design(dims, seed, oversample=1.5):
-    """Draw-by-draw design with per-row dense features and a rank check per target."""
-    n_feat = int(np.prod(dims)) ** 2
-    target = int(np.ceil(oversample * n_feat))
+def looped_spanning_design(dims, seed):
+    """Draw-by-draw design of ceil(1.5 * D^2) states, with per-row dense features."""
     rng = make_rng(seed)
-    states, rows = [], []
-    for _ in range(10 * target):
-        s = ProductState(tuple(random_unit(rng, d) for d in dims))
-        states.append(s)
-        rows.append(einsum_features(proj(s.full())))
-        if len(states) >= target:
-            rank = np.linalg.matrix_rank(np.array(rows), tol=1e-10)
-            if rank == n_feat:
-                return states, rank
-            target += n_feat
-    raise AssertionError("reference design did not reach full rank")
+    states = [ProductState(tuple(random_unit(rng, d) for d in dims))
+              for _ in range(int(np.ceil(1.5 * int(np.prod(dims)) ** 2)))]
+    return states, np.array([einsum_features(proj(s.full())) for s in states])
 
 
 @pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
 @pytest.mark.parametrize("seed", range(4))
 def test_spanning_design_matches_draw_by_draw_loop(dims, seed):
     design = spanning_design(dims, seed=seed)
-    states, rank = looped_spanning_design(dims, seed)
+    states, rows = looped_spanning_design(dims, seed)
     assert [s.key() for s in design.states] == [s.key() for s in states]
-    assert design.feature_rank == rank == int(np.prod(dims)) ** 2
-
-
-@pytest.mark.parametrize("seed", range(2))
-def test_spanning_design_short_target_draws_more(seed):
-    # ceil(0.5 * 16) = 8 rows cannot span 16 dimensions: 16 more are drawn.
-    design = spanning_design((2, 2), oversample=0.5, seed=seed)
-    states, _ = looped_spanning_design((2, 2), seed, oversample=0.5)
-    assert len(design.states) == 24
-    assert [s.key() for s in design.states] == [s.key() for s in states]
-
-
-def test_spanning_design_budget_exhausted():
-    # One state is the first target, so the budget is 10 states: rank <= 10 < 16.
-    with pytest.raises(ValidationError, match="non-generic"):
-        spanning_design((2, 2), oversample=0.01, seed=0)
+    assert np.linalg.matrix_rank(rows, tol=1e-10) == int(np.prod(dims)) ** 2
 
 
 @given(seeds, st.sampled_from([(2, 2), (2, 3), (3, 3)]), st.booleans(),

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from nsgleason.linalg import (
     random_onbs,
     random_unit,
     random_units,
+    real_from_json,
     tensor,
 )
 
@@ -72,6 +74,19 @@ def test_hermitian_eig_bell_projector():
     np.testing.assert_allclose(hermitian_eig(op).eigenvalues, [1, 0, 0, 0], atol=1e-12)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_hermitian_eig_checks_a_raw_matrix_as_an_operator(value):
+    mat = random_hermitian(make_rng(4), (3,)).mat.copy()
+    raw, op = hermitian_eig(mat.copy()), hermitian_eig(HermitianOperator((3,), mat))
+    assert raw.eigenvalues.tobytes() == op.eigenvalues.tobytes()
+    assert raw.eigenvectors.tobytes() == op.eigenvectors.tobytes()
+    mat[0, 0] = value  # a NaN used to pass the Hermiticity check, an inf to warn in it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="Hermiticity by nan"):
+            hermitian_eig(mat)
+
+
 def test_hermitian_eig_residual_and_reconstruction():
     rng = make_rng(3)
     op = random_hermitian(rng, (3, 3))
@@ -99,6 +114,17 @@ def test_nan_entry_rejected(value, where):
     mat[where] = mat[where[::-1]] = value
     with pytest.raises(ValidationError, match="Hermiticity by nan"):
         HermitianOperator((2,), mat)
+
+
+@pytest.mark.parametrize("where", [(1, 1), (0, 1)])
+def test_infinite_entry_rejected_without_a_warning(where):
+    # inf - inf in the Hermiticity check would warn; a warning turned error is not a ValidationError.
+    mat = np.eye(2, dtype=complex)
+    mat[where] = mat[where[::-1]] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="Hermiticity by nan"):
+            HermitianOperator((2,), mat)
 
 
 def test_partial_transpose_product_operator():
@@ -210,6 +236,21 @@ def test_codec_matches_the_pair_comprehensions(re_im, data):
                          (encoded, a.ndim - 1)]:
         with pytest.raises(ValidationError):
             complex_from_json(nested, ndim)
+
+
+@pytest.mark.parametrize("value", NOT_FINITE_NUMBERS,
+                         ids=["str", "true", "false", "null", "nan", "inf", "-inf", "10**400",
+                              "list"])
+def test_real_decoder_shares_the_complex_decoders_checks(value):
+    block = [[0.5, 0.0], [0.25, 0.25]]
+    assert real_from_json(block).tobytes() == np.array(block).tobytes()
+    block[1][0] = value  # a bad probability, and a bad real part of a 1-d complex array
+    with pytest.raises(ValidationError):
+        real_from_json(block)
+    with pytest.raises(ValidationError):
+        complex_from_json(block, 1)
+    with pytest.raises(ValidationError):
+        real_from_json([[0.5, 0.0], [0.25]])  # ragged
 
 
 def sequential_unit(rng, d):
