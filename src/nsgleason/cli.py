@@ -104,7 +104,7 @@ def _load(path, cls):
         data = json.load(fh)
     try:
         return cls.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: not a {cls.__name__} file ({exc!r})") from exc
 
 
@@ -248,6 +248,8 @@ def cmd_section(args, argv):
 def cmd_keller(args, argv):
     rep = Report(argv, args.seed)
     graph = kel.Graph.G_STAR if args.graph == "gstar" else kel.Graph.G
+    if args.action != "search" and not args.file:
+        raise ValidationError(f"keller {args.action} needs --file")
     if args.action == "verify":
         cand = kel.load_clique(args.file)
         t0 = time.perf_counter()
@@ -300,11 +302,11 @@ def cmd_keller(args, argv):
 
 
 def int_list(text: str) -> tuple:
-    """argparse type of a comma list of integers, such as "3,3"."""
+    """argparse type of a comma list of integers > 0, such as "3,3"."""
     try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+        return tuple(positive_int(x) for x in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(f"not a comma list of integers > 0: {text!r}") from None
 
 
 def unit_fraction(text: str) -> float:
@@ -319,6 +321,13 @@ def positive_number(text: str) -> float:
     if not 0.0 < float(text) < np.inf:
         raise argparse.ArgumentTypeError(f"not a finite number > 0: {text!r}")
     return float(text)
+
+
+def positive_int(text: str) -> int:
+    """argparse type of an integer > 0, such as "100"."""
+    if not int(text) > 0:
+        raise argparse.ArgumentTypeError(f"not an integer > 0: {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,13 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--box", help="box JSON file")
     sp.add_argument("--dims", type=int_list, default=(3, 3))
     sp.add_argument("--theta", type=float, default=np.pi / 4)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=positive_int, default=100)
     common(sp)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("chsh", help="CHSH evaluation / optimization")
-    sp.add_argument("--t", help="operator JSON file")
-    sp.add_argument("--singlet", action="store_true")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--t", help="operator JSON file")
+    source.add_argument("--singlet", action="store_true")
     sp.add_argument("--optimize", action="store_true")
     sp.add_argument("--restarts", type=int,
                     help="ignored: the CHSH maximum is computed exactly")
@@ -358,16 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_chsh)
 
     sp = sub.add_parser("prbox", help="PR-box quantum-extension feasibility")
-    sp.add_argument("--samples", type=int, default=2000)
+    sp.add_argument("--samples", type=positive_int, default=2000)
     sp.add_argument("--schedule", type=int_list,
                     help="comma list of LP sample counts, e.g. 250,500,1000,2000")
     common(sp)
     sp.set_defaults(func=cmd_prbox)
 
     sp = sub.add_parser("twist", help="twist-move search / certificate replay")
-    sp.add_argument("--fig1", action="store_true",
-                    help="run the bundled nine-element worked example")
-    sp.add_argument("--basis", help="unentangled basis JSON file")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fig1", action="store_true",
+                        help="run the bundled nine-element worked example")
+    source.add_argument("--basis", help="unentangled basis JSON file")
     sp.add_argument("--budget", type=int, default=50)
     sp.add_argument("--out-cert", help="write the found certificate here")
     common(sp)
@@ -380,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("section", help="build + check a context-family section")
     sp.add_argument("--t", required=True, help="operator JSON file")
-    sp.add_argument("--contexts", type=int, default=20,
+    sp.add_argument("--contexts", type=positive_int, default=20,
                     help="number of fine contexts (each adds 2 coarse + 2 edges)")
     common(sp)
     sp.set_defaults(func=cmd_section)
@@ -389,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("action", choices=["verify", "search", "basis"])
     sp.add_argument("--file", help="clique file (one digit-string per line)")
     sp.add_argument("--graph", choices=["g", "gstar"], default="gstar")
-    sp.add_argument("--n", type=int, default=2)
+    sp.add_argument("--n", type=positive_int, default=2)
     sp.add_argument("--size", type=int, default=4)
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--budget", type=int, default=1000)

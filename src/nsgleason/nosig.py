@@ -11,7 +11,7 @@ states; for the PR box the answer is no, with a robust residual floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import null_space
@@ -57,42 +57,48 @@ class SolverError(ValidationError):
 class Box:
     """Conditional probability table P(A, B | a, b) with optional realizations.
 
-    ``table`` maps (a_label, b_label) to a matrix P[A, B]; ``realizations``
-    (optional) maps each setting label to an orthonormal measurement basis
-    (columns = outcome vectors) on the corresponding site.
+    ``table`` is one read-only float array P[a, b, A, B] of shape (|S_A|, |S_B|,
+    |O_A|, |O_B|), indexed by label position; ``block(a, b)`` reads P[A, B] by label.
+    ``realizations`` (optional) maps each setting label of a site to an orthonormal
+    (d, d) measurement basis (columns = outcome vectors), d the site's number of
+    outcomes; ``bases`` stacks them per site, (|S|, d, d) in setting order.
     """
 
     settings: tuple  # per site, tuple of labels
     outcomes: tuple  # per site, tuple of labels
-    table: dict
-    realizations: tuple | None = None  # per site: dict label -> ndarray (d x n_out)
+    table: np.ndarray
+    realizations: tuple | None = None  # per site: dict label -> ndarray (d x d)
+    bases: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n1, n2 = len(self.outcomes[0]), len(self.outcomes[1])
-        for a in self.settings[0]:
-            for b in self.settings[1]:
-                p = np.asarray(self.table[(a, b)], dtype=float)
-                if p.shape != (n1, n2):
-                    raise ValidationError(f"table block ({a},{b}) has shape {p.shape}")
-                if not p.min() >= -tol.NEGATIVE_PROBABILITY:  # NaN entries fail too
-                    raise ValidationError("negative probability in table")
-                if not abs(p.sum() - 1.0) <= tol.BLOCK_SUM:
-                    raise ValidationError(
-                        f"table block ({a},{b}) sums to {p.sum()!r}, not 1"
-                    )
+        shape = tuple(len(labels) for labels in (*self.settings, *self.outcomes))
+        p = np.array(self.table, dtype=float)
+        if p.shape != shape:
+            raise ValidationError(f"table has shape {p.shape}, not {shape}")
+        if not p.min(initial=0.0) >= -tol.NEGATIVE_PROBABILITY:  # NaN entries fail too
+            raise ValidationError("negative probability in table")
+        sums = p.sum(axis=(2, 3)).ravel()
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= tol.BLOCK_SUM))
+        if len(bad):
+            raise ValidationError(f"table block {_block_keys(self.settings)[bad[0]]} "
+                                  f"sums to {sums[bad[0]]!r}, not 1")
+        p.flags.writeable = False
+        object.__setattr__(self, "table", p)
+        if self.realizations is not None:
+            if len(self.realizations) != 2:
+                raise ValidationError("realizations need one dict of bases per site")
+            object.__setattr__(self, "bases", tuple(map(
+                _basis_stack, (0, 1), self.settings, self.outcomes, self.realizations)))
 
     def block(self, a, b) -> np.ndarray:
-        return np.asarray(self.table[(a, b)], dtype=float)
+        return self.table[self.settings[0].index(a), self.settings[1].index(b)]
 
     def to_json(self) -> dict:
         out = {
             "settings": [list(s) for s in self.settings],
             "outcomes": [list(o) for o in self.outcomes],
-            "table": {
-                f"{a},{b}": self.block(a, b).tolist()
-                for a in self.settings[0]
-                for b in self.settings[1]
-            },
+            "table": dict(zip(_block_keys(self.settings),
+                              self.table.reshape(-1, *self.table.shape[2:]).tolist())),
         }
         if self.realizations is not None:
             out["realizations"] = [{str(lbl): complex_to_json(m) for lbl, m in site.items()}
@@ -103,62 +109,60 @@ class Box:
     def from_json(cls, data: dict) -> "Box":
         settings = tuple(tuple(s) for s in data["settings"])
         outcomes = tuple(tuple(o) for o in data["outcomes"])
-        table = {}
-        for key, block in data["table"].items():
-            a, b = key.split(",")
-            # Labels may be ints or strings; match against declared settings.
-            a = _match_label(a, settings[0])
-            b = _match_label(b, settings[1])
-            table[(a, b)] = real_from_json(block)
+        keys, blocks = _block_keys(settings), data["table"]
+        if sorted(blocks) != sorted(keys):
+            raise ValidationError(f"table blocks {sorted(blocks)}, not {keys} of the settings")
+        table = real_from_json([blocks[k] for k in keys])
+        table = table.reshape(len(settings[0]), len(settings[1]), *table.shape[1:])
         realizations = None
-        if "realizations" in data:
-            realizations = tuple({_match_label(lbl, settings[i]): complex_from_json(mat, 2)
-                                  for lbl, mat in site.items()}
+        if "realizations" in data:  # keys are str(label); an undeclared key stays a string
+            labels = [{str(lbl): lbl for lbl in site} for site in settings]
+            realizations = tuple({labels[i].get(raw, raw): complex_from_json(mat, 2)
+                                  for raw, mat in site.items()}
                                  for i, site in enumerate(data["realizations"]))
         return cls(settings, outcomes, table, realizations)
 
 
-def _match_label(raw: str, labels):
-    for lbl in labels:
-        if str(lbl) == raw:
-            return lbl
-    raise ValidationError(f"unknown setting label {raw!r}")
+def _block_keys(settings) -> list:
+    """The JSON keys "a,b" of the table blocks, in table order."""
+    return [f"{a},{b}" for a in settings[0] for b in settings[1]]
+
+
+def _basis_stack(site, labels, outcomes, bases) -> np.ndarray:
+    """A site's bases as one read-only (|S|, d, d) stack in setting order; ValidationError
+    unless they are one orthonormal (d, d) basis per setting, d = len(outcomes)."""
+    d = len(outcomes)
+    if set(bases) != set(labels):
+        raise ValidationError(f"site {site}: bases for settings {list(bases)}, not {list(labels)}")
+    for lbl in labels:  # NaN entries fail the comparison too
+        u = bases[lbl]
+        if np.shape(u) != (d, d) or not abs(np.conj(u).T @ u - np.eye(d)).max() <= tol.LOCAL_BASIS:
+            raise ValidationError(f"site {site} setting {lbl!r}: no orthonormal ({d}, {d}) basis")
+    stack = np.array([bases[lbl] for lbl in labels]).reshape(-1, d, d)
+    stack.flags.writeable = False
+    return stack
 
 
 def pr_box() -> Box:
     """The extremal no-signalling box: P = 1/2 when A xor B = a*b, else 0."""
-    table = {}
-    for a in (0, 1):
-        for b in (0, 1):
-            p = np.zeros((2, 2))
-            for out_a in (0, 1):
-                for out_b in (0, 1):
-                    if (out_a ^ out_b) == (a & b):
-                        p[out_a, out_b] = 0.5
-            table[(a, b)] = p
-    return Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), table)
+    a, b, out_a, out_b = np.indices((2, 2, 2, 2))
+    return Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), np.where((out_a ^ out_b) == (a & b), 0.5, 0.0))
 
 
-def with_qubit_realizations(box: Box, angles=None) -> Box:
-    """Attach standard equatorial qubit measurement bases to a 2x2x2x2 box."""
-    if angles is None:
-        angles = ((0.0, np.pi / 2), (np.pi / 4, 3 * np.pi / 4))
-    realizations = tuple(
-        {
-            lbl: equator_basis(theta)
-            for lbl, theta in zip(box.settings[i], angles[i])
-        }
-        for i in range(2)
-    )
+def with_qubit_realizations(box: Box) -> Box:
+    """Attach standard equatorial qubit measurement bases to a 2x2x2x2 box: Bloch
+    angles (0, pi/2) on the first site and (pi/4, 3 pi/4) on the second."""
+    angles = ((0.0, np.pi / 2), (np.pi / 4, 3 * np.pi / 4))
+    realizations = tuple({lbl: equator_basis(theta) for lbl, theta in zip(labels, site)}
+                         for labels, site in zip(box.settings, angles))
     return Box(box.settings, box.outcomes, box.table, realizations)
 
 
 def deterministic_box() -> Box:
     """Deterministic local box: both parties always output their first outcome."""
-    p = np.zeros((2, 2))
-    p[0, 0] = 1.0
-    table = {(a, b): p for a in (0, 1) for b in (0, 1)}
-    return Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), table)
+    p = np.zeros((2, 2, 2, 2))
+    p[:, :, 0, 0] = 1.0
+    return Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), p)
 
 
 def box_from_operator(t: HermitianOperator, realizations) -> Box:
@@ -166,12 +170,12 @@ def box_from_operator(t: HermitianOperator, realizations) -> Box:
     ValidationError on a negative or unnormalized block."""
     settings = tuple(tuple(site.keys()) for site in realizations)
     n_out = tuple(next(iter(site.values())).shape[1] for site in realizations)
-    outcomes = tuple(tuple(range(n)) for n in n_out)
     coords = feature_of(t.mat)
-    table = {(a, b): (projector_features(basis_products(realizations[0][a], realizations[1][b]))
-                      @ coords).reshape(n_out)
-             for a in settings[0] for b in settings[1]}
-    return Box(settings, outcomes, table, tuple(realizations))
+    # One matmul per setting pair: a stacked matmul rounds the table differently.
+    table = [[projector_features(basis_products(realizations[0][a], realizations[1][b])) @ coords
+              for b in settings[1]] for a in settings[0]]
+    return Box(settings, tuple(tuple(range(n)) for n in n_out),
+               np.reshape(table, tuple(map(len, settings)) + n_out), tuple(realizations))
 
 
 @dataclass(frozen=True)
@@ -186,27 +190,23 @@ class NoSigReport:
 
 
 def check_box(box: Box) -> NoSigReport:
-    """Maximum variation of either site's marginals over the remote setting."""
-    worst, witness = 0.0, None
-    for site in (0, 1):
-        remote = 1 - site
-        for a in box.settings[site]:
-            marginals = {}
-            for b in box.settings[remote]:
-                block = box.block(a, b) if site == 0 else box.block(b, a)
-                marginals[b] = block.sum(axis=1) if site == 0 else block.sum(axis=0)
-            labels = list(marginals)
-            for i in range(len(labels)):
-                for j in range(i + 1, len(labels)):
-                    d = float(np.max(np.abs(marginals[labels[i]] - marginals[labels[j]])))
-                    if d > worst:
-                        worst = d
-                        witness = {
-                            "site": site,
-                            "setting": a,
-                            "remote_pair": (labels[i], labels[j]),
-                        }
-    return NoSigReport(worst, witness if worst > tol.NO_SIGNALLING else None)
+    """Maximum variation of either site's marginals over the remote setting; the
+    witness is the first maximum in (site, setting, remote pair i < j) order."""
+    # gaps[site][setting, i, j]: the largest change of the marginal from remote setting i to j.
+    gaps = [np.abs(m[:, :, None] - m[:, None, :]).max(axis=3)
+            for m in (box.table.sum(axis=3), box.table.sum(axis=2).swapaxes(0, 1))]
+    flat = np.concatenate([g.ravel() for g in gaps])
+    worst = float(flat.max(initial=0.0))
+    if worst <= tol.NO_SIGNALLING:
+        return NoSigReport(worst)
+    # The first maximum lies above the diagonal, as each gap below it has its mirror earlier,
+    # and there the flat order is the (site, setting, i < j) order.
+    k = int(np.argmax(flat))
+    site = int(k >= gaps[0].size)
+    a, i, j = np.unravel_index(k - site * gaps[0].size, gaps[site].shape)
+    remote = box.settings[1 - site]
+    return NoSigReport(worst, {"site": site, "setting": box.settings[site][a],
+                               "remote_pair": (remote[i], remote[j])})
 
 
 def check_framefn(f, trials: int = 100, seed: int = 0) -> NoSigReport:
@@ -217,8 +217,8 @@ def check_framefn(f, trials: int = 100, seed: int = 0) -> NoSigReport:
     draw their site, then normals for x, b1, b2; ``f.values`` runs once per site on stacks.
     """
     dims = f.dims
-    if len(dims) != 2:
-        raise ValidationError("check_framefn handles two-site frame functions")
+    if len(dims) != 2 or trials < 1:
+        raise ValidationError(f"check_framefn needs 2 sites and trials >= 1, not {dims}, {trials}")
     rng = make_rng(seed)
     sites, normals = [], []
     for _ in range(trials):
@@ -261,10 +261,6 @@ def equator_basis(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _observable(basis: np.ndarray) -> np.ndarray:
-    return proj(basis[:, 0]) - proj(basis[:, 1])
-
-
 @dataclass(frozen=True)
 class ChshInstance:
     """Four qubit measurement bases (a, a', b, b') and the operator t."""
@@ -282,7 +278,7 @@ class ChshInstance:
 
 
 def bell_operator(settings) -> np.ndarray:
-    a, a2, b, b2 = (_observable(np.asarray(s, dtype=complex)) for s in settings)
+    a, a2, b, b2 = (proj(u[:, 0]) - proj(u[:, 1]) for u in map(np.asarray, settings))
     return np.kron(a, b) + np.kron(a, b2) + np.kron(a2, b) - np.kron(a2, b2)
 
 
@@ -293,14 +289,10 @@ def chsh_value(inst: ChshInstance) -> float:
 
 def chsh_value_box(box: Box) -> float:
     """CHSH value of a 2-setting 2-outcome box (outcomes read as +1, -1)."""
-    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    a, a2 = box.settings[0]
-    b, b2 = box.settings[1]
-
-    def corr(x, y):
-        return float(np.sum(box.block(x, y) * signs))
-
-    return corr(a, b) + corr(a, b2) + corr(a2, b) - corr(a2, b2)
+    if box.table.shape != (2, 2, 2, 2):
+        raise ValidationError("CHSH needs two settings and two outcomes per site")
+    e = np.sum(box.table * np.array([[1.0, -1.0], [-1.0, 1.0]]), axis=(2, 3))  # E(a, b)
+    return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
 
 
 def singlet() -> HermitianOperator:
@@ -399,11 +391,10 @@ def _operator_space(realizations):
 
 
 def _box_equalities(box: Box):
-    """Feature rows and targets for tr(t (p_A (x) q_B)) = P(A,B|a,b)."""
-    pairs = [(a, b) for a in box.settings[0] for b in box.settings[1]]
-    stacks = [basis_products(box.realizations[0][a], box.realizations[1][b]) for a, b in pairs]
-    vals = [box.block(a, b).ravel() for a, b in pairs]
-    return projector_features([np.concatenate(s) for s in zip(*stacks)]), np.concatenate(vals)
+    """Feature rows and targets for tr(t (p_A (x) q_B)) = P(A,B|a,b), in table order."""
+    u, v = box.bases
+    pairs = basis_products(np.repeat(u, len(v), axis=0), np.tile(v, (len(u), 1, 1)))
+    return projector_features(pairs), box.table.ravel()
 
 
 def _vertex_lp(eq_rows, eq_vals, pos_rows, trace_row):
@@ -414,15 +405,9 @@ def _vertex_lp(eq_rows, eq_vals, pos_rows, trace_row):
     n_eq, n_var = eq_rows.shape
     c = np.zeros(n_var + 1)
     c[-1] = 1.0
-    a_ub = np.zeros((2 * n_eq + len(pos_rows), n_var + 1))
-    b_ub = np.zeros(2 * n_eq + len(pos_rows))
-    a_ub[:n_eq, :n_var] = eq_rows
-    a_ub[:n_eq, -1] = -1.0
-    b_ub[:n_eq] = eq_vals
-    a_ub[n_eq:2 * n_eq, :n_var] = -eq_rows
-    a_ub[n_eq:2 * n_eq, -1] = -1.0
-    b_ub[n_eq:2 * n_eq] = -eq_vals
-    a_ub[2 * n_eq:, :n_var] = -pos_rows
+    slack, zero = np.full((n_eq, 1), -1.0), np.zeros((len(pos_rows), 1))
+    a_ub = np.block([[eq_rows, slack], [-eq_rows, slack], [-pos_rows, zero]])
+    b_ub = np.concatenate([eq_vals, -eq_vals, np.zeros(len(pos_rows))])
     a_eq = np.concatenate([trace_row, [0.0]])[None, :]
     return linprog(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],

@@ -217,6 +217,8 @@ def random_context_family(dims, n_fine: int, seed: int = 0):
     together with two coarse-grained parents (merging the first two outcomes
     on one site), giving two edges per draw.
     """
+    if n_fine < 1:
+        raise ValidationError(f"random_context_family needs n_fine >= 1, not {n_fine!r}")
     d1, d2 = dims
     left, right = random_onbs(make_rng(seed), dims, n_fine)
     groups_l = ((0, 1),) + tuple((i,) for i in range(2, d1))

@@ -29,7 +29,7 @@ from nsgleason.linalg import (
     random_density,
     random_hermitian,
 )
-from nsgleason.nosig import NoSigReport, pr_box, singlet
+from nsgleason.nosig import NoSigReport, pr_box, singlet, with_qubit_realizations
 from nsgleason.presheaf import ConsistencyReport
 
 
@@ -551,3 +551,50 @@ def test_out_path_is_listed_in_both_reports(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert printed["artifacts"] == ["rep.json"]
     assert json.loads(Path("rep.json").read_text()) == printed
+
+
+@pytest.mark.parametrize("argv", [["check", "--trials", "0"], ["check", "--trials", "-1"],
+                                  ["section", "--contexts", "0"], ["section", "--contexts", "-2"],
+                                  ["prbox", "--samples", "-5"], ["keller", "search", "--n", "0"]])
+def test_counts_must_be_positive_integers(argv, rho_file, capsys):
+    flag = argv[-2]
+    if argv[0] == "section":
+        argv = argv + ["--t", rho_file]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out and f"argument {flag}: not an integer > 0" in err
+
+
+def test_schedule_entries_must_be_positive_integers(capsys):
+    assert main(["prbox", "--schedule", "0,500"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "not a comma list of integers > 0: '0,500'" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chsh", "--optimize"], "one of the arguments --t --singlet is required"),
+    (["chsh", "--t", "t.json", "--singlet"], "argument --singlet: not allowed with argument --t"),
+    (["twist"], "one of the arguments --fig1 --basis is required"),
+    (["twist", "--fig1", "--basis", "b.json"], "not allowed with argument --fig1"),
+    (["keller", "verify"], "keller verify needs --file"),
+    (["keller", "basis"], "keller basis needs --file"),
+])
+def test_missing_or_conflicting_input_is_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out and message in err
+
+
+@pytest.mark.parametrize("fault", ["missing block", "scaled bases"])
+def test_malformed_box_file_exit_2(fault, tmp_path, capsys):
+    data = with_qubit_realizations(pr_box()).to_json()
+    if fault == "missing block":
+        del data["table"]["0,1"]
+    else:
+        data["realizations"] = [{lbl: (2 * np.array(u)).tolist() for lbl, u in site.items()}
+                                for site in data["realizations"]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--box", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "not a Box file" in json.loads(err)["error"]

@@ -13,6 +13,7 @@ from nsgleason.gleason import _coordinates, feature_of, product_seesaw_min, vec_
 from nsgleason.linalg import (
     HermitianOperator,
     ValidationError,
+    complex_to_json,
     make_rng,
     proj,
     random_density,
@@ -75,16 +76,123 @@ def test_deterministic_box_no_signalling():
 
 
 def test_signalling_box_detected():
-    table = {
-        (0, 0): np.array([[0.5, 0.0], [0.0, 0.5]]),
-        (0, 1): np.array([[0.6, 0.0], [0.0, 0.4]]),
-        (1, 0): np.array([[0.5, 0.0], [0.0, 0.5]]),
-        (1, 1): np.array([[0.5, 0.0], [0.0, 0.5]]),
-    }
+    table = np.array([
+        [[[0.5, 0.0], [0.0, 0.5]], [[0.6, 0.0], [0.0, 0.4]]],
+        [[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]],
+    ])
     box = Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), table)
     rep = check_box(box)
     assert rep.max_discrepancy == pytest.approx(0.1, abs=1e-12)
     assert rep.witness["site"] == 0
+
+
+def looped_check_box(box):
+    """check_box as it ran over a dict of blocks, one setting pair and one remote
+    pair at a time: (max_discrepancy, witness)."""
+    worst, witness = 0.0, None
+    for site in (0, 1):
+        remote = 1 - site
+        for a in box.settings[site]:
+            marginals = {}
+            for b in box.settings[remote]:
+                block = box.block(a, b) if site == 0 else box.block(b, a)
+                marginals[b] = block.sum(axis=1) if site == 0 else block.sum(axis=0)
+            labels = list(marginals)
+            for i in range(len(labels)):
+                for j in range(i + 1, len(labels)):
+                    d = float(np.max(np.abs(marginals[labels[i]] - marginals[labels[j]])))
+                    if d > worst:
+                        worst = d
+                        witness = {
+                            "site": site,
+                            "setting": a,
+                            "remote_pair": (labels[i], labels[j]),
+                        }
+    return worst, witness if worst > tol.NO_SIGNALLING else None
+
+
+@st.composite
+def random_boxes(draw):
+    """Boxes of 1-3 settings and 2-3 outcomes per site, int or str setting labels:
+    signalling, product (no-signalling up to rounding) or with small-integer
+    weights, whose marginal gaps tie often."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+             draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+    settings = tuple(tuple(range(n)) if draw(st.booleans()) else ("x", "y", "z")[:n]
+                     for n in shape[:2])
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["signalling", "product", "integer weights"]))
+    if kind == "product":
+        p_a, p_b = rng.random((shape[0], shape[2])), rng.random((shape[1], shape[3]))
+        table = ((p_a / p_a.sum(axis=1, keepdims=True))[:, None, :, None]
+                 * (p_b / p_b.sum(axis=1, keepdims=True))[None, :, None, :])
+    else:
+        table = (rng.random(shape) + 0.05 if kind == "signalling"
+                 else rng.integers(0, 3, shape) + np.eye(shape[2], shape[3]))
+        table = table / table.sum(axis=(2, 3), keepdims=True)
+    return Box(settings, tuple(tuple(range(n)) for n in shape[2:]), table)
+
+
+@given(random_boxes())
+@settings(max_examples=300, deadline=None)
+def test_check_box_matches_looped_check(box):
+    rep = check_box(box)
+    worst, witness = looped_check_box(box)
+    assert np.float64(rep.max_discrepancy).tobytes() == np.float64(worst).tobytes()
+    assert rep.witness == witness
+
+
+def test_box_table_is_read_only():
+    table = np.full((2, 2, 2, 2), 0.25)
+    box = Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), table)
+    assert table.flags.writeable  # the caller's array is copied, not frozen
+    assert box.table.dtype == float and box.table.shape == (2, 2, 2, 2)
+    for view in (box.table, box.block(0, 1), pr_box().table):
+        with pytest.raises(ValueError, match="read-only"):
+            view[..., 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("fault", ["scaled", "one column", "missing label", "undeclared label",
+                                   "one site"])
+def test_box_realizations_are_validated(fault):
+    # Each declared setting needs one orthonormal (d, d) basis, d its site's outcome count.
+    real = [dict(site) for site in with_qubit_realizations(pr_box()).realizations]
+    if fault == "scaled":
+        real = [{lbl: 2 * u for lbl, u in site.items()} for site in real]
+    elif fault == "one column":
+        real[1][0] = real[1][0][:, :1]
+    elif fault == "missing label":
+        del real[0][1]
+    elif fault == "undeclared label":
+        real[0][2] = real[0][0]
+    else:
+        real = real[:1]
+    box = pr_box()
+    with pytest.raises(ValidationError):
+        Box(box.settings, box.outcomes, box.table, tuple(real))
+    data = box.to_json()
+    data["realizations"] = [{str(lbl): complex_to_json(u) for lbl, u in site.items()}
+                            for site in real]
+    with pytest.raises(ValidationError):
+        Box.from_json(data)
+
+
+@pytest.mark.parametrize("key", ["0,1", "2,0"])
+def test_box_json_blocks_must_match_the_settings(key):
+    data = pr_box().to_json()
+    if key in data["table"]:
+        del data["table"][key]
+    else:
+        data["table"][key] = data["table"]["0,0"]
+    with pytest.raises(ValidationError, match="table blocks"):
+        Box.from_json(data)
+
+
+def test_check_framefn_needs_a_trial():
+    f = make_signalling_example((3, 3), np.pi / 4)
+    for trials in (0, -1):
+        with pytest.raises(ValidationError, match="trials >= 1"):
+            check_framefn(f, trials=trials)
 
 
 def test_operator_induced_framefn_passes():
@@ -220,6 +328,14 @@ def test_chsh_deterministic_box_exactly_2():
     assert chsh_value_box(deterministic_box()) == 2.0
 
 
+def test_chsh_value_box_needs_two_settings_and_outcomes():
+    for shape in ((3, 2, 2, 2), (1, 1, 2, 2), (2, 2, 3, 3)):
+        labels = tuple(tuple(range(n)) for n in shape)
+        box = Box(labels[:2], labels[2:], np.full(shape, 1.0 / (shape[2] * shape[3])))
+        with pytest.raises(ValidationError, match="two settings"):
+            chsh_value_box(box)
+
+
 def test_chsh_optimize_singlet():
     val, settings = chsh_optimize(singlet())
     assert val == pytest.approx(TSIRELSON, abs=1e-4)
@@ -349,14 +465,15 @@ def test_box_from_operator_rejects_negative_probability():
                                    [[np.inf, 0.0], [0.0, 0.0]]])
 def test_box_rejects_non_finite_probabilities(block):
     # A comparison with NaN is false, so both block checks are written to fail on it.
-    table = {**pr_box().table, (0, 0): np.array(block)}
+    table = pr_box().table.copy()
+    table[0, 0] = block
     with pytest.raises(ValidationError):
         Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), table)
 
 
 def test_quantum_extension_white_noise():
     real = optimal_realizations()
-    table = {(a, b): np.full((2, 2), 0.25) for a in (0, 1) for b in (0, 1)}
+    table = np.full((2, 2, 2, 2), 0.25)
     box = Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), table, real)
     verdict = quantum_extension(box, positivity_samples=300, seed=2)
     assert verdict.verdict == "FEASIBLE"
@@ -476,7 +593,7 @@ def test_later_rounds_solve_one_lp(monkeypatch, seed, verdict, rounds):
 
 
 def noisy_pr_box(visibility):
-    table = {k: visibility * p + (1 - visibility) / 4 for k, p in pr_box().table.items()}
+    table = visibility * pr_box().table + (1 - visibility) / 4
     return with_qubit_realizations(Box(pr_box().settings, pr_box().outcomes, table))
 
 
@@ -494,10 +611,8 @@ def nudged_box(eps):
     """A (2,2) density box with P(0,0|0,0) and P(0,1|0,0) moved by +-eps: site 2
     signals by eps, below the 1e-7 row tolerance of HiGHS."""
     _, box = next(density_boxes(1, dims=(2,)))
-    table = dict(box.table)
-    block = table[(0, 0)].copy()
-    block[0] += [eps, -eps]
-    table[(0, 0)] = block
+    table = box.table.copy()
+    table[0, 0, 0] += [eps, -eps]
     return Box(box.settings, box.outcomes, table, box.realizations)
 
 
@@ -552,8 +667,7 @@ def test_round_one_decisions_are_unchanged():
     cases = [(with_qubit_realizations(pr_box()), 2000, seed) for seed in range(3)]
     cases += [(noisy_pr_box(v), 500, 5) for v in (0.5, 0.7, 0.8, 0.95)]
     cases += [(box_from_operator(singlet(), optimal_realizations()), 500, 1)]
-    cases += [(Box(((0, 1), (0, 1)), ((0, 1), (0, 1)),
-                   {(a, b): np.full((2, 2), 0.25) for a in (0, 1) for b in (0, 1)},
+    cases += [(Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), np.full((2, 2, 2, 2), 0.25),
                    optimal_realizations()), 300, 2)]
     cases += [(with_qubit_realizations(deterministic_box()), 300, 3)]
     cases += [(box, 1000, i) for i, (_, box) in enumerate(density_boxes(12, base=500))]

@@ -376,3 +376,10 @@ def test_section_from_framefn_matches_per_state_loop(seed, dims, kind):
             assert got[label].tobytes() == p.tobytes()
         # One batched contraction per context sums in another order than f(s).
         np.testing.assert_allclose(got[label], p, rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_fine", [0, -2])
+def test_random_context_family_needs_a_fine_context(n_fine):
+    # Zero contexts would make every section trivially consistent.
+    with pytest.raises(ValidationError, match="n_fine >= 1"):
+        random_context_family((3, 3), n_fine)
