@@ -57,7 +57,7 @@ print(f"best residual            : {verdict.residual:.4f}")
 
 print("\n=== LP relaxations squeeze the bound ===")
 schedule = (250, 500, 1000, 2000)
-bounds = max_chsh_lp(box.realizations, schedule, seed=0)
+bounds = max_chsh_lp(box, schedule, seed=0)
 for n, b in zip(schedule, bounds):
     print(f"  {n:5d} positivity samples -> CHSH <= {b:.4f}")
 print("The relaxation tightens monotonically toward the quantum value, "

@@ -181,7 +181,7 @@ def cmd_prbox(args, argv):
                 tol.INFEASIBLE_RESIDUAL, note)
     if args.schedule:
         try:
-            bounds = max_chsh_lp(box.realizations, args.schedule, seed=args.seed)
+            bounds = max_chsh_lp(box, args.schedule, seed=args.seed)
         except SolverError as exc:
             rep.data["max_chsh_lp"] = {"schedule": args.schedule, "solver_status": exc.status,
                                        "solver_message": exc.message}
@@ -401,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--file", help="clique file (one digit-string per line)")
     sp.add_argument("--graph", choices=["g", "gstar"], default="gstar")
     sp.add_argument("--n", type=positive_int, default=2)
-    sp.add_argument("--size", type=int, default=4)
+    sp.add_argument("--size", type=positive_int, default=4)
     sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--budget", type=int, default=1000)
+    sp.add_argument("--budget", type=positive_int, default=1000)
     sp.add_argument("--out-clique")
     sp.add_argument("--out-basis")
     common(sp)

@@ -116,6 +116,8 @@ class Box:
         table = table.reshape(len(settings[0]), len(settings[1]), *table.shape[1:])
         realizations = None
         if "realizations" in data:  # keys are str(label); an undeclared key stays a string
+            if len(data["realizations"]) != len(settings):
+                raise ValidationError("realizations need one dict of bases per site")
             labels = [{str(lbl): lbl for lbl in site} for site in settings]
             realizations = tuple({labels[i].get(raw, raw): complex_from_json(mat, 2)
                                   for raw, mat in site.items()}
@@ -287,10 +289,15 @@ def chsh_value(inst: ChshInstance) -> float:
     return float(np.trace(inst.t.mat @ bell_operator(inst.settings)).real)
 
 
-def chsh_value_box(box: Box) -> float:
-    """CHSH value of a 2-setting 2-outcome box (outcomes read as +1, -1)."""
+def _require_chsh_box(box: Box):
+    """ValidationError unless the box has two settings and two outcomes per site."""
     if box.table.shape != (2, 2, 2, 2):
         raise ValidationError("CHSH needs two settings and two outcomes per site")
+
+
+def chsh_value_box(box: Box) -> float:
+    """CHSH value of a 2-setting 2-outcome box (outcomes read as +1, -1)."""
+    _require_chsh_box(box)
     e = np.sum(box.table * np.array([[1.0, -1.0], [-1.0, 1.0]]), axis=(2, 3))  # E(a, b)
     return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
 
@@ -383,9 +390,11 @@ class ExtensionVerdict:
         return out
 
 
-def _operator_space(realizations):
-    """Local dims of realizations, the D^2 coordinates of t, and the feature row of tr(t)."""
-    dims = tuple(r[next(iter(r))].shape[0] for r in realizations)
+def _operator_space(box: Box):
+    """Site dims of a realized box, the D^2 coordinates of t, and the feature row of tr(t)."""
+    if box.bases is None:
+        raise ValidationError("the LP needs a box with projective realizations")
+    dims = tuple(u.shape[-1] for u in box.bases)
     d_total = int(np.prod(dims))
     return dims, d_total * d_total, feature_of(np.eye(d_total))
 
@@ -429,9 +438,7 @@ def _recentring_lp(x0, null, pos_rows):
                    bounds=[(None, None)] * k + [(None, 1.0)], method="highs")
 
 
-def quantum_extension(
-    box: Box, positivity_samples: int = 2000, seed: int = 0, max_rounds: int = 5
-) -> ExtensionVerdict:
+def quantum_extension(box: Box, positivity_samples: int = 2000, seed: int = 0) -> ExtensionVerdict:
     """Can a unit-trace, product-positive Hermitian t reproduce the box?
 
     Two LPs give candidates for t, each over the box equalities
@@ -456,85 +463,70 @@ def quantum_extension(
     HiGHS accepts rows off by up to 1e-7; a miss comes from x0, so later
     rounds run the vertex LP alone).  For boxes of quantum states
     FEASIBLE is the expected verdict, mostly from the re-centred candidate
-    in round 1; AMBIGUOUS means ``max_rounds`` ran out.  A failed solve gives
-    ERROR with the HiGHS status and message, never a verdict.
+    in round 1; AMBIGUOUS means ``tolerances.EXTENSION_ROUNDS`` rounds ran out.
+    A failed solve gives ERROR with the HiGHS status and message, never a verdict.
     """
-    if not box.realizations:
-        raise ValidationError("quantum_extension requires projective realizations")
-    dims, n_var, trace_row = _operator_space(box.realizations)
+    dims, n_var, trace_row = _operator_space(box)
     eq_rows, eq_vals = _box_equalities(box)
-    rng = make_rng(seed)
-    pos_rows = _positivity_rows(rng, dims, positivity_samples)
+    pos_rows = _positivity_rows(make_rng(seed), dims, positivity_samples)
     fit_rows, fit_vals = np.vstack([eq_rows, trace_row]), np.append(eq_vals, 1.0)
     affine = None  # (x0, N) of the exact equalities, built on first use
-
-    rounds, tried = 0, []
     recentre = False  # the last vertex residual is at most FEASIBLE_RESIDUAL
     exact = True  # no re-centred t missed the equalities; x0 decides this for every round
-
-    def attempt(kind):
-        """Solve one LP and see-saw its t: a verdict, None (t was negative on a
-        product state, recorded in ``tried``) or False (no usable re-centred t)."""
-        nonlocal affine, recentre, exact
-        if kind == "vertex":
-            res = _vertex_lp(eq_rows, eq_vals, pos_rows, trace_row)
-        else:
-            if affine is None:
-                affine = (np.linalg.lstsq(fit_rows, fit_vals, rcond=None)[0],
-                          null_space(fit_rows))
-            res = _recentring_lp(*affine, pos_rows)
-        if not res.success:  # both LPs are always feasible, so this is a solver fault
-            return ExtensionVerdict("ERROR", np.nan, rounds=rounds,
-                                    solver_status=res.status, solver_message=res.message)
-        if kind == "vertex":
-            x, residual = res.x[:n_var], float(res.x[-1])
-            if residual > tol.INFEASIBLE_RESIDUAL:
-                return ExtensionVerdict("INFEASIBLE", residual, t=None, rounds=rounds)
-            recentre = residual <= tol.FEASIBLE_RESIDUAL
-        else:
-            x = affine[0] + affine[1] @ res.x[:-1]
-            residual = float(np.max(np.abs(fit_rows @ x - fit_vals)))
-            exact = residual <= tol.FEASIBLE_RESIDUAL
-            if res.x[-1] < 0 or not exact:
-                return False
-        t = HermitianOperator(dims, vec_to_herm(x))
-        wit = product_seesaw_min(t, restarts=16, seed=seed + rounds)
-        if wit.value >= -tol.PRODUCT_POSITIVE:
-            verdict = "FEASIBLE" if residual <= tol.FEASIBLE_RESIDUAL else "AMBIGUOUS"
-            return ExtensionVerdict(verdict, residual, t=t, seesaw_min=wit.value,
-                                    rounds=rounds, candidate=kind)
-        tried.append((kind, t, residual, wit))
-        return None
-
-    while True:
-        rounds += 1
-        tried.clear()
-        out = attempt("recentred") if rounds > 1 and recentre and exact else False
-        if out is False:
-            out = attempt("vertex")
-            if out is None and rounds == 1 and recentre:
-                out = attempt("recentred")
-        if isinstance(out, ExtensionVerdict):
-            return out
-        if rounds >= max_rounds:
-            kind, t, residual, wit = tried[-1]
-            return ExtensionVerdict("AMBIGUOUS", residual, t=t, seesaw_min=wit.value,
-                                    rounds=rounds, candidate=kind)
-        factors = zip(*(wit.factors for *_, wit in tried))
-        pos_rows = np.vstack([pos_rows, projector_features([np.array(f) for f in factors])])
+    tried = []  # (kind, t, residual, witness) of each candidate the round see-sawed
+    for rounds in range(1, tol.EXTENSION_ROUNDS + 1):
+        if tried:  # the last round's witnesses join the positivity rows
+            factors = zip(*(wit.factors for *_, wit in tried))
+            pos_rows = np.vstack([pos_rows, projector_features([np.array(f) for f in factors])])
+            tried = []
+        for kind in ("vertex", "recentred") if rounds == 1 else ("recentred", "vertex"):
+            if kind == "vertex" and not tried:  # nothing of this round was see-sawed yet
+                res = _vertex_lp(eq_rows, eq_vals, pos_rows, trace_row)
+            elif kind == "recentred" and recentre and exact:
+                if affine is None:
+                    affine = (np.linalg.lstsq(fit_rows, fit_vals, rcond=None)[0],
+                              null_space(fit_rows))
+                res = _recentring_lp(*affine, pos_rows)
+            else:
+                continue
+            if not res.success:  # both LPs are always feasible, so this is a solver fault
+                return ExtensionVerdict("ERROR", np.nan, rounds=rounds,
+                                        solver_status=res.status, solver_message=res.message)
+            if kind == "vertex":
+                x, residual = res.x[:n_var], float(res.x[-1])
+                if residual > tol.INFEASIBLE_RESIDUAL:
+                    return ExtensionVerdict("INFEASIBLE", residual, t=None, rounds=rounds)
+                recentre = residual <= tol.FEASIBLE_RESIDUAL
+            else:
+                x = affine[0] + affine[1] @ res.x[:-1]
+                residual = float(np.max(np.abs(fit_rows @ x - fit_vals)))
+                exact = residual <= tol.FEASIBLE_RESIDUAL
+                if res.x[-1] < 0 or not exact:
+                    continue
+            t = HermitianOperator(dims, vec_to_herm(x))
+            wit = product_seesaw_min(t, restarts=16, seed=seed + rounds)
+            if wit.value >= -tol.PRODUCT_POSITIVE:
+                verdict = "FEASIBLE" if residual <= tol.FEASIBLE_RESIDUAL else "AMBIGUOUS"
+                return ExtensionVerdict(verdict, residual, t=t, seesaw_min=wit.value,
+                                        rounds=rounds, candidate=kind)
+            tried.append((kind, t, residual, wit))
+    kind, t, residual, wit = tried[-1]
+    return ExtensionVerdict("AMBIGUOUS", residual, t=t, seesaw_min=wit.value,
+                            rounds=rounds, candidate=kind)
 
 
-def max_chsh_lp(realizations, sample_schedule=(250, 500, 1000, 2000), seed: int = 0):
+def max_chsh_lp(box: Box, sample_schedule=(250, 500, 1000, 2000), seed: int = 0):
     """LP upper bounds on CHSH over sampled product-positive unit-trace t.
 
+    The Bell operator reads the realized 2x2x2x2 box's bases in setting order.
     The positivity samples are nested across the schedule, so the sequence
     of bounds is nonincreasing.  Returns the list of bounds (inf where the
     LP is unbounded); any other solver failure raises SolverError.
     """
-    dims, n_var, trace_row = _operator_space(realizations)
-    objective = feature_of(bell_operator([m for site in realizations for m in site.values()]))
-    rng = make_rng(seed)
-    all_rows = _positivity_rows(rng, dims, max(sample_schedule))
+    dims, n_var, trace_row = _operator_space(box)
+    _require_chsh_box(box)
+    objective = feature_of(bell_operator([*box.bases[0], *box.bases[1]]))
+    all_rows = _positivity_rows(make_rng(seed), dims, max(sample_schedule))
     bounds = []
     for count in sample_schedule:
         res = linprog(

@@ -1,4 +1,4 @@
-"""Every numerical threshold the library and the CLI decide by, in one table.
+"""Every threshold and budget the library and the CLI decide by, in one table.
 
 The theorem is exact; in double precision each verdict about it is a
 comparison against one of these names.  There is one name per decision, not
@@ -44,6 +44,7 @@ NO_SIGNALLING = 1e-10  # max marginal discrepancy accepted as no-signalling
 SECTION_CONSISTENT = 1e-10  # max L1 restriction distance of a consistent section
 INFEASIBLE_RESIDUAL = 1e-4  # LP residual floor above this: no quantum extension
 FEASIBLE_RESIDUAL = 1e-8  # LP residual at or below this, on a product-positive t: FEASIBLE
+EXTENSION_ROUNDS = 5  # see-saw rounds of quantum_extension before it answers AMBIGUOUS
 
 # CLI verdicts with no library check behind them (cli).
 ROUND_TRIP = 1e-8  # max Frobenius distance of a reconstruction from its source operator

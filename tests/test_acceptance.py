@@ -138,7 +138,7 @@ def test_04_chsh_tsirelson():
 def test_05_pr_box_exclusion():
     box = with_qubit_realizations(pr_box())
     verdict = quantum_extension(box, positivity_samples=2000, seed=104)
-    bounds = max_chsh_lp(box.realizations, (250, 500, 1000, 2000), seed=104)
+    bounds = max_chsh_lp(box, (250, 500, 1000, 2000), seed=104)
     monotone = all(b2 <= b1 + 1e-9 for b1, b2 in zip(bounds, bounds[1:]))
     report(
         "criterion 5 (PR-box exclusion)",

@@ -555,7 +555,10 @@ def test_out_path_is_listed_in_both_reports(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["check", "--trials", "0"], ["check", "--trials", "-1"],
                                   ["section", "--contexts", "0"], ["section", "--contexts", "-2"],
-                                  ["prbox", "--samples", "-5"], ["keller", "search", "--n", "0"]])
+                                  ["prbox", "--samples", "-5"], ["keller", "search", "--n", "0"],
+                                  ["keller", "search", "--size", "0"],
+                                  ["keller", "search", "--size", "-1"],
+                                  ["keller", "search", "--budget", "0"]])
 def test_counts_must_be_positive_integers(argv, rho_file, capsys):
     flag = argv[-2]
     if argv[0] == "section":
@@ -585,11 +588,13 @@ def test_missing_or_conflicting_input_is_usage_error(argv, message, capsys):
     assert not out and message in err
 
 
-@pytest.mark.parametrize("fault", ["missing block", "scaled bases"])
+@pytest.mark.parametrize("fault", ["missing block", "scaled bases", "three sites"])
 def test_malformed_box_file_exit_2(fault, tmp_path, capsys):
     data = with_qubit_realizations(pr_box()).to_json()
     if fault == "missing block":
         del data["table"]["0,1"]
+    elif fault == "three sites":
+        data["realizations"].append(data["realizations"][0])
     else:
         data["realizations"] = [{lbl: (2 * np.array(u)).tolist() for lbl, u in site.items()}
                                 for site in data["realizations"]]

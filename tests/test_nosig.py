@@ -153,7 +153,7 @@ def test_box_table_is_read_only():
 
 
 @pytest.mark.parametrize("fault", ["scaled", "one column", "missing label", "undeclared label",
-                                   "one site"])
+                                   "one site", "three sites"])
 def test_box_realizations_are_validated(fault):
     # Each declared setting needs one orthonormal (d, d) basis, d its site's outcome count.
     real = [dict(site) for site in with_qubit_realizations(pr_box()).realizations]
@@ -165,8 +165,10 @@ def test_box_realizations_are_validated(fault):
         del real[0][1]
     elif fault == "undeclared label":
         real[0][2] = real[0][0]
-    else:
+    elif fault == "one site":
         real = real[:1]
+    else:
+        real = real + real[:1]
     box = pr_box()
     with pytest.raises(ValidationError):
         Box(box.settings, box.outcomes, box.table, tuple(real))
@@ -494,11 +496,28 @@ def test_quantum_extension_requires_realizations():
 
 def test_max_chsh_lp_monotone_and_bounded():
     box = with_qubit_realizations(pr_box())
-    bounds = max_chsh_lp(box.realizations, (250, 500, 1000, 2000), seed=4)
+    bounds = max_chsh_lp(box, (250, 500, 1000, 2000), seed=4)
     for b1, b2 in zip(bounds, bounds[1:]):
         assert b2 <= b1 + 1e-9
     assert bounds[-1] < 3.2
     assert bounds[-1] >= TSIRELSON - 1e-6  # the LP relaxes the true quantum set
+
+
+def test_max_chsh_lp_reads_the_bases_in_setting_order():
+    # A file that lists site 0's realizations "1" before "0" is the same box.
+    box = with_qubit_realizations(pr_box())
+    data = box.to_json()
+    data["realizations"][0] = dict(reversed(data["realizations"][0].items()))
+    back = Box.from_json(data)
+    assert list(back.realizations[0]) == [1, 0]
+    bounds = [np.array(max_chsh_lp(b, (250, 500), seed=0)) for b in (box, back)]
+    assert bounds[0].tobytes() == bounds[1].tobytes()
+    with pytest.raises(ValidationError, match="realizations"):
+        max_chsh_lp(pr_box(), (250,), seed=0)
+    three = Box(((0, 1, 2), (0, 1)), box.outcomes, np.full((3, 2, 2, 2), 0.25),
+                ({**box.realizations[0], 2: equator_basis(np.pi)}, box.realizations[1]))
+    with pytest.raises(ValidationError, match="two settings and two outcomes"):
+        max_chsh_lp(three, (250,), seed=0)
 
 
 def failed_linprog(status, message):
@@ -716,7 +735,7 @@ def test_max_chsh_lp_solver_failure_raises(monkeypatch):
                         failed_linprog(2, "The problem is infeasible."))
     box = with_qubit_realizations(pr_box())
     with pytest.raises(ValidationError, match="status 2"):
-        max_chsh_lp(box.realizations, (50,), seed=0)
+        max_chsh_lp(box, (50,), seed=0)
 
 
 def test_box_json_round_trip():
