@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--fig1", action="store_true",
                         help="run the bundled nine-element worked example")
     source.add_argument("--basis", help="unentangled basis JSON file")
-    sp.add_argument("--budget", type=int, default=50)
+    sp.add_argument("--budget", type=positive_int, default=50)
     sp.add_argument("--out-cert", help="write the found certificate here")
     common(sp)
     sp.set_defaults(func=cmd_twist)

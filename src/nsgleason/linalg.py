@@ -213,7 +213,7 @@ def partial_transpose(t: HermitianOperator, site: int) -> HermitianOperator:
     """Transpose the given tensor factor in the computational basis."""
     n = t.nsites
     if not 0 <= site < n:
-        raise ValueError(f"site {site} out of range for {n} factors")
+        raise ValidationError(f"site {site} out of range for {n} factors")
     arr = _as_tensor(t).copy()
     arr = np.swapaxes(arr, site, n + site)
     d_total = t.dim

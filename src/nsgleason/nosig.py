@@ -32,9 +32,11 @@ from .linalg import (
     complex_to_json,
     make_rng,
     onbs_from_normals,
+    partial_transpose,
     proj,
     random_onbs,
     real_from_json,
+    tensor_rows,
     units_from_normals,
 )
 
@@ -360,15 +362,35 @@ def _positivity_rows(rng: np.random.Generator, dims, count: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Decomposition:
+    """t = A + B^Γ, B^Γ the partial transpose of B on site 0, with both factors
+    at least -PSD: every product value of t is then at least -2 PSD.
+
+    ``steps`` alternating projections found it; ``min_eigs`` are the least
+    eigenvalues of A and B.
+    """
+
+    a: HermitianOperator
+    b: HermitianOperator
+    steps: int
+    min_eigs: tuple
+
+    def to_json(self) -> dict:
+        return {"steps": self.steps, "min_eig_a": self.min_eigs[0],
+                "min_eig_b": self.min_eigs[1]}
+
+
+@dataclass(frozen=True)
 class ExtensionVerdict:
     verdict: str  # FEASIBLE | INFEASIBLE | AMBIGUOUS | ERROR
     residual: float
     t: HermitianOperator | None = None
     seesaw_min: float | None = None
-    rounds: int = 1
+    rounds: int = 1  # LP rounds run: 0 when the decomposition certificate decided
     solver_status: int | None = None  # HiGHS status of a failed solve (ERROR)
     solver_message: str | None = None
-    candidate: str | None = None  # which LP gave t: "vertex" | "recentred"
+    candidate: str | None = None  # what gave t: "decomposition" | "vertex" | "recentred"
+    certificate: Decomposition | None = None  # (A, B) of a "decomposition" t
 
     def to_json(self) -> dict:
         out = {
@@ -384,6 +406,9 @@ class ExtensionVerdict:
         if self.t is not None:
             out["candidate"] = self.candidate
             out["t"] = self.t.to_json()
+        if self.certificate is not None:
+            out["certificate"] = self.certificate.to_json()
+            out["psd_threshold"] = tol.PSD
         if self.solver_status is not None:
             out["solver_status"] = self.solver_status
             out["solver_message"] = self.solver_message
@@ -399,11 +424,50 @@ def _operator_space(box: Box):
     return dims, d_total * d_total, feature_of(np.eye(d_total))
 
 
+def _box_products(box: Box) -> list:
+    """Per-site stacks of the product states u_A (x) v_B of the box entries, in table order."""
+    u, v = box.bases
+    return basis_products(np.repeat(u, len(v), axis=0), np.tile(v, (len(u), 1, 1)))
+
+
 def _box_equalities(box: Box):
     """Feature rows and targets for tr(t (p_A (x) q_B)) = P(A,B|a,b), in table order."""
-    u, v = box.bases
-    pairs = basis_products(np.repeat(u, len(v), axis=0), np.tile(v, (len(u), 1, 1)))
-    return projector_features(pairs), box.table.ravel()
+    return projector_features(_box_products(box)), box.table.ravel()
+
+
+def _decomposition(box: Box) -> Decomposition | None:
+    """A, B >= -PSD with t = A + B^Γ meeting the box equalities and tr t = 1, by
+    alternating projections; None after ``tolerances.DECOMPOSITION_STEPS`` steps.
+
+    The pair (A, B) is one (2, D, D) stack, and each equality is a dot product
+    with the real view of its entries: tr(A E) + tr(B E^Γ) = P(A,B|a,b), since
+    tr(B^Γ E) = tr(B E^Γ), where E is an entry's product projector and E^Γ the
+    same with site 0's factor conjugated; the pair (I, I) gives the trace.  A
+    step projects onto these equalities (one pseudo-inverse per box; the first
+    step starts at their least-norm point) and stops once both factors have
+    least eigenvalue >= -PSD; otherwise it clips their negative eigenvalues.
+    """
+    stacks = _box_products(box)
+    psi = np.stack([tensor_rows(stacks), tensor_rows([stacks[0].conj(), stacks[1]])], axis=1)
+    d_total = psi.shape[-1]
+    ops = np.concatenate([psi[..., :, None] * psi[..., None, :].conj(),
+                          np.broadcast_to(np.eye(d_total), (1, 2, d_total, d_total))])
+    rows, vals = ops.view(float).reshape(len(ops), -1), np.append(box.table.ravel(), 1.0)
+    pinv = np.linalg.pinv(rows)
+    x = pinv @ vals
+    for step in range(1, tol.DECOMPOSITION_STEPS + 1):
+        pair = x.view(complex).reshape(2, d_total, d_total)
+        w, vecs = np.linalg.eigh(pair)
+        if w[0, 0] >= -tol.PSD and w[1, 0] >= -tol.PSD:
+            # The factors are symmetrized on return; their own eigenvalues are cited.
+            a, b = (HermitianOperator(tuple(u.shape[-1] for u in box.bases), m) for m in pair)
+            least = np.linalg.eigvalsh(np.stack([a.mat, b.mat]))[:, 0]
+            if least.min() >= -tol.PSD:
+                return Decomposition(a, b, step, tuple(map(float, least)))
+        pair = (vecs * np.maximum(w, 0.0)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        x = pair.view(float).ravel()
+        x = x - pinv @ (rows @ x - vals)
+    return None
 
 
 def _vertex_lp(eq_rows, eq_vals, pos_rows, trace_row):
@@ -441,7 +505,13 @@ def _recentring_lp(x0, null, pos_rows):
 def quantum_extension(box: Box, positivity_samples: int = 2000, seed: int = 0) -> ExtensionVerdict:
     """Can a unit-trace, product-positive Hermitian t reproduce the box?
 
-    Two LPs give candidates for t, each over the box equalities
+    First :func:`_decomposition` looks for t = A + B^Γ with A, B >= -PSD; such
+    a t is nonnegative on every product state (to -2 PSD), so once its
+    equality and trace residual, measured on t itself, is at most
+    ``tolerances.FEASIBLE_RESIDUAL``, the verdict is FEASIBLE with candidate
+    "decomposition", its certificate and no LP (rounds 0).  A box with no
+    quantum extension has no such t.  Otherwise two LPs give candidates for t,
+    each over the box equalities
     tr(t (p_A (x) q_B)) = P(A,B|a,b), tr(t) = 1 and tr(t (p (x) q)) >= 0 on
     sampled product projectors:
 
@@ -468,8 +538,15 @@ def quantum_extension(box: Box, positivity_samples: int = 2000, seed: int = 0) -
     """
     dims, n_var, trace_row = _operator_space(box)
     eq_rows, eq_vals = _box_equalities(box)
-    pos_rows = _positivity_rows(make_rng(seed), dims, positivity_samples)
     fit_rows, fit_vals = np.vstack([eq_rows, trace_row]), np.append(eq_vals, 1.0)
+    cert = _decomposition(box)
+    if cert is not None:
+        t = HermitianOperator(dims, cert.a.mat + partial_transpose(cert.b, 0).mat)
+        residual = float(np.max(np.abs(fit_rows @ feature_of(t.mat) - fit_vals)))
+        if residual <= tol.FEASIBLE_RESIDUAL:
+            return ExtensionVerdict("FEASIBLE", residual, t=t, rounds=0,
+                                    candidate="decomposition", certificate=cert)
+    pos_rows = _positivity_rows(make_rng(seed), dims, positivity_samples)
     affine = None  # (x0, N) of the exact equalities, built on first use
     recentre = False  # the last vertex residual is at most FEASIBLE_RESIDUAL
     exact = True  # no re-centred t missed the equalities; x0 decides this for every round

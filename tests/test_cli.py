@@ -558,7 +558,9 @@ def test_out_path_is_listed_in_both_reports(tmp_path, monkeypatch, capsys):
                                   ["prbox", "--samples", "-5"], ["keller", "search", "--n", "0"],
                                   ["keller", "search", "--size", "0"],
                                   ["keller", "search", "--size", "-1"],
-                                  ["keller", "search", "--budget", "0"]])
+                                  ["keller", "search", "--budget", "0"],
+                                  ["twist", "--fig1", "--budget", "0"],
+                                  ["twist", "--fig1", "--budget", "-1"]])
 def test_counts_must_be_positive_integers(argv, rho_file, capsys):
     flag = argv[-2]
     if argv[0] == "section":

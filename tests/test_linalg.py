@@ -170,8 +170,9 @@ def test_global_transpose_preserves_spectrum():
 
 def test_partial_transpose_site_out_of_range():
     op = HermitianOperator((2, 2), np.eye(4))
-    with pytest.raises(ValueError):
-        partial_transpose(op, 2)
+    for site in (2, -1):
+        with pytest.raises(ValidationError, match=f"site {site} out of range for 2 factors"):
+            partial_transpose(op, site)
 
 
 def test_operator_json_round_trip():

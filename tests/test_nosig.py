@@ -26,6 +26,7 @@ from nsgleason.nosig import (
     Box,
     NoSigReport,
     _box_equalities,
+    _decomposition,
     _positivity_rows,
     ChshInstance,
     box_from_operator,
@@ -490,7 +491,7 @@ def test_quantum_extension_pr_box_infeasible():
 
 
 def test_quantum_extension_requires_realizations():
-    with pytest.raises(Exception):
+    with pytest.raises(ValidationError, match="realizations"):
         quantum_extension(pr_box(), positivity_samples=10, seed=0)
 
 
@@ -548,18 +549,55 @@ def density_boxes(count, dims=(2, 3), base=700):
             yield k, box_from_operator(t, real)
 
 
+def lp_only(monkeypatch):
+    """Skip the decomposition certificate: the LP loop alone decides."""
+    monkeypatch.setattr("nsgleason.nosig._decomposition", lambda box: None)
+
+
 @pytest.fixture(scope="module")
 def density_extensions():
     return [(k, box, quantum_extension(box, positivity_samples=500, seed=k))
             for k, box in density_boxes(12)]
 
 
-def test_quantum_boxes_are_feasible(density_extensions):
-    verdicts = [v.verdict for *_, v in density_extensions]
+@pytest.fixture(scope="module")
+def lp_density_extensions():
+    with pytest.MonkeyPatch.context() as mp:
+        lp_only(mp)
+        return [(k, box, quantum_extension(box, positivity_samples=500, seed=k))
+                for k, box in density_boxes(12)]
+
+
+def test_quantum_boxes_are_feasible(lp_density_extensions):
+    verdicts = [v.verdict for *_, v in lp_density_extensions]
     assert len(verdicts) >= 20
     assert verdicts.count("FEASIBLE") >= 0.9 * len(verdicts)
     assert "INFEASIBLE" not in verdicts and "ERROR" not in verdicts
-    assert "recentred" in {v.candidate for *_, v in density_extensions}
+    assert "recentred" in {v.candidate for *_, v in lp_density_extensions}
+
+
+@given(st.sampled_from([(2, 2), (2, 3), (3, 3)]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_decomposition_certificate_rebuilds_the_box(dims, seed):
+    rng = make_rng(seed)
+    real = tuple({a: random_onb(rng, d) for a in (0, 1)} for d in dims)
+    box = box_from_operator(random_density(rng, dims), real)
+    cert = _decomposition(box)
+    if cert is None:  # out of steps: the LP loop decides
+        return
+    a, b = cert.a.mat, cert.b.mat
+    for factor, cited in zip((a, b), cert.min_eigs):
+        least = np.linalg.eigvalsh(factor)[0]
+        assert least >= -tol.PSD and least == pytest.approx(cited, abs=1e-12)
+    d0, d1 = dims  # B^Γ transposes B's site-0 indices
+    b_gamma = b.reshape(d0, d1, d0, d1).transpose(2, 1, 0, 3).reshape(d0 * d1, -1)
+    t = HermitianOperator(dims, a + b_gamma).mat  # Hermitian within HERMITICITY
+    for i, u in enumerate(box.bases[0]):
+        for j, v in enumerate(box.bases[1]):
+            psi = np.einsum("ak,bl->klab", u, v).reshape(d0 * d1, -1)  # u_k (x) v_l, rows
+            values = np.einsum("na,ab,nb->n", psi.conj(), t, psi).real
+            assert np.abs(values - box.table[i, j].ravel()).max() <= tol.FEASIBLE_RESIDUAL
+    assert abs(np.trace(t).real - 1.0) <= tol.UNIT_TRACE
 
 
 def test_feasible_extensions_reproduce_their_boxes(density_extensions):
@@ -603,6 +641,7 @@ def counting_linprog(monkeypatch, fail_at=None):
 def test_later_rounds_solve_one_lp(monkeypatch, seed, verdict, rounds):
     # Round 1 solves the vertex and the re-centring LP; later rounds only the latter.
     box = [b for k, b in density_boxes(seed + 1, dims=(3,)) if k == seed][0]
+    lp_only(monkeypatch)
     calls = counting_linprog(monkeypatch)
     out = quantum_extension(box, positivity_samples=300, seed=seed)
     assert (out.verdict, out.rounds, out.candidate) == (verdict, rounds, "recentred")
@@ -641,6 +680,7 @@ def test_recentred_residual_is_measured(monkeypatch, eps, verdict, candidate, ca
     # The vertex LP reports residual 0 for both boxes; the least-squares fit misses
     # the equalities by eps / 4, and only a measured miss within FEASIBLE_RESIDUAL
     # gives a FEASIBLE re-centred t.  A miss is final: later rounds solve one LP.
+    lp_only(monkeypatch)
     seen = counting_linprog(monkeypatch)
     out = quantum_extension(nudged_box(eps), positivity_samples=500, seed=0)
     assert (out.verdict, out.candidate, len(seen)) == (verdict, candidate, calls)
@@ -682,7 +722,8 @@ def parent_round_one(box, samples, seed):
     return None
 
 
-def test_round_one_decisions_are_unchanged():
+def test_round_one_decisions_are_unchanged(monkeypatch):
+    lp_only(monkeypatch)
     cases = [(with_qubit_realizations(pr_box()), 2000, seed) for seed in range(3)]
     cases += [(noisy_pr_box(v), 500, 5) for v in (0.5, 0.7, 0.8, 0.95)]
     cases += [(box_from_operator(singlet(), optimal_realizations()), 500, 1)]
@@ -711,6 +752,7 @@ def test_round_one_decisions_are_unchanged():
 def test_recentring_solver_failure_is_error(monkeypatch):
     box = next(box for k, box in density_boxes(1, dims=(3,)))
     assert parent_round_one(box, 500, 0) is None  # round 1 reaches the second LP
+    lp_only(monkeypatch)
     calls = counting_linprog(monkeypatch, fail_at=2)
     verdict = quantum_extension(box, positivity_samples=500, seed=0)
     assert len(calls) == 2
@@ -725,9 +767,50 @@ def test_extension_verdict_cites_its_tolerances(density_extensions):
     assert out["feasible_threshold"] == tol.FEASIBLE_RESIDUAL
     assert out["product_positive_threshold"] == tol.PRODUCT_POSITIVE
     assert out["infeasibility_threshold"] == tol.INFEASIBLE_RESIDUAL
-    assert out["candidate"] == verdict.candidate in ("vertex", "recentred")
+    assert out["candidate"] == verdict.candidate in ("decomposition", "vertex", "recentred")
+    assert out["psd_threshold"] == tol.PSD
+    assert out["certificate"] == verdict.certificate.to_json()
+    assert min(out["certificate"]["min_eig_a"], out["certificate"]["min_eig_b"]) >= -tol.PSD
+    assert out["rounds"] == 0 and 1 <= out["certificate"]["steps"] <= tol.DECOMPOSITION_STEPS
     excluded = quantum_extension(with_qubit_realizations(pr_box()), 500, seed=0).to_json()
     assert excluded["verdict"] == "INFEASIBLE" and "candidate" not in excluded
+    assert "certificate" not in excluded and "psd_threshold" not in excluded
+
+
+def extension_sweep():
+    """(name, box, samples, seed) on both sides of the quantum set's boundary."""
+    cases = [(f"PR box, seed {s}", with_qubit_realizations(pr_box()), 500, s) for s in range(3)]
+    cases += [(f"noisy PR {v}, seed {s}", noisy_pr_box(v), 500, s)
+              for v in (0.7, 0.707) for s in range(3)]
+    cases += [(f"noisy PR {v}", noisy_pr_box(v), 500, 1)
+              for v in (0.5, 0.7072, 0.71, 0.72, 0.75, 0.8, 1.0)]
+    return cases + [(f"nudged {eps}", nudged_box(eps), 500, 0) for eps in (2e-8, 4e-8)]
+
+
+def test_certificate_only_turns_ambiguous_into_feasible(monkeypatch, density_extensions,
+                                                        lp_density_extensions):
+    # The LP loop alone decides INFEASIBLE, and a decomposable t is nonnegative on every
+    # product state, so the certificate can only decide what the LP loop left AMBIGUOUS.
+    runs = []
+    for name, box, samples, seed in extension_sweep():
+        with monkeypatch.context() as mp:
+            lp_only(mp)
+            lp = quantum_extension(box, positivity_samples=samples, seed=seed)
+        runs.append((name, lp, quantum_extension(box, positivity_samples=samples, seed=seed)))
+    runs += [(f"density {box.bases[0].shape[-1]}, seed {k}", lp, out) for (k, box, out), (_, _, lp)
+             in zip(density_extensions, lp_density_extensions)]
+    changed = [name for name, lp, out in runs if lp.verdict != out.verdict]
+    assert changed == [f"noisy PR {v}, seed {s}" for v in (0.7, 0.707) for s in range(3)] + [
+        "density 3, seed 11"]
+    verdicts = {name: (lp.verdict, out.verdict) for name, lp, out in runs}
+    assert all(verdicts[name] == ("AMBIGUOUS", "FEASIBLE") for name in changed)
+    for name, lp, out in runs:
+        if name.startswith("PR box") or name in ("noisy PR 0.75", "noisy PR 0.8", "noisy PR 1.0"):
+            assert out.verdict == "INFEASIBLE" and out.residual == lp.residual
+        if name in ("noisy PR 0.7072", "noisy PR 0.71", "noisy PR 0.72"):
+            assert out.verdict != "FEASIBLE"
+        if out.verdict == "FEASIBLE" and lp.verdict != "FEASIBLE":
+            assert out.candidate == "decomposition" and out.rounds == 0
 
 
 def test_max_chsh_lp_solver_failure_raises(monkeypatch):
