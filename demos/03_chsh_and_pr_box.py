@@ -17,7 +17,6 @@ import numpy as np
 from nsgleason import (
     TSIRELSON,
     Box,
-    ChshInstance,
     chsh_optimize,
     chsh_value_box,
     deterministic_box,
@@ -27,17 +26,17 @@ from nsgleason import (
     quantum_extension,
     random_density,
     singlet,
-    singlet_chsh_instance,
     with_qubit_realizations,
     chsh_value,
 )
+from nsgleason.nosig import SINGLET_ANGLES, equator_basis
 
 print("=== singlet: saturating the quantum bound ===")
-inst = singlet_chsh_instance()
-print(f"CHSH at the standard angles : {chsh_value(inst):+.6f}")
+standard = [equator_basis(a) for a in SINGLET_ANGLES]
+print(f"CHSH at the standard angles : {chsh_value(singlet(), standard):+.6f}")
 val, best = chsh_optimize(singlet())
 print(f"exact CHSH maximum          : {val:.6f}")
-print(f"CHSH at its settings        : {chsh_value(ChshInstance(best, singlet())):.6f}")
+print(f"CHSH at its settings        : {chsh_value(singlet(), best):.6f}")
 print(f"2*sqrt(2)                   : {TSIRELSON:.6f}")
 
 print("\n=== random states never exceed it ===")

@@ -46,7 +46,6 @@ from .framefn import (
 from .nosig import (
     TSIRELSON,
     Box,
-    ChshInstance,
     deterministic_box,
     check_box,
     check_framefn,
@@ -57,7 +56,6 @@ from .nosig import (
     pr_box,
     quantum_extension,
     singlet,
-    singlet_chsh_instance,
     with_qubit_realizations,
 )
 from .gleason import (

@@ -29,6 +29,7 @@ from .framefn import make_signalling_example, sample_from_operator
 from .gleason import reconstruct_pvm, spanning_design
 from .linalg import HermitianOperator, ValidationError
 from .nosig import (
+    SINGLET_ANGLES,
     TSIRELSON,
     Box,
     SolverError,
@@ -36,11 +37,11 @@ from .nosig import (
     check_framefn,
     chsh_optimize,
     chsh_value,
+    equator_basis,
     max_chsh_lp,
     pr_box,
     quantum_extension,
     singlet,
-    singlet_chsh_instance,
     with_qubit_realizations,
 )
 from .orientation import classify_orientation
@@ -159,7 +160,7 @@ def cmd_chsh(args, argv):
         value = chsh_optimize(t)[0]
         note = "exact maximum; above 2*sqrt(2) only for operators that are not PSD"
     elif args.singlet:
-        value = chsh_value(singlet_chsh_instance())
+        value = chsh_value(t, [equator_basis(a) for a in SINGLET_ANGLES])
     else:
         raise ValidationError("non-optimize mode requires --singlet settings")
     rep.data["chsh_value"] = value
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("section", help="build + check a context-family section")
     sp.add_argument("--t", required=True, help="operator JSON file")
     sp.add_argument("--contexts", type=positive_int, default=20,
-                    help="number of fine contexts (each adds 2 coarse + 2 edges)")
+                    help="length of the context chain (each adds 2 fine contexts + 4 edges)")
     common(sp)
     sp.set_defaults(func=cmd_section)
 

@@ -255,6 +255,11 @@ def check_framefn(f, trials: int = 100, seed: int = 0) -> NoSigReport:
 # ---------------------------------------------------------------------------
 # CHSH
 
+# Bloch angles (a, a', b, b') at which the singlet reaches 2*sqrt(2), given the
+# sign convention E(a, b) = -cos(theta_a - theta_b) that equator_basis fixes.
+SINGLET_ANGLES = (0.0, np.pi / 2, 5 * np.pi / 4, 3 * np.pi / 4)
+
+
 def equator_basis(theta: float) -> np.ndarray:
     """Qubit measurement basis along the Bloch-equator direction theta.
 
@@ -265,30 +270,22 @@ def equator_basis(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class ChshInstance:
-    """Four qubit measurement bases (a, a', b, b') and the operator t."""
-
-    settings: tuple  # (basis_a, basis_a2, basis_b, basis_b2)
-    t: HermitianOperator
-
-    def __post_init__(self):
-        for basis in self.settings:
-            basis = np.asarray(basis, dtype=complex)
-            if np.max(np.abs(basis.conj().T @ basis - np.eye(2))) > tol.LOCAL_BASIS:
-                raise ValidationError("CHSH setting basis is not orthonormal")
-        if self.t.dims != (2, 2):
-            raise ValidationError("CHSH instance needs a two-qubit operator")
-
-
 def bell_operator(settings) -> np.ndarray:
     a, a2, b, b2 = (proj(u[:, 0]) - proj(u[:, 1]) for u in map(np.asarray, settings))
     return np.kron(a, b) + np.kron(a, b2) + np.kron(a2, b) - np.kron(a2, b2)
 
 
-def chsh_value(inst: ChshInstance) -> float:
-    """E(a,b) + E(a,b') + E(a',b) - E(a',b') for the instance's operator."""
-    return float(np.trace(inst.t.mat @ bell_operator(inst.settings)).real)
+def chsh_value(t: HermitianOperator, settings) -> float:
+    """E(a,b) + E(a,b') + E(a',b) - E(a',b') of a two-qubit t at bases (a, a', b, b')."""
+    bases = [np.asarray(u, dtype=complex) for u in settings]
+    if t.dims != (2, 2):
+        raise ValidationError("CHSH needs a two-qubit operator")
+    if len(bases) != 4:
+        raise ValidationError(f"CHSH needs four setting bases, not {len(bases)}")
+    for u in bases:
+        if u.shape != (2, 2) or not abs(u.conj().T @ u - np.eye(2)).max() <= tol.LOCAL_BASIS:
+            raise ValidationError("CHSH setting basis is not orthonormal")
+    return float(np.trace(t.mat @ bell_operator(bases)).real)
 
 
 def _require_chsh_box(box: Box):
@@ -308,17 +305,6 @@ def singlet() -> HermitianOperator:
     """The two-qubit singlet state (|01> - |10>)/sqrt(2) as a projector."""
     v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     return HermitianOperator((2, 2), proj(v))
-
-
-def singlet_chsh_instance() -> ChshInstance:
-    """Singlet with equatorial settings achieving the quantum maximum 2*sqrt(2).
-
-    With the sign convention E(a, b) = -cos(theta_a - theta_b) fixed by
-    :func:`equator_basis`, the maximum is attained at Bloch angles
-    (0, pi/2) for the first site and (5*pi/4, 3*pi/4) for the second.
-    """
-    angles = (0.0, np.pi / 2, 5 * np.pi / 4, 3 * np.pi / 4)
-    return ChshInstance(tuple(equator_basis(a) for a in angles), singlet())
 
 
 def _bloch_basis(n: np.ndarray) -> np.ndarray:

@@ -85,6 +85,8 @@ class OrientationClass:
 
 def classify_orientation(t: HermitianOperator) -> OrientationClass:
     """CP / co-CP / both / neither, by Choi positivity under the site-1 flip."""
+    if t.nsites != 2:
+        raise ValidationError(f"orientation classes need a two-site operator, not dims {t.dims}")
     ev_direct = min_eigenvalue(t.mat)
     ev_flipped = min_eigenvalue(partial_transpose(t, 0).mat)
     cp = ev_direct >= -tol.PSD

@@ -1,12 +1,13 @@
 """Finite families of product measurement contexts and global sections.
 
-A context is a PVM held as one (n, d, d) projector stack; product contexts
-pair one per site, ordered by coarse-graining.  A refinement edge keeps a 0/1
-aggregation matrix A per site: the coarse stack is A @ fine, and restriction
-is A_L @ dist @ A_R^T.  A section assigns an outcome distribution to each
-context and is consistent when every one restricts correctly along every
-edge.  Cross-site edges (coarsening one side to the trivial measurement) are
-exactly the no-signalling constraints: a signalling frame function fails one.
+A context is a PVM held as one (n, d, d) projector stack, and a product
+context pairs one per site.  A coarse node is a label only: a refinement edge
+reaches it from a fine product context by one 0/1 aggregation matrix A per
+site, and restriction is A_L @ dist @ A_R^T.  A section is its fine tables,
+optionally with coarse ones; it is consistent when every fine parent of a
+coarse node restricts to the same table (the stored one, if any).  A node that
+merges one site to the trivial outcome is a no-signalling marginal, so a
+signalling frame function fails a family whose fine contexts share one.
 """
 
 from __future__ import annotations
@@ -50,23 +51,6 @@ class Context:
     def n_outcomes(self) -> int:
         return len(self.projectors)
 
-    def coarse_grain(self, groups, label: str) -> "Context":
-        """Merge outcome groups (a partition of outcome indices)."""
-        a = _aggregation(groups, self.n_outcomes, len(groups), "grouping")
-        return Context(np.einsum("kf,fij->kij", a, self.projectors), label)
-
-
-def _aggregation(groups, n_fine: int, n_coarse: int, name: str) -> np.ndarray:
-    """0/1 matrix A, A[k, i] = 1 iff group k holds outcome i, of groups partitioning range(n_fine)."""
-    flat = [i for g in groups for i in g]
-    if sorted(flat) != list(range(n_fine)):
-        raise ValidationError(f"{name} is not a partition")
-    if len(groups) != n_coarse:
-        raise ValidationError(f"{name} group count mismatch")
-    a = np.zeros((n_coarse, n_fine))
-    a[np.repeat(np.arange(n_coarse), [len(g) for g in groups]), flat] = 1.0
-    return a
-
 
 def rank1_context(basis: np.ndarray, label: str) -> Context:
     """Rank-1 PVM from an orthonormal basis given as columns."""
@@ -90,35 +74,35 @@ class ProductContext:
 
 @dataclass(frozen=True)
 class RefinementEdge:
-    """fine -> coarse, with per-site outcome aggregation maps.
+    """fine -> coarse node, with per-site outcome aggregation maps.
 
-    ``left_groups`` / ``right_groups`` list, for each coarse outcome, the fine
-    outcomes it aggregates; ``left_aggregation`` / ``right_aggregation`` hold them
-    as 0/1 matrices, which must sum the fine projectors into the coarse ones.
+    ``coarse`` is the node's label.  ``left_groups`` / ``right_groups`` list,
+    for each coarse outcome, the fine outcomes it aggregates: a partition of
+    the fine context's outcomes on that site.  ``left_aggregation`` /
+    ``right_aggregation`` hold them as 0/1 matrices, A[k, i] = 1 iff group k
+    holds outcome i.
     """
 
-    coarse: ProductContext
     fine: ProductContext
+    coarse: str
     left_groups: tuple
     right_groups: tuple
     left_aggregation: np.ndarray = field(init=False, repr=False, compare=False)
     right_aggregation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for side in ("left", "right"):
-            fine, coarse = getattr(self.fine, side), getattr(self.coarse, side)
-            a = _aggregation(getattr(self, f"{side}_groups"), fine.n_outcomes, coarse.n_outcomes,
-                             f"{side} aggregation")
-            summed = np.einsum("kf,fij->kij", a, fine.projectors)
-            wrong = np.abs(summed - coarse.projectors).max(axis=(1, 2)) > tol.COARSE_GRAIN
-            if wrong.any():
-                k = np.argmax(wrong)
-                raise ValidationError(f"{side} coarse projector {k} is not the sum of its fine ones")
+        for side, n_fine in zip(("left", "right"), self.fine.shape):
+            groups = getattr(self, f"{side}_groups")
+            flat = [i for g in groups for i in g]
+            if sorted(flat) != list(range(n_fine)):
+                raise ValidationError(f"{side} aggregation is not a partition")
+            a = np.zeros((len(groups), n_fine))
+            a[np.repeat(np.arange(len(groups)), [len(g) for g in groups]), flat] = 1.0
             object.__setattr__(self, f"{side}_aggregation", a)
 
 
 def restrict(dist: np.ndarray, edge: RefinementEdge) -> np.ndarray:
-    """Sum a fine-context distribution into the coarse context's outcomes."""
+    """Sum a fine-context distribution into the coarse node's outcomes."""
     dist = np.asarray(dist, dtype=float)
     if dist.shape != edge.fine.shape:
         raise ValidationError(
@@ -129,7 +113,11 @@ def restrict(dist: np.ndarray, edge: RefinementEdge) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectionTable:
-    """One outcome distribution per product context, keyed by label."""
+    """One outcome distribution per product context, keyed by label.
+
+    Coarse nodes need no entry; one stored under a node's label is the table
+    its fine parents must restrict to.
+    """
 
     contexts: tuple
     distributions: dict  # label -> ndarray
@@ -166,10 +154,10 @@ def section_from_framefn(f, family) -> SectionTable:
     Each context's PVMs must be rank-1 so that outcomes correspond to
     product states.  Outcome (i, j) is the state of the i-th left and j-th
     right vector, phased as ProductState phases it; each context takes one
-    ``f.values`` call on the stacks of its outcome states.  For coarser
-    contexts, build the coarse distribution by hand (e.g. via
-    :func:`restrict` from a chosen fine context) — that is exactly where a
-    signalling frame function becomes inconsistent.
+    ``f.values`` call on the stacks of its outcome states.  Coarse nodes
+    need no table: :func:`check_section` compares the restrictions of a
+    node's fine parents, which is where a signalling frame function becomes
+    inconsistent.
     """
     family = tuple(family)
     dists = {}
@@ -199,41 +187,50 @@ class ConsistencyReport:
 
 
 def check_section(s: SectionTable, edges) -> ConsistencyReport:
-    """Max L1 distance between restricted fine and stored coarse distributions."""
-    worst, worst_edge = 0.0, None
+    """Max L1 distance of a fine parent's restriction from its coarse node's reference.
+
+    The reference is the node's stored table if the section has one, else the
+    restriction of the node's first parent in edge order.
+    """
+    refs, worst, worst_edge = {}, 0.0, None
     for e in edges:
-        if e.fine.label not in s.distributions or e.coarse.label not in s.distributions:
-            raise ValidationError(f"edge endpoints missing from section: {e.fine.label} -> {e.coarse.label}")
-        d = float(np.sum(np.abs(restrict(s[e.fine], e) - s[e.coarse])))
+        if e.fine.label not in s.distributions:
+            raise ValidationError(f"edge source missing from section: {e.fine.label} -> {e.coarse}")
+        r = restrict(s[e.fine], e)
+        ref = refs.setdefault(e.coarse, s.distributions.get(e.coarse, r))
+        if np.shape(ref) != r.shape:
+            raise ValidationError(f"{e.fine.label} restricts to shape {r.shape}, but node "
+                                  f"{e.coarse} has shape {np.shape(ref)}")
+        d = float(np.sum(np.abs(r - ref)))
         if d > worst:
-            worst, worst_edge = d, f"{e.fine.label} -> {e.coarse.label}"
+            worst, worst_edge = d, f"{e.fine.label} -> {e.coarse}"
     return ConsistencyReport(worst, worst_edge)
 
 
 def random_context_family(dims, n_fine: int, seed: int = 0):
-    """Seeded family of product contexts plus refinement edges.
+    """Seeded chain of rank-1 product contexts that share their coarse nodes.
 
-    For each of ``n_fine`` draws, a rank-1 fine product context is generated
-    together with two coarse-grained parents (merging the first two outcomes
-    on one site), giving two edges per draw.
+    Draws ``n_fine`` left bases L_k and ``n_fine + 1`` right bases R_j, and
+    returns the fine contexts (L_k, R_k) and (L_k, R_k+1), each with one edge
+    to "L_k|·" (its right outcome forgotten) and one to "·|R_j" (its left
+    outcome forgotten): 2 ``n_fine`` contexts and 4 ``n_fine`` edges.  These
+    nodes are no-signalling marginals, and all but the chain's two ends have
+    two fine parents.
     """
+    if len(dims) != 2:
+        raise ValidationError(f"context families need two sites, not dims {tuple(dims)}")
     if n_fine < 1:
         raise ValidationError(f"random_context_family needs n_fine >= 1, not {n_fine!r}")
     d1, d2 = dims
-    left, right = random_onbs(make_rng(seed), dims, n_fine)
-    groups_l = ((0, 1),) + tuple((i,) for i in range(2, d1))
-    groups_r = ((0, 1),) + tuple((i,) for i in range(2, d2))
-    full_l = tuple((i,) for i in range(d1))
-    full_r = tuple((i,) for i in range(d2))
+    left, right = random_onbs(make_rng(seed), dims, n_fine + 1)
+    full_l, full_r = tuple((i,) for i in range(d1)), tuple((i,) for i in range(d2))
+    rights = [rank1_context(right[j], f"R{j}") for j in range(n_fine + 1)]
     contexts, edges = [], []
     for k in range(n_fine):
         lb = rank1_context(left[k], f"L{k}")
-        rb = rank1_context(right[k], f"R{k}")
-        fine = ProductContext(lb, rb)
-        contexts.append(fine)
-        coarse_left = ProductContext(lb.coarse_grain(groups_l, f"L{k}c"), rb)
-        coarse_right = ProductContext(lb, rb.coarse_grain(groups_r, f"R{k}c"))
-        contexts.extend([coarse_left, coarse_right])
-        edges.append(RefinementEdge(coarse_left, fine, groups_l, full_r))
-        edges.append(RefinementEdge(coarse_right, fine, full_l, groups_r))
+        for j in (k, k + 1):
+            fine = ProductContext(lb, rights[j])
+            contexts.append(fine)
+            edges.append(RefinementEdge(fine, f"L{k}|·", full_l, (tuple(range(d2)),)))
+            edges.append(RefinementEdge(fine, f"·|R{j}", (tuple(range(d1)),), full_r))
     return contexts, edges

@@ -14,7 +14,6 @@ PHASE_AMPLITUDE = 1e-12  # smallest |amplitude| that may fix a vector's global p
 LOCAL_BASIS = 1e-10  # max |Gram - I| entry of a one-site basis (product bases, CHSH settings)
 UNITARY = 1e-10  # max |U^dagger U - I| entry of a twist-move rotation
 PVM = 1e-10  # max defect in a context's projectors: Hermitian, idempotent, orthogonal, complete
-COARSE_GRAIN = 1e-8  # max |sum of fine projectors - coarse projector| along a refinement edge
 RANK_ONE = 1e-8  # max distance of a projector's top two eigenvalues from (1, 0)
 EFFECT_SPECTRUM = 1e-10  # slack on the [0, 1] spectrum of a local effect
 

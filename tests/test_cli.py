@@ -188,6 +188,25 @@ def test_section_consistency(rho_file, capsys):
     assert rep["verdicts"]["section_consistent"]["pass"]
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4,)])
+@pytest.mark.parametrize("cmd", ["classify", "section"])
+def test_two_site_commands_reject_other_operators(cmd, dims, tmp_path, capsys):
+    # Orientation classes and context families are defined for two sites only.
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(random_density(make_rng(0), dims).to_json()))
+    assert main([cmd, "--t", str(path)]) == 2
+    out, err = capsys.readouterr()
+    message = "two-site operator" if cmd == "classify" else "two sites"
+    assert not out and message in json.loads(err)["error"]
+
+
+def test_chsh_singlet_at_the_standard_angles(capsys):
+    code, rep = run(["chsh", "--singlet"], capsys)
+    assert code == 0
+    assert rep["chsh_value"] == pytest.approx(2 * np.sqrt(2), abs=1e-12)
+    assert rep["verdicts"]["tsirelson"]["pass"]
+
+
 @pytest.mark.parametrize("cmd, report, verdict", [
     ("section", ConsistencyReport, "section_consistent"),
     ("box", NoSigReport, "box_no_signalling"),

@@ -22,13 +22,13 @@ from nsgleason.linalg import (
     random_unit,
 )
 from nsgleason.nosig import (
+    SINGLET_ANGLES,
     TSIRELSON,
     Box,
     NoSigReport,
     _box_equalities,
     _decomposition,
     _positivity_rows,
-    ChshInstance,
     box_from_operator,
     check_box,
     check_framefn,
@@ -41,7 +41,6 @@ from nsgleason.nosig import (
     pr_box,
     quantum_extension,
     singlet,
-    singlet_chsh_instance,
     with_qubit_realizations,
 )
 
@@ -309,9 +308,31 @@ def test_box_rows_match_full_vector_products(seed, dims, n_settings):
 
 
 def test_chsh_singlet_standard_settings():
-    assert chsh_value(singlet_chsh_instance()) == pytest.approx(
+    assert chsh_value(singlet(), [equator_basis(a) for a in SINGLET_ANGLES]) == pytest.approx(
         TSIRELSON, abs=1e-6
     )
+
+
+@pytest.mark.parametrize("case", ["three qubits", "qutrit pair", "three settings", "scaled basis",
+                                  "qutrit basis", "nan basis"])
+def test_chsh_value_rejects_bad_input(case):
+    t, settings = singlet(), [equator_basis(a) for a in SINGLET_ANGLES]
+    if case == "three qubits":
+        t = HermitianOperator((2, 2, 2), np.eye(8) / 8)
+    elif case == "qutrit pair":
+        t = HermitianOperator((3, 3), np.eye(9) / 9)
+    elif case == "three settings":
+        settings = settings[:3]
+    elif case == "scaled basis":
+        settings[1] = settings[1] * (1 + 1e-9)
+    elif case == "qutrit basis":
+        settings[2] = np.eye(3)
+    else:
+        settings[3] = np.full((2, 2), np.nan)
+    message = {"three qubits": "two-qubit operator", "qutrit pair": "two-qubit operator",
+               "three settings": "four setting bases"}.get(case, "not orthonormal")
+    with pytest.raises(ValidationError, match=message):
+        chsh_value(t, settings)
 
 
 def test_chsh_product_state_classical_bound():
@@ -319,8 +340,7 @@ def test_chsh_product_state_classical_bound():
     rng = make_rng(3)
     for _ in range(20):
         angles = rng.uniform(0, 2 * np.pi, 4)
-        inst = ChshInstance(tuple(equator_basis(a) for a in angles), t)
-        assert chsh_value(inst) <= 2 + 1e-10
+        assert chsh_value(t, [equator_basis(a) for a in angles]) <= 2 + 1e-10
 
 
 def test_chsh_pr_box_value_4():
@@ -344,7 +364,7 @@ def test_chsh_optimize_singlet():
     assert val == pytest.approx(TSIRELSON, abs=1e-4)
     assert len(settings) == 4
     assert abs(val - TSIRELSON) <= 1e-12
-    assert abs(chsh_value(ChshInstance(settings, singlet())) - TSIRELSON) <= 1e-12
+    assert abs(chsh_value(singlet(), settings) - TSIRELSON) <= 1e-12
 
 
 def test_chsh_optimize_maximally_mixed():
@@ -398,7 +418,7 @@ hermitian_4x4 = st.lists(
 def test_chsh_optimize_settings_reproduce_value(g):
     t = HermitianOperator((2, 2), 0.5 * (g + g.conj().T))  # PSD or not
     val, bases = chsh_optimize(t)
-    assert abs(chsh_value(ChshInstance(bases, t)) - val) <= 1e-12
+    assert abs(chsh_value(t, bases) - val) <= 1e-12
 
 
 def test_chsh_optimize_dominates_random_settings():
@@ -417,7 +437,7 @@ def test_chsh_optimize_product_state():
     t = HermitianOperator((2, 2), np.kron(rho_a, rho_b))
     val, bases = chsh_optimize(t)
     assert val == pytest.approx(2 * np.hypot(0.6, 0.2) * 0.5, abs=1e-12)
-    assert abs(chsh_value(ChshInstance(bases, t)) - val) <= 1e-12
+    assert abs(chsh_value(t, bases) - val) <= 1e-12
     assert val <= 2.0
 
 

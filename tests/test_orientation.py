@@ -5,6 +5,7 @@ import pytest
 
 from nsgleason.linalg import (
     HermitianOperator,
+    ValidationError,
     make_rng,
     partial_transpose,
     proj,
@@ -96,6 +97,13 @@ def test_mixture_classifies_neither():
 def test_maximally_mixed_classifies_both():
     cls = classify_orientation(HermitianOperator((2, 2), np.eye(4) / 4))
     assert cls.value is Orientation.BOTH
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4,)])
+def test_classification_needs_two_sites(dims):
+    # One site-1 flip gives two classes; other site counts have other classes.
+    with pytest.raises(ValidationError, match="two-site operator"):
+        classify_orientation(random_density(make_rng(0), dims))
 
 
 def test_flip_duality_on_random_operators():

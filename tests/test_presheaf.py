@@ -1,6 +1,7 @@
 """Tests for product contexts, sections, and marginalization consistency."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +47,11 @@ def comp_context(d, label):
     return rank1_context(np.eye(d, dtype=complex), label)
 
 
+def coarse_grain(ctx, groups, label):
+    """The context whose projectors sum ctx's over each outcome group."""
+    return Context(np.array([ctx.projectors[list(g)].sum(axis=0) for g in groups]), label)
+
+
 def test_context_validation():
     with pytest.raises(ValidationError):
         Context((np.eye(2) / 2,), "bad")  # not idempotent
@@ -58,13 +64,17 @@ KET0, PLUS = proj(np.array([1.0, 0])), proj(np.array([1.0, 1.0]) / np.sqrt(2))
 FULL3 = ((0,), (1,), (2,))
 
 
-def comp3_edge(side, groups, coarse_groups=((0, 1), (2,))):
-    """Edge from comp x comp at d = 3 to the context coarse-grained on one side."""
+def comp3_edge(side, groups):
+    """Edge from comp x comp at d = 3 to a node that aggregates one side by groups."""
     ctx = comp_context(3, "C")
-    coarse = {"left": ctx, "right": ctx, side: ctx.coarse_grain(coarse_groups, "Cc")}
     grouping = {"left_groups": FULL3, "right_groups": FULL3, f"{side}_groups": groups}
-    return RefinementEdge(ProductContext(coarse["left"], coarse["right"]),
-                          ProductContext(ctx, ctx), **grouping)
+    return RefinementEdge(ProductContext(ctx, ctx), "Cc", **grouping)
+
+
+def comp3_section():
+    """The uniform section on comp x comp at d = 3, with no coarse tables."""
+    ctx = ProductContext(comp_context(3, "C"), comp_context(3, "C"))
+    return SectionTable((ctx,), {ctx.label: np.full((3, 3), 1 / 9)})
 
 
 def rank1_section(left):
@@ -83,19 +93,24 @@ REJECTED = {
     "context-incomplete": (lambda: Context((KET0,), "c"), "projectors do not sum to identity"),
     "restrict-shape": (lambda: restrict(np.full((2, 3), 1 / 6), comp3_edge("right", ((0, 1), (2,)))),
                        "does not live on the fine context"),
-    "rank1-rank-2-member": (lambda: rank1_section(comp_context(3, "L").coarse_grain(((0,), (1, 2)), "L")),
+    "rank1-rank-2-member": (lambda: rank1_section(coarse_grain(comp_context(3, "L"), ((0,), (1, 2)), "L")),
                             "projector is not rank-1"),
     "rank1-zero-member": (lambda: rank1_section(Context((np.zeros((3, 3)),) + tuple(
         comp_context(3, "L").projectors), "L")), "projector is not rank-1"),
+    "section-parent-shapes": (lambda: check_section(comp3_section(), [
+        comp3_edge("right", ((0, 1), (2,))), comp3_edge("right", ((0, 1, 2),))]),
+        "C|C restricts to shape (3, 1), but node Cc has shape (3, 2)"),
+    "section-stored-shape": (lambda: check_section(
+        SectionTable((), comp3_section().distributions | {"Cc": np.full((3, 1), 1 / 3)}),
+        [comp3_edge("right", ((0, 1), (2,)))]),
+        "C|C restricts to shape (3, 2), but node Cc has shape (3, 1)"),
+    "section-missing-source": (lambda: check_section(SectionTable((), {}), [comp3_edge("left", FULL3)]),
+                               "edge source missing from section: C|C -> Cc"),
 }
 for _side in ("left", "right"):
     REJECTED |= {
         f"edge-{_side}-not-partition": (lambda s=_side: comp3_edge(s, ((0, 1), (1,))),
                                         f"{_side} aggregation is not a partition"),
-        f"edge-{_side}-group-count": (lambda s=_side: comp3_edge(s, FULL3),
-                                      f"{_side} aggregation group count mismatch"),
-        f"edge-{_side}-not-sum": (lambda s=_side: comp3_edge(s, ((0, 2), (1,))),
-                                  f"{_side} coarse projector 0 is not the sum of its fine ones"),
     }
 
 
@@ -111,21 +126,14 @@ def test_invalid_inputs_are_rejected(case):
 def test_restrict_uniform():
     fine = ProductContext(comp_context(3, "L"), comp_context(3, "R"))
     groups_r = ((0, 1), (2,))
-    coarse = ProductContext(
-        comp_context(3, "L"), comp_context(3, "R").coarse_grain(groups_r, "Rc")
-    )
-    edge = RefinementEdge(coarse, fine, tuple((i,) for i in range(3)), groups_r)
+    edge = RefinementEdge(fine, "L|Rc", tuple((i,) for i in range(3)), groups_r)
     out = restrict(np.full((3, 3), 1 / 9), edge)
     np.testing.assert_allclose(out, np.array([[2 / 9, 1 / 9]] * 3), atol=1e-12)
 
 
 def test_restrict_point_mass():
     fine = ProductContext(comp_context(2, "L"), comp_context(2, "R"))
-    coarse = ProductContext(
-        comp_context(2, "L"),
-        comp_context(2, "R").coarse_grain(((0, 1),), "Rc"),
-    )
-    edge = RefinementEdge(coarse, fine, ((0,), (1,)), ((0, 1),))
+    edge = RefinementEdge(fine, "L|Rc", ((0,), (1,)), ((0, 1),))
     d = np.zeros((2, 2))
     d[1, 0] = 1.0
     out = restrict(d, edge)
@@ -140,8 +148,8 @@ def test_restrict_matches_direct_coarse_evaluation():
     lb = rank1_context(random_onb(rng, 2), "L")
     rb = rank1_context(random_onb(rng, 2), "R")
     fine = ProductContext(lb, rb)
-    coarse = ProductContext(lb, rb.coarse_grain(((0, 1),), "Rc"))
-    edge = RefinementEdge(coarse, fine, ((0,), (1,)), ((0, 1),))
+    coarse = ProductContext(lb, coarse_grain(rb, ((0, 1),), "Rc"))
+    edge = RefinementEdge(fine, coarse.label, ((0,), (1,)), ((0, 1),))
     table = section_from_operator(t, [fine, coarse])
     np.testing.assert_allclose(
         restrict(table[fine], edge), table[coarse], atol=1e-12
@@ -219,14 +227,11 @@ def test_check_section_passes_for_operator_tables():
 def test_check_section_associativity_of_restriction():
     # coarse-of-coarse equals direct coarse
     fine = ProductContext(comp_context(3, "L"), comp_context(3, "R"))
-    mid_r = comp_context(3, "R").coarse_grain(((0, 1), (2,)), "Rm")
-    top_r = mid_r.coarse_grain(((0, 1),), "Rt")
-    mid = ProductContext(comp_context(3, "L"), mid_r)
-    top = ProductContext(comp_context(3, "L"), top_r)
+    mid = ProductContext(comp_context(3, "L"), coarse_grain(comp_context(3, "R"), ((0, 1), (2,)), "Rm"))
     full_l = tuple((i,) for i in range(3))
-    e1 = RefinementEdge(mid, fine, full_l, ((0, 1), (2,)))
-    e2 = RefinementEdge(top, mid, full_l, ((0, 1),))
-    e_direct = RefinementEdge(top, fine, full_l, ((0, 1, 2),))
+    e1 = RefinementEdge(fine, mid.label, full_l, ((0, 1), (2,)))
+    e2 = RefinementEdge(mid, "L|Rt", full_l, ((0, 1),))
+    e_direct = RefinementEdge(fine, "L|Rt", full_l, ((0, 1, 2),))
     rng = make_rng(6)
     d = rng.random((3, 3))
     d /= d.sum()
@@ -237,39 +242,42 @@ def test_check_section_associativity_of_restriction():
 
 def test_signalling_family_fails_on_cross_site_edge():
     f = make_signalling_example((2, 2), np.pi / 4)
-    # Two fine contexts sharing the same coarse context: site 1 measured in
-    # two different bases while site 2's outcome is aggregated away.
+    # Two fine contexts sharing the same coarse node: site 1 measured in
+    # two different bases while its outcome is aggregated away.
     comp = np.eye(2, dtype=complex)
     rot = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     r = rank1_context(comp, "R")
-    l1 = rank1_context(comp, "L1")
-    l2 = rank1_context(rot, "L2")
-    triv_l1 = ProductContext(l1.coarse_grain(((0, 1),), "L1c"), r)
-    fine1 = ProductContext(l1, r)
-    fine2 = ProductContext(l2, r)
+    fine1 = ProductContext(rank1_context(comp, "L1"), r)
+    fine2 = ProductContext(rank1_context(rot, "L2"), r)
     table = section_from_framefn(f, [fine1, fine2])
-    # The shared coarse distribution (site-1 marginal forgotten) is stored
-    # once, computed from fine1; the edge from fine2 must then fail.
-    coarse_label_ctx = ProductContext(Context((np.eye(2, dtype=complex),), "any"), r)
-    stored = {
-        fine1.label: table[fine1],
-        fine2.label: table[fine2],
-        coarse_label_ctx.label: restrict(
-            table[fine1],
-            RefinementEdge(
-                ProductContext(l1.coarse_grain(((0, 1),), "any"), r),
-                fine1, ((0, 1),), ((0,), (1,)),
-            ),
-        ),
-    }
-    section = SectionTable((fine1, fine2, coarse_label_ctx), stored)
-    e2 = RefinementEdge(
-        ProductContext(l2.coarse_grain(((0, 1),), "any"), r),
-        fine2, ((0, 1),), ((0,), (1,)),
-    )
-    rep = check_section(section, [e2])
+    # No coarse table is stored: fine1's restriction is the node's reference,
+    # and the edge from fine2 must then fail.
+    edges = [RefinementEdge(fine, "·|R", ((0, 1),), ((0,), (1,))) for fine in (fine1, fine2)]
+    rep = check_section(table, edges)
     assert rep.max_distance >= 1e-3
     assert rep.worst_edge is not None
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+def test_signalling_frame_function_fails_on_a_generated_family(dims):
+    contexts, edges = random_context_family(dims, 10, seed=sum(dims))
+    rep = check_section(section_from_framefn(make_signalling_example(dims, np.pi / 4), contexts),
+                        edges)
+    assert rep.max_distance >= 1e-3 and not rep.passed
+    t = random_density(make_rng(0), dims)
+    assert check_section(section_from_framefn(OperatorInduced(t), contexts), edges).passed
+
+
+def test_generated_family_shares_its_coarse_nodes():
+    contexts, edges = random_context_family((2, 3), 3, seed=1)
+    assert [c.label for c in contexts] == ["L0|R0", "L0|R1", "L1|R1", "L1|R2", "L2|R2", "L2|R3"]
+    parents = {}
+    for e in edges:
+        parents.setdefault(e.coarse, []).append(e.fine.label)
+        assert restrict(np.ones((2, 3)), e).shape == ((2, 1) if e.coarse.endswith("·") else (1, 3))
+    assert parents == {"L0|·": ["L0|R0", "L0|R1"], "·|R0": ["L0|R0"], "·|R1": ["L0|R1", "L1|R1"],
+                       "L1|·": ["L1|R1", "L1|R2"], "·|R2": ["L1|R2", "L2|R2"],
+                       "L2|·": ["L2|R2", "L2|R3"], "·|R3": ["L2|R3"]}
 
 
 def test_hand_perturbed_table_reports_distance():
@@ -350,9 +358,13 @@ def section_or_error(call):
 @settings(max_examples=60, deadline=None)
 def test_section_from_framefn_matches_per_state_loop(seed, dims, kind):
     rng = make_rng(seed)
-    contexts, _ = random_context_family(dims, 3, seed=seed)
-    fine = contexts[0::3]  # the rank-1 contexts; the others coarse-grain one site
-    family = contexts[:3] if kind == "coarse" else fine
+    fine, _ = random_context_family(dims, 3, seed=seed)
+    ctx = fine[0]  # "coarse": a rank-1 context and two that coarse-grain one of its sites
+    merged = [((0, 1),) + tuple((i,) for i in range(2, d)) for d in dims]
+    family = [ctx, ProductContext(coarse_grain(ctx.left, merged[0], "Lc"), ctx.right),
+              ProductContext(ctx.left, coarse_grain(ctx.right, merged[1], "Rc"))]
+    if kind != "coarse":
+        family = fine
     states = [s for ctx in fine for s in ref_section_states(ctx)]
     if kind == "density" or kind == "coarse":
         f = OperatorInduced(random_density(rng, dims))
@@ -383,3 +395,73 @@ def test_random_context_family_needs_a_fine_context(n_fine):
     # Zero contexts would make every section trivially consistent.
     with pytest.raises(ValidationError, match="n_fine >= 1"):
         random_context_family((3, 3), n_fine)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4,)])
+def test_random_context_family_needs_two_sites(dims):
+    with pytest.raises(ValidationError, match="need two sites"):
+        random_context_family(dims, 3)
+
+
+def parent_restrict(dist, edge):
+    """restrict as it was when every coarse node was a ProductContext (a test-only copy)."""
+    dist = np.asarray(dist, dtype=float)
+    if dist.shape != edge.fine.shape:
+        raise ValidationError(
+            f"distribution shape {dist.shape} does not live on the fine context"
+        )
+    return edge.left_aggregation @ dist @ edge.right_aggregation.T
+
+
+def parent_check_section(s, edges):
+    """check_section as it was when every coarse node was a ProductContext (a test-only copy)."""
+    worst, worst_edge = 0.0, None
+    for e in edges:
+        if e.fine.label not in s.distributions or e.coarse.label not in s.distributions:
+            raise ValidationError(f"edge endpoints missing from section: {e.fine.label} -> {e.coarse.label}")
+        d = float(np.sum(np.abs(parent_restrict(s[e.fine], e) - s[e.coarse])))
+        if d > worst:
+            worst, worst_edge = d, f"{e.fine.label} -> {e.coarse.label}"
+    return ConsistencyReport(worst, worst_edge)
+
+
+def coarse_context(edge):
+    """The product context of a generated family's coarse node: one site trivial."""
+    left, right = edge.fine.left, edge.fine.right
+    if edge.coarse.endswith("|·"):
+        right = Context(np.eye(right.projectors.shape[-1])[None], "·")
+    else:
+        left = Context(np.eye(left.projectors.shape[-1])[None], "·")
+    ctx = ProductContext(left, right)
+    assert ctx.label == edge.coarse
+    return ctx
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 3), (4, 3)]),
+       st.integers(1, 4), st.sampled_from(["density", "partial_transpose", "perturbed", "signalling"]))
+@settings(max_examples=60, deadline=None)
+def test_check_section_matches_the_parent_on_stored_coarse_tables(seed, dims, n_fine, kind):
+    # Every coarse table stored: the node's reference is that table, as it was.
+    rng = make_rng(seed)
+    contexts, edges = random_context_family(dims, n_fine, seed=seed)
+    coarse = {e.coarse: coarse_context(e) for e in edges}
+    t = random_density(rng, dims)
+    if kind == "partial_transpose":
+        t = partial_transpose(t, 1)
+    tables = dict(section_from_operator(t, contexts + list(coarse.values())).distributions)
+    if kind == "perturbed":
+        for label in rng.choice(sorted(tables), size=3):
+            p = tables[label].copy()
+            p[tuple(rng.integers(0, n) for n in p.shape)] += rng.choice([1e-11, 1e-6, 0.05])
+            tables[label] = p
+    elif kind == "signalling":
+        tables = dict(section_from_framefn(make_signalling_example(dims, rng.uniform(0, np.pi)),
+                                           contexts).distributions)
+        for e in edges:  # each node stores its last parent's restriction
+            tables[e.coarse] = restrict(tables[e.fine.label], e)
+    section = SectionTable(tuple(contexts) + tuple(coarse.values()), tables)
+    parent_edges = [SimpleNamespace(fine=e.fine, coarse=coarse[e.coarse], left_aggregation=e.left_aggregation,
+                                    right_aggregation=e.right_aggregation) for e in edges]
+    want, got = parent_check_section(section, parent_edges), check_section(section, edges)
+    assert np.float64(got.max_distance).tobytes() == np.float64(want.max_distance).tobytes()
+    assert got.worst_edge == want.worst_edge
