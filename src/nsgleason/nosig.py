@@ -1,5 +1,6 @@
-"""No-signalling checkers, CHSH values and exact maximum, and the LP-based
-quantum-extension feasibility test that excludes the PR box.
+"""No-signalling checkers, CHSH values and exact maximum, and the
+quantum-extension feasibility test (certificates first, then LPs) that
+excludes the PR box.
 
 Two levels of no-signalling are checked: conditional probability tables
 (boxes) must have remote-setting-independent marginals, and frame functions
@@ -367,16 +368,36 @@ class Decomposition:
 
 
 @dataclass(frozen=True)
+class Separation:
+    """A PPT witness W = Σ y_i E_i over the box's product projectors E_i, with W and
+    W^Γ at least -PSD.  Every t = A + B^Γ with A, B >= 0 and tr t = 1 has
+    tr(W t) >= -PSD, while a t that reproduced the box would give tr(W t) = y·P; so
+    each such t misses some box equality by at least floor = (-y·P - PSD) / ||y||_1.
+
+    ``coefficients`` are the y_i in the table's shape; ``min_eigs`` are the least
+    eigenvalues of W and W^Γ.
+    """
+
+    coefficients: np.ndarray
+    floor: float
+    min_eigs: tuple
+
+    def to_json(self) -> dict:
+        return {"floor": self.floor, "min_eig_w": self.min_eigs[0],
+                "min_eig_w_gamma": self.min_eigs[1], "coefficients": self.coefficients.tolist()}
+
+
+@dataclass(frozen=True)
 class ExtensionVerdict:
     verdict: str  # FEASIBLE | INFEASIBLE | AMBIGUOUS | ERROR
     residual: float
     t: HermitianOperator | None = None
     seesaw_min: float | None = None
-    rounds: int = 1  # LP rounds run: 0 when the decomposition certificate decided
+    rounds: int = 1  # LP rounds run: 0 when a certificate decided
     solver_status: int | None = None  # HiGHS status of a failed solve (ERROR)
     solver_message: str | None = None
     candidate: str | None = None  # what gave t: "decomposition" | "vertex" | "recentred"
-    certificate: Decomposition | None = None  # (A, B) of a "decomposition" t
+    certificate: Decomposition | Separation | None = None  # rounds 0: (A, B) of t, or W
 
     def to_json(self) -> dict:
         out = {
@@ -421,9 +442,10 @@ def _box_equalities(box: Box):
     return projector_features(_box_products(box)), box.table.ravel()
 
 
-def _decomposition(box: Box) -> Decomposition | None:
+def _decomposition(box: Box) -> Decomposition | Separation | None:
     """A, B >= -PSD with t = A + B^Γ meeting the box equalities and tr t = 1, by
-    alternating projections; None after ``tolerances.DECOMPOSITION_STEPS`` steps.
+    alternating projections; after ``tolerances.DECOMPOSITION_STEPS`` steps, a
+    Separation at site dims (2, 2), (2, 3) or (3, 2), else None.
 
     The pair (A, B) is one (2, D, D) stack, and each equality is a dot product
     with the real view of its entries: tr(A E) + tr(B E^Γ) = P(A,B|a,b), since
@@ -432,6 +454,15 @@ def _decomposition(box: Box) -> Decomposition | None:
     step projects onto these equalities (one pseudo-inverse per box; the first
     step starts at their least-norm point) and stops once both factors have
     least eigenvalue >= -PSD; otherwise it clips their negative eigenvalues.
+
+    When the steps run out, the last affine correction g points from the PSD
+    pairs towards the equalities and lies in the span of their rows, so y =
+    -pinv^T g weighs the rows into a pair (W, W^Γ) = Σ y_i (E_i, E_i^Γ) + y_tr (I, I)
+    that is near PSD while y·(P, 1) < 0.  The trace weight, plus the shift that makes
+    both operators PSD, moves onto block 0's entries, whose projectors sum to I.  In
+    these dims every product-positive t is decomposable (Størmer 1963, Woronowicz
+    1976), so the Separation bounds the residual of every product-positive t; it is
+    returned when both least eigenvalues, recomputed, are >= -PSD and its floor is > 0.
     """
     stacks = _box_products(box)
     psi = np.stack([tensor_rows(stacks), tensor_rows([stacks[0].conj(), stacks[1]])], axis=1)
@@ -441,18 +472,32 @@ def _decomposition(box: Box) -> Decomposition | None:
     rows, vals = ops.view(float).reshape(len(ops), -1), np.append(box.table.ravel(), 1.0)
     pinv = np.linalg.pinv(rows)
     x = pinv @ vals
+    dims = tuple(u.shape[-1] for u in box.bases)
     for step in range(1, tol.DECOMPOSITION_STEPS + 1):
         pair = x.view(complex).reshape(2, d_total, d_total)
         w, vecs = np.linalg.eigh(pair)
         if w[0, 0] >= -tol.PSD and w[1, 0] >= -tol.PSD:
             # The factors are symmetrized on return; their own eigenvalues are cited.
-            a, b = (HermitianOperator(tuple(u.shape[-1] for u in box.bases), m) for m in pair)
+            a, b = (HermitianOperator(dims, m) for m in pair)
             least = np.linalg.eigvalsh(np.stack([a.mat, b.mat]))[:, 0]
             if least.min() >= -tol.PSD:
                 return Decomposition(a, b, step, tuple(map(float, least)))
         pair = (vecs * np.maximum(w, 0.0)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
         x = pair.view(float).ravel()
-        x = x - pinv @ (rows @ x - vals)
+        g = -(pinv @ (rows @ x - vals))
+        x = x + g
+    if sorted(dims) not in ([2, 2], [2, 3]):
+        return None
+    y = -pinv.T @ g
+    witness = (rows.T @ y).view(complex).reshape(2, d_total, d_total)
+    shift = max(0.0, -np.linalg.eigvalsh(witness)[:, 0].min()) + tol.PSD
+    y, y_trace = y[:-1], y[-1]
+    y[:box.table[0, 0].size] += y_trace + shift  # block 0's projectors sum to I
+    witness = (rows[:-1].T @ y).view(complex).reshape(2, d_total, d_total)
+    least = np.linalg.eigvalsh(witness)[:, 0]
+    floor = float((-y @ vals[:-1] - tol.PSD) / np.abs(y).sum())
+    if least.min() >= -tol.PSD and floor > 0:
+        return Separation(y.reshape(box.table.shape), floor, tuple(map(float, least)))
     return None
 
 
@@ -496,14 +541,19 @@ def quantum_extension(box: Box, positivity_samples: int = 2000, seed: int = 0) -
     equality and trace residual, measured on t itself, is at most
     ``tolerances.FEASIBLE_RESIDUAL``, the verdict is FEASIBLE with candidate
     "decomposition", its certificate and no LP (rounds 0).  A box with no
-    quantum extension has no such t.  Otherwise two LPs give candidates for t,
-    each over the box equalities
+    quantum extension has no such t.  At site dims (2, 2), (2, 3) and (3, 2),
+    where every product-positive t is decomposable, a search that runs out of
+    steps yields a Separation instead: a PPT witness whose floor bounds the
+    equality residual of every product-positive unit-trace t from below.  A
+    floor above ``tolerances.INFEASIBLE_RESIDUAL`` gives INFEASIBLE with that
+    floor as residual, the certificate, no t and no LP (rounds 0).  Otherwise
+    two LPs give candidates for t, each over the box equalities
     tr(t (p_A (x) q_B)) = P(A,B|a,b), tr(t) = 1 and tr(t (p (x) q)) >= 0 on
     sampled product projectors:
 
     - the vertex LP minimises the residual s of the equalities,
       |tr(t (p_A (x) q_B)) - P(A,B|a,b)| <= s, and returns a vertex of its
-      optimal face; it alone decides INFEASIBLE, when s exceeds
+      optimal face; it alone decides INFEASIBLE in the loop, when s exceeds
       ``tolerances.INFEASIBLE_RESIDUAL``;
     - the re-centring LP, run once the vertex residual is at most
       ``tolerances.FEASIBLE_RESIDUAL``, keeps the equalities exact
@@ -526,7 +576,10 @@ def quantum_extension(box: Box, positivity_samples: int = 2000, seed: int = 0) -
     eq_rows, eq_vals = _box_equalities(box)
     fit_rows, fit_vals = np.vstack([eq_rows, trace_row]), np.append(eq_vals, 1.0)
     cert = _decomposition(box)
-    if cert is not None:
+    if isinstance(cert, Separation):
+        if cert.floor > tol.INFEASIBLE_RESIDUAL:
+            return ExtensionVerdict("INFEASIBLE", cert.floor, rounds=0, certificate=cert)
+    elif cert is not None:
         t = HermitianOperator(dims, cert.a.mat + partial_transpose(cert.b, 0).mat)
         residual = float(np.max(np.abs(fit_rows @ feature_of(t.mat) - fit_vals)))
         if residual <= tol.FEASIBLE_RESIDUAL:
@@ -582,19 +635,25 @@ def max_chsh_lp(box: Box, sample_schedule=(250, 500, 1000, 2000), seed: int = 0)
     """LP upper bounds on CHSH over sampled product-positive unit-trace t.
 
     The Bell operator reads the realized 2x2x2x2 box's bases in setting order.
-    The positivity samples are nested across the schedule, so the sequence
-    of bounds is nonincreasing.  Returns the list of bounds (inf where the
-    LP is unbounded); any other solver failure raises SolverError.
+    The positivity samples are nested across the schedule, which must strictly
+    increase (else ValidationError), so the sequence of bounds is nonincreasing.
+    Returns the list of bounds (inf where the LP is unbounded); any other
+    solver failure raises SolverError.  HiGHS presolve is off: these LPs are
+    small and dense, and presolve only adds time.
     """
     dims, n_var, trace_row = _operator_space(box)
     _require_chsh_box(box)
+    if not len(sample_schedule) or np.any(np.diff(sample_schedule) <= 0):
+        raise ValidationError(f"sample schedule {tuple(sample_schedule)} "
+                              "is not strictly increasing")
     objective = feature_of(bell_operator([*box.bases[0], *box.bases[1]]))
-    all_rows = _positivity_rows(make_rng(seed), dims, max(sample_schedule))
+    all_rows = _positivity_rows(make_rng(seed), dims, sample_schedule[-1])
     bounds = []
     for count in sample_schedule:
         res = linprog(
             -objective, A_ub=-all_rows[:count], b_ub=np.zeros(count),
             A_eq=trace_row[None, :], b_eq=[1.0], bounds=[(None, None)] * n_var, method="highs",
+            options={"presolve": False},
         )
         if res.status not in (0, 3):  # 3: unbounded, too few samples to pin t down
             raise SolverError(res.status, res.message, f"max_chsh_lp at {count} samples")

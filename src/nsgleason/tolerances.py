@@ -41,7 +41,7 @@ NEGATIVE_PROBABILITY = 1e-12  # a probability below -NEGATIVE_PROBABILITY is rej
 BLOCK_SUM = 1e-10  # a box block whose sum is farther than this from 1 is rejected
 NO_SIGNALLING = 1e-10  # max marginal discrepancy accepted as no-signalling
 SECTION_CONSISTENT = 1e-10  # max L1 restriction distance of a consistent section
-INFEASIBLE_RESIDUAL = 1e-4  # LP residual floor above this: no quantum extension
+INFEASIBLE_RESIDUAL = 1e-4  # residual floor, from the vertex LP or a PPT witness, above this: INFEASIBLE
 FEASIBLE_RESIDUAL = 1e-8  # LP residual at or below this, on a product-positive t: FEASIBLE
 EXTENSION_ROUNDS = 5  # see-saw rounds of quantum_extension before it answers AMBIGUOUS
 DECOMPOSITION_STEPS = 100  # alternating projections before the decomposition search gives up

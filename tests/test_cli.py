@@ -384,6 +384,22 @@ def test_prbox_exclusion(capsys):
     assert code == 0
     assert rep["extension"]["verdict"] == "INFEASIBLE"
     assert rep["verdicts"]["lp_bounds_nonincreasing"]["pass"]
+    ext = rep["extension"]  # decided by the separation certificate, before any LP
+    assert ext["rounds"] == 0 and ext["residual"] == ext["certificate"]["floor"]
+    assert rep["verdicts"]["pr_box_excluded"]["value"] == ext["residual"]
+
+
+@pytest.mark.parametrize("schedule", ["500,250", "250,250"])
+def test_prbox_schedule_must_increase(schedule, capsys):
+    # The LP bounds are nonincreasing only over nested, growing sample counts.
+    assert main(["prbox", "--samples", "50", "--schedule", schedule, "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "not strictly increasing" in err
+
+
+def lp_only(monkeypatch):
+    """Skip the certificates that decide before any LP runs."""
+    monkeypatch.setattr("nsgleason.nosig._decomposition", lambda box: None)
 
 
 def test_chsh_restarts_accepted_and_ignored(singlet_file, capsys):
@@ -399,6 +415,7 @@ def test_prbox_solver_error_reported(monkeypatch, capsys):
         return OptimizeResult(status=4, success=False, x=None, fun=None,
                               message="Numerical difficulties encountered.")
 
+    lp_only(monkeypatch)
     monkeypatch.setattr("nsgleason.nosig.linprog", fake_linprog)
     code, rep = run(["prbox", "--samples", "50", "--seed", "2"], capsys)
     assert code == 1
@@ -413,6 +430,7 @@ def test_prbox_schedule_solver_error_reported(monkeypatch, capsys):
         return OptimizeResult(status=4, success=False, x=None, fun=None,
                               message="Numerical difficulties encountered.")
 
+    lp_only(monkeypatch)
     monkeypatch.setattr("nsgleason.nosig.linprog", fake_linprog)
     code, rep = run(["prbox", "--samples", "50", "--schedule", "50,100", "--seed", "2"],
                     capsys)
@@ -432,6 +450,7 @@ def test_prbox_solver_error_report_is_strict_json(monkeypatch, capsys):
     def reject(name):
         raise ValueError(f"non-JSON constant {name}")
 
+    lp_only(monkeypatch)
     monkeypatch.setattr("nsgleason.nosig.linprog", fake_linprog)
     code = main(["prbox", "--samples", "50", "--schedule", "50,100", "--seed", "2"])
     rep = json.loads(capsys.readouterr().out, parse_constant=reject)

@@ -15,6 +15,7 @@ from nsgleason.linalg import (
     ValidationError,
     complex_to_json,
     make_rng,
+    partial_transpose,
     proj,
     random_density,
     random_hermitian,
@@ -26,6 +27,7 @@ from nsgleason.nosig import (
     TSIRELSON,
     Box,
     NoSigReport,
+    Separation,
     _box_equalities,
     _decomposition,
     _positivity_rows,
@@ -549,6 +551,7 @@ def failed_linprog(status, message):
 
 
 def test_quantum_extension_solver_failure_is_error(monkeypatch):
+    lp_only(monkeypatch)
     monkeypatch.setattr("nsgleason.nosig.linprog",
                         failed_linprog(4, "Numerical difficulties encountered."))
     verdict = quantum_extension(with_qubit_realizations(pr_box()),
@@ -570,7 +573,7 @@ def density_boxes(count, dims=(2, 3), base=700):
 
 
 def lp_only(monkeypatch):
-    """Skip the decomposition certificate: the LP loop alone decides."""
+    """Skip both certificates, decomposition and separation: the LP loop alone decides."""
     monkeypatch.setattr("nsgleason.nosig._decomposition", lambda box: None)
 
 
@@ -679,6 +682,7 @@ def test_negative_margin_falls_back_to_the_vertex_lp(monkeypatch):
     # Visibility 0.75 (CHSH 3) is outside the quantum set.  The re-centred
     # witnesses of rounds 1-4 leave no exact fit positive on every sampled state
     # (m < 0 in round 5), so the vertex LP runs again and finds the residual floor.
+    lp_only(monkeypatch)
     seen = counting_linprog(monkeypatch)
     out = quantum_extension(noisy_pr_box(0.75), positivity_samples=500, seed=1)
     assert (out.verdict, out.rounds, len(seen)) == ("INFEASIBLE", 5, 7)
@@ -781,7 +785,7 @@ def test_recentring_solver_failure_is_error(monkeypatch):
     assert verdict.to_json()["solver_status"] == 4
 
 
-def test_extension_verdict_cites_its_tolerances(density_extensions):
+def test_extension_verdict_cites_its_tolerances(monkeypatch, density_extensions):
     _, _, verdict = density_extensions[0]
     out = verdict.to_json()
     assert out["feasible_threshold"] == tol.FEASIBLE_RESIDUAL
@@ -792,7 +796,16 @@ def test_extension_verdict_cites_its_tolerances(density_extensions):
     assert out["certificate"] == verdict.certificate.to_json()
     assert min(out["certificate"]["min_eig_a"], out["certificate"]["min_eig_b"]) >= -tol.PSD
     assert out["rounds"] == 0 and 1 <= out["certificate"]["steps"] <= tol.DECOMPOSITION_STEPS
-    excluded = quantum_extension(with_qubit_realizations(pr_box()), 500, seed=0).to_json()
+    box = with_qubit_realizations(pr_box())
+    separated = quantum_extension(box, 500, seed=0)
+    sep = separated.to_json()
+    assert sep["verdict"] == "INFEASIBLE" and "candidate" not in sep and "t" not in sep
+    assert sep["psd_threshold"] == tol.PSD and sep["rounds"] == 0
+    assert sep["certificate"] == separated.certificate.to_json()
+    assert sep["residual"] == sep["certificate"]["floor"] > sep["infeasibility_threshold"]
+    assert min(sep["certificate"]["min_eig_w"], sep["certificate"]["min_eig_w_gamma"]) >= -tol.PSD
+    lp_only(monkeypatch)
+    excluded = quantum_extension(box, 500, seed=0).to_json()
     assert excluded["verdict"] == "INFEASIBLE" and "candidate" not in excluded
     assert "certificate" not in excluded and "psd_threshold" not in excluded
 
@@ -809,8 +822,9 @@ def extension_sweep():
 
 def test_certificate_only_turns_ambiguous_into_feasible(monkeypatch, density_extensions,
                                                         lp_density_extensions):
-    # The LP loop alone decides INFEASIBLE, and a decomposable t is nonnegative on every
-    # product state, so the certificate can only decide what the LP loop left AMBIGUOUS.
+    # A decomposable t is nonnegative on every product state, and a separation's floor
+    # bounds the residual of every product-positive t, whereas the LP loop sees sampled
+    # product states only: the certificates can only decide what the LP loop left AMBIGUOUS.
     runs = []
     for name, box, samples, seed in extension_sweep():
         with monkeypatch.context() as mp:
@@ -820,17 +834,147 @@ def test_certificate_only_turns_ambiguous_into_feasible(monkeypatch, density_ext
     runs += [(f"density {box.bases[0].shape[-1]}, seed {k}", lp, out) for (k, box, out), (_, _, lp)
              in zip(density_extensions, lp_density_extensions)]
     changed = [name for name, lp, out in runs if lp.verdict != out.verdict]
-    assert changed == [f"noisy PR {v}, seed {s}" for v in (0.7, 0.707) for s in range(3)] + [
-        "density 3, seed 11"]
+    separated = ["noisy PR 0.71", "noisy PR 0.72"]
+    assert changed == [f"noisy PR {v}, seed {s}" for v in (0.7, 0.707) for s in range(3)] + (
+        separated + ["density 3, seed 11"])
     verdicts = {name: (lp.verdict, out.verdict) for name, lp, out in runs}
-    assert all(verdicts[name] == ("AMBIGUOUS", "FEASIBLE") for name in changed)
+    assert all(verdicts[name] == ("AMBIGUOUS", "INFEASIBLE" if name in separated else "FEASIBLE")
+               for name in changed)
     for name, lp, out in runs:
         if name.startswith("PR box") or name in ("noisy PR 0.75", "noisy PR 0.8", "noisy PR 1.0"):
-            assert out.verdict == "INFEASIBLE" and out.residual == lp.residual
+            assert lp.verdict == out.verdict == "INFEASIBLE" and out.rounds == 0
+            assert out.residual == out.certificate.floor > tol.INFEASIBLE_RESIDUAL
         if name in ("noisy PR 0.7072", "noisy PR 0.71", "noisy PR 0.72"):
             assert out.verdict != "FEASIBLE"
+        if out.rounds > 0:  # the LP loop decided
+            assert (out.verdict, out.residual) == (lp.verdict, lp.residual)
         if out.verdict == "FEASIBLE" and lp.verdict != "FEASIBLE":
             assert out.candidate == "decomposition" and out.rounds == 0
+        if out.verdict == "INFEASIBLE" and out.rounds == 0:
+            assert isinstance(out.certificate, Separation) and out.t is None
+    assert verdicts["noisy PR 0.7072"] == ("AMBIGUOUS", "AMBIGUOUS")
+
+
+def embedded_noisy_pr_box(visibility, dims):
+    """Noisy PR box on sites of dims (2 or 3 outcomes); a qutrit's third outcome is unused."""
+    qubits = noisy_pr_box(visibility)
+    table = np.zeros((2, 2, *dims))
+    table[:, :, :2, :2] = qubits.table
+    realizations = []
+    for site, d in zip(qubits.realizations, dims):
+        realizations.append({})
+        for lbl, u in site.items():
+            realizations[-1][lbl] = np.eye(d, dtype=complex)
+            realizations[-1][lbl][:2, :2] = u
+    return Box(qubits.settings, tuple(tuple(range(d)) for d in dims), table, tuple(realizations))
+
+
+def rebuilt_witness(box, y):
+    """W = Σ y |u (x) v><u (x) v| and W^Γ = Σ y |conj(u) (x) v><conj(u) (x) v| over the
+    box's entries, from outer products of the realization columns."""
+    d0, d1 = (u.shape[-1] for u in box.bases)
+    w = np.zeros((2, d0 * d1, d0 * d1), dtype=complex)
+    for i, u in enumerate(box.bases[0]):
+        for j, v in enumerate(box.bases[1]):
+            for k in range(d0):
+                for m in range(d1):
+                    for n, left in enumerate((u[:, k], u[:, k].conj())):
+                        psi = np.kron(left, v[:, m])
+                        w[n] += y[i, j, k, m] * np.outer(psi, psi.conj())
+    return w
+
+
+@given(st.floats(0.71, 1.0), st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_separation_is_a_ppt_witness(visibility, dims, seed):
+    box = embedded_noisy_pr_box(visibility, dims)
+    cert = _decomposition(box)
+    assert isinstance(cert, Separation)
+    y = cert.coefficients
+    w, w_gamma = rebuilt_witness(box, y)
+    d0, d1 = dims  # W^Γ transposes W's site-0 indices
+    assert np.abs(w.reshape(d0, d1, d0, d1).transpose(2, 1, 0, 3).reshape(d0 * d1, -1)
+                  - w_gamma).max() <= tol.HERMITICITY
+    least = np.linalg.eigvalsh(np.stack([w, w_gamma]))[:, 0]
+    assert least.min() >= -tol.PSD
+    np.testing.assert_allclose(least, cert.min_eigs, atol=1e-12)
+    floor = (-np.sum(y * box.table) - tol.PSD) / np.abs(y).sum()
+    assert floor == pytest.approx(cert.floor, rel=1e-9) and floor > tol.INFEASIBLE_RESIDUAL
+    # Any unit-trace t = A + B^Γ with A, B >= 0 misses some box entry by at least the floor.
+    rng = make_rng(seed)
+    p = rng.uniform()
+    t = p * random_density(rng, dims).mat + (1 - p) * partial_transpose(
+        random_density(rng, dims), 0).mat
+    assert np.trace(w @ t).real >= -tol.PSD
+    values = [[np.diag(np.kron(u, v).conj().T @ t @ np.kron(u, v)).real.reshape(d0, d1)
+               for v in box.bases[1]] for u in box.bases[0]]
+    assert np.abs(np.array(values) - box.table).max() >= floor
+    out = quantum_extension(box, positivity_samples=50, seed=0)
+    assert (out.verdict, out.residual, out.rounds, out.t) == ("INFEASIBLE", cert.floor, 0, None)
+
+
+SLOW_QUBIT_SEEDS = (18, 39, 118)  # (2,2) densities the decomposition misses in 100 steps
+
+
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_quantum_boxes_get_no_separation(dims, seed):
+    rng = make_rng(seed)
+    real = tuple({a: random_onb(rng, d) for a in (0, 1)} for d in dims)
+    assert not isinstance(_decomposition(box_from_operator(random_density(rng, dims), real)),
+                          Separation)
+
+
+@pytest.mark.parametrize("seed", SLOW_QUBIT_SEEDS)
+def test_slow_quantum_boxes_reach_the_lp_loop(seed):
+    rng = make_rng(seed)
+    real = tuple({a: random_onb(rng, 2) for a in (0, 1)} for _ in (0, 1))
+    box = box_from_operator(random_density(rng, (2, 2)), real)
+    assert _decomposition(box) is None
+    assert quantum_extension(box, positivity_samples=300, seed=seed).rounds > 0
+
+
+def test_qutrit_pairs_take_no_witness_path(monkeypatch):
+    # At (3,3) product-positive need not be decomposable: the LP loop decides, as before.
+    box = embedded_noisy_pr_box(1.0, (3, 3))
+    assert _decomposition(box) is None
+    out = quantum_extension(box, positivity_samples=300, seed=0)
+    lp_only(monkeypatch)
+    lp = quantum_extension(box, positivity_samples=300, seed=0)
+    assert (out.verdict, out.residual, out.rounds, out.certificate) == (
+        lp.verdict, lp.residual, lp.rounds, None)
+    assert out.verdict == "INFEASIBLE" and out.rounds > 0
+
+
+def test_pr_box_solves_no_lp(monkeypatch):
+    calls = counting_linprog(monkeypatch)
+    out = quantum_extension(with_qubit_realizations(pr_box()), positivity_samples=2000, seed=0)
+    assert (out.verdict, out.rounds, calls) == ("INFEASIBLE", 0, [])
+    assert isinstance(out.certificate, Separation)
+
+
+def test_max_chsh_lp_needs_an_increasing_schedule():
+    box = with_qubit_realizations(pr_box())
+    for schedule in ((500, 250), (250, 250), ()):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            max_chsh_lp(box, schedule, seed=1)
+
+
+def test_max_chsh_lp_matches_presolve(monkeypatch):
+    # HiGHS presolve is off; the bounds, unbounded ones included, are those it gives with it on.
+    box = with_qubit_realizations(pr_box())
+    schedule = (8, 16, 32, 64, 250)
+    ours = [max_chsh_lp(box, schedule, seed=s) for s in range(5)]
+
+    def presolved(*args, **kwargs):
+        return linprog(*args, **{**kwargs, "options": {"presolve": True}})
+
+    monkeypatch.setattr("nsgleason.nosig.linprog", presolved)
+    ref = np.array([max_chsh_lp(box, schedule, seed=s) for s in range(5)])
+    assert np.array_equal(np.isinf(ours), np.isinf(ref)) and np.isinf(ref).any()
+    finite = np.isfinite(ref)
+    assert np.abs(np.array(ours)[finite] - ref[finite]).max() <= tol.LP_MONOTONE
 
 
 def test_max_chsh_lp_solver_failure_raises(monkeypatch):
