@@ -18,11 +18,13 @@ import numpy as np
 from nsgleason import (
     TSIRELSON,
     Box,
+    HermitianOperator,
     chsh_optimize,
     chsh_value_box,
     deterministic_box,
     make_rng,
     max_chsh_lp,
+    partial_transpose,
     pr_box,
     quantum_extension,
     random_density,
@@ -30,7 +32,7 @@ from nsgleason import (
     with_qubit_realizations,
     chsh_value,
 )
-from nsgleason.nosig import SINGLET_ANGLES, equator_basis
+from nsgleason.nosig import SINGLET_ANGLES, bell_operator, equator_basis
 
 print("=== singlet: saturating the quantum bound ===")
 standard = [equator_basis(a) for a in SINGLET_ANGLES]
@@ -80,5 +82,8 @@ schedule = (250, 500, 1000, 2000)
 bounds = max_chsh_lp(box, schedule, seed=0)
 for n, b in zip(schedule, bounds):
     print(f"  {n:5d} positivity samples -> CHSH <= {b:.4f}")
-print("The relaxation tightens monotonically toward the quantum value, "
-      "leaving 4 far outside.")
+bell = HermitianOperator((2, 2), bell_operator([*box.bases[0], *box.bases[1]]))
+exact = max(np.linalg.eigvalsh(b.mat)[-1] for b in (bell, partial_transpose(bell, 0)))
+print(f"  exact bound max(λmax(B), λmax(B^Γ)) -> CHSH <= {exact:.4f}")
+print("The relaxation tightens monotonically toward the exact bound over "
+      "t = A + C^Γ with A, C >= 0,\nthe quantum value 2*sqrt(2), leaving 4 far outside.")

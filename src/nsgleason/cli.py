@@ -27,12 +27,13 @@ from .bases import (
 )
 from .framefn import make_signalling_example, sample_from_operator
 from .gleason import reconstruct_pvm, spanning_design
-from .linalg import HermitianOperator, ValidationError
+from .linalg import HermitianOperator, ValidationError, partial_transpose
 from .nosig import (
     SINGLET_ANGLES,
     TSIRELSON,
     Box,
     SolverError,
+    bell_operator,
     check_box,
     check_framefn,
     chsh_optimize,
@@ -181,15 +182,20 @@ def cmd_prbox(args, argv):
     rep.verdict("pr_box_excluded", verdict.verdict == "INFEASIBLE", verdict.residual,
                 tol.INFEASIBLE_RESIDUAL, note)
     if args.schedule:
+        # Over unit-trace t = A + C^Γ (A, C PSD), which the LPs relax, CHSH peaks at this.
+        bell = HermitianOperator((2, 2), bell_operator([*box.bases[0], *box.bases[1]]))
+        exact = max(float(np.linalg.eigvalsh(b.mat)[-1])
+                    for b in (bell, partial_transpose(bell, 0)))
         try:
             bounds = max_chsh_lp(box, args.schedule, seed=args.seed)
         except SolverError as exc:
-            rep.data["max_chsh_lp"] = {"schedule": args.schedule, "solver_status": exc.status,
-                                       "solver_message": exc.message}
+            rep.data["max_chsh_lp"] = {"schedule": args.schedule, "exact_bound": exact,
+                                       "solver_status": exc.status, "solver_message": exc.message}
             rep.verdict("lp_final_bound", False, None, tol.LP_CHSH_BOUND,
                         f"LP solver failed (HiGHS status {exc.status}: {exc.message}); no bound")
             return rep.finish(args.out)
-        rep.data["max_chsh_lp"] = {"schedule": args.schedule, "bounds": bounds}
+        rep.data["max_chsh_lp"] = {"schedule": args.schedule, "bounds": bounds,
+                                   "exact_bound": exact}
         mono = all(b2 <= b1 + tol.LP_MONOTONE for b1, b2 in zip(bounds, bounds[1:]))
         rep.verdict("lp_bounds_nonincreasing", mono, bounds, tol.LP_MONOTONE)
         rep.verdict("lp_final_bound", bounds[-1] < tol.LP_CHSH_BOUND, bounds[-1],

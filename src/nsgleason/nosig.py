@@ -640,6 +640,16 @@ def max_chsh_lp(box: Box, sample_schedule=(250, 500, 1000, 2000), seed: int = 0)
     Returns the list of bounds (inf where the LP is unbounded); any other
     solver failure raises SolverError.  HiGHS presolve is off: these LPs are
     small and dense, and presolve only adds time.
+
+    The first step, and any step after an unbounded one, solves the LP over
+    all its samples.  A later step solves by constraint generation: it starts
+    from the rows with a nonzero dual at the last optimum and the rows that
+    optimum violates, then adds every row the new optimum violates until none
+    is.  The optimum then meets every row left out exactly and the rows kept
+    to HiGHS's tolerance, so it is feasible for the full LP, of which it is a
+    relaxation: the two bounds are equal.  The kept dual rows bound each subset
+    LP; should HiGHS still call one unbounded, the step falls back to the full
+    LP.  The cost grows with the active rows, not with the samples.
     """
     dims, n_var, trace_row = _operator_space(box)
     _require_chsh_box(box)
@@ -648,14 +658,33 @@ def max_chsh_lp(box: Box, sample_schedule=(250, 500, 1000, 2000), seed: int = 0)
                               "is not strictly increasing")
     objective = feature_of(bell_operator([*box.bases[0], *box.bases[1]]))
     all_rows = _positivity_rows(make_rng(seed), dims, sample_schedule[-1])
-    bounds = []
+    bounds, x = [], None
     for count in sample_schedule:
-        res = linprog(
-            -objective, A_ub=-all_rows[:count], b_ub=np.zeros(count),
-            A_eq=trace_row[None, :], b_eq=[1.0], bounds=[(None, None)] * n_var, method="highs",
-            options={"presolve": False},
-        )
-        if res.status not in (0, 3):  # 3: unbounded, too few samples to pin t down
-            raise SolverError(res.status, res.message, f"max_chsh_lp at {count} samples")
-        bounds.append(float(-res.fun) if res.status == 0 else np.inf)
+        rows = all_rows[:count]
+        if x is None:
+            active = np.ones(count, dtype=bool)
+        else:
+            active = rows @ x < 0
+            active[binding] = True
+        while True:
+            res = linprog(
+                -objective, A_ub=-rows[active], b_ub=np.zeros(np.count_nonzero(active)),
+                A_eq=trace_row[None, :], b_eq=[1.0], bounds=[(None, None)] * n_var,
+                method="highs", options={"presolve": False},
+            )
+            if res.status not in (0, 3):  # 3: unbounded, too few samples to pin t down
+                raise SolverError(res.status, res.message, f"max_chsh_lp at {count} samples")
+            if res.status == 0:
+                violated = (rows @ res.x < 0) & ~active
+            else:  # an unbounded subset takes in every row: the full LP
+                violated = ~active
+            if not violated.any():
+                break
+            active |= violated
+        if res.status == 0:
+            x, binding = res.x, np.flatnonzero(active)[res.ineqlin.marginals != 0]
+            bounds.append(float(-res.fun))
+        else:
+            x = None
+            bounds.append(np.inf)
     return bounds

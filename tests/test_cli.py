@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, linprog
 
 from nsgleason import cli, tolerances
 from nsgleason import keller as kel
@@ -387,6 +387,9 @@ def test_prbox_exclusion(capsys):
     ext = rep["extension"]  # decided by the separation certificate, before any LP
     assert ext["rounds"] == 0 and ext["residual"] == ext["certificate"]["floor"]
     assert rep["verdicts"]["pr_box_excluded"]["value"] == ext["residual"]
+    lp = rep["max_chsh_lp"]  # the LPs relax the decomposable set, where CHSH peaks at 2 sqrt(2)
+    assert lp["exact_bound"] == pytest.approx(2 * np.sqrt(2), abs=1e-12)
+    assert lp["exact_bound"] <= lp["bounds"][-1] + tolerances.LP_MONOTONE
 
 
 @pytest.mark.parametrize("schedule", ["500,250", "250,250"])
@@ -459,6 +462,34 @@ def test_prbox_solver_error_report_is_strict_json(monkeypatch, capsys):
     excluded = rep["verdicts"]["pr_box_excluded"]
     assert not excluded["pass"] and excluded["value"] is None
     assert not rep["verdicts"]["lp_final_bound"]["pass"]
+
+
+@pytest.mark.parametrize("fail_at", [2, 3])
+def test_prbox_later_lp_solver_error_is_strict_json(monkeypatch, capsys, fail_at):
+    # The PR box's certificate solves no LP, so calls 2 and 3 are max_chsh_lp's solves
+    # at the 100-sample step, after the full 50-sample LP.
+    calls = []
+
+    def fake_linprog(*args, **kwargs):
+        calls.append(kwargs["A_ub"].shape[0])
+        if len(calls) == fail_at:
+            return OptimizeResult(status=4, success=False, x=None, fun=None,
+                                  message="Numerical difficulties encountered.")
+        return linprog(*args, **kwargs)
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    monkeypatch.setattr("nsgleason.nosig.linprog", fake_linprog)
+    code = main(["prbox", "--samples", "50", "--schedule", "50,100", "--seed", "2"])
+    rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 1 and len(calls) == fail_at and calls[0] == 50
+    assert rep["extension"]["verdict"] == "INFEASIBLE"
+    lp = rep["max_chsh_lp"]
+    assert lp["solver_status"] == 4 and "bounds" not in lp
+    assert lp["exact_bound"] == pytest.approx(2 * np.sqrt(2), abs=1e-12)
+    final = rep["verdicts"]["lp_final_bound"]
+    assert not final["pass"] and "HiGHS status 4" in final["note"]
 
 
 def test_usage_error_exit_2(capsys):

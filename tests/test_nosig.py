@@ -28,9 +28,12 @@ from nsgleason.nosig import (
     Box,
     NoSigReport,
     Separation,
+    SolverError,
     _box_equalities,
     _decomposition,
+    _operator_space,
     _positivity_rows,
+    bell_operator,
     box_from_operator,
     check_box,
     check_framefn,
@@ -983,6 +986,112 @@ def test_max_chsh_lp_solver_failure_raises(monkeypatch):
     box = with_qubit_realizations(pr_box())
     with pytest.raises(ValidationError, match="status 2"):
         max_chsh_lp(box, (50,), seed=0)
+
+
+@pytest.mark.parametrize("fail_at", [2, 3])
+def test_max_chsh_lp_later_solver_failure_names_its_step(monkeypatch, fail_at):
+    # Every solve after the first at schedule (500, 1000) belongs to the 1000-sample step.
+    box = with_qubit_realizations(pr_box())
+    calls = counting_linprog(monkeypatch)
+    max_chsh_lp(box, (500, 1000), seed=0)
+    assert len(calls) >= 3
+    counting_linprog(monkeypatch, fail_at=fail_at)
+    with pytest.raises(SolverError, match="at 1000 samples: linprog status 4") as err:
+        max_chsh_lp(box, (500, 1000), seed=0)
+    assert err.value.status == 4
+
+
+def one_full_lp_per_step(box, sample_schedule, seed):
+    """max_chsh_lp before constraint generation: each step solves over all its samples."""
+    dims, n_var, trace_row = _operator_space(box)
+    objective = feature_of(bell_operator([*box.bases[0], *box.bases[1]]))
+    all_rows = _positivity_rows(make_rng(seed), dims, sample_schedule[-1])
+    bounds = []
+    for count in sample_schedule:
+        res = linprog(
+            -objective, A_ub=-all_rows[:count], b_ub=np.zeros(count),
+            A_eq=trace_row[None, :], b_eq=[1.0], bounds=[(None, None)] * n_var, method="highs",
+            options={"presolve": False},
+        )
+        assert res.status in (0, 3)
+        bounds.append(float(-res.fun) if res.status == 0 else np.inf)
+    return bounds
+
+
+@pytest.mark.parametrize("schedule", [(250, 500, 1000, 2000), (500, 1000, 2000),
+                                      (8, 16, 32, 64, 250)])
+def test_max_chsh_lp_matches_one_full_lp_per_step(schedule):
+    box = with_qubit_realizations(pr_box())
+    for seed in range(20):
+        ours = np.array(max_chsh_lp(box, schedule, seed=seed))
+        ref = np.array(one_full_lp_per_step(box, schedule, seed))
+        assert ours[:1].tobytes() == ref[:1].tobytes()
+        assert np.array_equal(np.isinf(ours), np.isinf(ref))
+        finite = np.isfinite(ref)
+        assert np.abs(ours[finite] - ref[finite]).max(initial=0.0) <= tol.LP_MONOTONE
+
+
+def test_max_chsh_lp_solves_later_steps_on_active_rows(monkeypatch):
+    # The first step passes its 500 rows; the later steps pass far fewer than
+    # the 1000 + 2000 of one full LP per step.
+    rows = []
+
+    def fake(*args, **kwargs):
+        rows.append(kwargs["A_ub"].shape[0])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr("nsgleason.nosig.linprog", fake)
+    box = with_qubit_realizations(pr_box())
+    for seed in range(5):
+        rows.clear()
+        max_chsh_lp(box, (500, 1000, 2000), seed=seed)
+        assert rows[0] == 500 and len(rows) > 3
+        assert max(rows[1:]) <= 1000 and sum(rows[1:]) < 1000 + 2000
+
+
+def test_max_chsh_lp_unbounded_subset_falls_back_to_the_full_lp(monkeypatch):
+    # A subset that keeps the last optimum's binding rows stays bounded, so the
+    # fallback is forced here: the first subset solve reports status 3.
+    rows = []
+
+    def fake(*args, **kwargs):
+        rows.append(kwargs["A_ub"].shape[0])
+        if len(rows) == 2:
+            return OptimizeResult(status=3, success=False, x=None, fun=None,
+                                  message="The problem is unbounded.")
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr("nsgleason.nosig.linprog", fake)
+    box = with_qubit_realizations(pr_box())
+    bounds = np.array(max_chsh_lp(box, (500, 1000), seed=0))
+    assert rows[0] == 500 and rows[1] < 1000 and rows[2:] == [1000]
+    assert bounds.tobytes() == np.array(one_full_lp_per_step(box, (500, 1000), 0)).tobytes()
+
+
+def reshaped_partial_transpose(m):
+    """Transpose site 0 of a two-qubit matrix: swap its row and column qubit indices."""
+    return m.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(),
+       st.lists(st.integers(8, 1200), min_size=1, max_size=4, unique=True).map(sorted))
+@settings(max_examples=25, deadline=None)
+def test_max_chsh_lp_bounds_the_exact_value_from_above(seed, random_settings, schedule):
+    # Every unit-trace t = A + C^Γ with A, C PSD is nonnegative on product states, so it
+    # is feasible for each sampled LP: no bound falls below max(λmax(B), λmax(B^Γ)).
+    box = with_qubit_realizations(pr_box())
+    if random_settings:
+        rng = make_rng(seed)
+        realizations = tuple({lbl: random_onb(rng, 2) for lbl in labels}
+                             for labels in box.settings)
+        box = Box(box.settings, box.outcomes, box.table, realizations)
+    signs = np.diag([1.0, -1.0])
+    a, a2, b, b2 = (u @ signs @ u.conj().T for u in (*box.bases[0], *box.bases[1]))
+    bell = np.kron(a, b + b2) + np.kron(a2, b - b2)
+    exact = max(np.linalg.eigvalsh(m)[-1] for m in (bell, reshaped_partial_transpose(bell)))
+    assert exact <= TSIRELSON + 1e-12
+    bounds = max_chsh_lp(box, schedule, seed=seed)
+    assert min(bounds) >= exact - tol.LP_MONOTONE
 
 
 def test_box_json_round_trip():
