@@ -10,7 +10,7 @@ bound (it reaches 4), and a PPT witness certifies that no operator of
 weight one that is nonnegative on product states reproduces its statistics.
 Below the bound, a noisy PR box is reproduced by t = A + B^Γ with A, B
 positive semidefinite, found by alternating projections before any LP runs;
-when that search fails on two qubits, its last step gives the witness.
+when that search stalls on two qubits, its last step gives the witness.
 """
 
 import numpy as np
@@ -32,7 +32,7 @@ from nsgleason import (
     with_qubit_realizations,
     chsh_value,
 )
-from nsgleason.nosig import SINGLET_ANGLES, bell_operator, equator_basis
+from nsgleason.nosig import SINGLET_ANGLES, _decomposition, bell_operator, equator_basis
 
 print("=== singlet: saturating the quantum bound ===")
 standard = [equator_basis(a) for a in SINGLET_ANGLES]
@@ -60,18 +60,23 @@ verdict = quantum_extension(box, positivity_samples=1000, seed=0)
 print(f"extension search verdict : {verdict.verdict}")
 print(f"residual floor           : {verdict.residual:.4f} (PPT witness, "
       f"{verdict.rounds} LP rounds)")
+print(f"search stalled after     : {verdict.certificate.steps} steps")
 
 print("\n=== noisy PR boxes: a certificate on either side of 2*sqrt(2) ===")
 pr = pr_box()
 for visibility in (0.70, 0.7072, 0.72):
-    noisy = Box(pr.settings, pr.outcomes, visibility * pr.table + (1 - visibility) / 4)
-    verdict = quantum_extension(with_qubit_realizations(noisy), positivity_samples=500, seed=0)
+    noisy = with_qubit_realizations(
+        Box(pr.settings, pr.outcomes, visibility * pr.table + (1 - visibility) / 4))
+    verdict = quantum_extension(noisy, positivity_samples=500, seed=0)
     if verdict.verdict == "FEASIBLE" and verdict.rounds == 0:
         how = f"decomposed in {verdict.certificate.steps} steps, no LP"
     elif verdict.verdict == "INFEASIBLE" and verdict.rounds == 0:
-        how = f"residual floor {verdict.residual:.1e} from a PPT witness, no LP"
-    else:
-        how = f"{verdict.rounds} LP rounds, no certificate"
+        how = (f"residual floor {verdict.residual:.1e} from a PPT witness after "
+               f"{verdict.certificate.steps} steps, no LP")
+    else:  # the witness's floor is too low to decide; the verdict carries no certificate
+        witness = _decomposition(noisy)
+        how = (f"witness floor {witness.floor:.1e} after {witness.steps} steps, "
+               f"then {verdict.rounds} LP rounds")
     print(f"visibility {visibility:.4f} (CHSH {4 * visibility:.4f}): {verdict.verdict:10s} {how}")
 print("On two qubits t is nonnegative on every product state exactly when t = A + B^Γ "
       "with A, B >= 0.\nAbove 2*sqrt(2) no such t reproduces the box; just above it the "

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from . import tolerances as tol
@@ -374,16 +373,18 @@ class Separation:
     tr(W t) >= -PSD, while a t that reproduced the box would give tr(W t) = y·P; so
     each such t misses some box equality by at least floor = (-y·P - PSD) / ||y||_1.
 
-    ``coefficients`` are the y_i in the table's shape; ``min_eigs`` are the least
-    eigenvalues of W and W^Γ.
+    ``coefficients`` are the y_i in the table's shape; the search stalled after
+    ``steps`` alternating projections; ``min_eigs`` are the least eigenvalues of
+    W and W^Γ.
     """
 
     coefficients: np.ndarray
     floor: float
+    steps: int
     min_eigs: tuple
 
     def to_json(self) -> dict:
-        return {"floor": self.floor, "min_eig_w": self.min_eigs[0],
+        return {"steps": self.steps, "floor": self.floor, "min_eig_w": self.min_eigs[0],
                 "min_eig_w_gamma": self.min_eigs[1], "coefficients": self.coefficients.tolist()}
 
 
@@ -396,7 +397,7 @@ class ExtensionVerdict:
     rounds: int = 1  # LP rounds run: 0 when a certificate decided
     solver_status: int | None = None  # HiGHS status of a failed solve (ERROR)
     solver_message: str | None = None
-    candidate: str | None = None  # what gave t: "decomposition" | "vertex" | "recentred"
+    candidate: str | None = None  # what gave t: "decomposition" | "vertex"
     certificate: Decomposition | Separation | None = None  # rounds 0: (A, B) of t, or W
 
     def to_json(self) -> dict:
@@ -444,25 +445,29 @@ def _box_equalities(box: Box):
 
 def _decomposition(box: Box) -> Decomposition | Separation | None:
     """A, B >= -PSD with t = A + B^Γ meeting the box equalities and tr t = 1, by
-    alternating projections; after ``tolerances.DECOMPOSITION_STEPS`` steps, a
-    Separation at site dims (2, 2), (2, 3) or (3, 2), else None.
+    alternating projections until they stall; then a Separation at site dims
+    (2, 2), (2, 3) or (3, 2), else None.
 
     The pair (A, B) is one (2, D, D) stack, and each equality is a dot product
-    with the real view of its entries: tr(A E) + tr(B E^Γ) = P(A,B|a,b), since
+    with the real view of its entries: tr(A E) + tr(B E^Γ) = P(A,B|a,b), as
     tr(B^Γ E) = tr(B E^Γ), where E is an entry's product projector and E^Γ the
     same with site 0's factor conjugated; the pair (I, I) gives the trace.  A
-    step projects onto these equalities (one pseudo-inverse per box; the first
-    step starts at their least-norm point) and stops once both factors have
-    least eigenvalue >= -PSD; otherwise it clips their negative eigenvalues.
+    step returns the pair once both factors have least eigenvalue >= -PSD;
+    otherwise it clips their negative eigenvalues and projects back onto the
+    equalities by the correction g (one pseudo-inverse per box; the first step
+    starts at their least-norm point).
 
-    When the steps run out, the last affine correction g points from the PSD
-    pairs towards the equalities and lies in the span of their rows, so y =
-    -pinv^T g weighs the rows into a pair (W, W^Γ) = Σ y_i (E_i, E_i^Γ) + y_tr (I, I)
-    that is near PSD while y·(P, 1) < 0.  The trace weight, plus the shift that makes
-    both operators PSD, moves onto block 0's entries, whose projectors sum to I.  In
-    these dims every product-positive t is decomposable (Størmer 1963, Woronowicz
-    1976), so the Separation bounds the residual of every product-positive t; it is
-    returned when both least eigenvalues, recomputed, are >= -PSD and its floor is > 0.
+    ||g|| never grows: it falls to 0 when the PSD pairs meet the equalities and
+    levels off at their distance when they do not (Bauschke & Borwein, Set-Valued
+    Anal. 1, 1993).  The search stalls at the first step whose ||g|| is not below
+    the last; one still falling after ``tolerances.DECOMPOSITION_STEPS`` steps
+    returns None.  The stalled g lies in the row span, so y = -pinv^T g weighs the
+    rows into a pair (W, W^Γ) = Σ y_i (E_i, E_i^Γ) + y_tr (I, I) that is near PSD
+    while y·(P, 1) < 0; the trace weight, plus the shift that makes both PSD, moves
+    onto block 0's entries, whose projectors sum to I.  In these dims every
+    product-positive t is decomposable (Størmer 1963, Woronowicz 1976), so the
+    Separation, returned when both least eigenvalues, recomputed, are >= -PSD and
+    its floor is > 0, bounds the residual of every product-positive t.
     """
     stacks = _box_products(box)
     psi = np.stack([tensor_rows(stacks), tensor_rows([stacks[0].conj(), stacks[1]])], axis=1)
@@ -473,6 +478,7 @@ def _decomposition(box: Box) -> Decomposition | Separation | None:
     pinv = np.linalg.pinv(rows)
     x = pinv @ vals
     dims = tuple(u.shape[-1] for u in box.bases)
+    norm = np.inf
     for step in range(1, tol.DECOMPOSITION_STEPS + 1):
         pair = x.view(complex).reshape(2, d_total, d_total)
         w, vecs = np.linalg.eigh(pair)
@@ -486,6 +492,11 @@ def _decomposition(box: Box) -> Decomposition | Separation | None:
         x = pair.view(float).ravel()
         g = -(pinv @ (rows @ x - vals))
         x = x + g
+        norm, last = np.linalg.norm(g), norm
+        if norm >= last:
+            break
+    else:  # out of budget while ||g|| still fell: no verdict
+        return None
     if sorted(dims) not in ([2, 2], [2, 3]):
         return None
     y = -pinv.T @ g
@@ -497,7 +508,7 @@ def _decomposition(box: Box) -> Decomposition | Separation | None:
     least = np.linalg.eigvalsh(witness)[:, 0]
     floor = float((-y @ vals[:-1] - tol.PSD) / np.abs(y).sum())
     if least.min() >= -tol.PSD and floor > 0:
-        return Separation(y.reshape(box.table.shape), floor, tuple(map(float, least)))
+        return Separation(y.reshape(box.table.shape), floor, step, tuple(map(float, least)))
     return None
 
 
@@ -519,116 +530,62 @@ def _vertex_lp(eq_rows, eq_vals, pos_rows, trace_row):
     )
 
 
-def _recentring_lp(x0, null, pos_rows):
-    """max m <= 1 over pos_rows (x0 + null z) >= m: the least sampled value, pushed up.
-
-    x = x0 + null z spans the operators that meet the box equalities and unit
-    trace exactly, so the LP has only the null-space columns and m.
-    """
-    k = null.shape[1]
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-(pos_rows @ null), np.ones((len(pos_rows), 1))])
-    return linprog(c, A_ub=a_ub, b_ub=pos_rows @ x0,
-                   bounds=[(None, None)] * k + [(None, 1.0)], method="highs")
-
-
 def quantum_extension(box: Box, positivity_samples: int = 2000, seed: int = 0) -> ExtensionVerdict:
     """Can a unit-trace, product-positive Hermitian t reproduce the box?
 
-    First :func:`_decomposition` looks for t = A + B^Γ with A, B >= -PSD; such
-    a t is nonnegative on every product state (to -2 PSD), so once its
-    equality and trace residual, measured on t itself, is at most
-    ``tolerances.FEASIBLE_RESIDUAL``, the verdict is FEASIBLE with candidate
-    "decomposition", its certificate and no LP (rounds 0).  A box with no
-    quantum extension has no such t.  At site dims (2, 2), (2, 3) and (3, 2),
-    where every product-positive t is decomposable, a search that runs out of
-    steps yields a Separation instead: a PPT witness whose floor bounds the
-    equality residual of every product-positive unit-trace t from below.  A
-    floor above ``tolerances.INFEASIBLE_RESIDUAL`` gives INFEASIBLE with that
-    floor as residual, the certificate, no t and no LP (rounds 0).  Otherwise
-    two LPs give candidates for t, each over the box equalities
-    tr(t (p_A (x) q_B)) = P(A,B|a,b), tr(t) = 1 and tr(t (p (x) q)) >= 0 on
-    sampled product projectors:
+    First :func:`_decomposition` looks for t = A + B^Γ with A, B >= -PSD, which
+    is nonnegative on every product state (to -2 PSD): an equality and trace
+    residual, measured on t, of at most ``tolerances.FEASIBLE_RESIDUAL`` gives
+    FEASIBLE with candidate "decomposition", the certificate and no LP (rounds
+    0).  At site dims (2, 2), (2, 3) and (3, 2), where every product-positive t
+    is decomposable, a stalled search yields a Separation: a PPT witness whose
+    floor bounds the equality residual of every product-positive unit-trace t
+    from below.  A floor above ``tolerances.INFEASIBLE_RESIDUAL`` gives
+    INFEASIBLE with that floor as residual, the certificate, no t and no LP.
 
-    - the vertex LP minimises the residual s of the equalities,
-      |tr(t (p_A (x) q_B)) - P(A,B|a,b)| <= s, and returns a vertex of its
-      optimal face; it alone decides INFEASIBLE in the loop, when s exceeds
-      ``tolerances.INFEASIBLE_RESIDUAL``;
-    - the re-centring LP, run once the vertex residual is at most
-      ``tolerances.FEASIBLE_RESIDUAL``, keeps the equalities exact
-      (x = x0 + N z over their null space N) and maximises the least sampled
-      value m <= 1, which moves t off the boundary of the sampled cone.
-
-    A see-saw then hunts for product states on which a candidate is below
-    ``-tolerances.PRODUCT_POSITIVE``; violators join the positivity rows and
-    the next round re-solves.  Round 1 runs the vertex LP, then the
-    re-centring LP if the vertex fails its see-saw; later rounds run the
-    re-centring LP, and the vertex LP only when that gives m < 0 or misses
-    the equalities by more than ``FEASIBLE_RESIDUAL`` (measured, since
-    HiGHS accepts rows off by up to 1e-7; a miss comes from x0, so later
-    rounds run the vertex LP alone).  For boxes of quantum states
-    FEASIBLE is the expected verdict, mostly from the re-centred candidate
-    in round 1; AMBIGUOUS means ``tolerances.EXTENSION_ROUNDS`` rounds ran out.
-    A failed solve gives ERROR with the HiGHS status and message, never a verdict.
+    Otherwise each round solves the vertex LP: it minimises the residual s of
+    the box equalities, |tr(t (p_A (x) q_B)) - P(A,B|a,b)| <= s, with tr(t) = 1
+    and tr(t (p (x) q)) >= 0 on sampled product projectors, and returns a
+    vertex of its optimal face (candidate "vertex").  An s above
+    ``tolerances.INFEASIBLE_RESIDUAL`` is INFEASIBLE.  A see-saw then hunts for
+    a product state on which t is below ``-tolerances.PRODUCT_POSITIVE``; none
+    gives FEASIBLE (AMBIGUOUS when s exceeds ``FEASIBLE_RESIDUAL``), and a
+    violator joins the positivity rows of the next round.  AMBIGUOUS means
+    ``tolerances.EXTENSION_ROUNDS`` rounds ran out.  A failed solve gives ERROR
+    with the HiGHS status and message, never a verdict.
     """
     dims, n_var, trace_row = _operator_space(box)
     eq_rows, eq_vals = _box_equalities(box)
-    fit_rows, fit_vals = np.vstack([eq_rows, trace_row]), np.append(eq_vals, 1.0)
     cert = _decomposition(box)
     if isinstance(cert, Separation):
         if cert.floor > tol.INFEASIBLE_RESIDUAL:
             return ExtensionVerdict("INFEASIBLE", cert.floor, rounds=0, certificate=cert)
     elif cert is not None:
         t = HermitianOperator(dims, cert.a.mat + partial_transpose(cert.b, 0).mat)
+        fit_rows, fit_vals = np.vstack([eq_rows, trace_row]), np.append(eq_vals, 1.0)
         residual = float(np.max(np.abs(fit_rows @ feature_of(t.mat) - fit_vals)))
         if residual <= tol.FEASIBLE_RESIDUAL:
             return ExtensionVerdict("FEASIBLE", residual, t=t, rounds=0,
                                     candidate="decomposition", certificate=cert)
     pos_rows = _positivity_rows(make_rng(seed), dims, positivity_samples)
-    affine = None  # (x0, N) of the exact equalities, built on first use
-    recentre = False  # the last vertex residual is at most FEASIBLE_RESIDUAL
-    exact = True  # no re-centred t missed the equalities; x0 decides this for every round
-    tried = []  # (kind, t, residual, witness) of each candidate the round see-sawed
     for rounds in range(1, tol.EXTENSION_ROUNDS + 1):
-        if tried:  # the last round's witnesses join the positivity rows
-            factors = zip(*(wit.factors for *_, wit in tried))
-            pos_rows = np.vstack([pos_rows, projector_features([np.array(f) for f in factors])])
-            tried = []
-        for kind in ("vertex", "recentred") if rounds == 1 else ("recentred", "vertex"):
-            if kind == "vertex" and not tried:  # nothing of this round was see-sawed yet
-                res = _vertex_lp(eq_rows, eq_vals, pos_rows, trace_row)
-            elif kind == "recentred" and recentre and exact:
-                if affine is None:
-                    affine = (np.linalg.lstsq(fit_rows, fit_vals, rcond=None)[0],
-                              null_space(fit_rows))
-                res = _recentring_lp(*affine, pos_rows)
-            else:
-                continue
-            if not res.success:  # both LPs are always feasible, so this is a solver fault
-                return ExtensionVerdict("ERROR", np.nan, rounds=rounds,
-                                        solver_status=res.status, solver_message=res.message)
-            if kind == "vertex":
-                x, residual = res.x[:n_var], float(res.x[-1])
-                if residual > tol.INFEASIBLE_RESIDUAL:
-                    return ExtensionVerdict("INFEASIBLE", residual, t=None, rounds=rounds)
-                recentre = residual <= tol.FEASIBLE_RESIDUAL
-            else:
-                x = affine[0] + affine[1] @ res.x[:-1]
-                residual = float(np.max(np.abs(fit_rows @ x - fit_vals)))
-                exact = residual <= tol.FEASIBLE_RESIDUAL
-                if res.x[-1] < 0 or not exact:
-                    continue
-            t = HermitianOperator(dims, vec_to_herm(x))
-            wit = product_seesaw_min(t, restarts=16, seed=seed + rounds)
-            if wit.value >= -tol.PRODUCT_POSITIVE:
-                verdict = "FEASIBLE" if residual <= tol.FEASIBLE_RESIDUAL else "AMBIGUOUS"
-                return ExtensionVerdict(verdict, residual, t=t, seesaw_min=wit.value,
-                                        rounds=rounds, candidate=kind)
-            tried.append((kind, t, residual, wit))
-    kind, t, residual, wit = tried[-1]
+        if rounds > 1:  # the last round's witness joins the positivity rows
+            pos_rows = np.vstack([pos_rows, projector_features([f[None] for f in wit.factors])])
+        res = _vertex_lp(eq_rows, eq_vals, pos_rows, trace_row)
+        if not res.success:  # the LP is always feasible, so this is a solver fault
+            return ExtensionVerdict("ERROR", np.nan, rounds=rounds,
+                                    solver_status=res.status, solver_message=res.message)
+        residual = float(res.x[-1])
+        if residual > tol.INFEASIBLE_RESIDUAL:
+            return ExtensionVerdict("INFEASIBLE", residual, t=None, rounds=rounds)
+        t = HermitianOperator(dims, vec_to_herm(res.x[:n_var]))
+        wit = product_seesaw_min(t, restarts=16, seed=seed + rounds)
+        if wit.value >= -tol.PRODUCT_POSITIVE:
+            verdict = "FEASIBLE" if residual <= tol.FEASIBLE_RESIDUAL else "AMBIGUOUS"
+            return ExtensionVerdict(verdict, residual, t=t, seesaw_min=wit.value,
+                                    rounds=rounds, candidate="vertex")
     return ExtensionVerdict("AMBIGUOUS", residual, t=t, seesaw_min=wit.value,
-                            rounds=rounds, candidate=kind)
+                            rounds=rounds, candidate="vertex")
 
 
 def max_chsh_lp(box: Box, sample_schedule=(250, 500, 1000, 2000), seed: int = 0):

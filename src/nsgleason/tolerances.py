@@ -44,7 +44,7 @@ SECTION_CONSISTENT = 1e-10  # max L1 restriction distance of a consistent sectio
 INFEASIBLE_RESIDUAL = 1e-4  # residual floor, from the vertex LP or a PPT witness, above this: INFEASIBLE
 FEASIBLE_RESIDUAL = 1e-8  # LP residual at or below this, on a product-positive t: FEASIBLE
 EXTENSION_ROUNDS = 5  # see-saw rounds of quantum_extension before it answers AMBIGUOUS
-DECOMPOSITION_STEPS = 100  # alternating projections before the decomposition search gives up
+DECOMPOSITION_STEPS = 3000  # budget of the decomposition search, which stops once ||g|| stalls; no verdict
 
 # CLI verdicts with no library check behind them (cli).
 ROUND_TRIP = 1e-8  # max Frobenius distance of a reconstruction from its source operator

@@ -21,15 +21,18 @@ from nsgleason.linalg import (
     random_hermitian,
     random_onb,
     random_unit,
+    tensor_rows,
 )
 from nsgleason.nosig import (
     SINGLET_ANGLES,
     TSIRELSON,
     Box,
+    Decomposition,
     NoSigReport,
     Separation,
     SolverError,
     _box_equalities,
+    _box_products,
     _decomposition,
     _operator_space,
     _positivity_rows,
@@ -586,20 +589,11 @@ def density_extensions():
             for k, box in density_boxes(12)]
 
 
-@pytest.fixture(scope="module")
-def lp_density_extensions():
-    with pytest.MonkeyPatch.context() as mp:
-        lp_only(mp)
-        return [(k, box, quantum_extension(box, positivity_samples=500, seed=k))
-                for k, box in density_boxes(12)]
-
-
-def test_quantum_boxes_are_feasible(lp_density_extensions):
-    verdicts = [v.verdict for *_, v in lp_density_extensions]
-    assert len(verdicts) >= 20
-    assert verdicts.count("FEASIBLE") >= 0.9 * len(verdicts)
-    assert "INFEASIBLE" not in verdicts and "ERROR" not in verdicts
-    assert "recentred" in {v.candidate for *_, v in lp_density_extensions}
+def test_quantum_boxes_are_feasible(density_extensions):
+    assert len(density_extensions) >= 20
+    for *_, verdict in density_extensions:
+        assert (verdict.verdict, verdict.rounds, verdict.candidate) == (
+            "FEASIBLE", 0, "decomposition")
 
 
 @given(st.sampled_from([(2, 2), (2, 3), (3, 3)]), st.integers(0, 2**32 - 1))
@@ -609,8 +603,7 @@ def test_decomposition_certificate_rebuilds_the_box(dims, seed):
     real = tuple({a: random_onb(rng, d) for a in (0, 1)} for d in dims)
     box = box_from_operator(random_density(rng, dims), real)
     cert = _decomposition(box)
-    if cert is None:  # out of steps: the LP loop decides
-        return
+    assert isinstance(cert, Decomposition)
     a, b = cert.a.mat, cert.b.mat
     for factor, cited in zip((a, b), cert.min_eigs):
         least = np.linalg.eigvalsh(factor)[0]
@@ -662,34 +655,27 @@ def counting_linprog(monkeypatch, fail_at=None):
     return calls
 
 
-@pytest.mark.parametrize("seed, verdict, rounds", [(0, "FEASIBLE", 4), (1, "FEASIBLE", 2),
-                                                   (2, "AMBIGUOUS", 5)])
-def test_later_rounds_solve_one_lp(monkeypatch, seed, verdict, rounds):
-    # Round 1 solves the vertex and the re-centring LP; later rounds only the latter.
-    box = [b for k, b in density_boxes(seed + 1, dims=(3,)) if k == seed][0]
+def white_noise_box():
+    return Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), np.full((2, 2, 2, 2), 0.25),
+               optimal_realizations())
+
+
+@pytest.mark.parametrize("case, fail_at, verdict, rounds", [
+    ("PR box", None, "INFEASIBLE", 1), ("white noise", None, "FEASIBLE", 1),
+    ("density 3", None, "AMBIGUOUS", 5), ("density 3", 3, "ERROR", 3)])
+def test_every_lp_round_solves_one_lp(monkeypatch, case, fail_at, verdict, rounds):
+    box = {"PR box": with_qubit_realizations(pr_box()), "white noise": white_noise_box(),
+           "density 3": next(box for _, box in density_boxes(1, dims=(3,)))}[case]
     lp_only(monkeypatch)
-    calls = counting_linprog(monkeypatch)
-    out = quantum_extension(box, positivity_samples=300, seed=seed)
-    assert (out.verdict, out.rounds, out.candidate) == (verdict, rounds, "recentred")
-    assert len(calls) == rounds + 1
-    assert out.residual <= tol.FEASIBLE_RESIDUAL
-    assert (out.seesaw_min >= -tol.PRODUCT_POSITIVE) == (verdict == "FEASIBLE")
+    calls = counting_linprog(monkeypatch, fail_at=fail_at)
+    out = quantum_extension(box, positivity_samples=300, seed=0)
+    assert (out.verdict, out.rounds, len(calls)) == (verdict, rounds, rounds)
+    assert out.candidate == (None if verdict in ("INFEASIBLE", "ERROR") else "vertex")
 
 
 def noisy_pr_box(visibility):
     table = visibility * pr_box().table + (1 - visibility) / 4
     return with_qubit_realizations(Box(pr_box().settings, pr_box().outcomes, table))
-
-
-def test_negative_margin_falls_back_to_the_vertex_lp(monkeypatch):
-    # Visibility 0.75 (CHSH 3) is outside the quantum set.  The re-centred
-    # witnesses of rounds 1-4 leave no exact fit positive on every sampled state
-    # (m < 0 in round 5), so the vertex LP runs again and finds the residual floor.
-    lp_only(monkeypatch)
-    seen = counting_linprog(monkeypatch)
-    out = quantum_extension(noisy_pr_box(0.75), positivity_samples=500, seed=1)
-    assert (out.verdict, out.rounds, len(seen)) == ("INFEASIBLE", 5, 7)
-    assert out.residual > tol.INFEASIBLE_RESIDUAL
 
 
 def nudged_box(eps):
@@ -699,20 +685,6 @@ def nudged_box(eps):
     table = box.table.copy()
     table[0, 0, 0] += [eps, -eps]
     return Box(box.settings, box.outcomes, table, box.realizations)
-
-
-@pytest.mark.parametrize("eps, verdict, candidate, calls", [(2e-8, "FEASIBLE", "recentred", 2),
-                                                            (4e-8, "AMBIGUOUS", "vertex", 6)])
-def test_recentred_residual_is_measured(monkeypatch, eps, verdict, candidate, calls):
-    # The vertex LP reports residual 0 for both boxes; the least-squares fit misses
-    # the equalities by eps / 4, and only a measured miss within FEASIBLE_RESIDUAL
-    # gives a FEASIBLE re-centred t.  A miss is final: later rounds solve one LP.
-    lp_only(monkeypatch)
-    seen = counting_linprog(monkeypatch)
-    out = quantum_extension(nudged_box(eps), positivity_samples=500, seed=0)
-    assert (out.verdict, out.candidate, len(seen)) == (verdict, candidate, calls)
-    if candidate == "recentred":
-        assert out.residual == pytest.approx(eps / 4, rel=1e-3)
 
 
 def parent_round_one(box, samples, seed):
@@ -754,8 +726,7 @@ def test_round_one_decisions_are_unchanged(monkeypatch):
     cases = [(with_qubit_realizations(pr_box()), 2000, seed) for seed in range(3)]
     cases += [(noisy_pr_box(v), 500, 5) for v in (0.5, 0.7, 0.8, 0.95)]
     cases += [(box_from_operator(singlet(), optimal_realizations()), 500, 1)]
-    cases += [(Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), np.full((2, 2, 2, 2), 0.25),
-                   optimal_realizations()), 300, 2)]
+    cases += [(white_noise_box(), 300, 2)]
     cases += [(with_qubit_realizations(deterministic_box()), 300, 3)]
     cases += [(box, 1000, i) for i, (_, box) in enumerate(density_boxes(12, base=500))]
     decided = []
@@ -776,25 +747,13 @@ def test_round_one_decisions_are_unchanged(monkeypatch):
     assert decided.count("INFEASIBLE") >= 6 and decided.count("FEASIBLE") >= 4
 
 
-def test_recentring_solver_failure_is_error(monkeypatch):
-    box = next(box for k, box in density_boxes(1, dims=(3,)))
-    assert parent_round_one(box, 500, 0) is None  # round 1 reaches the second LP
-    lp_only(monkeypatch)
-    calls = counting_linprog(monkeypatch, fail_at=2)
-    verdict = quantum_extension(box, positivity_samples=500, seed=0)
-    assert len(calls) == 2
-    assert (verdict.verdict, verdict.rounds, verdict.t) == ("ERROR", 1, None)
-    assert verdict.solver_status == 4 and "Numerical" in verdict.solver_message
-    assert verdict.to_json()["solver_status"] == 4
-
-
 def test_extension_verdict_cites_its_tolerances(monkeypatch, density_extensions):
     _, _, verdict = density_extensions[0]
     out = verdict.to_json()
     assert out["feasible_threshold"] == tol.FEASIBLE_RESIDUAL
     assert out["product_positive_threshold"] == tol.PRODUCT_POSITIVE
     assert out["infeasibility_threshold"] == tol.INFEASIBLE_RESIDUAL
-    assert out["candidate"] == verdict.candidate in ("decomposition", "vertex", "recentred")
+    assert out["candidate"] == verdict.candidate in ("decomposition", "vertex")
     assert out["psd_threshold"] == tol.PSD
     assert out["certificate"] == verdict.certificate.to_json()
     assert min(out["certificate"]["min_eig_a"], out["certificate"]["min_eig_b"]) >= -tol.PSD
@@ -804,6 +763,7 @@ def test_extension_verdict_cites_its_tolerances(monkeypatch, density_extensions)
     sep = separated.to_json()
     assert sep["verdict"] == "INFEASIBLE" and "candidate" not in sep and "t" not in sep
     assert sep["psd_threshold"] == tol.PSD and sep["rounds"] == 0
+    assert 1 <= sep["certificate"]["steps"] <= tol.DECOMPOSITION_STEPS
     assert sep["certificate"] == separated.certificate.to_json()
     assert sep["residual"] == sep["certificate"]["floor"] > sep["infeasibility_threshold"]
     assert min(sep["certificate"]["min_eig_w"], sep["certificate"]["min_eig_w_gamma"]) >= -tol.PSD
@@ -823,30 +783,32 @@ def extension_sweep():
     return cases + [(f"nudged {eps}", nudged_box(eps), 500, 0) for eps in (2e-8, 4e-8)]
 
 
-def test_certificate_only_turns_ambiguous_into_feasible(monkeypatch, density_extensions,
-                                                        lp_density_extensions):
+def test_certificate_only_turns_ambiguous_into_feasible(monkeypatch):
     # A decomposable t is nonnegative on every product state, and a separation's floor
     # bounds the residual of every product-positive t, whereas the LP loop sees sampled
     # product states only: the certificates can only decide what the LP loop left AMBIGUOUS.
+    sweep = extension_sweep() + [(f"density {box.bases[0].shape[-1]}, seed {k}", box, 500, k)
+                                 for k, box in density_boxes(12)]
     runs = []
-    for name, box, samples, seed in extension_sweep():
+    for name, box, samples, seed in sweep:
         with monkeypatch.context() as mp:
             lp_only(mp)
             lp = quantum_extension(box, positivity_samples=samples, seed=seed)
         runs.append((name, lp, quantum_extension(box, positivity_samples=samples, seed=seed)))
-    runs += [(f"density {box.bases[0].shape[-1]}, seed {k}", lp, out) for (k, box, out), (_, _, lp)
-             in zip(density_extensions, lp_density_extensions)]
     changed = [name for name, lp, out in runs if lp.verdict != out.verdict]
-    separated = ["noisy PR 0.71", "noisy PR 0.72"]
+    separated = ["noisy PR 0.71", "noisy PR 0.72", "noisy PR 0.75"]
     assert changed == [f"noisy PR {v}, seed {s}" for v in (0.7, 0.707) for s in range(3)] + (
-        separated + ["density 3, seed 11"])
+        ["noisy PR 0.5"] + separated + ["nudged 2e-08"]
+        + [name for name, *_ in sweep if name.startswith("density")])
     verdicts = {name: (lp.verdict, out.verdict) for name, lp, out in runs}
     assert all(verdicts[name] == ("AMBIGUOUS", "INFEASIBLE" if name in separated else "FEASIBLE")
                for name in changed)
     for name, lp, out in runs:
-        if name.startswith("PR box") or name in ("noisy PR 0.75", "noisy PR 0.8", "noisy PR 1.0"):
-            assert lp.verdict == out.verdict == "INFEASIBLE" and out.rounds == 0
+        if name.startswith("PR box") or name in separated + ["noisy PR 0.8", "noisy PR 1.0"]:
+            assert out.verdict == "INFEASIBLE" and out.rounds == 0
             assert out.residual == out.certificate.floor > tol.INFEASIBLE_RESIDUAL
+        if name.startswith("PR box") or name in ("noisy PR 0.8", "noisy PR 1.0"):
+            assert lp.verdict == "INFEASIBLE"
         if name in ("noisy PR 0.7072", "noisy PR 0.71", "noisy PR 0.72"):
             assert out.verdict != "FEASIBLE"
         if out.rounds > 0:  # the LP loop decided
@@ -915,9 +877,72 @@ def test_separation_is_a_ppt_witness(visibility, dims, seed):
     assert np.abs(np.array(values) - box.table).max() >= floor
     out = quantum_extension(box, positivity_samples=50, seed=0)
     assert (out.verdict, out.residual, out.rounds, out.t) == ("INFEASIBLE", cert.floor, 0, None)
+    assert out.certificate.steps == cert.steps <= 50
 
 
-SLOW_QUBIT_SEEDS = (18, 39, 118)  # (2,2) densities the decomposition misses in 100 steps
+def hundred_step_floor(box):
+    """The Separation floor of the decomposition search as it ran before it stopped on a
+    stalled correction, copied: a fixed 100 steps, then the witness of the last one."""
+    stacks = _box_products(box)
+    psi = np.stack([tensor_rows(stacks), tensor_rows([stacks[0].conj(), stacks[1]])], axis=1)
+    d_total = psi.shape[-1]
+    ops = np.concatenate([psi[..., :, None] * psi[..., None, :].conj(),
+                          np.broadcast_to(np.eye(d_total), (1, 2, d_total, d_total))])
+    rows, vals = ops.view(float).reshape(len(ops), -1), np.append(box.table.ravel(), 1.0)
+    pinv = np.linalg.pinv(rows)
+    x = pinv @ vals
+    for _ in range(100):
+        w, vecs = np.linalg.eigh(x.view(complex).reshape(2, d_total, d_total))
+        pair = (vecs * np.maximum(w, 0.0)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        x = pair.view(float).ravel()
+        g = -(pinv @ (rows @ x - vals))
+        x = x + g
+    y = -pinv.T @ g
+    witness = (rows.T @ y).view(complex).reshape(2, d_total, d_total)
+    shift = max(0.0, -np.linalg.eigvalsh(witness)[:, 0].min()) + tol.PSD
+    y, y_trace = y[:-1], y[-1]
+    y[:box.table[0, 0].size] += y_trace + shift
+    return float((-y @ vals[:-1] - tol.PSD) / np.abs(y).sum())
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("visibility", [0.71, 0.72, 0.75, 0.8, 0.9, 1.0])
+def test_separation_stops_when_its_correction_stalls(visibility, dims):
+    # Outside the quantum set ||g|| levels off at the distance of the two sets: the search
+    # stops within 50 steps, and its floor is the one that 100 steps gave.
+    box = embedded_noisy_pr_box(visibility, dims)
+    cert = _decomposition(box)
+    assert isinstance(cert, Separation) and cert.steps <= 50
+    assert cert.floor == pytest.approx(hundred_step_floor(box), abs=1e-9)
+    assert cert.to_json()["steps"] == cert.steps
+
+
+@pytest.mark.parametrize("visibility", [0.71, 0.8, 1.0])
+def test_qutrit_pairs_stop_when_the_correction_stalls(monkeypatch, visibility):
+    # At (3,3) the search builds no witness and returns None: its steps are its eigh calls.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert _decomposition(embedded_noisy_pr_box(visibility, (3, 3))) is None
+    assert 1 <= len(calls) <= 50
+
+
+def test_a_search_out_of_budget_decides_nothing(monkeypatch):
+    # The PR box stalls at step 18; cut off at step 10, its ||g|| still falls, so the
+    # search gives no witness and the LP loop decides.
+    monkeypatch.setattr(tol, "DECOMPOSITION_STEPS", 10)
+    box = with_qubit_realizations(pr_box())
+    assert _decomposition(box) is None
+    out = quantum_extension(box, positivity_samples=300, seed=0)
+    assert (out.verdict, out.rounds, out.certificate) == ("INFEASIBLE", 1, None)
+
+
+SLOW_QUBIT_SEEDS = (18, 39, 118, 240)  # (2,2) densities that take more than 100 steps
 
 
 @given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.integers(0, 2**32 - 1))
@@ -930,12 +955,15 @@ def test_quantum_boxes_get_no_separation(dims, seed):
 
 
 @pytest.mark.parametrize("seed", SLOW_QUBIT_SEEDS)
-def test_slow_quantum_boxes_reach_the_lp_loop(seed):
+def test_slow_quantum_boxes_certify(seed):
+    # ||g|| still falls after 100 steps: the search runs on until it decomposes.
     rng = make_rng(seed)
     real = tuple({a: random_onb(rng, 2) for a in (0, 1)} for _ in (0, 1))
     box = box_from_operator(random_density(rng, (2, 2)), real)
-    assert _decomposition(box) is None
-    assert quantum_extension(box, positivity_samples=300, seed=seed).rounds > 0
+    cert = _decomposition(box)
+    assert isinstance(cert, Decomposition) and cert.steps > 100
+    out = quantum_extension(box, positivity_samples=300, seed=seed)
+    assert (out.verdict, out.rounds, out.certificate.steps) == ("FEASIBLE", 0, cert.steps)
 
 
 def test_qutrit_pairs_take_no_witness_path(monkeypatch):
