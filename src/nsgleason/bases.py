@@ -168,6 +168,7 @@ class BasisReport:
 
 
 _PAIR_BLOCK = 1 << 18  # find_local_pairs gathers this many pair verdicts at a time
+_PRODUCT_BLOCK = 1 << 16  # validate_unentangled multiplies this many overlaps at a time
 
 
 def _upper(n: int) -> np.ndarray:
@@ -180,26 +181,36 @@ def site_stacks(states) -> list:
     return [np.array(f) for f in zip(*(s.factors for s in states))]
 
 
-def _site_overlaps(stacks):
-    """Yield, site by site, the N x N matrix of |<f_i^s|f_j^s>|; all sites
-    share one buffer, so use each matrix before asking for the next."""
-    n = len(stacks[0])
-    gram, out = np.empty((n, n), dtype=complex), np.empty((n, n))
+def _site_classes(stacks):
+    """Per (N, d) site stack: each row's class ``ids`` of bit-equal factors,
+    each class's ``first`` row, and ``rows`` = |f[first]^* f^T|, the k distinct
+    rows of the N x N overlap matrix: ``rows[ids]`` is that matrix bit for bit."""
     for f in stacks:
-        yield np.abs(np.matmul(f.conj(), f.T, out=gram), out=out)
+        keys = np.ascontiguousarray(f).view(np.dtype((np.void, f.itemsize * f.shape[1])))
+        _, first, ids = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        yield ids.reshape(-1), first, np.abs(f[first].conj() @ f.T)
+
+
+def _site_overlaps(stacks):
+    """Yield, site by site, the N x N matrix of |<f_i^s|f_j^s>|."""
+    return (rows[ids] for ids, _, rows in _site_classes(stacks))
 
 
 def validate_unentangled(b: UnentangledBasis) -> BasisReport:
     """Check pairwise orthogonality (factorwise) and completeness.
 
-    Overlaps are computed one site at a time and multiplied in place, never
-    via full D-dimensional vectors, so large bases (e.g. 2^10 elements) stay
-    cheap.
+    Overlaps are gathered from each site's class rows and multiplied in
+    place, a cache-sized block of rows at a time, never via full
+    D-dimensional vectors, so large bases (e.g. 2^10 elements) stay cheap.
     """
     n = len(b.elements)
+    classes = list(_site_classes(site_stacks(b.elements)))
+    step = max(1, _PRODUCT_BLOCK // n)
     total = np.ones((n, n))
-    for ov in _site_overlaps(site_stacks(b.elements)):
-        total *= ov
+    for r in range(0, n, step):
+        block = total[r:r + step]
+        for ids, _, rows in classes:
+            block *= rows[ids[r:r + step]]
     total[~_upper(n)] = -1.0  # pairs i < j are read in row-major order
     failures = tuple((int(i), int(j), float(total[i, j]))
                      for i, j in zip(*np.nonzero(total > BasisReport.tolerance)))
@@ -260,18 +271,11 @@ def apply_twist(b: UnentangledBasis, m: TwistMove) -> UnentangledBasis:
     """Apply a twist move; all elements except the referenced pair are unchanged."""
     i, j = m.pair
     _check_twist_pair(b, m.site, i, j)
-    ei = b.elements[i]
-    u_i = ei.factors[m.site]
-    u_j = b.elements[j].factors[m.site]
-    new_i = m.rotation[0, 0] * u_i + m.rotation[0, 1] * u_j
-    new_j = m.rotation[1, 0] * u_i + m.rotation[1, 1] * u_j
+    facs, s = b.elements[i].factors, m.site
+    u, v = facs[s], b.elements[j].factors[s]
     elems = list(b.elements)
-    elems[i] = ProductState(
-        ei.factors[: m.site] + (new_i,) + ei.factors[m.site + 1:]
-    )
-    elems[j] = ProductState(
-        ei.factors[: m.site] + (new_j,) + ei.factors[m.site + 1:]
-    )
+    for k, (x, y) in zip((i, j), m.rotation):  # rotation rows 0, 1 give elements i, j
+        elems[k] = ProductState(facs[:s] + (x * u + y * v,) + facs[s + 1:])
     return UnentangledBasis(tuple(elems))
 
 
@@ -279,22 +283,16 @@ def find_local_pairs(b: UnentangledBasis) -> list:
     """All (site, (i, j)) pairs differing in exactly one tensor factor.
 
     These are the 2-dim local subspaces a twist move can act on.  Exhaustive
-    over element pairs, listed with i < j in row-major order.  At each site
-    the elements fall into classes of bit-equal factors (``np.unique`` of
-    the rows' bytes), and a k x k table of |overlap| between the k distinct
-    factors says which classes differ (|<f|g>| < 1 - SAME_FACTOR).  Each
+    over element pairs, listed with i < j in row-major order.  A k x k table
+    of each site's class rows (:func:`_site_classes`) at the classes' first
+    elements says which classes differ (|<f|g>| < 1 - SAME_FACTOR); each
     pair's count of differing sites is gathered from these tables a block of
-    rows at a time, so no N x N overlap matrix is formed; each site of a
-    2^10-element tiling basis has two classes.  The pairs that differ at one
-    site then look up which.
+    rows at a time, so no N x N overlap matrix is formed.  The pairs that
+    differ at one site then look up which.
     """
     n, small = len(b.elements), np.min_scalar_type(b.elements[0].nsites)
-    classes, tables = [], []
-    for f in site_stacks(b.elements):
-        keys = np.ascontiguousarray(f).view(np.dtype((np.void, f.itemsize * f.shape[1])))
-        _, first, ids = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-        classes.append(ids.reshape(-1))
-        tables.append(np.abs(f[first].conj() @ f[first].T) < 1 - tol.SAME_FACTOR)
+    classes, tables = zip(*((ids, rows[:, first] < 1 - tol.SAME_FACTOR)
+                            for ids, first, rows in _site_classes(site_stacks(b.elements))))
     out = []
     step = max(1, _PAIR_BLOCK // n)
     for r0 in range(0, n, step):

@@ -41,7 +41,8 @@ class CliqueCandidate:
             raise ValidationError(f"vectors must have shape (N, {self.n})")
         if vecs.min() < 0 or vecs.max() > 3:
             raise ValidationError("coordinates must lie in {0,1,2,3}")
-        if len({tuple(v) for v in vecs}) != len(vecs):
+        rows = np.ascontiguousarray(vecs).view(f"V{self.n}").ravel()  # each row's bytes
+        if len(set(rows.tolist())) != len(vecs):
             raise ValidationError("duplicate vectors in candidate")
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
@@ -269,17 +270,20 @@ def save_clique(path, c: CliqueCandidate) -> None:
 
 
 def load_clique(path) -> CliqueCandidate:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ValidationError("empty clique file")
     n = len(lines[0])
-    vecs = []
-    for ln in lines:
-        if len(ln) != n or any(ch not in "0123" for ch in ln):
-            raise ValidationError(f"malformed line {ln!r}")
-        vecs.append([int(ch) for ch in ln])
-    return CliqueCandidate(n, np.array(vecs, dtype=np.int8))
+    # One byte a character (a non-ASCII one becomes "?"), so a digit's offset
+    # from "0" is its value and any other character's is above 3.
+    digits = np.frombuffer("".join(lines).encode("ascii", "replace"), np.uint8) - ord("0")
+    lengths = np.array([len(ln) for ln in lines])
+    bad = np.concatenate([np.flatnonzero(lengths != n)[:1], np.searchsorted(
+        np.cumsum(lengths), np.flatnonzero(digits > 3)[:1], side="right")])
+    if bad.size:
+        raise ValidationError(f"malformed line {lines[bad.min()]!r}")
+    return CliqueCandidate(n, digits.reshape(len(lines), n).astype(np.int8))
 
 
 def bundled_candidate() -> CliqueCandidate:

@@ -144,11 +144,39 @@ def test_clique_file_round_trip(tmp_path):
     np.testing.assert_array_equal(back.vectors, c.vectors)
 
 
-def test_malformed_clique_file(tmp_path):
+@pytest.mark.parametrize("text,message", [
+    ("", "empty clique file"),
+    (" \n\n", "empty clique file"),
+    ("0123\n045\n", "malformed line '045'"),
+    ("0123\n0122\n01230\n", "malformed line '01230'"),
+    ("0123\n0124\n", "malformed line '0124'"),
+    ("0123\n01 3\n", "malformed line '01 3'"),
+    ("0123\n01\u06623\n", "malformed line '01\u06623'"),  # an Arabic-Indic 2
+    ("0123\n0\u00e923\n", "malformed line '0\u00e923'"),
+    # The first bad line is named, whichever way it is bad.
+    ("0123\n01x3\n012\n", "malformed line '01x3'"),
+    ("0123\n012\n01x3\n", "malformed line '012'"),
+    ("0123\n2301\n0123\n", "duplicate vectors in candidate"),
+], ids=["empty", "blank lines", "ragged line", "long line", "digit 4", "inner space",
+        "non-ascii digit", "non-ascii letter", "bad char first", "ragged first",
+        "duplicate vectors"])
+def test_malformed_clique_file(tmp_path, text, message):
     path = tmp_path / "bad.txt"
-    path.write_text("0123\n045\n")
-    with pytest.raises(ValidationError):
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
         load_clique(path)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("col", [0, 31, 32, 39])
+def test_duplicate_check_reads_every_coordinate(col):
+    # Two vectors that differ in one coordinate, first, last or in between,
+    # are distinct; equal ones are rejected.
+    vecs = np.zeros((3, 40), dtype=np.int8)
+    vecs[1, col] = 2
+    assert CliqueCandidate(40, vecs[:2]).size == 2
+    with pytest.raises(ValidationError, match="duplicate vectors"):
+        CliqueCandidate(40, vecs[[0, 1, 2]])
 
 
 def test_bundled_candidate_is_periodic_tiling():

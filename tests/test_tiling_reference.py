@@ -185,6 +185,16 @@ def twisted(seed, dims, n_moves):
     return b
 
 
+def check_site_overlaps(b):
+    """The overlaps gathered from the class rows are, bit for bit, each
+    site's N x N Gram matrix."""
+    got = list(bases._site_overlaps(site_stacks(b.elements)))
+    ref = ref_site_overlaps(b)
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape and (g == r).all()
+
+
 # ---------------------------------------------------------------------------
 # Keller engine
 
@@ -284,6 +294,7 @@ def clique_bases():
 def test_clique_basis_checks_match_loops(b):
     assert validate_unentangled(b) == ref_validate(b)
     assert find_local_pairs(b) == ref_find_local_pairs(b)
+    check_site_overlaps(b)
 
 
 @given(seeds, st.sampled_from([(3, 3), (2, 2, 2), (2, 3), (3, 3, 3), (4,)]),
@@ -307,8 +318,12 @@ def test_basis_checks_match_loops(seed, dims, n_moves):
         f * np.exp(1j * rng.uniform(0, 2 * np.pi)) + 1e-13 * rng.standard_normal(len(f))
         for f in e.factors)) for e in b.elements))
     assert find_local_pairs(jit) == ref_find_local_pairs(jit) == find_local_pairs(b)
+    assert validate_unentangled(jit) == ref_validate(jit)
+    assert bases._alignment_score(jit) == ref_alignment_score(jit)
     site_factors = [e.factors[0].tobytes() for e in jit.elements]
     assert len(set(site_factors)) == len(site_factors)
+    for c in (b, dup, jit):
+        check_site_overlaps(c)
 
 
 def check_twist_search(b, n_moves):
