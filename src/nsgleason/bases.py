@@ -104,10 +104,6 @@ class ProductBasis:
             bases.append(vecs)
         object.__setattr__(self, "local_bases", tuple(bases))
 
-    @property
-    def dims(self) -> tuple:
-        return tuple(len(lb) for lb in self.local_bases)
-
     def elements(self) -> list:
         combos = itertools.product(*self.local_bases)
         return [ProductState(c) for c in combos]
@@ -248,10 +244,6 @@ class TwistMove:
             "pair": list(self.pair),
             "rotation": complex_to_json(self.rotation),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TwistMove":
-        return cls(int(data["site"]), tuple(data["pair"]), complex_from_json(data["rotation"], 2))
 
 
 def _check_twist_pair(b: UnentangledBasis, site: int, i: int, j: int) -> None:
@@ -432,9 +424,9 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
     the twist site, elements i and j take the rotated factors and are
     compared with every other element; at every other site, element j takes
     element i's factors, whose slots are read off the current basis.  Each
-    candidate still passes :func:`apply_twist`'s checks (the pair checks once
-    per pair, the unit norm of both rotated factors per candidate); only the
-    chosen move is applied.
+    candidate still passes :func:`apply_twist`'s checks (a pair that fails the
+    pair checks is skipped, and a candidate needs both rotated factors of unit
+    norm); only the chosen move is built and applied.
 
     Ties break deterministically (lowest site, then lowest element pair).  A
     returned certificate is a positive proof of twisted-product membership; an
@@ -460,6 +452,10 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
         rows = aligned.sum(axis=2) - selfs
         best = None  # (gain, move)
         for site, (i, j) in sorted(pairs):
+            try:
+                _check_twist_pair(b, site, i, j)
+            except ValidationError:
+                continue
             u = b.elements[i].factors[site]
             v = b.elements[j].factors[site]
             # Candidate targets: site factors of other elements (align with
@@ -468,37 +464,28 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
             targets += list(np.eye(len(u)))
             rots = [rot for g in targets
                     if (rot := _rotation_to_target(u, v, np.asarray(g, dtype=complex))) is not None]
-            try:
-                _check_twist_pair(b, site, i, j)
-                pair_ok = True
-            except ValidationError:
-                pair_ok = False
             tried_keys, candidates = set(), []
             for rot, key in zip(rots, np.round(rots, tol.MOVE_KEY_DECIMALS)):
                 key = key.tobytes()
                 if key in tried_keys:
                     continue
                 tried_keys.add(key)
-                move = TwistMove(site, (i, j), rot)
-                if not pair_ok:
-                    continue
-                r = move.rotation
-                new = (canonical_phase(r[0, 0] * u + r[0, 1] * v),
-                       canonical_phase(r[1, 0] * u + r[1, 1] * v))
+                new = (canonical_phase(rot[0, 0] * u + rot[0, 1] * v),
+                       canonical_phase(rot[1, 0] * u + rot[1, 1] * v))
                 try:
                     for f in new:
                         check_unit(f)
                 except ValidationError:
                     continue
                 tried += 1
-                candidates.append((move, new))
+                candidates.append((rot, new))
             if not candidates:
                 continue
             gains = _twist_gains(aligned, rows, selfs, site, i, j,
                                  np.array([c[1] for c in candidates]), stacks[site])
             k = int(np.argmax(gains))
             if gains[k] > 0 and (best is None or gains[k] > best[0]):
-                best = (gains[k], candidates[k][0])
+                best = (gains[k], TwistMove(site, (i, j), candidates[k][0]))
         if best is None:
             return SearchResult(False, None, "no strictly improving move found", tried)
         moves.append(best[1])

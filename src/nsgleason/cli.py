@@ -1,9 +1,9 @@
 """Command-line front end: seeded, JSON-reported experiments.
 
-Every subcommand assembles a run report (command echo, seed, timings,
-verdicts with their tolerances, artifact paths) and exits 0 when all
-verdicts pass, 1 when a violation was found (which for some commands is the
-expected outcome, stated in the report), and 2 on usage errors.
+Every subcommand fills in the run report that ``main`` builds (command echo,
+seed, timings, verdicts with their tolerances, artifact paths); the run exits
+0 when all verdicts pass, 1 when a violation was found (which for some
+commands is the expected outcome, stated in the report), and 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -110,8 +110,7 @@ def _load(path, cls):
         raise ValidationError(f"{path}: not a {cls.__name__} file ({exc!r})") from exc
 
 
-def cmd_reconstruct(args, argv):
-    rep = Report(argv, args.seed)
+def cmd_reconstruct(args, rep):
     t = _load(args.operator, HermitianOperator)
     design = spanning_design(t.dims, oversample=args.oversample, seed=args.seed)
     f = sample_from_operator(t, design.states)
@@ -128,11 +127,9 @@ def cmd_reconstruct(args, argv):
                 tol.HOLDOUT_RESIDUAL, "" if rec.held_out else "in sample: no rows were held out")
     rep.verdict("unit_trace", abs(rec.t.trace() - 1) <= tol.UNIT_TRACE, rec.t.trace(),
                 tol.UNIT_TRACE, "expected for weight-1 frame functions")
-    return rep.finish(args.out)
 
 
-def cmd_check(args, argv):
-    rep = Report(argv, args.seed)
+def cmd_check(args, rep):
     if args.box:
         report = check_box(_load(args.box, Box))
         rep.verdict("box_no_signalling", report.passed, report.max_discrepancy,
@@ -148,11 +145,9 @@ def cmd_check(args, argv):
             rep.data["witness"] = {
                 k: v for k, v in report.witness.items() if k in ("trial", "site")
             }
-    return rep.finish(args.out)
 
 
-def cmd_chsh(args, argv):
-    rep = Report(argv, args.seed)
+def cmd_chsh(args, rep):
     t = singlet() if args.singlet else _load(args.t, HermitianOperator)
     if abs(t.trace() - 1.0) > tol.UNIT_TRACE:
         rep.data["warning"] = f"operator trace {t.trace()} is not 1"
@@ -167,11 +162,9 @@ def cmd_chsh(args, argv):
     rep.data["chsh_value"] = value
     rep.verdict("tsirelson", value <= TSIRELSON + tol.TSIRELSON_SLACK, value,
                 tol.TSIRELSON_SLACK, note)
-    return rep.finish(args.out)
 
 
-def cmd_prbox(args, argv):
-    rep = Report(argv, args.seed)
+def cmd_prbox(args, rep):
     box = with_qubit_realizations(pr_box())
     verdict = quantum_extension(box, positivity_samples=args.samples, seed=args.seed)
     rep.data["extension"] = verdict.to_json()
@@ -193,18 +186,16 @@ def cmd_prbox(args, argv):
                                        "solver_status": exc.status, "solver_message": exc.message}
             rep.verdict("lp_final_bound", False, None, tol.LP_CHSH_BOUND,
                         f"LP solver failed (HiGHS status {exc.status}: {exc.message}); no bound")
-            return rep.finish(args.out)
+            return
         rep.data["max_chsh_lp"] = {"schedule": args.schedule, "bounds": bounds,
                                    "exact_bound": exact}
         mono = all(b2 <= b1 + tol.LP_MONOTONE for b1, b2 in zip(bounds, bounds[1:]))
         rep.verdict("lp_bounds_nonincreasing", mono, bounds, tol.LP_MONOTONE)
         rep.verdict("lp_final_bound", bounds[-1] < tol.LP_CHSH_BOUND, bounds[-1],
                     tol.LP_CHSH_BOUND)
-    return rep.finish(args.out)
 
 
-def cmd_twist(args, argv):
-    rep = Report(argv, args.seed)
+def cmd_twist(args, rep):
     if args.fig1:
         cert = twisted_example_certificate()
         rep.verdict("certificate_replay", cert.replay(), len(cert.moves), tol.REPLAY_MATCH,
@@ -226,21 +217,17 @@ def cmd_twist(args, argv):
         with open(args.out_cert, "w") as fh:
             json.dump(cert.to_json(), fh)
         rep.data["artifacts"].append(args.out_cert)
-    return rep.finish(args.out)
 
 
-def cmd_classify(args, argv):
-    rep = Report(argv, args.seed)
+def cmd_classify(args, rep):
     t = _load(args.t, HermitianOperator)
     cls = classify_orientation(t)
     rep.data["orientation"] = cls.to_json()
     rep.verdict("orientation_classified", cls.value.value != "NEITHER", cls.value.value,
                 tol.PSD, "NEITHER means no local time orientation renders the map CP")
-    return rep.finish(args.out)
 
 
-def cmd_section(args, argv):
-    rep = Report(argv, args.seed)
+def cmd_section(args, rep):
     t = _load(args.t, HermitianOperator)
     contexts, edges = random_context_family(t.dims, args.contexts, seed=args.seed)
     table = section_from_operator(t, contexts)
@@ -249,11 +236,9 @@ def cmd_section(args, argv):
     rep.data["n_edges"] = len(edges)
     rep.verdict("section_consistent", report.passed, report.max_distance,
                 report.tolerance, report.worst_edge or "")
-    return rep.finish(args.out)
 
 
-def cmd_keller(args, argv):
-    rep = Report(argv, args.seed)
+def cmd_keller(args, rep):
     graph = kel.Graph.G_STAR if args.graph == "gstar" else kel.Graph.G
     if args.action != "search" and not args.file:
         raise ValidationError(f"keller {args.action} needs --file")
@@ -292,7 +277,7 @@ def cmd_keller(args, argv):
                      else kel.basis_from_clique(cand))
         except ValidationError as exc:  # no basis, so nothing more to check
             rep.verdict("basis_exists", False, None, None, str(exc))
-            return rep.finish(args.out)
+            return
         v = validate_unentangled(basis)
         rep.verdict("basis_valid", v.is_valid, v.worst_overlap, v.tolerance)
         if graph == kel.Graph.G_STAR:
@@ -305,7 +290,6 @@ def cmd_keller(args, argv):
             with open(args.out_basis, "w") as fh:
                 json.dump(basis.to_json(), fh)
             rep.data["artifacts"].append(args.out_basis)
-    return rep.finish(args.out)
 
 
 def int_list(text: str) -> tuple:
@@ -426,8 +410,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
+    rep = Report(["nsgleason"] + argv, args.seed)
     try:
-        return args.func(args, ["nsgleason"] + argv)
+        args.func(args, rep)
+        return rep.finish(args.out)  # in the try: an --out in a missing directory exits 2
     except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE

@@ -215,9 +215,7 @@ def _lowest_eigenpairs(flat: np.ndarray, d: int) -> tuple:
     return vals[:, 0], vecs[:, :, 0]
 
 
-def classify_product_positivity(
-    t: HermitianOperator, restarts: int = 64, seed: int = 0
-) -> tuple:
+def classify_product_positivity(t: HermitianOperator, seed: int = 0) -> tuple:
     """Classify t by its behaviour on product states.
 
     Returns (classification, evidence).  DENSITY_MATRIX requires global PSD
@@ -239,13 +237,13 @@ def classify_product_positivity(
             return Classification.PRODUCT_POSITIVE_ONLY, cert
     elif min_eigenvalue(t.mat) >= -tol.PSD and unit_trace:
         return Classification.DENSITY_MATRIX, None
-    wit = product_seesaw_min(t, restarts=restarts, seed=seed)
+    wit = product_seesaw_min(t, seed=seed)
     if wit.value >= -tol.PRODUCT_POSITIVE:
         return Classification.PRODUCT_POSITIVE_ONLY, wit
     return Classification.INDEFINITE_ON_PRODUCTS, wit
 
 
-def fit(rows, values, dims, n_fit=None, restarts: int = 64, seed: int = 0) -> Reconstruction:
+def fit(rows, values, dims, n_fit=None, seed: int = 0) -> Reconstruction:
     """Least-squares t with tr(t E_k) = values[k], ``rows[k]`` the feature row of
     E_k, classified by classify_product_positivity.
 
@@ -262,14 +260,13 @@ def fit(rows, values, dims, n_fit=None, restarts: int = 64, seed: int = 0) -> Re
     held_out = max(len(rows) - n_fit, 0)
     test = slice(n_fit if held_out else 0, None)
     residual = float(np.max(np.abs(rows[test] @ x - values[test])))
-    cls, evidence = classify_product_positivity(t, restarts=restarts, seed=seed)
+    cls, evidence = classify_product_positivity(t, seed=seed)
     kind = "witness" if isinstance(evidence, Witness) else "certificate"
     return Reconstruction(t, residual, held_out, cls, **{kind: evidence})
 
 
-def reconstruct_pvm(
-    f, design: SpanningDesign, holdout: float = 0.2, restarts: int = 64, seed: int = 0
-) -> Reconstruction:
+def reconstruct_pvm(f, design: SpanningDesign, holdout: float = 0.2,
+                    seed: int = 0) -> Reconstruction:
     """Recover the operator behind a frame function: :func:`fit` on the design.
 
     The leading (1 - holdout) fraction of the states feeds the solve, the
@@ -285,8 +282,7 @@ def reconstruct_pvm(
         )
     vals = np.array([f(s) for s in design.states])
     n_fit = len(vals) - int(round(holdout * len(vals)))
-    return fit(projector_features(site_stacks(design.states)), vals, design.dims, n_fit,
-               restarts=restarts, seed=seed)
+    return fit(projector_features(site_stacks(design.states)), vals, design.dims, n_fit, seed=seed)
 
 
 def _effect_rows(effects) -> np.ndarray:
@@ -296,7 +292,7 @@ def _effect_rows(effects) -> np.ndarray:
     return feature_of((e1[:, :, None, :, None] * e2[:, None, :, None, :]).reshape(-1, d, d))
 
 
-def reconstruct_povm(samples, dims, restarts: int = 64, seed: int = 0) -> Reconstruction:
+def reconstruct_povm(samples, dims, seed: int = 0) -> Reconstruction:
     """Recover an operator from values on product effects f(e) = tr(t e) by
     :func:`fit` on all samples: the residual is in sample, and samples that do
     not span operator space raise ValidationError.  ``samples`` is a sequence
@@ -307,7 +303,7 @@ def reconstruct_povm(samples, dims, restarts: int = 64, seed: int = 0) -> Recons
         ev = np.linalg.eigvalsh(np.asarray(site, dtype=complex))
         if ev[:, 0].min() < -tol.EFFECT_SPECTRUM or ev[:, -1].max() > 1 + tol.EFFECT_SPECTRUM:
             raise ValidationError("effect spectrum outside [0, 1]")
-    return fit(_effect_rows(effects), np.array(vals), dims, restarts=restarts, seed=seed)
+    return fit(_effect_rows(effects), np.array(vals), dims, seed=seed)
 
 
 def random_product_effects(rng: np.random.Generator, dims, count: int) -> list:

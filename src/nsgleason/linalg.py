@@ -121,6 +121,13 @@ def complex_from_json(data, ndim: int) -> np.ndarray:
     return pairs.view(complex)[..., 0]
 
 
+def _operator_dims(dims) -> tuple:
+    """dims as ints; ValidationError unless each is an integer >= 1 (a bool is not one)."""
+    if not all(isinstance(d, (int, np.integer)) and type(d) is not bool and d >= 1 for d in dims):
+        raise ValidationError(f"dims {list(dims)!r} are not integers >= 1")
+    return tuple(int(d) for d in dims)
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Dense self-adjoint operator on a tensor-product space.
@@ -134,7 +141,7 @@ class HermitianOperator:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _operator_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         mat = np.asarray(self.mat, dtype=complex)
         d_total = int(np.prod(dims)) if dims else 0
@@ -174,9 +181,8 @@ class HermitianOperator:
 
     @classmethod
     def from_json(cls, data: dict) -> "HermitianOperator":
-        dims = tuple(int(d) for d in data["dims"])
-        d_total = int(np.prod(dims))
-        return cls(dims, complex_from_json(data["entries"], 1).reshape(d_total, d_total))
+        d_total = int(np.prod(_operator_dims(data["dims"])))  # checked before the reshape
+        return cls(data["dims"], complex_from_json(data["entries"], 1).reshape(d_total, d_total))
 
 
 @dataclass(frozen=True)

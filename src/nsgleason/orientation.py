@@ -41,10 +41,6 @@ class OperatorMap:
         if self.t.nsites != 2:
             raise ValidationError("operator maps need a two-site operator")
 
-    @property
-    def dims(self) -> tuple:
-        return self.t.dims
-
     def __call__(self, a: np.ndarray) -> np.ndarray:
         d1, d2 = self.t.dims
         arr = self.t.mat.reshape(d1, d2, d1, d2)

@@ -104,6 +104,21 @@ def test_identity_twist_is_noop():
         assert abs(e.overlap(f)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("rotation, message", [(np.eye(3), "must be 2x2"),
+                                               (2 * np.eye(2), "not unitary")])
+def test_twist_rotation_must_be_2x2_unitary(rotation, message):
+    with pytest.raises(ValidationError, match=message):
+        TwistMove(0, (0, 1), rotation)
+
+
+@pytest.mark.parametrize("elements, message", [
+    ((), "empty basis"),
+    ((ProductState((np.eye(2)[0],)), ProductState((np.eye(3)[0],))), "inconsistent dims")])
+def test_unentangled_basis_needs_elements_of_one_shape(elements, message):
+    with pytest.raises(ValidationError, match=message):
+        UnentangledBasis(elements)
+
+
 def test_twist_on_unmatched_pair_rejected():
     b = twisted_example_basis()
     with pytest.raises(ValidationError):

@@ -13,6 +13,10 @@ from nsgleason import cli, tolerances
 from nsgleason import keller as kel
 from nsgleason.bases import (
     BasisReport,
+    ProductBasis,
+    TwistMove,
+    apply_twist,
+    twist_search,
     twisted_example_basis,
     twisted_example_certificate,
     validate_unentangled,
@@ -29,7 +33,7 @@ from nsgleason.linalg import (
     random_density,
     random_hermitian,
 )
-from nsgleason.nosig import NoSigReport, pr_box, singlet, with_qubit_realizations
+from nsgleason.nosig import Box, NoSigReport, pr_box, singlet, with_qubit_realizations
 from nsgleason.presheaf import ConsistencyReport
 
 
@@ -84,6 +88,51 @@ def test_twist_fig1_writes_certificate(tmp_path, monkeypatch, capsys):
     assert rep["artifacts"] == ["cert.json"]
     written = json.loads((tmp_path / "cert.json").read_text())
     assert written == json.loads(json.dumps(twisted_example_certificate().to_json()))
+
+
+def basis_file(tmp_path, basis):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis.to_json()))
+    return str(path)
+
+
+def test_twist_basis_search_writes_its_certificate(tmp_path, capsys):
+    # One Hadamard twist of the (3,3) computational basis is undone by one move.
+    eye = tuple(np.eye(3))
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    basis = apply_twist(ProductBasis((eye, eye)).to_unentangled(), TwistMove(1, (0, 1), h))
+    cert = str(tmp_path / "cert.json")
+    code, rep = run(["twist", "--basis", basis_file(tmp_path, basis), "--out-cert", cert],
+                    capsys)
+    assert code == 0 and rep["found"] and rep["reason"] == ""
+    assert rep["verdicts"]["certificate_replay"] == {
+        "pass": True, "value": 1, "tolerance": tolerances.REPLAY_MATCH, "note": ""}
+    assert rep["artifacts"] == [cert]
+    written = json.loads(Path(cert).read_text())
+    assert written == json.loads(json.dumps(twist_search(basis).certificate.to_json()))
+
+
+def gstar_family():
+    """The size-5 G* clique's family: five product states in C^8, no two of which
+    differ at exactly one site."""
+    clique = kel.clique_search(3, 5, kel.SearchMode.EXHAUSTIVE, graph=kel.Graph.G_STAR)
+    return kel.family_from_clique(clique, kel.Graph.G_STAR)
+
+
+@pytest.mark.parametrize("case, reason, tried", [
+    ("example, budget 2", "move budget exhausted", 22),
+    ("G* family", "no local pairs exist; no twist move applies", 0)])
+def test_twist_basis_search_reports_why_it_stopped(tmp_path, capsys, case, reason, tried):
+    basis, budget = ((twisted_example_basis(), "2") if case == "example, budget 2"
+                     else (gstar_family(), "50"))
+    cert = tmp_path / "cert.json"
+    code, rep = run(["twist", "--basis", basis_file(tmp_path, basis), "--budget", budget,
+                     "--out-cert", str(cert)], capsys)
+    assert code == 1 and not rep["found"] and rep["reason"] == reason
+    assert rep["verdicts"]["twist_search"] == {
+        "pass": False, "value": tried, "tolerance": None,
+        "note": "exhaustion is not a proof of non-membership"}
+    assert rep["artifacts"] == [] and not cert.exists()
 
 
 def test_reconstruct_round_trip(rho_file, capsys):
@@ -200,6 +249,19 @@ def test_two_site_commands_reject_other_operators(cmd, dims, tmp_path, capsys):
     assert not out and message in json.loads(err)["error"]
 
 
+def test_chsh_warns_on_an_operator_without_unit_trace(tmp_path, capsys):
+    t = HermitianOperator((2, 2), 2 * singlet().mat)
+    code, rep = run(["chsh", "--t", operator_file(tmp_path, t), "--optimize"], capsys)
+    assert code == 1  # twice the singlet's CHSH maximum is above Tsirelson's bound
+    assert rep["warning"] == f"operator trace {t.trace()} is not 1"
+
+
+def test_chsh_of_an_operator_file_needs_optimize(singlet_file, capsys):
+    assert main(["chsh", "--t", singlet_file]) == 2
+    out, err = capsys.readouterr()
+    assert not out and json.loads(err)["error"] == "non-optimize mode requires --singlet settings"
+
+
 def test_chsh_singlet_at_the_standard_angles(capsys):
     code, rep = run(["chsh", "--singlet"], capsys)
     assert code == 0
@@ -233,6 +295,18 @@ def test_verdicts_cite_the_tolerance_their_report_applied(rho_file, tmp_path, mo
     code, rep = run(argv, capsys)
     assert rep["verdicts"][verdict]["tolerance"] == 2.0
     assert rep["verdicts"][verdict]["pass"] and code == 0
+
+
+def test_check_box_reports_the_signalling_witness(tmp_path, capsys):
+    # Alice's setting-0 marginal is (1, 0) when Bob measures 0 and (1/2, 1/2) when he measures 1.
+    table = pr_box().table.copy()
+    table[0, 0] = [[1.0, 0.0], [0.0, 0.0]]
+    box = Box(pr_box().settings, pr_box().outcomes, table)
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(box.to_json()))
+    code, rep = run(["check", "--box", str(path)], capsys)
+    assert code == 1 and not rep["verdicts"]["box_no_signalling"]["pass"]
+    assert rep["witness"] == {"site": 0, "setting": 0, "remote_pair": [0, 1]}
 
 
 def test_keller_exhaustive_gstar_none(capsys):
@@ -587,6 +661,19 @@ def test_malformed_basis_file_exit_2(fault, tmp_path, capsys):
     assert not out and "not a UnentangledBasis file" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("dims", [[2.5, 2], [True, 4], ["2", "2"], [-2, -2]],
+                         ids=["float", "bool", "string", "negative"])
+@pytest.mark.parametrize("argv", [["classify", "--t"], ["reconstruct", "--operator"]],
+                         ids=["classify", "reconstruct"])
+def test_operator_dims_must_be_integers_at_least_1(argv, dims, tmp_path, capsys):
+    # 16 entries: int() would read these dims as (2, 2), (1, 4), (2, 2) and (-2, -2).
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dims": dims, "entries": [[x, 0.0] for x in np.eye(4).ravel()]}))
+    assert main(argv + [str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and f"dims {dims!r} are not integers >= 1" in json.loads(err)["error"]
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["classify", "--t", "/nonexistent.json"]) == 2
 
@@ -611,6 +698,21 @@ def test_out_flag_writes_report(rho_file, tmp_path, capsys):
     with open(out) as fh:
         rep = json.load(fh)
     assert rep["verdicts"]["section_consistent"]["pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--operator", "RHO"], ["check", "--trials", "5"], ["chsh", "--singlet"],
+    ["prbox", "--samples", "50"], ["twist", "--fig1"], ["classify", "--t", "RHO"],
+    ["section", "--t", "RHO", "--contexts", "3"],
+    ["keller", "search", "--n", "2", "--size", "4", "--graph", "g", "--exhaustive"],
+], ids=lambda argv: argv[0])
+def test_out_path_in_a_missing_directory_is_an_input_error(argv, rho_file, tmp_path, capsys):
+    # The report is written before it is printed: nothing reaches stdout.
+    out = tmp_path / "missing" / "report.json"
+    argv = [rho_file if a == "RHO" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert not printed and str(out) in json.loads(err)["error"]
 
 
 def test_out_path_is_listed_in_both_reports(tmp_path, monkeypatch, capsys):

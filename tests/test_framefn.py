@@ -72,7 +72,7 @@ def test_weight_equals_trace_over_any_product_basis():
     t = random_density(rng, (3, 3))
     f = OperatorInduced(t)
     rep = weight_check(f, random_product_bases(rng, (3, 3), 10))
-    assert rep.spread <= 1e-10
+    assert rep.spread <= 1e-10 and rep.constant
     assert rep.weight == pytest.approx(t.trace(), abs=1e-10)
 
 
@@ -92,8 +92,22 @@ def test_signalling_family_weight_constant():
     rng = make_rng(5)
     f = make_signalling_example((3, 3), np.pi / 4)
     rep = weight_check(f, random_product_bases(rng, (3, 3), 50))
-    assert rep.spread <= 1e-10
+    assert rep.spread <= 1e-10 and rep.constant
     assert rep.weight == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (1, 3), (3,)])
+def test_signalling_family_needs_two_sites_of_dim_2(dims):
+    with pytest.raises(ValidationError, match="two sites of dim >= 2"):
+        SignallingFamily(dims, np.pi / 4)
+
+
+def test_weight_check_needs_product_bases():
+    f = make_signalling_example((2, 2), np.pi / 4)
+    with pytest.raises(ValueError, match="at least one basis"):
+        weight_check(f, [])
+    with pytest.raises(TypeError, match="expects ProductBasis"):
+        weight_check(f, [random_product_bases(make_rng(0), (2, 2), 1)[0].to_unentangled()])
 
 
 def test_signalling_family_values_in_unit_interval():

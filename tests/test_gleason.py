@@ -29,6 +29,7 @@ from nsgleason.gleason import (
 from nsgleason.linalg import (
     HermitianOperator,
     ValidationError,
+    complex_to_json,
     make_rng,
     partial_transpose,
     hermitian_eig,
@@ -114,6 +115,27 @@ def test_reconstruct_partial_transpose_of_entangled_projector():
     assert rep["certificate"] == rec.certificate.to_json() and "witness" not in rep
     # The min product value is 0.
     assert product_seesaw_min(rec.t, seed=4).value == pytest.approx(0.0, abs=1e-8)
+
+
+def test_reconstruction_report_carries_the_seesaw_witness():
+    # A traceless t is negative on some product state and in the NEITHER class.
+    t = random_hermitian(make_rng(4), (3, 3))
+    t = HermitianOperator((3, 3), t.mat - t.trace() / 9 * np.eye(9))
+    design = spanning_design((3, 3), seed=0)
+    rec = reconstruct_pvm(sample_from_operator(t, design.states), design)
+    assert rec.classification is Classification.INDEFINITE_ON_PRODUCTS
+    rep = rec.to_json()
+    assert "certificate" not in rep and rep["witness"] == {
+        "factors": [complex_to_json(f) for f in rec.witness.factors],
+        "value": rec.witness.value}
+
+
+def test_three_site_operators_are_classified_without_the_seesaw():
+    rho = random_density(make_rng(5), (2, 2, 2))
+    assert classify_product_positivity(rho) == (Classification.DENSITY_MATRIX, None)
+    # Anything but a density goes to the see-saw, which takes two sites only.
+    with pytest.raises(ValidationError, match="exactly two sites"):
+        classify_product_positivity(HermitianOperator((2, 2, 2), 2 * rho.mat))
 
 
 def test_reconstruct_signalling_residual_floor():
@@ -424,11 +446,11 @@ def test_fit_matches_lstsq_and_matrix_rank(seed, dims, deficient, fit_share):
         with pytest.raises(ValidationError, match="feature rank"):
             fit(rows, values, dims, n_fit)
         return
-    rec = fit(rows, values, dims, n_fit, restarts=8, seed=seed)
+    rec = fit(rows, values, dims, n_fit, seed=seed)
     assert rec.t.mat.tobytes() == HermitianOperator(dims, vec_to_herm(x)).mat.tobytes()
     test = slice(None) if n_fit is None else slice(n_fit, None)  # in sample without a holdout
     assert rec.residual == np.max(np.abs(rows[test] @ x - values[test]))
-    cls, evidence = classify_product_positivity(rec.t, restarts=8, seed=seed)
+    cls, evidence = classify_product_positivity(rec.t, seed=seed)
     assert rec.classification is cls
     if isinstance(evidence, Witness):
         assert rec.witness.value == evidence.value and rec.certificate is None

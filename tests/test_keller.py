@@ -168,6 +168,14 @@ def test_malformed_clique_file(tmp_path, text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("vectors, message", [([[0, 1, 2]], r"shape \(N, 2\)"),
+                                              ([0, 1], r"shape \(N, 2\)"),
+                                              ([[0, 4]], "lie in"), ([[-1, 0]], "lie in")])
+def test_clique_candidate_checks_shape_and_range(vectors, message):
+    with pytest.raises(ValidationError, match=message):
+        CliqueCandidate(2, vectors)
+
+
 @pytest.mark.parametrize("col", [0, 31, 32, 39])
 def test_duplicate_check_reads_every_coordinate(col):
     # Two vectors that differ in one coordinate, first, last or in between,

@@ -127,6 +127,20 @@ def test_infinite_entry_rejected_without_a_warning(where):
             HermitianOperator((2,), mat)
 
 
+@pytest.mark.parametrize("dims, mat", [((0, 3), np.zeros((0, 0))), ((-2, -2), np.eye(4)),
+                                       ((True, 4), np.eye(4)), ((2.0, 2), np.eye(4))],
+                         ids=["zero", "negative", "bool", "float"])
+def test_operator_dims_must_be_integers_at_least_1(dims, mat):
+    # int() would read True as 1 and 2.0 as 2; (0, 3) and (-2, -2) have no such space.
+    with pytest.raises(ValidationError, match=r"dims \[.*\] are not integers >= 1"):
+        HermitianOperator(dims, mat)
+
+
+def test_operator_matrix_shape_must_match_dims():
+    with pytest.raises(ValidationError, match=r"shape \(3, 3\) incompatible with dims \(2, 2\)"):
+        HermitianOperator((2, 2), np.eye(3))
+
+
 def test_partial_transpose_product_operator():
     rng = make_rng(5)
     a = random_hermitian(rng, (2,)).mat

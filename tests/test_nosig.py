@@ -160,6 +160,11 @@ def test_box_table_is_read_only():
             view[..., 0, 0] = 1.0
 
 
+def test_box_table_shape_must_match_the_labels():
+    with pytest.raises(ValidationError, match=r"table has shape \(2, 2, 2\), not \(2, 2, 2, 2\)"):
+        Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), np.full((2, 2, 2), 0.25))
+
+
 @pytest.mark.parametrize("fault", ["scaled", "one column", "missing label", "undeclared label",
                                    "one site", "three sites"])
 def test_box_realizations_are_validated(fault):
@@ -671,6 +676,17 @@ def test_every_lp_round_solves_one_lp(monkeypatch, case, fail_at, verdict, round
     out = quantum_extension(box, positivity_samples=300, seed=0)
     assert (out.verdict, out.rounds, len(calls)) == (verdict, rounds, rounds)
     assert out.candidate == (None if verdict in ("INFEASIBLE", "ERROR") else "vertex")
+
+
+def test_ambiguous_report_cites_the_seesaw_minimum(monkeypatch):
+    # The LP-only loop leaves this (3,3) density box AMBIGUOUS: its last see-saw found a
+    # negative product value, which the report carries.
+    lp_only(monkeypatch)
+    out = quantum_extension(next(box for _, box in density_boxes(1, dims=(3,))),
+                            positivity_samples=300, seed=0)
+    rep = out.to_json()
+    assert out.verdict == "AMBIGUOUS" and rep["seesaw_min"] == out.seesaw_min
+    assert out.seesaw_min < -tol.PRODUCT_POSITIVE
 
 
 def noisy_pr_box(visibility):

@@ -167,6 +167,12 @@ def test_jordan_symmetrization():
     rng = make_rng(9)
     t = random_hermitian(rng, (3, 3))
     assert jordan_symmetrization_check(t, 100, 3).max_deviation <= 1e-10
+    assert all(jordan_symmetrization_check(op, 10, 4).passed for op in (bell(), swap_half(), t))
+
+
+def test_operator_map_needs_two_sites():
+    with pytest.raises(ValidationError, match="two-site operator"):
+        OperatorMap(random_density(make_rng(0), (2, 2, 2)))
 
 
 def test_cp_unit_trace_induces_nonneg_nosig_framefn():
