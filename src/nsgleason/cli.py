@@ -413,8 +413,8 @@ def main(argv=None) -> int:
     rep = Report(["nsgleason"] + argv, args.seed)
     try:
         args.func(args, rep)
-        return rep.finish(args.out)  # in the try: an --out in a missing directory exits 2
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+        return rep.finish(args.out)  # in the try: an --out that cannot be written exits 2
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
 

@@ -106,6 +106,8 @@ class SignallingFamily(_Evaluated):
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 2 or min(dims) < 2:
             raise ValidationError("signalling family needs two sites of dim >= 2")
+        if not np.isfinite(self.theta):
+            raise ValidationError(f"signalling family needs a finite theta, not {self.theta!r}")
         object.__setattr__(self, "dims", dims)
 
     def _values(self, sites) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Finite families of product measurement contexts and global sections.
 
-A context is a PVM held as one (n, d, d) projector stack, and a product
-context pairs one per site.  A coarse node is a label only: a refinement edge
-reaches it from a fine product context by one 0/1 aggregation matrix A per
-site, and restriction is A_L @ dist @ A_R^T.  A section is its fine tables,
-optionally with coarse ones; it is consistent when every fine parent of a
-coarse node restricts to the same table (the stored one, if any).  A node that
-merges one site to the trivial outcome is a no-signalling marginal, so a
-signalling frame function fails a family whose fine contexts share one.
+A context is a rank-1 PVM held as its orthonormal (d, d) basis, one outcome
+per column, and a product context pairs one per site.  A coarse node is a
+label only: a refinement edge reaches it from a fine product context by one
+0/1 aggregation matrix A per site, and restriction is A_L @ dist @ A_R^T.  A
+section is its fine tables, optionally with coarse ones; it is consistent when
+every fine parent of a coarse node restricts to the same table (the stored
+one, if any).  A node that merges one site to the trivial outcome is a
+no-signalling marginal, so a signalling frame function fails a family whose
+fine contexts share one.
 """
 
 from __future__ import annotations
@@ -23,39 +24,19 @@ from .linalg import (HermitianOperator, ValidationError, basis_products, canonic
 
 @dataclass(frozen=True)
 class Context:
-    """A PVM: a read-only (n, d, d) stack of mutually orthogonal projectors summing to identity."""
+    """A rank-1 PVM: a read-only orthonormal (d, d) basis, one outcome per column."""
 
-    projectors: np.ndarray
+    basis: np.ndarray
     label: str
 
     def __post_init__(self):
-        p = np.array(self.projectors, dtype=complex)
-        p.flags.writeable = False
-        if p.ndim != 3 or p.shape[1] != p.shape[2]:
-            raise ValidationError(f"projectors of shape {p.shape} are not an (n, d, d) stack")
-        not_hermitian = np.abs(p - p.conj().swapaxes(1, 2)).max(axis=(1, 2)) > tol.PVM
-        if not_hermitian.any():
-            raise ValidationError(f"projector {np.argmax(not_hermitian)} not Hermitian")
-        # P_a P_b = delta_ab P_a: idempotent on the diagonal, orthogonal off it.
-        eye = np.eye(len(p))[:, :, None, None]
-        bad_products = np.abs(np.einsum("aij,bjk->abik", p, p) - eye * p).max(axis=(2, 3)) > tol.PVM
-        if np.diagonal(bad_products).any():
-            raise ValidationError(f"projector {np.argmax(np.diagonal(bad_products))} not idempotent")
-        if bad_products.any():
-            raise ValidationError("projectors not mutually orthogonal")
-        if np.abs(p.sum(axis=0) - np.eye(p.shape[-1])).max() > tol.PVM:
-            raise ValidationError("projectors do not sum to identity")
-        object.__setattr__(self, "projectors", p)
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.projectors)
-
-
-def rank1_context(basis: np.ndarray, label: str) -> Context:
-    """Rank-1 PVM from an orthonormal basis given as columns."""
-    b = np.asarray(basis, dtype=complex).T  # outer products as proj forms them, to the bit
-    return Context(b[:, :, None] * b.conj()[:, None, :], label)
+        b = np.array(self.basis, dtype=complex)
+        b.flags.writeable = False
+        if b.ndim != 2 or not 0 < b.shape[0] == b.shape[1]:
+            raise ValidationError(f"context {self.label}: basis of shape {b.shape} is not (d, d)")
+        if not np.abs(b.conj().T @ b - np.eye(len(b))).max() <= tol.LOCAL_BASIS:  # NaN fails too
+            raise ValidationError(f"context {self.label}: basis columns are not orthonormal")
+        object.__setattr__(self, "basis", b)
 
 
 @dataclass(frozen=True)
@@ -69,7 +50,7 @@ class ProductContext:
 
     @property
     def shape(self) -> tuple:
-        return (self.left.n_outcomes, self.right.n_outcomes)
+        return (len(self.left.basis), len(self.right.basis))
 
 
 @dataclass(frozen=True)
@@ -105,9 +86,7 @@ def restrict(dist: np.ndarray, edge: RefinementEdge) -> np.ndarray:
     """Sum a fine-context distribution into the coarse node's outcomes."""
     dist = np.asarray(dist, dtype=float)
     if dist.shape != edge.fine.shape:
-        raise ValidationError(
-            f"distribution shape {dist.shape} does not live on the fine context"
-        )
+        raise ValidationError(f"distribution shape {dist.shape} does not live on the fine context")
     return edge.left_aggregation @ dist @ edge.right_aggregation.T
 
 
@@ -126,53 +105,49 @@ class SectionTable:
         return self.distributions[ctx.label]
 
 
-def section_from_operator(t: HermitianOperator, family) -> SectionTable:
-    """Tabulate tr(t (p (x) q)) for every context in the family.
+def _check_dims(family, dims, owner) -> tuple:
+    """The family as a tuple; ValidationError naming the first context not of these dims."""
+    for ctx in (family := tuple(family)):
+        if ctx.shape != tuple(dims):
+            raise ValidationError(f"context {ctx.label} has dims {ctx.shape}, not {owner} {dims}")
+    return family
 
-    Each table is one contraction of t with the context's projector stacks.
-    Entries are not rescaled, so each distribution sums to tr(t).  An entry
-    below ``-tolerances.NEGATIVE_PROBABILITY`` raises ValidationError: t is
-    not product-positive.
+
+def section_from_operator(t: HermitianOperator, family) -> SectionTable:
+    """Tabulate <u_i (x) v_j|t|u_i (x) v_j> for every context (u, v) in the family.
+
+    One product of t with the family's stacked outcome states gives every
+    entry.  Entries are not rescaled, so each distribution sums to tr(t).  An
+    entry below ``-tolerances.NEGATIVE_PROBABILITY`` raises ValidationError: t
+    is not product-positive.
     """
-    family = tuple(family)
+    family = _check_dims(family, t.dims, "the operator's")
+    states = np.array([c.left.basis[:, None, :, None] * c.right.basis[:, None, :]
+                       for c in family]).reshape((-1,) + t.mat.shape)  # column i*d2+j: u_i (x) v_j
     dists = {}
-    for ctx in family:
-        p = np.einsum("abce,ica,jeb->ij", t.mat.reshape(t.dims + t.dims),
-                      ctx.left.projectors, ctx.right.projectors).real
+    for ctx, p in zip(family, (states.conj() * (t.mat @ states)).sum(axis=1).real):
         if p.min() < -tol.NEGATIVE_PROBABILITY:
-            raise ValidationError(
-                f"negative probability {p.min():.3e} in context {ctx.label}: "
-                "operator is not product-positive within tolerance"
-            )
-        dists[ctx.label] = p
+            raise ValidationError(f"negative probability {p.min():.3e} in context {ctx.label}: "
+                                  "operator is not product-positive within tolerance")
+        dists[ctx.label] = p.reshape(ctx.shape)
     return SectionTable(family, dists)
 
 
 def section_from_framefn(f, family) -> SectionTable:
-    """Tabulate a frame function over rank-1 product contexts.
+    """Tabulate a frame function over product contexts.
 
-    Each context's PVMs must be rank-1 so that outcomes correspond to
-    product states.  Outcome (i, j) is the state of the i-th left and j-th
-    right vector, phased as ProductState phases it; each context takes one
-    ``f.values`` call on the stacks of its outcome states.  Coarse nodes
-    need no table: :func:`check_section` compares the restrictions of a
-    node's fine parents, which is where a signalling frame function becomes
-    inconsistent.
+    Outcome (i, j) is the state of the i-th left and j-th right basis column,
+    phased as ProductState phases it; each context takes one ``f.values`` call
+    on the stacks of its outcome states.  Coarse nodes need no table:
+    :func:`check_section` compares the restrictions of a node's fine parents,
+    which is where a signalling frame function becomes inconsistent.
     """
-    family = tuple(family)
+    family = _check_dims(family, f.dims, "the frame function's")
     dists = {}
     for ctx in family:
-        left, right = (canonical_phase(_rank1_vector(c.projectors)) for c in (ctx.left, ctx.right))
-        dists[ctx.label] = f.values(basis_products(left.T, right.T)).reshape(ctx.shape)
+        u, v = (canonical_phase(c.basis.T).T for c in (ctx.left, ctx.right))
+        dists[ctx.label] = f.values(basis_products(u, v)).reshape(ctx.shape)
     return SectionTable(family, dists)
-
-
-def _rank1_vector(p: np.ndarray) -> np.ndarray:
-    """The unit vector of a rank-1 projector, or one row per projector of an (n, d, d) stack."""
-    vals, vecs = np.linalg.eigh(p)
-    if (np.abs(vals[..., -1] - 1.0) > tol.RANK_ONE).any() or (vals[..., :-1] > tol.RANK_ONE).any():
-        raise ValidationError("projector is not rank-1")
-    return vecs[..., -1]
 
 
 @dataclass(frozen=True)
@@ -224,10 +199,10 @@ def random_context_family(dims, n_fine: int, seed: int = 0):
     d1, d2 = dims
     left, right = random_onbs(make_rng(seed), dims, n_fine + 1)
     full_l, full_r = tuple((i,) for i in range(d1)), tuple((i,) for i in range(d2))
-    rights = [rank1_context(right[j], f"R{j}") for j in range(n_fine + 1)]
+    rights = [Context(right[j], f"R{j}") for j in range(n_fine + 1)]
     contexts, edges = [], []
     for k in range(n_fine):
-        lb = rank1_context(left[k], f"L{k}")
+        lb = Context(left[k], f"L{k}")
         for j in (k, k + 1):
             fine = ProductContext(lb, rights[j])
             contexts.append(fine)

@@ -11,10 +11,8 @@ its use site, and run reports cite the name that was applied.
 HERMITICITY = 1e-10  # max |M - M^dagger| entry of a matrix accepted as Hermitian
 UNIT_NORM = 1e-12  # max | ||v|| - 1 | of a product-state factor accepted as a unit vector
 PHASE_AMPLITUDE = 1e-12  # smallest |amplitude| that may fix a vector's global phase
-LOCAL_BASIS = 1e-10  # max |Gram - I| entry of a one-site basis (product bases, CHSH settings)
+LOCAL_BASIS = 1e-10  # max |Gram - I| entry of a one-site basis (product bases, CHSH settings, contexts)
 UNITARY = 1e-10  # max |U^dagger U - I| entry of a twist-move rotation
-PVM = 1e-10  # max defect in a context's projectors: Hermitian, idempotent, orthogonal, complete
-RANK_ONE = 1e-8  # max distance of a projector's top two eigenvalues from (1, 0)
 EFFECT_SPECTRUM = 1e-10  # slack on the [0, 1] spectrum of a local effect
 
 # Unentangled bases and twist moves (bases).

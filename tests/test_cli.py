@@ -715,6 +715,23 @@ def test_out_path_in_a_missing_directory_is_an_input_error(argv, rho_file, tmp_p
     assert not printed and str(out) in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("where", ["input", "out"])
+def test_a_directory_path_is_an_input_error(where, rho_file, tmp_path, capsys):
+    # IsADirectoryError is an OSError like FileNotFoundError: exit 2, not a traceback.
+    argv = ["classify", "--t", str(tmp_path)] if where == "input" else [
+        "classify", "--t", rho_file, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    printed, err = capsys.readouterr()
+    assert not printed and str(tmp_path) in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_non_finite_theta_is_an_input_error(theta, capsys):
+    assert main(["check", f"--theta={theta}", "--trials", "5"]) == 2
+    printed, err = capsys.readouterr()
+    assert not printed and "needs a finite theta" in json.loads(err)["error"]
+
+
 def test_out_path_is_listed_in_both_reports(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("pr.json").write_text(json.dumps(pr_box().to_json()))

@@ -102,6 +102,12 @@ def test_signalling_family_needs_two_sites_of_dim_2(dims):
         SignallingFamily(dims, np.pi / 4)
 
 
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_signalling_family_needs_a_finite_theta(theta):
+    with pytest.raises(ValidationError, match=f"needs a finite theta, not {theta!r}"):
+        SignallingFamily((3, 3), theta)
+
+
 def test_weight_check_needs_product_bases():
     f = make_signalling_example((2, 2), np.pi / 4)
     with pytest.raises(ValueError, match="at least one basis"):

@@ -24,6 +24,7 @@ from nsgleason.linalg import (
     proj,
     random_density,
     random_hermitian,
+    random_onb,
 )
 from nsgleason.nosig import singlet
 from nsgleason.presheaf import (
@@ -33,9 +34,7 @@ from nsgleason.presheaf import (
     RefinementEdge,
     SectionTable,
     check_section,
-    _rank1_vector,
     random_context_family,
-    rank1_context,
     restrict,
     section_from_framefn,
     section_from_operator,
@@ -44,23 +43,33 @@ from nsgleason.tolerances import NEGATIVE_PROBABILITY, SECTION_CONSISTENT
 
 
 def comp_context(d, label):
-    return rank1_context(np.eye(d, dtype=complex), label)
+    return Context(np.eye(d, dtype=complex), label)
 
 
-def coarse_grain(ctx, groups, label):
-    """The context whose projectors sum ctx's over each outcome group."""
-    return Context(np.array([ctx.projectors[list(g)].sum(axis=0) for g in groups]), label)
+def coarse_table(t, edge):
+    """tr(t (P_k (x) Q_l)), P_k and Q_l the projectors of the fine context's bases summed
+    over each outcome group of the edge: the coarse node's table evaluated directly, not
+    by restriction."""
+    left, right = ([sum(proj(ctx.basis[:, i]) for i in g) for g in groups] for ctx, groups in
+                   ((edge.fine.left, edge.left_groups), (edge.fine.right, edge.right_groups)))
+    return np.array([[np.trace(t.mat @ np.kron(p, q)).real for q in right] for p in left])
 
 
 def test_context_validation():
     with pytest.raises(ValidationError):
-        Context((np.eye(2) / 2,), "bad")  # not idempotent
+        Context(np.eye(2) / 2, "bad")  # columns not unit vectors
     with pytest.raises(ValidationError):
-        Context((proj(np.array([1.0, 0])),), "incomplete")
+        Context(np.array([[1.0], [0.0]]), "incomplete")
 
 
-SKEW = np.array([[1, 1], [0, 0]], dtype=complex)  # idempotent, not Hermitian
-KET0, PLUS = proj(np.array([1.0, 0])), proj(np.array([1.0, 1.0]) / np.sqrt(2))
+def test_context_holds_a_read_only_copy_of_its_basis():
+    basis = random_onb(make_rng(0), 3)
+    ctx = Context(basis, "L")
+    basis[0, 0] = 7.0
+    assert ctx.basis.dtype == complex and not ctx.basis.flags.writeable
+    np.testing.assert_array_equal(ctx.basis, random_onb(make_rng(0), 3))
+
+
 FULL3 = ((0,), (1,), (2,))
 
 
@@ -77,26 +86,39 @@ def comp3_section():
     return SectionTable((ctx,), {ctx.label: np.full((3, 3), 1 / 9)})
 
 
-def rank1_section(left):
-    f = OperatorInduced(HermitianOperator((3, 3), np.eye(9) / 9))
-    return section_from_framefn(f, [ProductContext(left, comp_context(3, "R"))])
+def family_22():
+    return random_context_family((2, 2), 1, seed=0)[0]
 
 
+def with_nan(basis):
+    basis = np.array(basis, dtype=complex)
+    basis[1, 0] = np.nan
+    return basis
+
+
+NOT_ORTHONORMAL = "context c: basis columns are not orthonormal"
 REJECTED = {
-    "context-not-a-stack": (lambda: Context(np.eye(2), "c"), "are not an (n, d, d) stack"),
-    "context-not-hermitian": (lambda: Context((SKEW, np.eye(2) - SKEW), "c"),
-                              "projector 0 not Hermitian"),
-    "context-not-idempotent": (lambda: Context((np.eye(2) / 2, np.eye(2) / 2), "c"),
-                               "projector 0 not idempotent"),
-    "context-not-orthogonal": (lambda: Context((KET0, PLUS), "c"),
-                               "projectors not mutually orthogonal"),
-    "context-incomplete": (lambda: Context((KET0,), "c"), "projectors do not sum to identity"),
+    "context-not-square": (lambda: Context(np.ones((2, 3)) / np.sqrt(2), "c"),
+                           "context c: basis of shape (2, 3) is not (d, d)"),
+    "context-incomplete": (lambda: Context(np.eye(3)[:, :2], "c"),
+                           "context c: basis of shape (3, 2) is not (d, d)"),
+    "context-projector-stack": (lambda: Context([proj(v) for v in np.eye(2)], "c"),
+                                "context c: basis of shape (2, 2, 2) is not (d, d)"),
+    "context-empty": (lambda: Context(np.zeros((0, 0)), "c"),
+                      "context c: basis of shape (0, 0) is not (d, d)"),
+    "context-not-unit": (lambda: Context(np.eye(2) / 2, "c"), NOT_ORTHONORMAL),
+    "context-not-orthogonal": (lambda: Context(np.array([[1, 1], [0, 1]]) / [1, np.sqrt(2)], "c"),
+                               NOT_ORTHONORMAL),
+    "context-zero-column": (lambda: Context(np.diag([1.0, 1.0, 0.0]), "c"), NOT_ORTHONORMAL),
+    "context-nan-entry": (lambda: Context(with_nan(np.eye(3)), "c"), NOT_ORTHONORMAL),
+    "operator-dims": (lambda: section_from_operator(random_density(make_rng(0), (3, 3)),
+                                                    family_22()),
+                      "context L0|R0 has dims (2, 2), not the operator's (3, 3)"),
+    "framefn-dims": (lambda: section_from_framefn(make_signalling_example((2, 3), 1.0),
+                                                  family_22()),
+                     "context L0|R0 has dims (2, 2), not the frame function's (2, 3)"),
     "restrict-shape": (lambda: restrict(np.full((2, 3), 1 / 6), comp3_edge("right", ((0, 1), (2,)))),
                        "does not live on the fine context"),
-    "rank1-rank-2-member": (lambda: rank1_section(coarse_grain(comp_context(3, "L"), ((0,), (1, 2)), "L")),
-                            "projector is not rank-1"),
-    "rank1-zero-member": (lambda: rank1_section(Context((np.zeros((3, 3)),) + tuple(
-        comp_context(3, "L").projectors), "L")), "projector is not rank-1"),
     "section-parent-shapes": (lambda: check_section(comp3_section(), [
         comp3_edge("right", ((0, 1), (2,))), comp3_edge("right", ((0, 1, 2),))]),
         "C|C restricts to shape (3, 1), but node Cc has shape (3, 2)"),
@@ -143,16 +165,11 @@ def test_restrict_point_mass():
 def test_restrict_matches_direct_coarse_evaluation():
     t = singlet()
     rng = make_rng(1)
-    from nsgleason.linalg import random_onb
-
-    lb = rank1_context(random_onb(rng, 2), "L")
-    rb = rank1_context(random_onb(rng, 2), "R")
-    fine = ProductContext(lb, rb)
-    coarse = ProductContext(lb, coarse_grain(rb, ((0, 1),), "Rc"))
-    edge = RefinementEdge(fine, coarse.label, ((0,), (1,)), ((0, 1),))
-    table = section_from_operator(t, [fine, coarse])
+    fine = ProductContext(Context(random_onb(rng, 2), "L"), Context(random_onb(rng, 2), "R"))
+    edge = RefinementEdge(fine, "L|Rc", ((0,), (1,)), ((0, 1),))
+    table = section_from_operator(t, [fine])
     np.testing.assert_allclose(
-        restrict(table[fine], edge), table[coarse], atol=1e-12
+        restrict(table[fine], edge), coarse_table(t, edge), atol=1e-12
     )
 
 
@@ -225,19 +242,24 @@ def test_check_section_passes_for_operator_tables():
 
 
 def test_check_section_associativity_of_restriction():
-    # coarse-of-coarse equals direct coarse
-    fine = ProductContext(comp_context(3, "L"), comp_context(3, "R"))
-    mid = ProductContext(comp_context(3, "L"), coarse_grain(comp_context(3, "R"), ((0, 1), (2,)), "Rm"))
-    full_l = tuple((i,) for i in range(3))
-    e1 = RefinementEdge(fine, mid.label, full_l, ((0, 1), (2,)))
-    e2 = RefinementEdge(mid, "L|Rt", full_l, ((0, 1),))
-    e_direct = RefinementEdge(fine, "L|Rt", full_l, ((0, 1, 2),))
+    # coarse-of-coarse equals direct coarse, and both equal the coarse tables of t.
     rng = make_rng(6)
+    fine = ProductContext(Context(random_onb(rng, 3), "L"), Context(random_onb(rng, 3), "R"))
+    mid = SimpleNamespace(label="L|Rm", shape=(3, 2))  # a coarse node: no Context is (3, 2)
+    e1 = RefinementEdge(fine, mid.label, FULL3, ((0, 1), (2,)))
+    e2 = RefinementEdge(mid, "L|Rt", FULL3, ((0, 1),))
+    e_direct = RefinementEdge(fine, "L|Rt", FULL3, ((0, 1, 2),))
     d = rng.random((3, 3))
     d /= d.sum()
     np.testing.assert_allclose(
         restrict(restrict(d, e1), e2), restrict(d, e_direct), atol=1e-12
     )
+    t = random_density(rng, (3, 3))
+    fine_table = section_from_operator(t, [fine])[fine]
+    mid_table = coarse_table(t, e1)
+    np.testing.assert_allclose(restrict(fine_table, e1), mid_table, atol=1e-12)
+    coarse = coarse_table(t, e_direct)
+    np.testing.assert_allclose(restrict(mid_table, e2), coarse, atol=1e-12)
 
 
 def test_signalling_family_fails_on_cross_site_edge():
@@ -246,9 +268,9 @@ def test_signalling_family_fails_on_cross_site_edge():
     # two different bases while its outcome is aggregated away.
     comp = np.eye(2, dtype=complex)
     rot = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    r = rank1_context(comp, "R")
-    fine1 = ProductContext(rank1_context(comp, "L1"), r)
-    fine2 = ProductContext(rank1_context(rot, "L2"), r)
+    r = Context(comp, "R")
+    fine1 = ProductContext(Context(comp, "L1"), r)
+    fine2 = ProductContext(Context(rot, "L2"), r)
     table = section_from_framefn(f, [fine1, fine2])
     # No coarse table is stored: fine1's restriction is the node's reference,
     # and the edge from fine2 must then fail.
@@ -310,10 +332,8 @@ def test_rank1_sections_match_framefn_values():
 
     rng = make_rng(9)
     t = random_density(rng, (2, 2))
-    from nsgleason.linalg import random_onb
-
     u, v = random_onb(rng, 2), random_onb(rng, 2)
-    ctx = ProductContext(rank1_context(u, "L"), rank1_context(v, "R"))
+    ctx = ProductContext(Context(u, "L"), Context(v, "R"))
     table = section_from_operator(t, [ctx])
     f = OperatorInduced(t)
     for i in range(2):
@@ -332,16 +352,15 @@ def test_section_from_operator_matches_kron_features(dims, kind):
     contexts, _ = random_context_family(dims, 6, seed=3)
     got = section_from_operator(t, contexts)
     for ctx in contexts:
-        # Each entry as it was computed before the contraction: kron, then features.
-        ops = [np.kron(pl, pr) for pl in ctx.left.projectors for pr in ctx.right.projectors]
+        # Each entry from the product projectors: kron, then features.
+        ops = [np.kron(proj(u), proj(v)) for u in ctx.left.basis.T for v in ctx.right.basis.T]
         want = (feature_of(np.array(ops)) @ feature_of(t.mat)).reshape(ctx.shape)
         np.testing.assert_allclose(got[ctx], want, rtol=0, atol=1e-14)
 
 
 def ref_section_states(ctx):
-    """The outcome states of a rank-1 product context, one ProductState each."""
-    return [ProductState((_rank1_vector(pl), _rank1_vector(pr)))
-            for pl in ctx.left.projectors for pr in ctx.right.projectors]
+    """The outcome states of a product context, one ProductState each."""
+    return [ProductState((u, v)) for u in ctx.left.basis.T for v in ctx.right.basis.T]
 
 
 def section_or_error(call):
@@ -354,19 +373,18 @@ def section_or_error(call):
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (3, 3), (2, 3), (4, 3)]),
        st.sampled_from(["density", "indefinite", "tabulated", "tabulated_miss",
-                        "signalling", "coarse"]))
+                        "signalling", "other_dims"]))
 @settings(max_examples=60, deadline=None)
 def test_section_from_framefn_matches_per_state_loop(seed, dims, kind):
     rng = make_rng(seed)
     fine, _ = random_context_family(dims, 3, seed=seed)
-    ctx = fine[0]  # "coarse": a rank-1 context and two that coarse-grain one of its sites
-    merged = [((0, 1),) + tuple((i,) for i in range(2, d)) for d in dims]
-    family = [ctx, ProductContext(coarse_grain(ctx.left, merged[0], "Lc"), ctx.right),
-              ProductContext(ctx.left, coarse_grain(ctx.right, merged[1], "Rc"))]
-    if kind != "coarse":
+    # "other_dims": a family whose left site has one more dim than f's; both paths reject it.
+    if kind == "other_dims":
+        family = random_context_family((dims[0] + 1, dims[1]), 2, seed=seed)[0]
+    else:
         family = fine
     states = [s for ctx in fine for s in ref_section_states(ctx)]
-    if kind == "density" or kind == "coarse":
+    if kind == "density" or kind == "other_dims":
         f = OperatorInduced(random_density(rng, dims))
     elif kind == "indefinite":
         f = OperatorInduced(random_hermitian(rng, dims))
@@ -425,18 +443,6 @@ def parent_check_section(s, edges):
     return ConsistencyReport(worst, worst_edge)
 
 
-def coarse_context(edge):
-    """The product context of a generated family's coarse node: one site trivial."""
-    left, right = edge.fine.left, edge.fine.right
-    if edge.coarse.endswith("|·"):
-        right = Context(np.eye(right.projectors.shape[-1])[None], "·")
-    else:
-        left = Context(np.eye(left.projectors.shape[-1])[None], "·")
-    ctx = ProductContext(left, right)
-    assert ctx.label == edge.coarse
-    return ctx
-
-
 @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 3), (4, 3)]),
        st.integers(1, 4), st.sampled_from(["density", "partial_transpose", "perturbed", "signalling"]))
 @settings(max_examples=60, deadline=None)
@@ -444,11 +450,13 @@ def test_check_section_matches_the_parent_on_stored_coarse_tables(seed, dims, n_
     # Every coarse table stored: the node's reference is that table, as it was.
     rng = make_rng(seed)
     contexts, edges = random_context_family(dims, n_fine, seed=seed)
-    coarse = {e.coarse: coarse_context(e) for e in edges}
+    coarse = {e.coarse: SimpleNamespace(label=e.coarse) for e in edges}
     t = random_density(rng, dims)
     if kind == "partial_transpose":
         t = partial_transpose(t, 1)
-    tables = dict(section_from_operator(t, contexts + list(coarse.values())).distributions)
+    tables = dict(section_from_operator(t, contexts).distributions)
+    for e in edges:  # each node's table from its first parent's summed projectors
+        tables.setdefault(e.coarse, coarse_table(t, e))
     if kind == "perturbed":
         for label in rng.choice(sorted(tables), size=3):
             p = tables[label].copy()
