@@ -2,9 +2,10 @@
 
 A non-negative frame function over product orthonormal bases that satisfies
 no-signalling is induced by a unique self-adjoint operator.  This demo walks
-through the constructive side of that statement: sample a frame function on a
-spanning family of product states, solve the resulting linear system, and
-confirm that the recovered operator reproduces the function everywhere.
+through the constructive side of that statement: sample a frame function on
+every product of d+1 orthonormal bases per site, solve the resulting linear
+system one site at a time, and confirm that the recovered operator reproduces
+the function everywhere.
 """
 
 import numpy as np
@@ -25,8 +26,9 @@ dims = (3, 3)
 
 print("=== spanning design ===")
 design = spanning_design(dims, seed=2024)
-print(f"{len(design.states)} random product states for an operator space of "
-      f"dimension {np.prod(dims) ** 2}; the fit checks that the rows it solves span it")
+print(f"{len(design.states)} product states from d+1 = {dims[0] + 1} bases per site, for an "
+      f"operator space of dimension {np.prod(dims) ** 2}; the fit checks that each site's rows "
+      f"span its {dims[0] ** 2} operators")
 
 print("\n=== round trip for a random density matrix ===")
 rho = random_density(rng, dims)
@@ -35,7 +37,7 @@ rec = reconstruct_pvm(table, design)
 err = np.linalg.norm(rec.t.mat - rho.mat)
 print(f"Frobenius error    : {err:.3e}")
 print(f"trace of estimate  : {rec.t.trace():.12f}")
-print(f"holdout residual   : {rec.residual:.3e}")
+print(f"in-sample residual : {rec.residual:.3e}")
 print(f"classification     : {rec.classification.name}")
 
 print("\n=== a signalling family is caught, not fitted ===")

@@ -112,10 +112,11 @@ def _load(path, cls):
 
 def cmd_reconstruct(args, rep):
     t = _load(args.operator, HermitianOperator)
-    design = spanning_design(t.dims, oversample=args.oversample, seed=args.seed)
-    f = sample_from_operator(t, design.states)
-    rec = reconstruct_pvm(f, design, holdout=args.holdout, seed=args.seed)
+    design = spanning_design(t.dims, seed=args.seed)
+    rec = reconstruct_pvm(sample_from_operator(t, design.states), design, seed=args.seed)
     frob = float(np.linalg.norm(rec.t.mat - t.mat))
+    rep.data["design"] = {"bases_per_site": [d + 1 for d in design.dims],
+                          "states": len(design.states), "feature_rank": list(rec.ranks)}
     rep.data["classification"] = rec.classification.value
     if rec.certificate is not None:
         rep.data["evidence"] = {"orientation_certificate": rec.certificate.to_json()}
@@ -124,7 +125,8 @@ def cmd_reconstruct(args, rep):
                                 "product_positive_threshold": tol.PRODUCT_POSITIVE}
     rep.verdict("round_trip_frobenius", frob <= tol.ROUND_TRIP, frob, tol.ROUND_TRIP)
     rep.verdict("holdout_residual", rec.residual <= tol.HOLDOUT_RESIDUAL, rec.residual,
-                tol.HOLDOUT_RESIDUAL, "" if rec.held_out else "in sample: no rows were held out")
+                tol.HOLDOUT_RESIDUAL, "in sample: the product-basis grid's residual, "
+                "0 when the values summed over each local basis agree")
     rep.verdict("unit_trace", abs(rec.t.trace() - 1) <= tol.UNIT_TRACE, rec.t.trace(),
                 tol.UNIT_TRACE, "expected for weight-1 frame functions")
 
@@ -300,20 +302,6 @@ def int_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a comma list of integers > 0: {text!r}") from None
 
 
-def unit_fraction(text: str) -> float:
-    """argparse type of a number in [0, 1], such as "0.2"."""
-    if not 0.0 <= float(text) <= 1.0:
-        raise argparse.ArgumentTypeError(f"not a number in [0, 1]: {text!r}")
-    return float(text)
-
-
-def positive_number(text: str) -> float:
-    """argparse type of a finite number > 0, such as "1.5"."""
-    if not 0.0 < float(text) < np.inf:
-        raise argparse.ArgumentTypeError(f"not a finite number > 0: {text!r}")
-    return float(text)
-
-
 def positive_int(text: str) -> int:
     """argparse type of an integer > 0, such as "100"."""
     if not int(text) > 0:
@@ -335,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reconstruct", help="round-trip operator reconstruction")
     sp.add_argument("--operator", required=True, help="operator JSON file")
-    sp.add_argument("--oversample", type=positive_number, default=1.5)
-    sp.add_argument("--holdout", type=unit_fraction, default=0.2)
     common(sp)
     sp.set_defaults(func=cmd_reconstruct)
 

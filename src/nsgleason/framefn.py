@@ -117,9 +117,6 @@ class SignallingFamily(_Evaluated):
         return np.abs(v[:, 0]) ** 2 * b
 
 
-FrameFunction = OperatorInduced | Tabulated | SignallingFamily
-
-
 @dataclass(frozen=True)
 class WeightReport:
     sums: tuple

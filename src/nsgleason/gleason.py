@@ -3,30 +3,31 @@
 A non-negative frame function with constant weight over all product bases of
 a two-site space (local dims >= 3) is induced by a unique self-adjoint
 operator t via f(v) = <v|t|v>.  This module inverts that correspondence
-numerically: it draws random product states, solves for t by least squares
-on rows that must span operator space, and classifies the
-recovered operator (density matrix / product-positive only / indefinite on
-products).  An effect-based path covers qubit sites, where rank-1 projective
-sampling is not informationally complete enough under the theorem's
-hypothesis.
+numerically: it draws d + 1 orthonormal bases per site, solves for t on every
+product of one basis vector per site (one small pseudo-inverse per site), and
+classifies the recovered operator (density matrix / product-positive only /
+indefinite on products).  An effect-based path covers qubit sites, where
+rank-1 projective sampling is not informationally complete enough under the
+theorem's hypothesis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import tolerances as tol
-from .bases import ProductState, site_stacks
+from .bases import ProductState
 from .linalg import (
     HermitianOperator,
     ValidationError,
     complex_to_json,
     make_rng,
     min_eigenvalue,
+    random_onbs,
     random_units,
     tensor_rows,
 )
@@ -38,26 +39,19 @@ _S = 1.0 / np.sqrt(2.0)
 
 @lru_cache(maxsize=8)
 def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal (Hilbert-Schmidt) basis of d x d Hermitian matrices.
-
-    Ordering: diagonal E_ii, then for i < j the symmetric and antisymmetric
-    combinations.  Shape (d*d, d, d).
-    """
-    out = np.zeros((d * d, d, d), dtype=complex)
-    k = 0
-    for i in range(d):
-        out[k, i, i] = 1.0
-        k += 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            out[k, i, j] = _S
-            out[k, j, i] = _S
-            k += 1
-            out[k, i, j] = 1j * _S
-            out[k, j, i] = -1j * _S
-            k += 1
+    """Orthonormal (Hilbert-Schmidt) basis of d x d Hermitian matrices, shape (d*d, d, d):
+    E_ii, then for i < j the symmetric and antisymmetric combinations (vec_to_herm of e_k)."""
+    out = np.array([vec_to_herm(e) for e in np.eye(d * d)])
     out.flags.writeable = False  # shared by every caller through the cache
     return out
+
+
+@lru_cache(maxsize=32)
+def _upper_pairs(d: int) -> tuple:
+    """np.triu_indices(d, 1), read-only: shared by every caller through the cache."""
+    pairs = np.triu_indices(d, 1)
+    pairs[0].flags.writeable = pairs[1].flags.writeable = False
+    return pairs
 
 
 def _coordinates(diag, sym, anti) -> np.ndarray:
@@ -80,7 +74,7 @@ def feature_of(op: np.ndarray) -> np.ndarray:
     A stack of operators of shape (..., D, D) gives a stack of rows.
     """
     op = np.asarray(op)
-    iu, ju = np.triu_indices(op.shape[-1], 1)
+    iu, ju = _upper_pairs(op.shape[-1])
     upper, lower = op[..., iu, ju], op[..., ju, iu]
     diag = np.diagonal(op, axis1=-2, axis2=-1)
     return _coordinates(diag, (upper + lower).real, (upper - lower).imag)
@@ -95,7 +89,7 @@ def projector_features(stacks) -> np.ndarray:
     its conjugate.
     """
     psi = tensor_rows(stacks)
-    iu, ju = np.triu_indices(psi.shape[-1], 1)
+    iu, ju = _upper_pairs(psi.shape[-1])
     upper = psi[..., iu] * psi[..., ju].conj()
     return _coordinates(psi * psi.conj(), 2.0 * upper.real, 2.0 * upper.imag)
 
@@ -103,7 +97,7 @@ def projector_features(stacks) -> np.ndarray:
 def vec_to_herm(x: np.ndarray) -> np.ndarray:
     """Hermitian matrix with coordinates x in hermitian_basis (inverse of feature_of)."""
     d = int(round(np.sqrt(len(x))))
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = _upper_pairs(d)
     sym, anti = _S * x[d::2], _S * x[d + 1::2]
     out = np.diag(x[:d]).astype(complex)
     out[iu, ju] = sym + 1j * anti
@@ -119,21 +113,30 @@ class Classification(str, Enum):
 
 @dataclass(frozen=True)
 class SpanningDesign:
-    """Random product states for a reconstruction; :func:`fit` decides whether
-    the rows it solves span operator space."""
+    """Orthonormal bases per site, their vectors the rows of ``local[s]`` (read-only
+    copies), and ``states``: every product of one local state per site, site 0
+    major.  d_s + 1 generic bases span the d_s^2 operators of a site with d_s rows
+    to spare, as each sums to the identity; the spare rows test no-signalling."""
 
     dims: tuple
-    states: tuple
+    local: tuple
+    states: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        local = tuple(np.array(f, dtype=complex) for f in self.local)
+        for f in local:
+            f.setflags(write=False)
+        grid = np.indices([len(f) for f in local]).reshape(len(local), -1)
+        object.__setattr__(self, "local", local)
+        object.__setattr__(self, "states", ProductState.batch([f[k] for f, k in zip(local, grid)]))
 
 
-def spanning_design(dims, oversample: float = 1.5, seed: int = 0) -> SpanningDesign:
-    """ceil(oversample * D^2) random product states, in one stacked draw (the
-    same states as random_unit draws).  ``oversample`` must be finite and > 0."""
-    if not 0.0 < oversample < np.inf:  # written so that NaN fails
-        raise ValidationError(f"oversample {oversample!r} is not a finite number > 0")
-    dims = tuple(int(d) for d in dims)
-    count = int(np.ceil(oversample * int(np.prod(dims)) ** 2))
-    return SpanningDesign(dims, ProductState.batch(random_units(make_rng(seed), dims, count)))
+def spanning_design(dims, seed: int = 0) -> SpanningDesign:
+    """d_s + 1 Haar-random orthonormal bases per site, drawn site by site from one
+    generator: the bases of d_s + 1 random_onb draws at each site in turn."""
+    rng, dims = make_rng(seed), tuple(int(d) for d in dims)
+    return SpanningDesign(dims, tuple(random_onbs(rng, (d,), d + 1)[0].swapaxes(1, 2).reshape(-1, d)
+                                      for d in dims))
 
 
 @dataclass(frozen=True)
@@ -146,13 +149,13 @@ class Witness:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """A recovered operator, its residual on ``held_out`` rows (0: in sample)
-    and its classification, with the evidence classify_product_positivity
-    gave: the orientation ``certificate`` or the see-saw ``witness``."""
+    """A recovered operator, its in-sample residual, the feature ``ranks`` of the rows it
+    solved (one per site for a product design) and its classification, with the evidence
+    classify_product_positivity gave: the orientation ``certificate`` or see-saw ``witness``."""
 
     t: HermitianOperator
     residual: float
-    held_out: int
+    ranks: tuple
     classification: Classification
     witness: Witness | None = None
     certificate: OrientationClass | None = None
@@ -243,46 +246,60 @@ def classify_product_positivity(t: HermitianOperator, seed: int = 0) -> tuple:
     return Classification.INDEFINITE_ON_PRODUCTS, wit
 
 
-def fit(rows, values, dims, n_fit=None, seed: int = 0) -> Reconstruction:
-    """Least-squares t with tr(t E_k) = values[k], ``rows[k]`` the feature row of
-    E_k, classified by classify_product_positivity.
-
-    The leading ``n_fit`` rows (default all) feed the solve; unless D^2 of their
-    singular values exceed ``tolerances.FEATURE_RANK``, ValidationError is raised.
-    The residual is the max absolute deviation on the ``held_out`` rest, in sample if none.
-    """
-    n_fit = len(rows) if n_fit is None else n_fit
-    x, _, _, sv = np.linalg.lstsq(rows[:n_fit], values[:n_fit], rcond=None)
-    rank, n_feat = int(np.count_nonzero(sv > tol.FEATURE_RANK)), int(np.prod(dims)) ** 2
-    if rank < n_feat:
-        raise ValidationError(f"{n_fit} fit rows have feature rank {rank} < {n_feat}")
-    t = HermitianOperator(dims, vec_to_herm(x))
-    held_out = max(len(rows) - n_fit, 0)
-    test = slice(n_fit if held_out else 0, None)
-    residual = float(np.max(np.abs(rows[test] @ x - values[test])))
+def _classified(t: HermitianOperator, residual: float, ranks: tuple, seed: int) -> Reconstruction:
     cls, evidence = classify_product_positivity(t, seed=seed)
     kind = "witness" if isinstance(evidence, Witness) else "certificate"
-    return Reconstruction(t, residual, held_out, cls, **{kind: evidence})
+    return Reconstruction(t, residual, ranks, cls, **{kind: evidence})
 
 
-def reconstruct_pvm(f, design: SpanningDesign, holdout: float = 0.2,
-                    seed: int = 0) -> Reconstruction:
-    """Recover the operator behind a frame function: :func:`fit` on the design.
+def fit(rows, values, dims, seed: int = 0) -> Reconstruction:
+    """Least-squares t with tr(t E_k) = values[k], ``rows[k]`` the feature row of E_k,
+    classified by classify_product_positivity, with its in-sample residual.  Unless D^2
+    singular values of the rows exceed ``tolerances.FEATURE_RANK``, ValidationError is raised."""
+    x, _, _, sv = np.linalg.lstsq(rows, values, rcond=None)
+    rank, n_feat = int(np.count_nonzero(sv > tol.FEATURE_RANK)), int(np.prod(dims)) ** 2
+    if rank < n_feat:
+        raise ValidationError(f"{len(rows)} fit rows have feature rank {rank} < {n_feat}")
+    residual = float(np.max(np.abs(rows @ x - values)))
+    return _classified(HermitianOperator(dims, vec_to_herm(x)), residual, (rank,), seed)
 
-    The leading (1 - holdout) fraction of the states feeds the solve, the
-    rest measures the residual (``held_out`` of them; in sample if none);
-    fitted states that do not span operator space raise ValidationError.  Local dims
-    must be at least 3; use :func:`reconstruct_povm` for qubit sites.
+
+def _along_axes(x: np.ndarray, mats) -> np.ndarray:
+    """n-mode products: axis s of x contracted with the leading axis of mats[s], whose other
+    axes take its place (each step contracts the leading axis and appends the new ones)."""
+    return reduce(lambda y, m: np.tensordot(y, m, axes=(0, 0)), mats, x)
+
+
+def reconstruct_pvm(f, design: SpanningDesign, seed: int = 0) -> Reconstruction:
+    """Recover the operator behind a frame function from its values on the design.
+
+    The grid's feature rows are the Kronecker product of the site rows A_s =
+    projector_features([design.local[s]]), so least squares applies each A_s's
+    pseudo-inverse along axis s of the values.  A site with fewer than d_s^2
+    singular values above ``tolerances.FEATURE_RANK`` raises ValidationError.
+    The residual is in sample: 0 exactly when, for each site and each choice of
+    states at the other sites, the values summed over each of the site's bases
+    agree.  Local dims must be at least 3; use :func:`reconstruct_povm` for qubits.
     """
-    if not 0.0 <= holdout <= 1.0:
-        raise ValidationError(f"holdout {holdout!r} is not in [0, 1]")
     if min(design.dims) < 3:
         raise ValidationError(
-            "projective reconstruction requires local dims >= 3; use the effect path"
-        )
-    vals = np.array([f(s) for s in design.states])
-    n_fit = len(vals) - int(round(holdout * len(vals)))
-    return fit(projector_features(site_stacks(design.states)), vals, design.dims, n_fit, seed=seed)
+            "projective reconstruction requires local dims >= 3; use the effect path")
+    vals = np.array([f(s) for s in design.states]).reshape([len(a) for a in design.local])
+    rows, pinvs, ranks = [], [], []
+    for site, (d, local) in enumerate(zip(design.dims, design.local)):
+        a = projector_features([local])
+        u, sv, vh = np.linalg.svd(a, full_matrices=False)
+        ranks.append(int(np.count_nonzero(sv > tol.FEATURE_RANK)))
+        if ranks[-1] < d * d:
+            raise ValidationError(
+                f"site {site}: {len(local)} local states have feature rank {ranks[-1]} < {d * d}")
+        rows.append(a.T)
+        pinvs.append(u / sv @ vh)  # the transposed pseudo-inverse of a, from its SVD
+    x = _along_axes(vals, pinvs)  # coordinates in the products of hermitian_basis elements
+    residual = float(np.max(np.abs(_along_axes(x, rows) - vals)))
+    t = _along_axes(x, [hermitian_basis(d) for d in design.dims])  # axes (i0, j0, i1, j1, ...)
+    t = t.transpose([*range(0, t.ndim, 2), *range(1, t.ndim, 2)]).reshape(np.prod(t.shape[::2]), -1)
+    return _classified(HermitianOperator(design.dims, t), residual, tuple(ranks), seed)
 
 
 def _effect_rows(effects) -> np.ndarray:

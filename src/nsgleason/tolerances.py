@@ -46,7 +46,7 @@ DECOMPOSITION_STEPS = 3000  # budget of the decomposition search, which stops on
 
 # CLI verdicts with no library check behind them (cli).
 ROUND_TRIP = 1e-8  # max Frobenius distance of a reconstruction from its source operator
-HOLDOUT_RESIDUAL = 1e-6  # max hold-out residual of a reconstruction
+HOLDOUT_RESIDUAL = 1e-6  # max in-sample residual of a reconstruction on its product grid
 TSIRELSON_SLACK = 1e-8  # how far a CHSH value may exceed 2 sqrt(2)
 LP_MONOTONE = 1e-9  # how far a max_chsh_lp bound may exceed the one before it
 LP_CHSH_BOUND = 3.2  # the final max_chsh_lp bound must fall below this (2 sqrt(2) < it < 4)

@@ -175,51 +175,59 @@ def test_reconstruct_report_cites_seesaw_minimum(tmp_path, capsys):
     assert rep["evidence"]["seesaw_min"] < -tolerances.PRODUCT_POSITIVE
 
 
-@pytest.mark.parametrize("flags, fitted", [(["--oversample", "1.0"], 65),
-                                           (["--holdout", "0.5"], 61), (["--holdout", "1"], 0),
-                                           (["--oversample", "0.5"], 33)])
-def test_reconstruct_exits_2_when_fit_rows_do_not_span(rho_file, capsys, flags, fitted):
-    # (3, 3) operators have 81 coordinates; 65 of 81 states, 61 of 122, none, or 33 of
-    # ceil(0.5 * 81) = 41 are fitted.
-    code = main(["reconstruct", "--operator", rho_file] + flags)
-    out, err = capsys.readouterr()
-    assert code == 2 and not out
-    assert json.loads(err)["error"] == f"{fitted} fit rows have feature rank {fitted} < 81"
-
-
 @pytest.mark.parametrize("holdout, message", [("-0.5", "not a number in [0, 1]"),
                                               ("1.5", "not a number in [0, 1]"),
                                               ("nan", "not a number in [0, 1]"),
                                               ("x", "invalid unit_fraction value")])
 def test_reconstruct_holdout_outside_unit_interval_is_usage_error(rho_file, capsys, holdout, message):
+    # The residual is always in sample on the grid: the parser refuses --holdout itself,
+    # whatever its value, and no range check of the flag is left to run.
     code = main(["reconstruct", "--operator", rho_file, "--holdout", holdout])
     out, err = capsys.readouterr()
     assert code == 2 and not out
-    assert message in err
+    assert f"unrecognized arguments: --holdout {holdout}" in err and message not in err
 
 
 @pytest.mark.parametrize("oversample", ["-1", "0", "nan", "inf", "x"])
 def test_reconstruct_oversample_outside_range_is_usage_error(rho_file, capsys, oversample):
+    # The product-basis grid is the smallest design that spans: --oversample is refused
+    # by the parser, whatever its value.
     code = main(["reconstruct", "--operator", rho_file, "--oversample", oversample])
     out, err = capsys.readouterr()
     assert code == 2 and not out
-    # Rejected by the parser, with a usage message, before the library's own check runs.
-    assert "argument --oversample: " + ("invalid positive_number value" if oversample == "x"
-                                        else "not a finite number > 0") in err
+    assert f"unrecognized arguments: --oversample {oversample}" in err
+    assert "not a finite number > 0" not in err
 
 
 def test_reconstruct_holdout_0_reports_the_in_sample_residual(rho_file, capsys):
-    code, rep = run(["reconstruct", "--operator", rho_file, "--holdout", "0"], capsys)
+    # No rows are held out: the holdout_residual verdict reads the grid's in-sample residual.
+    code, rep = run(["reconstruct", "--operator", rho_file], capsys)
     assert code == 0
+    assert rep["design"] == {"bases_per_site": [4, 4], "states": 144, "feature_rank": [9, 9]}
     verdict = rep["verdicts"]["holdout_residual"]
-    assert verdict["note"] == "in sample: no rows were held out"
+    assert verdict["note"].startswith("in sample: the product-basis grid's residual")
     with open(rho_file) as fh:
         t = HermitianOperator.from_json(json.load(fh))
     design = spanning_design(t.dims, seed=0)
-    rec = reconstruct_pvm(sample_from_operator(t, design.states), design, holdout=0.0)
-    assert verdict["value"] == rec.residual > 0.0
-    _, rep = run(["reconstruct", "--operator", rho_file], capsys)
-    assert rep["verdicts"]["holdout_residual"]["note"] == ""
+    rec = reconstruct_pvm(sample_from_operator(t, design.states), design)
+    assert verdict["value"] == rec.residual <= tolerances.HOLDOUT_RESIDUAL
+
+
+@pytest.mark.parametrize("dims, states", [((3, 5), 360), ((3, 3, 3), 1728)])
+def test_reconstruct_other_dims(tmp_path, capsys, dims, states):
+    path = operator_file(tmp_path, random_density(make_rng(5), dims))
+    code, rep = run(["reconstruct", "--operator", path], capsys)
+    assert code == 0 and rep["classification"] == "DENSITY_MATRIX"
+    assert rep["design"] == {"bases_per_site": [d + 1 for d in dims], "states": states,
+                             "feature_rank": [d * d for d in dims]}
+
+
+def test_reconstruct_qubit_operator_is_an_input_error(tmp_path, capsys):
+    code = main(["reconstruct", "--operator",
+                 operator_file(tmp_path, random_density(make_rng(6), (2, 3)))])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert "requires local dims >= 3" in json.loads(err)["error"]
 
 
 def test_classify_singlet(singlet_file, capsys):

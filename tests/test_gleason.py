@@ -11,6 +11,7 @@ from nsgleason.bases import ProductState, site_stacks
 from nsgleason.framefn import make_signalling_example, sample_from_operator
 from nsgleason.gleason import (
     Classification,
+    SpanningDesign,
     Witness,
     classify_product_positivity,
     fit,
@@ -25,6 +26,7 @@ from nsgleason.gleason import (
     feature_of,
     vec_to_herm,
     _lowest_eigenpairs,
+    _upper_pairs,
 )
 from nsgleason.linalg import (
     HermitianOperator,
@@ -36,11 +38,12 @@ from nsgleason.linalg import (
     proj,
     random_density,
     random_hermitian,
+    random_onb,
     random_unit,
     tensor_rows,
 )
 from nsgleason.orientation import Orientation, OrientationClass, classify_orientation
-from nsgleason.tolerances import FEATURE_RANK, PRODUCT_POSITIVE, PSD, UNIT_TRACE
+from nsgleason.tolerances import FEATURE_RANK, PRODUCT_POSITIVE, PSD, ROUND_TRIP, UNIT_TRACE
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float
@@ -73,16 +76,25 @@ def test_spanning_design_ranks():
 
 
 def test_spanning_design_oversample_count():
-    d = spanning_design((3, 3), oversample=1.5, seed=0)
-    assert len(d.states) == 122  # ceil(1.5 * 81)
-    # One draw, also below one state per coordinate: fit decides whether they span.
-    assert len(spanning_design((3, 3), oversample=0.5, seed=0).states) == 41
+    # The grid oversamples the D^2 coordinates by prod (d + 1) / d, fixed by the dims
+    # alone: 144 states for 81 at (3, 3), 900 for 625 at (5, 5).
+    for dims in [(3, 3), (4, 4), (5, 5), (3, 4)]:
+        ratio = np.prod([(d + 1) / d for d in dims])
+        for seed in (0, 1):
+            n = len(spanning_design(dims, seed=seed).states)
+            assert n == round(ratio * int(np.prod(dims)) ** 2)
 
 
-@pytest.mark.parametrize("oversample", [0.0, -1.0, np.nan, np.inf])
-def test_spanning_design_rejects_oversample_outside_range(oversample):
-    with pytest.raises(ValidationError, match="is not a finite number > 0"):
-        spanning_design((3, 3), oversample=oversample)
+@pytest.mark.parametrize("dims, count", [((3, 3), 144), ((3, 4), 240), ((5, 5), 900),
+                                         ((3, 3, 3), 1728)])
+def test_spanning_design_is_a_grid_of_local_bases(dims, count):
+    design = spanning_design(dims, seed=0)
+    assert len(design.states) == count  # prod of d (d + 1)
+    for d, local in zip(dims, design.local):
+        assert local.shape == (d * (d + 1), d) and not local.flags.writeable
+        bases = local.reshape(d + 1, d, d)  # basis k holds rows k d ... k d + d - 1
+        np.testing.assert_allclose(bases @ bases.conj().swapaxes(1, 2),
+                                   np.broadcast_to(np.eye(d), bases.shape), atol=1e-12)
 
 
 def test_reconstruct_round_trip_density():
@@ -153,19 +165,32 @@ def test_reconstruct_rejects_qubit_sites():
         reconstruct_pvm(sample_from_operator(rho, design.states), design)
 
 
-@pytest.mark.parametrize("holdout, held_out", [(0.2, 24), (0.0, 0)])
-def test_reconstruct_records_its_held_out_rows(holdout, held_out):
-    design = spanning_design((3, 3), seed=9)  # 122 states; round(0.2 * 122) = 24
-    f = sample_from_operator(random_density(make_rng(9), (3, 3)), design.states)
-    assert reconstruct_pvm(f, design, holdout=holdout).held_out == held_out
-
-
-@pytest.mark.parametrize("holdout", [-0.5, 1.5])
-def test_reconstruct_rejects_holdout_outside_unit_interval(holdout):
+def test_reconstruct_names_the_site_whose_bases_do_not_span():
+    # Site 1 repeats its first basis: 3 + 1 bases of which 3 differ span 7 < 9 operators.
     design = spanning_design((3, 3), seed=9)
-    f = sample_from_operator(random_density(make_rng(9), (3, 3)), design.states)
-    with pytest.raises(ValidationError, match=r"holdout .* is not in \[0, 1\]"):
-        reconstruct_pvm(f, design, holdout=holdout)
+    site1 = design.local[1].reshape(4, 3, 3)
+    repeated = SpanningDesign((3, 3), (design.local[0], np.concatenate([site1[0], *site1[:3]])))
+    f = sample_from_operator(random_density(make_rng(9), (3, 3)), repeated.states)
+    with pytest.raises(ValidationError, match=r"^site 1: 12 local states have feature rank 7 < 9$"):
+        reconstruct_pvm(f, repeated)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (4, 4), (3, 5)])
+def test_operator_induced_values_have_no_grid_residual(dims):
+    design = spanning_design(dims, seed=11)
+    rec = reconstruct_pvm(sample_from_operator(random_hermitian(make_rng(11), dims), design.states),
+                          design)
+    assert rec.residual <= 1e-12
+    assert rec.ranks == tuple(d * d for d in dims)
+
+
+def test_three_site_round_trip():
+    rho = random_density(make_rng(12), (3, 3, 3))
+    design = spanning_design((3, 3, 3), seed=12)
+    rec = reconstruct_pvm(sample_from_operator(rho, design.states), design)
+    assert np.linalg.norm(rec.t.mat - rho.mat) <= ROUND_TRIP
+    assert rec.residual <= 1e-12 and rec.ranks == (9, 9, 9)
+    assert rec.classification is Classification.DENSITY_MATRIX
 
 
 def test_reconstructed_weight1_has_unit_trace():
@@ -411,10 +436,12 @@ def test_seesaw_matches_sequentially_drawn_starts_bytewise(seed, dims, iters):
 
 
 def looped_spanning_design(dims, seed):
-    """Draw-by-draw design of ceil(1.5 * D^2) states, with per-row dense features."""
+    """Draw-by-draw design: d + 1 random_onb draws a site, site by site, and every
+    product of one basis vector per site, site 0 major; with per-row dense features."""
     rng = make_rng(seed)
-    states = [ProductState(tuple(random_unit(rng, d) for d in dims))
-              for _ in range(int(np.ceil(1.5 * int(np.prod(dims)) ** 2)))]
+    local = [[b[:, i] for b in [random_onb(rng, d) for _ in range(d + 1)] for i in range(d)]
+             for d in dims]
+    states = [ProductState(factors) for factors in itertools.product(*local)]
     return states, np.array([einsum_features(proj(s.full())) for s in states])
 
 
@@ -427,29 +454,101 @@ def test_spanning_design_matches_draw_by_draw_loop(dims, seed):
     assert np.linalg.matrix_rank(rows, tol=1e-10) == int(np.prod(dims)) ** 2
 
 
+@given(seeds, st.sampled_from([(3, 3), (3, 4), (4, 3)]),
+       st.sampled_from(["density", "hermitian", "signalling"]))
+@settings(max_examples=30, deadline=None)
+def test_grid_solve_matches_lstsq_on_the_grid_rows(seed, dims, kind):
+    # The per-site pseudo-inverses against one least-squares solve on every product row.
+    rng = make_rng(seed)
+    design = spanning_design(dims, seed=seed)
+    if kind == "signalling":
+        f = make_signalling_example(dims, rng.uniform(0.1, 3.0))
+    else:
+        t = random_density(rng, dims) if kind == "density" else random_hermitian(rng, dims)
+        f = sample_from_operator(t, design.states)
+    rows = projector_features(site_stacks(design.states))
+    vals = np.array([f(s) for s in design.states])
+    x = np.linalg.lstsq(rows, vals, rcond=None)[0]
+    rec = reconstruct_pvm(f, design, seed=seed)
+    assert abs(rec.residual - np.max(np.abs(rows @ x - vals))) <= 1e-12
+    if kind == "signalling":
+        # No operator fits, and lstsq's own error in t then grows with the squared
+        # condition of the rows: check the normal equations at the grid's t instead.
+        assert np.max(np.abs(rows.T @ (rows @ feature_of(rec.t.mat) - vals))) <= 1e-10
+    else:
+        assert np.max(np.abs(rec.t.mat - vec_to_herm(x))) <= 1e-10
+
+
+def uncached_features(op):
+    """feature_of with the upper-triangle pairs built on each call."""
+    iu, ju = np.triu_indices(op.shape[-1], 1)
+    upper, lower = op[..., iu, ju], op[..., ju, iu]
+    s = 1 / np.sqrt(2)
+    d = op.shape[-1]
+    out = np.empty(op.shape[:-2] + (d * d,))
+    out[..., :d] = np.diagonal(op, axis1=-2, axis2=-1).real
+    out[..., d::2], out[..., d + 1::2] = s * (upper + lower).real, s * (upper - lower).imag
+    return out
+
+
+def uncached_projector_features(stacks):
+    psi = tensor_rows(stacks)
+    iu, ju = np.triu_indices(psi.shape[-1], 1)
+    upper = psi[..., iu] * psi[..., ju].conj()
+    s, d = 1 / np.sqrt(2), psi.shape[-1]
+    out = np.empty(psi.shape[:-1] + (d * d,))
+    out[..., :d] = (psi * psi.conj()).real
+    out[..., d::2], out[..., d + 1::2] = s * (2.0 * upper.real), s * (2.0 * upper.imag)
+    return out
+
+
+def uncached_vec_to_herm(x):
+    d = int(round(np.sqrt(len(x))))
+    iu, ju = np.triu_indices(d, 1)
+    s = 1 / np.sqrt(2)
+    sym, anti = s * x[d::2], s * x[d + 1::2]
+    out = np.diag(x[:d]).astype(complex)
+    out[iu, ju] = sym + 1j * anti
+    out[ju, iu] = sym - 1j * anti
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4)])  # D = 4, 9 and 16
+def test_cached_pair_indices_leave_features_bit_identical(dims):
+    rng = make_rng(17)
+    d = int(np.prod(dims))
+    ops = np.array([random_matrix(rng, d, hermitian) for hermitian in (True, False, True)])
+    assert feature_of(ops).tobytes() == uncached_features(ops).tobytes()
+    stacks = [np.array([random_unit(rng, k) for _ in range(5)]) for k in dims]
+    assert projector_features(stacks).tobytes() == uncached_projector_features(stacks).tobytes()
+    x = rng.standard_normal(d * d)
+    assert vec_to_herm(x).tobytes() == uncached_vec_to_herm(x).tobytes()
+    assert not any(a.flags.writeable for a in _upper_pairs(d))  # shared through the cache
+
+
 @given(seeds, st.sampled_from([(2, 2), (2, 3), (3, 3)]), st.booleans(),
-       st.sampled_from([None, 1.5, 0.8]))
+       st.sampled_from([2.0, 1.5, 0.8]))
 @settings(max_examples=40, deadline=None)
-def test_fit_matches_lstsq_and_matrix_rank(seed, dims, deficient, fit_share):
-    # 2 D^2 random rows; a deficient set reads its first coordinate twice, and
-    # a fit share of 0.8 D^2 rows is too few to span.
+def test_fit_matches_lstsq_and_matrix_rank(seed, dims, deficient, row_share):
+    # row_share * D^2 random rows; a deficient set reads its first coordinate
+    # twice, and 0.8 D^2 rows are too few to span.
     rng = make_rng(seed)
     n_feat = int(np.prod(dims)) ** 2
-    rows = rng.standard_normal((2 * n_feat, n_feat))
+    n_rows = int(row_share * n_feat)
+    rows = rng.standard_normal((n_rows, n_feat))
     if deficient:
         rows[:, -1] = rows[:, 0]
-    values = rows @ rng.standard_normal(n_feat) + 1e-3 * rng.standard_normal(2 * n_feat)
-    n_fit = None if fit_share is None else int(fit_share * n_feat)
-    x = np.linalg.lstsq(rows[:n_fit], values[:n_fit], rcond=None)[0]
-    if np.linalg.matrix_rank(rows[:n_fit], tol=FEATURE_RANK) < n_feat:
-        assert deficient or fit_share == 0.8
+    values = rows @ rng.standard_normal(n_feat) + 1e-3 * rng.standard_normal(n_rows)
+    x = np.linalg.lstsq(rows, values, rcond=None)[0]
+    if np.linalg.matrix_rank(rows, tol=FEATURE_RANK) < n_feat:
+        assert deficient or row_share == 0.8
         with pytest.raises(ValidationError, match="feature rank"):
-            fit(rows, values, dims, n_fit)
+            fit(rows, values, dims)
         return
-    rec = fit(rows, values, dims, n_fit, seed=seed)
+    rec = fit(rows, values, dims, seed=seed)
     assert rec.t.mat.tobytes() == HermitianOperator(dims, vec_to_herm(x)).mat.tobytes()
-    test = slice(None) if n_fit is None else slice(n_fit, None)  # in sample without a holdout
-    assert rec.residual == np.max(np.abs(rows[test] @ x - values[test]))
+    assert rec.residual == np.max(np.abs(rows @ x - values))
+    assert rec.ranks == (n_feat,)
     cls, evidence = classify_product_positivity(rec.t, seed=seed)
     assert rec.classification is cls
     if isinstance(evidence, Witness):
