@@ -20,8 +20,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .bases import ProductBasis, ProductState, site_stacks
-from .gleason import feature_of, projector_features
-from .linalg import HermitianOperator, ValidationError, check_unit_rows
+from .linalg import HermitianOperator, ValidationError, check_unit_rows, tensor_rows
 
 
 class LookupError_(KeyError):
@@ -63,7 +62,8 @@ class OperatorInduced(_Evaluated):
         return self.t.dims
 
     def _values(self, sites) -> np.ndarray:
-        vals = projector_features(sites) @ feature_of(self.t.mat)
+        psi = tensor_rows(sites)
+        vals = np.einsum("ni,ni->n", psi.conj(), psi @ self.t.mat.T).real
         if self.nonnegative and vals.min(initial=0.0) < -tol.NONNEGATIVE_EVAL:
             raise ValidationError(f"declared non-negative but f = {vals.min():.3e}")
         return vals
@@ -75,7 +75,13 @@ class Tabulated(_Evaluated):
 
     dims: tuple
     table: dict  # ProductState.key() -> float
-    __call__ = _Evaluated.__call__
+
+    def __call__(self, s: ProductState) -> float:
+        self._check_dims(s.dims)
+        try:
+            return float(self.table[s.key()])
+        except KeyError:
+            raise LookupError_("state not in tabulated design") from None
 
     def _values(self, sites) -> np.ndarray:
         # A row of the sites laid side by side holds ProductState.key()'s bytes.

@@ -8,6 +8,9 @@ must have remote-basis-independent marginal sums.  The quantum-extension
 test asks whether a box with projective realizations can be reproduced by a
 unit-trace Hermitian operator that is nonnegative on (sampled) product
 states; for the PR box the answer is no, with a robust residual floor.
+
+scipy is imported by :func:`linprog` on the first LP solve, not with this
+module, so the LP-free parts of the package load without it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import tolerances as tol
 from .gleason import (
@@ -42,6 +44,13 @@ from .linalg import (
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    from scipy import optimize
+
+    return optimize.linprog(*args, **kwargs)
 
 
 class SolverError(ValidationError):

@@ -1,8 +1,11 @@
 """End-to-end CLI tests: exit codes, JSON reports, reproducibility."""
 
 import json
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -572,6 +575,52 @@ def test_prbox_later_lp_solver_error_is_strict_json(monkeypatch, capsys, fail_at
     assert lp["exact_bound"] == pytest.approx(2 * np.sqrt(2), abs=1e-12)
     final = rep["verdicts"]["lp_final_bound"]
     assert not final["pass"] and "HiGHS status 4" in final["note"]
+
+
+# Runs each argv through cli.main in one fresh interpreter and prints, as JSON, the exit
+# codes, whether scipy was loaded after the import and after each run, and the last report.
+COLD_START = """
+import contextlib, io, json, sys
+import nsgleason, nsgleason.cli
+
+def scipy_loaded():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+runs = json.loads(sys.argv[1])
+out = {"after_import": scipy_loaded(), "codes": [], "scipy": []}
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        out["codes"].append(nsgleason.cli.main(argv))
+    out["scipy"].append(scipy_loaded())
+out["report"] = json.loads(buf.getvalue())
+print(json.dumps(out))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_an_lp(rho_file, singlet_file, tmp_path, capsys):
+    box_file = tmp_path / "box.json"
+    box_file.write_text(json.dumps(pr_box().to_json()))
+    lp_free = [["classify", "--t", singlet_file],
+               ["reconstruct", "--operator", rho_file],
+               ["section", "--t", rho_file, "--contexts", "3"],
+               ["check", "--box", str(box_file)],
+               ["check", "--trials", "5"],
+               ["chsh", "--singlet"],
+               ["twist", "--fig1"],
+               ["keller", "search", "--n", "2", "--size", "4", "--graph", "g", "--exhaustive"],
+               ["prbox", "--samples", "500"]]
+    prbox = ["prbox", "--samples", "500", "--schedule", "500,1000", "--seed", "1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(lp_free + [prbox])],
+                          env=env, capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout)
+    # check --trials 5 finds the default signalling family's violation: exit 1.
+    assert got["codes"] == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert not got["after_import"] and got["scipy"] == [False] * len(lp_free) + [True]
+    # The LP solved after a cold start reports what it reports with scipy already loaded.
+    code, rep = run(prbox, capsys)
+    assert code == 0 and got["report"]["max_chsh_lp"] == rep["max_chsh_lp"]
+    assert len(rep["max_chsh_lp"]["bounds"]) == 2
 
 
 def test_usage_error_exit_2(capsys):
