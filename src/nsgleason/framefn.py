@@ -20,7 +20,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .bases import ProductBasis, ProductState, site_stacks
-from .linalg import HermitianOperator, ValidationError, check_unit_rows, tensor_rows
+from .gleason import feature_of, projector_features
+from .linalg import HermitianOperator, ValidationError, check_unit_rows
 
 
 class LookupError_(KeyError):
@@ -62,8 +63,7 @@ class OperatorInduced(_Evaluated):
         return self.t.dims
 
     def _values(self, sites) -> np.ndarray:
-        psi = tensor_rows(sites)
-        vals = np.einsum("ni,ni->n", psi.conj(), psi @ self.t.mat.T).real
+        vals = projector_features(sites) @ feature_of(self.t.mat)
         if self.nonnegative and vals.min(initial=0.0) < -tol.NONNEGATIVE_EVAL:
             raise ValidationError(f"declared non-negative but f = {vals.min():.3e}")
         return vals
@@ -78,15 +78,15 @@ class Tabulated(_Evaluated):
 
     def __call__(self, s: ProductState) -> float:
         self._check_dims(s.dims)
-        try:
-            return float(self.table[s.key()])
-        except KeyError:
-            raise LookupError_("state not in tabulated design") from None
+        return self._lookup(s.key())
 
     def _values(self, sites) -> np.ndarray:
         # A row of the sites laid side by side holds ProductState.key()'s bytes.
+        return np.array([self._lookup(row.tobytes()) for row in np.hstack(sites)], dtype=float)
+
+    def _lookup(self, key: bytes) -> float:
         try:
-            return np.array([self.table[row.tobytes()] for row in np.hstack(sites)], dtype=float)
+            return float(self.table[key])
         except KeyError:
             raise LookupError_("state not in tabulated design") from None
 
