@@ -5,7 +5,9 @@ no-signalling is induced by a unique self-adjoint operator.  This demo walks
 through the constructive side of that statement: sample a frame function on
 every product of d+1 orthonormal bases per site, solve the resulting linear
 system one site at a time, and confirm that the recovered operator reproduces
-the function everywhere.
+the function everywhere.  Qubit sites, where projective sampling is not enough
+under the theorem's hypothesis, are recovered the same way from a grid of
+local effects per site.
 """
 
 import numpy as np
@@ -16,7 +18,10 @@ from nsgleason import (
     make_rng,
     make_signalling_example,
     random_density,
+    random_product_effects,
+    reconstruct_povm,
     reconstruct_pvm,
+    sample_effects_from_operator,
     sample_from_operator,
     spanning_design,
 )
@@ -50,3 +55,12 @@ print(f"least-squares residual when forcing an operator fit : "
       f"{rec_bad.residual:.4f}")
 print("No operator reproduces a signalling function; the residual is the "
       "witness.")
+
+print("\n=== two qubits from a grid of product effects ===")
+qubits = random_density(rng, (2, 2))
+effects = random_product_effects(rng, (2, 2), 5)
+rec_q = reconstruct_povm(sample_effects_from_operator(qubits, effects), effects)
+print(f"{len(effects[0])} x {len(effects[1])} product effects, feature rank per site "
+      f"{rec_q.ranks} (4 needed)")
+print(f"Frobenius error    : {np.linalg.norm(rec_q.t.mat - qubits.mat):.3e}")
+print(f"classification     : {rec_q.classification.name}")

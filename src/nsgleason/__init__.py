@@ -63,8 +63,10 @@ from .gleason import (
     Reconstruction,
     SpanningDesign,
     classify_product_positivity,
+    random_product_effects,
     reconstruct_povm,
     reconstruct_pvm,
+    sample_effects_from_operator,
     spanning_design,
 )
 from .orientation import (

@@ -309,6 +309,13 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of an integer >= 0, such as a seed."""
+    if not int(text) >= 0:
+        raise argparse.ArgumentTypeError(f"not an integer >= 0: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nsgleason",
@@ -318,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=nonnegative_int, default=0)
         sp.add_argument("--out", help="write the JSON run report to this path")
 
     sp = sub.add_parser("reconstruct", help="round-trip operator reconstruction")

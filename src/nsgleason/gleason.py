@@ -8,7 +8,7 @@ product of one basis vector per site (one small pseudo-inverse per site), and
 classifies the recovered operator (density matrix / product-positive only /
 indefinite on products).  An effect-based path covers qubit sites, where
 rank-1 projective sampling is not informationally complete enough under the
-theorem's hypothesis.
+theorem's hypothesis: a grid of local effects per site, solved the same way.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class Witness:
 @dataclass(frozen=True)
 class Reconstruction:
     """A recovered operator, its in-sample residual, the feature ``ranks`` of the rows it
-    solved (one per site for a product design) and its classification, with the evidence
+    solved (one per site) and its classification, with the evidence
     classify_product_positivity gave: the orientation ``certificate`` or see-saw ``witness``."""
 
     t: HermitianOperator
@@ -246,100 +246,90 @@ def classify_product_positivity(t: HermitianOperator, seed: int = 0) -> tuple:
     return Classification.INDEFINITE_ON_PRODUCTS, wit
 
 
-def _classified(t: HermitianOperator, residual: float, ranks: tuple, seed: int) -> Reconstruction:
-    cls, evidence = classify_product_positivity(t, seed=seed)
-    kind = "witness" if isinstance(evidence, Witness) else "certificate"
-    return Reconstruction(t, residual, ranks, cls, **{kind: evidence})
-
-
-def fit(rows, values, dims, seed: int = 0) -> Reconstruction:
-    """Least-squares t with tr(t E_k) = values[k], ``rows[k]`` the feature row of E_k,
-    classified by classify_product_positivity, with its in-sample residual.  Unless D^2
-    singular values of the rows exceed ``tolerances.FEATURE_RANK``, ValidationError is raised."""
-    x, _, _, sv = np.linalg.lstsq(rows, values, rcond=None)
-    rank, n_feat = int(np.count_nonzero(sv > tol.FEATURE_RANK)), int(np.prod(dims)) ** 2
-    if rank < n_feat:
-        raise ValidationError(f"{len(rows)} fit rows have feature rank {rank} < {n_feat}")
-    residual = float(np.max(np.abs(rows @ x - values)))
-    return _classified(HermitianOperator(dims, vec_to_herm(x)), residual, (rank,), seed)
-
-
 def _along_axes(x: np.ndarray, mats) -> np.ndarray:
     """n-mode products: axis s of x contracted with the leading axis of mats[s], whose other
     axes take its place (each step contracts the leading axis and appends the new ones)."""
     return reduce(lambda y, m: np.tensordot(y, m, axes=(0, 0)), mats, x)
 
 
+def _grid_solve(values: np.ndarray, site_rows, dims, what: str, seed: int) -> Reconstruction:
+    """Least squares on the Kronecker product of site rows A_s, one pseudo-inverse per site;
+    a site of rank below d_s^2 (``tolerances.FEATURE_RANK``) raises ValidationError naming it."""
+    pinvs, ranks = [], []
+    for site, (d, a) in enumerate(zip(dims, site_rows)):
+        u, sv, vh = np.linalg.svd(a, full_matrices=False)
+        ranks.append(int(np.count_nonzero(sv > tol.FEATURE_RANK)))
+        if ranks[-1] < d * d:
+            raise ValidationError(
+                f"site {site}: {len(a)} {what} have feature rank {ranks[-1]} < {d * d}")
+        pinvs.append(u / sv @ vh)  # the transposed pseudo-inverse of a, from its SVD
+    x = _along_axes(values, pinvs)  # coordinates in the products of hermitian_basis elements
+    residual = float(np.max(np.abs(_along_axes(x, [a.T for a in site_rows]) - values)))
+    t = _along_axes(x, [hermitian_basis(d) for d in dims])  # axes (i0, j0, i1, j1, ...)
+    t = t.transpose([*range(0, t.ndim, 2), *range(1, t.ndim, 2)]).reshape(np.prod(t.shape[::2]), -1)
+    t = HermitianOperator(dims, t)
+    cls, evidence = classify_product_positivity(t, seed=seed)
+    kind = "witness" if isinstance(evidence, Witness) else "certificate"
+    return Reconstruction(t, residual, tuple(ranks), cls, **{kind: evidence})
+
+
 def reconstruct_pvm(f, design: SpanningDesign, seed: int = 0) -> Reconstruction:
     """Recover the operator behind a frame function from its values on the design.
 
-    The grid's feature rows are the Kronecker product of the site rows A_s =
-    projector_features([design.local[s]]), so least squares applies each A_s's
-    pseudo-inverse along axis s of the values.  A site with fewer than d_s^2
-    singular values above ``tolerances.FEATURE_RANK`` raises ValidationError.
-    The residual is in sample: 0 exactly when, for each site and each choice of
-    states at the other sites, the values summed over each of the site's bases
+    The grid's rows are the Kronecker product of the site rows A_s = projector_features(
+    [design.local[s]]); a site whose states do not span its d_s^2 operators raises
+    ValidationError.  The residual is in sample: 0 exactly when, for each site and each
+    choice of states at the other sites, the values summed over each of the site's bases
     agree.  Local dims must be at least 3; use :func:`reconstruct_povm` for qubits.
     """
     if min(design.dims) < 3:
         raise ValidationError(
             "projective reconstruction requires local dims >= 3; use the effect path")
     vals = np.array([f(s) for s in design.states]).reshape([len(a) for a in design.local])
-    rows, pinvs, ranks = [], [], []
-    for site, (d, local) in enumerate(zip(design.dims, design.local)):
-        a = projector_features([local])
-        u, sv, vh = np.linalg.svd(a, full_matrices=False)
-        ranks.append(int(np.count_nonzero(sv > tol.FEATURE_RANK)))
-        if ranks[-1] < d * d:
-            raise ValidationError(
-                f"site {site}: {len(local)} local states have feature rank {ranks[-1]} < {d * d}")
-        rows.append(a.T)
-        pinvs.append(u / sv @ vh)  # the transposed pseudo-inverse of a, from its SVD
-    x = _along_axes(vals, pinvs)  # coordinates in the products of hermitian_basis elements
-    residual = float(np.max(np.abs(_along_axes(x, rows) - vals)))
-    t = _along_axes(x, [hermitian_basis(d) for d in design.dims])  # axes (i0, j0, i1, j1, ...)
-    t = t.transpose([*range(0, t.ndim, 2), *range(1, t.ndim, 2)]).reshape(np.prod(t.shape[::2]), -1)
-    return _classified(HermitianOperator(design.dims, t), residual, tuple(ranks), seed)
+    rows = [projector_features([local]) for local in design.local]
+    return _grid_solve(vals, rows, design.dims, "local states", seed)
 
 
-def _effect_rows(effects) -> np.ndarray:
-    """Feature rows of the product effects of (e1, e2) pairs, one batched Kronecker product."""
-    e1, e2 = (np.asarray(site, dtype=complex) for site in zip(*effects))
-    d = e1.shape[-1] * e2.shape[-1]
-    return feature_of((e1[:, :, None, :, None] * e2[:, None, :, None, :]).reshape(-1, d, d))
+def reconstruct_povm(values, effects, seed: int = 0) -> Reconstruction:
+    """Recover an operator from its values f(e) = tr(t e) on a grid of product effects.
 
-
-def reconstruct_povm(samples, dims, seed: int = 0) -> Reconstruction:
-    """Recover an operator from values on product effects f(e) = tr(t e) by
-    :func:`fit` on all samples: the residual is in sample, and samples that do
-    not span operator space raise ValidationError.  ``samples`` is a sequence
-    of ((e1, e2), value), each local effect 0 <= e_i <= 1, any local dims >= 2.
+    ``effects[s]`` is a (k_s, d_s, d_s) stack of local effects 0 <= e <= 1 (any dims, any
+    number of sites) and ``values[k_0, k_1, ...]`` the value on the product of effect k_s at
+    each site s.  Solved as in :func:`reconstruct_pvm`, with site rows A_s = feature_of(
+    effects[s]); the residual is in sample.
     """
-    effects, vals = zip(*samples)
-    for site in zip(*effects):
-        ev = np.linalg.eigvalsh(np.asarray(site, dtype=complex))
-        if ev[:, 0].min() < -tol.EFFECT_SPECTRUM or ev[:, -1].max() > 1 + tol.EFFECT_SPECTRUM:
-            raise ValidationError("effect spectrum outside [0, 1]")
-    return fit(_effect_rows(effects), np.array(vals), dims, seed=seed)
+    effects = [np.asarray(e, dtype=complex) for e in effects]
+    for site, e in enumerate(effects):
+        if e.ndim != 3 or not len(e) or e.shape[1] != e.shape[2]:
+            raise ValidationError(f"site {site}: effects of shape {e.shape}, not (k >= 1, d, d)")
+        ev = np.linalg.eigvalsh(e)  # reads one triangle only, hence the Hermiticity test
+        if (np.abs(e - e.conj().swapaxes(1, 2)).max() > tol.HERMITICITY
+                or ev.min() < -tol.EFFECT_SPECTRUM or ev.max() > 1 + tol.EFFECT_SPECTRUM):
+            raise ValidationError(f"site {site}: not a Hermitian effect with spectrum in [0, 1]")
+    values, grid = np.asarray(values, dtype=float), tuple(len(e) for e in effects)
+    if values.shape != grid:
+        raise ValidationError(f"values of shape {values.shape} on a grid of {grid} effects")
+    dims = tuple(e.shape[-1] for e in effects)
+    return _grid_solve(values, [feature_of(e) for e in effects], dims, "local effects", seed)
 
 
 def random_product_effects(rng: np.random.Generator, dims, count: int) -> list:
-    """Random product effects e1 (x) e2 with spectra in [0, 1], drawn as per-site stacks."""
-    sq = [d * d for d in dims]
-    z = np.split(rng.standard_normal((count, 2 * sum(sq))), 2 * np.cumsum(sq)[:-1], axis=1)
+    """``count`` random local effects per site, as (count, d, d) stacks with spectra in [0, 1]."""
     sites = []
-    for d, x in zip(dims, z):
-        h = (x[:, :d * d] + 1j * x[:, d * d:]).reshape(-1, d, d)
+    for d in dims:
+        h = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
         h = 0.5 * (h + h.conj().swapaxes(1, 2))
         ev = np.linalg.eigvalsh(h)
         # Affinely squash each spectrum into [0, 1].
         spread = np.maximum(ev[:, -1] - ev[:, 0], tol.EFFECT_SPREAD_FLOOR)
         sites.append((h - ev[:, :1, None] * np.eye(d)) / spread[:, None, None])
-    return list(zip(*sites))
+    return sites
 
 
-def sample_effects_from_operator(t: HermitianOperator, effects) -> list:
-    """((e1, e2), tr(t (e1 (x) e2))) for each product effect, in one matmul."""
-    effects = list(effects)
-    values = _effect_rows(effects) @ feature_of(t.mat)
-    return [((e1, e2), float(v)) for (e1, e2), v in zip(effects, values)]
+def sample_effects_from_operator(t: HermitianOperator, effects) -> np.ndarray:
+    """The grid's value array: entry (k_0, k_1, ...) is tr(t (e_0 (x) e_1 (x) ...)), e_s =
+    effects[s][k_s], with t contracted one site at a time."""
+    # Axes (i0, j0, i1, j1, ...) flattened per site, against e_s[k, j, i] as an (i j, k) matrix.
+    pairs = t.mat.reshape(t.dims * 2).transpose(np.arange(2 * t.nsites).reshape(2, -1).T.ravel())
+    mats = [np.asarray(e).swapaxes(1, 2).reshape(len(e), -1).T for e in effects]
+    return _along_axes(pairs.reshape([d * d for d in t.dims]), mats).real

@@ -815,6 +815,17 @@ def test_counts_must_be_positive_integers(argv, rho_file, capsys):
     assert not out and f"argument {flag}: not an integer > 0" in err
 
 
+@pytest.mark.parametrize("argv", [["reconstruct", "--operator", "RHO"], ["check"],
+                                  ["chsh", "--singlet"], ["prbox"], ["twist", "--fig1"],
+                                  ["classify", "--t", "RHO"], ["section", "--t", "RHO"],
+                                  ["keller", "search"]])
+def test_seed_must_be_a_nonnegative_integer(argv, rho_file, capsys):
+    argv = [rho_file if a == "RHO" else a for a in argv]
+    assert main(argv + ["--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "argument --seed: not an integer >= 0: '-1'" in err
+
+
 def test_schedule_entries_must_be_positive_integers(capsys):
     assert main(["prbox", "--schedule", "0,500"]) == 2
     out, err = capsys.readouterr()

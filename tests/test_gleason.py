@@ -1,6 +1,7 @@
 """Tests for operator reconstruction and product-positivity classification."""
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from nsgleason.gleason import (
     SpanningDesign,
     Witness,
     classify_product_positivity,
-    fit,
     hermitian_basis,
     product_seesaw_min,
     projector_features,
@@ -205,64 +205,85 @@ def test_reconstructed_weight1_has_unit_trace():
 def test_povm_round_trip_qubits():
     rng = make_rng(10)
     rho = random_density(rng, (2, 2))
-    effects = random_product_effects(rng, (2, 2), 40)
-    rec = reconstruct_povm(sample_effects_from_operator(rho, effects), (2, 2))
+    effects = random_product_effects(rng, (2, 2), 6)
+    rec = reconstruct_povm(sample_effects_from_operator(rho, effects), effects)
     assert np.linalg.norm(rec.t.mat - rho.mat) <= 1e-8
     assert rec.classification is Classification.DENSITY_MATRIX
+    assert rec.ranks == (4, 4)
+
+
+def test_povm_round_trip_three_qubits():
+    rng = make_rng(13)
+    rho = random_density(rng, (2, 2, 2))
+    effects = random_product_effects(rng, (2, 2, 2), 5)
+    rec = reconstruct_povm(sample_effects_from_operator(rho, effects), effects)
+    assert np.linalg.norm(rec.t.mat - rho.mat) <= ROUND_TRIP
+    assert rec.classification is Classification.DENSITY_MATRIX
+    assert rec.ranks == (4, 4, 4) and rec.residual <= 1e-12
 
 
 def test_povm_constant_trace_function_gives_mixed_state():
     rng = make_rng(11)
-    effects = random_product_effects(rng, (2, 2), 40)
-    samples = [
-        ((e1, e2), np.trace(np.kron(e1, e2)).real / 4) for e1, e2 in effects
-    ]
-    rec = reconstruct_povm(samples, (2, 2))
+    e1, e2 = random_product_effects(rng, (2, 2), 6)
+    values = np.array([[np.trace(np.kron(a, b)).real / 4 for b in e2] for a in e1])
+    rec = reconstruct_povm(values, (e1, e2))
     np.testing.assert_allclose(rec.t.mat, np.eye(4) / 4, atol=1e-8)
 
 
 def test_povm_recovers_swap_half():
     rng = make_rng(12)
     t = HermitianOperator((2, 2), SWAP / 2)
-    effects = random_product_effects(rng, (2, 2), 40)
-    rec = reconstruct_povm(sample_effects_from_operator(t, effects), (2, 2))
+    effects = random_product_effects(rng, (2, 2), 6)
+    rec = reconstruct_povm(sample_effects_from_operator(t, effects), effects)
     assert np.linalg.norm(rec.t.mat - t.mat) <= 1e-8
     assert rec.classification is Classification.PRODUCT_POSITIVE_ONLY
 
 
 def test_povm_sample_values_match_trace():
     rng = make_rng(14)
-    for dims in ((2, 2), (2, 3), (3, 3)):
+    for dims in ((2, 2), (2, 3), (3, 3), (2, 2, 2)):
         t = random_hermitian(rng, dims)
-        effects = random_product_effects(rng, dims, 30)
-        samples = sample_effects_from_operator(t, effects)
-        for (e1, e2), ((s1, s2), value) in zip(effects, samples):
-            assert s1 is e1 and s2 is e2
-            assert abs(value - np.trace(t.mat @ np.kron(e1, e2)).real) <= 1e-14
+        effects = random_product_effects(rng, dims, 5)
+        values = sample_effects_from_operator(t, effects)
+        assert values.shape == (5,) * len(dims) and values.dtype == float
+        for k in itertools.product(range(5), repeat=len(dims)):
+            product = reduce(np.kron, [e[i] for e, i in zip(effects, k)])
+            assert abs(values[k] - np.trace(t.mat @ product).real) <= 1e-14
 
 
 def test_povm_rejects_spanning_too_little():
-    # 15 effects cannot span the 16 dimensions of two-qubit operators.
+    # 3 effects cannot span the 4 dimensions of one qubit's operators.
     rng = make_rng(15)
-    effects = random_product_effects(rng, (2, 2), 15)
-    samples = sample_effects_from_operator(random_density(rng, (2, 2)), effects)
-    with pytest.raises(ValidationError, match="feature rank 15 < 16"):
-        reconstruct_povm(samples, (2, 2))
+    effects = random_product_effects(rng, (2, 2), 6)
+    effects[0] = effects[0][:3]
+    values = sample_effects_from_operator(random_density(rng, (2, 2)), effects)
+    with pytest.raises(ValidationError, match="site 0: 3 local effects have feature rank 3 < 4"):
+        reconstruct_povm(values, effects)
+
+
+@pytest.mark.parametrize("shape", [(6, 5), (5, 6), (36,), (6, 6, 1), ()])
+def test_povm_rejects_values_of_the_wrong_shape(shape):
+    effects = random_product_effects(make_rng(17), (2, 2), 6)
+    with pytest.raises(ValidationError, match=r"values of shape .* on a grid of \(6, 6\) effects"):
+        reconstruct_povm(np.full(shape, 0.25), effects)
 
 
 def test_povm_rejects_bad_effect():
-    bad = np.diag([1.5, 0.0])
-    with pytest.raises(ValidationError):
-        reconstruct_povm([((bad, np.eye(2)), 0.3)], (2, 2))
-    # One effect outside [0, 1], at either site of any sample among valid ones.
+    # One effect outside [0, 1], or not Hermitian (its lower triangle alone is a valid
+    # effect), at either site and at the first, a middle or the last position of its
+    # stack among valid ones: the error names the site.
     for bad, position, site in itertools.product(
-            (np.diag([1.5, 0.0]), np.diag([0.5, -0.1])), (0, 20, 39), (0, 1)):
-        effects = random_product_effects(make_rng(16), (2, 2), 40)
-        pair = list(effects[position])
-        pair[site] = bad
-        effects[position] = tuple(pair)
-        with pytest.raises(ValidationError, match="spectrum"):
-            reconstruct_povm([(e, 0.25) for e in effects], (2, 2))
+            (np.diag([1.5, 0.0]), np.diag([0.5, -0.1]), np.array([[0.5, 0.4], [0.0, 0.5]])),
+            (0, 3, 5), (0, 1)):
+        effects = random_product_effects(make_rng(16), (2, 2), 6)
+        effects[site][position] = bad
+        with pytest.raises(ValidationError, match=f"site {site}: not a Hermitian effect "
+                                                  r"with spectrum in \[0, 1\]"):
+            reconstruct_povm(np.full((6, 6), 0.25), effects)
+    with pytest.raises(ValidationError, match=r"site 1: effects of shape \(2, 2\)"):
+        reconstruct_povm(np.full((1, 2), 0.25), [np.eye(2)[None], np.eye(2)])
+    with pytest.raises(ValidationError, match=r"site 0: effects of shape \(0, 2, 2\)"):
+        reconstruct_povm(np.zeros((0, 1)), [np.zeros((0, 2, 2)), np.eye(2)[None]])
 
 
 def test_classify_bell_projector_density():
@@ -526,29 +547,33 @@ def test_cached_pair_indices_leave_features_bit_identical(dims):
     assert not any(a.flags.writeable for a in _upper_pairs(d))  # shared through the cache
 
 
-@given(seeds, st.sampled_from([(2, 2), (2, 3), (3, 3)]), st.booleans(),
-       st.sampled_from([2.0, 1.5, 0.8]))
+@given(seeds, st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+       st.lists(st.integers(0, 3), min_size=3, max_size=3), st.sampled_from([None, 0, 1]))
 @settings(max_examples=40, deadline=None)
-def test_fit_matches_lstsq_and_matrix_rank(seed, dims, deficient, row_share):
-    # row_share * D^2 random rows; a deficient set reads its first coordinate
-    # twice, and 0.8 D^2 rows are too few to span.
+def test_effect_grid_matches_lstsq_and_feature_rank(seed, dims, spare, deficient):
+    # d_s^2 + spare[s] random effects per site and noisy values; a deficient site has
+    # d_s^2 effects, the last one a repeat of the first, so they cannot span.
     rng = make_rng(seed)
-    n_feat = int(np.prod(dims)) ** 2
-    n_rows = int(row_share * n_feat)
-    rows = rng.standard_normal((n_rows, n_feat))
-    if deficient:
-        rows[:, -1] = rows[:, 0]
-    values = rows @ rng.standard_normal(n_feat) + 1e-3 * rng.standard_normal(n_rows)
-    x = np.linalg.lstsq(rows, values, rcond=None)[0]
-    if np.linalg.matrix_rank(rows, tol=FEATURE_RANK) < n_feat:
-        assert deficient or row_share == 0.8
-        with pytest.raises(ValidationError, match="feature rank"):
-            fit(rows, values, dims)
+    effects = [random_product_effects(rng, (d,), d * d + k)[0] for d, k in zip(dims, spare)]
+    if deficient is not None:
+        d = dims[deficient]
+        effects[deficient] = effects[deficient][:d * d]
+        effects[deficient][-1] = effects[deficient][0]
+    values = sample_effects_from_operator(random_hermitian(rng, dims), effects)
+    values = values + 1e-3 * rng.standard_normal(values.shape)
+    if deficient is not None:
+        d = dims[deficient]
+        with pytest.raises(ValidationError, match=f"site {deficient}: {d * d} local effects "
+                                                  f"have feature rank {d * d - 1} < {d * d}"):
+            reconstruct_povm(values, effects)
         return
-    rec = fit(rows, values, dims, seed=seed)
-    assert rec.t.mat.tobytes() == HermitianOperator(dims, vec_to_herm(x)).mat.tobytes()
-    assert rec.residual == np.max(np.abs(rows @ x - values))
-    assert rec.ranks == (n_feat,)
+    grid = itertools.product(*[range(len(e)) for e in effects])
+    rows = feature_of(np.array([np.kron(*[e[k] for e, k in zip(effects, ks)]) for ks in grid]))
+    x = np.linalg.lstsq(rows, values.ravel(), rcond=None)[0]
+    rec = reconstruct_povm(values, effects, seed=seed)
+    assert np.max(np.abs(rec.t.mat - vec_to_herm(x))) <= 1e-10
+    assert abs(rec.residual - np.max(np.abs(rows @ x - values.ravel()))) <= 1e-12
+    assert rec.ranks == tuple(d * d for d in dims)
     cls, evidence = classify_product_positivity(rec.t, seed=seed)
     assert rec.classification is cls
     if isinstance(evidence, Witness):
