@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,11 @@ class ProductState:
     def batch(cls, stacks) -> tuple:
         """States from per-site (N, d_s) stacks, row k of each holding a factor
         of state k: the constructor's phases and unit checks, one pass a site."""
+        return cls._batch(stacks)[1]
+
+    @classmethod
+    def _batch(cls, stacks) -> tuple:
+        """batch's phased read-only stacks, and its states: their rows."""
         check_unit_rows(stacks)  # before canonical_phase, as in the constructor
         sites = [canonical_phase(f) for f in stacks]
         if len({len(f) for f in sites}) > 1:
@@ -53,7 +59,7 @@ class ProductState:
         states = tuple(object.__new__(cls) for _ in range(len(sites[0]) if sites else 0))
         for e, facs in zip(states, zip(*sites)):
             object.__setattr__(e, "factors", facs)
-        return states
+        return sites, states
 
     @property
     def dims(self) -> tuple:
@@ -114,7 +120,8 @@ class ProductBasis:
 
 @dataclass(frozen=True)
 class UnentangledBasis:
-    """An orthonormal basis consisting of product states."""
+    """An orthonormal basis consisting of product states.  The per-site (N, d_s)
+    stacks of its factors are built, and checked for dims, once."""
 
     elements: tuple
 
@@ -125,9 +132,36 @@ class UnentangledBasis:
         )
         if not elems:
             raise ValidationError("empty basis")
-        if any(e.dims != elems[0].dims for e in elems):
-            raise ValidationError("inconsistent dims across basis elements")
+        if "_stacks" not in vars(self):  # from_stacks sets them
+            try:  # on factors of different lengths, or numbers of sites (zip is strict)
+                stacks = [np.array(f) for f in zip(*(e.factors for e in elems), strict=True)]
+            except ValueError:
+                raise ValidationError("inconsistent dims across basis elements") from None
+            object.__setattr__(self, "_stacks", stacks)
         object.__setattr__(self, "elements", elems)
+
+    @classmethod
+    def from_stacks(cls, stacks) -> "UnentangledBasis":
+        """The basis of :meth:`ProductState.batch`'s states, keeping its
+        phased stacks rather than stacking the factors again."""
+        b = object.__new__(cls)
+        sites, elems = ProductState._batch(stacks)
+        object.__setattr__(b, "_stacks", sites)
+        b.__init__(elems)
+        return b
+
+    @cached_property
+    def _classes(self) -> list:
+        """Per site stack f, built on first use: each row's class ``ids`` of
+        bit-equal factors, each class's ``first`` row, and ``rows`` =
+        |f[first]^* f^T|, the k distinct rows of the N x N overlap matrix:
+        ``rows[ids]`` is that matrix bit for bit."""
+        classes = []
+        for f in self._stacks:
+            keys = np.ascontiguousarray(f).view(np.dtype((np.void, f.itemsize * f.shape[1])))
+            _, first, ids = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+            classes.append((ids.reshape(-1), first, np.abs(f[first].conj() @ f.T)))
+        return classes
 
     @property
     def dims(self) -> tuple:
@@ -148,7 +182,7 @@ class UnentangledBasis:
         elems = [e["factors"] for e in data["elements"]]
         if len(set(map(len, elems))) > 1:
             raise ValidationError("inconsistent dims across basis elements")
-        return cls(ProductState.batch([complex_from_json(site, 2) for site in zip(*elems)]))
+        return cls.from_stacks([complex_from_json(site, 2) for site in zip(*elems)])
 
 
 @dataclass(frozen=True)
@@ -163,13 +197,7 @@ class BasisReport:
     tolerance = tol.ORTHO_PAIR  # a class constant: the largest pair overlap that passes
 
 
-_PAIR_BLOCK = 1 << 18  # find_local_pairs gathers this many pair verdicts at a time
-_PRODUCT_BLOCK = 1 << 16  # validate_unentangled multiplies this many overlaps at a time
-
-
-def _upper(n: int) -> np.ndarray:
-    """Mask of the entries i < j of an N x N matrix."""
-    return np.arange(n)[:, None] < np.arange(n)
+_BLOCK = 1 << 16  # the pair checks take this many pairs at a time
 
 
 def site_stacks(states) -> list:
@@ -177,43 +205,50 @@ def site_stacks(states) -> list:
     return [np.array(f) for f in zip(*(s.factors for s in states))]
 
 
-def _site_classes(stacks):
-    """Per (N, d) site stack: each row's class ``ids`` of bit-equal factors,
-    each class's ``first`` row, and ``rows`` = |f[first]^* f^T|, the k distinct
-    rows of the N x N overlap matrix: ``rows[ids]`` is that matrix bit for bit."""
-    for f in stacks:
-        keys = np.ascontiguousarray(f).view(np.dtype((np.void, f.itemsize * f.shape[1])))
-        _, first, ids = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-        yield ids.reshape(-1), first, np.abs(f[first].conj() @ f.T)
-
-
-def _site_overlaps(stacks):
-    """Yield, site by site, the N x N matrix of |<f_i^s|f_j^s>|."""
-    return (rows[ids] for ids, _, rows in _site_classes(stacks))
+def _class_counts(b: UnentangledBasis, marked):
+    """Yield (r, counts) a block of rows at a time: counts[i, k] is the number
+    of sites whose class rows are ``marked`` (a boolean function of the k x N
+    rows) at element r + i's row and element r + 1 + k's column; k < i is no
+    pair.  One product of 0/1 matrices (one-hot classes, stacked marks), so
+    the counts are exact in float32."""
+    n = len(b.elements)
+    none = [np.zeros((0, n))]
+    one_hot = np.concatenate(none + [np.arange(len(first))[:, None] == ids
+                                     for ids, first, _ in b._classes], dtype=np.float32).T
+    marks = np.concatenate(none + [marked(rows) for _, _, rows in b._classes], dtype=np.float32)
+    used = marks.any(axis=1)  # a class marked nowhere adds nothing
+    one_hot, marks = one_hot[:, used], marks[used]
+    step = max(1, _BLOCK // n)
+    for r in range(0, n - 1, step):
+        yield r, one_hot[r:r + step] @ marks[:, r + 1:]
 
 
 def validate_unentangled(b: UnentangledBasis) -> BasisReport:
     """Check pairwise orthogonality (factorwise) and completeness.
 
-    Overlaps are gathered from each site's class rows and multiplied in
-    place, a cache-sized block of rows at a time, never via full
-    D-dimensional vectors, so large bases (e.g. 2^10 elements) stay cheap.
+    A block of rows at a time, each pair i < j multiplies its site overlaps,
+    gathered from each site's class rows, never via full D-dimensional
+    vectors.  A block in which :func:`_class_counts` finds a site overlap of
+    exactly 0.0 for every pair skips the products: each is exactly 0.0.
     """
-    n = len(b.elements)
-    classes = list(_site_classes(site_stacks(b.elements)))
-    step = max(1, _PRODUCT_BLOCK // n)
-    total = np.ones((n, n))
-    for r in range(0, n, step):
-        block = total[r:r + step]
-        for ids, _, rows in classes:
-            block *= rows[ids[r:r + step]]
-    total[~_upper(n)] = -1.0  # pairs i < j are read in row-major order
-    failures = tuple((int(i), int(j), float(total[i, j]))
-                     for i, j in zip(*np.nonzero(total > BasisReport.tolerance)))
-    worst_pair = divmod(int(np.argmax(total)), n) if n > 1 else None
-    worst = float(total[worst_pair]) if worst_pair else 0.0
-    complete = n == b.dim
-    return BasisReport(complete and not failures, complete, worst, worst_pair, failures)
+    worst, worst_pair, failures = 0.0, None, []
+    for r, zeros in _class_counts(b, lambda rows: rows == 0.0):
+        below = np.tri(*zeros[:, :len(zeros)].shape, -1, dtype=bool)  # entries k < i: no pairs
+        zeros[:, :len(zeros)] += below  # so that only pairs i < j can stop the skip
+        if (zeros >= 1).all():  # every product here is 0.0, the first at (r, r + 1)
+            worst_pair = worst_pair or (r, r + 1)
+            continue
+        total = np.ones(zeros.shape)
+        for ids, _, rows in b._classes:
+            total *= rows[:, r + 1:][ids[r:r + len(total)]]
+        total[:, :len(total)][below] = -1.0  # pairs i < j are read in row-major order
+        failures += [(r + int(i), r + 1 + int(k), float(total[i, k]))
+                     for i, k in zip(*np.nonzero(total > BasisReport.tolerance))]
+        i, k = divmod(int(np.argmax(total)), total.shape[1])
+        if worst_pair is None or total[i, k] > worst:
+            worst, worst_pair = float(total[i, k]), (r + i, r + 1 + k)
+    complete = len(b.elements) == b.dim
+    return BasisReport(complete and not failures, complete, worst, worst_pair, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -275,28 +310,20 @@ def find_local_pairs(b: UnentangledBasis) -> list:
     """All (site, (i, j)) pairs differing in exactly one tensor factor.
 
     These are the 2-dim local subspaces a twist move can act on.  Exhaustive
-    over element pairs, listed with i < j in row-major order.  A k x k table
-    of each site's class rows (:func:`_site_classes`) at the classes' first
-    elements says which classes differ (|<f|g>| < 1 - SAME_FACTOR); each
-    pair's count of differing sites is gathered from these tables a block of
+    over element pairs, listed with i < j in row-major order.  Each pair's
+    count of differing sites (|<f|g>| < 1 - SAME_FACTOR) is read from one
+    one-hot product over the site classes (:func:`_class_counts`), a block of
     rows at a time, so no N x N overlap matrix is formed.  The pairs that
     differ at one site then look up which.
     """
-    n, small = len(b.elements), np.min_scalar_type(b.elements[0].nsites)
-    classes, tables = zip(*((ids, rows[:, first] < 1 - tol.SAME_FACTOR)
-                            for ids, first, rows in _site_classes(site_stacks(b.elements))))
-    out = []
-    step = max(1, _PAIR_BLOCK // n)
-    for r0 in range(0, n, step):
-        r, cols = np.arange(r0, min(n, r0 + step)), np.arange(r0 + 1, n)
-        n_diff = np.zeros((len(r), len(cols)), dtype=small)
-        for ids, table in zip(classes, tables):
-            n_diff += np.take(table[:, ids[cols]], ids[r], axis=0)
-        i, j = np.nonzero((n_diff == 1) & (r[:, None] < cols))
-        i, j = r[i], cols[j]
-        site = np.argmax([table[ids[i], ids[j]] for ids, table in zip(classes, tables)], axis=0)
-        out += zip(site.tolist(), zip(i.tolist(), j.tolist()))
-    return out
+    found = [np.zeros((2, 0), int)]
+    for r, n_diff in _class_counts(b, lambda rows: rows < 1 - tol.SAME_FACTOR):
+        i, k = divmod(np.flatnonzero(n_diff == 1), n_diff.shape[1])
+        found.append([r + i[k >= i], r + 1 + k[k >= i]])
+    i, j = np.concatenate(found, axis=1)
+    site = np.argmax([rows[ids[i], j] < 1 - tol.SAME_FACTOR for ids, _, rows in b._classes],
+                     axis=0)
+    return list(zip(site.tolist(), zip(i.tolist(), j.tolist())))
 
 
 @dataclass(frozen=True)
@@ -340,25 +367,20 @@ class SearchResult:
 
 
 def _as_product_basis(b: UnentangledBasis) -> ProductBasis | None:
-    """Recognize a basis whose elements form a full product grid."""
-    nsites = b.elements[0].nsites
-    reps = [[] for _ in range(nsites)]
-    signatures = []
-    for e in b.elements:
-        sig = []
-        for s in range(nsites):
-            f = e.factors[s]
-            idx = None
-            for k, r in enumerate(reps[s]):
-                if abs(np.vdot(f, r)) > 1 - tol.SAME_FACTOR:
-                    idx = k
-                    break
-            if idx is None:
-                reps[s].append(f)
-                idx = len(reps[s]) - 1
-            sig.append(idx)
-        signatures.append(tuple(sig))
-    if tuple(map(len, reps)) != b.dims or len(set(signatures)) != len(signatures):
+    """Recognize a basis whose elements form a full product grid: each site's
+    factors, in element order, join the first earlier representative they
+    match (|<f|r>| > 1 - SAME_FACTOR) or become one."""
+    reps, signatures = [], []
+    for stack in b._stacks:
+        reps.append([])
+        for f in stack:
+            k = next((k for k, r in enumerate(reps[-1])
+                      if abs(np.vdot(f, r)) > 1 - tol.SAME_FACTOR), len(reps[-1]))
+            if k == len(reps[-1]):
+                reps[-1].append(f)
+            signatures.append(k)
+    signatures = set(map(tuple, np.reshape(signatures, (len(reps), len(b.elements))).T))
+    if tuple(map(len, reps)) != b.dims or len(signatures) != len(b.elements):
         return None
     try:
         return ProductBasis(tuple(tuple(r) for r in reps))
@@ -378,9 +400,8 @@ def _alignment_score(b: UnentangledBasis) -> int:
     a site factor or has orthogonal ones.  :func:`twist_search` ranks moves by
     the change they make to this count.
     """
-    upper = _upper(len(b.elements))
-    return sum(int(np.count_nonzero(_aligned(ov) & upper))
-               for ov in _site_overlaps(site_stacks(b.elements)))
+    return sum(int(np.count_nonzero(np.triu(_aligned(rows)[ids], 1)))
+               for ids, _, rows in b._classes)
 
 
 def _rotation_to_target(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray | None:
@@ -446,8 +467,7 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
             return SearchResult(
                 False, None, "no local pairs exist; no twist move applies", tried
             )
-        stacks = site_stacks(b.elements)
-        aligned = np.array([_aligned(ov) for ov in _site_overlaps(stacks)])
+        aligned = np.array([_aligned(rows)[ids] for ids, _, rows in b._classes])
         selfs = aligned.diagonal(axis1=1, axis2=2)
         rows = aligned.sum(axis=2) - selfs
         best = None  # (gain, move)
@@ -456,14 +476,12 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
                 _check_twist_pair(b, site, i, j)
             except ValidationError:
                 continue
-            u = b.elements[i].factors[site]
-            v = b.elements[j].factors[site]
+            at_site = b._stacks[site]
+            u, v = at_site[i], at_site[j]
             # Candidate targets: site factors of other elements (align with
             # an existing local frame) plus computational axes in the span.
-            targets = [e.factors[site] for k, e in enumerate(b.elements) if k not in (i, j)]
-            targets += list(np.eye(len(u)))
-            rots = [rot for g in targets
-                    if (rot := _rotation_to_target(u, v, np.asarray(g, dtype=complex))) is not None]
+            targets = [*np.delete(at_site, [i, j], axis=0), *np.eye(len(u), dtype=complex)]
+            rots = [rot for g in targets if (rot := _rotation_to_target(u, v, g)) is not None]
             tried_keys, candidates = set(), []
             for rot, key in zip(rots, np.round(rots, tol.MOVE_KEY_DECIMALS)):
                 key = key.tobytes()
@@ -482,7 +500,7 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
             if not candidates:
                 continue
             gains = _twist_gains(aligned, rows, selfs, site, i, j,
-                                 np.array([c[1] for c in candidates]), stacks[site])
+                                 np.array([c[1] for c in candidates]), at_site)
             k = int(np.argmax(gains))
             if gains[k] > 0 and (best is None or gains[k] > best[0]):
                 best = (gains[k], TwistMove(site, (i, j), candidates[k][0]))

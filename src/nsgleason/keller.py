@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from .bases import ProductState, UnentangledBasis
+from .bases import UnentangledBasis
 from .linalg import ValidationError
 
 
@@ -52,33 +52,24 @@ class CliqueCandidate:
         return len(self.vectors)
 
 
-# Vertices pack into uint64 words, 2 bits (a lane) per coordinate.  Digits
-# a, b differ by exactly 2 iff a ^ b == 0b10; with lo/hi the low/high bit of
-# each lane of a ^ b, G-adjacency is "some lane has hi & ~lo", and G* adds
-# "at least two lanes have hi | lo".
-_LANES, _LO_BITS = 32, np.uint64(0x5555555555555555)
+def _one_hot(vecs) -> np.ndarray:
+    """The (N, 4n) float32 one-hot rows of an (N, n) digit array, four columns
+    a coordinate.  Products of such 0/1 rows are small counts, exact in float32."""
+    vecs = np.asarray(vecs, dtype=np.intp)
+    return np.eye(4, dtype=np.float32)[vecs].reshape(len(vecs), 4 * vecs.shape[1])
 
 
-def _pack(vecs) -> np.ndarray:
-    """(..., n) digits in {0,1,2,3} -> (..., ceil(n/32)) uint64 words."""
-    vecs = np.asarray(vecs, dtype=np.uint64)
-    n = vecs.shape[-1]
-    lanes = np.zeros(vecs.shape[:-1] + (max(1, -(-n // _LANES)) * _LANES,), np.uint64)
-    lanes[..., :n] = vecs
-    lanes = lanes.reshape(vecs.shape[:-1] + (-1, _LANES))
-    return np.bitwise_or.reduce(lanes << (2 * np.arange(_LANES, dtype=np.uint64)), axis=-1)
-
-
-def _adjacent(p, q, graph: Graph) -> np.ndarray:
-    """Adjacency of packed vertices, broadcast over all but the last axis."""
-    x = p ^ q
-    lo = x & _LO_BITS
-    hi = (x >> np.uint64(1)) & _LO_BITS
-    ok = np.any(hi & ~lo, axis=-1)
+def _links(x, cols, graph: Graph) -> np.ndarray:
+    """Adjacency of one-hot rows ``x`` to one-hot rows ``cols``, from two
+    counts: with ``opp`` the one-hot of x's digits two steps away (d ^ 2),
+    ``two = opp @ cols.T`` counts the coordinates that differ by exactly 2
+    (G wants one), ``same = x @ cols.T`` the equal ones (G* also wants
+    n - same >= 2)."""
+    opp = x.reshape(x.shape[:-1] + (-1, 4))[..., [2, 3, 0, 1]].reshape(x.shape)
+    ok = opp @ cols.T >= 1
     if graph == Graph.G:
         return ok
-    y = hi | lo
-    return ok & (np.any(y & (y - np.uint64(1)), axis=-1) | (np.count_nonzero(y, axis=-1) >= 2))
+    return ok & (x @ cols.T <= x.shape[-1] // 4 - 2)
 
 
 def edge(m, m2, graph: Graph = Graph.G) -> bool:
@@ -88,7 +79,8 @@ def edge(m, m2, graph: Graph = Graph.G) -> bool:
         raise ValidationError("length mismatch")
     if m.size and (min(m.min(), m2.min()) < 0 or max(m.max(), m2.max()) > 3):
         raise ValidationError("coordinates must lie in {0,1,2,3}")
-    return bool(_adjacent(_pack(m), _pack(m2), graph))
+    x = _one_hot([m, m2])
+    return bool(_links(x[0], x[1:], graph)[0])
 
 
 @dataclass(frozen=True)
@@ -114,20 +106,22 @@ class CliqueReport:
 
 
 def verify_clique(c: CliqueCandidate, graph: Graph = Graph.G_STAR) -> CliqueReport:
-    """Check all pairs, blockwise vectorized on packed vertices, so 2^10
-    vectors verify fast; ``first_failure`` is the first non-adjacent pair
-    (i, j), i < j, in row-major order.  Blocks double from 8 to 256 rows, so
-    a candidate that fails in its first rows is rejected after those rows."""
-    packed = _pack(c.vectors)
-    n_vec = len(packed)
+    """Check all pairs, a block of one-hot rows against the later vertices
+    at a time (:func:`_links`), so 2^10 vectors verify fast; ``first_failure``
+    is the first non-adjacent pair (i, j), i < j, in row-major order.  Blocks
+    double from 8 to 256 rows, so a candidate that fails in its first rows is
+    rejected after those rows."""
+    x = _one_hot(c.vectors)
+    n_vec = len(x)
     first_failure = None
     i0, rows = 0, 8
-    while i0 < n_vec and first_failure is None:
-        ok = _adjacent(packed[i0:i0 + rows, None], packed[None], graph)
-        ok |= np.arange(n_vec) <= np.arange(i0, i0 + len(ok))[:, None]
+    while i0 < n_vec - 1 and first_failure is None:
+        ok = _links(x[i0:i0 + rows], x[i0 + 1:], graph)
+        square = ok[:, :rows]  # column k is vertex i0 + 1 + k: row r pairs it iff k >= r
+        square |= np.tri(*square.shape, -1, dtype=bool)
         bad = np.flatnonzero(~ok.all(axis=1))
         if bad.size:
-            first_failure = (i0 + int(bad[0]), int(np.argmin(ok[bad[0]])))
+            first_failure = (i0 + int(bad[0]), i0 + 1 + int(np.argmin(ok[bad[0]])))
         i0, rows = i0 + rows, min(2 * rows, 256)
     is_clique = first_failure is None
     is_tiling = is_clique and c.size == 2 ** c.n
@@ -151,8 +145,8 @@ def _all_vertices(n: int) -> np.ndarray:
 def _exhaustive(n: int, target: int, graph: Graph):
     """Deterministic branch-and-bound clique enumeration over all 4^n vertices."""
     verts = _all_vertices(n)
-    packed = _pack(verts)
-    adj = _adjacent(packed[:, None], packed[None], graph)
+    x = _one_hot(verts)
+    adj = _links(x, x, graph)
 
     clique = []
 
@@ -179,7 +173,7 @@ def _heuristic(n: int, target: int, graph: Graph, budget: int, seed: int):
     restart takes, in a random order, every vertex adjacent to all taken so
     far: the next is the first entry of the order still ``live``."""
     verts = _all_vertices(n)
-    packed = _pack(verts)
+    x = _one_hot(verts)
     rng = np.random.Generator(np.random.Philox(seed))
     for _ in range(max(1, budget)):
         order = rng.permutation(len(verts))
@@ -190,7 +184,7 @@ def _heuristic(n: int, target: int, graph: Graph, budget: int, seed: int):
             clique.append(v)
             if len(clique) == target:
                 return CliqueCandidate(n, verts[np.array(clique)])
-            live &= _adjacent(packed[v], packed, graph)
+            live &= _links(x[v], x, graph)
     return None
 
 
@@ -257,7 +251,7 @@ def _clique_states(c: CliqueCandidate, verified: bool, what: str) -> Unentangled
     if not verified:
         raise ValidationError(f"candidate is not a verified {what}")
     digits = np.array(DIGIT_STATES)
-    return UnentangledBasis(ProductState.batch([digits[col] for col in c.vectors.T]))
+    return UnentangledBasis.from_stacks([digits[col] for col in c.vectors.T])
 
 
 # ---------------------------------------------------------------------------

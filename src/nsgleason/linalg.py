@@ -58,23 +58,32 @@ def basis_products(u: np.ndarray, v: np.ndarray) -> list:
 def canonical_phase(v: np.ndarray) -> np.ndarray:
     """Rescale a vector so its first nonzero amplitude is real positive.
 
-    Makes equality-up-to-global-phase checks deterministic.  A stack of
-    vectors (along the last axis) is phased row by row, bit-identically to
-    phasing each row alone.
+    Makes equality-up-to-global-phase checks deterministic.  Phasing twice
+    changes no bit: the leading amplitude is made exactly real, and a vector
+    whose leading amplitude is real positive is returned as it is.  A stack
+    (along the last axis) is phased row by row, bit-identically to each row.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim == 1:  # a loop is several times faster on one short vector
-        for x in v:
+        for k, x in enumerate(v):
             if abs(x) > tol.PHASE_AMPLITUDE:
-                return v * (x.conjugate() / abs(x))
+                if x.imag == 0 and x.real > 0:
+                    break
+                out = v * (x.conjugate() / abs(x))
+                out[k] = out[k].real
+                return out
         return v.copy()
     # abs() of a complex scalar is hypot(re, im); np.abs of an array rounds
     # differently.  The product is out of place, like the loop's.
     v = v.copy()
-    big = np.hypot(v.real, v.imag) > tol.PHASE_AMPLITUDE
-    has = big.any(axis=-1)
-    lead = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)[has, 0]
-    v[has] = v[has] * (lead.conjugate() / np.hypot(lead.real, lead.imag))[:, None]
+    flat = v.reshape(-1, v.shape[-1])
+    big = np.hypot(flat.real, flat.imag) > tol.PHASE_AMPLITUDE
+    cols = np.argmax(big, axis=-1)  # each row's leading amplitude
+    lead = flat[np.arange(len(flat)), cols]
+    rows = np.flatnonzero(big.any(axis=-1) & ((lead.imag != 0) | ~(lead.real > 0)))
+    cols, lead = cols[rows], lead[rows]
+    flat[rows] = flat[rows] * (lead.conjugate() / np.hypot(lead.real, lead.imag))[:, None]
+    flat[rows, cols] = flat[rows, cols].real
     return v
 
 

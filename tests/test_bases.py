@@ -187,6 +187,16 @@ def test_twist_search_solves_example():
     assert res.certificate.replay()
 
 
+def test_twist_search_builds_site_classes_once_a_step(monkeypatch):
+    # One np.unique a site for each basis whose local pairs are listed: the
+    # pair search and the move scoring read the same cached classes.
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    res = twist_search(twisted_example_basis())
+    assert res.found and len(calls) == 2 * len(res.certificate.moves)
+
+
 def test_twist_search_on_product_basis_is_empty():
     res = twist_search(computational_basis((3, 3)))
     assert res.found

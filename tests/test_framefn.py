@@ -1,5 +1,6 @@
 """Tests for frame functions: operator-induced, tabulated, signalling."""
 
+import json
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsgleason import tolerances
-from nsgleason.bases import ProductBasis, ProductState
+from nsgleason.bases import ProductBasis, ProductState, UnentangledBasis, site_stacks
 from nsgleason.framefn import (
     LookupError_,
     OperatorInduced,
@@ -18,6 +19,7 @@ from nsgleason.framefn import (
     sample_from_operator,
     weight_check,
 )
+from nsgleason.gleason import spanning_design
 from nsgleason.linalg import (
     HermitianOperator,
     ValidationError,
@@ -149,6 +151,21 @@ def test_tabulated_lookup_and_miss():
         assert f(s) == pytest.approx(t.expectation(s.full()), abs=1e-12)
     with pytest.raises(KeyError):
         f(ProductState((random_unit(rng, 2), random_unit(rng, 2))))
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
+def test_tabulated_finds_rebuilt_and_json_states(dims):
+    # Phasing a phased factor changes no bit, so a state rebuilt from its
+    # factors, or read back from JSON, has its original key.
+    t = random_density(make_rng(3), dims)
+    design = spanning_design(dims, seed=5).states
+    f = sample_from_operator(t, design)
+    for s in design:
+        assert f(ProductState(s.factors)) == f(s)
+        assert f(ProductState.from_json(json.loads(json.dumps(s.to_json())))) == f(s)
+    loaded = UnentangledBasis.from_json(json.loads(json.dumps(
+        {"elements": [s.to_json() for s in design]}))).elements
+    assert f.values(site_stacks(loaded)).tolist() == [f(s) for s in design]
 
 
 def test_tabulated_perturbation_shows_in_spread():

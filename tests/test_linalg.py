@@ -307,3 +307,18 @@ def test_single_draws_match_sequential_draws(seed, d):
     assert random_unit(rng, d).tobytes() == sequential_unit(ref, d).tobytes()
     assert (np.ascontiguousarray(random_onb(rng, d)).tobytes()
             == np.ascontiguousarray(sequential_onb(ref, d)).tobytes())
+
+
+def test_canonical_phase_twice_changes_no_bit():
+    # A real positive leading amplitude is phase 1: the vector comes back as it
+    # is, -0.0 entries included.  Any other lead is made exactly real, one
+    # row of a stack as the row alone.
+    v = np.array([0.0, 0.6, complex(-0.0, -0.0), complex(0.0, -0.8)])
+    assert canonical_phase(v).tobytes() == v.tobytes()
+    rows = np.stack([v, v * 1j, v * np.exp(0.3j), -v, np.zeros(4, complex)])
+    for stack in (rows, rows[:4].reshape(2, 2, 4)):
+        once = canonical_phase(stack)
+        assert canonical_phase(once).tobytes() == once.tobytes()
+        for row, phased in zip(stack.reshape(-1, 4), once.reshape(-1, 4)):
+            assert canonical_phase(row).tobytes() == phased.tobytes()
+            assert phased[1].imag == 0 and phased[1].real > 0 or not row.any()

@@ -37,7 +37,7 @@ def test_canonical_phase_idempotent_and_norm_preserving(seed, d):
     rng = make_rng(seed)
     v = random_unit(rng, d) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     c = canonical_phase(v)
-    np.testing.assert_allclose(canonical_phase(c), c, atol=1e-15)
+    assert canonical_phase(c).tobytes() == c.tobytes()  # idempotent bit for bit
     assert abs(np.linalg.norm(c) - 1) <= 1e-12
 
 

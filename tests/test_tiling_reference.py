@@ -1,11 +1,11 @@
-"""The packed Keller engine and the streamed basis checks against test-only
+"""The one-hot Keller engine and the streamed basis checks against test-only
 copies of the per-pair loops they replace: results must agree exactly."""
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsgleason import bases
@@ -31,9 +31,9 @@ from nsgleason.keller import (
     CliqueReport,
     Graph,
     SearchMode,
-    _adjacent,
     _all_vertices,
-    _pack,
+    _links,
+    _one_hot,
     basis_from_clique,
     bundled_candidate,
     clique_search,
@@ -186,9 +186,9 @@ def twisted(seed, dims, n_moves):
 
 
 def check_site_overlaps(b):
-    """The overlaps gathered from the class rows are, bit for bit, each
-    site's N x N Gram matrix."""
-    got = list(bases._site_overlaps(site_stacks(b.elements)))
+    """The overlaps gathered from the basis's cached class rows are, bit for
+    bit, each site's N x N Gram matrix."""
+    got = [rows[ids] for ids, _, rows in b._classes]
     ref = ref_site_overlaps(b)
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
@@ -202,24 +202,31 @@ def check_site_overlaps(b):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_packed_adjacency_matches_edge_loop(n, graph):
     verts = _all_vertices(n)
-    packed = _pack(verts)
+    x = _one_hot(verts)
     ref = np.array([[ref_edge(a, b, graph) for b in verts] for a in verts])
-    np.testing.assert_array_equal(_adjacent(packed[:, None], packed[None], graph), ref)
+    np.testing.assert_array_equal(_links(x, x, graph), ref)
+    for v in range(len(verts)):  # one row at a time, as the heuristic search asks
+        np.testing.assert_array_equal(_links(x[v], x, graph), ref[v])
     assert [[edge(a, b, graph) for b in verts] for a in verts] == ref.tolist()
 
 
 @given(seeds, st.integers(min_value=1, max_value=70))
+@example(0, 1)
+@example(0, 32)
+@example(0, 33)
+@example(0, 40)
 @settings(max_examples=40, deadline=None)
 def test_packed_adjacency_multiword(seed, n):
+    # n > 32 took two packed words in the engine the counts replaced.
     rng = np.random.default_rng(seed)
     vecs = rng.integers(0, 4, (12, n))
     vecs[6:] = vecs[:6]  # pairs that differ in at most two coordinates
     for _ in range(2):
         vecs[np.arange(6, 12), rng.integers(0, n, 6)] = rng.integers(0, 4, 6)
+    x = _one_hot(vecs)
     for graph in Graph:
-        got = _adjacent(_pack(vecs)[:, None], _pack(vecs)[None], graph)
         ref = [[ref_edge(a, b, graph) for b in vecs] for a in vecs]
-        assert got.tolist() == ref
+        assert _links(x, x, graph).tolist() == ref
 
 
 def test_edge_rejects_digits_outside_range():
@@ -283,18 +290,40 @@ def test_heuristic_matches_loop(n, size, budget, graph):
 # ---------------------------------------------------------------------------
 # Streamed overlaps
 
+def twisted_once(b, seed):
+    """b after one seeded random twist: the pair's new factors have generic
+    overlaps with the digit states, and every other overlap stays 0.0 or 1.0."""
+    rng = make_rng(seed)
+    pairs = find_local_pairs(b)
+    site, pair = pairs[int(rng.integers(len(pairs)))]
+    return apply_twist(b, TwistMove(site, pair, random_onb(rng, 2)))
+
+
 def clique_bases():
     g = clique_search(3, 8, graph=Graph.G)
     gs = clique_search(3, 5, graph=Graph.G_STAR)
-    return [basis_from_clique(g), family_from_clique(gs, Graph.G_STAR),
-            basis_from_clique(bundled_candidate())]
+    bundled = basis_from_clique(bundled_candidate())
+    return [basis_from_clique(g), family_from_clique(gs, Graph.G_STAR), bundled,
+            twisted_once(basis_from_clique(g), 0), twisted_once(bundled, 1)]
 
 
-@pytest.mark.parametrize("b", clique_bases(), ids=["g3", "gstar3", "bundled"])
+@pytest.mark.parametrize("b", clique_bases(),
+                         ids=["g3", "gstar3", "bundled", "g3_twisted", "bundled_twisted"])
 def test_clique_basis_checks_match_loops(b):
     assert validate_unentangled(b) == ref_validate(b)
     assert find_local_pairs(b) == ref_find_local_pairs(b)
     check_site_overlaps(b)
+
+
+def test_twisted_clique_basis_mixes_exact_and_generic_overlaps():
+    # validate_unentangled skips the products of a block of rows only when
+    # each of its pairs has an exactly orthogonal site: the twisted bundled
+    # basis has such blocks and others.
+    b = clique_bases()[-1]
+    n = len(b.elements)
+    products, step = np.prod(ref_site_overlaps(b), axis=0), bases._BLOCK // n
+    skipped = [not np.triu(products[r:r + step], r + 1).any() for r in range(0, n - 1, step)]
+    assert any(skipped) and not all(skipped)
 
 
 @given(seeds, st.sampled_from([(3, 3), (2, 2, 2), (2, 3), (3, 3, 3), (4,)]),
@@ -377,7 +406,7 @@ def test_twist_gains_match_full_rescoring(seed, dims, n_moves, eps):
     if eps:
         b = moved(b, rng, eps)
     stacks = site_stacks(b.elements)
-    aligned = np.array([bases._aligned(ov) for ov in bases._site_overlaps(stacks)])
+    aligned = np.array([bases._aligned(rows)[ids] for ids, _, rows in b._classes])
     selfs = aligned.diagonal(axis1=1, axis2=2)
     rows = aligned.sum(axis=2) - selfs
     base = ref_alignment_score(b)
