@@ -41,7 +41,6 @@ from .framefn import (
     Tabulated,
     make_signalling_example,
     sample_from_operator,
-    weight_check,
 )
 from .nosig import (
     TSIRELSON,

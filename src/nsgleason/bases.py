@@ -23,6 +23,7 @@ from .linalg import (
     check_unit_rows,
     complex_from_json,
     complex_to_json,
+    is_local_basis,
     tensor,
 )
 
@@ -100,14 +101,13 @@ class ProductBasis:
     def __post_init__(self):
         bases = []
         for lb in self.local_bases:
-            vecs = tuple(canonical_phase(np.asarray(v, dtype=complex)) for v in lb)
+            vecs = [np.asarray(v, dtype=complex) for v in lb]
             d = len(vecs[0])
             if len(vecs) != d:
                 raise ValidationError(f"local basis has {len(vecs)} vectors in dim {d}")
-            gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
-            if np.max(np.abs(gram - np.eye(d))) > tol.LOCAL_BASIS:
+            if not is_local_basis(np.array(vecs).T):  # before phasing, which divides by a lead
                 raise ValidationError("local basis Gram matrix deviates from identity")
-            bases.append(vecs)
+            bases.append(tuple(canonical_phase(v) for v in vecs))
         object.__setattr__(self, "local_bases", tuple(bases))
 
     def elements(self) -> list:

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .bases import ProductBasis, ProductState, site_stacks
-from .gleason import feature_of, projector_features
-from .linalg import HermitianOperator, ValidationError, check_unit_rows
+from .bases import ProductState, site_stacks
+from .linalg import HermitianOperator, ValidationError, check_unit_rows, product_values
 
 
 class LookupError_(KeyError):
@@ -63,7 +62,7 @@ class OperatorInduced(_Evaluated):
         return self.t.dims
 
     def _values(self, sites) -> np.ndarray:
-        vals = projector_features(sites) @ feature_of(self.t.mat)
+        vals = product_values(self.t.mat, sites)
         if self.nonnegative and vals.min(initial=0.0) < -tol.NONNEGATIVE_EVAL:
             raise ValidationError(f"declared non-negative but f = {vals.min():.3e}")
         return vals
@@ -121,31 +120,6 @@ class SignallingFamily(_Evaluated):
         angle = self.theta * np.abs(v[:, 1]) ** 2
         b = np.abs(np.cos(angle) * w[:, 0] + np.sin(angle) * w[:, 1]) ** 2
         return np.abs(v[:, 0]) ** 2 * b
-
-
-@dataclass(frozen=True)
-class WeightReport:
-    sums: tuple
-    spread: float
-    weight: float
-
-    @property
-    def constant(self) -> bool:
-        return self.spread <= tol.WEIGHT_SPREAD
-
-
-def weight_check(f, bases) -> WeightReport:
-    """Sum f over each full product basis; a small spread certifies constancy."""
-    bases = list(bases)
-    if not bases:
-        raise ValueError("weight_check requires at least one basis")
-    sums = []
-    for pb in bases:
-        if not isinstance(pb, ProductBasis):
-            raise TypeError("weight_check expects ProductBasis instances")
-        sums.append(sum(f(e) for e in pb.elements()))
-    sums = tuple(float(x) for x in sums)
-    return WeightReport(sums, max(sums) - min(sums), float(np.mean(sums)))
 
 
 def make_signalling_example(dims, theta: float) -> SignallingFamily:

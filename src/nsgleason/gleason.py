@@ -27,6 +27,7 @@ from .linalg import (
     complex_to_json,
     make_rng,
     min_eigenvalue,
+    product_values,
     random_onbs,
     random_units,
     tensor_rows,
@@ -205,8 +206,7 @@ def product_seesaw_min(
         done = np.abs(prev[live] - vals) < tol.SEESAW_CONVERGED
         prev[live] = vals
         live = live[~done]
-    psi = tensor_rows([v, w])
-    values = np.einsum("ri,ri->r", psi.conj(), psi @ t.mat.T).real
+    values = product_values(t.mat, [v, w])
     best = int(np.argmin(values))
     return Witness((v[best], w[best]), float(values[best]))
 
@@ -252,9 +252,12 @@ def _along_axes(x: np.ndarray, mats) -> np.ndarray:
     return reduce(lambda y, m: np.tensordot(y, m, axes=(0, 0)), mats, x)
 
 
-def _grid_solve(values: np.ndarray, site_rows, dims, what: str, seed: int) -> Reconstruction:
-    """Least squares on the Kronecker product of site rows A_s, one pseudo-inverse per site;
-    a site of rank below d_s^2 (``tolerances.FEATURE_RANK``) raises ValidationError naming it."""
+def _grid_solve(values: np.ndarray, effects, what: str, seed: int) -> Reconstruction:
+    """Least squares on the Kronecker product of the site rows A_s = feature_of(effects[s]) of
+    (k_s, d_s, d_s) effect stacks, one pseudo-inverse per site; a site of rank below d_s^2
+    (``tolerances.FEATURE_RANK``) raises ValidationError naming it."""
+    dims = tuple(e.shape[-1] for e in effects)
+    site_rows = [feature_of(e) for e in effects]
     pinvs, ranks = [], []
     for site, (d, a) in enumerate(zip(dims, site_rows)):
         u, sv, vh = np.linalg.svd(a, full_matrices=False)
@@ -276,8 +279,8 @@ def _grid_solve(values: np.ndarray, site_rows, dims, what: str, seed: int) -> Re
 def reconstruct_pvm(f, design: SpanningDesign, seed: int = 0) -> Reconstruction:
     """Recover the operator behind a frame function from its values on the design.
 
-    The grid's rows are the Kronecker product of the site rows A_s = projector_features(
-    [design.local[s]]); a site whose states do not span its d_s^2 operators raises
+    The design is the grid of the rank-1 effects |v><v| of the local states v, solved as in
+    :func:`reconstruct_povm`; a site whose states do not span its d_s^2 operators raises
     ValidationError.  The residual is in sample: 0 exactly when, for each site and each
     choice of states at the other sites, the values summed over each of the site's bases
     agree.  Local dims must be at least 3; use :func:`reconstruct_povm` for qubits.
@@ -286,8 +289,8 @@ def reconstruct_pvm(f, design: SpanningDesign, seed: int = 0) -> Reconstruction:
         raise ValidationError(
             "projective reconstruction requires local dims >= 3; use the effect path")
     vals = np.array([f(s) for s in design.states]).reshape([len(a) for a in design.local])
-    rows = [projector_features([local]) for local in design.local]
-    return _grid_solve(vals, rows, design.dims, "local states", seed)
+    projectors = [local[:, :, None] * local[:, None, :].conj() for local in design.local]
+    return _grid_solve(vals, projectors, "local states", seed)
 
 
 def reconstruct_povm(values, effects, seed: int = 0) -> Reconstruction:
@@ -295,7 +298,7 @@ def reconstruct_povm(values, effects, seed: int = 0) -> Reconstruction:
 
     ``effects[s]`` is a (k_s, d_s, d_s) stack of local effects 0 <= e <= 1 (any dims, any
     number of sites) and ``values[k_0, k_1, ...]`` the value on the product of effect k_s at
-    each site s.  Solved as in :func:`reconstruct_pvm`, with site rows A_s = feature_of(
+    each site s.  Solved with one pseudo-inverse per site, of the rows A_s = feature_of(
     effects[s]); the residual is in sample.
     """
     effects = [np.asarray(e, dtype=complex) for e in effects]
@@ -309,8 +312,7 @@ def reconstruct_povm(values, effects, seed: int = 0) -> Reconstruction:
     values, grid = np.asarray(values, dtype=float), tuple(len(e) for e in effects)
     if values.shape != grid:
         raise ValidationError(f"values of shape {values.shape} on a grid of {grid} effects")
-    dims = tuple(e.shape[-1] for e in effects)
-    return _grid_solve(values, [feature_of(e) for e in effects], dims, "local effects", seed)
+    return _grid_solve(values, effects, "local effects", seed)
 
 
 def random_product_effects(rng: np.random.Generator, dims, count: int) -> list:

@@ -48,6 +48,13 @@ def tensor_rows(stacks) -> np.ndarray:
     return out
 
 
+def product_values(mat: np.ndarray, stacks) -> np.ndarray:
+    """<psi_n|mat|psi_n> (real part) for psi_n = tensor(s[n] for s in stacks): the
+    frame-function values of an operator on product states given as per-site (N, d) stacks."""
+    psi = tensor_rows(stacks)
+    return np.einsum("ni,ni->n", psi.conj(), psi @ mat.T).real
+
+
 def basis_products(u: np.ndarray, v: np.ndarray) -> list:
     """Per-site stacks of u[:, i] (x) v[:, j] over the columns, i major; stacks pair by pair."""
     u, v = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
@@ -100,6 +107,14 @@ def check_unit_rows(stacks) -> None:
         ~(np.abs(np.linalg.norm(np.abs(f), axis=1) - 1) <= tol.UNIT_NORM / 2)))
     for k, s in suspects:
         check_unit(stacks[s][k])
+
+
+def is_local_basis(u: np.ndarray) -> bool:
+    """Whether the columns of a square matrix are orthonormal: every entry of the Gram
+    matrix within ``tolerances.LOCAL_BASIS`` of the identity's.  NaN or inf fails."""
+    u = np.asarray(u, dtype=complex)
+    return bool(np.isfinite(u).all()  # first: inf entries would warn in the product
+                and np.abs(u.conj().T @ u - np.eye(len(u))).max(initial=0.0) <= tol.LOCAL_BASIS)
 
 
 def complex_to_json(a) -> list:

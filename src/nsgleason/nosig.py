@@ -32,6 +32,7 @@ from .linalg import (
     basis_products,
     complex_from_json,
     complex_to_json,
+    is_local_basis,
     make_rng,
     onbs_from_normals,
     partial_transpose,
@@ -147,9 +148,9 @@ def _basis_stack(site, labels, outcomes, bases) -> np.ndarray:
     d = len(outcomes)
     if set(bases) != set(labels):
         raise ValidationError(f"site {site}: bases for settings {list(bases)}, not {list(labels)}")
-    for lbl in labels:  # NaN entries fail the comparison too
+    for lbl in labels:
         u = bases[lbl]
-        if np.shape(u) != (d, d) or not abs(np.conj(u).T @ u - np.eye(d)).max() <= tol.LOCAL_BASIS:
+        if np.shape(u) != (d, d) or not is_local_basis(u):
             raise ValidationError(f"site {site} setting {lbl!r}: no orthonormal ({d}, {d}) basis")
     stack = np.array([bases[lbl] for lbl in labels]).reshape(-1, d, d)
     stack.flags.writeable = False
@@ -292,7 +293,7 @@ def chsh_value(t: HermitianOperator, settings) -> float:
     if len(bases) != 4:
         raise ValidationError(f"CHSH needs four setting bases, not {len(bases)}")
     for u in bases:
-        if u.shape != (2, 2) or not abs(u.conj().T @ u - np.eye(2)).max() <= tol.LOCAL_BASIS:
+        if u.shape != (2, 2) or not is_local_basis(u):
             raise ValidationError("CHSH setting basis is not orthonormal")
     return float(np.trace(t.mat @ bell_operator(bases)).real)
 

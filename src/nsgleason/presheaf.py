@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances as tol
-from .linalg import (HermitianOperator, ValidationError, basis_products, canonical_phase, make_rng,
-                     random_onbs)
+from .framefn import OperatorInduced
+from .linalg import (HermitianOperator, ValidationError, basis_products, canonical_phase,
+                     is_local_basis, make_rng, random_onbs)
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class Context:
         b.flags.writeable = False
         if b.ndim != 2 or not 0 < b.shape[0] == b.shape[1]:
             raise ValidationError(f"context {self.label}: basis of shape {b.shape} is not (d, d)")
-        if not np.abs(b.conj().T @ b - np.eye(len(b))).max() <= tol.LOCAL_BASIS:  # NaN fails too
+        if not is_local_basis(b):
             raise ValidationError(f"context {self.label}: basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
@@ -116,38 +117,36 @@ def _check_dims(family, dims, owner) -> tuple:
 def section_from_operator(t: HermitianOperator, family) -> SectionTable:
     """Tabulate <u_i (x) v_j|t|u_i (x) v_j> for every context (u, v) in the family.
 
-    One product of t with the family's stacked outcome states gives every
-    entry.  Entries are not rescaled, so each distribution sums to tr(t).  An
-    entry below ``-tolerances.NEGATIVE_PROBABILITY`` raises ValidationError: t
-    is not product-positive.
+    The section of the frame function t induces (:func:`section_from_framefn`).
+    Entries are not rescaled, so each distribution sums to tr(t).  An entry
+    below ``-tolerances.NEGATIVE_PROBABILITY`` raises ValidationError: t is not
+    product-positive.
     """
-    family = _check_dims(family, t.dims, "the operator's")
-    states = np.array([c.left.basis[:, None, :, None] * c.right.basis[:, None, :]
-                       for c in family]).reshape((-1,) + t.mat.shape)  # column i*d2+j: u_i (x) v_j
-    dists = {}
-    for ctx, p in zip(family, (states.conj() * (t.mat @ states)).sum(axis=1).real):
-        if p.min() < -tol.NEGATIVE_PROBABILITY:
+    table = section_from_framefn(OperatorInduced(t), _check_dims(family, t.dims, "the operator's"))
+    for ctx in table.contexts:
+        if (p := table[ctx]).min() < -tol.NEGATIVE_PROBABILITY:
             raise ValidationError(f"negative probability {p.min():.3e} in context {ctx.label}: "
                                   "operator is not product-positive within tolerance")
-        dists[ctx.label] = p.reshape(ctx.shape)
-    return SectionTable(family, dists)
+    return table
 
 
 def section_from_framefn(f, family) -> SectionTable:
     """Tabulate a frame function over product contexts.
 
     Outcome (i, j) is the state of the i-th left and j-th right basis column,
-    phased as ProductState phases it; each context takes one ``f.values`` call
-    on the stacks of its outcome states.  Coarse nodes need no table:
-    :func:`check_section` compares the restrictions of a node's fine parents,
-    which is where a signalling frame function becomes inconsistent.
+    phased as ProductState phases it; one ``f.values`` call on the stacked
+    outcome states of the whole family gives every entry.  Coarse nodes need
+    no table: :func:`check_section` compares the restrictions of a node's fine
+    parents, which is where a signalling frame function becomes inconsistent.
     """
     family = _check_dims(family, f.dims, "the frame function's")
-    dists = {}
-    for ctx in family:
-        u, v = (canonical_phase(c.basis.T).T for c in (ctx.left, ctx.right))
-        dists[ctx.label] = f.values(basis_products(u, v)).reshape(ctx.shape)
-    return SectionTable(family, dists)
+    if not family:
+        return SectionTable(family, {})
+    # Per site, the (C, d, d) stack of the family's bases, columns phased as ProductState does.
+    u, v = (canonical_phase(np.array([c.basis.T for c in site])).swapaxes(1, 2)
+            for site in zip(*((ctx.left, ctx.right) for ctx in family)))
+    values = f.values(basis_products(u, v)).reshape((len(family),) + family[0].shape)
+    return SectionTable(family, {ctx.label: p for ctx, p in zip(family, values)})
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ PSD = 1e-10  # min eigenvalue >= -PSD: positive semidefinite (density or Choi ma
 UNIT_TRACE = 1e-8  # |tr t - 1| <= UNIT_TRACE: unit trace
 PRODUCT_POSITIVE = 1e-8  # see-saw minimum >= -PRODUCT_POSITIVE: t is nonnegative on products
 NONNEGATIVE_EVAL = 1e-10  # how far below 0 a frame function declared nonnegative may read
-WEIGHT_SPREAD = 1e-8  # spread of basis sums at or below this certifies constant weight
 EFFECT_SPREAD_FLOOR = 1e-12  # smallest spectral width a random effect is divided by
 KRAUS_RANK = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
 JORDAN_SYMMETRY = 1e-10  # max difference of the symmetrized maps of both orientations

@@ -147,6 +147,15 @@ def test_twist_preserves_resolution_of_identity():
     assert abs(total - total2) <= 1e-10
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_product_basis_rejects_non_finite_vectors(bad):
+    e0, e1 = np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected without a floating-point warning
+        with pytest.raises(ValidationError, match="Gram matrix deviates"):
+            ProductBasis(((np.array([bad, 0.0]), e1), (e0, e1)))
+
+
 def test_find_local_pairs_c2c2():
     assert len(find_local_pairs(computational_basis((2, 2)))) == 4
 

@@ -175,6 +175,26 @@ def test_reconstruct_names_the_site_whose_bases_do_not_span():
         reconstruct_pvm(f, repeated)
 
 
+@pytest.mark.parametrize("dims, kind", [
+    ((3, 3), "density"), ((3, 3), "hermitian"), ((3, 3), "signalling"), ((4, 4), "hermitian"),
+    ((3, 5), "signalling"), ((3, 3, 3), "density")])
+def test_pvm_is_the_effect_grid_of_the_rank1_projectors(dims, kind):
+    # reconstruct_pvm solves the grid of the projectors |v><v| of its local states.
+    design = spanning_design(dims, seed=13)
+    rng = make_rng(13)
+    if kind == "signalling":
+        f = make_signalling_example(dims, 0.7)
+    else:
+        t = random_density(rng, dims) if kind == "density" else random_hermitian(rng, dims)
+        f = sample_from_operator(t, design.states)
+    projectors = [np.array([proj(x) for x in v]) for v in design.local]
+    values = np.array([f(s) for s in design.states]).reshape([len(v) for v in design.local])
+    pvm, povm = reconstruct_pvm(f, design, seed=3), reconstruct_povm(values, projectors, seed=3)
+    assert pvm.t.mat.tobytes() == povm.t.mat.tobytes()
+    assert repr(pvm.residual) == repr(povm.residual) and pvm.ranks == povm.ranks
+    assert pvm.classification is povm.classification
+
+
 @pytest.mark.parametrize("dims", [(3, 3), (4, 4), (3, 5)])
 def test_operator_induced_values_have_no_grid_residual(dims):
     design = spanning_design(dims, seed=11)

@@ -19,6 +19,7 @@ from nsgleason.linalg import (
     hermitian_eig,
     make_rng,
     partial_transpose,
+    product_values,
     proj,
     random_hermitian,
     random_onb,
@@ -322,3 +323,16 @@ def test_canonical_phase_twice_changes_no_bit():
         for row, phased in zip(stack.reshape(-1, 4), once.reshape(-1, 4)):
             assert canonical_phase(row).tobytes() == phased.tobytes()
             assert phased[1].imag == 0 and phased[1].real > 0 or not row.any()
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]),
+       st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+def test_product_values_match_expectations_of_full_states(seed, dims, n):
+    rng = make_rng(seed)
+    t = random_hermitian(rng, dims)
+    stacks = random_units(rng, dims, n)
+    got = product_values(t.mat, stacks)
+    assert got.shape == (n,) and got.dtype == float
+    want = [t.expectation(tensor([s[k] for s in stacks])) for k in range(n)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)

@@ -408,6 +408,45 @@ def test_section_from_framefn_matches_per_state_loop(seed, dims, kind):
         np.testing.assert_allclose(got[label], p, rtol=1e-13, atol=1e-14)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("kind", ["density", "partial_transpose"])
+def test_section_from_operator_is_the_operator_induced_section(dims, kind):
+    t = random_density(make_rng(sum(dims)), dims)
+    if kind == "partial_transpose":  # product-positive, not positive
+        t = partial_transpose(t, 1)
+    contexts, _ = random_context_family(dims, 4, seed=5)
+    got = section_from_operator(t, contexts)
+    want = section_from_framefn(OperatorInduced(t), contexts)
+    assert got.contexts == want.contexts and got.distributions.keys() == want.distributions.keys()
+    for label, p in want.distributions.items():
+        assert got.distributions[label].tobytes() == p.tobytes()
+    for empty in (section_from_operator(t, []), section_from_framefn(OperatorInduced(t), [])):
+        assert empty.contexts == () and empty.distributions == {}
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
+def test_tabulated_section_is_one_batched_lookup(dims):
+    # A Tabulated built from each context's outcome states, phased as ProductState phases
+    # a factor, finds every row of the family's one stacked values() call.
+    t = random_density(make_rng(1), dims)
+    contexts, edges = random_context_family(dims, 4, seed=2)
+    f = sample_from_operator(t, [s for ctx in contexts for s in ref_section_states(ctx)])
+    calls = []
+
+    class Counted:
+        def values(self, stacks):
+            calls.append(len(stacks[0]))
+            return f.values(stacks)
+
+    Counted.dims = f.dims
+    table = section_from_framefn(Counted(), contexts)
+    assert calls == [len(contexts) * np.prod(dims)]
+    want = section_from_framefn(OperatorInduced(t), contexts)
+    for ctx in contexts:
+        np.testing.assert_allclose(table[ctx], want[ctx], rtol=0, atol=1e-15)
+    assert check_section(table, edges).passed
+
+
 @pytest.mark.parametrize("n_fine", [0, -2])
 def test_random_context_family_needs_a_fine_context(n_fine):
     # Zero contexts would make every section trivially consistent.
