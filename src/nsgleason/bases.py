@@ -46,21 +46,7 @@ class ProductState:
     def batch(cls, stacks) -> tuple:
         """States from per-site (N, d_s) stacks, row k of each holding a factor
         of state k: the constructor's phases and unit checks, one pass a site."""
-        return cls._batch(stacks)[1]
-
-    @classmethod
-    def _batch(cls, stacks) -> tuple:
-        """batch's phased read-only stacks, and its states: their rows."""
-        check_unit_rows(stacks)  # before canonical_phase, as in the constructor
-        sites = [canonical_phase(f) for f in stacks]
-        if len({len(f) for f in sites}) > 1:
-            raise ValidationError("per-site stacks hold different numbers of states")
-        for f in sites:
-            f.setflags(write=False)
-        states = tuple(object.__new__(cls) for _ in range(len(sites[0]) if sites else 0))
-        for e, facs in zip(states, zip(*sites)):
-            object.__setattr__(e, "factors", facs)
-        return sites, states
+        return _rows_as_states(_phased_stacks(stacks))
 
     @property
     def dims(self) -> tuple:
@@ -115,40 +101,59 @@ class ProductBasis:
         return [ProductState(c) for c in combos]
 
     def to_unentangled(self) -> "UnentangledBasis":
-        return UnentangledBasis(tuple(self.elements()))
+        return UnentangledBasis.from_elements(self.elements())
+
+
+def _phased_stacks(stacks) -> tuple:
+    """Per-site (N, d_s) stacks of unit factors, one state a row: checked with
+    check_unit's message, given canonical phase, and read-only."""
+    check_unit_rows(stacks)  # before canonical_phase, which would divide by an infinite entry
+    sites = tuple(canonical_phase(f) for f in stacks)
+    if len({len(f) for f in sites}) > 1:
+        raise ValidationError("per-site stacks hold different numbers of states")
+    for f in sites:
+        f.setflags(write=False)
+    return sites
+
+
+def _rows_as_states(sites) -> tuple:
+    """The product states of phased stacks: state k holds row k of each, unchecked."""
+    states = tuple(object.__new__(ProductState) for _ in range(len(sites[0]) if sites else 0))
+    for e, facs in zip(states, zip(*sites)):
+        object.__setattr__(e, "factors", facs)
+    return states
 
 
 @dataclass(frozen=True)
 class UnentangledBasis:
-    """An orthonormal basis consisting of product states.  The per-site (N, d_s)
-    stacks of its factors are built, and checked for dims, once."""
+    """An orthonormal basis consisting of product states, held as per-site
+    (N, d_s) read-only stacks of unit factors with canonical phase: element k
+    is row k of each stack."""
 
-    elements: tuple
+    stacks: tuple
 
     def __post_init__(self):
-        elems = tuple(
-            e if isinstance(e, ProductState) else ProductState(tuple(e))
-            for e in self.elements
-        )
-        if not elems:
+        stacks = _phased_stacks(self.stacks)
+        if not stacks or not len(stacks[0]):
             raise ValidationError("empty basis")
-        if "_stacks" not in vars(self):  # from_stacks sets them
-            try:  # on factors of different lengths, or numbers of sites (zip is strict)
-                stacks = [np.array(f) for f in zip(*(e.factors for e in elems), strict=True)]
-            except ValueError:
-                raise ValidationError("inconsistent dims across basis elements") from None
-            object.__setattr__(self, "_stacks", stacks)
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "stacks", stacks)
 
     @classmethod
-    def from_stacks(cls, stacks) -> "UnentangledBasis":
-        """The basis of :meth:`ProductState.batch`'s states, keeping its
-        phased stacks rather than stacking the factors again."""
-        b = object.__new__(cls)
-        sites, elems = ProductState._batch(stacks)
-        object.__setattr__(b, "_stacks", sites)
-        b.__init__(elems)
-        return b
+    def from_elements(cls, elements) -> "UnentangledBasis":
+        """The basis of a sequence of ProductStates or factor tuples."""
+        facs = [e.factors if isinstance(e, ProductState) else tuple(e) for e in elements]
+        if not facs:
+            raise ValidationError("empty basis")
+        try:  # on factors of different lengths, or numbers of sites (zip is strict)
+            stacks = [np.array(f, dtype=complex) for f in zip(*facs, strict=True)]
+        except ValueError:
+            raise ValidationError("inconsistent dims across basis elements") from None
+        return cls(stacks)
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The ProductStates of the rows, built on first use."""
+        return _rows_as_states(self.stacks)
 
     @cached_property
     def _classes(self) -> list:
@@ -157,7 +162,7 @@ class UnentangledBasis:
         |f[first]^* f^T|, the k distinct rows of the N x N overlap matrix:
         ``rows[ids]`` is that matrix bit for bit."""
         classes = []
-        for f in self._stacks:
+        for f in self.stacks:
             keys = np.ascontiguousarray(f).view(np.dtype((np.void, f.itemsize * f.shape[1])))
             _, first, ids = np.unique(keys.ravel(), return_index=True, return_inverse=True)
             classes.append((ids.reshape(-1), first, np.abs(f[first].conj() @ f.T)))
@@ -165,16 +170,17 @@ class UnentangledBasis:
 
     @property
     def dims(self) -> tuple:
-        return self.elements[0].dims
+        return tuple(f.shape[1] for f in self.stacks)
 
     @property
     def dim(self) -> int:
         return int(np.prod(self.dims))
 
     def to_json(self) -> dict:
+        sites = [complex_to_json(f) for f in self.stacks]
         return {
             "dims": list(self.dims),
-            "elements": [e.to_json() for e in self.elements],
+            "elements": [{"factors": list(facs)} for facs in zip(*sites)],
         }
 
     @classmethod
@@ -182,7 +188,7 @@ class UnentangledBasis:
         elems = [e["factors"] for e in data["elements"]]
         if len(set(map(len, elems))) > 1:
             raise ValidationError("inconsistent dims across basis elements")
-        return cls.from_stacks([complex_from_json(site, 2) for site in zip(*elems)])
+        return cls([complex_from_json(site, 2) for site in zip(*elems)])
 
 
 @dataclass(frozen=True)
@@ -211,7 +217,7 @@ def _class_counts(b: UnentangledBasis, marked):
     rows) at element r + i's row and element r + 1 + k's column; k < i is no
     pair.  One product of 0/1 matrices (one-hot classes, stacked marks), so
     the counts are exact in float32."""
-    n = len(b.elements)
+    n = len(b.stacks[0])
     none = [np.zeros((0, n))]
     one_hot = np.concatenate(none + [np.arange(len(first))[:, None] == ids
                                      for ids, first, _ in b._classes], dtype=np.float32).T
@@ -247,7 +253,7 @@ def validate_unentangled(b: UnentangledBasis) -> BasisReport:
         i, k = divmod(int(np.argmax(total)), total.shape[1])
         if worst_pair is None or total[i, k] > worst:
             worst, worst_pair = float(total[i, k]), (r + i, r + 1 + k)
-    complete = len(b.elements) == b.dim
+    complete = len(b.stacks[0]) == b.dim
     return BasisReport(complete and not failures, complete, worst, worst_pair, tuple(failures))
 
 
@@ -284,26 +290,32 @@ class TwistMove:
 def _check_twist_pair(b: UnentangledBasis, site: int, i: int, j: int) -> None:
     """Elements i and j must agree on every factor but ``site``, and be
     orthogonal there, for a twist move at ``site`` to act on them."""
-    ei, ej = b.elements[i], b.elements[j]
-    if any(abs(np.vdot(f, g)) < 1 - tol.SAME_FACTOR
-           for s, (f, g) in enumerate(zip(ei.factors, ej.factors)) if s != site):
+    if any(abs(np.vdot(f[i], f[j])) < 1 - tol.SAME_FACTOR
+           for s, f in enumerate(b.stacks) if s != site):
         raise ValidationError(
             f"elements {i},{j} do not agree on all factors except site {site}"
         )
-    if abs(np.vdot(ei.factors[site], ej.factors[site])) > tol.ORTHO_PAIR:
+    if abs(np.vdot(b.stacks[site][i], b.stacks[site][j])) > tol.ORTHO_PAIR:
         raise ValidationError("pair factors at the twist site are not orthogonal")
 
 
 def apply_twist(b: UnentangledBasis, m: TwistMove) -> UnentangledBasis:
-    """Apply a twist move; all elements except the referenced pair are unchanged."""
+    """Apply a twist move; all elements except the referenced pair are unchanged.
+
+    Edits copies of the stacks: at the twist site rows i and j take the
+    rotated factors (phased by the constructor), and at every other site row
+    j takes row i's factor, which agrees with it up to phase.
+    """
     i, j = m.pair
     _check_twist_pair(b, m.site, i, j)
-    facs, s = b.elements[i].factors, m.site
-    u, v = facs[s], b.elements[j].factors[s]
-    elems = list(b.elements)
+    stacks = [f.copy() for f in b.stacks]
+    u, v = b.stacks[m.site][i], b.stacks[m.site][j]
+    for s, f in enumerate(stacks):
+        if s != m.site:
+            f[j] = f[i]
     for k, (x, y) in zip((i, j), m.rotation):  # rotation rows 0, 1 give elements i, j
-        elems[k] = ProductState(facs[:s] + (x * u + y * v,) + facs[s + 1:])
-    return UnentangledBasis(tuple(elems))
+        stacks[m.site][k] = x * u + y * v
+    return UnentangledBasis(stacks)
 
 
 def find_local_pairs(b: UnentangledBasis) -> list:
@@ -371,7 +383,7 @@ def _as_product_basis(b: UnentangledBasis) -> ProductBasis | None:
     factors, in element order, join the first earlier representative they
     match (|<f|r>| > 1 - SAME_FACTOR) or become one."""
     reps, signatures = [], []
-    for stack in b._stacks:
+    for stack in b.stacks:
         reps.append([])
         for f in stack:
             k = next((k for k, r in enumerate(reps[-1])
@@ -379,8 +391,9 @@ def _as_product_basis(b: UnentangledBasis) -> ProductBasis | None:
             if k == len(reps[-1]):
                 reps[-1].append(f)
             signatures.append(k)
-    signatures = set(map(tuple, np.reshape(signatures, (len(reps), len(b.elements))).T))
-    if tuple(map(len, reps)) != b.dims or len(signatures) != len(b.elements):
+    n = len(b.stacks[0])
+    signatures = set(map(tuple, np.reshape(signatures, (len(reps), n)).T))
+    if tuple(map(len, reps)) != b.dims or len(signatures) != n:
         return None
     try:
         return ProductBasis(tuple(tuple(r) for r in reps))
@@ -476,7 +489,7 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
                 _check_twist_pair(b, site, i, j)
             except ValidationError:
                 continue
-            at_site = b._stacks[site]
+            at_site = b.stacks[site]
             u, v = at_site[i], at_site[j]
             # Candidate targets: site factors of other elements (align with
             # an existing local frame) plus computational axes in the span.
@@ -541,7 +554,7 @@ def twisted_example_basis() -> UnentangledBasis:
         ProductState((e2, p12)),
         ProductState((e2, m12)),
     )
-    return UnentangledBasis(elems)
+    return UnentangledBasis.from_elements(elems)
 
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)

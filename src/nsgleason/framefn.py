@@ -20,7 +20,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .bases import ProductState, site_stacks
-from .linalg import HermitianOperator, ValidationError, check_unit_rows, product_values
+from .linalg import (HermitianOperator, ValidationError, canonical_phase, check_unit_rows,
+                     product_values)
 
 
 class LookupError_(KeyError):
@@ -32,8 +33,9 @@ class _Evaluated:
     kind binds __call__ itself, so a per-class wrapper (a tracer) can swap it."""
 
     def values(self, stacks) -> np.ndarray:
-        """f on N product states given as per-site (N, d) stacks of factors, used as
-        given (not re-phased) after the dims and unit-norm checks of ProductState."""
+        """f on N product states given as per-site (N, d) stacks of factors, in any
+        phase, after the dims and unit-norm checks of ProductState: entry n is
+        f(ProductState(row n)), bit for bit for a Tabulated one."""
         sites = [np.asarray(f, dtype=complex) for f in stacks]
         self._check_dims(tuple(f.shape[-1] for f in sites))
         check_unit_rows(sites)
@@ -80,8 +82,10 @@ class Tabulated(_Evaluated):
         return self._lookup(s.key())
 
     def _values(self, sites) -> np.ndarray:
-        # A row of the sites laid side by side holds ProductState.key()'s bytes.
-        return np.array([self._lookup(row.tobytes()) for row in np.hstack(sites)], dtype=float)
+        # Phased as ProductState phases a factor, a row of the sites laid side by
+        # side holds its key()'s bytes; a row already phased keeps its bits.
+        rows = np.hstack([canonical_phase(f) for f in sites])
+        return np.array([self._lookup(row.tobytes()) for row in rows], dtype=float)
 
     def _lookup(self, key: bytes) -> float:
         try:

@@ -24,7 +24,6 @@ from .bases import ProductState
 from .linalg import (
     HermitianOperator,
     ValidationError,
-    complex_to_json,
     make_rng,
     min_eigenvalue,
     product_values,
@@ -160,21 +159,6 @@ class Reconstruction:
     classification: Classification
     witness: Witness | None = None
     certificate: OrientationClass | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "t": self.t.to_json(),
-            "residual": self.residual,
-            "classification": self.classification.value,
-        }
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_json()
-        if self.witness is not None:
-            out["witness"] = {
-                "factors": [complex_to_json(f) for f in self.witness.factors],
-                "value": self.witness.value,
-            }
-        return out
 
 
 def product_seesaw_min(

@@ -251,7 +251,7 @@ def _clique_states(c: CliqueCandidate, verified: bool, what: str) -> Unentangled
     if not verified:
         raise ValidationError(f"candidate is not a verified {what}")
     digits = np.array(DIGIT_STATES)
-    return UnentangledBasis.from_stacks([digits[col] for col in c.vectors.T])
+    return UnentangledBasis([digits[col] for col in c.vectors.T])
 
 
 # ---------------------------------------------------------------------------

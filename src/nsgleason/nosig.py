@@ -34,13 +34,12 @@ from .linalg import (
     complex_to_json,
     is_local_basis,
     make_rng,
-    onbs_from_normals,
     partial_transpose,
     proj,
     random_onbs,
+    random_units,
     real_from_json,
     tensor_rows,
-    units_from_normals,
 )
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -227,39 +226,34 @@ def check_framefn(f, trials: int = 100, seed: int = 0) -> NoSigReport:
     """Probe a two-site frame function for remote-basis-dependent marginals.
 
     For random fixed remote states x and random pairs of local bases, the sums over the
-    two local bases must agree.  Reports the worst discrepancy and its first trial.  Trials
-    draw their site, then normals for x, b1, b2; ``f.values`` runs once per site on stacks.
+    two local bases must agree.  Reports the worst discrepancy and its first trial.  The
+    trials' sites come in one draw; then, per site, its trials' remote states in one draw
+    and both bases of each in one more, and one ``f.values`` call on stacks.
     """
     dims = f.dims
     if len(dims) != 2 or trials < 1:
         raise ValidationError(f"check_framefn needs 2 sites and trials >= 1, not {dims}, {trials}")
     rng = make_rng(seed)
-    sites, normals = [], []
-    for _ in range(trials):
-        sites.append(int(rng.integers(0, 2)))
-        normals.append(rng.standard_normal(2 * dims[1 - sites[-1]] + 4 * dims[sites[-1]] ** 2))
-
-    def draws(z, site):
-        """Remote states, and the bases b1, b2 of each trial in turn."""
-        n_x = 2 * dims[1 - site]
-        return units_from_normals(z[:, :n_x]), onbs_from_normals(
-            z[:, n_x:].reshape(-1, 2 * dims[site] ** 2))
-
-    gaps = np.zeros(trials)
+    sites = rng.integers(0, 2, trials)
+    gaps, draws = np.zeros(trials), {}
     for site, d in enumerate(dims):
-        idx = [k for k in range(trials) if sites[k] == site]
-        if idx:
-            x, b = draws(np.array([normals[k] for k in idx]), site)
+        idx = np.flatnonzero(sites == site)
+        if idx.size:
+            x = random_units(rng, (dims[1 - site],), len(idx))[0]
+            b = random_onbs(rng, (d,), 2 * len(idx))[0]  # the n-th trial's bases: 2n, 2n + 1
             stacks = [b.swapaxes(1, 2).reshape(-1, d), np.repeat(x, 2 * d, axis=0)]
             m = f.values(stacks[::-1] if site else stacks).reshape(-1, 2, d).sum(axis=2)
             gaps[idx] = np.abs(m[:, 0] - m[:, 1])
+            draws[site] = x, b
     worst = float(gaps.max(initial=0.0))
     if worst <= tol.NO_SIGNALLING:
         return NoSigReport(worst)
     trial = int(np.argmax(gaps))
-    x, b = draws(normals[trial][None], sites[trial])
-    return NoSigReport(worst, {"trial": trial, "site": sites[trial], "remote_state": x[0],
-                               "bases": (b[0], b[1])})
+    site = int(sites[trial])
+    x, b = draws[site]
+    n = int(np.count_nonzero(sites[:trial] == site))  # the trial's place among its site's
+    return NoSigReport(worst, {"trial": trial, "site": site, "remote_state": x[n],
+                               "bases": (b[2 * n], b[2 * n + 1])})
 
 
 # ---------------------------------------------------------------------------

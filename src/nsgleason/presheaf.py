@@ -19,8 +19,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .framefn import OperatorInduced
-from .linalg import (HermitianOperator, ValidationError, basis_products, canonical_phase,
-                     is_local_basis, make_rng, random_onbs)
+from .linalg import (HermitianOperator, ValidationError, basis_products, is_local_basis,
+                     make_rng, random_onbs)
 
 
 @dataclass(frozen=True)
@@ -134,16 +134,16 @@ def section_from_framefn(f, family) -> SectionTable:
     """Tabulate a frame function over product contexts.
 
     Outcome (i, j) is the state of the i-th left and j-th right basis column,
-    phased as ProductState phases it; one ``f.values`` call on the stacked
-    outcome states of the whole family gives every entry.  Coarse nodes need
-    no table: :func:`check_section` compares the restrictions of a node's fine
-    parents, which is where a signalling frame function becomes inconsistent.
+    as given; one ``f.values`` call on the stacked outcome states of the
+    whole family gives every entry.  Coarse nodes need no table:
+    :func:`check_section` compares the restrictions of a node's fine parents,
+    which is where a signalling frame function becomes inconsistent.
     """
     family = _check_dims(family, f.dims, "the frame function's")
     if not family:
         return SectionTable(family, {})
-    # Per site, the (C, d, d) stack of the family's bases, columns phased as ProductState does.
-    u, v = (canonical_phase(np.array([c.basis.T for c in site])).swapaxes(1, 2)
+    # Per site, the (C, d, d) stack of the family's bases.
+    u, v = (np.array([c.basis for c in site])
             for site in zip(*((ctx.left, ctx.right) for ctx in family)))
     values = f.values(basis_products(u, v)).reshape((len(family),) + family[0].shape)
     return SectionTable(family, {ctx.label: p for ctx, p in zip(family, values)})

@@ -19,8 +19,10 @@ from nsgleason.bases import (
     twisted_example_certificate,
     validate_unentangled,
 )
+from nsgleason.keller import basis_from_clique, bundled_candidate
 from nsgleason.linalg import (
     ValidationError,
+    check_unit,
     make_rng,
     random_hermitian,
     random_onb,
@@ -78,7 +80,7 @@ def test_product_state_rejects_infinite_factor_without_a_warning(value):
 
 def test_duplicated_element_invalid():
     b = computational_basis((2, 2))
-    dup = UnentangledBasis((b.elements[0],) + b.elements[:3])
+    dup = UnentangledBasis.from_elements((b.elements[0],) + b.elements[:3])
     rep = validate_unentangled(dup)
     assert not rep.is_valid
     assert rep.worst_overlap == pytest.approx(1.0)
@@ -116,7 +118,7 @@ def test_twist_rotation_must_be_2x2_unitary(rotation, message):
     ((ProductState((np.eye(2)[0],)), ProductState((np.eye(3)[0],))), "inconsistent dims")])
 def test_unentangled_basis_needs_elements_of_one_shape(elements, message):
     with pytest.raises(ValidationError, match=message):
-        UnentangledBasis(elements)
+        UnentangledBasis.from_elements(elements)
 
 
 def test_twist_on_unmatched_pair_rejected():
@@ -217,3 +219,56 @@ def test_basis_json_round_trip():
     back = UnentangledBasis.from_json(b.to_json())
     for e, f in zip(b.elements, back.elements):
         assert abs(e.overlap(f)) == pytest.approx(1.0, abs=1e-12)
+
+
+def twisted_basis(seed, dims, n_moves):
+    """A random product basis with ``n_moves`` seeded random twists applied."""
+    rng = make_rng(seed)
+    b = ProductBasis(tuple(tuple(random_onb(rng, d).T) for d in dims)).to_unentangled()
+    for _ in range(n_moves):
+        pairs = find_local_pairs(b)
+        b = apply_twist(b, TwistMove(*pairs[int(rng.integers(len(pairs)))], random_onb(rng, 2)))
+    return b
+
+
+def test_clique_basis_checks_build_no_product_states():
+    # The pair checks and the JSON writer read the stacks; no ProductState is made.
+    b = basis_from_clique(bundled_candidate())
+    assert validate_unentangled(b).is_valid and len(find_local_pairs(b)) == 5120
+    b.to_json()
+    assert "elements" not in vars(b)
+    assert len(b.elements) == len(b.stacks[0]) == 1024 and "elements" in vars(b)
+
+
+@pytest.mark.parametrize("make", [lambda: basis_from_clique(bundled_candidate()),
+                                  twisted_example_basis, lambda: twisted_basis(3, (3, 2, 2), 3)],
+                         ids=["bundled", "example", "twisted"])
+def test_basis_json_is_its_elements_json(make):
+    b = make()
+    data = b.to_json()
+    assert data == {"dims": list(b.dims), "elements": [e.to_json() for e in b.elements]}
+    back = UnentangledBasis.from_json(data)
+    assert [f.tobytes() for f in back.stacks] == [f.tobytes() for f in b.stacks]
+    assert all(not f.flags.writeable for f in back.stacks)
+
+
+def raised(fn) -> str:
+    with pytest.raises(ValidationError) as exc:
+        fn()
+    return str(exc.value)
+
+
+def test_both_constructors_reject_empty_ragged_and_non_unit_input():
+    e0, e1 = np.eye(2, dtype=complex)
+    for empty in ((), [np.zeros((0, 2))]):
+        assert raised(lambda: UnentangledBasis(empty)) == "empty basis"
+    assert raised(lambda: UnentangledBasis.from_elements(())) == "empty basis"
+    assert raised(lambda: UnentangledBasis([np.eye(2), np.eye(2)[:1]])) == (
+        "per-site stacks hold different numbers of states")
+    for ragged in ([(e0, e0), (e1,)], [(e0,), (np.eye(3)[0],)]):
+        assert raised(lambda: UnentangledBasis.from_elements(ragged)) == (
+            "inconsistent dims across basis elements")
+    bad = np.array([0.6, 0.6], dtype=complex)
+    want = raised(lambda: check_unit(bad))
+    assert raised(lambda: UnentangledBasis([np.array([e0, bad]), np.eye(2)])) == want
+    assert raised(lambda: UnentangledBasis.from_elements([(e0, e0), (bad, e1)])) == want

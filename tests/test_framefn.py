@@ -248,6 +248,30 @@ def test_values_match_per_state_loop(seed, dims, kind, n):
     np.testing.assert_allclose([f(s) for s in states], got, rtol=1e-13, atol=1e-14)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (3, 3), (3, 4), (5, 2)]),
+       st.sampled_from(["density", "psd_declared", "tabulated", "signalling"]),
+       st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_values_match_per_state_loop_on_unphased_rows(seed, dims, kind, n):
+    # Rows in another phase than ProductState gives them: entry n is still
+    # f(ProductState(row n)), bit for bit for a Tabulated table, which phases
+    # the rows it looks up.
+    rng = make_rng(seed)
+    stacks = [f * np.exp(2j * np.pi * rng.uniform(size=(n, 1))) for f in random_units(rng, dims, n)]
+    states = [ProductState(tuple(f[k] for f in stacks)) for k in range(n)]
+    if kind == "tabulated":
+        f = sample_from_operator(random_density(rng, dims), states)
+    elif kind == "signalling":
+        f = SignallingFamily(dims, rng.uniform(0, np.pi))
+    else:
+        f = OperatorInduced(random_density(rng, dims), nonnegative=kind == "psd_declared")
+    got = f.values(stacks)
+    want = np.array([f(s) for s in states])
+    if kind == "tabulated":
+        assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+
+
 @pytest.mark.parametrize("kind", ["operator", "table", "signalling"])
 def test_call_rejects_state_of_other_dims(kind):
     f = {"operator": OperatorInduced(HermitianOperator((3, 3), np.eye(9))),

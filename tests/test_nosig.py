@@ -227,17 +227,24 @@ def test_signalling_family_witnessed():
 
 
 def looped_check_framefn(f, trials, seed):
-    """check_framefn one trial and one product state at a time, as it ran
-    before its draws were stacked: (worst, trial, site, x, b1, b2)."""
+    """check_framefn one draw and one product state at a time, in its draw
+    order: every trial's site, then per site the remote state of each of its
+    trials, then both bases of each: (worst, trial, site, x, b1, b2)."""
     dims = f.dims
     rng = make_rng(seed)
+    sites = rng.integers(0, 2, trials)
+    draws = {}
+    for site in (0, 1):
+        idx = [k for k in range(trials) if sites[k] == site]
+        xs = [random_unit(rng, dims[1 - site]) for _ in idx]
+        bases = [random_onb(rng, dims[site]) for _ in range(2 * len(idx))]
+        for n, k in enumerate(idx):
+            draws[k] = (xs[n], bases[2 * n], bases[2 * n + 1])
     worst, witness = 0.0, None
     for trial in range(trials):
-        site = int(rng.integers(0, 2))
+        site = int(sites[trial])
         remote = 1 - site
-        x = random_unit(rng, dims[remote])
-        b1 = random_onb(rng, dims[site])
-        b2 = random_onb(rng, dims[site])
+        x, b1, b2 = draws[trial]
 
         def marginal(basis):
             total = 0.0

@@ -335,15 +335,15 @@ def test_basis_checks_match_loops(seed, dims, n_moves):
     assert find_local_pairs(b) == ref_find_local_pairs(b)
     assert bases._alignment_score(b) == ref_alignment_score(b)
     # Invalid inputs: a repeated element, and a single-element family.
-    dup = UnentangledBasis(b.elements[1:] + b.elements[:2])
+    dup = UnentangledBasis.from_elements(b.elements[1:] + b.elements[:2])
     assert validate_unentangled(dup) == ref_validate(dup)
     assert find_local_pairs(dup) == ref_find_local_pairs(dup)
-    one = UnentangledBasis(b.elements[:1])
+    one = UnentangledBasis.from_elements(b.elements[:1])
     assert validate_unentangled(one) == ref_validate(one)
     # Repeated factors that differ in their bits: their classes split, but
     # the tolerance still calls them equal.
     rng = make_rng(seed)
-    jit = UnentangledBasis(tuple(ProductState(tuple(
+    jit = UnentangledBasis.from_elements(tuple(ProductState(tuple(
         f * np.exp(1j * rng.uniform(0, 2 * np.pi)) + 1e-13 * rng.standard_normal(len(f))
         for f in e.factors)) for e in b.elements))
     assert find_local_pairs(jit) == ref_find_local_pairs(jit) == find_local_pairs(b)
@@ -390,7 +390,8 @@ def moved(b, rng, eps):
     facs = list(b.elements[k].factors)
     g = facs[s] + eps * (rng.standard_normal(len(facs[s])) + 1j * rng.standard_normal(len(facs[s])))
     facs[s] = g / np.linalg.norm(g)
-    return UnentangledBasis(b.elements[:k] + (ProductState(tuple(facs)),) + b.elements[k + 1:])
+    elems = b.elements[:k] + (ProductState(tuple(facs)),) + b.elements[k + 1:]
+    return UnentangledBasis.from_elements(elems)
 
 
 def search_outcome(res):
