@@ -23,13 +23,13 @@ from .linalg import (
     tensor,
 )
 from .bases import (
-    ProductBasis,
     ProductState,
     TwistCertificate,
     TwistMove,
     UnentangledBasis,
     apply_twist,
     find_local_pairs,
+    product_basis,
     twist_search,
     twisted_example_basis,
     twisted_example_certificate,

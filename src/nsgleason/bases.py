@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -59,13 +59,6 @@ class ProductState:
     def full(self) -> np.ndarray:
         return tensor(self.factors)
 
-    def overlap(self, other: "ProductState") -> complex:
-        """<self|other>, computed factorwise."""
-        out = 1.0 + 0j
-        for f, g in zip(self.factors, other.factors):
-            out *= np.vdot(f, g)
-        return out
-
     def key(self) -> bytes:
         """Bit-exact serialization key (canonical phases make this stable)."""
         return b"".join(np.ascontiguousarray(f).tobytes() for f in self.factors)
@@ -76,32 +69,6 @@ class ProductState:
     @classmethod
     def from_json(cls, data: dict) -> "ProductState":
         return cls(tuple(complex_from_json(f, 1) for f in data["factors"]))
-
-
-@dataclass(frozen=True)
-class ProductBasis:
-    """Per-site orthonormal bases; elements are all combinations."""
-
-    local_bases: tuple  # per site: tuple of unit vectors
-
-    def __post_init__(self):
-        bases = []
-        for lb in self.local_bases:
-            vecs = [np.asarray(v, dtype=complex) for v in lb]
-            d = len(vecs[0])
-            if len(vecs) != d:
-                raise ValidationError(f"local basis has {len(vecs)} vectors in dim {d}")
-            if not is_local_basis(np.array(vecs).T):  # before phasing, which divides by a lead
-                raise ValidationError("local basis Gram matrix deviates from identity")
-            bases.append(tuple(canonical_phase(v) for v in vecs))
-        object.__setattr__(self, "local_bases", tuple(bases))
-
-    def elements(self) -> list:
-        combos = itertools.product(*self.local_bases)
-        return [ProductState(c) for c in combos]
-
-    def to_unentangled(self) -> "UnentangledBasis":
-        return UnentangledBasis.from_elements(self.elements())
 
 
 def _phased_stacks(stacks) -> tuple:
@@ -189,6 +156,21 @@ class UnentangledBasis:
         if len(set(map(len, elems))) > 1:
             raise ValidationError("inconsistent dims across basis elements")
         return cls([complex_from_json(site, 2) for site in zip(*elems)])
+
+
+def product_basis(local_bases) -> UnentangledBasis:
+    """The product basis of per-site orthonormal bases, site s's d_s vectors the rows
+    of ``local_bases[s]``: every product of one vector per site, site 0 major."""
+    local = [np.asarray(lb, dtype=complex) for lb in local_bases]
+    for lb in local:
+        n, d = lb.shape if lb.ndim == 2 else (lb.size, 0)
+        if n != d or not n:
+            raise ValidationError(f"local basis has {n} vectors in dim {d}")
+        if not is_local_basis(lb.T):  # before phasing, which divides by a lead
+            raise ValidationError("local basis Gram matrix deviates from identity")
+    dims = [len(lb) for lb in local]
+    grid = np.indices(dims).reshape(len(dims), int(np.prod(dims)))
+    return UnentangledBasis([lb[k] for lb, k in zip(local, grid)])
 
 
 @dataclass(frozen=True)
@@ -344,7 +326,7 @@ class TwistCertificate:
 
     moves: tuple
     initial: UnentangledBasis
-    final: ProductBasis
+    final: tuple  # per site: the read-only (d_s, d_s) local basis reached, vectors as rows
 
     def walk(self):
         """Apply the moves in order, yielding each intermediate basis."""
@@ -354,19 +336,21 @@ class TwistCertificate:
             yield b
 
     def replay(self) -> bool:
+        """Walk the moves, then match the elements reached with the product basis of
+        ``final`` up to phase: as many of each, and every element reached has one
+        |<e|g>| = prod_s |F_s^* G_s^T| above 1 - REPLAY_MATCH (F, G their stacks)."""
         b = self.initial
         for b in self.walk():
             pass
-        # Compare as sets of elements up to phase, within tolerance.
-        final_elems = self.final.to_unentangled().elements
-        return all(any(abs(e.overlap(f)) > 1 - tol.REPLAY_MATCH for f in final_elems)
-                   for e in b.elements)
+        final = product_basis(self.final).stacks
+        ov = reduce(np.multiply, (np.abs(f.conj() @ g.T) for f, g in zip(b.stacks, final)))
+        return ov.shape[0] == ov.shape[1] and bool((ov > 1 - tol.REPLAY_MATCH).any(axis=1).all())
 
     def to_json(self) -> dict:
         return {
             "moves": [m.to_json() for m in self.moves],
             "initial": self.initial.to_json(),
-            "final": [complex_to_json(lb) for lb in self.final.local_bases],
+            "final": [complex_to_json(lb) for lb in self.final],
         }
 
 
@@ -378,10 +362,11 @@ class SearchResult:
     moves_tried: int = 0
 
 
-def _as_product_basis(b: UnentangledBasis) -> ProductBasis | None:
+def _as_product_basis(b: UnentangledBasis) -> tuple | None:
     """Recognize a basis whose elements form a full product grid: each site's
     factors, in element order, join the first earlier representative they
-    match (|<f|r>| > 1 - SAME_FACTOR) or become one."""
+    match (|<f|r>| > 1 - SAME_FACTOR) or become one.  Returns each site's
+    representatives as the rows of a read-only local basis, or None."""
     reps, signatures = [], []
     for stack in b.stacks:
         reps.append([])
@@ -393,12 +378,14 @@ def _as_product_basis(b: UnentangledBasis) -> ProductBasis | None:
             signatures.append(k)
     n = len(b.stacks[0])
     signatures = set(map(tuple, np.reshape(signatures, (len(reps), n)).T))
-    if tuple(map(len, reps)) != b.dims or len(signatures) != n:
+    if n != b.dim or tuple(map(len, reps)) != b.dims or len(signatures) != n:
         return None
-    try:
-        return ProductBasis(tuple(tuple(r) for r in reps))
-    except ValidationError:
+    local = tuple(np.array(r) for r in reps)
+    if not all(is_local_basis(lb.T) for lb in local):
         return None
+    for lb in local:
+        lb.setflags(write=False)
+    return local
 
 
 def _aligned(ov: np.ndarray) -> np.ndarray:
@@ -569,6 +556,6 @@ def twisted_example_certificate() -> TwistCertificate:
         TwistMove(0, (2, 5), _HADAMARD),  # |0+1>|2>, |0-1>|2>  ->  |0>|2>, |1>|2>
         TwistMove(0, (3, 6), _HADAMARD),  # |1+2>|0>, |1-2>|0>  ->  |1>|0>, |2>|0>
     )
-    eye = np.eye(3)
-    final = ProductBasis((tuple(eye), tuple(eye)))
-    return TwistCertificate(moves, initial, final)
+    eye = np.eye(3, dtype=complex)
+    eye.setflags(write=False)
+    return TwistCertificate(moves, initial, (eye, eye))

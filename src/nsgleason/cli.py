@@ -116,7 +116,8 @@ def cmd_reconstruct(args, rep):
     rec = reconstruct_pvm(sample_from_operator(t, design.states), design, seed=args.seed)
     frob = float(np.linalg.norm(rec.t.mat - t.mat))
     rep.data["design"] = {"bases_per_site": [d + 1 for d in design.dims],
-                          "states": len(design.states), "feature_rank": list(rec.ranks)}
+                          "states": len(design.states), "feature_rank": list(rec.ranks),
+                          "condition_numbers": list(rec.condition_numbers)}
     rep.data["classification"] = rec.classification.value
     if rec.certificate is not None:
         rep.data["evidence"] = {"orientation_certificate": rec.certificate.to_json()}

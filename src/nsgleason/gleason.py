@@ -149,13 +149,14 @@ class Witness:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """A recovered operator, its in-sample residual, the feature ``ranks`` of the rows it
-    solved (one per site) and its classification, with the evidence
+    """A recovered operator, its in-sample residual, the feature ``ranks`` and ``condition_numbers``
+    (σ_max / σ_min) of the rows it solved (one per site) and its classification, with the evidence
     classify_product_positivity gave: the orientation ``certificate`` or see-saw ``witness``."""
 
     t: HermitianOperator
     residual: float
     ranks: tuple
+    condition_numbers: tuple
     classification: Classification
     witness: Witness | None = None
     certificate: OrientationClass | None = None
@@ -242,13 +243,14 @@ def _grid_solve(values: np.ndarray, effects, what: str, seed: int) -> Reconstruc
     (``tolerances.FEATURE_RANK``) raises ValidationError naming it."""
     dims = tuple(e.shape[-1] for e in effects)
     site_rows = [feature_of(e) for e in effects]
-    pinvs, ranks = [], []
+    pinvs, ranks, conds = [], [], []
     for site, (d, a) in enumerate(zip(dims, site_rows)):
         u, sv, vh = np.linalg.svd(a, full_matrices=False)
         ranks.append(int(np.count_nonzero(sv > tol.FEATURE_RANK)))
         if ranks[-1] < d * d:
             raise ValidationError(
                 f"site {site}: {len(a)} {what} have feature rank {ranks[-1]} < {d * d}")
+        conds.append(float(sv[0] / sv[-1]))
         pinvs.append(u / sv @ vh)  # the transposed pseudo-inverse of a, from its SVD
     x = _along_axes(values, pinvs)  # coordinates in the products of hermitian_basis elements
     residual = float(np.max(np.abs(_along_axes(x, [a.T for a in site_rows]) - values)))
@@ -257,7 +259,7 @@ def _grid_solve(values: np.ndarray, effects, what: str, seed: int) -> Reconstruc
     t = HermitianOperator(dims, t)
     cls, evidence = classify_product_positivity(t, seed=seed)
     kind = "witness" if isinstance(evidence, Witness) else "certificate"
-    return Reconstruction(t, residual, tuple(ranks), cls, **{kind: evidence})
+    return Reconstruction(t, residual, tuple(ranks), tuple(conds), cls, **{kind: evidence})
 
 
 def reconstruct_pvm(f, design: SpanningDesign, seed: int = 0) -> Reconstruction:

@@ -1,5 +1,6 @@
 """Tests for product/unentangled bases and twist moves."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from nsgleason import tolerances as tol
 from nsgleason.bases import (
     BasisReport,
-    ProductBasis,
     ProductState,
+    TwistCertificate,
     TwistMove,
     UnentangledBasis,
+    _as_product_basis,
     apply_twist,
     find_local_pairs,
+    product_basis,
     twist_search,
     twisted_example_basis,
     twisted_example_certificate,
@@ -22,6 +25,7 @@ from nsgleason.bases import (
 from nsgleason.keller import basis_from_clique, bundled_candidate
 from nsgleason.linalg import (
     ValidationError,
+    canonical_phase,
     check_unit,
     make_rng,
     random_hermitian,
@@ -32,7 +36,14 @@ HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 
 def computational_basis(dims) -> UnentangledBasis:
-    return ProductBasis(tuple(tuple(np.eye(d)) for d in dims)).to_unentangled()
+    return product_basis([np.eye(d) for d in dims])
+
+
+def assert_same_up_to_phase(b, c):
+    """Element k of b and of c agree up to phase, for every k."""
+    overlaps = np.prod([np.abs(np.sum(f.conj() * g, axis=1)) for f, g in zip(b.stacks, c.stacks)],
+                       axis=0)
+    np.testing.assert_allclose(overlaps, 1.0, atol=1e-12)
 
 
 def test_computational_product_basis_valid():
@@ -102,8 +113,7 @@ def test_apply_twist_first_example_step():
 def test_identity_twist_is_noop():
     b = twisted_example_basis()
     nb = apply_twist(b, TwistMove(1, (7, 8), np.eye(2)))
-    for e, f in zip(b.elements, nb.elements):
-        assert abs(e.overlap(f)) == pytest.approx(1.0, abs=1e-12)
+    assert_same_up_to_phase(b, nb)
 
 
 @pytest.mark.parametrize("rotation, message", [(np.eye(3), "must be 2x2"),
@@ -155,7 +165,7 @@ def test_product_basis_rejects_non_finite_vectors(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rejected without a floating-point warning
         with pytest.raises(ValidationError, match="Gram matrix deviates"):
-            ProductBasis(((np.array([bad, 0.0]), e1), (e0, e1)))
+            product_basis([np.array([[bad, 0.0], e1]), np.array([e0, e1])])
 
 
 def test_find_local_pairs_c2c2():
@@ -163,7 +173,7 @@ def test_find_local_pairs_c2c2():
 
 
 def test_find_local_pairs_single_site():
-    b = ProductBasis((tuple(np.eye(4)),)).to_unentangled()
+    b = product_basis([np.eye(4)])
     assert len(find_local_pairs(b)) == 6  # C(4, 2)
 
 
@@ -216,15 +226,13 @@ def test_twist_search_on_product_basis_is_empty():
 
 def test_basis_json_round_trip():
     b = twisted_example_basis()
-    back = UnentangledBasis.from_json(b.to_json())
-    for e, f in zip(b.elements, back.elements):
-        assert abs(e.overlap(f)) == pytest.approx(1.0, abs=1e-12)
+    assert_same_up_to_phase(b, UnentangledBasis.from_json(b.to_json()))
 
 
 def twisted_basis(seed, dims, n_moves):
     """A random product basis with ``n_moves`` seeded random twists applied."""
     rng = make_rng(seed)
-    b = ProductBasis(tuple(tuple(random_onb(rng, d).T) for d in dims)).to_unentangled()
+    b = product_basis([random_onb(rng, d).T for d in dims])
     for _ in range(n_moves):
         pairs = find_local_pairs(b)
         b = apply_twist(b, TwistMove(*pairs[int(rng.integers(len(pairs)))], random_onb(rng, 2)))
@@ -272,3 +280,70 @@ def test_both_constructors_reject_empty_ragged_and_non_unit_input():
     want = raised(lambda: check_unit(bad))
     assert raised(lambda: UnentangledBasis([np.array([e0, bad]), np.eye(2)])) == want
     assert raised(lambda: UnentangledBasis.from_elements([(e0, e0), (bad, e1)])) == want
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_product_basis_is_the_product_loop_over_phased_rows(dims):
+    rng = make_rng(sum(dims) * 7 + len(dims))
+    local = [random_onb(rng, d).T for d in dims]
+    b = product_basis(local)
+    rows = [[canonical_phase(v) for v in lb] for lb in local]
+    want = [np.array(site) for site in zip(*itertools.product(*rows))]
+    assert [f.tobytes() for f in b.stacks] == [f.tobytes() for f in want]
+    assert all(not f.flags.writeable for f in b.stacks) and validate_unentangled(b).is_valid
+
+
+def test_product_basis_rejects_short_non_orthonormal_and_empty_local_bases():
+    e0, e1 = np.eye(2)
+    assert raised(lambda: product_basis([np.eye(3)[:2], np.eye(2)])) == (
+        "local basis has 2 vectors in dim 3")
+    assert raised(lambda: product_basis([np.eye(2), np.array([e0, [0.6, 0.8]])])) == (
+        "local basis Gram matrix deviates from identity")
+    assert raised(lambda: product_basis([()])) == "local basis has 0 vectors in dim 0"
+    assert raised(lambda: product_basis([np.zeros((0, 2))])) == "local basis has 0 vectors in dim 2"
+    assert raised(lambda: product_basis([e1])) == "local basis has 2 vectors in dim 0"
+
+
+def incomplete_family() -> UnentangledBasis:
+    """Three of the four computational states of C^2 (x) C^2: orthonormal, each site
+    holding both basis vectors, yet no basis."""
+    e = np.eye(2, dtype=complex)
+    return UnentangledBasis([e[[0, 0, 1]], e[[0, 1, 0]]])
+
+
+def test_incomplete_family_is_no_twisted_product_basis():
+    b = incomplete_family()
+    rep = validate_unentangled(b)
+    assert not rep.complete and not rep.failures
+    assert _as_product_basis(b) is None
+    res = twist_search(b)
+    assert not res.found and res.certificate is None
+    assert res.reason == "no strictly improving move found"
+
+
+def test_replay_fails_on_a_wrong_final_basis_a_dropped_move_or_an_incomplete_family():
+    cert = twisted_example_certificate()
+    assert cert.replay()
+    rotated = (cert.final[0], np.vstack([HADAMARD @ cert.final[1][:2], cert.final[1][2:]]))
+    assert product_basis(rotated).dims == (3, 3)
+    assert not TwistCertificate(cert.moves, cert.initial, rotated).replay()
+    assert not TwistCertificate(cert.moves[:-1], cert.initial, cert.final).replay()
+    eye = np.eye(2, dtype=complex)
+    assert not TwistCertificate((), incomplete_family(), (eye, eye)).replay()
+    assert TwistCertificate((), computational_basis((2, 2)), (eye, eye)).replay()
+
+
+def test_certificates_hold_read_only_local_bases():
+    for cert in (twisted_example_certificate(), twist_search(twisted_example_basis()).certificate,
+                 twist_search(computational_basis((2, 3))).certificate):
+        assert [lb.shape for lb in cert.final] == [(d, d) for d in cert.initial.dims]
+        assert all(not lb.flags.writeable for lb in cert.final)
+
+
+def test_example_certificate_json_writes_identity_rows():
+    data = twisted_example_certificate().to_json()
+    eye_rows = [[[float(x), 0.0] for x in row] for row in np.eye(3)]
+    assert data["final"] == [eye_rows, eye_rows]
+    assert data["initial"] == twisted_example_basis().to_json()
+    assert [(m["site"], m["pair"]) for m in data["moves"]] == [
+        (1, [7, 8]), (1, [0, 1]), (0, [2, 5]), (0, [3, 6])]

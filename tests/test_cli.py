@@ -16,9 +16,10 @@ from nsgleason import cli, tolerances
 from nsgleason import keller as kel
 from nsgleason.bases import (
     BasisReport,
-    ProductBasis,
     TwistMove,
+    UnentangledBasis,
     apply_twist,
+    product_basis,
     twist_search,
     twisted_example_basis,
     twisted_example_certificate,
@@ -26,7 +27,7 @@ from nsgleason.bases import (
 )
 from nsgleason.cli import main
 from nsgleason.framefn import sample_from_operator
-from nsgleason.gleason import product_seesaw_min, reconstruct_pvm, spanning_design
+from nsgleason.gleason import feature_of, product_seesaw_min, reconstruct_pvm, spanning_design
 from nsgleason.keller import bundled_candidate, save_clique, verify_clique
 from nsgleason.linalg import (
     HermitianOperator,
@@ -101,9 +102,8 @@ def basis_file(tmp_path, basis):
 
 def test_twist_basis_search_writes_its_certificate(tmp_path, capsys):
     # One Hadamard twist of the (3,3) computational basis is undone by one move.
-    eye = tuple(np.eye(3))
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-    basis = apply_twist(ProductBasis((eye, eye)).to_unentangled(), TwistMove(1, (0, 1), h))
+    basis = apply_twist(product_basis([np.eye(3), np.eye(3)]), TwistMove(1, (0, 1), h))
     cert = str(tmp_path / "cert.json")
     code, rep = run(["twist", "--basis", basis_file(tmp_path, basis), "--out-cert", cert],
                     capsys)
@@ -122,12 +122,21 @@ def gstar_family():
     return kel.family_from_clique(clique, kel.Graph.G_STAR)
 
 
+def incomplete_family():
+    """Three of the four computational states of C^2 (x) C^2: no basis, so no product basis."""
+    e = np.eye(2, dtype=complex)
+    return UnentangledBasis([e[[0, 0, 1]], e[[0, 1, 0]]])
+
+
 @pytest.mark.parametrize("case, reason, tried", [
     ("example, budget 2", "move budget exhausted", 22),
-    ("G* family", "no local pairs exist; no twist move applies", 0)])
+    ("G* family", "no local pairs exist; no twist move applies", 0),
+    ("incomplete family", "no strictly improving move found", 4)])
 def test_twist_basis_search_reports_why_it_stopped(tmp_path, capsys, case, reason, tried):
-    basis, budget = ((twisted_example_basis(), "2") if case == "example, budget 2"
-                     else (gstar_family(), "50"))
+    basis, budget = {"example, budget 2": (twisted_example_basis, "2"),
+                     "G* family": (gstar_family, "50"),
+                     "incomplete family": (incomplete_family, "50")}[case]
+    basis = basis()
     cert = tmp_path / "cert.json"
     code, rep = run(["twist", "--basis", basis_file(tmp_path, basis), "--budget", budget,
                      "--out-cert", str(cert)], capsys)
@@ -206,7 +215,8 @@ def test_reconstruct_holdout_0_reports_the_in_sample_residual(rho_file, capsys):
     # No rows are held out: the holdout_residual verdict reads the grid's in-sample residual.
     code, rep = run(["reconstruct", "--operator", rho_file], capsys)
     assert code == 0
-    assert rep["design"] == {"bases_per_site": [4, 4], "states": 144, "feature_rank": [9, 9]}
+    assert rep["design"] == {"bases_per_site": [4, 4], "states": 144, "feature_rank": [9, 9],
+                             "condition_numbers": site_conditions((3, 3), 0)}
     verdict = rep["verdicts"]["holdout_residual"]
     assert verdict["note"].startswith("in sample: the product-basis grid's residual")
     with open(rho_file) as fh:
@@ -222,7 +232,31 @@ def test_reconstruct_other_dims(tmp_path, capsys, dims, states):
     code, rep = run(["reconstruct", "--operator", path], capsys)
     assert code == 0 and rep["classification"] == "DENSITY_MATRIX"
     assert rep["design"] == {"bases_per_site": [d + 1 for d in dims], "states": states,
-                             "feature_rank": [d * d for d in dims]}
+                             "feature_rank": [d * d for d in dims],
+                             "condition_numbers": site_conditions(dims, 0)}
+
+
+def site_conditions(dims, seed):
+    """np.linalg.cond of each site's feature rows of its design projectors, as approx."""
+    design = spanning_design(dims, seed=seed)
+    rows = [feature_of(np.einsum("ki,kj->kij", v, v.conj())) for v in design.local]
+    return pytest.approx([np.linalg.cond(a) for a in rows], rel=1e-9)
+
+
+def test_reconstruct_reports_each_sites_condition_number(tmp_path, capsys):
+    # A unit-trace (6,6) operator whose round trip fails at seed 141 but not at seed 0:
+    # the report's condition numbers say why (their product is 4e9 against 5e3).
+    rng = make_rng(0)
+    z = rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))
+    h = (z + z.conj().T) / 2
+    h -= np.trace(h).real / 36 * np.eye(36)
+    t = HermitianOperator((6, 6), np.eye(36) / 36 + 4 * h / np.linalg.norm(h))
+    path = operator_file(tmp_path, t)
+    for seed, bound in (("141", lambda k: k > 1e9), ("0", lambda k: k < 1e4)):
+        code, rep = run(["reconstruct", "--operator", path, "--seed", seed], capsys)
+        conds = rep["design"]["condition_numbers"]
+        assert code in (0, 1) and conds == site_conditions((6, 6), int(seed))
+        assert bound(np.prod(conds)), conds
 
 
 def test_reconstruct_qubit_operator_is_an_input_error(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsgleason import tolerances
-from nsgleason.bases import ProductBasis, ProductState, UnentangledBasis, site_stacks
+from nsgleason.bases import ProductState, UnentangledBasis, product_basis, site_stacks
 from nsgleason.framefn import (
     LookupError_,
     OperatorInduced,
@@ -38,15 +38,12 @@ SWAP = np.array(
 
 
 def random_product_bases(rng, dims, count):
-    return [
-        ProductBasis(tuple(tuple(random_onb(rng, d).T) for d in dims))
-        for _ in range(count)
-    ]
+    return [product_basis([random_onb(rng, d).T for d in dims]) for _ in range(count)]
 
 
 def basis_sums(f, bases):
     """f summed over the elements of each product basis, in one values() call per basis."""
-    return np.array([f.values(site_stacks(pb.elements())).sum() for pb in bases])
+    return np.array([f.values(pb.stacks).sum() for pb in bases])
 
 
 def test_maximally_mixed_evaluates_constant():
@@ -167,8 +164,8 @@ def test_tabulated_finds_rebuilt_and_json_states(dims):
 def test_tabulated_perturbation_shows_in_spread():
     rng = make_rng(8)
     t = HermitianOperator((2, 2), np.eye(4) / 4)
-    basis = ProductBasis(tuple(tuple(random_onb(rng, 2).T) for _ in range(2)))
-    design = basis.elements()
+    basis = product_basis([random_onb(rng, 2).T for _ in range(2)])
+    design = basis.elements
     f = sample_from_operator(t, design)
     g = Tabulated(f.dims, {**f.table, design[0].key(): f.table[design[0].key()] + 0.05})
     # The basis sum shifts by the perturbation.

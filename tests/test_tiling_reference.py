@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from nsgleason import bases
 from nsgleason.bases import (
     BasisReport,
-    ProductBasis,
     ProductState,
     SearchResult,
     TwistCertificate,
@@ -21,6 +20,7 @@ from nsgleason.bases import (
     _rotation_to_target,
     apply_twist,
     find_local_pairs,
+    product_basis,
     site_stacks,
     twist_search,
     validate_unentangled,
@@ -177,7 +177,7 @@ def ref_twist_search(b, budget):
 def twisted(seed, dims, n_moves):
     """A random product basis with ``n_moves`` random local twists applied."""
     rng = make_rng(seed)
-    b = ProductBasis(tuple(tuple(random_onb(rng, d).T) for d in dims)).to_unentangled()
+    b = product_basis([random_onb(rng, d).T for d in dims])
     for _ in range(n_moves):
         pairs = find_local_pairs(b)
         site, pair = pairs[int(rng.integers(len(pairs)))]
