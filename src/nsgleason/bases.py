@@ -158,19 +158,25 @@ class UnentangledBasis:
         return cls([complex_from_json(site, 2) for site in zip(*elems)])
 
 
+def product_rows(local) -> list:
+    """Per-site stacks of every product of one row of each ``local[s]``, site 0 major."""
+    dims = [len(f) for f in local]
+    grid = np.indices(dims).reshape(len(dims), int(np.prod(dims)))
+    return [f[k] for f, k in zip(local, grid)]
+
+
 def product_basis(local_bases) -> UnentangledBasis:
     """The product basis of per-site orthonormal bases, site s's d_s vectors the rows
     of ``local_bases[s]``: every product of one vector per site, site 0 major."""
     local = [np.asarray(lb, dtype=complex) for lb in local_bases]
     for lb in local:
-        n, d = lb.shape if lb.ndim == 2 else (lb.size, 0)
-        if n != d or not n:
+        d = lb.shape[-1] if lb.ndim else 0  # vectors lie along the last axis
+        n = lb.size // d if d else 0
+        if lb.ndim != 2 or n != d or not n:
             raise ValidationError(f"local basis has {n} vectors in dim {d}")
         if not is_local_basis(lb.T):  # before phasing, which divides by a lead
             raise ValidationError("local basis Gram matrix deviates from identity")
-    dims = [len(lb) for lb in local]
-    grid = np.indices(dims).reshape(len(dims), int(np.prod(dims)))
-    return UnentangledBasis([lb[k] for lb, k in zip(local, grid)])
+    return UnentangledBasis(product_rows(local))
 
 
 @dataclass(frozen=True)
@@ -339,9 +345,7 @@ class TwistCertificate:
         """Walk the moves, then match the elements reached with the product basis of
         ``final`` up to phase: as many of each, and every element reached has one
         |<e|g>| = prod_s |F_s^* G_s^T| above 1 - REPLAY_MATCH (F, G their stacks)."""
-        b = self.initial
-        for b in self.walk():
-            pass
+        b = reduce(apply_twist, self.moves, self.initial)
         final = product_basis(self.final).stacks
         ov = reduce(np.multiply, (np.abs(f.conj() @ g.T) for f, g in zip(b.stacks, final)))
         return ov.shape[0] == ov.shape[1] and bool((ov > 1 - tol.REPLAY_MATCH).any(axis=1).all())
@@ -381,11 +385,9 @@ def _as_product_basis(b: UnentangledBasis) -> tuple | None:
     if n != b.dim or tuple(map(len, reps)) != b.dims or len(signatures) != n:
         return None
     local = tuple(np.array(r) for r in reps)
-    if not all(is_local_basis(lb.T) for lb in local):
-        return None
     for lb in local:
         lb.setflags(write=False)
-    return local
+    return local if all(is_local_basis(lb.T) for lb in local) else None
 
 
 def _aligned(ov: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import tolerances as tol
-from .bases import ProductState
+from .bases import ProductState, product_rows
 from .linalg import (
     HermitianOperator,
     ValidationError,
@@ -126,9 +126,8 @@ class SpanningDesign:
         local = tuple(np.array(f, dtype=complex) for f in self.local)
         for f in local:
             f.setflags(write=False)
-        grid = np.indices([len(f) for f in local]).reshape(len(local), -1)
         object.__setattr__(self, "local", local)
-        object.__setattr__(self, "states", ProductState.batch([f[k] for f, k in zip(local, grid)]))
+        object.__setattr__(self, "states", ProductState.batch(product_rows(local)))
 
 
 def spanning_design(dims, seed: int = 0) -> SpanningDesign:

@@ -43,7 +43,7 @@ def assert_same_up_to_phase(b, c):
     """Element k of b and of c agree up to phase, for every k."""
     overlaps = np.prod([np.abs(np.sum(f.conj() * g, axis=1)) for f, g in zip(b.stacks, c.stacks)],
                        axis=0)
-    np.testing.assert_allclose(overlaps, 1.0, atol=1e-12)
+    np.testing.assert_allclose(overlaps, 1.0, rtol=0, atol=1e-12)
 
 
 def test_computational_product_basis_valid():
@@ -301,7 +301,9 @@ def test_product_basis_rejects_short_non_orthonormal_and_empty_local_bases():
         "local basis Gram matrix deviates from identity")
     assert raised(lambda: product_basis([()])) == "local basis has 0 vectors in dim 0"
     assert raised(lambda: product_basis([np.zeros((0, 2))])) == "local basis has 0 vectors in dim 2"
-    assert raised(lambda: product_basis([e1])) == "local basis has 2 vectors in dim 0"
+    assert raised(lambda: product_basis([e1])) == "local basis has 1 vectors in dim 2"
+    assert raised(lambda: product_basis([np.zeros((2, 2, 2))])) == "local basis has 4 vectors in dim 2"
+    assert raised(lambda: product_basis([1.0])) == "local basis has 0 vectors in dim 0"
 
 
 def incomplete_family() -> UnentangledBasis:
