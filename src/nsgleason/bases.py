@@ -25,10 +25,29 @@ from .linalg import (
     complex_to_json,
     is_local_basis,
     tensor,
+    unit_rows,
 )
 
-@dataclass(frozen=True)
-class ProductState:
+
+def _bit_key(arrays) -> tuple:
+    """The shapes and complex bytes of ``arrays``: a bit-exact equality key."""
+    arrays = [np.asarray(a, dtype=complex) for a in arrays]
+    return tuple((a.shape, a.tobytes()) for a in arrays)
+
+
+class _BitEqual:
+    """Equality and hash by ``_key()``, bit for bit (the generated ones would
+    compare ndarray fields, which raises)."""
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class ProductState(_BitEqual):
     """A product state, stored as per-site unit factors with canonical phase."""
 
     factors: tuple
@@ -63,6 +82,9 @@ class ProductState:
         """Bit-exact serialization key (canonical phases make this stable)."""
         return b"".join(np.ascontiguousarray(f).tobytes() for f in self.factors)
 
+    def _key(self) -> tuple:
+        return _bit_key(self.factors)
+
     def to_json(self) -> dict:
         return {"factors": [complex_to_json(f) for f in self.factors]}
 
@@ -91,8 +113,8 @@ def _rows_as_states(sites) -> tuple:
     return states
 
 
-@dataclass(frozen=True)
-class UnentangledBasis:
+@dataclass(frozen=True, eq=False)
+class UnentangledBasis(_BitEqual):
     """An orthonormal basis consisting of product states, held as per-site
     (N, d_s) read-only stacks of unit factors with canonical phase: element k
     is row k of each stack."""
@@ -134,6 +156,9 @@ class UnentangledBasis:
             _, first, ids = np.unique(keys.ravel(), return_index=True, return_inverse=True)
             classes.append((ids.reshape(-1), first, np.abs(f[first].conj() @ f.T)))
         return classes
+
+    def _key(self) -> tuple:
+        return _bit_key(self.stacks)
 
     @property
     def dims(self) -> tuple:
@@ -245,8 +270,8 @@ def validate_unentangled(b: UnentangledBasis) -> BasisReport:
     return BasisReport(complete and not failures, complete, worst, worst_pair, tuple(failures))
 
 
-@dataclass(frozen=True)
-class TwistMove:
+@dataclass(frozen=True, eq=False)
+class TwistMove(_BitEqual):
     """Rotate two basis elements inside a 2-dim subspace at one site.
 
     The two referenced elements must agree on every factor except ``site``;
@@ -267,6 +292,9 @@ class TwistMove:
         object.__setattr__(self, "rotation", u)
         object.__setattr__(self, "pair", (int(self.pair[0]), int(self.pair[1])))
 
+    def _key(self) -> tuple:
+        return int(self.site), self.pair, _bit_key([self.rotation])
+
     def to_json(self) -> dict:
         return {
             "site": self.site,
@@ -275,16 +303,15 @@ class TwistMove:
         }
 
 
-def _check_twist_pair(b: UnentangledBasis, site: int, i: int, j: int) -> None:
-    """Elements i and j must agree on every factor but ``site``, and be
-    orthogonal there, for a twist move at ``site`` to act on them."""
+def _check_twist_pair(b: UnentangledBasis, site: int, i: int, j: int) -> str | None:
+    """Why elements i and j admit no twist move at ``site``, or None: they must
+    agree on every factor but ``site``, and be orthogonal there."""
     if any(abs(np.vdot(f[i], f[j])) < 1 - tol.SAME_FACTOR
            for s, f in enumerate(b.stacks) if s != site):
-        raise ValidationError(
-            f"elements {i},{j} do not agree on all factors except site {site}"
-        )
+        return f"elements {i},{j} do not agree on all factors except site {site}"
     if abs(np.vdot(b.stacks[site][i], b.stacks[site][j])) > tol.ORTHO_PAIR:
-        raise ValidationError("pair factors at the twist site are not orthogonal")
+        return "pair factors at the twist site are not orthogonal"
+    return None
 
 
 def apply_twist(b: UnentangledBasis, m: TwistMove) -> UnentangledBasis:
@@ -295,7 +322,8 @@ def apply_twist(b: UnentangledBasis, m: TwistMove) -> UnentangledBasis:
     j takes row i's factor, which agrees with it up to phase.
     """
     i, j = m.pair
-    _check_twist_pair(b, m.site, i, j)
+    if fault := _check_twist_pair(b, m.site, i, j):
+        raise ValidationError(fault)
     stacks = [f.copy() for f in b.stacks]
     u, v = b.stacks[m.site][i], b.stacks[m.site][j]
     for s, f in enumerate(stacks):
@@ -326,13 +354,16 @@ def find_local_pairs(b: UnentangledBasis) -> list:
     return list(zip(site.tolist(), zip(i.tolist(), j.tolist())))
 
 
-@dataclass(frozen=True)
-class TwistCertificate:
+@dataclass(frozen=True, eq=False)
+class TwistCertificate(_BitEqual):
     """A replayable move sequence from an unentangled basis to a product basis."""
 
     moves: tuple
     initial: UnentangledBasis
     final: tuple  # per site: the read-only (d_s, d_s) local basis reached, vectors as rows
+
+    def _key(self) -> tuple:
+        return self.moves, self.initial, _bit_key(self.final)
 
     def walk(self):
         """Apply the moves in order, yielding each intermediate basis."""
@@ -369,19 +400,25 @@ class SearchResult:
 def _as_product_basis(b: UnentangledBasis) -> tuple | None:
     """Recognize a basis whose elements form a full product grid: each site's
     factors, in element order, join the first earlier representative they
-    match (|<f|r>| > 1 - SAME_FACTOR) or become one.  Returns each site's
-    representatives as the rows of a read-only local basis, or None."""
+    match (|<f|r>| > 1 - SAME_FACTOR) or become one.  Bit-equal factors join
+    the same one, so one factor of each class of bit-equal factors is matched,
+    classes in order of first occurrence.  Returns each site's representatives
+    as the rows of a read-only local basis, or None."""
     reps, signatures = [], []
     for stack in b.stacks:
         reps.append([])
-        for f in stack:
+        classes = {}  # a factor's bytes: its class number and first factor
+        ids = [classes.setdefault(f.tobytes(), (len(classes), f))[0] for f in stack]
+        joins = []
+        for _, f in classes.values():
             k = next((k for k, r in enumerate(reps[-1])
                       if abs(np.vdot(f, r)) > 1 - tol.SAME_FACTOR), len(reps[-1]))
             if k == len(reps[-1]):
                 reps[-1].append(f)
-            signatures.append(k)
+            joins.append(k)
+        signatures.append(np.array(joins)[ids])
     n = len(b.stacks[0])
-    signatures = set(map(tuple, np.reshape(signatures, (len(reps), n)).T))
+    signatures = set(zip(*(s.tolist() for s in signatures)))
     if n != b.dim or tuple(map(len, reps)) != b.dims or len(signatures) != n:
         return None
     local = tuple(np.array(r) for r in reps)
@@ -406,22 +443,25 @@ def _alignment_score(b: UnentangledBasis) -> int:
                for ids, _, rows in b._classes)
 
 
-def _rotation_to_target(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """2x2 unitary sending (u, v) to (g, g_perp) inside span{u, v}; None when
-    g lies outside that span."""
-    a = np.vdot(u, g)
-    c = np.vdot(v, g)
-    if abs(a) ** 2 + abs(c) ** 2 < 1 - tol.IN_SPAN:
-        return None
-    nrm = np.hypot(abs(a), abs(c))
-    a, c = a / nrm, c / nrm
+def _rotation_to_target(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> tuple:
+    """2x2 unitaries sending (u, v) to (g, g_perp) inside span{u, v}, one per
+    target row of ``g`` (u and v broadcast against it), and which targets lie in
+    that span; the others get a zero matrix.  Each overlap is a product summed
+    over the last axis, so a row's bits do not depend on how many rows it has."""
+    a, c = (np.sum(w.conj() * g, axis=-1) for w in (u, v))
+    ok = np.abs(a) ** 2 + np.abs(c) ** 2 >= 1 - tol.IN_SPAN
+    nrm = np.hypot(np.abs(a[ok]), np.abs(c[ok]))  # outside the span, 0/0 could occur
+    a, c = a[ok] / nrm, c[ok] / nrm
+    rot = np.zeros(ok.shape + (2, 2), dtype=complex)
     # Rows act on the (u, v) pair: new_1 = a*u + c*v = g, new_2 = its complement.
-    return np.array([[a, c], [-np.conj(c), np.conj(a)]])
+    rot[ok] = np.stack([a, c, -np.conj(c), np.conj(a)], axis=-1).reshape(-1, 2, 2)
+    return rot, ok
 
 
 def _twist_gains(aligned, rows, selfs, site, i, j, new, at_site) -> np.ndarray:
     """Change in the alignment score when elements i and j take the rotated
-    factors ``new[k]`` (2, d) at ``site``, one entry per candidate k.
+    factors ``new[k]`` (2, d) at ``site``, one entry per candidate k; i and j
+    are one pair, or one pair a candidate.
 
     ``aligned`` is the current basis's (sites, N, N) stack of aligned slots,
     ``rows`` and ``selfs`` its per-site row counts (diagonal excluded) and
@@ -429,14 +469,38 @@ def _twist_gains(aligned, rows, selfs, site, i, j, new, at_site) -> np.ndarray:
     """
     others = np.arange(len(aligned)) != site
     pair = aligned[:, i, j]
-    old = rows[:, i].sum() + rows[:, j].sum() - pair.sum()
+    old = rows[:, i].sum(0) + rows[:, j].sum(0) - pair.sum(0)
     # At the other sites both elements hold element i's factor: they repeat
     # its slots against every third element, and agree with each other.
-    kept = 2 * (rows[others, i].sum() - pair[others].sum()) + selfs[others, i].sum()
+    kept = 2 * (rows[others][:, i].sum(0) - pair[others].sum(0)) + selfs[others][:, i].sum(0)
     hits = _aligned(np.abs(new.conj() @ at_site.T))
-    hits[:, :, [i, j]] = False
+    k = np.arange(len(new))
+    hits[k, :, i] = hits[k, :, j] = False
     inner = _aligned(np.abs(np.sum(new[:, 0].conj() * new[:, 1], axis=-1)))
     return kept - old + hits.sum(axis=(1, 2)) + inner
+
+
+def _site_moves(b: UnentangledBasis, site: int, pairs, aligned, rows, selfs) -> tuple:
+    """(rotations, i, j, gains) of the candidate moves at ``site``, in (pair, target)
+    order, from one stacked pass over the ``pairs`` (i, j) that pass :func:`_check_twist_pair`.
+    A pair's targets are the site's other factors, then the computational axes.  A
+    candidate's target is in span, its MOVE_KEY_DECIMALS key is new to its pair, and
+    both its rotated factors pass check_unit; its gain is :func:`_twist_gains`'s."""
+    i, j = np.array([p for p in pairs if not _check_twist_pair(b, site, *p)], int).reshape(-1, 2).T
+    f = b.stacks[site]
+    d = f.shape[1]
+    rot, ok = _rotation_to_target(f[i, None], f[j, None], np.concatenate([f, np.eye(d)]))
+    ok[np.arange(len(i)), i] = ok[np.arange(len(i)), j] = False  # no pair targets its own factors
+    p, rot = np.nonzero(ok)[0], rot[ok]  # each rotation's pair
+    keys = np.column_stack([p, np.round(rot, tol.MOVE_KEY_DECIMALS).reshape(-1, 4).view(np.int64)])
+    order = np.lexsort(keys.T)  # bit patterns, compared as bytes; equal keys stay in order
+    repeat = np.zeros(len(p), bool)
+    repeat[order[1:]] = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
+    rot, p = rot[~repeat], p[~repeat]
+    new = canonical_phase(rot[..., :1] * f[i[p], None] + rot[..., 1:] * f[j[p], None])
+    unit = unit_rows(new.reshape(-1, d)).reshape(-1, 2).all(axis=1)
+    rot, i, j, new = rot[unit], i[p[unit]], j[p[unit]], new[unit]
+    return rot, i, j, _twist_gains(aligned, rows, selfs, site, i, j, new, f)
 
 
 def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
@@ -446,14 +510,14 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
     changes two elements, so it is scored from the two rows it changes: at
     the twist site, elements i and j take the rotated factors and are
     compared with every other element; at every other site, element j takes
-    element i's factors, whose slots are read off the current basis.  Each
-    candidate still passes :func:`apply_twist`'s checks (a pair that fails the
-    pair checks is skipped, and a candidate needs both rotated factors of unit
-    norm); only the chosen move is built and applied.
+    element i's factors, whose slots are read off the current basis.  A step
+    scores a site's candidates in one stacked pass (:func:`_site_moves`);
+    only the chosen move is built and applied.
 
-    Ties break deterministically (lowest site, then lowest element pair).  A
-    returned certificate is a positive proof of twisted-product membership; an
-    exhaustion report is NOT a proof of non-membership.
+    Ties break deterministically (lowest site, then lowest element pair, then
+    earliest target).  A returned certificate is a positive proof of
+    twisted-product membership; an exhaustion report is NOT a proof of
+    non-membership.
     """
     initial = b
     moves = []
@@ -473,39 +537,12 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
         selfs = aligned.diagonal(axis1=1, axis2=2)
         rows = aligned.sum(axis=2) - selfs
         best = None  # (gain, move)
-        for site, (i, j) in sorted(pairs):
-            try:
-                _check_twist_pair(b, site, i, j)
-            except ValidationError:
-                continue
-            at_site = b.stacks[site]
-            u, v = at_site[i], at_site[j]
-            # Candidate targets: site factors of other elements (align with
-            # an existing local frame) plus computational axes in the span.
-            targets = [*np.delete(at_site, [i, j], axis=0), *np.eye(len(u), dtype=complex)]
-            rots = [rot for g in targets if (rot := _rotation_to_target(u, v, g)) is not None]
-            tried_keys, candidates = set(), []
-            for rot, key in zip(rots, np.round(rots, tol.MOVE_KEY_DECIMALS)):
-                key = key.tobytes()
-                if key in tried_keys:
-                    continue
-                tried_keys.add(key)
-                new = (canonical_phase(rot[0, 0] * u + rot[0, 1] * v),
-                       canonical_phase(rot[1, 0] * u + rot[1, 1] * v))
-                try:
-                    for f in new:
-                        check_unit(f)
-                except ValidationError:
-                    continue
-                tried += 1
-                candidates.append((rot, new))
-            if not candidates:
-                continue
-            gains = _twist_gains(aligned, rows, selfs, site, i, j,
-                                 np.array([c[1] for c in candidates]), at_site)
-            k = int(np.argmax(gains))
-            if gains[k] > 0 and (best is None or gains[k] > best[0]):
-                best = (gains[k], TwistMove(site, (i, j), candidates[k][0]))
+        for site, group in itertools.groupby(sorted(pairs), key=lambda sp: sp[0]):
+            rot, i, j, gains = _site_moves(b, site, [p for _, p in group], aligned, rows, selfs)
+            tried += len(gains)
+            if len(gains) and gains.max() > (best[0] if best else 0):
+                k = int(np.argmax(gains))
+                best = (gains[k], TwistMove(site, (i[k], j[k]), rot[k]))
         if best is None:
             return SearchResult(False, None, "no strictly improving move found", tried)
         moves.append(best[1])

@@ -100,12 +100,26 @@ def check_unit(v: np.ndarray) -> None:
         raise ValidationError(f"vector norm {nrm!r} deviates from 1 beyond {tol.UNIT_NORM}")
 
 
+def _unit_suspects(f: np.ndarray) -> np.ndarray:
+    """The rows of an (N, d) stack that check_unit must decide: every other row's
+    norm (of |f|: f * conj f warns on inf) is within UNIT_NORM/2 of 1, and passes."""
+    return np.flatnonzero(~(np.abs(np.linalg.norm(np.abs(f), axis=1) - 1) <= tol.UNIT_NORM / 2))
+
+
+def unit_rows(f: np.ndarray) -> np.ndarray:
+    """Which rows of an (N, d) stack check_unit passes, decided as it decides them."""
+    ok = np.ones(len(f), dtype=bool)
+    for k in _unit_suspects(f):
+        try:
+            check_unit(f[k])
+        except ValidationError:
+            ok[k] = False
+    return ok
+
+
 def check_unit_rows(stacks) -> None:
     """check_unit on the rows of per-site (N, d) stacks, state by state."""
-    # Norms (of |f|: f * conj f warns on inf) within UNIT_NORM/2 of 1 pass; check_unit decides.
-    suspects = sorted((k, s) for s, f in enumerate(stacks) for k in np.flatnonzero(
-        ~(np.abs(np.linalg.norm(np.abs(f), axis=1) - 1) <= tol.UNIT_NORM / 2)))
-    for k, s in suspects:
+    for k, s in sorted((k, s) for s, f in enumerate(stacks) for k in _unit_suspects(f)):
         check_unit(stacks[s][k])
 
 

@@ -349,3 +349,29 @@ def test_example_certificate_json_writes_identity_rows():
     assert data["initial"] == twisted_example_basis().to_json()
     assert [(m["site"], m["pair"]) for m in data["moves"]] == [
         (1, [7, 8]), (1, [0, 1]), (0, [2, 5]), (0, [3, 6])]
+
+
+def test_bases_states_moves_and_certificates_compare_bit_for_bit():
+    b = twisted_example_basis()
+    back = UnentangledBasis.from_json(b.to_json())
+    assert b == twisted_example_basis() and b == back and hash(b) == hash(back)
+    assert len({b, back}) == 1
+    site, pair = find_local_pairs(b)[0]
+    twisted = apply_twist(b, TwistMove(site, pair, HADAMARD))
+    assert twisted != b and b != b.stacks and b != computational_basis((3, 3))
+    assert b.elements[0] == back.elements[0] != b.elements[1]
+    assert len({e for e in b.elements + back.elements}) == len(b.elements)
+    # A small change of one entry makes another basis; so does the same bytes in other dims.
+    f = [s.copy() for s in b.stacks]
+    f[0][2, 1] += 1e-15j  # still a unit factor, with the same phase
+    assert UnentangledBasis(f) != b
+    wide = ProductState((np.array([1.0, 0.0]), np.array([0.6, 0.8])))
+    assert wide != ProductState((np.array([1.0]), np.array([0.0, 0.6, 0.8])))
+    move = TwistMove(site, pair, HADAMARD)
+    assert move == TwistMove(site, pair, HADAMARD.astype(complex)) != TwistMove(site, pair, np.eye(2))
+    assert len({move, TwistMove(site, pair, HADAMARD)}) == 1
+    cert = twisted_example_certificate()
+    assert cert == twisted_example_certificate() and hash(cert) == hash(twisted_example_certificate())
+    assert cert != TwistCertificate(cert.moves[:-1], cert.initial, cert.final)
+    assert cert != TwistCertificate(cert.moves, twisted, cert.final)
+    assert twist_search(b) == twist_search(back)

@@ -14,6 +14,7 @@ from nsgleason.linalg import (
     HermitianOperator,
     ValidationError,
     canonical_phase,
+    check_unit,
     complex_from_json,
     complex_to_json,
     hermitian_eig,
@@ -28,6 +29,7 @@ from nsgleason.linalg import (
     random_units,
     real_from_json,
     tensor,
+    unit_rows,
 )
 
 KET0 = np.array([1.0, 0.0])
@@ -336,3 +338,25 @@ def test_product_values_match_expectations_of_full_states(seed, dims, n):
     assert got.shape == (n,) and got.dtype == float
     want = [t.expectation(tensor([s[k] for s in stacks])) for k in range(n)]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_unit_rows_decide_as_check_unit():
+    # Norms off by about the tolerance, and non-finite rows, without a warning.
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal((60, 3)) + 1j * rng.standard_normal((60, 3))
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    f *= 1 + rng.choice([0.0, 4e-13, 9e-13, 1e-12, 1.1e-12, -2e-12, 1e-6], (60, 1))
+    f[0, 0], f[1, 1], f[2, 2] = np.nan, np.inf, -np.inf * 1j
+
+    def passes(row):
+        try:
+            check_unit(row)
+        except ValidationError:
+            return False
+        return True
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = unit_rows(f)
+    assert got.tolist() == [passes(row) for row in f]
+    assert 0 < got.sum() < len(f) - 3

@@ -2,6 +2,7 @@
 copies of the per-pair loops they replace: results must agree exactly."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from nsgleason.keller import (
     verify_clique,
 )
 from nsgleason.linalg import ValidationError, canonical_phase, check_unit, make_rng, random_onb
-from nsgleason.tolerances import MOVE_KEY_DECIMALS, ORTHO_PAIR, SAME_FACTOR
+from nsgleason.tolerances import IN_SPAN, MOVE_KEY_DECIMALS, ORTHO_PAIR, SAME_FACTOR
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -151,9 +152,9 @@ def ref_twist_search(b, budget):
             targets = [e.factors[site] for k, e in enumerate(b.elements) if k not in (i, j)]
             targets += list(np.eye(len(u)))
             tried_keys = set()
-            for g in targets:
-                rot = _rotation_to_target(u, v, np.asarray(g, dtype=complex))
-                if rot is None:
+            for g in targets:  # one target at a time, through the search's own helper
+                rot, in_span = _rotation_to_target(u, v, np.asarray(g, dtype=complex))
+                if not in_span:
                     continue
                 key = np.round(rot, MOVE_KEY_DECIMALS).tobytes()
                 if key in tried_keys:
@@ -380,6 +381,51 @@ def test_twist_search_matches_loops(seed, dims, n_moves):
 @settings(max_examples=3, deadline=None)
 def test_twist_search_333_matches_loops(seed, n_moves):
     check_twist_search(twisted(seed, (3, 3, 3), n_moves), n_moves)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_rotations_match_one_target_calls(d):
+    # The search rotates every pair to every target in one call; the reference
+    # search calls the same helper one target at a time.  Rows agree bit for bit.
+    rng = make_rng(d)
+    u, v = np.array([random_onb(rng, d)[:, :2] for _ in range(5)]).transpose(2, 0, 1)
+    targets = []
+    for p in range(len(u)):
+        x = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        in_span = x[:, :1] * u[p] + x[:, 1:] * v[p]
+        near = in_span + 1e-5 * rng.standard_normal((4, d))  # just outside, within IN_SPAN
+        rand = rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
+        g = np.concatenate([in_span, near, rand])
+        targets.append(np.concatenate([g / np.linalg.norm(g, axis=1, keepdims=True), np.eye(d)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rot, ok = _rotation_to_target(u[:, None], v[:, None], np.array(targets))
+        for p, k in np.ndindex(ok.shape):
+            g = targets[p][k]
+            one, one_ok = _rotation_to_target(u[p], v[p], g)
+            assert one.tobytes() == rot[p, k].tobytes() and one_ok == ok[p, k]
+            span = abs(np.vdot(u[p], g)) ** 2 + abs(np.vdot(v[p], g)) ** 2
+            assert one_ok == (span >= 1 - IN_SPAN)
+            if one_ok:  # row 0 takes (u, v) to g, and the matrix is unitary
+                np.testing.assert_allclose(one[0, 0] * u[p] + one[0, 1] * v[p], g, atol=1e-4)
+                np.testing.assert_allclose(one @ one.conj().T, np.eye(2), atol=1e-12)
+            else:
+                assert not one.any()
+    assert ok[:, :4].all()
+    assert ok.all() if d == 2 else not ok[:, 8:12].any()  # random targets: in span only at d = 2
+
+
+def test_target_orthogonal_to_the_span_gives_no_candidate_and_no_warning():
+    u, v, g = np.eye(3, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rot, ok = _rotation_to_target(u, v, g)
+        assert not ok and not rot.any()
+        rot, ok = _rotation_to_target(u, v, np.array([g, u, (u + v) / np.sqrt(2)]))
+        assert ok.tolist() == [False, True, True] and not rot[0].any()
+        # The twisted example's pairs have computational axes outside their span.
+        res = twist_search(bases.twisted_example_basis())
+    assert res.found and len(res.certificate.moves) == 4
 
 
 def moved(b, rng, eps):
