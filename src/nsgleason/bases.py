@@ -19,11 +19,11 @@ from . import tolerances as tol
 from .linalg import (
     ValidationError,
     canonical_phase,
-    check_unit,
     check_unit_rows,
     complex_from_json,
     complex_to_json,
     is_local_basis,
+    product_rows,
     tensor,
     unit_rows,
 )
@@ -53,13 +53,8 @@ class ProductState(_BitEqual):
     factors: tuple
 
     def __post_init__(self):
-        facs = []
-        for f in self.factors:
-            check_unit(f)  # before canonical_phase, which would divide by an infinite entry
-            f = canonical_phase(np.asarray(f, dtype=complex))
-            f.setflags(write=False)
-            facs.append(f)
-        object.__setattr__(self, "factors", tuple(facs))
+        sites = _phased_stacks([np.asarray(f, dtype=complex)[None] for f in self.factors])
+        object.__setattr__(self, "factors", tuple(f[0] for f in sites))
 
     @classmethod
     def batch(cls, stacks) -> tuple:
@@ -181,13 +176,6 @@ class UnentangledBasis(_BitEqual):
         if len(set(map(len, elems))) > 1:
             raise ValidationError("inconsistent dims across basis elements")
         return cls([complex_from_json(site, 2) for site in zip(*elems)])
-
-
-def product_rows(local) -> list:
-    """Per-site stacks of every product of one row of each ``local[s]``, site 0 major."""
-    dims = [len(f) for f in local]
-    grid = np.indices(dims).reshape(len(dims), int(np.prod(dims)))
-    return [f[k] for f, k in zip(local, grid)]
 
 
 def product_basis(local_bases) -> UnentangledBasis:
@@ -492,7 +480,8 @@ def _site_moves(b: UnentangledBasis, site: int, pairs, aligned, rows, selfs) -> 
     rot, ok = _rotation_to_target(f[i, None], f[j, None], np.concatenate([f, np.eye(d)]))
     ok[np.arange(len(i)), i] = ok[np.arange(len(i)), j] = False  # no pair targets its own factors
     p, rot = np.nonzero(ok)[0], rot[ok]  # each rotation's pair
-    keys = np.column_stack([p, np.round(rot, tol.MOVE_KEY_DECIMALS).reshape(-1, 4).view(np.int64)])
+    rounded = np.round(rot, tol.MOVE_KEY_DECIMALS) + 0.0  # + 0.0 makes each -0.0 a 0.0
+    keys = np.column_stack([p, rounded.reshape(-1, 4).view(np.int64)])
     order = np.lexsort(keys.T)  # bit patterns, compared as bytes; equal keys stay in order
     repeat = np.zeros(len(p), bool)
     repeat[order[1:]] = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
@@ -525,7 +514,7 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
     for step in itertools.count():
         pb = _as_product_basis(b)
         if pb is not None:
-            return SearchResult(True, TwistCertificate(tuple(moves), initial, pb))
+            return SearchResult(True, TwistCertificate(tuple(moves), initial, pb), "", tried)
         if step >= budget:
             return SearchResult(False, None, "move budget exhausted", tried)
         pairs = find_local_pairs(b)

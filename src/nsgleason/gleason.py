@@ -20,12 +20,13 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import tolerances as tol
-from .bases import ProductState, product_rows
+from .bases import ProductState
 from .linalg import (
     HermitianOperator,
     ValidationError,
     make_rng,
     min_eigenvalue,
+    product_rows,
     product_values,
     random_onbs,
     random_units,

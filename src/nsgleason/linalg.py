@@ -8,6 +8,7 @@ to ~1024, live in :mod:`nsgleason.tolerances`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,11 +56,15 @@ def product_values(mat: np.ndarray, stacks) -> np.ndarray:
     return np.einsum("ni,ni->n", psi.conj(), psi @ mat.T).real
 
 
-def basis_products(u: np.ndarray, v: np.ndarray) -> list:
-    """Per-site stacks of u[:, i] (x) v[:, j] over the columns, i major; stacks pair by pair."""
-    u, v = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
-    return [np.repeat(u, v.shape[-2], axis=-2).reshape(-1, u.shape[-1]),
-            np.concatenate([v] * u.shape[-2], axis=-2).reshape(-1, v.shape[-1])]
+def product_rows(local) -> list:
+    """Per-site stacks of every product of one row of each ``local[s]``, site 0 major:
+    a row repeats once per row product of the later sites, and the block once per
+    row product of the earlier ones.  Shared leading axes of the (..., n_s, d_s)
+    stacks are batches, each batch's grid after the one before."""
+    counts = [np.shape(f)[-2] for f in local]
+    rows = [np.repeat(f, math.prod(counts[s + 1:]), axis=-2) for s, f in enumerate(local)]
+    return [np.concatenate([f] * math.prod(counts[:s]), axis=-2).reshape(-1, f.shape[-1])
+            for s, f in enumerate(rows)]
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -68,21 +73,11 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     Makes equality-up-to-global-phase checks deterministic.  Phasing twice
     changes no bit: the leading amplitude is made exactly real, and a vector
     whose leading amplitude is real positive is returned as it is.  A stack
-    (along the last axis) is phased row by row, bit-identically to each row.
+    (along the last axis) is phased row by row, bit-identically to each row;
+    the result is always a new array.
     """
-    v = np.asarray(v, dtype=complex)
-    if v.ndim == 1:  # a loop is several times faster on one short vector
-        for k, x in enumerate(v):
-            if abs(x) > tol.PHASE_AMPLITUDE:
-                if x.imag == 0 and x.real > 0:
-                    break
-                out = v * (x.conjugate() / abs(x))
-                out[k] = out[k].real
-                return out
-        return v.copy()
-    # abs() of a complex scalar is hypot(re, im); np.abs of an array rounds
-    # differently.  The product is out of place, like the loop's.
-    v = v.copy()
+    # np.hypot rounds as abs() of a complex scalar does; np.abs of an array does not.
+    v = np.array(v, dtype=complex, order="C")
     flat = v.reshape(-1, v.shape[-1])
     big = np.hypot(flat.real, flat.imag) > tol.PHASE_AMPLITUDE
     cols = np.argmax(big, axis=-1)  # each row's leading amplitude

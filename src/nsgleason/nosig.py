@@ -29,12 +29,12 @@ from .gleason import (
 from .linalg import (
     HermitianOperator,
     ValidationError,
-    basis_products,
     complex_from_json,
     complex_to_json,
     is_local_basis,
     make_rng,
     partial_transpose,
+    product_rows,
     proj,
     random_onbs,
     random_units,
@@ -185,8 +185,8 @@ def box_from_operator(t: HermitianOperator, realizations) -> Box:
     n_out = tuple(next(iter(site.values())).shape[1] for site in realizations)
     coords = feature_of(t.mat)
     # One matmul per setting pair: a stacked matmul rounds the table differently.
-    table = [[projector_features(basis_products(realizations[0][a], realizations[1][b])) @ coords
-              for b in settings[1]] for a in settings[0]]
+    table = [[projector_features(product_rows([realizations[0][a].T, realizations[1][b].T]))
+              @ coords for b in settings[1]] for a in settings[0]]
     return Box(settings, tuple(tuple(range(n)) for n in n_out),
                np.reshape(table, tuple(map(len, settings)) + n_out), tuple(realizations))
 
@@ -223,26 +223,29 @@ def check_box(box: Box) -> NoSigReport:
 
 
 def check_framefn(f, trials: int = 100, seed: int = 0) -> NoSigReport:
-    """Probe a two-site frame function for remote-basis-dependent marginals.
+    """Probe a frame function on two or more sites for remote-basis-dependent marginals.
 
-    For random fixed remote states x and random pairs of local bases, the sums over the
-    two local bases must agree.  Reports the worst discrepancy and its first trial.  The
-    trials' sites come in one draw; then, per site, its trials' remote states in one draw
-    and both bases of each in one more, and one ``f.values`` call on stacks.
+    For a random site, random fixed states x at the other sites and a random pair of local
+    bases at the site, the sums over the two local bases must agree.  Reports the worst
+    discrepancy and its first trial.  The trials' sites come in one draw; then, per site,
+    its trials' remote states in one draw and both bases of each in one more, and one
+    ``f.values`` call on the trials' product grids.
     """
-    dims = f.dims
-    if len(dims) != 2 or trials < 1:
-        raise ValidationError(f"check_framefn needs 2 sites and trials >= 1, not {dims}, {trials}")
+    dims = tuple(f.dims)
+    if len(dims) < 2 or trials < 1:
+        raise ValidationError(f"check_framefn needs 2 or more sites and trials >= 1, "
+                              f"not {dims}, {trials}")
     rng = make_rng(seed)
-    sites = rng.integers(0, 2, trials)
+    sites = rng.integers(0, len(dims), trials)
     gaps, draws = np.zeros(trials), {}
     for site, d in enumerate(dims):
         idx = np.flatnonzero(sites == site)
         if idx.size:
-            x = random_units(rng, (dims[1 - site],), len(idx))[0]
+            x = random_units(rng, dims[:site] + dims[site + 1:], len(idx))
             b = random_onbs(rng, (d,), 2 * len(idx))[0]  # the n-th trial's bases: 2n, 2n + 1
-            stacks = [b.swapaxes(1, 2).reshape(-1, d), np.repeat(x, 2 * d, axis=0)]
-            m = f.values(stacks[::-1] if site else stacks).reshape(-1, 2, d).sum(axis=2)
+            local = [y[:, None] for y in x]  # each trial's grid: both bases at the site
+            local.insert(site, b.swapaxes(1, 2).reshape(len(idx), 2 * d, d))
+            m = f.values(product_rows(local)).reshape(-1, 2, d).sum(axis=2)
             gaps[idx] = np.abs(m[:, 0] - m[:, 1])
             draws[site] = x, b
     worst = float(gaps.max(initial=0.0))
@@ -252,7 +255,7 @@ def check_framefn(f, trials: int = 100, seed: int = 0) -> NoSigReport:
     site = int(sites[trial])
     x, b = draws[site]
     n = int(np.count_nonzero(sites[:trial] == site))  # the trial's place among its site's
-    return NoSigReport(worst, {"trial": trial, "site": site, "remote_state": x[n],
+    return NoSigReport(worst, {"trial": trial, "site": site, "remote_state": tuple(y[n] for y in x),
                                "bases": (b[2 * n], b[2 * n + 1])})
 
 
@@ -347,8 +350,8 @@ def _positivity_rows(rng: np.random.Generator, dims, count: int) -> np.ndarray:
     polytope is bounded (each sampled value is pinned to [0, 1] by the trace
     constraint).
     """
-    u, v = random_onbs(rng, dims, -(-count // int(np.prod(dims))))
-    return projector_features([site[:count] for site in basis_products(u, v)])
+    local = [u.swapaxes(1, 2) for u in random_onbs(rng, dims, -(-count // int(np.prod(dims))))]
+    return projector_features([site[:count] for site in product_rows(local)])
 
 
 @dataclass(frozen=True)
@@ -438,8 +441,8 @@ def _operator_space(box: Box):
 
 def _box_products(box: Box) -> list:
     """Per-site stacks of the product states u_A (x) v_B of the box entries, in table order."""
-    u, v = box.bases
-    return basis_products(np.repeat(u, len(v), axis=0), np.tile(v, (len(u), 1, 1)))
+    u, v = (b.swapaxes(1, 2) for b in box.bases)
+    return product_rows([np.repeat(u, len(v), axis=0), np.tile(v, (len(u), 1, 1))])
 
 
 def _box_equalities(box: Box):

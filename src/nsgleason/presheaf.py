@@ -19,8 +19,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .framefn import OperatorInduced
-from .linalg import (HermitianOperator, ValidationError, basis_products, is_local_basis,
-                     make_rng, random_onbs)
+from .linalg import (HermitianOperator, ValidationError, is_local_basis, make_rng,
+                     product_rows, random_onbs)
 
 
 @dataclass(frozen=True)
@@ -142,10 +142,10 @@ def section_from_framefn(f, family) -> SectionTable:
     family = _check_dims(family, f.dims, "the frame function's")
     if not family:
         return SectionTable(family, {})
-    # Per site, the (C, d, d) stack of the family's bases.
-    u, v = (np.array([c.basis for c in site])
-            for site in zip(*((ctx.left, ctx.right) for ctx in family)))
-    values = f.values(basis_products(u, v)).reshape((len(family),) + family[0].shape)
+    # Per site, the (C, d, d) stack of the family's bases, outcome vectors as rows.
+    local = [np.array([c.basis.T for c in site])
+             for site in zip(*((ctx.left, ctx.right) for ctx in family))]
+    values = f.values(product_rows(local)).reshape((len(family),) + family[0].shape)
     return SectionTable(family, {ctx.label: p for ctx, p in zip(family, values)})
 
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nsgleason import bases
 from nsgleason import tolerances as tol
 from nsgleason.bases import (
     BasisReport,
@@ -206,6 +207,35 @@ def test_twist_search_solves_example():
     assert res.found
     assert len(res.certificate.moves) <= 4
     assert res.certificate.replay()
+
+
+def test_found_search_reports_the_moves_it_tried():
+    b = twisted_example_basis()
+    cut = twist_search(b, budget=2)
+    assert not cut.found and cut.moves_tried == 22
+    assert twist_search(b).moves_tried >= cut.moves_tried
+
+
+def test_rotations_differing_in_a_signed_zero_are_one_candidate(monkeypatch):
+    # The example's rotations are real, so each entry's imaginary part is a signed
+    # zero.  Flipping it in entry (0, 0) of every rotation to a computational axis
+    # makes those rotations differ from their bit-equal twins among the factor
+    # targets in the sign of one zero only: the search must try as many moves.
+    b = twisted_example_basis()
+    want = twist_search(b)
+    rotate = bases._rotation_to_target
+
+    def signed(u, v, g):
+        rot, ok = rotate(u, v, g)
+        lead = rot[..., -g.shape[-1]:, 0, 0]
+        lead.imag[lead.imag == 0] *= -1
+        return rot, ok
+
+    monkeypatch.setattr(bases, "_rotation_to_target", signed)
+    got = twist_search(b)
+    assert got.found and got.moves_tried == want.moves_tried
+    assert [(m.site, m.pair) for m in got.certificate.moves] == [
+        (m.site, m.pair) for m in want.certificate.moves]
 
 
 def test_twist_search_builds_site_classes_once_a_step(monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the dense linear-algebra core."""
 
 import copy
+import itertools
 import json
 import warnings
 
@@ -20,6 +21,7 @@ from nsgleason.linalg import (
     hermitian_eig,
     make_rng,
     partial_transpose,
+    product_rows,
     product_values,
     proj,
     random_hermitian,
@@ -31,6 +33,7 @@ from nsgleason.linalg import (
     tensor,
     unit_rows,
 )
+from nsgleason.tolerances import PHASE_AMPLITUDE
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -271,10 +274,24 @@ def test_real_decoder_shares_the_complex_decoders_checks(value):
         real_from_json([[0.5, 0.0], [0.25]])  # ragged
 
 
+def ref_canonical_phase(v):
+    """canonical_phase of one vector, one amplitude at a time: the single-vector
+    loop canonical_phase ran before it had one stacked path."""
+    v = np.asarray(v, dtype=complex)
+    for k, x in enumerate(v):
+        if abs(x) > PHASE_AMPLITUDE:
+            if x.imag == 0 and x.real > 0:
+                break
+            out = v * (x.conjugate() / abs(x))
+            out[k] = out[k].real
+            return out
+    return v.copy()
+
+
 def sequential_unit(rng, d):
     """One random_unit draw, as it was written before draws were stacked."""
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return canonical_phase(v / np.linalg.norm(v))
+    return ref_canonical_phase(v / np.linalg.norm(v))
 
 
 def sequential_onb(rng, d):
@@ -283,7 +300,7 @@ def sequential_onb(rng, d):
     q, r = np.linalg.qr(z)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     for k in range(d):
-        q[:, k] = canonical_phase(q[:, k])
+        q[:, k] = ref_canonical_phase(q[:, k])
     return q
 
 
@@ -325,6 +342,66 @@ def test_canonical_phase_twice_changes_no_bit():
         for row, phased in zip(stack.reshape(-1, 4), once.reshape(-1, 4)):
             assert canonical_phase(row).tobytes() == phased.tobytes()
             assert phased[1].imag == 0 and phased[1].real > 0 or not row.any()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_canonical_phase_matches_the_single_vector_loop(seed, d):
+    # Random rows; a real positive lead (imaginary part -0.0); a -0.0 lead
+    # (below PHASE_AMPLITUDE, so skipped) and a negative one; leads just below
+    # and above PHASE_AMPLITUDE; and the zero vector.  Bit for bit, one row
+    # alone and in stacks of any shape and memory order.
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((9, d)) + 1j * rng.standard_normal((9, d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows[2, 0] = complex(abs(rows[2, 0]), -0.0)
+    rows[3, 0] = complex(-0.0, -0.0)
+    rows[4, 0] = -0.0 - abs(rows[4, 0])
+    rows[5, 0], rows[6, 0] = 0.9 * PHASE_AMPLITUDE, -0.9j * PHASE_AMPLITUDE
+    rows[7, 0] = 1.1 * PHASE_AMPLITUDE * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    rows[8] = 0.0
+    want = np.array([ref_canonical_phase(row) for row in rows])
+    for row, w in zip(rows, want):
+        assert canonical_phase(row).tobytes() == w.tobytes()
+    assert canonical_phase(rows).tobytes() == want.tobytes()
+    assert canonical_phase(rows[:8].reshape(2, 4, d)).tobytes() == want[:8].tobytes()
+    fortran = np.asfortranarray(rows[:8].reshape(2, 4, d))  # not C order, as onbs_from_normals passes
+    assert canonical_phase(fortran).tobytes() == want[:8].tobytes()
+
+
+def basis_products(u, v):
+    """The two-site expander product_rows replaced: per-site stacks of u[:, i] (x)
+    v[:, j] over the columns of (..., d, d) bases, i major; stacks pair by pair."""
+    u, v = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
+    return [np.repeat(u, v.shape[-2], axis=-2).reshape(-1, u.shape[-1]),
+            np.concatenate([v] * u.shape[-2], axis=-2).reshape(-1, v.shape[-1])]
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                                           min_size=1, max_size=3),
+       st.lists(st.integers(1, 3), max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_product_rows_expands_each_batch_alone(seed, sizes, batch):
+    rng = np.random.default_rng(seed)
+    local = [rng.standard_normal((*batch, n, d)) + 1j * rng.standard_normal((*batch, n, d))
+             for n, d in sizes]
+    got = product_rows(local)
+    want = [[] for _ in local]
+    for k in np.ndindex(*batch):  # each batch's grid after the one before, site 0 major
+        for rows in itertools.product(*(f[k] for f in local)):
+            for w, row in zip(want, rows):
+                w.append(row)
+    assert [g.shape for g in got] == [(len(w), d) for w, (_, d) in zip(want, sizes)]
+    assert [g.tobytes() for g in got] == [np.array(w).tobytes() for w in want]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 3)])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+def test_product_rows_of_column_bases_is_the_basis_products_order(dims, batch):
+    rng = make_rng(sum(dims) + len(batch))
+    u, v = (random_onbs(rng, (d,), int(np.prod(batch)))[0].reshape(*batch, d, d) for d in dims)
+    got = product_rows([u.swapaxes(-1, -2), v.swapaxes(-1, -2)])
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in basis_products(u, v)]
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]),

@@ -8,7 +8,12 @@ from scipy.optimize import OptimizeResult, linprog, minimize
 
 from nsgleason import tolerances as tol
 from nsgleason.bases import ProductState
-from nsgleason.framefn import OperatorInduced, make_signalling_example
+from nsgleason.framefn import (
+    OperatorInduced,
+    SignallingFamily,
+    _Evaluated,
+    make_signalling_example,
+)
 from nsgleason.gleason import _coordinates, feature_of, product_seesaw_min, vec_to_herm
 from nsgleason.linalg import (
     HermitianOperator,
@@ -210,6 +215,11 @@ def test_check_framefn_needs_a_trial():
             check_framefn(f, trials=trials)
 
 
+def test_check_framefn_needs_two_sites():
+    with pytest.raises(ValidationError, match="2 or more sites"):
+        check_framefn(OperatorInduced(random_density(make_rng(0), (3,))))
+
+
 def test_operator_induced_framefn_passes():
     rng = make_rng(1)
     for seed in range(3):
@@ -226,32 +236,60 @@ def test_signalling_family_witnessed():
     assert rep.witness["site"] == 0  # signalling toward site 1's basis choice
 
 
+class SignallingTimesUnit(_Evaluated):
+    """SignallingFamily(dims[:2], theta) on sites 0 and 1 times |u_0|^2 at site 2:
+    weight 1 over every product basis, and only site 0's marginals signal."""
+
+    __call__ = _Evaluated.__call__
+
+    def __init__(self, dims, theta):
+        self.dims, self.pair = tuple(dims), SignallingFamily(tuple(dims[:2]), theta)
+
+    def _values(self, sites):
+        return self.pair.values(sites[:2]) * np.abs(sites[2][:, 0]) ** 2
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 3, 3)])
+def test_operator_induced_framefn_passes_on_three_sites(dims):
+    t = random_density(make_rng(sum(dims)), dims)
+    rep = check_framefn(OperatorInduced(t), trials=60, seed=len(dims))
+    assert rep.max_discrepancy <= 1e-10 and rep.witness is None
+
+
+def test_three_site_signalling_witnessed_at_site_0():
+    rep = check_framefn(SignallingTimesUnit((3, 3, 3), 0.7), trials=100, seed=0)
+    assert rep.max_discrepancy >= 1e-3
+    w = rep.witness
+    assert w["site"] == 0
+    # The fixed states at sites 1 and 2, in site order.
+    assert [np.shape(x) for x in w["remote_state"]] == [(3,), (3,)]
+
+
 def looped_check_framefn(f, trials, seed):
     """check_framefn one draw and one product state at a time, in its draw
     order: every trial's site, then per site the remote state of each of its
-    trials, then both bases of each: (worst, trial, site, x, b1, b2)."""
+    trials (one random_unit per other site, in site order), then both bases of
+    each: (worst, (trial, site, remote, b1, b2))."""
     dims = f.dims
     rng = make_rng(seed)
-    sites = rng.integers(0, 2, trials)
+    sites = rng.integers(0, len(dims), trials)
     draws = {}
-    for site in (0, 1):
+    for site in range(len(dims)):
         idx = [k for k in range(trials) if sites[k] == site]
-        xs = [random_unit(rng, dims[1 - site]) for _ in idx]
+        xs = [tuple(random_unit(rng, d) for s, d in enumerate(dims) if s != site) for _ in idx]
         bases = [random_onb(rng, dims[site]) for _ in range(2 * len(idx))]
         for n, k in enumerate(idx):
             draws[k] = (xs[n], bases[2 * n], bases[2 * n + 1])
     worst, witness = 0.0, None
     for trial in range(trials):
         site = int(sites[trial])
-        remote = 1 - site
         x, b1, b2 = draws[trial]
 
         def marginal(basis):
             total = 0.0
             for k in range(dims[site]):
-                factors = [None, None]
-                factors[site] = basis[:, k]
-                factors[remote] = x
+                factors = list(x)
+                factors.insert(site, basis[:, k])
                 total += f(ProductState(tuple(factors)))
             return total
 
@@ -261,16 +299,18 @@ def looped_check_framefn(f, trials, seed):
     return worst, witness
 
 
-@pytest.mark.parametrize("dims", [(3, 3), (2, 4)])
+@pytest.mark.parametrize("dims", [(3, 3), (2, 4), (2, 2, 2), (2, 3, 2)])
 @pytest.mark.parametrize("seed", range(10))
 def test_check_framefn_matches_looped_check(dims, seed):
-    f = make_signalling_example(dims, np.pi / 4)
+    f = (make_signalling_example(dims, np.pi / 4) if len(dims) == 2
+         else SignallingTimesUnit(dims, np.pi / 4))
     rep = check_framefn(f, trials=40, seed=seed)
     worst, (trial, site, x, b1, b2) = looped_check_framefn(f, 40, seed)
     assert abs(rep.max_discrepancy - worst) <= 1e-12
     w = rep.witness
     assert (w["trial"], w["site"]) == (trial, site)
-    for got, want in ((w["remote_state"], x), (w["bases"][0], b1), (w["bases"][1], b2)):
+    assert len(w["remote_state"]) == len(x) == len(dims) - 1
+    for got, want in zip((*w["remote_state"], *w["bases"]), (*x, b1, b2)):
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
     # An operator-induced frame function does not signal: no witness, and the
     # same discrepancy at rounding level.

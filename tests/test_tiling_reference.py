@@ -138,7 +138,7 @@ def ref_twist_search(b, budget):
     for step in itertools.count():
         pb = _as_product_basis(b)
         if pb is not None:
-            return SearchResult(True, TwistCertificate(tuple(moves), initial, pb))
+            return SearchResult(True, TwistCertificate(tuple(moves), initial, pb), "", tried)
         if step >= budget:
             return SearchResult(False, None, "move budget exhausted", tried)
         pairs = ref_find_local_pairs(b)
@@ -156,7 +156,7 @@ def ref_twist_search(b, budget):
                 rot, in_span = _rotation_to_target(u, v, np.asarray(g, dtype=complex))
                 if not in_span:
                     continue
-                key = np.round(rot, MOVE_KEY_DECIMALS).tobytes()
+                key = (np.round(rot, MOVE_KEY_DECIMALS) + 0.0).tobytes()
                 if key in tried_keys:
                     continue
                 tried_keys.add(key)
