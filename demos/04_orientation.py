@@ -46,7 +46,7 @@ for name, t in examples.items():
     if isinstance(evidence, OrientationClass):
         how = f"{evidence.value.value} certificate, no see-saw"
     else:
-        how = f"see-saw minimum {evidence.value:+.1e}"
+        how = f"see-saw value {evidence.value:+.1e} after {evidence.sweeps} sweeps"
     print(f"{name:20s}: {cls.value:22s} ({how})")
 
 print("\n=== Kraus form exists exactly in the positive orientation ===")

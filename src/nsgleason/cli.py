@@ -123,6 +123,7 @@ def cmd_reconstruct(args, rep):
         rep.data["evidence"] = {"orientation_certificate": rec.certificate.to_json()}
     elif rec.witness is not None:
         rep.data["evidence"] = {"seesaw_min": rec.witness.value,
+                                "seesaw_sweeps": rec.witness.sweeps,
                                 "product_positive_threshold": tol.PRODUCT_POSITIVE}
     rep.verdict("round_trip_frobenius", frob <= tol.ROUND_TRIP, frob, tol.ROUND_TRIP)
     rep.verdict("holdout_residual", rec.residual <= tol.HOLDOUT_RESIDUAL, rec.residual,

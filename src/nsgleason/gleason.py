@@ -141,10 +141,12 @@ def spanning_design(dims, seed: int = 0) -> SpanningDesign:
 
 @dataclass(frozen=True)
 class Witness:
-    """Extremal product state found by the see-saw, with its value."""
+    """Extremal product state found by the see-saw, with its value and the number of
+    sweeps the see-saw ran."""
 
     factors: tuple
     value: float
+    sweeps: int
 
 
 @dataclass(frozen=True)
@@ -163,17 +165,24 @@ class Reconstruction:
 
 
 def product_seesaw_min(
-    t: HermitianOperator, restarts: int = 64, seed: int = 0, iters: int = 300
+    t: HermitianOperator, restarts: int = 64, seed: int = 0, iters: int = 300,
+    stop_below: float | None = None,
 ) -> Witness:
     """Minimize <v (x) w|t|v (x) w> by alternating local eigenvector descent.
 
     All restarts run as one stack; a restart stops once its value changes
-    by less than ``tolerances.SEESAW_CONVERGED`` between sweeps.  Returns
-    the worst (lowest-value) product state found, the first one on ties.
-    Two sites only.
+    by less than ``tolerances.SEESAW_CONVERGED`` between sweeps, and no more
+    than ``iters`` sweeps run.  With ``stop_below``, the sweeps end after the
+    first one in which some restart's product value, the value returned, is
+    below it.  Returns the worst (lowest-value) product state at the last
+    sweep run, the first one on ties.  Two sites, integers ``restarts`` and
+    ``iters`` at least 1.
     """
     if t.nsites != 2:
         raise ValidationError("see-saw requires exactly two sites")
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (restarts, iters)):
+        raise ValidationError(f"see-saw requires integers restarts >= 1 and iters >= 1, not "
+                              f"{restarts!r} and {iters!r}")
     d1, d2 = t.dims
     # tt[(i, j), (k, l)] = t[(i, k), (j, l)]: contracting site 2 with w* (x) w
     # leaves the site-1 operator, contracting site 1 with v* (x) v the site-2 one.
@@ -183,17 +192,22 @@ def product_seesaw_min(
     w, v = random_units(rng, (d2, d1), restarts)
     prev = np.full(restarts, np.inf)
     live = np.arange(restarts)
-    for _ in range(iters):
-        if not live.size:
-            break
+    sweeps = 0
+    while live.size and sweeps < iters:
+        sweeps += 1
         _, v[live] = _lowest_eigenpairs(tensor_rows([w[live].conj(), w[live]]) @ tt.T, d1)
         vals, w[live] = _lowest_eigenpairs(tensor_rows([v[live].conj(), v[live]]) @ tt, d2)
         done = np.abs(prev[live] - vals) < tol.SEESAW_CONVERGED
         prev[live] = vals
         live = live[~done]
-    values = product_values(t.mat, [v, w])
+        if stop_below is not None:
+            values = product_values(t.mat, [v, w])
+            if values.min() < stop_below:
+                break
+    else:
+        values = product_values(t.mat, [v, w])
     best = int(np.argmin(values))
-    return Witness((v[best], w[best]), float(values[best]))
+    return Witness((v[best], w[best]), float(values[best]), sweeps)
 
 
 def _lowest_eigenpairs(flat: np.ndarray, d: int) -> tuple:
@@ -211,10 +225,11 @@ def classify_product_positivity(t: HermitianOperator, seed: int = 0) -> tuple:
     transpose is PSD (CO_CP) has every product value at least that
     operator's least eigenvalue; the evidence is the
     :class:`OrientationClass`.  Only the NEITHER class goes to the see-saw,
-    which searches for a negative product expectation; the evidence is its
-    :class:`Witness`, the worst product state found, without a claim of
-    global optimality.  On other than two sites only the density check runs
-    (the see-saw rejects such t).
+    which searches for a negative product expectation and stops at the first
+    sweep that finds one below ``-tolerances.PRODUCT_POSITIVE``; the evidence
+    is its :class:`Witness`: that proof, or else the worst product state
+    found, without a claim of global optimality.  On other than two sites
+    only the density check runs (the see-saw rejects such t).
     """
     unit_trace = abs(t.trace() - 1.0) <= tol.UNIT_TRACE
     if t.nsites == 2:
@@ -225,7 +240,7 @@ def classify_product_positivity(t: HermitianOperator, seed: int = 0) -> tuple:
             return Classification.PRODUCT_POSITIVE_ONLY, cert
     elif min_eigenvalue(t.mat) >= -tol.PSD and unit_trace:
         return Classification.DENSITY_MATRIX, None
-    wit = product_seesaw_min(t, seed=seed)
+    wit = product_seesaw_min(t, seed=seed, stop_below=-tol.PRODUCT_POSITIVE)
     if wit.value >= -tol.PRODUCT_POSITIVE:
         return Classification.PRODUCT_POSITIVE_ONLY, wit
     return Classification.INDEFINITE_ON_PRODUCTS, wit

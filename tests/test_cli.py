@@ -180,11 +180,15 @@ def test_reconstruct_report_cites_seesaw_minimum(tmp_path, capsys):
     code, rep = run(["reconstruct", "--operator", operator_file(tmp_path, t)], capsys)
     assert code == 1  # the unit-trace verdict fails
     assert rep["classification"] == "INDEFINITE_ON_PRODUCTS"
+    # The see-saw stops at the first sweep with a value below the threshold.
+    wit = product_seesaw_min(t, stop_below=-tolerances.PRODUCT_POSITIVE)
     assert rep["evidence"] == {
-        "seesaw_min": pytest.approx(product_seesaw_min(t).value, abs=1e-8),
+        "seesaw_min": pytest.approx(wit.value, abs=1e-8),
+        "seesaw_sweeps": wit.sweeps,
         "product_positive_threshold": tolerances.PRODUCT_POSITIVE,
     }
     assert rep["evidence"]["seesaw_min"] < -tolerances.PRODUCT_POSITIVE
+    assert wit.sweeps < product_seesaw_min(t).sweeps
 
 
 @pytest.mark.parametrize("holdout, message", [("-0.5", "not a number in [0, 1]"),

@@ -331,9 +331,23 @@ def test_classification_invariant_under_partial_transpose():
     rng = make_rng(13)
     for seed in range(3):
         t = random_hermitian(rng, (2, 3))
-        _, wit1 = classify_product_positivity(t, seed=seed)
-        _, wit2 = classify_product_positivity(partial_transpose(t, 1), seed=seed)
+        flipped = partial_transpose(t, 1)
+        cls1, _ = classify_product_positivity(t, seed=seed)
+        cls2, _ = classify_product_positivity(flipped, seed=seed)
+        assert cls1 is cls2
+        # The converged minimum, with no stop, is the same value on both.
+        wit1, wit2 = product_seesaw_min(t, seed=seed), product_seesaw_min(flipped, seed=seed)
         assert abs(wit1.value - wit2.value) <= 1e-8
+
+
+@pytest.mark.parametrize("restarts, iters", [(0, 300), (-1, 300), (64, 0), (64, -1), (2.5, 300),
+                                             (64, 2.5)])
+def test_seesaw_rejects_bad_counts(restarts, iters):
+    # No restart, or no sweep, leaves nothing that descended to report; a
+    # fractional count is no count.
+    t = random_density(make_rng(0), (3, 3))
+    with pytest.raises(ValidationError, match="integers restarts >= 1 and iters >= 1"):
+        product_seesaw_min(t, restarts=restarts, iters=iters)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +623,7 @@ def seesaw_only_classification(t, restarts=64, seed=0):
     every other operator.  Returns (classification, witness or None)."""
     if hermitian_eig(t).eigenvalues[-1] >= -PSD and abs(t.trace() - 1.0) <= UNIT_TRACE:
         return Classification.DENSITY_MATRIX, None
-    wit = product_seesaw_min(t, restarts=restarts, seed=seed)
+    wit = product_seesaw_min(t, restarts=restarts, seed=seed, stop_below=-PRODUCT_POSITIVE)
     if wit.value >= -PRODUCT_POSITIVE:
         return Classification.PRODUCT_POSITIVE_ONLY, wit
     return Classification.INDEFINITE_ON_PRODUCTS, wit
@@ -638,10 +652,12 @@ def operator_of_kind(rng, dims, kind, c):
     return HermitianOperator(dims, c * a.mat + (1 - c) * proj(random_unit(rng, d_total)))
 
 
+OPERATOR_KINDS = ["partial_transpose", "scaled_density", "shifted_swap", "hermitian",
+                  "projector_mixture", "decomposable_mixture"]
+
+
 @given(seeds, st.sampled_from([(2, 2), (2, 3), (3, 3), (4, 4)]),
-       st.sampled_from(["partial_transpose", "scaled_density", "shifted_swap", "hermitian",
-                        "projector_mixture", "decomposable_mixture"]),
-       st.sampled_from([0.0, 1e-3, 0.05, 0.3, 0.5, 1.0]))
+       st.sampled_from(OPERATOR_KINDS), st.sampled_from([0.0, 1e-3, 0.05, 0.3, 0.5, 1.0]))
 @settings(max_examples=60, deadline=None)
 def test_certificate_agrees_with_seesaw_only_rule(seed, dims, kind, c):
     rng = make_rng(seed)
@@ -661,3 +677,23 @@ def test_certificate_agrees_with_seesaw_only_rule(seed, dims, kind, c):
         assert evidence.value == ref_wit.value
         for got, ref in zip(evidence.factors, ref_wit.factors):
             assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+@given(seed=seeds, c=st.sampled_from([0.0, 1e-3, 0.05, 0.3, 0.5, 1.0]))
+@settings(max_examples=6, deadline=None)
+def test_stopped_seesaw_agrees_with_converged(dims, kind, seed, c):
+    t = operator_of_kind(make_rng(seed), dims, kind, c)
+    stopped = product_seesaw_min(t, seed=seed, stop_below=-PRODUCT_POSITIVE)
+    full = product_seesaw_min(t, seed=seed)
+    assert (stopped.value < -PRODUCT_POSITIVE) == (full.value < -PRODUCT_POSITIVE)
+    if full.value >= -PRODUCT_POSITIVE:  # no stop: the same run, the same bytes
+        assert (stopped.value, stopped.sweeps) == (full.value, full.sweeps)
+        for got, want in zip(stopped.factors, full.factors):
+            assert got.tobytes() == want.tobytes()
+    else:  # a proof of negativity, no lower than the converged minimum
+        value = t.expectation(np.kron(*stopped.factors))
+        assert value < -PRODUCT_POSITIVE and abs(value - stopped.value) <= 1e-12
+        assert stopped.value >= full.value - 1e-12
+        assert stopped.sweeps <= full.sweeps
