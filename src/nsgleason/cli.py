@@ -9,6 +9,7 @@ commands is the expected outcome, stated in the report), and 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -101,9 +102,13 @@ def _jsonable(obj):
 
 
 def _load(path, cls):
-    """cls.from_json of a JSON file; a file of the wrong shape is an input error."""
-    with open(path) as fh:
-        data = json.load(fh)
+    """cls.from_json of a JSON file; a file that is not UTF-8 text or is of the
+    wrong shape is an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
     try:
         return cls.from_json(data)
     except (LookupError, TypeError, ValueError) as exc:
@@ -318,7 +323,13 @@ def nonnegative_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared after that.
+
+    It holds no handlers: ``main`` looks up ``cmd_<subcommand>`` when each
+    call runs, and each ``parse_args`` call fills a fresh namespace.
+    """
     p = argparse.ArgumentParser(
         prog="nsgleason",
         description="No-signalling frame functions: reconstruction, "
@@ -333,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reconstruct", help="round-trip operator reconstruction")
     sp.add_argument("--operator", required=True, help="operator JSON file")
     common(sp)
-    sp.set_defaults(func=cmd_reconstruct)
 
     sp = sub.add_parser("check", help="no-signalling checks (box or frame function)")
     sp.add_argument("--box", help="box JSON file")
@@ -341,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", type=float, default=np.pi / 4)
     sp.add_argument("--trials", type=positive_int, default=100)
     common(sp)
-    sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("chsh", help="CHSH evaluation / optimization")
     source = sp.add_mutually_exclusive_group(required=True)
@@ -351,14 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=int,
                     help="ignored: the CHSH maximum is computed exactly")
     common(sp)
-    sp.set_defaults(func=cmd_chsh)
 
     sp = sub.add_parser("prbox", help="PR-box quantum-extension feasibility")
     sp.add_argument("--samples", type=positive_int, default=2000)
     sp.add_argument("--schedule", type=int_list,
                     help="comma list of LP sample counts, e.g. 250,500,1000,2000")
     common(sp)
-    sp.set_defaults(func=cmd_prbox)
 
     sp = sub.add_parser("twist", help="twist-move search / certificate replay")
     source = sp.add_mutually_exclusive_group(required=True)
@@ -368,19 +375,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=positive_int, default=50)
     sp.add_argument("--out-cert", help="write the found certificate here")
     common(sp)
-    sp.set_defaults(func=cmd_twist)
 
     sp = sub.add_parser("classify", help="CP / co-CP orientation classification")
     sp.add_argument("--t", required=True, help="operator JSON file")
     common(sp)
-    sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("section", help="build + check a context-family section")
     sp.add_argument("--t", required=True, help="operator JSON file")
     sp.add_argument("--contexts", type=positive_int, default=20,
                     help="length of the context chain (each adds 2 fine contexts + 4 edges)")
     common(sp)
-    sp.set_defaults(func=cmd_section)
 
     sp = sub.add_parser("keller", help="tiling-graph clique verify/search/basis")
     sp.add_argument("action", choices=["verify", "search", "basis"])
@@ -393,21 +397,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-clique")
     sp.add_argument("--out-basis")
     common(sp)
-    sp.set_defaults(func=cmd_keller)
 
     return p
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     rep = Report(["nsgleason"] + argv, args.seed)
     try:
-        args.func(args, rep)
+        globals()[f"cmd_{args.cmd}"](args, rep)
         return rep.finish(args.out)  # in the try: an --out that cannot be written exits 2
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -264,8 +264,11 @@ def save_clique(path, c: CliqueCandidate) -> None:
 
 
 def load_clique(path) -> CliqueCandidate:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
     if not lines:
         raise ValidationError("empty clique file")
     n = len(lines[0])

@@ -13,7 +13,9 @@ fine contexts share one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,8 +63,8 @@ class RefinementEdge:
     ``coarse`` is the node's label.  ``left_groups`` / ``right_groups`` list,
     for each coarse outcome, the fine outcomes it aggregates: a partition of
     the fine context's outcomes on that site.  ``left_aggregation`` /
-    ``right_aggregation`` hold them as 0/1 matrices, A[k, i] = 1 iff group k
-    holds outcome i.
+    ``right_aggregation`` hold them as read-only 0/1 matrices, A[k, i] = 1 iff
+    group k holds outcome i, one array shared by every edge with that grouping.
     """
 
     fine: ProductContext
@@ -75,12 +77,23 @@ class RefinementEdge:
     def __post_init__(self):
         for side, n_fine in zip(("left", "right"), self.fine.shape):
             groups = getattr(self, f"{side}_groups")
-            flat = [i for g in groups for i in g]
-            if sorted(flat) != list(range(n_fine)):
+            a = _aggregation(tuple(tuple(map(operator.index, g)) for g in groups), n_fine)
+            if a is None:
                 raise ValidationError(f"{side} aggregation is not a partition")
-            a = np.zeros((len(groups), n_fine))
-            a[np.repeat(np.arange(len(groups)), [len(g) for g in groups]), flat] = 1.0
             object.__setattr__(self, f"{side}_aggregation", a)
+
+
+@lru_cache(maxsize=1024)
+def _aggregation(groups: tuple, n_fine: int) -> np.ndarray | None:
+    """The read-only 0/1 matrix A[k, i] = 1 iff group k holds outcome i, shared by
+    every edge with this grouping; None if the groups do not partition range(n_fine)."""
+    flat = [i for g in groups for i in g]
+    if sorted(flat) != list(range(n_fine)):
+        return None
+    a = np.zeros((len(groups), n_fine))
+    a[np.repeat(np.arange(len(groups)), [len(g) for g in groups]), flat] = 1.0
+    a.flags.writeable = False
+    return a
 
 
 def restrict(dist: np.ndarray, edge: RefinementEdge) -> np.ndarray:

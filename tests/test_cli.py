@@ -899,3 +899,53 @@ def test_malformed_box_file_exit_2(fault, tmp_path, capsys):
     assert main(["check", "--box", str(path)]) == 2
     out, err = capsys.readouterr()
     assert not out and "not a Box file" in json.loads(err)["error"]
+
+
+def without_timings(rep):
+    return {k: v for k, v in rep.items() if k != "timings_ms"}
+
+
+def test_cached_parser_keeps_no_state(rho_file, singlet_file, capsys):
+    section = ["section", "--t", rho_file, "--contexts", "3"]
+    classify = ["classify", "--t", singlet_file]
+
+    def first_run(argv):  # the report of argv as the first call in a process
+        cli.build_parser.cache_clear()
+        code, rep = run(argv, capsys)
+        return code, without_timings(rep)
+
+    want = {"section": first_run(section), "classify": first_run(classify)}
+    cli.build_parser.cache_clear()
+    code, rep = run(section, capsys)
+    assert (code, without_timings(rep)) == want["section"]
+    # A usage error after some flags were parsed, then --help: neither leaves a trace.
+    assert main(["section", "--t", rho_file, "--seed", "7", "--contexts", "5", "--bogus"]) == 2
+    assert main(["--help"]) == 0
+    assert "reconstruct" in capsys.readouterr().out
+    for name, argv in (("classify", classify), ("section", section)):
+        code, rep = run(argv, capsys)
+        assert (code, without_timings(rep)) == want[name]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_looks_up_the_handler_when_it_runs(singlet_file, monkeypatch, capsys):
+    assert run(["classify", "--t", singlet_file], capsys)[0] == 0
+    seen = []
+    monkeypatch.setattr("nsgleason.cli.cmd_classify",
+                        lambda args, rep: seen.append(args.t) or rep.verdict("swapped", True, 1, 0))
+    code, rep = run(["classify", "--t", singlet_file], capsys)
+    assert code == 0 and seen == [singlet_file] and list(rep["verdicts"]) == ["swapped"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--t"], ["reconstruct", "--operator"], ["section", "--t"],
+    ["chsh", "--optimize", "--t"], ["check", "--box"], ["twist", "--basis"],
+    ["keller", "verify", "--file"], ["keller", "basis", "--file"]],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_a_file_that_is_not_utf8_is_an_input_error(argv, tmp_path, capsys):
+    # A UTF-16 file starts with the bytes ff fe, which no UTF-8 text does.
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + "{}\n0123\n".encode("utf-16-le"))
+    assert main(argv + [str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and json.loads(err)["error"] == f"{path}: not UTF-8 text"

@@ -512,3 +512,85 @@ def test_check_section_matches_the_parent_on_stored_coarse_tables(seed, dims, n_
     want, got = parent_check_section(section, parent_edges), check_section(section, edges)
     assert np.float64(got.max_distance).tobytes() == np.float64(want.max_distance).tobytes()
     assert got.worst_edge == want.worst_edge
+
+
+def parent_aggregation(groups, n_fine):
+    """One site's aggregation matrix as each edge built its own (a test-only copy)."""
+    flat = [i for g in groups for i in g]
+    a = np.zeros((len(groups), n_fine))
+    a[np.repeat(np.arange(len(groups)), [len(g) for g in groups]), flat] = 1.0
+    return a
+
+
+@st.composite
+def partitions(draw):
+    """A shuffled partition of range(n), in shuffled groups (some possibly empty)."""
+    n = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    groups = [[i for i in draw(st.permutations(range(n))) if labels[i] == k] for k in range(n + 1)]
+    return n, draw(st.permutations(groups))
+
+
+@given(partitions(), partitions())
+@settings(max_examples=80, deadline=None)
+def test_aggregation_maps_match_the_per_edge_construction(left, right):
+    (n1, lg), (n2, rg) = left, right
+    fine = ProductContext(comp_context(n1, "A"), comp_context(n2, "B"))
+    edge = RefinementEdge(fine, "c", tuple(map(tuple, lg)), tuple(map(tuple, rg)))
+    for a, want in ((edge.left_aggregation, parent_aggregation(lg, n1)),
+                    (edge.right_aggregation, parent_aggregation(rg, n2))):
+        assert a.dtype == want.dtype and a.shape == want.shape and a.tobytes() == want.tobytes()
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 2.0
+
+
+def test_list_valued_groups_are_accepted_and_share_the_tuple_map():
+    fine = ProductContext(comp_context(3, "C"), comp_context(3, "C"))
+    listed = RefinementEdge(fine, "Cc", [[0, 2], [1]], [[0], [1], [2]])
+    tupled = RefinementEdge(fine, "Cc", ((0, 2), (1,)), FULL3)
+    assert listed.left_aggregation is tupled.left_aggregation
+    assert listed.right_aggregation is tupled.right_aggregation
+    np.testing.assert_array_equal(listed.left_aggregation, [[1, 0, 1], [0, 1, 0]])
+    # A float outcome is no index, whether or not its integer grouping is already built.
+    with pytest.raises(TypeError):
+        RefinementEdge(fine, "Cc", ((0.0, 2), (1,)), FULL3)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+def test_generated_family_shares_one_map_per_grouping(dims):
+    _, edges = random_context_family(dims, 10, seed=0)
+    maps = {(e.left_groups, e.right_groups): (e.left_aggregation, e.right_aggregation)
+            for e in edges}
+    assert len(maps) == 2
+    for e in edges:
+        left, right = maps[e.left_groups, e.right_groups]
+        assert e.left_aggregation is left and e.right_aggregation is right
+    # One array per (groups, outcome count): at (3, 3) both sites share theirs.
+    keys = {(g, n) for e in edges for g, n in zip((e.left_groups, e.right_groups), dims)}
+    assert len({id(a) for pair in maps.values() for a in pair}) == len(keys) == 2 * len(set(dims))
+    # Another family of these dims shares them too.
+    other = random_context_family(dims, 2, seed=1)[1][0]
+    assert other.left_aggregation is maps[other.left_groups, other.right_groups][0]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 3), (4, 3), (5, 5)]),
+       st.integers(1, 6), st.sampled_from(["density", "partial_transpose", "signalling"]))
+@settings(max_examples=60, deadline=None)
+def test_check_section_on_generated_families_matches_per_edge_maps(seed, dims, n_fine, kind):
+    # The shared maps give the parent's distances, bit for bit.
+    contexts, edges = random_context_family(dims, n_fine, seed=seed)
+    rng = make_rng(seed)
+    if kind == "signalling":
+        f = make_signalling_example(dims, rng.uniform(0, np.pi))
+    else:
+        t = random_density(rng, dims)
+        f = OperatorInduced(partial_transpose(t, 1) if kind == "partial_transpose" else t)
+    section = section_from_framefn(f, contexts)
+    parent_edges = [SimpleNamespace(fine=e.fine, coarse=e.coarse,
+                                    left_aggregation=parent_aggregation(e.left_groups, dims[0]),
+                                    right_aggregation=parent_aggregation(e.right_groups, dims[1]))
+                    for e in edges]
+    want, got = check_section(section, parent_edges), check_section(section, edges)
+    assert np.float64(got.max_distance).tobytes() == np.float64(want.max_distance).tobytes()
+    assert got.worst_edge == want.worst_edge
