@@ -74,7 +74,6 @@ from .orientation import (
     OrientationClass,
     choi_of,
     classify_orientation,
-    jordan_symmetrization_check,
     kraus_factorize,
 )
 from .presheaf import (

@@ -28,7 +28,7 @@ from .bases import (
 )
 from .framefn import make_signalling_example, sample_from_operator
 from .gleason import reconstruct_pvm, spanning_design
-from .linalg import HermitianOperator, ValidationError, partial_transpose
+from .linalg import HermitianOperator, ValidationError
 from .nosig import (
     SINGLET_ANGLES,
     TSIRELSON,
@@ -39,6 +39,7 @@ from .nosig import (
     check_framefn,
     chsh_optimize,
     chsh_value,
+    decomposable_max,
     equator_basis,
     max_chsh_lp,
     pr_box,
@@ -186,8 +187,7 @@ def cmd_prbox(args, rep):
     if args.schedule:
         # Over unit-trace t = A + C^Γ (A, C PSD), which the LPs relax, CHSH peaks at this.
         bell = HermitianOperator((2, 2), bell_operator([*box.bases[0], *box.bases[1]]))
-        exact = max(float(np.linalg.eigvalsh(b.mat)[-1])
-                    for b in (bell, partial_transpose(bell, 0)))
+        exact = decomposable_max(bell)[0]
         try:
             bounds = max_chsh_lp(box, args.schedule, seed=args.seed)
         except SolverError as exc:
@@ -224,7 +224,7 @@ def cmd_twist(args, rep):
                         "exhaustion is not a proof of non-membership")
     if cert is not None and args.out_cert:
         with open(args.out_cert, "w") as fh:
-            json.dump(cert.to_json(), fh)
+            fh.write(json.dumps(cert.to_json()))
         rep.data["artifacts"].append(args.out_cert)
 
 
@@ -297,7 +297,7 @@ def cmd_keller(args, rep):
             rep.verdict("no_local_pairs", n_pairs == 0, n_pairs, None, note)
         if args.out_basis:
             with open(args.out_basis, "w") as fh:
-                json.dump(basis.to_json(), fh)
+                fh.write(json.dumps(basis.to_json()))
             rep.data["artifacts"].append(args.out_basis)
 
 

@@ -5,8 +5,9 @@ phi_t(a) = tr_1(t (a^T (x) I)), whose Choi matrix (in the convention fixed
 here) is t itself.  Whether the Choi matrix of t or of its site-1 partial
 transpose is positive semidefinite decides between the two local time
 orientations: completely positive maps keep the orientation, co-completely
-positive maps (CP after a transpose) flip it.  The symmetric (Jordan) part
-of the map is blind to this choice.
+positive maps (CP after a transpose) flip it.  The flipped operator's map is
+the map of the transpose: phi_{t^Γ}(a) = phi_t(a^T), Γ the site-1 partial
+transpose.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .linalg import (
     HermitianOperator,
     ValidationError,
     hermitian_eig,
-    make_rng,
     min_eigenvalue,
     partial_transpose,
 )
@@ -144,35 +144,3 @@ def kraus_factorize(t: HermitianOperator) -> KrausSet:
         v = col.reshape(d1, d2)
         ops.append(np.sqrt(lam) * v.T)
     return KrausSet(tuple(ops), flipped)
-
-
-@dataclass(frozen=True)
-class SymmetrizationReport:
-    max_deviation: float
-    trials: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= tol.JORDAN_SYMMETRY
-
-
-def jordan_symmetrization_check(
-    t: HermitianOperator, trials: int = 100, seed: int = 0
-) -> SymmetrizationReport:
-    """The symmetrized map is the same under both orientations.
-
-    Checks phi_t(a) + phi_t(a^T) = phi_s(a) + phi_s(a^T) with s the site-1
-    partial transpose of t, on random Hermitian inputs a.
-    """
-    phi = OperatorMap(t)
-    phi_flip = OperatorMap(partial_transpose(t, 0))
-    d1 = t.dims[0]
-    rng = make_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        z = rng.standard_normal((d1, d1)) + 1j * rng.standard_normal((d1, d1))
-        a = 0.5 * (z + z.conj().T)
-        lhs = phi(a) + phi(a.T)
-        rhs = phi_flip(a) + phi_flip(a.T)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return SymmetrizationReport(worst, trials)

@@ -90,8 +90,9 @@ def test_twist_fig1_writes_certificate(tmp_path, monkeypatch, capsys):
     code, rep = run(["twist", "--fig1", "--out-cert", "cert.json"], capsys)
     assert code == 0
     assert rep["artifacts"] == ["cert.json"]
-    written = json.loads((tmp_path / "cert.json").read_text())
-    assert written == json.loads(json.dumps(twisted_example_certificate().to_json()))
+    # The compact one-line format, byte for byte.
+    written = (tmp_path / "cert.json").read_text()
+    assert written == json.dumps(twisted_example_certificate().to_json())
 
 
 def basis_file(tmp_path, basis):
@@ -111,8 +112,7 @@ def test_twist_basis_search_writes_its_certificate(tmp_path, capsys):
     assert rep["verdicts"]["certificate_replay"] == {
         "pass": True, "value": 1, "tolerance": tolerances.REPLAY_MATCH, "note": ""}
     assert rep["artifacts"] == [cert]
-    written = json.loads(Path(cert).read_text())
-    assert written == json.loads(json.dumps(twist_search(basis).certificate.to_json()))
+    assert Path(cert).read_text() == json.dumps(twist_search(basis).certificate.to_json())
 
 
 def gstar_family():
@@ -392,11 +392,15 @@ def test_keller_basis_from_file(tmp_path, capsys):
          "--exhaustive", "--out-clique", out_clique],
         capsys,
     )
+    out_basis = tmp_path / "basis.json"
     code, rep = run(
-        ["keller", "basis", "--file", out_clique, "--graph", "g"], capsys
+        ["keller", "basis", "--file", out_clique, "--graph", "g", "--out-basis", str(out_basis)],
+        capsys,
     )
     assert code == 0
     assert rep["verdicts"]["basis_valid"]["pass"]
+    basis = kel.basis_from_clique(kel.load_clique(out_clique))
+    assert out_basis.read_text() == json.dumps(basis.to_json())
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -589,13 +593,14 @@ def test_prbox_solver_error_report_is_strict_json(monkeypatch, capsys):
 
 @pytest.mark.parametrize("fail_at", [2, 3])
 def test_prbox_later_lp_solver_error_is_strict_json(monkeypatch, capsys, fail_at):
-    # The PR box's certificate solves no LP, so calls 2 and 3 are max_chsh_lp's solves
-    # at the 100-sample step, after the full 50-sample LP.
-    calls = []
+    # The PR box's certificate solves no LP.  max_chsh_lp's seed covers all 50 rows of
+    # its first step, which so makes one solve; every later call is a solve of the
+    # 1000-sample step, on fewer rows than it has.
+    calls, failing = [], []
 
     def fake_linprog(*args, **kwargs):
         calls.append(kwargs["A_ub"].shape[0])
-        if len(calls) == fail_at:
+        if len(calls) in failing:
             return OptimizeResult(status=4, success=False, x=None, fun=None,
                                   message="Numerical difficulties encountered.")
         return linprog(*args, **kwargs)
@@ -604,9 +609,15 @@ def test_prbox_later_lp_solver_error_is_strict_json(monkeypatch, capsys, fail_at
         raise ValueError(f"non-JSON constant {name}")
 
     monkeypatch.setattr("nsgleason.nosig.linprog", fake_linprog)
-    code = main(["prbox", "--samples", "50", "--schedule", "50,100", "--seed", "2"])
+    argv = ["prbox", "--samples", "50", "--schedule", "50,1000", "--seed", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls[0] == 50 and len(calls) >= 3 and max(calls[1:]) < 1000
+    calls.clear()
+    failing.append(fail_at)
+    code = main(argv)
     rep = json.loads(capsys.readouterr().out, parse_constant=reject)
-    assert code == 1 and len(calls) == fail_at and calls[0] == 50
+    assert code == 1 and len(calls) == fail_at
     assert rep["extension"]["verdict"] == "INFEASIBLE"
     lp = rep["max_chsh_lp"]
     assert lp["solver_status"] == 4 and "bounds" not in lp

@@ -48,6 +48,7 @@ from nsgleason.nosig import (
     chsh_optimize,
     chsh_value,
     chsh_value_box,
+    decomposable_max,
     deterministic_box,
     equator_basis,
     max_chsh_lp,
@@ -693,18 +694,20 @@ def test_feasible_extensions_reproduce_their_boxes(density_extensions):
     assert checked >= 20
 
 
-def counting_linprog(monkeypatch, fail_at=None):
-    """Route nosig's linprog through a counter; call number fail_at fails."""
-    calls = []
+def counting_linprog(monkeypatch, fail_at=None, status=4):
+    """Route nosig's linprog through a log of the rows each call passes; call number
+    fail_at returns the HiGHS status (4: numerical difficulties, 3: unbounded) unsolved."""
+    rows = []
+    message = {3: "The problem is unbounded.", 4: "Numerical difficulties encountered."}
 
     def fake(*args, **kwargs):
-        calls.append(len(calls) + 1)
-        if len(calls) == fail_at:
-            return failed_linprog(4, "Numerical difficulties encountered.")()
+        rows.append(kwargs["A_ub"].shape[0])
+        if len(rows) == fail_at:
+            return failed_linprog(status, message[status])()
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr("nsgleason.nosig.linprog", fake)
-    return calls
+    return rows
 
 
 def white_noise_box():
@@ -1081,14 +1084,18 @@ def test_max_chsh_lp_solver_failure_raises(monkeypatch):
 
 @pytest.mark.parametrize("fail_at", [2, 3])
 def test_max_chsh_lp_later_solver_failure_names_its_step(monkeypatch, fail_at):
-    # Every solve after the first at schedule (500, 1000) belongs to the 1000-sample step.
+    # The seed covers all 100 rows of the first step, which so makes one solve; every
+    # later solve at schedule (100, 1000) belongs to the 1000-sample step.
     box = with_qubit_realizations(pr_box())
-    calls = counting_linprog(monkeypatch)
-    max_chsh_lp(box, (500, 1000), seed=0)
-    assert len(calls) >= 3
+    rows = counting_linprog(monkeypatch)
+    max_chsh_lp(box, (100,), seed=0)
+    assert rows == [100]
+    rows.clear()
+    max_chsh_lp(box, (100, 1000), seed=0)
+    assert len(rows) >= 3 and rows[0] == 100 and max(rows[1:]) < 1000
     counting_linprog(monkeypatch, fail_at=fail_at)
     with pytest.raises(SolverError, match="at 1000 samples: linprog status 4") as err:
-        max_chsh_lp(box, (500, 1000), seed=0)
+        max_chsh_lp(box, (100, 1000), seed=0)
     assert err.value.status == 4
 
 
@@ -1109,54 +1116,54 @@ def one_full_lp_per_step(box, sample_schedule, seed):
     return bounds
 
 
+SEED_ROWS = 8 * 16  # max_chsh_lp's seed at 2x2: 8 n_var rows of least value, n_var = 16
+
+
+def assert_same_bounds(ours, ref, exact_steps):
+    """Equal bounds within LP_MONOTONE with the same inf steps; bit-equal at exact_steps."""
+    ours, ref = np.array(ours), np.array(ref)
+    assert ours[exact_steps].tobytes() == ref[exact_steps].tobytes()
+    assert np.array_equal(np.isinf(ours), np.isinf(ref))
+    finite = np.isfinite(ref)
+    assert np.abs(ours[finite] - ref[finite]).max(initial=0.0) <= tol.LP_MONOTONE
+
+
 @pytest.mark.parametrize("schedule", [(250, 500, 1000, 2000), (500, 1000, 2000),
                                       (8, 16, 32, 64, 250)])
 def test_max_chsh_lp_matches_one_full_lp_per_step(schedule):
+    # A step of at most SEED_ROWS samples is seeded with all its rows: the full LP itself.
     box = with_qubit_realizations(pr_box())
     for seed in range(20):
-        ours = np.array(max_chsh_lp(box, schedule, seed=seed))
-        ref = np.array(one_full_lp_per_step(box, schedule, seed))
-        assert ours[:1].tobytes() == ref[:1].tobytes()
-        assert np.array_equal(np.isinf(ours), np.isinf(ref))
-        finite = np.isfinite(ref)
-        assert np.abs(ours[finite] - ref[finite]).max(initial=0.0) <= tol.LP_MONOTONE
+        assert_same_bounds(max_chsh_lp(box, schedule, seed=seed),
+                           one_full_lp_per_step(box, schedule, seed),
+                           np.array(schedule) <= SEED_ROWS)
 
 
 def test_max_chsh_lp_solves_later_steps_on_active_rows(monkeypatch):
-    # The first step passes its 500 rows; the later steps pass far fewer than
-    # the 1000 + 2000 of one full LP per step.
-    rows = []
-
-    def fake(*args, **kwargs):
-        rows.append(kwargs["A_ub"].shape[0])
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr("nsgleason.nosig.linprog", fake)
+    # Every step, the first included, starts from a seed of at least SEED_ROWS rows and
+    # passes fewer than all its rows: far fewer in total than one full LP per step.
+    rows = counting_linprog(monkeypatch)
     box = with_qubit_realizations(pr_box())
     for seed in range(5):
         rows.clear()
         max_chsh_lp(box, (500, 1000, 2000), seed=seed)
-        assert rows[0] == 500 and len(rows) > 3
-        assert max(rows[1:]) <= 1000 and sum(rows[1:]) < 1000 + 2000
+        assert SEED_ROWS <= rows[0] < 500 and len(rows) >= 3
+        assert max(rows) < 2000 and sum(rows) < 500 + 1000 + 2000
 
 
 def test_max_chsh_lp_unbounded_subset_falls_back_to_the_full_lp(monkeypatch):
-    # A subset that keeps the last optimum's binding rows stays bounded, so the
-    # fallback is forced here: the first subset solve reports status 3.
-    rows = []
-
-    def fake(*args, **kwargs):
-        rows.append(kwargs["A_ub"].shape[0])
-        if len(rows) == 2:
-            return OptimizeResult(status=3, success=False, x=None, fun=None,
-                                  message="The problem is unbounded.")
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr("nsgleason.nosig.linprog", fake)
+    # A seed around a bounded reference point keeps each subset LP bounded, so the
+    # fallback is forced here: a step's first subset solve reports status 3.
     box = with_qubit_realizations(pr_box())
-    bounds = np.array(max_chsh_lp(box, (500, 1000), seed=0))
-    assert rows[0] == 500 and rows[1] < 1000 and rows[2:] == [1000]
-    assert bounds.tobytes() == np.array(one_full_lp_per_step(box, (500, 1000), 0)).tobytes()
+    ref = one_full_lp_per_step(box, (500, 1000), 0)
+    first = counting_linprog(monkeypatch)
+    max_chsh_lp(box, (500,), seed=0)  # the 500-sample step makes these solves in either call
+    for step, unbounded_at in enumerate((1, len(first) + 1)):
+        rows = counting_linprog(monkeypatch, fail_at=unbounded_at, status=3)
+        bounds = max_chsh_lp(box, (500, 1000), seed=0)
+        count = (500, 1000)[step]
+        assert rows[unbounded_at - 1] < count and rows[unbounded_at] == count
+        assert_same_bounds(bounds, ref, [step])
 
 
 def reshaped_partial_transpose(m):
@@ -1164,12 +1171,9 @@ def reshaped_partial_transpose(m):
     return m.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
 
 
-@given(st.integers(0, 2**32 - 1), st.booleans(),
-       st.lists(st.integers(8, 1200), min_size=1, max_size=4, unique=True).map(sorted))
-@settings(max_examples=25, deadline=None)
-def test_max_chsh_lp_bounds_the_exact_value_from_above(seed, random_settings, schedule):
-    # Every unit-trace t = A + C^Γ with A, C PSD is nonnegative on product states, so it
-    # is feasible for each sampled LP: no bound falls below max(λmax(B), λmax(B^Γ)).
+def realized_box(seed, random_settings):
+    """The PR box, realized at random qubit bases (random_onb per setting) or at the
+    optimal ones; its Bell operator, built from the signs; and max(λmax(B), λmax(B^Γ))."""
     box = with_qubit_realizations(pr_box())
     if random_settings:
         rng = make_rng(seed)
@@ -1180,9 +1184,42 @@ def test_max_chsh_lp_bounds_the_exact_value_from_above(seed, random_settings, sc
     a, a2, b, b2 = (u @ signs @ u.conj().T for u in (*box.bases[0], *box.bases[1]))
     bell = np.kron(a, b + b2) + np.kron(a2, b - b2)
     exact = max(np.linalg.eigvalsh(m)[-1] for m in (bell, reshaped_partial_transpose(bell)))
+    return box, bell, exact
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(),
+       st.lists(st.integers(8, 1200), min_size=1, max_size=4, unique=True).map(sorted))
+@settings(max_examples=25, deadline=None)
+def test_max_chsh_lp_bounds_the_exact_value_from_above(seed, random_settings, schedule):
+    # Every unit-trace t = A + C^Γ with A, C PSD is nonnegative on product states, so it
+    # is feasible for each sampled LP: no bound falls below max(λmax(B), λmax(B^Γ)).
+    box, _, exact = realized_box(seed, random_settings)
     assert exact <= TSIRELSON + 1e-12
     bounds = max_chsh_lp(box, schedule, seed=seed)
     assert min(bounds) >= exact - tol.LP_MONOTONE
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.integers(8, 2500), min_size=1, max_size=3, unique=True).map(sorted))
+@settings(max_examples=40, deadline=None)
+def test_seeded_max_chsh_lp_is_one_full_lp_per_step(seed, schedule):
+    # Constraint generation from any seed gives the full LP's bound; the first step's
+    # seed is taken at the decomposable maximiser, where tr(B t) is the exact bound.
+    box, bell, exact = realized_box(seed, True)
+    peaks = []
+
+    def spy(op):
+        peaks.append(decomposable_max(op))
+        return peaks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("nsgleason.nosig.decomposable_max", spy)
+        bounds = max_chsh_lp(box, schedule, seed=seed)
+    assert_same_bounds(bounds, one_full_lp_per_step(box, schedule, seed),
+                       np.array(schedule) <= SEED_ROWS)
+    (value, t), = peaks
+    assert value == pytest.approx(exact, abs=1e-12)
+    assert feature_of(bell) @ feature_of(t.mat) == pytest.approx(exact, abs=1e-12)
 
 
 def test_box_json_round_trip():
