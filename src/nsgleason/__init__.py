@@ -69,12 +69,10 @@ from .gleason import (
     spanning_design,
 )
 from .orientation import (
-    KrausSet,
     Orientation,
     OrientationClass,
     choi_of,
     classify_orientation,
-    kraus_factorize,
 )
 from .presheaf import (
     Context,

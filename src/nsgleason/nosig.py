@@ -82,6 +82,7 @@ class Box:
     bases: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _distinct_settings(self.settings)
         shape = tuple(len(labels) for labels in (*self.settings, *self.outcomes))
         p = np.array(self.table, dtype=float)
         if p.shape != shape:
@@ -120,6 +121,7 @@ class Box:
     def from_json(cls, data: dict) -> "Box":
         settings = tuple(tuple(s) for s in data["settings"])
         outcomes = tuple(tuple(o) for o in data["outcomes"])
+        _distinct_settings(settings)
         keys, blocks = _block_keys(settings), data["table"]
         if sorted(blocks) != sorted(keys):
             raise ValidationError(f"table blocks {sorted(blocks)}, not {keys} of the settings")
@@ -134,6 +136,16 @@ class Box:
                                   for raw, mat in site.items()}
                                  for i, site in enumerate(data["realizations"]))
         return cls(settings, outcomes, table, realizations)
+
+
+def _distinct_settings(settings) -> None:
+    """ValidationError naming the site and label if a site repeats a setting label, or two
+    that print alike (their JSON keys would collide)."""
+    for site, labels in enumerate(settings):
+        names = [str(lbl) for lbl in labels]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValidationError(f"site {site} repeats setting label {labels[i]!r}")
 
 
 def _block_keys(settings) -> list:

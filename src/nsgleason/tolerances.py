@@ -30,7 +30,6 @@ UNIT_TRACE = 1e-8  # |tr t - 1| <= UNIT_TRACE: unit trace
 PRODUCT_POSITIVE = 1e-8  # see-saw minimum >= -PRODUCT_POSITIVE: t is nonnegative on products
 NONNEGATIVE_EVAL = 1e-10  # how far below 0 a frame function declared nonnegative may read
 EFFECT_SPREAD_FLOOR = 1e-12  # smallest spectral width a random effect is divided by
-KRAUS_RANK = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
 
 # Boxes, sections, no-signalling and the extension LP (nosig, presheaf).
 NEGATIVE_PROBABILITY = 1e-12  # a probability below -NEGATIVE_PROBABILITY is rejected

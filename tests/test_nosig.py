@@ -209,6 +209,27 @@ def test_box_json_blocks_must_match_the_settings(key):
         Box.from_json(data)
 
 
+@pytest.mark.parametrize("labels, message", [
+    (((0, 0), (0, 1)), "site 0 repeats setting label 0"),
+    (((0, 1), (1, "1")), "site 1 repeats setting label '1'"),
+])
+def test_box_rejects_repeated_setting_labels(labels, message):
+    # A repeated label (or two that print alike) would read one block twice and write
+    # colliding JSON keys; the site and the label are named instead.
+    with pytest.raises(ValidationError, match=message):
+        Box(labels, ((0, 1), (0, 1)), np.full((2, 2, 2, 2), 0.25))
+
+
+def test_box_from_json_rejects_repeated_setting_labels():
+    # With four blocks, or with the two distinct keys that repeated labels would write.
+    data = pr_box().to_json()
+    data["settings"][0] = [0, 0]
+    short = dict(data, table={k: data["table"][k] for k in ("0,0", "0,1")})
+    for d in (data, short):
+        with pytest.raises(ValidationError, match="site 0 repeats setting label 0"):
+            Box.from_json(d)
+
+
 def test_check_framefn_needs_a_trial():
     f = make_signalling_example((3, 3), np.pi / 4)
     for trials in (0, -1):
