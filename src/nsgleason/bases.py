@@ -75,6 +75,11 @@ class ProductState(_BitEqual):
 
     def key(self) -> bytes:
         """Bit-exact serialization key (canonical phases make this stable)."""
+        return self._key_bytes
+
+    @cached_property
+    def _key_bytes(self) -> bytes:
+        # Built once: the factors are read-only.
         return b"".join(np.ascontiguousarray(f).tobytes() for f in self.factors)
 
     def _key(self) -> tuple:

@@ -3,25 +3,29 @@
 A non-negative frame function with constant weight over all product bases of
 a two-site space (local dims >= 3) is induced by a unique self-adjoint
 operator t via f(v) = <v|t|v>.  This module inverts that correspondence
-numerically: it draws d + 1 orthonormal bases per site, solves for t on every
-product of one basis vector per site (one small pseudo-inverse per site), and
-classifies the recovered operator (density matrix / product-positive only /
-indefinite on products).  An effect-based path covers qubit sites, where
-rank-1 projective sampling is not informationally complete enough under the
-theorem's hypothesis: a grid of local effects per site, solved the same way.
+numerically: it takes d + 1 orthonormal bases per site (a complete set of
+mutually unbiased bases where one is built here, random bases elsewhere),
+solves for t on every product of one basis vector per site (one small
+pseudo-inverse per site), and classifies the recovered operator (density
+matrix / product-positive only / indefinite on products).  An effect-based
+path covers qubit sites, where rank-1 projective sampling is not
+informationally complete enough under the theorem's hypothesis: a grid of
+local effects per site, solved the same way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from . import tolerances as tol
 from .bases import ProductState
 from .linalg import (
+    PAULI,
     HermitianOperator,
     ValidationError,
     make_rng,
@@ -36,6 +40,9 @@ from .orientation import Orientation, OrientationClass, classify_orientation
 
 
 _S = 1.0 / np.sqrt(2.0)
+# The 15 two-qubit Paulis other than II fall into five commuting triples {A, B, AB}, each
+# named here by A and B; their joint eigenbases are mutually unbiased.
+_TWO_QUBIT_PARTITION = (("ZI", "IZ"), ("XI", "IX"), ("YI", "IY"), ("XY", "YZ"), ("XZ", "YX"))
 
 
 @lru_cache(maxsize=8)
@@ -130,13 +137,68 @@ class SpanningDesign:
         object.__setattr__(self, "local", local)
         object.__setattr__(self, "states", ProductState.batch(product_rows(local)))
 
+    @cached_property
+    def site_solves(self) -> tuple:
+        """(pinvs, ranks, condition_numbers) of the rows feature_of(|v><v|) of each site's
+        local states, as :func:`_site_solves` gives them, computed on first use."""
+        return _site_solves([_projector_rows(v) for v in self.local], "local states")
+
+
+def _projector_rows(local: np.ndarray) -> np.ndarray:
+    """feature_of(|v><v|) for each row v of a site's (k, d) stack of local states."""
+    return feature_of(local[:, :, None] * local[:, None, :].conj())
+
+
+@lru_cache(maxsize=16)
+def complete_mubs(d: int) -> np.ndarray | None:
+    """A complete set of d + 1 mutually unbiased bases of C^d as a read-only (d (d + 1), d)
+    stack, basis k in rows k d ... k d + d - 1, or None where none is built here.
+
+    Odd prime d: the computational basis, then for k = 0 ... d - 1 the vectors
+    (1/sqrt d) sum_j w^(k j^2 + m j)|j>, m = 0 ... d - 1, w = exp(2 pi i / d) (Wootters &
+    Fields, Ann. Phys. 191, 1989).  d = 4: the joint eigenbases of the five commuting
+    triples of two-qubit Paulis (Bandyopadhyay, Boykin, Roychowdhury & Vatan, Algorithmica
+    34, 2002), the computational basis first.
+    """
+    if d == 4:
+        rows = []
+        for names in _TWO_QUBIT_PARTITION:
+            a, b = (np.kron(*(PAULI["IXYZ".index(c)] for c in name)) for name in names)
+            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                # The rank-1 joint eigenprojector; any nonzero column is its vector.
+                p = (np.eye(4) + sa * a) @ (np.eye(4) + sb * b) / 4
+                c = int(np.argmax(np.diagonal(p).real))
+                rows.append(p[:, c] / np.sqrt(p[c, c].real))
+        out = np.array(rows, dtype=complex)
+    elif d > 2 and all(d % p for p in range(2, math.isqrt(d) + 1)):
+        j = np.arange(d)
+        powers = (j[:, None, None] * j ** 2 + j[None, :, None] * j) % d  # [k, m, j]
+        out = np.concatenate([np.eye(d), np.exp(2j * np.pi / d * powers).reshape(-1, d)
+                              / np.sqrt(d)])
+    else:
+        return None
+    out.setflags(write=False)  # shared by every caller through the cache
+    return out
+
 
 def spanning_design(dims, seed: int = 0) -> SpanningDesign:
-    """d_s + 1 Haar-random orthonormal bases per site, drawn site by site from one
-    generator: the bases of d_s + 1 random_onb draws at each site in turn."""
-    rng, dims = make_rng(seed), tuple(int(d) for d in dims)
-    return SpanningDesign(dims, tuple(random_onbs(rng, (d,), d + 1)[0].swapaxes(1, 2).reshape(-1, d)
-                                      for d in dims))
+    """d_s + 1 orthonormal bases per site: :func:`complete_mubs` where it builds a set, and
+    otherwise d_s + 1 Haar-random bases, the bases of d_s + 1 random_onb draws from one
+    generator at each such site in turn.  A design of mutually unbiased sites only does not
+    depend on the seed: it is built once per dims and shared, with its site solves."""
+    rng, dims = make_rng(seed), tuple(int(d) for d in dims)  # a bad seed raises at any dims
+    mubs = [complete_mubs(d) for d in dims]
+    if all(m is not None for m in mubs):
+        return _mub_design(dims)
+    return SpanningDesign(dims, tuple(
+        random_onbs(rng, (d,), d + 1)[0].swapaxes(1, 2).reshape(-1, d) if m is None else m
+        for d, m in zip(dims, mubs)))
+
+
+@lru_cache(maxsize=8)
+def _mub_design(dims: tuple) -> SpanningDesign:
+    """The design of complete_mubs at every site: one shared instance per dims."""
+    return SpanningDesign(dims, tuple(complete_mubs(d) for d in dims))
 
 
 @dataclass(frozen=True)
@@ -252,21 +314,29 @@ def _along_axes(x: np.ndarray, mats) -> np.ndarray:
     return reduce(lambda y, m: np.tensordot(y, m, axes=(0, 0)), mats, x)
 
 
-def _grid_solve(values: np.ndarray, effects, what: str, seed: int) -> Reconstruction:
-    """Least squares on the Kronecker product of the site rows A_s = feature_of(effects[s]) of
-    (k_s, d_s, d_s) effect stacks, one pseudo-inverse per site; a site of rank below d_s^2
-    (``tolerances.FEATURE_RANK``) raises ValidationError naming it."""
-    dims = tuple(e.shape[-1] for e in effects)
-    site_rows = [feature_of(e) for e in effects]
+def _site_solves(site_rows, what: str) -> tuple:
+    """(pinvs, ranks, condition_numbers) of the (k_s, d_s^2) feature rows A_s of each site,
+    from one SVD a site: the transposed pseudo-inverse (read-only), the rank and σ_max /
+    σ_min.  A site of rank below d_s^2 (``tolerances.FEATURE_RANK``) raises ValidationError
+    naming it, its rows counted as ``what``."""
     pinvs, ranks, conds = [], [], []
-    for site, (d, a) in enumerate(zip(dims, site_rows)):
+    for site, a in enumerate(site_rows):
         u, sv, vh = np.linalg.svd(a, full_matrices=False)
         ranks.append(int(np.count_nonzero(sv > tol.FEATURE_RANK)))
-        if ranks[-1] < d * d:
+        if ranks[-1] < a.shape[1]:
             raise ValidationError(
-                f"site {site}: {len(a)} {what} have feature rank {ranks[-1]} < {d * d}")
+                f"site {site}: {len(a)} {what} have feature rank {ranks[-1]} < {a.shape[1]}")
         conds.append(float(sv[0] / sv[-1]))
         pinvs.append(u / sv @ vh)  # the transposed pseudo-inverse of a, from its SVD
+        pinvs[-1].setflags(write=False)
+    return tuple(pinvs), tuple(ranks), tuple(conds)
+
+
+def _grid_solve(values: np.ndarray, site_rows, solves: tuple, seed: int) -> Reconstruction:
+    """Least squares on the Kronecker product of the site rows A_s, given their
+    :func:`_site_solves`: one pseudo-inverse per site."""
+    dims = tuple(math.isqrt(a.shape[1]) for a in site_rows)
+    pinvs, ranks, conds = solves
     x = _along_axes(values, pinvs)  # coordinates in the products of hermitian_basis elements
     residual = float(np.max(np.abs(_along_axes(x, [a.T for a in site_rows]) - values)))
     t = _along_axes(x, [hermitian_basis(d) for d in dims])  # axes (i0, j0, i1, j1, ...)
@@ -274,7 +344,7 @@ def _grid_solve(values: np.ndarray, effects, what: str, seed: int) -> Reconstruc
     t = HermitianOperator(dims, t)
     cls, evidence = classify_product_positivity(t, seed=seed)
     kind = "witness" if isinstance(evidence, Witness) else "certificate"
-    return Reconstruction(t, residual, tuple(ranks), tuple(conds), cls, **{kind: evidence})
+    return Reconstruction(t, residual, ranks, conds, cls, **{kind: evidence})
 
 
 def reconstruct_pvm(f, design: SpanningDesign, seed: int = 0) -> Reconstruction:
@@ -290,8 +360,7 @@ def reconstruct_pvm(f, design: SpanningDesign, seed: int = 0) -> Reconstruction:
         raise ValidationError(
             "projective reconstruction requires local dims >= 3; use the effect path")
     vals = np.array([f(s) for s in design.states]).reshape([len(a) for a in design.local])
-    projectors = [local[:, :, None] * local[:, None, :].conj() for local in design.local]
-    return _grid_solve(vals, projectors, "local states", seed)
+    return _grid_solve(vals, [_projector_rows(v) for v in design.local], design.site_solves, seed)
 
 
 def reconstruct_povm(values, effects, seed: int = 0) -> Reconstruction:
@@ -313,7 +382,8 @@ def reconstruct_povm(values, effects, seed: int = 0) -> Reconstruction:
     values, grid = np.asarray(values, dtype=float), tuple(len(e) for e in effects)
     if values.shape != grid:
         raise ValidationError(f"values of shape {values.shape} on a grid of {grid} effects")
-    return _grid_solve(values, effects, "local effects", seed)
+    site_rows = [feature_of(e) for e in effects]
+    return _grid_solve(values, site_rows, _site_solves(site_rows, "local effects"), seed)
 
 
 def random_product_effects(rng: np.random.Generator, dims, count: int) -> list:

@@ -15,6 +15,9 @@ import numpy as np
 
 from . import tolerances as tol
 
+PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+PAULI.setflags(write=False)  # I, X, Y, Z
+
 
 class ValidationError(ValueError):
     """Raised when an input fails a structural invariant beyond tolerance."""

@@ -27,6 +27,7 @@ from .gleason import (
     vec_to_herm,
 )
 from .linalg import (
+    PAULI,
     HermitianOperator,
     ValidationError,
     complex_from_json,
@@ -43,7 +44,6 @@ from .linalg import (
 )
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def linprog(*args, **kwargs):
@@ -140,12 +140,17 @@ class Box:
 
 def _distinct_settings(settings) -> None:
     """ValidationError naming the site and label if a site repeats a setting label, or two
-    that print alike (their JSON keys would collide)."""
+    that print alike, and naming the key if two setting pairs share a JSON block key (labels
+    with commas, such as ("a,b", "c") and ("a", "b,c")): either way the keys would collide."""
     for site, labels in enumerate(settings):
         names = [str(lbl) for lbl in labels]
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise ValidationError(f"site {site} repeats setting label {labels[i]!r}")
+    keys = _block_keys(settings) if len(settings) == 2 else []
+    if len(set(keys)) < len(keys):
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ValidationError(f"two setting pairs share the table block key {key!r}")
 
 
 def _block_keys(settings) -> list:
@@ -344,7 +349,7 @@ def chsh_optimize(t: HermitianOperator) -> tuple:
     """
     if t.dims != (2, 2):
         raise ValidationError("chsh_optimize needs a two-qubit operator")
-    corr = np.einsum("abcd,ica,jdb->ij", t.mat.reshape(2, 2, 2, 2), _PAULI, _PAULI).real
+    corr = np.einsum("abcd,ica,jdb->ij", t.mat.reshape(2, 2, 2, 2), PAULI[1:], PAULI[1:]).real
     u, s, vt = np.linalg.svd(corr)
     th = np.arctan2(s[1], s[0])
     even, odd = np.cos(th) * vt[0], np.sin(th) * vt[1]

@@ -263,6 +263,23 @@ def test_reconstruct_reports_each_sites_condition_number(tmp_path, capsys):
         assert bound(np.prod(conds)), conds
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_reconstruct_round_trip_does_not_depend_on_the_seed_on_mub_designs(tmp_path, capsys, d):
+    # The (6,6) recipe above at dims with a complete set of mutually unbiased bases per site:
+    # one fixed design, kappa = sqrt(d + 1) at each site, whatever the seed.
+    rng = make_rng(0)
+    n = d * d
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (z + z.conj().T) / 2
+    h -= np.trace(h).real / n * np.eye(n)
+    path = operator_file(tmp_path, HermitianOperator((d, d), np.eye(n) / n + 4 * h / np.linalg.norm(h)))
+    for seed in ("0", "1", "141", "2999"):
+        code, rep = run(["reconstruct", "--operator", path, "--seed", seed], capsys)
+        assert code in (0, 1)
+        assert rep["verdicts"]["round_trip_frobenius"]["value"] <= tolerances.ROUND_TRIP
+        assert rep["design"]["condition_numbers"] == pytest.approx([np.sqrt(d + 1)] * 2, rel=1e-12)
+
+
 def test_reconstruct_qubit_operator_is_an_input_error(tmp_path, capsys):
     code = main(["reconstruct", "--operator",
                  operator_file(tmp_path, random_density(make_rng(6), (2, 3)))])

@@ -15,6 +15,7 @@ from nsgleason.gleason import (
     SpanningDesign,
     Witness,
     classify_product_positivity,
+    complete_mubs,
     hermitian_basis,
     product_seesaw_min,
     projector_features,
@@ -488,7 +489,8 @@ def test_seesaw_matches_sequentially_drawn_starts_bytewise(seed, dims, iters):
 
 def looped_spanning_design(dims, seed):
     """Draw-by-draw design: d + 1 random_onb draws a site, site by site, and every
-    product of one basis vector per site, site 0 major; with per-row dense features."""
+    product of one basis vector per site, site 0 major; with per-row dense features.
+    It is spanning_design at dims with no complete_mubs site."""
     rng = make_rng(seed)
     local = [[b[:, i] for b in [random_onb(rng, d) for _ in range(d + 1)] for i in range(d)]
              for d in dims]
@@ -496,7 +498,7 @@ def looped_spanning_design(dims, seed):
     return states, np.array([einsum_features(proj(s.full())) for s in states])
 
 
-@pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
+@pytest.mark.parametrize("dims", [(2, 6), (6, 2)])  # no site has a complete_mubs set
 @pytest.mark.parametrize("seed", range(4))
 def test_spanning_design_matches_draw_by_draw_loop(dims, seed):
     design = spanning_design(dims, seed=seed)
@@ -505,7 +507,76 @@ def test_spanning_design_matches_draw_by_draw_loop(dims, seed):
     assert np.linalg.matrix_rank(rows, tol=1e-10) == int(np.prod(dims)) ** 2
 
 
-@given(seeds, st.sampled_from([(3, 3), (3, 4), (4, 3)]),
+@pytest.mark.parametrize("seed", range(4))
+def test_mixed_design_draws_at_its_random_sites_only(seed):
+    # At (3, 6) site 0 holds the fixed d = 3 set, and site 1 the generator's first draws.
+    design = spanning_design((3, 6), seed=seed)
+    assert design.local[0].tobytes() == complete_mubs(3).tobytes()
+    drawn, _ = looped_spanning_design((6,), seed)
+    want = [ProductState((u, *s.factors)) for u in complete_mubs(3) for s in drawn]
+    assert [s.key() for s in design.states] == [s.key() for s in want]
+    assert spanning_design((3, 6), seed=seed) is not design  # only MUB-only designs are shared
+    assert spanning_design((3, 6), seed=seed + 1).local[1].tobytes() != design.local[1].tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 7, 11])
+def test_complete_mubs_are_orthonormal_and_unbiased(d):
+    bases = complete_mubs(d).reshape(d + 1, d, d)  # basis k holds rows k d ... k d + d - 1
+    overlaps = np.einsum("kai,lbi->klab", bases, bases.conj())
+    for k, l in itertools.product(range(d + 1), repeat=2):
+        want = np.eye(d) if k == l else np.full((d, d), 1 / d)
+        got = overlaps[k, l] if k == l else np.abs(overlaps[k, l]) ** 2
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(bases[0], np.eye(d))  # the computational basis first
+
+
+def test_complete_mubs_are_built_at_odd_prime_d_and_4_only():
+    assert [d for d in range(1, 14) if complete_mubs(d) is not None] == [3, 4, 5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 7])
+def test_mub_site_solve_is_the_closed_form(d):
+    # A complete MUB set is a 2-design: sum_k tr(P_k X) P_k = X + tr(X) I, so the
+    # pseudo-inverse's row k is feature_of(P_k - I / (d + 1)), and kappa = sqrt(d + 1).
+    design = spanning_design((d, 3))
+    pinvs, ranks, conds = design.site_solves
+    local = complete_mubs(d)
+    closed = feature_of(np.einsum("ki,kj->kij", local, local.conj()) - np.eye(d) / (d + 1))
+    np.testing.assert_allclose(pinvs[0], closed, rtol=0, atol=1e-12)
+    assert ranks == (d * d, 9)
+    assert conds == pytest.approx([np.sqrt(d + 1), 2.0], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_sites_do_not_beat_the_mub_condition_number(seed):
+    # Any d + 1 bases: the identity direction has sigma^2 = d + 1 and the traceless ones
+    # average sigma^2 = 1, so kappa >= sqrt(d + 1), which only a complete MUB set attains.
+    for d in (2, 6, 8, 9):
+        (kappa,) = spanning_design((d,), seed=seed).site_solves[2]
+        assert kappa >= np.sqrt(d + 1) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (4, 4), (5, 5), (3, 4, 5)])
+def test_mub_designs_are_shared_and_read_only(dims):
+    design = spanning_design(dims, seed=0)
+    assert spanning_design(list(dims), seed=141) is design
+    assert design.site_solves is spanning_design(dims, seed=7).site_solves
+    pinvs, _, _ = design.site_solves
+    for array in (*design.local, *pinvs, *design.states[-1].factors):
+        assert not array.flags.writeable
+    for s in design.states[::7]:
+        joined = b"".join(np.ascontiguousarray(f).tobytes() for f in s.factors)
+        assert s.key() == joined and s.key() is s.key()
+        assert ProductState(s.factors).key() == joined
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (3, 6)])
+def test_spanning_design_rejects_a_negative_seed_at_any_dims(dims):
+    with pytest.raises(ValueError):
+        spanning_design(dims, seed=-1)
+
+
+@given(seeds, st.sampled_from([(3, 3), (3, 4), (4, 3), (3, 6)]),  # site 6 draws random bases
        st.sampled_from(["density", "hermitian", "signalling"]))
 @settings(max_examples=30, deadline=None)
 def test_grid_solve_matches_lstsq_on_the_grid_rows(seed, dims, kind):

@@ -220,6 +220,18 @@ def test_box_rejects_repeated_setting_labels(labels, message):
         Box(labels, ((0, 1), (0, 1)), np.full((2, 2, 2, 2), 0.25))
 
 
+def test_box_rejects_setting_labels_whose_block_keys_collide():
+    # ("a,b", "c") and ("a", "b,c") would both be written under the key "a,b,c".
+    labels = (("a,b", "a"), ("c", "b,c"))
+    with pytest.raises(ValidationError, match="two setting pairs share the table block key 'a,b,c'"):
+        Box(labels, ((0, 1), (0, 1)), np.full((2, 2, 2, 2), 0.25))
+    data = {"settings": [list(x) for x in labels], "outcomes": [[0, 1], [0, 1]],
+            "table": {"a,b,c": [[0.25] * 2] * 2, "a,b,b,c": [[0.25] * 2] * 2,
+                      "a,c": [[0.25] * 2] * 2}}
+    with pytest.raises(ValidationError, match="two setting pairs share the table block key 'a,b,c'"):
+        Box.from_json(data)
+
+
 def test_box_from_json_rejects_repeated_setting_labels():
     # With four blocks, or with the two distinct keys that repeated labels would write.
     data = pr_box().to_json()
