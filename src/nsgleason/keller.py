@@ -6,6 +6,10 @@ are adjacent in G when some coordinate differs by exactly 2 (mod-free: the
 literal difference |m_i - m_i'| equals 2); they are adjacent in G* when in
 addition they differ in at least two coordinates.  A clique of size 2^n in G
 encodes a 4Z^n-periodic cube tiling; in G* the tiling is moreover facet-free.
+Both graphs are Cayley graphs on (Z_2^2)^n: digits d, d' differ by exactly 2
+iff d XOR d' = 2, so with vertex k's digits the 2-bit groups of k, v ~ w iff
+S[v XOR w] for a connection set S (:func:`_connection`).  The searches read
+adjacency from S; verification and :func:`edge` count one-hot rows.
 Mapping digits 0,1,2,3 to the qubit states |0>, |+>, |1>, |-> turns any
 size-2^n G-clique into an orthonormal basis of (C^2)^(x n) made of product
 states; for G*-cliques that basis admits no local twist pairs at all.
@@ -39,6 +43,8 @@ class CliqueCandidate:
         vecs = np.asarray(self.vectors, dtype=np.int8)
         if vecs.ndim != 2 or vecs.shape[1] != self.n:
             raise ValidationError(f"vectors must have shape (N, {self.n})")
+        if self.n < 1 or not len(vecs):
+            raise ValidationError("a candidate needs n >= 1 and at least one vector")
         if vecs.min() < 0 or vecs.max() > 3:
             raise ValidationError("coordinates must lie in {0,1,2,3}")
         rows = np.ascontiguousarray(vecs).view(f"V{self.n}").ravel()  # each row's bytes
@@ -142,49 +148,62 @@ def _all_vertices(n: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1).astype(np.int8)
 
 
+def _connection(n: int, graph: Graph) -> np.ndarray:
+    """The connection set S over all 4^n XOR codes z: S[z] holds when some
+    digit (2-bit group) of z is 2, and under G* also two digits are nonzero."""
+    z = np.arange(4 ** n)
+    low = int("01" * n, 2)  # the low bit of every digit
+    s = ((z >> 1) & ~z & low) != 0
+    if graph == Graph.G:
+        return s
+    nonzero = (z | z >> 1) & low
+    return s & ((nonzero & (nonzero - 1)) != 0)
+
+
 def _exhaustive(n: int, target: int, graph: Graph):
-    """Deterministic branch-and-bound clique enumeration over all 4^n vertices."""
-    verts = _all_vertices(n)
-    x = _one_hot(verts)
-    adj = _links(x, x, graph)
+    """Deterministic branch and bound over cliques through vertex 0, with
+    candidate sets as int bitsets.  XOR by any member maps a clique onto one
+    through 0, so a miss there is a proof, and the first clique in index
+    order holds 0 anyway."""
+    idx = np.arange(4 ** n, dtype=np.uint64)
+    rows = _connection(n, graph)[idx[:, None] ^ idx].astype(np.uint64) << idx
+    adj = rows.sum(axis=1).tolist()  # bit u of adj[v]: v ~ u (n <= 3, so 64 bits)
+    clique = [0]
 
-    clique = []
-
-    def extend(candidates):
+    def extend(cand: int) -> bool:
         if len(clique) == target:
             return True
-        if len(clique) + len(candidates) < target:
-            return False
-        for idx, v in enumerate(candidates):
+        while len(clique) + cand.bit_count() >= target:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
             clique.append(v)
-            nxt = [u for u in candidates[idx + 1:] if adj[v, u]]
-            if extend(nxt):
+            if extend(cand & adj[v]):
                 return True
             clique.pop()
         return False
 
-    if extend(list(range(len(verts)))):
-        return CliqueCandidate(n, verts[np.array(clique)])
+    if extend(adj[0]):
+        return CliqueCandidate(n, _all_vertices(n)[clique])
     return None
 
 
 def _heuristic(n: int, target: int, graph: Graph, budget: int, seed: int):
     """Seeded greedy-with-restarts local search; best-effort only.  Each
     restart takes, in a random order, every vertex adjacent to all taken so
-    far: the next is the first entry of the order still ``live``."""
-    verts = _all_vertices(n)
-    x = _one_hot(verts)
+    far: ``cand`` keeps the order's vertices still adjacent to all of them."""
+    conn = _connection(n, graph)
     rng = np.random.Generator(np.random.Philox(seed))
-    for _ in range(max(1, budget)):
-        order = rng.permutation(len(verts))
-        live = np.ones(len(verts), dtype=bool)
+    for _ in range(budget):
+        cand = rng.permutation(4 ** n)
         clique: list = []
-        while live.any():
-            v = order[np.argmax(live[order])]
+        while cand.size:
+            v = cand[0]
             clique.append(v)
             if len(clique) == target:
-                return CliqueCandidate(n, verts[np.array(clique)])
-            live &= _links(x[v], x, graph)
+                return CliqueCandidate(n, _all_vertices(n)[clique])
+            cand = cand[1:]
+            cand = cand[conn[cand ^ v]]
     return None
 
 
@@ -202,10 +221,14 @@ def clique_search(
     proves no clique of that size exists.  HEURISTIC NONE results prove
     nothing.
     """
+    if n < 1 or target < 1:
+        raise ValidationError("clique search needs n >= 1 and target >= 1")
     if mode == SearchMode.EXHAUSTIVE:
         if n > 3:
             raise ValidationError("exhaustive search supported only for n <= 3")
         return _exhaustive(n, target, graph)
+    if budget < 1:
+        raise ValidationError("heuristic search needs budget >= 1")
     return _heuristic(n, target, graph, budget, seed)
 
 

@@ -107,6 +107,18 @@ def test_exhaustive_rejected_for_large_n():
         clique_search(4, 16, SearchMode.EXHAUSTIVE)
 
 
+@pytest.mark.parametrize("mode", list(SearchMode))
+@pytest.mark.parametrize("n, target, budget", [(0, 1, 10), (-1, 1, 10), (2, 0, 10),
+                                               (2, -3, 10), (3, 5, 0), (3, 5, -2)])
+def test_clique_search_rejects_sizes_below_one(mode, n, target, budget):
+    # A budget below 1 is checked in HEURISTIC mode only: EXHAUSTIVE reads none.
+    if budget < 1 and mode == SearchMode.EXHAUSTIVE:
+        assert clique_search(n, target, mode, budget, graph=Graph.G_STAR) is not None
+        return
+    with pytest.raises(ValidationError, match=">= 1"):
+        clique_search(n, target, mode, budget)
+
+
 def test_basis_from_1d_clique():
     c = CliqueCandidate(1, np.array([[0], [2]]))
     b = basis_from_clique(c)
@@ -174,6 +186,13 @@ def test_malformed_clique_file(tmp_path, text, message):
 def test_clique_candidate_checks_shape_and_range(vectors, message):
     with pytest.raises(ValidationError, match=message):
         CliqueCandidate(2, vectors)
+
+
+@pytest.mark.parametrize("n, vectors", [(2, np.zeros((0, 2))), (0, np.zeros((1, 0))),
+                                        (0, np.zeros((0, 0)))])
+def test_clique_candidate_rejects_empty_candidates(n, vectors):
+    with pytest.raises(ValidationError, match="at least one vector"):
+        CliqueCandidate(n, vectors)
 
 
 @pytest.mark.parametrize("col", [0, 31, 32, 39])

@@ -1,5 +1,6 @@
-"""The one-hot Keller engine and the streamed basis checks against test-only
-copies of the per-pair loops they replace: results must agree exactly."""
+"""The Keller engine (one-hot counts for verification, the XOR connection
+set for the searches) and the streamed basis checks against test-only copies
+of the per-pair loops and searches they replace: results must agree exactly."""
 
 import itertools
 import warnings
@@ -33,6 +34,7 @@ from nsgleason.keller import (
     Graph,
     SearchMode,
     _all_vertices,
+    _connection,
     _links,
     _one_hot,
     basis_from_clique,
@@ -86,6 +88,32 @@ def ref_heuristic(n, target, graph, budget, seed):
                 if len(clique) == target:
                     return verts[np.array(clique)]
     return None
+
+
+def ref_exhaustive(n, target, graph):
+    """The list-based branch and bound over every start vertex."""
+    verts = _all_vertices(n)
+    adj = [[ref_edge(a, b, graph) for b in verts] for a in verts]
+    clique = []
+
+    def extend(candidates):
+        if len(clique) == target:
+            return True
+        if len(clique) + len(candidates) < target:
+            return False
+        for idx, v in enumerate(candidates):
+            clique.append(v)
+            if extend([u for u in candidates[idx + 1:] if adj[v][u]]):
+                return True
+            clique.pop()
+        return False
+
+    return verts[np.array(clique)] if extend(list(range(len(verts)))) else None
+
+
+def digits_of(k, n):
+    """Vertex k's digits: its 2-bit groups, most significant first."""
+    return [(k >> 2 * (n - 1 - i)) & 3 for i in range(n)]
 
 
 def ref_site_overlaps(b):
@@ -206,7 +234,7 @@ def test_packed_adjacency_matches_edge_loop(n, graph):
     x = _one_hot(verts)
     ref = np.array([[ref_edge(a, b, graph) for b in verts] for a in verts])
     np.testing.assert_array_equal(_links(x, x, graph), ref)
-    for v in range(len(verts)):  # one row at a time, as the heuristic search asks
+    for v in range(len(verts)):  # one row at a time, as edge asks
         np.testing.assert_array_equal(_links(x[v], x, graph), ref[v])
     assert [[edge(a, b, graph) for b in verts] for a in verts] == ref.tolist()
 
@@ -271,6 +299,60 @@ def test_verify_bundled_matches_loop():
 
 
 HEURISTIC_CASES = [(3, 5, 5), (3, 8, 3), (4, 8, 2), (4, 12, 3), (5, 16, 1), (5, 28, 1)]
+
+
+@pytest.mark.parametrize("graph", list(Graph))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_connection_set_matches_edge_loop(n, graph):
+    verts = _all_vertices(n)
+    assert verts.tolist() == [digits_of(k, n) for k in range(4 ** n)]
+    conn = _connection(n, graph)
+    for v, w in itertools.product(range(4 ** n), repeat=2):
+        assert conn[v ^ w] == ref_edge(verts[v], verts[w], graph)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_connection_set_matches_edge_loop_on_sampled_pairs(n):
+    rng = np.random.default_rng(n)
+    pairs = rng.integers(0, 4 ** n, (400, 2))
+    pairs[:100, 1] = pairs[:100, 0] ^ (2 << 2 * rng.integers(0, n, 100))  # one digit 2 apart
+    for graph in Graph:
+        conn = _connection(n, graph)
+        for v, w in pairs.tolist():
+            assert conn[v ^ w] == ref_edge(digits_of(v, n), digits_of(w, n), graph)
+
+
+@pytest.mark.parametrize("graph", list(Graph))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exhaustive_matches_every_start_branch_and_bound(n, graph):
+    for target in range(1, 2 ** n + 2):
+        got = clique_search(n, target, SearchMode.EXHAUSTIVE, graph=graph)
+        ref = ref_exhaustive(n, target, graph)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            np.testing.assert_array_equal(got.vectors, ref)
+
+
+def found_cliques():
+    for n, graph in itertools.product([1, 2, 3], Graph):
+        for target in range(1, 2 ** n + 1):
+            c = clique_search(n, target, SearchMode.EXHAUSTIVE, graph=graph)
+            if c is not None:
+                yield c, graph
+    for n, size, budget in HEURISTIC_CASES:
+        for graph in Graph:
+            c = clique_search(n, size, SearchMode.HEURISTIC, budget, 0, graph)
+            if c is not None:
+                yield c, graph
+
+
+def test_xor_translates_of_found_cliques_verify():
+    found = list(found_cliques())
+    assert {c.n for c, _ in found} >= {1, 2, 3, 4, 5}
+    for c, graph in found:
+        assert verify_clique(c, graph).is_clique
+        for k in c.vectors:
+            assert verify_clique(CliqueCandidate(c.n, c.vectors ^ k), graph).is_clique
 
 
 @pytest.mark.parametrize("graph", list(Graph))
