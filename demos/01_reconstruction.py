@@ -3,10 +3,10 @@
 A non-negative frame function over product orthonormal bases that satisfies
 no-signalling is induced by a unique self-adjoint operator.  This demo walks
 through the constructive side of that statement: sample a frame function on
-every product of d+1 orthonormal bases per site (at d = 3 a complete set of
-mutually unbiased bases, the same at every seed), solve the resulting linear
-system one site at a time, and confirm that the recovered operator reproduces
-the function everywhere.  Qubit sites, where projective sampling is not enough
+every product of a fixed set of orthonormal bases per site (at d = 3 a complete
+set of d+1 mutually unbiased bases), solve the resulting linear system one site
+at a time, and confirm that the recovered operator reproduces the function
+everywhere.  Qubit sites, where projective sampling is not enough
 under the theorem's hypothesis, are recovered the same way from a grid of
 local effects per site.
 """
@@ -31,14 +31,15 @@ rng = make_rng(2024)
 dims = (3, 3)
 
 print("=== spanning design ===")
-design = spanning_design(dims, seed=2024)
-print(f"{len(design.states)} product states from d+1 = {dims[0] + 1} mutually unbiased bases per "
-      f"site, for an operator space of dimension {np.prod(dims) ** 2}; the fit checks that each "
-      f"site's rows span its {dims[0] ** 2} operators")
+design = spanning_design(dims)
+bases = [len(v) // d for d, v in zip(dims, design.local)]
+print(f"{len(design.states)} product states from {bases} mutually unbiased bases per site, for "
+      f"an operator space of dimension {np.prod(dims) ** 2}; the fit checks that each site's "
+      f"rows span its {[d * d for d in dims]} operators")
 _, ranks, kappas = design.site_solves
 print(f"feature rank per site {ranks}; condition number per site "
-      f"{', '.join(f'{k:.6f}' for k in kappas)}: sqrt(d+1) = {np.sqrt(dims[0] + 1):.6f}, the "
-      f"least that any d+1 bases reach")
+      f"{', '.join(f'{k:.6f}' for k in kappas)}: sqrt(bases per site) = "
+      f"{', '.join(f'{np.sqrt(k):.6f}' for k in bases)}, the least that any d+1 bases reach")
 
 print("\n=== round trip for a random density matrix ===")
 rho = random_density(rng, dims)

@@ -118,12 +118,13 @@ def _load(path, cls):
 
 def cmd_reconstruct(args, rep):
     t = _load(args.operator, HermitianOperator)
-    design = spanning_design(t.dims, seed=args.seed)
+    design = spanning_design(t.dims)
     rec = reconstruct_pvm(sample_from_operator(t, design.states), design, seed=args.seed)
     frob = float(np.linalg.norm(rec.t.mat - t.mat))
-    rep.data["design"] = {"bases_per_site": [d + 1 for d in design.dims],
-                          "states": len(design.states), "feature_rank": list(rec.ranks),
-                          "condition_numbers": list(rec.condition_numbers)}
+    rep.data["design"] = {
+        "bases_per_site": [len(v) // d for d, v in zip(design.dims, design.local)],
+        "states": len(design.states), "feature_rank": list(rec.ranks),
+        "condition_numbers": list(rec.condition_numbers)}
     rep.data["classification"] = rec.classification.value
     if rec.certificate is not None:
         rep.data["evidence"] = {"orientation_certificate": rec.certificate.to_json()}

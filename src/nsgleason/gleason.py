@@ -3,14 +3,14 @@
 A non-negative frame function with constant weight over all product bases of
 a two-site space (local dims >= 3) is induced by a unique self-adjoint
 operator t via f(v) = <v|t|v>.  This module inverts that correspondence
-numerically: it takes d + 1 orthonormal bases per site (a complete set of
-mutually unbiased bases where one is built here, random bases elsewhere),
-solves for t on every product of one basis vector per site (one small
-pseudo-inverse per site), and classifies the recovered operator (density
-matrix / product-positive only / indefinite on products).  An effect-based
-path covers qubit sites, where rank-1 projective sampling is not
-informationally complete enough under the theorem's hypothesis: a grid of
-local effects per site, solved the same way.
+numerically: it takes a fixed set of orthonormal bases per site (every tensor
+product of complete sets of mutually unbiased bases, one set per prime-power
+factor of the site's dimension), solves for t on every product of one basis
+vector per site (one small pseudo-inverse per site), and classifies the
+recovered operator (density matrix / product-positive only / indefinite on
+products).  An effect-based path covers qubit sites, where rank-1 projective
+sampling is not informationally complete enough under the theorem's
+hypothesis: a grid of local effects per site, solved the same way.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .linalg import (
     ValidationError,
     make_rng,
     min_eigenvalue,
+    operator_dims,
     product_rows,
     product_values,
-    random_onbs,
     random_units,
     tensor_rows,
 )
@@ -122,18 +122,26 @@ class Classification(str, Enum):
 @dataclass(frozen=True)
 class SpanningDesign:
     """Orthonormal bases per site, their vectors the rows of ``local[s]`` (read-only
-    copies), and ``states``: every product of one local state per site, site 0
-    major.  d_s + 1 generic bases span the d_s^2 operators of a site with d_s rows
-    to spare, as each sums to the identity; the spare rows test no-signalling."""
+    copies, a (k_s d_s, d_s) stack with k_s >= 1, basis k in rows k d_s ... k d_s + d_s - 1),
+    and ``states``: every product of one local state per site, site 0 major.  The bases of
+    :func:`spanning_design` span the d_s^2 operators of a site with rows to spare, as each
+    basis sums to the identity; the spare rows test no-signalling."""
 
     dims: tuple
     local: tuple
     states: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        dims = _design_dims(self.dims)
         local = tuple(np.array(f, dtype=complex) for f in self.local)
-        for f in local:
+        if len(local) != len(dims):
+            raise ValidationError(f"{len(local)} stacks of local states for {len(dims)} sites")
+        for site, (d, f) in enumerate(zip(dims, local)):
+            if f.ndim != 2 or f.shape[1] != d or not len(f) or len(f) % d:
+                raise ValidationError(f"site {site}: local states of shape {f.shape}, not "
+                                      f"(k * {d}, {d}) with k >= 1")
             f.setflags(write=False)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "local", local)
         object.__setattr__(self, "states", ProductState.batch(product_rows(local)))
 
@@ -142,6 +150,14 @@ class SpanningDesign:
         """(pinvs, ranks, condition_numbers) of the rows feature_of(|v><v|) of each site's
         local states, as :func:`_site_solves` gives them, computed on first use."""
         return _site_solves([_projector_rows(v) for v in self.local], "local states")
+
+
+def _design_dims(dims) -> tuple:
+    """:func:`operator_dims` of at least one site."""
+    dims = operator_dims(tuple(dims))
+    if not dims:
+        raise ValidationError("a design needs at least one site")
+    return dims
 
 
 def _projector_rows(local: np.ndarray) -> np.ndarray:
@@ -154,13 +170,16 @@ def complete_mubs(d: int) -> np.ndarray | None:
     """A complete set of d + 1 mutually unbiased bases of C^d as a read-only (d (d + 1), d)
     stack, basis k in rows k d ... k d + d - 1, or None where none is built here.
 
-    Odd prime d: the computational basis, then for k = 0 ... d - 1 the vectors
-    (1/sqrt d) sum_j w^(k j^2 + m j)|j>, m = 0 ... d - 1, w = exp(2 pi i / d) (Wootters &
-    Fields, Ann. Phys. 191, 1989).  d = 4: the joint eigenbases of the five commuting
-    triples of two-qubit Paulis (Bandyopadhyay, Boykin, Roychowdhury & Vatan, Algorithmica
-    34, 2002), the computational basis first.
+    d = 2: the eigenbases of Z, X and Y.  Odd prime d: the computational basis, then for
+    k = 0 ... d - 1 the vectors (1/sqrt d) sum_j w^(k j^2 + m j)|j>, m = 0 ... d - 1,
+    w = exp(2 pi i / d) (Wootters & Fields, Ann. Phys. 191, 1989).  d = 4: the joint
+    eigenbases of the five commuting triples of two-qubit Paulis (Bandyopadhyay, Boykin,
+    Roychowdhury & Vatan, Algorithmica 34, 2002), the computational basis first.
     """
-    if d == 4:
+    if d == 2:
+        out = np.array([[1, 0], [0, 1], [_S, _S], [_S, -_S], [_S, 1j * _S], [_S, -1j * _S]],
+                       dtype=complex)
+    elif d == 4:
         rows = []
         for names in _TWO_QUBIT_PARTITION:
             a, b = (np.kron(*(PAULI["IXYZ".index(c)] for c in name)) for name in names)
@@ -182,23 +201,33 @@ def complete_mubs(d: int) -> np.ndarray | None:
 
 
 def spanning_design(dims, seed: int = 0) -> SpanningDesign:
-    """d_s + 1 orthonormal bases per site: :func:`complete_mubs` where it builds a set, and
-    otherwise d_s + 1 Haar-random bases, the bases of d_s + 1 random_onb draws from one
-    generator at each such site in turn.  A design of mutually unbiased sites only does not
-    depend on the seed: it is built once per dims and shared, with its site solves."""
-    rng, dims = make_rng(seed), tuple(int(d) for d in dims)  # a bad seed raises at any dims
-    mubs = [complete_mubs(d) for d in dims]
-    if all(m is not None for m in mubs):
-        return _mub_design(dims)
-    return SpanningDesign(dims, tuple(
-        random_onbs(rng, (d,), d + 1)[0].swapaxes(1, 2).reshape(-1, d) if m is None else m
-        for d, m in zip(dims, mubs)))
+    """The fixed design at dims, built once per dims and shared, with its site solves.
+
+    Write d_s = 4^a 2^b p_1 p_2 ... with b <= 1 and odd primes p_1 <= p_2 <= ...: site s
+    holds every tensor product of one basis from each factor's :func:`complete_mubs` set,
+    the first factor's index major (that set itself at one factor, the basis [1] at d_s = 1).
+    Each set is a 2-design, so a site has full feature rank and kappa = prod sqrt(q + 1) over
+    its factors q.  The seed changes nothing, but a bad one still raises."""
+    make_rng(seed)
+    return _design(_design_dims(dims))
 
 
 @lru_cache(maxsize=8)
-def _mub_design(dims: tuple) -> SpanningDesign:
-    """The design of complete_mubs at every site: one shared instance per dims."""
-    return SpanningDesign(dims, tuple(complete_mubs(d) for d in dims))
+def _design(dims: tuple) -> SpanningDesign:
+    return SpanningDesign(dims, tuple(_site_bases(d) for d in dims))
+
+
+def _site_bases(d: int) -> np.ndarray:
+    """The (k d, d) stack of one site of :func:`spanning_design`."""
+    factors, rest = [], d
+    for q in (4, 2, *range(3, d + 1, 2)):  # an odd q divides rest only if it is prime
+        while rest % q == 0:
+            factors.append(q)
+            rest //= q
+    stacks = [complete_mubs(q).reshape(q + 1, q, q) for q in factors] or [np.ones((1, 1, 1))]
+    # Bases (k, l) of two stacks: vector (i, j) is a_ki (x) b_lj, k and i major.
+    return reduce(lambda a, b: np.einsum("kic,lje->klijce", a, b).reshape(
+        len(a) * len(b), a.shape[1] * b.shape[1], -1), stacks).reshape(-1, d)
 
 
 @dataclass(frozen=True)

@@ -157,10 +157,13 @@ def complex_from_json(data, ndim: int) -> np.ndarray:
     return pairs.view(complex)[..., 0]
 
 
-def _operator_dims(dims) -> tuple:
-    """dims as ints; ValidationError unless each is an integer >= 1 (a bool is not one)."""
-    if not all(isinstance(d, (int, np.integer)) and type(d) is not bool and d >= 1 for d in dims):
-        raise ValidationError(f"dims {list(dims)!r} are not integers >= 1")
+def operator_dims(dims) -> tuple:
+    """dims as ints; ValidationError naming the first site whose dim is not an integer >= 1
+    (a bool is not one)."""
+    for site, d in enumerate(dims):
+        if not isinstance(d, (int, np.integer)) or type(d) is bool or d < 1:
+            raise ValidationError(
+                f"dims {list(dims)!r} are not integers >= 1: site {site} is {d!r}")
     return tuple(int(d) for d in dims)
 
 
@@ -177,7 +180,7 @@ class HermitianOperator:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = _operator_dims(self.dims)
+        dims = operator_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         mat = np.asarray(self.mat, dtype=complex)
         d_total = int(np.prod(dims)) if dims else 0
@@ -217,7 +220,7 @@ class HermitianOperator:
 
     @classmethod
     def from_json(cls, data: dict) -> "HermitianOperator":
-        d_total = int(np.prod(_operator_dims(data["dims"])))  # checked before the reshape
+        d_total = int(np.prod(operator_dims(data["dims"])))  # checked before the reshape
         return cls(data["dims"], complex_from_json(data["entries"], 1).reshape(d_total, d_total))
 
 

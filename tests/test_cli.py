@@ -220,12 +220,12 @@ def test_reconstruct_holdout_0_reports_the_in_sample_residual(rho_file, capsys):
     code, rep = run(["reconstruct", "--operator", rho_file], capsys)
     assert code == 0
     assert rep["design"] == {"bases_per_site": [4, 4], "states": 144, "feature_rank": [9, 9],
-                             "condition_numbers": site_conditions((3, 3), 0)}
+                             "condition_numbers": site_conditions((3, 3))}
     verdict = rep["verdicts"]["holdout_residual"]
     assert verdict["note"].startswith("in sample: the product-basis grid's residual")
     with open(rho_file) as fh:
         t = HermitianOperator.from_json(json.load(fh))
-    design = spanning_design(t.dims, seed=0)
+    design = spanning_design(t.dims)
     rec = reconstruct_pvm(sample_from_operator(t, design.states), design)
     assert verdict["value"] == rec.residual <= tolerances.HOLDOUT_RESIDUAL
 
@@ -237,47 +237,52 @@ def test_reconstruct_other_dims(tmp_path, capsys, dims, states):
     assert code == 0 and rep["classification"] == "DENSITY_MATRIX"
     assert rep["design"] == {"bases_per_site": [d + 1 for d in dims], "states": states,
                              "feature_rank": [d * d for d in dims],
-                             "condition_numbers": site_conditions(dims, 0)}
+                             "condition_numbers": site_conditions(dims)}
 
 
-def site_conditions(dims, seed):
+def site_conditions(dims):
     """np.linalg.cond of each site's feature rows of its design projectors, as approx."""
-    design = spanning_design(dims, seed=seed)
+    design = spanning_design(dims)
     rows = [feature_of(np.einsum("ki,kj->kij", v, v.conj())) for v in design.local]
     return pytest.approx([np.linalg.cond(a) for a in rows], rel=1e-9)
 
 
-def test_reconstruct_reports_each_sites_condition_number(tmp_path, capsys):
-    # A unit-trace (6,6) operator whose round trip fails at seed 141 but not at seed 0:
-    # the report's condition numbers say why (their product is 4e9 against 5e3).
-    rng = make_rng(0)
-    z = rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))
-    h = (z + z.conj().T) / 2
-    h -= np.trace(h).real / 36 * np.eye(36)
-    t = HermitianOperator((6, 6), np.eye(36) / 36 + 4 * h / np.linalg.norm(h))
-    path = operator_file(tmp_path, t)
-    for seed, bound in (("141", lambda k: k > 1e9), ("0", lambda k: k < 1e4)):
-        code, rep = run(["reconstruct", "--operator", path, "--seed", seed], capsys)
-        conds = rep["design"]["condition_numbers"]
-        assert code in (0, 1) and conds == site_conditions((6, 6), int(seed))
-        assert bound(np.prod(conds)), conds
-
-
-@pytest.mark.parametrize("d", [3, 4, 5])
-def test_reconstruct_round_trip_does_not_depend_on_the_seed_on_mub_designs(tmp_path, capsys, d):
-    # The (6,6) recipe above at dims with a complete set of mutually unbiased bases per site:
-    # one fixed design, kappa = sqrt(d + 1) at each site, whatever the seed.
+def unit_trace_operator(d):
+    """I / d^2 plus a traceless Hermitian part from make_rng(0) normal entries, scaled to
+    Frobenius norm 4: at d = 6 the u66.json case, whose round trip once failed on random bases."""
     rng = make_rng(0)
     n = d * d
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (z + z.conj().T) / 2
     h -= np.trace(h).real / n * np.eye(n)
-    path = operator_file(tmp_path, HermitianOperator((d, d), np.eye(n) / n + 4 * h / np.linalg.norm(h)))
+    return HermitianOperator((d, d), np.eye(n) / n + 4 * h / np.linalg.norm(h))
+
+
+def test_reconstruct_reports_each_sites_condition_number(tmp_path, capsys):
+    # The (6,6) design is the product of the d = 2 and d = 3 sets at each site: kappa =
+    # sqrt(3) sqrt(4) = 2 sqrt(3), and the round trip passes at the seed (141) where it
+    # failed on random bases, with kappa product 4e9.
+    path = operator_file(tmp_path, unit_trace_operator(6))
+    for seed in ("141", "0"):
+        code, rep = run(["reconstruct", "--operator", path, "--seed", seed], capsys)
+        conds = rep["design"]["condition_numbers"]
+        assert conds == site_conditions((6, 6))
+        assert conds == pytest.approx([2 * np.sqrt(3)] * 2, rel=1e-12)
+        assert rep["verdicts"]["round_trip_frobenius"]["pass"] and code in (0, 1)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_reconstruct_round_trip_does_not_depend_on_the_seed_on_mub_designs(tmp_path, capsys, d):
+    # One fixed design, kappa = prod sqrt(q + 1) over the factors q of d at each site,
+    # whatever the seed: sqrt(d + 1) at prime-power d, 2 sqrt(3) at d = 6.
+    kappa = 2 * np.sqrt(3) if d == 6 else np.sqrt(d + 1)
+    path = operator_file(tmp_path, unit_trace_operator(d))
     for seed in ("0", "1", "141", "2999"):
         code, rep = run(["reconstruct", "--operator", path, "--seed", seed], capsys)
         assert code in (0, 1)
         assert rep["verdicts"]["round_trip_frobenius"]["value"] <= tolerances.ROUND_TRIP
-        assert rep["design"]["condition_numbers"] == pytest.approx([np.sqrt(d + 1)] * 2, rel=1e-12)
+        assert rep["design"]["condition_numbers"] == pytest.approx([kappa] * 2, rel=1e-12)
+        assert rep["design"]["bases_per_site"] == [12 if d == 6 else d + 1] * 2
 
 
 def test_reconstruct_qubit_operator_is_an_input_error(tmp_path, capsys):

@@ -38,7 +38,7 @@ from nsgleason.linalg import (
     proj,
     random_density,
     random_hermitian,
-    random_onb,
+    random_onbs,
     random_unit,
     tensor_rows,
 )
@@ -487,39 +487,36 @@ def test_seesaw_matches_sequentially_drawn_starts_bytewise(seed, dims, iters):
     assert wit.value == value
 
 
-def looped_spanning_design(dims, seed):
-    """Draw-by-draw design: d + 1 random_onb draws a site, site by site, and every
-    product of one basis vector per site, site 0 major; with per-row dense features.
-    It is spanning_design at dims with no complete_mubs site."""
-    rng = make_rng(seed)
-    local = [[b[:, i] for b in [random_onb(rng, d) for _ in range(d + 1)] for i in range(d)]
-             for d in dims]
-    states = [ProductState(factors) for factors in itertools.product(*local)]
-    return states, np.array([einsum_features(proj(s.full())) for s in states])
+# The factors q of a site of spanning_design: 4s, then at most one 2, then odd primes.
+FACTORS = {2: (2,), 3: (3,), 4: (4,), 5: (5,), 6: (2, 3), 7: (7,), 8: (4, 2),
+           9: (3, 3), 10: (2, 5), 12: (4, 3)}
 
 
-@pytest.mark.parametrize("dims", [(2, 6), (6, 2)])  # no site has a complete_mubs set
-@pytest.mark.parametrize("seed", range(4))
-def test_spanning_design_matches_draw_by_draw_loop(dims, seed):
-    design = spanning_design(dims, seed=seed)
-    states, rows = looped_spanning_design(dims, seed)
-    assert [s.key() for s in design.states] == [s.key() for s in states]
-    assert np.linalg.matrix_rank(rows, tol=1e-10) == int(np.prod(dims)) ** 2
+def kron_bases(stacks):
+    """Every tensor product of one basis from each stack of bases, the first stack's index
+    major: basis k of a stack is a (q, ...) array of q vectors, or of q operators, and two
+    bases multiply as np.kron multiplies them, vector (i, j) the product of i and j."""
+    out = [np.ones(1)]
+    for s in stacks:
+        out = [np.kron(a, b) for a in out for b in s]
+    return np.array(out)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_mixed_design_draws_at_its_random_sites_only(seed):
-    # At (3, 6) site 0 holds the fixed d = 3 set, and site 1 the generator's first draws.
+    # At (3, 6) site 0 holds the d = 3 set, and site 1 the products of the d = 2 and d = 3
+    # sets: 3 x 4 = 12 bases.  No site is random, so nothing is drawn and every seed gives
+    # the one design.
     design = spanning_design((3, 6), seed=seed)
     assert design.local[0].tobytes() == complete_mubs(3).tobytes()
-    drawn, _ = looped_spanning_design((6,), seed)
-    want = [ProductState((u, *s.factors)) for u in complete_mubs(3) for s in drawn]
-    assert [s.key() for s in design.states] == [s.key() for s in want]
-    assert spanning_design((3, 6), seed=seed) is not design  # only MUB-only designs are shared
-    assert spanning_design((3, 6), seed=seed + 1).local[1].tobytes() != design.local[1].tobytes()
+    want = kron_bases([complete_mubs(q).reshape(q + 1, q, q) for q in (2, 3)])
+    np.testing.assert_allclose(design.local[1], want.reshape(-1, 6), rtol=0, atol=1e-15)
+    assert len(design.states) == 12 * 72
+    for other in (0, seed + 1, 141, 2999):
+        assert spanning_design((3, 6), seed=other) is design
 
 
-@pytest.mark.parametrize("d", [3, 4, 5, 7, 11])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 11])
 def test_complete_mubs_are_orthonormal_and_unbiased(d):
     bases = complete_mubs(d).reshape(d + 1, d, d)  # basis k holds rows k d ... k d + d - 1
     overlaps = np.einsum("kai,lbi->klab", bases, bases.conj())
@@ -531,32 +528,44 @@ def test_complete_mubs_are_orthonormal_and_unbiased(d):
 
 
 def test_complete_mubs_are_built_at_odd_prime_d_and_4_only():
-    assert [d for d in range(1, 14) if complete_mubs(d) is not None] == [3, 4, 5, 7, 11, 13]
+    # and at d = 2, the eigenbases of Z, X and Y.
+    assert [d for d in range(1, 14) if complete_mubs(d) is not None] == [2, 3, 4, 5, 7, 11, 13]
 
 
-@pytest.mark.parametrize("d", [3, 4, 5, 7])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
 def test_mub_site_solve_is_the_closed_form(d):
-    # A complete MUB set is a 2-design: sum_k tr(P_k X) P_k = X + tr(X) I, so the
-    # pseudo-inverse's row k is feature_of(P_k - I / (d + 1)), and kappa = sqrt(d + 1).
+    # A complete MUB set of C^q is a 2-design: sum_k tr(P_k X) P_k = X + tr(X) I, inverted
+    # by Y -> Y - tr(Y) I / (q + 1).  A site's frame operator is the tensor product of its
+    # factors', so the pseudo-inverse's row k is feature_of(prod_i (P_k_i - I / (q_i + 1)))
+    # and kappa = prod_i sqrt(q_i + 1).
     design = spanning_design((d, 3))
+    bases = design.local[0].reshape(-1, d, d)
+    np.testing.assert_allclose(bases @ bases.conj().swapaxes(1, 2),
+                               np.broadcast_to(np.eye(d), bases.shape), rtol=0, atol=1e-12)
+    shifted = []
+    for q in FACTORS[d]:
+        v = complete_mubs(q).reshape(q + 1, q, q)
+        shifted.append(np.einsum("kai,kaj->kaij", v, v.conj()) - np.eye(q) / (q + 1))
+    closed = kron_bases(shifted).reshape(-1, d, d)
     pinvs, ranks, conds = design.site_solves
-    local = complete_mubs(d)
-    closed = feature_of(np.einsum("ki,kj->kij", local, local.conj()) - np.eye(d) / (d + 1))
-    np.testing.assert_allclose(pinvs[0], closed, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pinvs[0], feature_of(closed), rtol=0, atol=1e-12)
     assert ranks == (d * d, 9)
-    assert conds == pytest.approx([np.sqrt(d + 1), 2.0], rel=1e-12)
+    kappa = np.prod([np.sqrt(q + 1) for q in FACTORS[d]])
+    assert conds == pytest.approx([kappa, 2.0], rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_random_sites_do_not_beat_the_mub_condition_number(seed):
     # Any d + 1 bases: the identity direction has sigma^2 = d + 1 and the traceless ones
     # average sigma^2 = 1, so kappa >= sqrt(d + 1), which only a complete MUB set attains.
+    rng = make_rng(seed)
     for d in (2, 6, 8, 9):
-        (kappa,) = spanning_design((d,), seed=seed).site_solves[2]
+        local = random_onbs(rng, (d,), d + 1)[0].swapaxes(1, 2).reshape(-1, d)
+        (kappa,) = SpanningDesign((d,), (local,)).site_solves[2]
         assert kappa >= np.sqrt(d + 1) * (1 - 1e-12)
 
 
-@pytest.mark.parametrize("dims", [(3, 3), (4, 4), (5, 5), (3, 4, 5)])
+@pytest.mark.parametrize("dims", [(3, 3), (4, 4), (5, 5), (3, 4, 5), (6, 6), (2, 3), (3, 6)])
 def test_mub_designs_are_shared_and_read_only(dims):
     design = spanning_design(dims, seed=0)
     assert spanning_design(list(dims), seed=141) is design
@@ -576,7 +585,37 @@ def test_spanning_design_rejects_a_negative_seed_at_any_dims(dims):
         spanning_design(dims, seed=-1)
 
 
-@given(seeds, st.sampled_from([(3, 3), (3, 4), (4, 3), (3, 6)]),  # site 6 draws random bases
+@pytest.mark.parametrize("dims, message", [
+    ((3.5, 3), r"^dims \[3\.5, 3\] are not integers >= 1: site 0 is 3\.5$"),
+    ((3, 0), r"^dims \[3, 0\] are not integers >= 1: site 1 is 0$"),
+    ((0,), r"^dims \[0\] are not integers >= 1: site 0 is 0$"),
+    ((3, True), r"^dims \[3, True\] are not integers >= 1: site 1 is True$"),
+    ((), r"^a design needs at least one site$")])
+def test_spanning_design_rejects_bad_dims(dims, message):
+    with pytest.raises(ValidationError, match=message):
+        spanning_design(dims)
+    with pytest.raises(ValidationError, match=message):
+        SpanningDesign(dims, tuple(np.eye(3) for _ in dims))
+
+
+@pytest.mark.parametrize("local, message", [
+    ((complete_mubs(4), complete_mubs(3)), r"^site 0: local states of shape \(20, 4\)"),
+    ((complete_mubs(3), complete_mubs(3)[:4]), r"^site 1: local states of shape \(4, 3\)"),
+    ((complete_mubs(3), complete_mubs(3)[:0]), r"^site 1: local states of shape \(0, 3\)"),
+    ((complete_mubs(3), complete_mubs(3).reshape(4, 3, 3)), r"^site 1: local states of shape"),
+    ((complete_mubs(3),), r"^1 stacks of local states for 2 sites$")])
+def test_spanning_design_needs_one_stack_of_whole_bases_per_site(local, message):
+    with pytest.raises(ValidationError, match=message):
+        SpanningDesign((3, 3), local)
+
+
+def test_one_dimensional_sites_hold_the_one_basis():
+    design = spanning_design((1, 1))
+    assert [v.tolist() for v in design.local] == [[[1]], [[1]]]
+    assert len(design.states) == 1 and design.site_solves[1:] == ((1, 1), (1.0, 1.0))
+
+
+@given(seeds, st.sampled_from([(3, 3), (3, 4), (4, 3), (3, 6)]),  # site 6: 12 product bases
        st.sampled_from(["density", "hermitian", "signalling"]))
 @settings(max_examples=30, deadline=None)
 def test_grid_solve_matches_lstsq_on_the_grid_rows(seed, dims, kind):

@@ -1,10 +1,12 @@
 """Symmetry tests: the orientation and product-positivity classes are invariant under
-the setting's symmetries.
+the setting's symmetries, and reconstruction is covariant under them.
 
 Local unitaries U (x) V, the site swap and complex conjugation each map product
 states to product states, and the first and last keep the spectra of t and of its
 partial transpose; the swap exchanges the site-1 and site-2 partial transposes,
-which are each other's transpose.  So no class may change under any of them.
+which are each other's transpose.  So no class may change under any of them, and
+the operator reconstructed from a transformed operator's values on the fixed
+design is the transformed reconstruction.
 """
 
 import numpy as np
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsgleason.gleason import classify_product_positivity
+from nsgleason.framefn import sample_from_operator
+from nsgleason.gleason import classify_product_positivity, reconstruct_pvm, spanning_design
 from nsgleason.linalg import (
     HermitianOperator,
     make_rng,
@@ -38,15 +41,20 @@ def inputs(rng, dims) -> dict:
     }
 
 
-def symmetries(rng, t: HermitianOperator) -> dict:
-    d1, d2 = t.dims
+def symmetry_maps(rng, dims) -> dict:
+    """Each symmetry as a map on operators of the given two-site dims."""
+    d1, d2 = dims
     uv = np.kron(random_onb(rng, d1), random_onb(rng, d2))
-    swapped = t.mat.reshape(d1, d2, d1, d2).transpose(1, 0, 3, 2).reshape(d1 * d2, d1 * d2)
     return {
-        "local unitary": HermitianOperator(t.dims, uv @ t.mat @ uv.conj().T),
-        "site swap": HermitianOperator((d2, d1), swapped),
-        "conjugation": HermitianOperator(t.dims, t.mat.conj()),
+        "local unitary": lambda t: HermitianOperator(dims, uv @ t.mat @ uv.conj().T),
+        "site swap": lambda t: HermitianOperator((d2, d1), t.mat.reshape(
+            d1, d2, d1, d2).transpose(1, 0, 3, 2).reshape(d1 * d2, d1 * d2)),
+        "conjugation": lambda t: HermitianOperator(dims, t.mat.conj()),
     }
+
+
+def symmetries(rng, t: HermitianOperator) -> dict:
+    return {name: image(t) for name, image in symmetry_maps(rng, t.dims).items()}
 
 
 def classes(t: HermitianOperator) -> tuple:
@@ -62,3 +70,23 @@ def test_classes_are_invariant_under_local_unitaries_swap_and_conjugation(dims, 
         expected = classes(t)
         for name, image in symmetries(rng, t).items():
             assert classes(image) == expected, (kind, name)
+
+
+def reconstruct(t: HermitianOperator):
+    design = spanning_design(t.dims)
+    return reconstruct_pvm(sample_from_operator(t, design.states), design)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (3, 4), (3, 6)])
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=2, deadline=None)
+def test_reconstruction_is_covariant_under_local_unitaries_and_the_swap(dims, seed):
+    # The swapped operator is reconstructed on the swapped dims' design.
+    rng = make_rng(seed)
+    for kind, t in inputs(rng, dims).items():
+        rec = reconstruct(t)
+        maps = symmetry_maps(rng, dims)
+        for name in ("local unitary", "site swap"):
+            image = reconstruct(maps[name](t))
+            assert np.linalg.norm(image.t.mat - maps[name](rec.t).mat) <= 1e-11, (kind, name)
+            assert image.classification is rec.classification, (kind, name)
