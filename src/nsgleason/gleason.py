@@ -28,6 +28,7 @@ from .linalg import (
     PAULI,
     HermitianOperator,
     ValidationError,
+    is_integer,
     make_rng,
     min_eigenvalue,
     operator_dims,
@@ -271,7 +272,7 @@ def product_seesaw_min(
     """
     if t.nsites != 2:
         raise ValidationError("see-saw requires exactly two sites")
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (restarts, iters)):
+    if not all(is_integer(n) and n >= 1 for n in (restarts, iters)):
         raise ValidationError(f"see-saw requires integers restarts >= 1 and iters >= 1, not "
                               f"{restarts!r} and {iters!r}")
     d1, d2 = t.dims

@@ -8,6 +8,7 @@ to ~1024, live in :mod:`nsgleason.tolerances`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -121,12 +122,17 @@ def check_unit_rows(stacks) -> None:
         check_unit(stacks[s][k])
 
 
-def is_local_basis(u: np.ndarray) -> bool:
+def is_local_basis(u: np.ndarray) -> bool | np.ndarray:
     """Whether the columns of a square matrix are orthonormal: every entry of the Gram
-    matrix within ``tolerances.LOCAL_BASIS`` of the identity's.  NaN or inf fails."""
+    matrix within ``tolerances.LOCAL_BASIS`` of the identity's.  NaN or inf fails.  A
+    (..., d, d) stack gets a bool array, one verdict per matrix, each as it would alone."""
     u = np.asarray(u, dtype=complex)
-    return bool(np.isfinite(u).all()  # first: inf entries would warn in the product
-                and np.abs(u.conj().T @ u - np.eye(len(u))).max(initial=0.0) <= tol.LOCAL_BASIS)
+    stack = u.reshape((math.prod(u.shape[:-2]),) + u.shape[-2:])
+    ok = np.isfinite(stack).all(axis=(1, 2))  # first: inf entries would warn in the product
+    f = stack[ok]
+    ok[ok] = np.abs(f.conj().swapaxes(1, 2) @ f - np.eye(u.shape[-2])).max(
+        axis=(1, 2), initial=0.0) <= tol.LOCAL_BASIS
+    return bool(ok[0]) if u.ndim == 2 else ok.reshape(u.shape[:-2])
 
 
 def complex_to_json(a) -> list:
@@ -157,11 +163,16 @@ def complex_from_json(data, ndim: int) -> np.ndarray:
     return pairs.view(complex)[..., 0]
 
 
+def is_integer(n) -> bool:
+    """Whether n is a Python or numpy integer; a bool is not one."""
+    return isinstance(n, (int, np.integer)) and type(n) is not bool
+
+
 def operator_dims(dims) -> tuple:
     """dims as ints; ValidationError naming the first site whose dim is not an integer >= 1
     (a bool is not one)."""
     for site, d in enumerate(dims):
-        if not isinstance(d, (int, np.integer)) or type(d) is bool or d < 1:
+        if not is_integer(d) or d < 1:
             raise ValidationError(
                 f"dims {list(dims)!r} are not integers >= 1: site {site} is {d!r}")
     return tuple(int(d) for d in dims)
@@ -285,6 +296,26 @@ def onbs_from_normals(z: np.ndarray) -> np.ndarray:
     return canonical_phase((q * (r / np.abs(r))[:, None]).swapaxes(1, 2)).swapaxes(1, 2)
 
 
+def cut(a: np.ndarray, sizes, axis: int = 0) -> list:
+    """Consecutive views of ``a`` along ``axis`` of the given sizes: np.split at their
+    running sums, without its overhead."""
+    sizes = list(sizes)
+    lead = (slice(None),) * axis
+    return [a[lead + (slice(e - n, e),)] for n, e in zip(sizes, itertools.accumulate(sizes))]
+
+
+def stacked_per_dim(make, blocks, ds) -> list:
+    """make(blocks[k]) for every k, by one call of ``make`` on the concatenated blocks of
+    each distinct d in ``ds``; ``make`` must act on each row of its stack alone."""
+    out = [None] * len(blocks)
+    for d in set(ds):
+        ks = [k for k, e in enumerate(ds) if e == d]
+        made = make(np.concatenate([blocks[k] for k in ks]))
+        for k, m in zip(ks, cut(made, [len(blocks[k]) for k in ks])):
+            out[k] = m
+    return out
+
+
 def random_units(rng: np.random.Generator, dims, n: int) -> list:
     """Per-site (n, d) stacks: random_unit at each site of n states in turn, in one draw."""
     z = np.split(rng.standard_normal((n, 2 * sum(dims))), 2 * np.cumsum(dims)[:-1], axis=1)
@@ -292,10 +323,11 @@ def random_units(rng: np.random.Generator, dims, n: int) -> list:
 
 
 def random_onbs(rng: np.random.Generator, dims, n: int) -> list:
-    """Per-site (n, d, d) stacks: random_onb at each site, n times over, in one draw."""
+    """Per-site (n, d, d) stacks: random_onb at each site, n times over, in one draw.
+    Sites of one d share one QR, bit for bit as apart: LAPACK factors each matrix alone."""
     sq = [d * d for d in dims]
-    z = np.split(rng.standard_normal((n, 2 * sum(sq))), 2 * np.cumsum(sq)[:-1], axis=1)
-    return [onbs_from_normals(x) for x in z]
+    z = cut(rng.standard_normal((n, 2 * sum(sq))), [2 * q for q in sq], axis=1)
+    return stacked_per_dim(onbs_from_normals, z, dims)
 
 
 def random_unit(rng: np.random.Generator, d: int) -> np.ndarray:

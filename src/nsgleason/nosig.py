@@ -32,15 +32,19 @@ from .linalg import (
     ValidationError,
     complex_from_json,
     complex_to_json,
+    cut,
+    is_integer,
     is_local_basis,
     make_rng,
+    onbs_from_normals,
     partial_transpose,
     product_rows,
     proj,
     random_onbs,
-    random_units,
     real_from_json,
+    stacked_per_dim,
     tensor_rows,
+    units_from_normals,
 )
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -244,27 +248,44 @@ def check_framefn(f, trials: int = 100, seed: int = 0) -> NoSigReport:
 
     For a random site, random fixed states x at the other sites and a random pair of local
     bases at the site, the sums over the two local bases must agree.  Reports the worst
-    discrepancy and its first trial.  The trials' sites come in one draw; then, per site,
-    its trials' remote states in one draw and both bases of each in one more, and one
-    ``f.values`` call on the trials' product grids.
+    discrepancy and its first trial.  The trials' sites come in one draw and every normal
+    in one more, laid out as drawing them site by site would lay them: per site, its
+    trials' remote states (random_unit at each other site in turn), then both bases of
+    each (random_onb twice).  The vectors and the bases of each d are made in one stack,
+    and one ``f.values`` call takes every trial's product grid.
     """
     dims = tuple(f.dims)
-    if len(dims) < 2 or trials < 1:
-        raise ValidationError(f"check_framefn needs 2 or more sites and trials >= 1, "
-                              f"not {dims}, {trials}")
+    if len(dims) < 2 or not is_integer(trials) or trials < 1:
+        raise ValidationError(f"check_framefn needs 2 or more sites and an integer trials >= 1, "
+                              f"not {dims}, {trials!r}")
     rng = make_rng(seed)
     sites = rng.integers(0, len(dims), trials)
-    gaps, draws = np.zeros(trials), {}
-    for site, d in enumerate(dims):
-        idx = np.flatnonzero(sites == site)
-        if idx.size:
-            x = random_units(rng, dims[:site] + dims[site + 1:], len(idx))
-            b = random_onbs(rng, (d,), 2 * len(idx))[0]  # the n-th trial's bases: 2n, 2n + 1
-            local = [y[:, None] for y in x]  # each trial's grid: both bases at the site
-            local.insert(site, b.swapaxes(1, 2).reshape(len(idx), 2 * d, d))
-            m = f.values(product_rows(local)).reshape(-1, 2, d).sum(axis=2)
-            gaps[idx] = np.abs(m[:, 0] - m[:, 1])
-            draws[site] = x, b
+    probed = [(s, idx) for s in range(len(dims)) if (idx := np.flatnonzero(sites == s)).size]
+    remote = {s: dims[:s] + dims[s + 1:] for s, _ in probed}
+    # Per probed site with n trials: an (n, 2 sum(remote d)) block for the remote states,
+    # then a (2n, 2 d^2) one for the bases, the k-th trial's at rows 2k and 2k + 1.
+    sizes = [2 * len(idx) * (sum(remote[s]) + 2 * dims[s] ** 2) for s, idx in probed]
+    unit_z, unit_d, onb_z = [], [], []
+    for (s, idx), z in zip(probed, cut(rng.standard_normal(sum(sizes)), sizes)):
+        x, b = cut(z, [2 * len(idx) * sum(remote[s]), 4 * len(idx) * dims[s] ** 2])
+        unit_z += cut(x.reshape(len(idx), -1), [2 * d for d in remote[s]], axis=1)
+        unit_d += remote[s]
+        onb_z.append(b.reshape(2 * len(idx), -1))
+    units = iter(stacked_per_dim(units_from_normals, unit_z, unit_d))
+    bases = stacked_per_dim(onbs_from_normals, onb_z, [dims[s] for s, _ in probed])
+    draws = {s: ([next(units) for _ in remote[s]], b) for (s, _), b in zip(probed, bases)}
+    grids = []
+    for s, idx in probed:  # each trial's grid: both bases at the site
+        x, b = draws[s]
+        local = [y[:, None] for y in x]
+        local.insert(s, b.swapaxes(1, 2).reshape(len(idx), 2 * dims[s], dims[s]))
+        grids.append(product_rows(local))
+    values = f.values([np.concatenate(site) for site in zip(*grids)])
+    gaps = np.zeros(trials)
+    grid_sizes = [2 * len(idx) * dims[s] for s, idx in probed]
+    for (s, idx), v in zip(probed, cut(values, grid_sizes)):
+        m = v.reshape(-1, 2, dims[s]).sum(axis=2)
+        gaps[idx] = np.abs(m[:, 0] - m[:, 1])
     worst = float(gaps.max(initial=0.0))
     if worst <= tol.NO_SIGNALLING:
         return NoSigReport(worst)

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .framefn import OperatorInduced
-from .linalg import (HermitianOperator, ValidationError, is_local_basis, make_rng,
-                     product_rows, random_onbs)
+from .linalg import (HermitianOperator, ValidationError, is_integer, is_local_basis, make_rng,
+                     operator_dims, product_rows, random_onbs)
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,15 @@ def _aggregation(groups: tuple, n_fine: int) -> np.ndarray | None:
 
 def restrict(dist: np.ndarray, edge: RefinementEdge) -> np.ndarray:
     """Sum a fine-context distribution into the coarse node's outcomes."""
+    return edge.left_aggregation @ _fine_table(dist, edge) @ edge.right_aggregation.T
+
+
+def _fine_table(dist, edge) -> np.ndarray:
+    """dist as floats; ValidationError unless it has the shape of the edge's fine context."""
     dist = np.asarray(dist, dtype=float)
     if dist.shape != edge.fine.shape:
         raise ValidationError(f"distribution shape {dist.shape} does not live on the fine context")
-    return edge.left_aggregation @ dist @ edge.right_aggregation.T
+    return dist
 
 
 @dataclass(frozen=True)
@@ -132,15 +137,17 @@ def section_from_operator(t: HermitianOperator, family) -> SectionTable:
 
     The section of the frame function t induces (:func:`section_from_framefn`).
     Entries are not rescaled, so each distribution sums to tr(t).  An entry
-    below ``-tolerances.NEGATIVE_PROBABILITY`` raises ValidationError: t is not
-    product-positive.
+    below ``-tolerances.NEGATIVE_PROBABILITY`` raises ValidationError naming the
+    first such context: t is not product-positive.
     """
-    table = section_from_framefn(OperatorInduced(t), _check_dims(family, t.dims, "the operator's"))
-    for ctx in table.contexts:
-        if (p := table[ctx]).min() < -tol.NEGATIVE_PROBABILITY:
-            raise ValidationError(f"negative probability {p.min():.3e} in context {ctx.label}: "
-                                  "operator is not product-positive within tolerance")
-    return table
+    family = _check_dims(family, t.dims, "the operator's")
+    values = _tabulate(OperatorInduced(t), family)
+    mins = values.min(axis=(1, 2), initial=np.inf)
+    if (bad := np.flatnonzero(mins < -tol.NEGATIVE_PROBABILITY)).size:
+        raise ValidationError(f"negative probability {mins[bad[0]]:.3e} in context "
+                              f"{family[bad[0]].label}: operator is not product-positive "
+                              "within tolerance")
+    return _section(family, values)
 
 
 def section_from_framefn(f, family) -> SectionTable:
@@ -153,12 +160,20 @@ def section_from_framefn(f, family) -> SectionTable:
     which is where a signalling frame function becomes inconsistent.
     """
     family = _check_dims(family, f.dims, "the frame function's")
+    return _section(family, _tabulate(f, family))
+
+
+def _tabulate(f, family: tuple) -> np.ndarray:
+    """The (C, d1, d2) stack of the family's outcome tables, from one ``f.values`` call."""
     if not family:
-        return SectionTable(family, {})
+        return np.zeros((0, 0, 0))
     # Per site, the (C, d, d) stack of the family's bases, outcome vectors as rows.
     local = [np.array([c.basis.T for c in site])
              for site in zip(*((ctx.left, ctx.right) for ctx in family))]
-    values = f.values(product_rows(local)).reshape((len(family),) + family[0].shape)
+    return f.values(product_rows(local)).reshape((len(family),) + family[0].shape)
+
+
+def _section(family: tuple, values: np.ndarray) -> SectionTable:
     return SectionTable(family, {ctx.label: p for ctx, p in zip(family, values)})
 
 
@@ -177,21 +192,69 @@ def check_section(s: SectionTable, edges) -> ConsistencyReport:
     """Max L1 distance of a fine parent's restriction from its coarse node's reference.
 
     The reference is the node's stored table if the section has one, else the
-    restriction of the node's first parent in edge order.
+    restriction of the node's first parent in edge order.  The edges that share
+    a pair of aggregation maps are restricted in one stacked product.  The worst
+    edge is the first of greatest distance; a distance that is not finite (from a
+    NaN or inf entry) makes ``max_distance`` NaN, which fails, and names the first
+    such edge.
     """
-    refs, worst, worst_edge = {}, 0.0, None
-    for e in edges:
-        if e.fine.label not in s.distributions:
-            raise ValidationError(f"edge source missing from section: {e.fine.label} -> {e.coarse}")
-        r = restrict(s[e.fine], e)
-        ref = refs.setdefault(e.coarse, s.distributions.get(e.coarse, r))
-        if np.shape(ref) != r.shape:
-            raise ValidationError(f"{e.fine.label} restricts to shape {r.shape}, but node "
-                                  f"{e.coarse} has shape {np.shape(ref)}")
-        d = float(np.sum(np.abs(r - ref)))
-        if d > worst:
-            worst, worst_edge = d, f"{e.fine.label} -> {e.coarse}"
-    return ConsistencyReport(worst, worst_edge)
+    edges = tuple(edges)
+    fine, nodes, groups = [], {}, {}
+    for k, e in enumerate(edges):  # every check, in edge order
+        if (label := e.fine.label) not in s.distributions:
+            raise ValidationError(f"edge source missing from section: {_edge_name(e)}")
+        fine.append(_fine_table(s.distributions[label], e))
+        a, b = e.left_aggregation, e.right_aggregation
+        shape = (a.shape[0], b.shape[0])
+        _, node_shape = nodes.setdefault(
+            e.coarse, (k, np.shape(s.distributions[e.coarse]) if e.coarse in s.distributions
+                       else shape))
+        if node_shape != shape:
+            raise ValidationError(f"{label} restricts to shape {shape}, but node "
+                                  f"{e.coarse} has shape {node_shape}")
+        layout = fine[k].strides if _stackable(fine[k]) else k
+        groups.setdefault((id(a), id(b), layout), (a, b, []))[2].append(k)
+    dist = np.zeros(len(edges))
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite distance is reported
+        stacks = [(ks, a @ _stacked([fine[k] for k in ks]) @ b.T) for a, b, ks in groups.values()]
+        restricted = {k: r for ks, out in stacks for k, r in zip(ks, out)}
+        for ks, out in stacks:
+            refs = np.array([s.distributions[c] if (c := edges[k].coarse) in s.distributions
+                             else restricted[nodes[c][0]] for k in ks])
+            dist[ks] = np.abs(out - refs).reshape(len(ks), -1).sum(axis=1)
+    if (bad := ~np.isfinite(dist)).any():
+        return ConsistencyReport(np.nan, _edge_name(edges[np.argmax(bad)]))
+    if not dist.any():
+        return ConsistencyReport(0.0, None)
+    k = int(np.argmax(dist))
+    return ConsistencyReport(float(dist[k]), _edge_name(edges[k]))
+
+
+def _stackable(p: np.ndarray) -> bool:
+    """Whether a 2-D table's strides are positive multiples of its itemsize that never
+    reach one entry twice, so that :func:`_stacked` can lay out copies of it."""
+    (n, m), (s0, s1) = p.shape, p.strides
+    return (s0 > 0 and s1 > 0 and s0 % p.itemsize == s1 % p.itemsize == 0
+            and (s0 >= m * s1 or s1 >= n * s0))
+
+
+def _stacked(tables: list) -> np.ndarray:
+    """Tables of one shape and strides as a (g, n, m) stack whose items keep those strides.
+    matmul takes an operand through BLAS or through its own loop by its strides, so each
+    item is restricted bit for bit as the table alone; one table is not copied."""
+    p = tables[0]
+    if len(tables) == 1:
+        return p[None]
+    (n, m), (s0, s1) = p.shape, p.strides
+    span = (n - 1) * s0 + (m - 1) * s1 + p.itemsize
+    stack = np.lib.stride_tricks.as_strided(np.empty(len(tables) * span // p.itemsize),
+                                            (len(tables), n, m), (span, s0, s1))
+    stack[...] = tables
+    return stack
+
+
+def _edge_name(e) -> str:
+    return f"{e.fine.label} -> {e.coarse}"
 
 
 def random_context_family(dims, n_fine: int, seed: int = 0):
@@ -202,22 +265,44 @@ def random_context_family(dims, n_fine: int, seed: int = 0):
     to "L_k|·" (its right outcome forgotten) and one to "·|R_j" (its left
     outcome forgotten): 2 ``n_fine`` contexts and 4 ``n_fine`` edges.  These
     nodes are no-signalling marginals, and all but the chain's two ends have
-    two fine parents.
+    two fine parents.  Each site's drawn stack is checked once, as ``Context``
+    checks a basis, and the contexts and edges are built on the stacks.
     """
     if len(dims) != 2:
         raise ValidationError(f"context families need two sites, not dims {tuple(dims)}")
-    if n_fine < 1:
-        raise ValidationError(f"random_context_family needs n_fine >= 1, not {n_fine!r}")
-    d1, d2 = dims
+    dims = operator_dims(dims)
+    if not is_integer(n_fine) or n_fine < 1:
+        raise ValidationError(f"random_context_family needs an integer n_fine >= 1, not {n_fine!r}")
     left, right = random_onbs(make_rng(seed), dims, n_fine + 1)
-    full_l, full_r = tuple((i,) for i in range(d1)), tuple((i,) for i in range(d2))
-    rights = [Context(right[j], f"R{j}") for j in range(n_fine + 1)]
+    lefts, rights = _contexts("L", left[:n_fine]), _contexts("R", right)
+    # The groups of each node kind and their shared maps: "L_k|·" forgets the right
+    # outcome, "·|R_j" the left one.
+    full, one = [tuple((i,) for i in range(d)) for d in dims], [(tuple(range(d)),) for d in dims]
+    kinds = [(groups, [_aggregation(g, d) for g, d in zip(groups, dims)])
+             for groups in ((full[0], one[1]), (one[0], full[1]))]
     contexts, edges = [], []
-    for k in range(n_fine):
-        lb = Context(left[k], f"L{k}")
-        for j in (k, k + 1):
-            fine = ProductContext(lb, rights[j])
+    for k, lb in enumerate(lefts):
+        for rb in rights[k:k + 2]:
+            fine = ProductContext(lb, rb)
             contexts.append(fine)
-            edges.append(RefinementEdge(fine, f"L{k}|·", full_l, (tuple(range(d2)),)))
-            edges.append(RefinementEdge(fine, f"·|R{j}", (tuple(range(d1)),), full_r))
+            for coarse, (groups, maps) in zip((f"{lb.label}|·", f"·|{rb.label}"), kinds):
+                edges.append(_trusted(RefinementEdge, fine=fine, coarse=coarse,
+                                      left_groups=groups[0], right_groups=groups[1],
+                                      left_aggregation=maps[0], right_aggregation=maps[1]))
     return contexts, edges
+
+
+def _contexts(name: str, stack: np.ndarray) -> list:
+    """Contexts name0, name1, ... on the read-only bases of an (n, d, d) stack."""
+    if not (ok := is_local_basis(stack)).all():
+        raise ValidationError(f"context {name}{np.argmin(ok)}: basis columns are not orthonormal")
+    stack.flags.writeable = False
+    return [_trusted(Context, basis=b, label=f"{name}{k}") for k, b in enumerate(stack)]
+
+
+def _trusted(cls, **fields):
+    """An instance of a frozen dataclass holding these fields, built without its
+    ``__post_init__`` checks, which the caller has made."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj

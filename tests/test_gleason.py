@@ -342,10 +342,10 @@ def test_classification_invariant_under_partial_transpose():
 
 
 @pytest.mark.parametrize("restarts, iters", [(0, 300), (-1, 300), (64, 0), (64, -1), (2.5, 300),
-                                             (64, 2.5)])
+                                             (64, 2.5), (True, 300), (64, True)])
 def test_seesaw_rejects_bad_counts(restarts, iters):
     # No restart, or no sweep, leaves nothing that descended to report; a
-    # fractional count is no count.
+    # fractional count, or a bool, is no count.
     t = random_density(make_rng(0), (3, 3))
     with pytest.raises(ValidationError, match="integers restarts >= 1 and iters >= 1"):
         product_seesaw_min(t, restarts=restarts, iters=iters)

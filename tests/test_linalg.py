@@ -19,6 +19,8 @@ from nsgleason.linalg import (
     complex_from_json,
     complex_to_json,
     hermitian_eig,
+    is_integer,
+    is_local_basis,
     make_rng,
     partial_transpose,
     product_rows,
@@ -437,3 +439,38 @@ def test_unit_rows_decide_as_check_unit():
         got = unit_rows(f)
     assert got.tolist() == [passes(row) for row in f]
     assert 0 < got.sum() < len(f) - 3
+
+
+def ref_is_local_basis(u):
+    """is_local_basis on one matrix, as it was before it took stacks (a test-only copy)."""
+    u = np.asarray(u, dtype=complex)
+    return bool(np.isfinite(u).all()
+                and np.abs(u.conj().T @ u - np.eye(len(u))).max(initial=0.0) <= 1e-10)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from([(), (7,), (2, 3)]))
+@settings(max_examples=40, deadline=None)
+def test_stacked_local_basis_verdicts_are_each_basis_verdict(seed, d, batch):
+    # Bases scaled off by about the tolerance, with NaN, inf and zero entries, without a warning.
+    rng = make_rng(seed)
+    n = int(np.prod(batch))
+    u = random_onbs(rng, (d,), n)[0] * (1 + rng.choice([0.0, 2e-11, 4.9e-11, 5.1e-11, 1e-6], (n, 1, d)))
+    for k, value in zip(rng.permutation(2 * n)[:4], [np.nan, np.inf, -np.inf * 1j, 0.0]):
+        if k < n:  # about half the bases stay finite
+            u[k, rng.integers(d), rng.integers(d)] = value
+    u = u.reshape(batch + (d, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = is_local_basis(u)
+        each = [is_local_basis(b) for b in u.reshape(-1, d, d)]
+    want = [ref_is_local_basis(b) for b in u.reshape(-1, d, d)]
+    if batch:
+        assert got.dtype == bool and got.shape == batch and got.ravel().tolist() == want == each
+    else:
+        assert type(got) is bool and [got] == want == each
+    assert all(type(v) is bool for v in each)
+
+
+def test_is_integer_takes_python_and_numpy_integers_but_not_bools():
+    assert all(map(is_integer, [0, -3, 2**70, np.int64(5), np.uint8(1)]))
+    assert not any(map(is_integer, [True, np.True_, 2.0, np.float64(3), "3", None, 3 + 0j]))

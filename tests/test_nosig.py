@@ -21,11 +21,14 @@ from nsgleason.linalg import (
     complex_to_json,
     make_rng,
     partial_transpose,
+    product_rows,
     proj,
     random_density,
     random_hermitian,
     random_onb,
+    random_onbs,
     random_unit,
+    random_units,
     tensor_rows,
 )
 from nsgleason.nosig import (
@@ -352,6 +355,91 @@ def test_check_framefn_matches_looped_check(dims, seed):
     rep = check_framefn(f, trials=40, seed=seed)
     assert rep.witness is None
     assert abs(rep.max_discrepancy - looped_check_framefn(f, 40, seed)[0]) <= 1e-12
+
+
+def per_site_check_framefn(f, trials, seed):
+    """check_framefn as it was, one draw of remote states, one of bases and one
+    ``f.values`` call per site (a test-only copy): (worst, witness or None)."""
+    dims = tuple(f.dims)
+    rng = make_rng(seed)
+    sites = rng.integers(0, len(dims), trials)
+    gaps, draws = np.zeros(trials), {}
+    for site, d in enumerate(dims):
+        idx = np.flatnonzero(sites == site)
+        if idx.size:
+            x = random_units(rng, dims[:site] + dims[site + 1:], len(idx))
+            b = random_onbs(rng, (d,), 2 * len(idx))[0]
+            local = [y[:, None] for y in x]
+            local.insert(site, b.swapaxes(1, 2).reshape(len(idx), 2 * d, d))
+            m = f.values(product_rows(local)).reshape(-1, 2, d).sum(axis=2)
+            gaps[idx] = np.abs(m[:, 0] - m[:, 1])
+            draws[site] = x, b
+    worst = float(gaps.max(initial=0.0))
+    if worst <= tol.NO_SIGNALLING:
+        return worst, None
+    trial = int(np.argmax(gaps))
+    site = int(sites[trial])
+    x, b = draws[site]
+    n = int(np.count_nonzero(sites[:trial] == site))
+    return worst, {"trial": trial, "site": site, "remote_state": tuple(y[n] for y in x),
+                   "bases": (b[2 * n], b[2 * n + 1])}
+
+
+class CountedValues:
+    """A frame function that records the row count of each values() call."""
+
+    def __init__(self, f):
+        self.f, self.dims, self.calls = f, f.dims, []
+
+    def values(self, stacks):
+        self.calls.append(len(stacks[0]))
+        return self.f.values(stacks)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 3), (3, 5), (2, 2, 3), (3, 3, 3),
+                                  (2, 4)])
+@pytest.mark.parametrize("trials", [1, 2, 40])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_draw_check_framefn_is_the_per_site_check(dims, trials, seed):
+    # trials = 1 leaves every site but one without a trial.
+    rng = make_rng(seed + 100)
+    theta = rng.uniform(0, np.pi)
+    signalling = (make_signalling_example(dims, theta) if len(dims) == 2
+                  else SignallingTimesUnit(dims, theta))
+    for f in (signalling, OperatorInduced(random_density(rng, dims)),
+              OperatorInduced(random_hermitian(rng, dims))):
+        counted = CountedValues(f)
+        rep = check_framefn(counted, trials=trials, seed=seed)
+        assert len(counted.calls) == 1
+        sites = make_rng(seed).integers(0, len(dims), trials)
+        assert counted.calls[0] == sum(2 * dims[s] for s in sites)
+        worst, witness = per_site_check_framefn(f, trials, seed)
+        assert np.float64(rep.max_discrepancy).tobytes() == np.float64(worst).tobytes()
+        assert (rep.witness is None) == (witness is None)
+        if witness is not None:
+            got = rep.witness
+            assert (got["trial"], got["site"]) == (witness["trial"], witness["site"])
+            for g, w in zip((*got["remote_state"], *got["bases"]),
+                            (*witness["remote_state"], *witness["bases"])):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    # The operator-induced frame functions do not signal; the signalling one does, given
+    # trials enough to probe site 0.
+    if trials == 40:
+        assert rep.witness is None and check_framefn(signalling, trials=40, seed=seed).witness
+
+
+@pytest.mark.parametrize("trials", [True, False, 2.5, 2.0, np.float64(3), "3", None])
+def test_check_framefn_needs_an_integer_trials(trials):
+    # Before, True ran one trial and 2.5 raised numpy's TypeError.
+    with pytest.raises(ValidationError, match="an integer trials >= 1"):
+        check_framefn(make_signalling_example((3, 3), np.pi / 4), trials=trials)
+
+
+def test_check_framefn_takes_numpy_integer_trials():
+    f = make_signalling_example((3, 3), np.pi / 4)
+    got, want = check_framefn(f, trials=np.int64(30), seed=2), check_framefn(f, trials=30, seed=2)
+    assert got.max_discrepancy == want.max_discrepancy >= 1e-3
+    assert (got.witness["trial"], got.witness["site"]) == (want.witness["trial"], want.witness["site"])
 
 
 def full_vector_features(psi):

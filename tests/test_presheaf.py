@@ -1,6 +1,7 @@
 """Tests for product contexts, sections, and marginalization consistency."""
 
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ from nsgleason.linalg import (
     random_density,
     random_hermitian,
     random_onb,
+    random_onbs,
 )
 from nsgleason.nosig import singlet
 from nsgleason.presheaf import (
@@ -594,3 +596,187 @@ def test_check_section_on_generated_families_matches_per_edge_maps(seed, dims, n
     want, got = check_section(section, parent_edges), check_section(section, edges)
     assert np.float64(got.max_distance).tobytes() == np.float64(want.max_distance).tobytes()
     assert got.worst_edge == want.worst_edge
+
+
+def looped_random_context_family(dims, n_fine, seed):
+    """random_context_family as it was, one checked Context and RefinementEdge at a time
+    (a test-only copy)."""
+    d1, d2 = dims
+    left, right = random_onbs(make_rng(seed), dims, n_fine + 1)
+    full_l, full_r = tuple((i,) for i in range(d1)), tuple((i,) for i in range(d2))
+    rights = [Context(right[j], f"R{j}") for j in range(n_fine + 1)]
+    contexts, edges = [], []
+    for k in range(n_fine):
+        lb = Context(left[k], f"L{k}")
+        for j in (k, k + 1):
+            fine = ProductContext(lb, rights[j])
+            contexts.append(fine)
+            edges.append(RefinementEdge(fine, f"L{k}|·", full_l, (tuple(range(d2)),)))
+            edges.append(RefinementEdge(fine, f"·|R{j}", (tuple(range(d1)),), full_r))
+    return contexts, edges
+
+
+def looped_check_section(s, edges):
+    """check_section as it was, one restriction and one distance an edge (a test-only copy)."""
+    refs, worst, worst_edge = {}, 0.0, None
+    for e in edges:
+        if e.fine.label not in s.distributions:
+            raise ValidationError(f"edge source missing from section: {e.fine.label} -> {e.coarse}")
+        r = restrict(s[e.fine], e)
+        ref = refs.setdefault(e.coarse, s.distributions.get(e.coarse, r))
+        if np.shape(ref) != r.shape:
+            raise ValidationError(f"{e.fine.label} restricts to shape {r.shape}, but node "
+                                  f"{e.coarse} has shape {np.shape(ref)}")
+        d = float(np.sum(np.abs(r - ref)))
+        if d > worst:
+            worst, worst_edge = d, f"{e.fine.label} -> {e.coarse}"
+    return ConsistencyReport(worst, worst_edge)
+
+
+def same_report(got, want):
+    return (np.float64(got.max_distance).tobytes() == np.float64(want.max_distance).tobytes()
+            and got.worst_edge == want.worst_edge)
+
+
+REFERENCE_DIMS = [(2, 2), (2, 3), (3, 3), (4, 3), (3, 5)]
+
+
+@pytest.mark.parametrize("dims", REFERENCE_DIMS)
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n_fine", [1, 2, 7])
+def test_stacked_family_is_the_looped_family(dims, seed, n_fine):
+    contexts, edges = random_context_family(dims, n_fine, seed=seed)
+    want_contexts, want_edges = looped_random_context_family(dims, n_fine, seed)
+    assert [c.label for c in contexts] == [c.label for c in want_contexts]
+    for got, want in zip(contexts, want_contexts):
+        assert got.shape == want.shape == dims
+        for site in ("left", "right"):
+            g, w = getattr(got, site), getattr(want, site)
+            assert g.label == w.label and g.basis.dtype == w.basis.dtype == complex
+            assert g.basis.tobytes() == w.basis.tobytes() and not g.basis.flags.writeable
+    assert len(edges) == len(want_edges) == 4 * n_fine
+    for got, want in zip(edges, want_edges):
+        assert (got.fine.label, got.coarse) == (want.fine.label, want.coarse)
+        assert (got.left_groups, got.right_groups) == (want.left_groups, want.right_groups)
+        assert got.left_aggregation is want.left_aggregation
+        assert got.right_aggregation is want.right_aggregation
+    # One left context object per L_k and one right per R_j, shared by its fine contexts.
+    assert all(contexts[2 * k].left is contexts[2 * k + 1].left for k in range(n_fine))
+    assert all(contexts[2 * k + 1].right is contexts[2 * k + 2].right for k in range(n_fine - 1))
+    # The same sections, and check_section reads them as the per-edge loop does.
+    rng = make_rng(seed)
+    t = random_density(rng, dims)
+    for f in (OperatorInduced(t), OperatorInduced(partial_transpose(t, 1)),
+              make_signalling_example(dims, rng.uniform(0, np.pi))):
+        section, want_section = section_from_framefn(f, contexts), section_from_framefn(f, want_contexts)
+        for label, p in want_section.distributions.items():
+            assert section.distributions[label].tobytes() == p.tobytes()
+        got, want = check_section(section, edges), looped_check_section(want_section, want_edges)
+        assert same_report(got, want), (got, want)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(REFERENCE_DIMS + [(4, 4), (5, 5)]),
+       st.integers(1, 6), st.sampled_from(["density", "partial_transpose", "signalling",
+                                           "perturbed", "contiguous", "stored"]))
+@settings(max_examples=80, deadline=None)
+def test_batched_check_section_is_the_per_edge_loop(seed, dims, n_fine, kind):
+    # The tables' own layouts (real parts of one complex stack), contiguous copies, a mix
+    # of both, and stored coarse tables: the same distance bytes and worst edge.
+    contexts, edges = random_context_family(dims, n_fine, seed=seed)
+    rng = make_rng(seed)
+    t = random_density(rng, dims)
+    if kind == "signalling":
+        f = make_signalling_example(dims, rng.uniform(0, np.pi))
+    else:
+        f = OperatorInduced(partial_transpose(t, 1) if kind == "partial_transpose" else t)
+    tables = dict(section_from_framefn(f, contexts).distributions)
+    if kind == "perturbed":
+        for label in rng.choice(sorted(tables), size=2):
+            tables[label] = tables[label].copy()
+            tables[label][tuple(rng.integers(0, n) for n in dims)] += rng.choice([1e-11, 1e-6, 0.05])
+    elif kind == "contiguous":
+        tables = {label: np.ascontiguousarray(p) for label, p in tables.items()}
+    elif kind == "stored":
+        for e in edges[::3]:
+            tables[e.coarse] = coarse_table(t, e)
+    section = SectionTable(tuple(contexts), tables)
+    got, want = check_section(section, edges), looped_check_section(section, edges)
+    assert same_report(got, want), (got, want)
+
+
+def test_check_section_raises_in_edge_order_as_the_loop_does():
+    # Three edges with one defect each; the first of them in edge order is the one reported.
+    contexts, edges = random_context_family((2, 3), 2, seed=0)
+    tables = dict(section_from_operator(random_density(make_rng(0), (2, 3)), contexts).distributions)
+    tables[edges[1].coarse] = np.ones((1, 1))  # node ·|R0 restricts to (1, 3)
+    tables[edges[2].fine.label] = np.ones((3, 2))  # L0|R1 is a (2, 3) context
+    del tables[edges[-1].fine.label]
+    section = SectionTable(tuple(contexts), tables)
+    for order, message in ((edges, "L0|R0 restricts to shape (1, 3), but node ·|R0 has shape (1, 1)"),
+                           (edges[2:], "distribution shape (3, 2) does not live on the fine context"),
+                           (edges[::-1], "edge source missing from section: L1|R2 -> ·|R2")):
+        for check in (check_section, looped_check_section):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                check(section, order)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_table_fails_the_section_at_its_first_edge(value):
+    # Before, a NaN distance never beat the running maximum, so the family passed.
+    contexts, edges = random_context_family((3, 3), 3, seed=0)
+    tables = dict(section_from_operator(random_density(make_rng(0), (3, 3)), contexts).distributions)
+    tables["L1|R1"] = np.full((3, 3), np.nan)
+    tables["L1|R1"][0, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_section(SectionTable(tuple(contexts), tables), edges)
+    assert np.isnan(rep.max_distance) and not rep.passed
+    assert rep.worst_edge == "L1|R1 -> L1|·"  # edge 4: the first that touches L1|R1
+
+
+def test_a_nan_frame_function_fails_every_section():
+    class Undefined:
+        dims = (2, 2)
+
+        def values(self, stacks):
+            return np.full(len(stacks[0]), np.nan)
+
+    contexts, edges = random_context_family((2, 2), 2, seed=1)
+    rep = check_section(section_from_framefn(Undefined(), contexts), edges)
+    assert np.isnan(rep.max_distance) and not rep.passed and rep.worst_edge == "L0|R0 -> L0|·"
+
+
+@pytest.mark.parametrize("n_fine", [True, False, 2.5, 2.0, np.float64(3), "3", None])
+def test_random_context_family_needs_an_integer_n_fine(n_fine):
+    # Before, True built one fine step and the others raised numpy's TypeError.
+    with pytest.raises(ValidationError, match="an integer n_fine >= 1"):
+        random_context_family((2, 2), n_fine)
+
+
+@pytest.mark.parametrize("dims", [(3.5, 3), (0, 3), (3, True), (2, -1)])
+def test_random_context_family_needs_integer_dims(dims):
+    # Before, (3.5, 3) raised numpy's TypeError and (0, 3) a failed reshape.
+    with pytest.raises(ValidationError, match="are not integers >= 1"):
+        random_context_family(dims, 2)
+
+
+def test_random_context_family_takes_numpy_integers():
+    contexts, edges = random_context_family((np.int64(2), 2), np.int64(3), seed=4)
+    want_contexts, _ = random_context_family((2, 2), 3, seed=4)
+    assert len(contexts) == 6 and len(edges) == 12
+    assert all(c.left.basis.tobytes() == w.left.basis.tobytes() for c, w in zip(contexts, want_contexts))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 3)])
+def test_negative_section_names_the_first_negative_context(dims):
+    # A traceless Hermitian operator is negative on many contexts; the error names the first.
+    rng = make_rng(sum(dims))
+    h = random_hermitian(rng, dims).mat
+    t = HermitianOperator(dims, h - np.trace(h).real / len(h) * np.eye(len(h)))
+    contexts, _ = random_context_family(dims, 5, seed=2)
+    tables = section_from_framefn(OperatorInduced(t), contexts)
+    first = next(c for c in contexts if tables[c].min() < -NEGATIVE_PROBABILITY)
+    with pytest.raises(ValidationError) as exc:
+        section_from_operator(t, contexts)
+    assert str(exc.value) == (f"negative probability {tables[first].min():.3e} in context "
+                              f"{first.label}: operator is not product-positive within tolerance")

@@ -1,12 +1,13 @@
 """Symmetry tests: the orientation and product-positivity classes are invariant under
-the setting's symmetries, and reconstruction is covariant under them.
+the setting's symmetries, and reconstruction and sections are covariant under them.
 
 Local unitaries U (x) V, the site swap and complex conjugation each map product
 states to product states, and the first and last keep the spectra of t and of its
 partial transpose; the swap exchanges the site-1 and site-2 partial transposes,
 which are each other's transpose.  So no class may change under any of them, and
 the operator reconstructed from a transformed operator's values on the fixed
-design is the transformed reconstruction.
+design is the transformed reconstruction.  Likewise the section of a transformed
+operator on the transformed contexts is the original section, transposed by the swap.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsgleason.framefn import sample_from_operator
+from nsgleason.framefn import OperatorInduced, make_signalling_example, sample_from_operator
 from nsgleason.gleason import classify_product_positivity, reconstruct_pvm, spanning_design
 from nsgleason.linalg import (
     HermitianOperator,
@@ -25,6 +26,15 @@ from nsgleason.linalg import (
     random_onb,
 )
 from nsgleason.orientation import classify_orientation
+from nsgleason.presheaf import (
+    Context,
+    ProductContext,
+    RefinementEdge,
+    SectionTable,
+    check_section,
+    random_context_family,
+    section_from_framefn,
+)
 
 
 def inputs(rng, dims) -> dict:
@@ -90,3 +100,48 @@ def test_reconstruction_is_covariant_under_local_unitaries_and_the_swap(dims, se
             image = reconstruct(maps[name](t))
             assert np.linalg.norm(image.t.mat - maps[name](rec.t).mat) <= 1e-11, (kind, name)
             assert image.classification is rec.classification, (kind, name)
+
+
+def moved_family(contexts, edges, move, swap=False):
+    """The family with each fine context (L, R) replaced by the ProductContext move(L, R),
+    and each edge by the edge to the same node from the moved context, its groups
+    exchanged if ``swap``."""
+    moved = {c.label: move(c.left, c.right) for c in contexts}
+    return [moved[c.label] for c in contexts], [
+        RefinementEdge(moved[e.fine.label], e.coarse,
+                       *((e.right_groups, e.left_groups) if swap else (e.left_groups, e.right_groups)))
+        for e in edges]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4)])
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_sections_are_covariant_under_local_unitaries_and_the_swap(dims, seed):
+    rng = make_rng(seed)
+    contexts, edges = random_context_family(dims, 4, seed=seed)
+    u, v = random_onb(rng, dims[0]), random_onb(rng, dims[1])
+    rotated = moved_family(contexts, edges, lambda a, b: ProductContext(
+        Context(u @ a.basis, a.label), Context(v @ b.basis, b.label)))
+    swapped = moved_family(contexts, edges, lambda a, b: ProductContext(b, a), swap=True)
+    uv = np.kron(u, v)
+    maps = {"local unitary": lambda t: HermitianOperator(dims, uv @ t.mat @ uv.conj().T),
+            "site swap": symmetry_maps(rng, dims)["site swap"]}
+    for kind, t in inputs(rng, dims).items():
+        # The traceless operator is negative on some contexts: tabulate it unchecked.
+        section = section_from_framefn(OperatorInduced(t), contexts)
+        report = check_section(section, edges)
+        for name, (family, family_edges) in (("local unitary", rotated), ("site swap", swapped)):
+            image = section_from_framefn(OperatorInduced(maps[name](t)), family)
+            for c, moved in zip(contexts, family):
+                want = section[c].T if name == "site swap" else section[c]
+                assert np.abs(image[moved] - want).max() <= 1e-12, (kind, name, c.label)
+            moved_report = check_section(image, family_edges)
+            assert moved_report.passed is report.passed is True, (kind, name)
+    # A signalling section fails, and its transpose fails on the swapped family alike.
+    section = section_from_framefn(make_signalling_example(dims, rng.uniform(0.5, 1.0)), contexts)
+    report = check_section(section, edges)
+    family, family_edges = swapped
+    image = SectionTable(tuple(family), {m.label: section[c].T for c, m in zip(contexts, family)})
+    moved_report = check_section(image, family_edges)
+    assert not report.passed and not moved_report.passed
+    assert abs(moved_report.max_distance - report.max_distance) <= 1e-12
