@@ -17,7 +17,9 @@ import numpy as np
 
 from . import tolerances as tol
 from .linalg import (
+    BitEqual,
     ValidationError,
+    bit_key,
     canonical_phase,
     check_unit_rows,
     complex_from_json,
@@ -29,25 +31,8 @@ from .linalg import (
 )
 
 
-def _bit_key(arrays) -> tuple:
-    """The shapes and complex bytes of ``arrays``: a bit-exact equality key."""
-    arrays = [np.asarray(a, dtype=complex) for a in arrays]
-    return tuple((a.shape, a.tobytes()) for a in arrays)
-
-
-class _BitEqual:
-    """Equality and hash by ``_key()``, bit for bit (the generated ones would
-    compare ndarray fields, which raises)."""
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-
 @dataclass(frozen=True, eq=False)
-class ProductState(_BitEqual):
+class ProductState(BitEqual):
     """A product state, stored as per-site unit factors with canonical phase."""
 
     factors: tuple
@@ -83,7 +68,7 @@ class ProductState(_BitEqual):
         return b"".join(np.ascontiguousarray(f).tobytes() for f in self.factors)
 
     def _key(self) -> tuple:
-        return _bit_key(self.factors)
+        return bit_key(self.factors)
 
     def to_json(self) -> dict:
         return {"factors": [complex_to_json(f) for f in self.factors]}
@@ -114,7 +99,7 @@ def _rows_as_states(sites) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class UnentangledBasis(_BitEqual):
+class UnentangledBasis(BitEqual):
     """An orthonormal basis consisting of product states, held as per-site
     (N, d_s) read-only stacks of unit factors with canonical phase: element k
     is row k of each stack."""
@@ -158,7 +143,7 @@ class UnentangledBasis(_BitEqual):
         return classes
 
     def _key(self) -> tuple:
-        return _bit_key(self.stacks)
+        return bit_key(self.stacks)
 
     @property
     def dims(self) -> tuple:
@@ -264,7 +249,7 @@ def validate_unentangled(b: UnentangledBasis) -> BasisReport:
 
 
 @dataclass(frozen=True, eq=False)
-class TwistMove(_BitEqual):
+class TwistMove(BitEqual):
     """Rotate two basis elements inside a 2-dim subspace at one site.
 
     The two referenced elements must agree on every factor except ``site``;
@@ -286,7 +271,7 @@ class TwistMove(_BitEqual):
         object.__setattr__(self, "pair", (int(self.pair[0]), int(self.pair[1])))
 
     def _key(self) -> tuple:
-        return int(self.site), self.pair, _bit_key([self.rotation])
+        return int(self.site), self.pair, bit_key([self.rotation])
 
     def to_json(self) -> dict:
         return {
@@ -348,7 +333,7 @@ def find_local_pairs(b: UnentangledBasis) -> list:
 
 
 @dataclass(frozen=True, eq=False)
-class TwistCertificate(_BitEqual):
+class TwistCertificate(BitEqual):
     """A replayable move sequence from an unentangled basis to a product basis."""
 
     moves: tuple
@@ -356,7 +341,7 @@ class TwistCertificate(_BitEqual):
     final: tuple  # per site: the read-only (d_s, d_s) local basis reached, vectors as rows
 
     def _key(self) -> tuple:
-        return self.moves, self.initial, _bit_key(self.final)
+        return self.moves, self.initial, bit_key(self.final)
 
     def walk(self):
         """Apply the moves in order, yielding each intermediate basis."""

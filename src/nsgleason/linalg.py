@@ -54,10 +54,10 @@ def tensor_rows(stacks) -> np.ndarray:
 
 
 def product_values(mat: np.ndarray, stacks) -> np.ndarray:
-    """<psi_n|mat|psi_n> (real part) for psi_n = tensor(s[n] for s in stacks): the
-    frame-function values of an operator on product states given as per-site (N, d) stacks."""
+    """<psi_n|mat|psi_n> (real part) for psi_n = tensor(s[n] for s in stacks), as a float
+    array of its own: an operator's frame-function values on per-site (N, d) stacks."""
     psi = tensor_rows(stacks)
-    return np.einsum("ni,ni->n", psi.conj(), psi @ mat.T).real
+    return np.ascontiguousarray(np.einsum("ni,ni->n", psi.conj(), psi @ mat.T).real)
 
 
 def product_rows(local) -> list:
@@ -69,6 +69,27 @@ def product_rows(local) -> list:
     rows = [np.repeat(f, math.prod(counts[s + 1:]), axis=-2) for s, f in enumerate(local)]
     return [np.concatenate([f] * math.prod(counts[:s]), axis=-2).reshape(-1, f.shape[-1])
             for s, f in enumerate(rows)]
+
+
+def bit_key(x):
+    """A hashable key, equal exactly when x is equal bit for bit: arrays and floats by the
+    shape and bytes of their complex values, dicts and sequences item by item, else x."""
+    if isinstance(x, (dict, tuple, list)):
+        return tuple(map(bit_key, x.items() if isinstance(x, dict) else x))
+    if isinstance(x, (float, complex, np.ndarray, np.number)):
+        return np.shape(x), np.asarray(x, dtype=complex).tobytes()
+    return x
+
+
+class BitEqual:
+    """Equality and hash by ``_key()``, bit for bit (the generated ones would
+    compare ndarray fields, which raises)."""
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -260,20 +281,13 @@ def min_eigenvalue(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
 
 
-def _as_tensor(op: HermitianOperator) -> np.ndarray:
-    dims = op.dims
-    return op.mat.reshape(dims + dims)
-
-
 def partial_transpose(t: HermitianOperator, site: int) -> HermitianOperator:
     """Transpose the given tensor factor in the computational basis."""
     n = t.nsites
     if not 0 <= site < n:
         raise ValidationError(f"site {site} out of range for {n} factors")
-    arr = _as_tensor(t).copy()
-    arr = np.swapaxes(arr, site, n + site)
-    d_total = t.dim
-    return HermitianOperator(t.dims, arr.reshape(d_total, d_total))
+    arr = np.swapaxes(t.mat.reshape(t.dims * 2), site, n + site)
+    return HermitianOperator(t.dims, arr.reshape(t.dim, t.dim))
 
 
 # ---------------------------------------------------------------------------

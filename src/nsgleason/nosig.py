@@ -28,8 +28,10 @@ from .gleason import (
 )
 from .linalg import (
     PAULI,
+    BitEqual,
     HermitianOperator,
     ValidationError,
+    bit_key,
     complex_from_json,
     complex_to_json,
     cut,
@@ -39,6 +41,7 @@ from .linalg import (
     onbs_from_normals,
     partial_transpose,
     product_rows,
+    product_values,
     proj,
     random_onbs,
     real_from_json,
@@ -200,20 +203,18 @@ def deterministic_box() -> Box:
 
 
 def box_from_operator(t: HermitianOperator, realizations) -> Box:
-    """Box of tr(t (p_A (x) q_B)) at the given measurement bases; Box raises
-    ValidationError on a negative or unnormalized block."""
+    """Box of tr(t (p_A (x) q_B)) at the given measurement bases, tabulated as a section is:
+    one product_values call on its entries' product states.  Box checks bases and blocks."""
     settings = tuple(tuple(site.keys()) for site in realizations)
-    n_out = tuple(next(iter(site.values())).shape[1] for site in realizations)
-    coords = feature_of(t.mat)
-    # One matmul per setting pair: a stacked matmul rounds the table differently.
-    table = [[projector_features(product_rows([realizations[0][a].T, realizations[1][b].T]))
-              @ coords for b in settings[1]] for a in settings[0]]
+    bases = [np.array(list(site.values()), dtype=complex) for site in realizations]
+    n_out = tuple(u.shape[-1] for u in bases)
+    table = product_values(t.mat, _box_products(bases))
     return Box(settings, tuple(tuple(range(n)) for n in n_out),
-               np.reshape(table, tuple(map(len, settings)) + n_out), tuple(realizations))
+               table.reshape(tuple(map(len, settings)) + n_out), tuple(realizations))
 
 
-@dataclass(frozen=True)
-class NoSigReport:
+@dataclass(frozen=True, eq=False)
+class NoSigReport(BitEqual):
     max_discrepancy: float
     witness: dict | None = None
     tolerance = tol.NO_SIGNALLING  # a class constant: the largest max_discrepancy that passes
@@ -221,6 +222,9 @@ class NoSigReport:
     @property
     def passed(self) -> bool:
         return self.max_discrepancy <= self.tolerance
+
+    def _key(self) -> tuple:  # equal and hashed bit for bit: discrepancy and witness
+        return bit_key((self.max_discrepancy, self.witness))
 
 
 def check_box(box: Box) -> NoSigReport:
@@ -477,15 +481,16 @@ def _operator_space(box: Box):
     return dims, d_total * d_total, feature_of(np.eye(d_total))
 
 
-def _box_products(box: Box) -> list:
-    """Per-site stacks of the product states u_A (x) v_B of the box entries, in table order."""
-    u, v = (b.swapaxes(1, 2) for b in box.bases)
+def _box_products(bases) -> list:
+    """Per-site stacks of the product states u_A (x) v_B of a box's entries, in table order,
+    from the per-site (|S|, d, d) stacks of bases."""
+    u, v = (b.swapaxes(1, 2) for b in bases)
     return product_rows([np.repeat(u, len(v), axis=0), np.tile(v, (len(u), 1, 1))])
 
 
 def _box_equalities(box: Box):
     """Feature rows and targets for tr(t (p_A (x) q_B)) = P(A,B|a,b), in table order."""
-    return projector_features(_box_products(box)), box.table.ravel()
+    return projector_features(_box_products(box.bases)), box.table.ravel()
 
 
 def _decomposition(box: Box) -> Decomposition | Separation | None:
@@ -514,7 +519,7 @@ def _decomposition(box: Box) -> Decomposition | Separation | None:
     Separation, returned when both least eigenvalues, recomputed, are >= -PSD and
     its floor is > 0, bounds the residual of every product-positive t.
     """
-    stacks = _box_products(box)
+    stacks = _box_products(box.bases)
     psi = np.stack([tensor_rows(stacks), tensor_rows([stacks[0].conj(), stacks[1]])], axis=1)
     d_total = psi.shape[-1]
     ops = np.concatenate([psi[..., :, None] * psi[..., None, :].conj(),

@@ -25,9 +25,10 @@ from .linalg import (HermitianOperator, ValidationError, is_integer, is_local_ba
                      operator_dims, product_rows, random_onbs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Context:
-    """A rank-1 PVM: a read-only orthonormal (d, d) basis, one outcome per column."""
+    """A rank-1 PVM: a read-only orthonormal (d, d) basis, one outcome per column;
+    equal only to itself (sections look contexts up by label)."""
 
     basis: np.ndarray
     label: str
@@ -42,7 +43,7 @@ class Context:
         object.__setattr__(self, "basis", b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductContext:
     left: Context
     right: Context
@@ -102,8 +103,9 @@ def restrict(dist: np.ndarray, edge: RefinementEdge) -> np.ndarray:
 
 
 def _fine_table(dist, edge) -> np.ndarray:
-    """dist as floats; ValidationError unless it has the shape of the edge's fine context."""
-    dist = np.asarray(dist, dtype=float)
+    """dist as the C-contiguous float table that restrict and check_section both restrict;
+    ValidationError unless it has the shape of the edge's fine context."""
+    dist = np.asarray(dist, dtype=float, order="C")
     if dist.shape != edge.fine.shape:
         raise ValidationError(f"distribution shape {dist.shape} does not live on the fine context")
     return dist
@@ -193,10 +195,10 @@ def check_section(s: SectionTable, edges) -> ConsistencyReport:
 
     The reference is the node's stored table if the section has one, else the
     restriction of the node's first parent in edge order.  The edges that share
-    a pair of aggregation maps are restricted in one stacked product.  The worst
-    edge is the first of greatest distance; a distance that is not finite (from a
-    NaN or inf entry) makes ``max_distance`` NaN, which fails, and names the first
-    such edge.
+    a pair of aggregation maps are restricted in one stacked product, each as
+    :func:`restrict` restricts it alone.  The worst edge is the first of greatest
+    distance; a distance that is not finite (from a NaN or inf entry) makes
+    ``max_distance`` NaN, which fails, and names the first such edge.
     """
     edges = tuple(edges)
     fine, nodes, groups = [], {}, {}
@@ -212,11 +214,10 @@ def check_section(s: SectionTable, edges) -> ConsistencyReport:
         if node_shape != shape:
             raise ValidationError(f"{label} restricts to shape {shape}, but node "
                                   f"{e.coarse} has shape {node_shape}")
-        layout = fine[k].strides if _stackable(fine[k]) else k
-        groups.setdefault((id(a), id(b), layout), (a, b, []))[2].append(k)
+        groups.setdefault((id(a), id(b)), (a, b, []))[2].append(k)
     dist = np.zeros(len(edges))
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite distance is reported
-        stacks = [(ks, a @ _stacked([fine[k] for k in ks]) @ b.T) for a, b, ks in groups.values()]
+        stacks = [(ks, a @ np.stack([fine[k] for k in ks]) @ b.T) for a, b, ks in groups.values()]
         restricted = {k: r for ks, out in stacks for k, r in zip(ks, out)}
         for ks, out in stacks:
             refs = np.array([s.distributions[c] if (c := edges[k].coarse) in s.distributions
@@ -228,29 +229,6 @@ def check_section(s: SectionTable, edges) -> ConsistencyReport:
         return ConsistencyReport(0.0, None)
     k = int(np.argmax(dist))
     return ConsistencyReport(float(dist[k]), _edge_name(edges[k]))
-
-
-def _stackable(p: np.ndarray) -> bool:
-    """Whether a 2-D table's strides are positive multiples of its itemsize that never
-    reach one entry twice, so that :func:`_stacked` can lay out copies of it."""
-    (n, m), (s0, s1) = p.shape, p.strides
-    return (s0 > 0 and s1 > 0 and s0 % p.itemsize == s1 % p.itemsize == 0
-            and (s0 >= m * s1 or s1 >= n * s0))
-
-
-def _stacked(tables: list) -> np.ndarray:
-    """Tables of one shape and strides as a (g, n, m) stack whose items keep those strides.
-    matmul takes an operand through BLAS or through its own loop by its strides, so each
-    item is restricted bit for bit as the table alone; one table is not copied."""
-    p = tables[0]
-    if len(tables) == 1:
-        return p[None]
-    (n, m), (s0, s1) = p.shape, p.strides
-    span = (n - 1) * s0 + (m - 1) * s1 + p.itemsize
-    stack = np.lib.stride_tricks.as_strided(np.empty(len(tables) * span // p.itemsize),
-                                            (len(tables), n, m), (span, s0, s1))
-    stack[...] = tables
-    return stack
 
 
 def _edge_name(e) -> str:

@@ -22,6 +22,7 @@ from nsgleason.linalg import (
     make_rng,
     partial_transpose,
     product_rows,
+    product_values,
     proj,
     random_density,
     random_hermitian,
@@ -475,15 +476,15 @@ def test_positivity_rows_match_looped_draws(seed, dims, count):
        st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
 def test_box_rows_match_full_vector_products(seed, dims, n_settings):
-    # Box tables and equality rows are byte-identical to the rows of full product vectors.
+    # Box tables are byte-identical to product_values on the full product vectors, and
+    # equality rows to the feature rows of those vectors.
     rng = make_rng(seed)
     real = tuple({lbl: random_onb(rng, d) for lbl in range(n_settings)} for d in dims)
     t = random_density(rng, dims)
     box = box_from_operator(t, real)
     products = {(a, b): full_basis_products(real[0][a], real[1][b]) for a in real[0] for b in real[1]}
-    for (a, b), psi in products.items():
-        want = (full_vector_features(psi) @ feature_of(t.mat)).reshape(dims)
-        assert box.block(a, b).tobytes() == want.tobytes()
+    want = product_values(t.mat, [np.concatenate(list(products.values()))])
+    assert box.table.tobytes() == want.tobytes() and box.table.flags.c_contiguous
     rows, vals = _box_equalities(box)
     assert rows.tobytes() == full_vector_features(np.concatenate(list(products.values()))).tobytes()
     assert vals.tobytes() == np.concatenate([box.block(*k).ravel() for k in products]).tobytes()
@@ -768,6 +769,87 @@ def test_quantum_boxes_are_feasible(density_extensions):
     for *_, verdict in density_extensions:
         assert (verdict.verdict, verdict.rounds, verdict.candidate) == (
             "FEASIBLE", 0, "decomposition")
+
+
+def swapped_box(box: Box) -> Box:
+    """The box with its sites exchanged: P'[b, a, B, A] = P[a, b, A, B]."""
+    real = None if box.realizations is None else box.realizations[::-1]
+    return Box(box.settings[::-1], box.outcomes[::-1], box.table.transpose(1, 0, 3, 2), real)
+
+
+def site_swap(t: HermitianOperator) -> HermitianOperator:
+    d1, d2 = t.dims
+    return HermitianOperator((d2, d1), t.mat.reshape(d1, d2, d1, d2).transpose(
+        1, 0, 3, 2).reshape(d1 * d2, d1 * d2))
+
+
+def witness_gap(box: Box, witness: dict) -> float:
+    """The largest change of the witness site's marginal at its setting between the two
+    remote settings it names, computed from the table as check_box computes marginals."""
+    site = witness["site"]
+    m = box.table.sum(axis=3 - site)  # [a, b, outcome of the site]
+    m = m.swapaxes(0, 1) if site else m  # [setting of the site, remote setting, outcome]
+    a = box.settings[site].index(witness["setting"])
+    i, j = (box.settings[1 - site].index(r) for r in witness["remote_pair"])
+    return float(np.abs(m[a, i] - m[a, j]).max())
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]),
+       st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_boxes_are_covariant_under_local_unitaries_and_the_swap(seed, dims, n_settings):
+    # The box of (U (x) V) t (U (x) V)^dagger on bases U A_a and V B_b is the box of t on
+    # A_a and B_b; the swapped t on the swapped bases gives the transposed table.
+    rng = make_rng(seed)
+    real = tuple({lbl: random_onb(rng, d) for lbl in range(n_settings)} for d in dims)
+    t = random_density(rng, dims)
+    box = box_from_operator(t, real)
+    u, v = random_onb(rng, dims[0]), random_onb(rng, dims[1])
+    uv = np.kron(u, v)
+    rotated = box_from_operator(HermitianOperator(dims, uv @ t.mat @ uv.conj().T), tuple(
+        {lbl: w @ b for lbl, b in site.items()} for w, site in zip((u, v), real)))
+    assert np.abs(rotated.table - box.table).max() <= 1e-12
+    swapped = box_from_operator(site_swap(t), real[::-1])
+    assert np.abs(swapped.table - box.table.transpose(1, 0, 3, 2)).max() <= 1e-12
+    # check_box reads a box and its swap alike, and names a maximum as its witness: on the
+    # quantum box and on a signalling one of random conditional distributions.
+    p = rng.random(box.table.shape)
+    signalling = Box(box.settings, box.outcomes, p / p.sum(axis=(2, 3), keepdims=True))
+    for b in (box, signalling):
+        reports = [(x, check_box(x)) for x in (b, swapped_box(b))]
+        assert reports[0][1].max_discrepancy == reports[1][1].max_discrepancy
+        for x, rep in reports:
+            assert (rep.witness is None) is rep.passed
+            if rep.witness is not None:
+                assert witness_gap(x, rep.witness) == rep.max_discrepancy
+
+
+def test_extension_verdicts_are_invariant_under_the_swap(density_extensions):
+    pr = with_qubit_realizations(pr_box())
+    cases = [(0, pr, quantum_extension(pr, positivity_samples=500, seed=0)), *density_extensions]
+    for k, box, verdict in cases:
+        swapped = quantum_extension(swapped_box(box), positivity_samples=500, seed=k)
+        assert swapped.verdict == verdict.verdict, k
+    assert cases[0][2].verdict == "INFEASIBLE"
+
+
+def test_reports_compare_and_hash_bit_for_bit():
+    # Before, == raised "truth value of an array is ambiguous" on two reports that carried
+    # a witness, a dict holding arrays.
+    f = make_signalling_example((3, 3), 0.7)
+    got, again = check_framefn(f, trials=20, seed=1), check_framefn(f, trials=20, seed=1)
+    assert got.witness is not None and got == again and hash(got) == hash(again)
+    assert got != check_framefn(f, trials=20, seed=2)
+    first, second = got.witness["bases"]
+    nudged = first.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0].real, 2.0) + 1j * nudged[0, 0].imag
+    assert got != NoSigReport(got.max_discrepancy, dict(got.witness, bases=(nudged, second)))
+    p = np.full((2, 2, 2, 2), 0.25)
+    p[0, 0] = [[0.5, 0.5], [0.0, 0.0]]
+    box = Box(((0, 1), (0, 1)), ((0, 1), (0, 1)), p)
+    assert check_box(box).witness is not None and check_box(box) == check_box(box)
+    assert NoSigReport(0.0) != NoSigReport(-0.0) and NoSigReport(np.nan) == NoSigReport(np.nan)
+    assert NoSigReport(0.5) == NoSigReport(0.5) and NoSigReport(0.5) != got
 
 
 @given(st.sampled_from([(2, 2), (2, 3), (3, 3)]), st.integers(0, 2**32 - 1))
@@ -1070,7 +1152,7 @@ def test_separation_is_a_ppt_witness(visibility, dims, seed):
 def hundred_step_floor(box):
     """The Separation floor of the decomposition search as it ran before it stopped on a
     stalled correction, copied: a fixed 100 steps, then the witness of the last one."""
-    stacks = _box_products(box)
+    stacks = _box_products(box.bases)
     psi = np.stack([tensor_rows(stacks), tensor_rows([stacks[0].conj(), stacks[1]])], axis=1)
     d_total = psi.shape[-1]
     ops = np.concatenate([psi[..., :, None] * psi[..., None, :].conj(),

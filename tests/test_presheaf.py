@@ -22,6 +22,7 @@ from nsgleason.linalg import (
     ValidationError,
     make_rng,
     partial_transpose,
+    product_rows,
     proj,
     random_density,
     random_hermitian,
@@ -677,11 +678,13 @@ def test_stacked_family_is_the_looped_family(dims, seed, n_fine):
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(REFERENCE_DIMS + [(4, 4), (5, 5)]),
        st.integers(1, 6), st.sampled_from(["density", "partial_transpose", "signalling",
-                                           "perturbed", "contiguous", "stored"]))
+                                           "perturbed", "contiguous", "stored", "fortran",
+                                           "transposed", "real_view"]))
 @settings(max_examples=80, deadline=None)
 def test_batched_check_section_is_the_per_edge_loop(seed, dims, n_fine, kind):
-    # The tables' own layouts (real parts of one complex stack), contiguous copies, a mix
-    # of both, and stored coarse tables: the same distance bytes and worst edge.
+    # The tables as tabulated, perturbed, contiguous copies, stored coarse tables, and
+    # equal tables laid out otherwise: F-ordered, transposed views of contiguous arrays, and
+    # real parts of complex arrays: the same distance bytes and worst edge.
     contexts, edges = random_context_family(dims, n_fine, seed=seed)
     rng = make_rng(seed)
     t = random_density(rng, dims)
@@ -696,12 +699,49 @@ def test_batched_check_section_is_the_per_edge_loop(seed, dims, n_fine, kind):
             tables[label][tuple(rng.integers(0, n) for n in dims)] += rng.choice([1e-11, 1e-6, 0.05])
     elif kind == "contiguous":
         tables = {label: np.ascontiguousarray(p) for label, p in tables.items()}
+    elif kind == "fortran":
+        tables = {label: np.asfortranarray(p) for label, p in tables.items()}
+    elif kind == "transposed":
+        tables = {label: np.ascontiguousarray(p.T).T for label, p in tables.items()}
+    elif kind == "real_view":
+        tables = {label: (p + 0j).real for label, p in tables.items()}
     elif kind == "stored":
         for e in edges[::3]:
             tables[e.coarse] = coarse_table(t, e)
     section = SectionTable(tuple(contexts), tables)
     got, want = check_section(section, edges), looped_check_section(section, edges)
     assert same_report(got, want), (got, want)
+
+
+def base_dtypes(a: np.ndarray) -> list:
+    """The dtypes along an array's ``.base`` chain, the array's own first."""
+    dtypes = []
+    while isinstance(a, np.ndarray):
+        dtypes.append(a.dtype)
+        a = a.base
+    return dtypes
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 4), (4, 3), (5, 5)])
+def test_operator_tables_own_float_memory(dims):
+    # Before, each table was a strided .real view that kept its complex buffer alive.
+    contexts, _ = random_context_family(dims, 3, seed=1)
+    t = random_density(make_rng(1), dims)
+    values = OperatorInduced(t).values(product_rows([c.basis.T for c in (contexts[0].left,
+                                                                         contexts[0].right)]))
+    tables = list(section_from_operator(t, contexts).distributions.values())
+    for p in [values, *tables]:
+        assert p.flags.c_contiguous and set(base_dtypes(p)) == {np.dtype(np.float64)}
+
+
+def test_contexts_compare_and_hash_by_identity():
+    # Before, == raised "truth value of an array is ambiguous" and hash "unhashable type".
+    a, b = Context(np.eye(2), "L"), Context(np.eye(2), "L")
+    assert a == a and a != b and len({a, b, a}) == 2
+    p, q = ProductContext(a, b), ProductContext(a, b)
+    assert p == p and p != q and len({p, q, p}) == 2
+    contexts, edges = random_context_family((2, 3), 2, seed=0)
+    assert edges[0] == edges[0] and len(set(edges)) == len(edges)
 
 
 def test_check_section_raises_in_edge_order_as_the_loop_does():
