@@ -344,15 +344,23 @@ def _along_axes(x: np.ndarray, mats) -> np.ndarray:
     return reduce(lambda y, m: np.tensordot(y, m, axes=(0, 0)), mats, x)
 
 
+def _feature_svd(a: np.ndarray) -> tuple:
+    """The thin SVD (u, sv, vh) of feature rows a, cut to their rank: the singular values
+    above ``tolerances.FEATURE_RANK``."""
+    u, sv, vh = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.count_nonzero(sv > tol.FEATURE_RANK))
+    return u[:, :rank], sv[:rank], vh[:rank]
+
+
 def _site_solves(site_rows, what: str) -> tuple:
     """(pinvs, ranks, condition_numbers) of the (k_s, d_s^2) feature rows A_s of each site,
-    from one SVD a site: the transposed pseudo-inverse (read-only), the rank and σ_max /
-    σ_min.  A site of rank below d_s^2 (``tolerances.FEATURE_RANK``) raises ValidationError
-    naming it, its rows counted as ``what``."""
+    from one :func:`_feature_svd` a site: the transposed pseudo-inverse (read-only), the rank
+    and σ_max / σ_min.  A site of rank below d_s^2 raises ValidationError naming it, its rows
+    counted as ``what``."""
     pinvs, ranks, conds = [], [], []
     for site, a in enumerate(site_rows):
-        u, sv, vh = np.linalg.svd(a, full_matrices=False)
-        ranks.append(int(np.count_nonzero(sv > tol.FEATURE_RANK)))
+        u, sv, vh = _feature_svd(a)
+        ranks.append(len(sv))
         if ranks[-1] < a.shape[1]:
             raise ValidationError(
                 f"site {site}: {len(a)} {what} have feature rank {ranks[-1]} < {a.shape[1]}")

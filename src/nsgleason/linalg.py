@@ -199,13 +199,13 @@ def operator_dims(dims) -> tuple:
     return tuple(int(d) for d in dims)
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
+@dataclass(frozen=True, eq=False)
+class HermitianOperator(BitEqual):
     """Dense self-adjoint operator on a tensor-product space.
 
     ``dims`` lists the local dimensions (d1, ..., dn); ``mat`` is the full
     D x D matrix with D = prod(dims), row-major in the computational product
-    basis.
+    basis.  Operators compare and hash bit for bit: dims and matrix.
     """
 
     dims: tuple
@@ -230,6 +230,9 @@ class HermitianOperator:
         mat = 0.5 * (mat + mat.conj().T)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
+
+    def _key(self) -> tuple:
+        return bit_key((self.dims, self.mat))
 
     @property
     def dim(self) -> int:

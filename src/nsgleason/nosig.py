@@ -16,11 +16,13 @@ module, so the LP-free parts of the package load without it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import tolerances as tol
 from .gleason import (
+    _feature_svd,
     feature_of,
     product_seesaw_min,
     projector_features,
@@ -71,22 +73,23 @@ class SolverError(ValidationError):
 # ---------------------------------------------------------------------------
 # Boxes
 
-@dataclass(frozen=True)
-class Box:
+@dataclass(frozen=True, eq=False)
+class Box(BitEqual):
     """Conditional probability table P(A, B | a, b) with optional realizations.
 
     ``table`` is one read-only float array P[a, b, A, B] of shape (|S_A|, |S_B|,
     |O_A|, |O_B|), indexed by label position; ``block(a, b)`` reads P[A, B] by label.
     ``realizations`` (optional) maps each setting label of a site to an orthonormal
     (d, d) measurement basis (columns = outcome vectors), d the site's number of
-    outcomes; ``bases`` stacks them per site, (|S|, d, d) in setting order.
+    outcomes; ``bases`` stacks them per site, (|S|, d, d) in setting order.  Boxes
+    compare and hash bit for bit: labels, table and bases.
     """
 
     settings: tuple  # per site, tuple of labels
     outcomes: tuple  # per site, tuple of labels
     table: np.ndarray
     realizations: tuple | None = None  # per site: dict label -> ndarray (d x d)
-    bases: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    bases: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _distinct_settings(self.settings)
@@ -109,8 +112,16 @@ class Box:
             object.__setattr__(self, "bases", tuple(map(
                 _basis_stack, (0, 1), self.settings, self.outcomes, self.realizations)))
 
+    def _key(self) -> tuple:
+        return bit_key((self.settings, self.outcomes, self.table, self.bases))
+
     def block(self, a, b) -> np.ndarray:
         return self.table[self.settings[0].index(a), self.settings[1].index(b)]
+
+    @cached_property
+    def products(self) -> list:
+        """:func:`_box_products` of a realized box's bases, built on first use."""
+        return _box_products(self.bases)
 
     def to_json(self) -> dict:
         out = {
@@ -478,7 +489,15 @@ def _operator_space(box: Box):
         raise ValidationError("the LP needs a box with projective realizations")
     dims = tuple(u.shape[-1] for u in box.bases)
     d_total = int(np.prod(dims))
-    return dims, d_total * d_total, feature_of(np.eye(d_total))
+    return dims, d_total * d_total, _trace_row(d_total)
+
+
+@lru_cache(maxsize=16)
+def _trace_row(d_total: int) -> np.ndarray:
+    """feature_of(I), read-only: shared by every caller through the cache."""
+    row = feature_of(np.eye(d_total))
+    row.setflags(write=False)
+    return row
 
 
 def _box_products(bases) -> list:
@@ -490,7 +509,42 @@ def _box_products(bases) -> list:
 
 def _box_equalities(box: Box):
     """Feature rows and targets for tr(t (p_A (x) q_B)) = P(A,B|a,b), in table order."""
-    return projector_features(_box_products(box.bases)), box.table.ravel()
+    return projector_features(box.products), box.table.ravel()
+
+
+def _equality_pinv(bases) -> np.ndarray:
+    """np.linalg.pinv of :func:`_decomposition`'s rows, from one :func:`_feature_svd` a site
+    and a rank-one correction.
+
+    Write Φ(X) for the real view of (X, X^Γ): an entry's row is Φ(p (x) q), and |Φ(X)| =
+    √2 |X|.  Site s's rows A_s, the real views of its outcome projectors p (setting major),
+    have the Gram matrix of their feature rows.  Cut to its rank, A_s = U_s S_s V_s^T, and each
+    row of V_s^T is the real view of a Hermitian operator.  The table rows are then R = U S V^T
+    with U = U_0 (x) U_1 in table order, S = √2 S_0 (x) S_1, and column (j, k) of V the Φ of
+    operator j of V_0 (x) operator k of V_1, over √2.  The trace row is block 0's rows summed,
+    s^T R, so the rows are M R with M = [I; s^T], and pinv(M R) = V S^-1 (I + w w^T)^-1 [U^T, w]
+    with w = U^T s (Sherman-Morrison).  Column (j, k) of V S^-1 is Φ(O_j (x) O'_k) / 2, with
+    O_j = (V_0)_j / (S_0)_j and O'_k = (V_1)_k / (S_1)_k made exactly Hermitian: every
+    correction g is then a Hermitian pair, and the pseudo-inverse has the rank of R.
+    """
+    us, ops = [], []
+    for b in bases:
+        n_set, d = len(b), b.shape[-1]
+        v = b.swapaxes(1, 2).reshape(-1, d)
+        u, sv, vh = _feature_svd((v[:, :, None] * v[:, None, :].conj()).reshape(len(v), -1)
+                                 .view(float))
+        m = (vh / sv[:, None]).view(complex).reshape(-1, d, d)
+        us.append(u.reshape(n_set, d, -1))
+        ops.append(0.5 * (m + m.conj().swapaxes(1, 2)))
+    (u0, u1), (o0, o1) = us, ops
+    rank = len(o0) * len(o1)
+    u = (u0[:, None, :, None, :, None] * u1[None, :, None, :, None, :]).reshape(-1, rank)
+    w = u[:u0.shape[1] * u1.shape[1]].sum(axis=0)
+    y = np.vstack([u, w]).T
+    y -= np.outer(w, w @ y) / (1.0 + w @ w)
+    o0 = np.stack([o0, o0.swapaxes(1, 2)], axis=1)  # O_j and O_j^T, for X and X^Γ
+    vs = o0[:, None, :, :, None, :, None] * o1[None, :, None, None, :, None, :]
+    return vs.reshape(rank, -1).view(float).T @ (0.5 * y)
 
 
 def _decomposition(box: Box) -> Decomposition | Separation | None:
@@ -504,8 +558,8 @@ def _decomposition(box: Box) -> Decomposition | Separation | None:
     same with site 0's factor conjugated; the pair (I, I) gives the trace.  A
     step returns the pair once both factors have least eigenvalue >= -PSD;
     otherwise it clips their negative eigenvalues and projects back onto the
-    equalities by the correction g (one pseudo-inverse per box; the first step
-    starts at their least-norm point).
+    equalities by the correction g (the pseudo-inverse of :func:`_equality_pinv`,
+    factored per site; the first step starts at their least-norm point).
 
     ||g|| never grows: it falls to 0 when the PSD pairs meet the equalities and
     levels off at their distance when they do not (Bauschke & Borwein, Set-Valued
@@ -519,13 +573,13 @@ def _decomposition(box: Box) -> Decomposition | Separation | None:
     Separation, returned when both least eigenvalues, recomputed, are >= -PSD and
     its floor is > 0, bounds the residual of every product-positive t.
     """
-    stacks = _box_products(box.bases)
+    stacks = box.products
     psi = np.stack([tensor_rows(stacks), tensor_rows([stacks[0].conj(), stacks[1]])], axis=1)
     d_total = psi.shape[-1]
     ops = np.concatenate([psi[..., :, None] * psi[..., None, :].conj(),
                           np.broadcast_to(np.eye(d_total), (1, 2, d_total, d_total))])
     rows, vals = ops.view(float).reshape(len(ops), -1), np.append(box.table.ravel(), 1.0)
-    pinv = np.linalg.pinv(rows)
+    pinv = _equality_pinv(box.bases)
     x = pinv @ vals
     dims = tuple(u.shape[-1] for u in box.bases)
     norm = np.inf

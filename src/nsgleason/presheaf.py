@@ -21,8 +21,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .framefn import OperatorInduced
-from .linalg import (HermitianOperator, ValidationError, is_integer, is_local_basis, make_rng,
-                     operator_dims, product_rows, random_onbs)
+from .linalg import (BitEqual, HermitianOperator, ValidationError, bit_key, is_integer,
+                     is_local_basis, make_rng, operator_dims, product_rows, random_onbs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,16 +111,20 @@ def _fine_table(dist, edge) -> np.ndarray:
     return dist
 
 
-@dataclass(frozen=True)
-class SectionTable:
+@dataclass(frozen=True, eq=False)
+class SectionTable(BitEqual):
     """One outcome distribution per product context, keyed by label.
 
     Coarse nodes need no entry; one stored under a node's label is the table
-    its fine parents must restrict to.
+    its fine parents must restrict to.  Sections compare and hash bit for bit:
+    the same contexts (each equal only to itself) and equal tables.
     """
 
     contexts: tuple
     distributions: dict  # label -> ndarray
+
+    def _key(self) -> tuple:
+        return bit_key((self.contexts, self.distributions))
 
     def __getitem__(self, ctx: ProductContext) -> np.ndarray:
         return self.distributions[ctx.label]

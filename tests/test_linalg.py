@@ -26,6 +26,7 @@ from nsgleason.linalg import (
     product_rows,
     product_values,
     proj,
+    random_density,
     random_hermitian,
     random_onb,
     random_onbs,
@@ -474,3 +475,14 @@ def test_stacked_local_basis_verdicts_are_each_basis_verdict(seed, d, batch):
 def test_is_integer_takes_python_and_numpy_integers_but_not_bools():
     assert all(map(is_integer, [0, -3, 2**70, np.int64(5), np.uint8(1)]))
     assert not any(map(is_integer, [True, np.True_, 2.0, np.float64(3), "3", None, 3 + 0j]))
+
+
+def test_operators_compare_and_hash_bit_for_bit():
+    # Before, == raised "truth value of an array is ambiguous" and hash "unhashable type".
+    a, b = random_density(make_rng(0), (2, 2)), random_density(make_rng(0), (2, 2))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    flipped = a.mat.copy()
+    flipped.view(np.uint64)[0] ^= 1  # the last bit of a diagonal entry, kept by symmetrizing
+    c = HermitianOperator(a.dims, flipped)
+    assert c != a and np.abs(c.mat - a.mat).max() > 0
+    assert HermitianOperator((4,), a.mat) != a  # same matrix, other dims

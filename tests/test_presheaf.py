@@ -744,6 +744,19 @@ def test_contexts_compare_and_hash_by_identity():
     assert edges[0] == edges[0] and len(set(edges)) == len(edges)
 
 
+def test_sections_compare_and_hash_bit_for_bit():
+    # Before, == raised "truth value of an array is ambiguous" and hash "unhashable type".
+    contexts, _ = random_context_family((2, 3), 2, seed=0)
+    t = random_density(make_rng(0), (2, 3))
+    a, b = section_from_operator(t, contexts), section_from_operator(t, contexts)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    tables = {label: p.copy() for label, p in a.distributions.items()}
+    tables[contexts[0].label].view(np.uint64)[0] ^= 1
+    assert SectionTable(a.contexts, tables) != a
+    others, _ = random_context_family((2, 3), 2, seed=0)  # equal bases, other contexts
+    assert section_from_operator(t, others) != a
+
+
 def test_check_section_raises_in_edge_order_as_the_loop_does():
     # Three edges with one defect each; the first of them in edge order is the one reported.
     contexts, edges = random_context_family((2, 3), 2, seed=0)
