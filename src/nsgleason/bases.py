@@ -24,6 +24,7 @@ from .linalg import (
     check_unit_rows,
     complex_from_json,
     complex_to_json,
+    is_integer,
     is_local_basis,
     product_rows,
     tensor,
@@ -69,13 +70,6 @@ class ProductState(BitEqual):
 
     def _key(self) -> tuple:
         return bit_key(self.factors)
-
-    def to_json(self) -> dict:
-        return {"factors": [complex_to_json(f) for f in self.factors]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ProductState":
-        return cls(tuple(complex_from_json(f, 1) for f in data["factors"]))
 
 
 def _phased_stacks(stacks) -> tuple:
@@ -190,7 +184,6 @@ class BasisReport:
     complete: bool
     worst_overlap: float
     worst_pair: tuple | None
-    failures: tuple = ()
     tolerance = tol.ORTHO_PAIR  # a class constant: the largest pair overlap that passes
 
 
@@ -228,7 +221,7 @@ def validate_unentangled(b: UnentangledBasis) -> BasisReport:
     vectors.  A block in which :func:`_class_counts` finds a site overlap of
     exactly 0.0 for every pair skips the products: each is exactly 0.0.
     """
-    worst, worst_pair, failures = 0.0, None, []
+    worst, worst_pair = 0.0, None
     for r, zeros in _class_counts(b, lambda rows: rows == 0.0):
         below = np.tri(*zeros[:, :len(zeros)].shape, -1, dtype=bool)  # entries k < i: no pairs
         zeros[:, :len(zeros)] += below  # so that only pairs i < j can stop the skip
@@ -239,13 +232,11 @@ def validate_unentangled(b: UnentangledBasis) -> BasisReport:
         for ids, _, rows in b._classes:
             total *= rows[:, r + 1:][ids[r:r + len(total)]]
         total[:, :len(total)][below] = -1.0  # pairs i < j are read in row-major order
-        failures += [(r + int(i), r + 1 + int(k), float(total[i, k]))
-                     for i, k in zip(*np.nonzero(total > BasisReport.tolerance))]
         i, k = divmod(int(np.argmax(total)), total.shape[1])
         if worst_pair is None or total[i, k] > worst:
             worst, worst_pair = float(total[i, k]), (r + i, r + 1 + k)
     complete = len(b.stacks[0]) == b.dim
-    return BasisReport(complete and not failures, complete, worst, worst_pair, tuple(failures))
+    return BasisReport(complete and worst <= BasisReport.tolerance, complete, worst, worst_pair)
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,17 +401,6 @@ def _aligned(ov: np.ndarray) -> np.ndarray:
     return (ov > 1 - tol.SAME_FACTOR) | (ov < tol.ORTHO_PAIR)
 
 
-def _alignment_score(b: UnentangledBasis) -> int:
-    """Count (site, pair) slots whose factors are equal or orthogonal.
-
-    A full product basis maximizes this: every pair of elements either shares
-    a site factor or has orthogonal ones.  :func:`twist_search` ranks moves by
-    the change they make to this count.
-    """
-    return sum(int(np.count_nonzero(np.triu(_aligned(rows)[ids], 1)))
-               for ids, _, rows in b._classes)
-
-
 def _rotation_to_target(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> tuple:
     """2x2 unitaries sending (u, v) to (g, g_perp) inside span{u, v}, one per
     target row of ``g`` (u and v broadcast against it), and which targets lie in
@@ -485,19 +465,23 @@ def _site_moves(b: UnentangledBasis, site: int, pairs, aligned, rows, selfs) -> 
 def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
     """Greedy untwisting: apply moves that strictly improve alignment.
 
-    Alignment is the count of :func:`_alignment_score`.  A candidate move
-    changes two elements, so it is scored from the two rows it changes: at
-    the twist site, elements i and j take the rotated factors and are
-    compared with every other element; at every other site, element j takes
-    element i's factors, whose slots are read off the current basis.  A step
-    scores a site's candidates in one stacked pass (:func:`_site_moves`);
-    only the chosen move is built and applied.
+    Alignment counts the (site, pair) slots whose factors are equal or
+    orthogonal (:func:`_aligned`); a full product basis maximizes it, as
+    every pair of its elements shares a site factor or has orthogonal ones.
+    A candidate move changes two elements, so it is scored from the two rows
+    it changes: at the twist site, elements i and j take the rotated factors
+    and are compared with every other element; at every other site, element
+    j takes element i's factors, whose slots are read off the current basis.
+    A step scores a site's candidates in one stacked pass
+    (:func:`_site_moves`); only the chosen move is built and applied.
 
     Ties break deterministically (lowest site, then lowest element pair, then
     earliest target).  A returned certificate is a positive proof of
     twisted-product membership; an exhaustion report is NOT a proof of
     non-membership.
     """
+    if not is_integer(budget) or budget < 0:
+        raise ValidationError(f"twist search needs an integer budget >= 0, not {budget!r}")
     initial = b
     moves = []
     tried = 0

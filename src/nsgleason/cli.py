@@ -281,10 +281,8 @@ def cmd_keller(args, rep):
         rep.data["report"] = report.to_json()
         rep.verdict("clique_valid", report.is_clique, report.size, None,
                     f"pairwise adjacency in {graph.value}")
-        # The G report decides the basis too; under G* the G check runs once more.
         try:
-            basis = (kel.basis_from_report(cand, report) if graph == kel.Graph.G
-                     else kel.basis_from_clique(cand))
+            basis = kel.basis_from_clique(cand)
         except ValidationError as exc:  # no basis, so nothing more to check
             rep.verdict("basis_exists", False, None, None, str(exc))
             return

@@ -18,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances as tol
 from .bases import ProductState, site_stacks
 from .linalg import (HermitianOperator, ValidationError, canonical_phase, check_unit_rows,
                      product_values)
-
-
-class LookupError_(KeyError):
-    """Tabulated frame function queried outside its design."""
 
 
 class _Evaluated:
@@ -56,7 +51,6 @@ class OperatorInduced(_Evaluated):
     """f(v) = <v|t|v>."""
 
     t: HermitianOperator
-    nonnegative: bool = False
     __call__ = _Evaluated.__call__
 
     @property
@@ -64,10 +58,7 @@ class OperatorInduced(_Evaluated):
         return self.t.dims
 
     def _values(self, sites) -> np.ndarray:
-        vals = product_values(self.t.mat, sites)
-        if self.nonnegative and vals.min(initial=0.0) < -tol.NONNEGATIVE_EVAL:
-            raise ValidationError(f"declared non-negative but f = {vals.min():.3e}")
-        return vals
+        return product_values(self.t.mat, sites)
 
 
 @dataclass(frozen=True)
@@ -91,7 +82,7 @@ class Tabulated(_Evaluated):
         try:
             return float(self.table[key])
         except KeyError:
-            raise LookupError_("state not in tabulated design") from None
+            raise KeyError("state not in tabulated design") from None
 
 
 @dataclass(frozen=True)

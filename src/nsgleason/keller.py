@@ -24,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from .bases import UnentangledBasis
-from .linalg import ValidationError
+from .linalg import ValidationError, is_integer
 
 
 class Graph(str, Enum):
@@ -219,16 +219,17 @@ def clique_search(
 
     EXHAUSTIVE results are deterministic and seed-independent; a NONE result
     proves no clique of that size exists.  HEURISTIC NONE results prove
-    nothing.
+    nothing.  n, target and budget are integers >= 1 (else ValidationError).
     """
-    if n < 1 or target < 1:
-        raise ValidationError("clique search needs n >= 1 and target >= 1")
+    if not all(is_integer(k) and k >= 1 for k in (n, target)):
+        raise ValidationError(f"clique search needs integers n >= 1 and target >= 1, not "
+                              f"{n!r} and {target!r}")
     if mode == SearchMode.EXHAUSTIVE:
         if n > 3:
             raise ValidationError("exhaustive search supported only for n <= 3")
         return _exhaustive(n, target, graph)
-    if budget < 1:
-        raise ValidationError("heuristic search needs budget >= 1")
+    if not is_integer(budget) or budget < 1:
+        raise ValidationError(f"heuristic search needs an integer budget >= 1, not {budget!r}")
     return _heuristic(n, target, graph, budget, seed)
 
 
@@ -248,16 +249,7 @@ def basis_from_clique(c: CliqueCandidate) -> UnentangledBasis:
     Orthogonality holds factorwise: a coordinate pair differing by exactly 2
     maps to orthogonal qubit states ((0,2) -> |0>,|1>; (1,3) -> |+>,|->).
     """
-    return basis_from_report(c, verify_clique(c, Graph.G))
-
-
-def basis_from_report(c: CliqueCandidate, report: CliqueReport) -> UnentangledBasis:
-    """basis_from_clique with the verification already done: ``report`` is
-    verify_clique(c, graph), whose tiling certificate decides (a G*-clique is
-    also a G-clique)."""
-    if (report.size, report.n) != (c.size, c.n):
-        raise ValidationError("report is not of this candidate")
-    return _clique_states(c, report.tiling_certificate, "G-clique of size 2^n")
+    return _clique_states(c, verify_clique(c, Graph.G).tiling_certificate, "G-clique of size 2^n")
 
 
 def family_from_clique(c: CliqueCandidate, graph: Graph = Graph.G) -> UnentangledBasis:

@@ -659,6 +659,9 @@ def quantum_extension(box: Box, positivity_samples: int = 2000, seed: int = 0) -
     with the HiGHS status and message, never a verdict.
     """
     dims, n_var, trace_row = _operator_space(box)
+    if not is_integer(positivity_samples) or positivity_samples < 1:
+        raise ValidationError(f"quantum extension needs an integer positivity_samples >= 1, "
+                              f"not {positivity_samples!r}")
     eq_rows, eq_vals = _box_equalities(box)
     cert = _decomposition(box)
     if isinstance(cert, Separation):
@@ -713,8 +716,9 @@ def max_chsh_lp(box: Box, sample_schedule=(250, 500, 1000, 2000), seed: int = 0)
     """LP upper bounds on CHSH over sampled product-positive unit-trace t.
 
     The Bell operator reads the realized 2x2x2x2 box's bases in setting order.
-    The positivity samples are nested across the schedule, which must strictly
-    increase (else ValidationError), so the sequence of bounds is nonincreasing.
+    The positivity samples are nested across the schedule, which must be strictly
+    increasing integers >= 1 (else ValidationError), so the sequence of bounds
+    is nonincreasing.
     Returns the list of bounds (inf where the LP is unbounded); any other
     solver failure raises SolverError.  HiGHS presolve is off: these LPs are
     small and dense, and presolve only adds time.
@@ -732,9 +736,10 @@ def max_chsh_lp(box: Box, sample_schedule=(250, 500, 1000, 2000), seed: int = 0)
     """
     dims, n_var, trace_row = _operator_space(box)
     _require_chsh_box(box)
-    if not len(sample_schedule) or np.any(np.diff(sample_schedule) <= 0):
-        raise ValidationError(f"sample schedule {tuple(sample_schedule)} "
-                              "is not strictly increasing")
+    if (not len(sample_schedule) or not all(is_integer(c) and c >= 1 for c in sample_schedule)
+            or np.any(np.diff(sample_schedule) <= 0)):
+        raise ValidationError(f"sample schedule {tuple(sample_schedule)} is not strictly "
+                              "increasing integers >= 1")
     bell = HermitianOperator(dims, bell_operator([*box.bases[0], *box.bases[1]]))
     objective, x = feature_of(bell.mat), feature_of(decomposable_max(bell)[1].mat)
     all_rows = _positivity_rows(make_rng(seed), dims, sample_schedule[-1])

@@ -22,13 +22,12 @@ IN_SPAN = 1e-8  # |<u|g>|^2 + |<v|g>|^2 >= 1 - IN_SPAN: g lies in span{u, v}
 MOVE_KEY_DECIMALS = 9  # rotations equal to this many decimals are one candidate move
 REPLAY_MATCH = 1e-8  # |<e|f>| > 1 - REPLAY_MATCH: a replayed element is a final one
 
-# Reconstruction, positivity and orientation (gleason, framefn, orientation).
+# Reconstruction, positivity and orientation (gleason, orientation).
 FEATURE_RANK = 1e-10  # singular values below this do not count toward a feature rank
 SEESAW_CONVERGED = 1e-14  # a see-saw restart stops once its value moves by less
 PSD = 1e-10  # min eigenvalue >= -PSD: positive semidefinite (density or Choi matrix)
 UNIT_TRACE = 1e-8  # |tr t - 1| <= UNIT_TRACE: unit trace
 PRODUCT_POSITIVE = 1e-8  # see-saw minimum >= -PRODUCT_POSITIVE: t is nonnegative on products
-NONNEGATIVE_EVAL = 1e-10  # how far below 0 a frame function declared nonnegative may read
 EFFECT_SPREAD_FLOOR = 1e-12  # smallest spectral width a random effect is divided by
 
 # Boxes, sections, no-signalling and the extension LP (nosig, presheaf).

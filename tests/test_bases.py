@@ -28,6 +28,7 @@ from nsgleason.linalg import (
     ValidationError,
     canonical_phase,
     check_unit,
+    complex_to_json,
     make_rng,
     random_hermitian,
     random_onb,
@@ -65,7 +66,7 @@ def test_basis_report_decides_by_its_tolerance(monkeypatch):
     assert validate_unentangled(b).is_valid
     monkeypatch.setattr(BasisReport, "tolerance", -1.0)
     rep = validate_unentangled(b)
-    assert not rep.is_valid and len(rep.failures) == 36  # every pair of nine elements
+    assert not rep.is_valid and rep.complete and rep.worst_overlap > BasisReport.tolerance
 
 
 @pytest.mark.parametrize("value", [np.nan, complex(0, np.nan)])
@@ -284,7 +285,8 @@ def test_clique_basis_checks_build_no_product_states():
 def test_basis_json_is_its_elements_json(make):
     b = make()
     data = b.to_json()
-    assert data == {"dims": list(b.dims), "elements": [e.to_json() for e in b.elements]}
+    assert data == {"dims": list(b.dims), "elements": [
+        {"factors": [complex_to_json(f) for f in e.factors]} for e in b.elements]}
     back = UnentangledBasis.from_json(data)
     assert [f.tobytes() for f in back.stacks] == [f.tobytes() for f in b.stacks]
     assert all(not f.flags.writeable for f in back.stacks)
@@ -346,7 +348,7 @@ def incomplete_family() -> UnentangledBasis:
 def test_incomplete_family_is_no_twisted_product_basis():
     b = incomplete_family()
     rep = validate_unentangled(b)
-    assert not rep.complete and not rep.failures
+    assert not rep.complete and not rep.is_valid and rep.worst_overlap <= BasisReport.tolerance
     assert _as_product_basis(b) is None
     res = twist_search(b)
     assert not res.found and res.certificate is None

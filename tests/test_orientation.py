@@ -19,6 +19,7 @@ from nsgleason.linalg import (
     proj,
     random_density,
     random_hermitian,
+    random_units,
 )
 from nsgleason.orientation import Orientation, choi_of, classify_orientation
 from nsgleason.tolerances import PSD
@@ -206,6 +207,7 @@ def test_cp_unit_trace_induces_nonneg_nosig_framefn():
     t = random_density(rng, (2, 3))
     # A density matrix is its own (PSD) Choi matrix, hence CP-classified.
     assert classify_orientation(t).value in (Orientation.CP, Orientation.BOTH)
-    f = OperatorInduced(t, nonnegative=True)
+    f = OperatorInduced(t)
+    assert f.values(random_units(rng, (2, 3), 50)).min() >= 0.0
     rep = check_framefn(f, trials=50, seed=4)
     assert rep.max_discrepancy <= 1e-10

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from nsgleason.bases import ProductState
 from nsgleason.framefn import (
-    LookupError_,
     OperatorInduced,
     make_signalling_example,
     sample_from_operator,
@@ -370,7 +369,7 @@ def section_or_error(call):
     """The distributions a section call returns, or the type of the error it raises."""
     try:
         return call()
-    except (ValidationError, LookupError_) as exc:
+    except (ValidationError, KeyError) as exc:
         return type(exc)
 
 

@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsgleason.framefn import OperatorInduced, make_signalling_example, sample_from_operator
-from nsgleason.gleason import classify_product_positivity, reconstruct_pvm, spanning_design
+from nsgleason.gleason import (
+    classify_product_positivity,
+    random_product_effects,
+    reconstruct_povm,
+    reconstruct_pvm,
+    sample_effects_from_operator,
+    spanning_design,
+)
 from nsgleason.linalg import (
     HermitianOperator,
     make_rng,
@@ -25,6 +32,7 @@ from nsgleason.linalg import (
     random_hermitian,
     random_onb,
 )
+from nsgleason.nosig import chsh_optimize
 from nsgleason.orientation import classify_orientation
 from nsgleason.presheaf import (
     Context,
@@ -100,6 +108,36 @@ def test_reconstruction_is_covariant_under_local_unitaries_and_the_swap(dims, se
             image = reconstruct(maps[name](t))
             assert np.linalg.norm(image.t.mat - maps[name](rec.t).mat) <= 1e-11, (kind, name)
             assert image.classification is rec.classification, (kind, name)
+
+
+def reconstruct_on(effects, t: HermitianOperator):
+    return reconstruct_povm(sample_effects_from_operator(t, effects), effects)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=5, deadline=None)
+def test_effect_reconstruction_is_covariant_under_local_unitaries_and_the_swap(dims, seed):
+    # The same effect grid for U (x) V; the swapped operator is read on the swapped grid.
+    rng = make_rng(seed)
+    effects = random_product_effects(rng, dims, max(dims) ** 2 + 2)
+    maps = symmetry_maps(rng, dims)
+    for kind, t in inputs(rng, dims).items():
+        rec = reconstruct_on(effects, t)
+        for name, grid in (("local unitary", effects), ("site swap", effects[::-1])):
+            image = reconstruct_on(grid, maps[name](t))
+            assert np.linalg.norm(image.t.mat - maps[name](rec.t).mat) <= 1e-11, (kind, name)
+            assert image.classification is rec.classification, (kind, name)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_chsh_maximum_is_invariant_under_local_unitaries_swap_and_conjugation(seed):
+    rng = make_rng(seed)
+    for kind, t in inputs(rng, (2, 2)).items():
+        value = chsh_optimize(t)[0]
+        for name, image in symmetries(rng, t).items():
+            assert abs(chsh_optimize(image)[0] - value) <= 1e-12, (kind, name)
 
 
 def moved_family(contexts, edges, move, swap=False):
