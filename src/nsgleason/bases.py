@@ -92,6 +92,18 @@ def _rows_as_states(sites) -> tuple:
     return states
 
 
+def _row_keys(f: np.ndarray) -> np.ndarray:
+    """Each row of an (N, d) stack as one void scalar: bit-equal rows give equal keys."""
+    return np.ascontiguousarray(f).view(np.dtype((np.void, f.itemsize * f.shape[1]))).ravel()
+
+
+def _first_rows(ids: np.ndarray, k: int) -> np.ndarray:
+    """Each of k classes' first row in ``ids`` (len(ids) for a class no row holds)."""
+    first = np.full(k, len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    return first
+
+
 @dataclass(frozen=True, eq=False)
 class UnentangledBasis(BitEqual):
     """An orthonormal basis consisting of product states, held as per-site
@@ -101,10 +113,40 @@ class UnentangledBasis(BitEqual):
     stacks: tuple
 
     def __post_init__(self):
-        stacks = _phased_stacks(self.stacks)
-        if not stacks or not len(stacks[0]):
+        sites = [np.asarray(f, dtype=complex) for f in self.stacks]
+        keys = [np.unique(_row_keys(f), return_index=True, return_inverse=True) for f in sites]
+        self._set_classes([(f[first], ids.reshape(-1)) for f, (_, first, ids) in zip(sites, keys)])
+
+    @classmethod
+    def _from_classes(cls, classes) -> "UnentangledBasis":
+        """The basis whose site s row r is ``factors[ids[r]]``, per site ``(factors, ids)``."""
+        b = object.__new__(cls)
+        b._set_classes(classes)
+        return b
+
+    def _set_classes(self, classes) -> None:
+        """Site s holds ``factors[ids]``, its (k, d) factors (repeated or unused ones allowed)
+        each unit-checked (check_unit's message, state by state) and phased once.  A
+        site's classes are np.unique's on its stack: ``ids`` numbers the bit-equal
+        factors in byte order, joining those that phasing made bit-equal (such as e_0
+        and -e_0), and ``first`` holds each class's first row."""
+        # Before canonical_phase, which would divide by an infinite entry.
+        check_unit_rows([f for f, _ in classes], [_first_rows(ids, len(f)) for f, ids in classes])
+        if len({len(ids) for _, ids in classes}) > 1:
+            raise ValidationError("per-site stacks hold different numbers of states")
+        if not classes or not len(classes[0][1]):
             raise ValidationError("empty basis")
-        object.__setattr__(self, "stacks", stacks)
+        stacks, site_classes = [], []
+        for factors, ids in classes:
+            phased = canonical_phase(factors)
+            stacks.append(phased[ids])
+            stacks[-1].setflags(write=False)
+            ids = np.unique(_row_keys(phased), return_inverse=True)[1].reshape(-1)[ids]
+            held = np.bincount(ids, minlength=len(phased)) > 0
+            ids = (np.cumsum(held) - 1)[ids]  # classes no row holds go
+            site_classes.append((ids, _first_rows(ids, np.count_nonzero(held))))
+        object.__setattr__(self, "stacks", tuple(stacks))
+        object.__setattr__(self, "_site_classes", site_classes)
 
     @classmethod
     def from_elements(cls, elements) -> "UnentangledBasis":
@@ -125,16 +167,12 @@ class UnentangledBasis(BitEqual):
 
     @cached_property
     def _classes(self) -> list:
-        """Per site stack f, built on first use: each row's class ``ids`` of
-        bit-equal factors, each class's ``first`` row, and ``rows`` =
-        |f[first]^* f^T|, the k distinct rows of the N x N overlap matrix:
-        ``rows[ids]`` is that matrix bit for bit."""
-        classes = []
-        for f in self.stacks:
-            keys = np.ascontiguousarray(f).view(np.dtype((np.void, f.itemsize * f.shape[1])))
-            _, first, ids = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-            classes.append((ids.reshape(-1), first, np.abs(f[first].conj() @ f.T)))
-        return classes
+        """Per site stack f: each row's class ``ids`` of bit-equal factors and each
+        class's ``first`` row, found at construction, and, built on first use,
+        ``rows`` = |f[first]^* f^T|, the k distinct rows of the N x N overlap
+        matrix: ``rows[ids]`` is that matrix bit for bit."""
+        return [(ids, first, np.abs(f[first].conj() @ f.T))
+                for f, (ids, first) in zip(self.stacks, self._site_classes)]
 
     def _key(self) -> tuple:
         return bit_key(self.stacks)
@@ -173,7 +211,8 @@ def product_basis(local_bases) -> UnentangledBasis:
             raise ValidationError(f"local basis has {n} vectors in dim {d}")
         if not is_local_basis(lb.T):  # before phasing, which divides by a lead
             raise ValidationError("local basis Gram matrix deviates from identity")
-    return UnentangledBasis(product_rows(local))
+    grid = product_rows([np.arange(len(lb))[:, None] for lb in local])  # each row's indices
+    return UnentangledBasis._from_classes([(lb, g[:, 0]) for lb, g in zip(local, grid)])
 
 
 @dataclass(frozen=True)
@@ -303,23 +342,32 @@ def apply_twist(b: UnentangledBasis, m: TwistMove) -> UnentangledBasis:
     return UnentangledBasis(stacks)
 
 
-def find_local_pairs(b: UnentangledBasis) -> list:
-    """All (site, (i, j)) pairs differing in exactly one tensor factor.
-
-    These are the 2-dim local subspaces a twist move can act on.  Exhaustive
-    over element pairs, listed with i < j in row-major order.  Each pair's
-    count of differing sites (|<f|g>| < 1 - SAME_FACTOR) is read from one
-    one-hot product over the site classes (:func:`_class_counts`), a block of
-    rows at a time, so no N x N overlap matrix is formed.  The pairs that
-    differ at one site then look up which.
-    """
+def _local_pairs(b: UnentangledBasis, sites: bool = False) -> tuple:
+    """The local pairs as (i, j) index arrays, i < j in row-major order, and with
+    ``sites`` first the array of the site where each pair differs.  Each pair's
+    count of differing sites (|<f|g>| < 1 - SAME_FACTOR) is read from one one-hot
+    product over the site classes (:func:`_class_counts`), a block of rows at a
+    time, so no N x N overlap matrix is formed."""
     found = [np.zeros((2, 0), int)]
     for r, n_diff in _class_counts(b, lambda rows: rows < 1 - tol.SAME_FACTOR):
         i, k = divmod(np.flatnonzero(n_diff == 1), n_diff.shape[1])
         found.append([r + i[k >= i], r + 1 + k[k >= i]])
     i, j = np.concatenate(found, axis=1)
+    if not sites:
+        return i, j
     site = np.argmax([rows[ids[i], j] < 1 - tol.SAME_FACTOR for ids, _, rows in b._classes],
                      axis=0)
+    return site, i, j
+
+
+def find_local_pairs(b: UnentangledBasis) -> list:
+    """All (site, (i, j)) pairs differing in exactly one tensor factor.
+
+    These are the 2-dim local subspaces a twist move can act on.  Exhaustive
+    over element pairs, listed with i < j in row-major order: the index arrays
+    of :func:`_local_pairs` as a list.
+    """
+    site, i, j = _local_pairs(b, sites=True)
     return list(zip(site.tolist(), zip(i.tolist(), j.tolist())))
 
 
@@ -374,18 +422,16 @@ def _as_product_basis(b: UnentangledBasis) -> tuple | None:
     classes in order of first occurrence.  Returns each site's representatives
     as the rows of a read-only local basis, or None."""
     reps, signatures = [], []
-    for stack in b.stacks:
+    for stack, (ids, first) in zip(b.stacks, b._site_classes):
         reps.append([])
-        classes = {}  # a factor's bytes: its class number and first factor
-        ids = [classes.setdefault(f.tobytes(), (len(classes), f))[0] for f in stack]
-        joins = []
-        for _, f in classes.values():
+        joins = np.zeros(len(first), int)
+        for c in np.argsort(first):
             k = next((k for k, r in enumerate(reps[-1])
-                      if abs(np.vdot(f, r)) > 1 - tol.SAME_FACTOR), len(reps[-1]))
+                      if abs(np.vdot(stack[first[c]], r)) > 1 - tol.SAME_FACTOR), len(reps[-1]))
             if k == len(reps[-1]):
-                reps[-1].append(f)
-            joins.append(k)
-        signatures.append(np.array(joins)[ids])
+                reps[-1].append(stack[first[c]])
+            joins[c] = k
+        signatures.append(joins[ids])
     n = len(b.stacks[0])
     signatures = set(zip(*(s.tolist() for s in signatures)))
     if n != b.dim or tuple(map(len, reps)) != b.dims or len(signatures) != n:
@@ -438,13 +484,16 @@ def _twist_gains(aligned, rows, selfs, site, i, j, new, at_site) -> np.ndarray:
     return kept - old + hits.sum(axis=(1, 2)) + inner
 
 
-def _site_moves(b: UnentangledBasis, site: int, pairs, aligned, rows, selfs) -> tuple:
+def _site_moves(b: UnentangledBasis, site: int, i, j, aligned, rows, selfs) -> tuple:
     """(rotations, i, j, gains) of the candidate moves at ``site``, in (pair, target)
-    order, from one stacked pass over the ``pairs`` (i, j) that pass :func:`_check_twist_pair`.
+    order, from one stacked pass over the local pairs (i, j) at ``site`` whose factors
+    there are orthogonal, gathered from the class rows as :func:`_check_twist_pair` asks.
     A pair's targets are the site's other factors, then the computational axes.  A
     candidate's target is in span, its MOVE_KEY_DECIMALS key is new to its pair, and
     both its rotated factors pass check_unit; its gain is :func:`_twist_gains`'s."""
-    i, j = np.array([p for p in pairs if not _check_twist_pair(b, site, *p)], int).reshape(-1, 2).T
+    ids, _, overlaps = b._classes[site]
+    ortho = overlaps[ids[i], j] <= tol.ORTHO_PAIR
+    i, j = i[ortho], j[ortho]
     f = b.stacks[site]
     d = f.shape[1]
     rot, ok = _rotation_to_target(f[i, None], f[j, None], np.concatenate([f, np.eye(d)]))
@@ -491,8 +540,8 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
             return SearchResult(True, TwistCertificate(tuple(moves), initial, pb), "", tried)
         if step >= budget:
             return SearchResult(False, None, "move budget exhausted", tried)
-        pairs = find_local_pairs(b)
-        if not pairs:
+        sites, pi, pj = _local_pairs(b, sites=True)
+        if not len(sites):
             return SearchResult(
                 False, None, "no local pairs exist; no twist move applies", tried
             )
@@ -500,8 +549,9 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
         selfs = aligned.diagonal(axis1=1, axis2=2)
         rows = aligned.sum(axis=2) - selfs
         best = None  # (gain, move)
-        for site, group in itertools.groupby(sorted(pairs), key=lambda sp: sp[0]):
-            rot, i, j, gains = _site_moves(b, site, [p for _, p in group], aligned, rows, selfs)
+        for site in sorted(set(sites.tolist())):
+            at = sites == site
+            rot, i, j, gains = _site_moves(b, site, pi[at], pj[at], aligned, rows, selfs)
             tried += len(gains)
             if len(gains) and gains.max() > (best[0] if best else 0):
                 k = int(np.argmax(gains))

@@ -21,7 +21,7 @@ from . import tolerances as tol
 from .bases import (
     BasisReport,
     UnentangledBasis,
-    find_local_pairs,
+    _local_pairs,
     twist_search,
     twisted_example_certificate,
     validate_unentangled,
@@ -289,7 +289,7 @@ def cmd_keller(args, rep):
         v = validate_unentangled(basis)
         rep.verdict("basis_valid", v.is_valid, v.worst_overlap, v.tolerance)
         if graph == kel.Graph.G_STAR:
-            n_pairs = len(find_local_pairs(basis))
+            n_pairs = len(_local_pairs(basis)[0])  # counted: no (site, pair) list is built
             note = ("facet-free cliques admit no twist moves" if report.is_clique else
                     "counted on a candidate that is not a G_STAR-clique, so no "
                     "absence of local pairs is implied")

@@ -63,7 +63,11 @@ class OperatorInduced(_Evaluated):
 
 @dataclass(frozen=True)
 class Tabulated(_Evaluated):
-    """Values stored on an explicit design; lookup is by bit-exact state key."""
+    """Values stored on an explicit design; lookup is by bit-exact state key.
+
+    Canonical phases leave no -0.0 part, so the sign of a zero amplitude changes no
+    key; but a state given in another phase, such as e^{0.3i}, may phase to bits a
+    rounding away from its key's and miss."""
 
     dims: tuple
     table: dict  # ProductState.key() -> float

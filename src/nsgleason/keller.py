@@ -265,8 +265,9 @@ def family_from_clique(c: CliqueCandidate, graph: Graph = Graph.G) -> Unentangle
 def _clique_states(c: CliqueCandidate, verified: bool, what: str) -> UnentangledBasis:
     if not verified:
         raise ValidationError(f"candidate is not a verified {what}")
+    # Site s of element k holds the state of digit c.vectors[k, s]: the digits are the classes.
     digits = np.array(DIGIT_STATES)
-    return UnentangledBasis([digits[col] for col in c.vectors.T])
+    return UnentangledBasis._from_classes([(digits, col) for col in c.vectors.T])
 
 
 # ---------------------------------------------------------------------------

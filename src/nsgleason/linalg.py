@@ -95,11 +95,12 @@ class BitEqual:
 def canonical_phase(v: np.ndarray) -> np.ndarray:
     """Rescale a vector so its first nonzero amplitude is real positive.
 
-    Makes equality-up-to-global-phase checks deterministic.  Phasing twice
+    Makes equality-up-to-global-phase checks deterministic: no part is left
+    -0.0, so the sign of a zero amplitude changes no bit.  Phasing twice
     changes no bit: the leading amplitude is made exactly real, and a vector
-    whose leading amplitude is real positive is returned as it is.  A stack
-    (along the last axis) is phased row by row, bit-identically to each row;
-    the result is always a new array.
+    whose leading amplitude is real positive only has its zeros made +0.0.  A
+    stack (along the last axis) is phased row by row, bit-identically to each
+    row; the result is always a new array.
     """
     # np.hypot rounds as abs() of a complex scalar does; np.abs of an array does not.
     v = np.array(v, dtype=complex, order="C")
@@ -111,6 +112,7 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     cols, lead = cols[rows], lead[rows]
     flat[rows] = flat[rows] * (lead.conjugate() / np.hypot(lead.real, lead.imag))[:, None]
     flat[rows, cols] = flat[rows, cols].real
+    v += 0.0  # each -0.0 becomes 0.0, so a state's bits do not depend on the sign of a zero
     return v
 
 
@@ -137,9 +139,12 @@ def unit_rows(f: np.ndarray) -> np.ndarray:
     return ok
 
 
-def check_unit_rows(stacks) -> None:
-    """check_unit on the rows of per-site (N, d) stacks, state by state."""
-    for k, s in sorted((k, s) for s, f in enumerate(stacks) for k in _unit_suspects(f)):
+def check_unit_rows(stacks, states=None) -> None:
+    """check_unit on the rows of per-site (N, d) stacks, state by state: row k of
+    stack s stands for state ``states[s][k]`` (by default, state k)."""
+    states = states or [range(len(f)) for f in stacks]
+    for _, s, k in sorted((states[s][k], s, k) for s, f in enumerate(stacks)
+                          for k in _unit_suspects(f)):
         check_unit(stacks[s][k])
 
 

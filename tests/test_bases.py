@@ -240,13 +240,27 @@ def test_rotations_differing_in_a_signed_zero_are_one_candidate(monkeypatch):
 
 
 def test_twist_search_builds_site_classes_once_a_step(monkeypatch):
-    # One np.unique a site for each basis whose local pairs are listed: the
-    # pair search and the move scoring read the same cached classes.
+    # Classes are found once a basis, when it is built: a site takes one np.unique
+    # over its rows and one over its phased class factors (which joins classes
+    # that phasing makes bit-equal, such as e_0 and -e_0).  The pair search, the
+    # checks and the move scoring read the cached classes, and call none.
+    b = twisted_example_basis()
     calls = []
     unique = np.unique
     monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
-    res = twist_search(twisted_example_basis())
-    assert res.found and len(calls) == 2 * len(res.certificate.moves)
+    res = twist_search(b)
+    assert res.found and len(calls) == 2 * len(b.stacks) * len(res.certificate.moves)
+    calls.clear()
+    back = UnentangledBasis(b.stacks)
+    assert len(calls) == 2 * len(b.stacks)
+    validate_unentangled(back), find_local_pairs(back), twist_search(back, budget=0)
+    assert len(calls) == 2 * len(b.stacks)
+    # Clique digits are classes already: one np.unique a site, over its <= 4 digit states.
+    calls.clear()
+    clique = basis_from_clique(bundled_candidate())
+    assert len(calls) == len(clique.stacks)
+    validate_unentangled(clique), find_local_pairs(clique)
+    assert len(calls) == len(clique.stacks)
 
 
 def test_twist_search_on_product_basis_is_empty():
@@ -271,11 +285,13 @@ def twisted_basis(seed, dims, n_moves):
 
 
 def test_clique_basis_checks_build_no_product_states():
-    # The pair checks and the JSON writer read the stacks; no ProductState is made.
+    # The pair checks and the JSON writer read the stacks; no ProductState is made,
+    # and a basis that is only built and written holds no class overlap rows.
     b = basis_from_clique(bundled_candidate())
-    assert validate_unentangled(b).is_valid and len(find_local_pairs(b)) == 5120
     b.to_json()
-    assert "elements" not in vars(b)
+    assert "_classes" not in vars(b)
+    assert validate_unentangled(b).is_valid and len(find_local_pairs(b)) == 5120
+    assert "elements" not in vars(b) and "_classes" in vars(b)
     assert len(b.elements) == len(b.stacks[0]) == 1024 and "elements" in vars(b)
 
 

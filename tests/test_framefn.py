@@ -288,3 +288,19 @@ def test_values_reject_what_product_states_reject():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="norm"):
             f.values([v, w])
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
+def test_state_keys_ignore_the_sign_of_zero_amplitudes(dims):
+    # On the design, v * -1 phases back to v's bits but for the sign of its zero
+    # parts, which phasing makes 0.0: the state, its key and its tabulated value
+    # are those of v.  A generic phase such as e^{0.3i} may still round to other bits.
+    design = spanning_design(dims).states
+    f = sample_from_operator(random_density(make_rng(1), dims), design)
+    for s in design:
+        v, w = s.factors
+        for flipped in (ProductState((v * -1, w)), ProductState((v, w * -1))):
+            assert flipped == s and flipped.key() == s.key()
+            assert f(flipped) == f(s)
+    flipped = [x * -1 for x in site_stacks(design)]
+    assert f.values(flipped).tolist() == f.values(site_stacks(design)).tolist()

@@ -279,7 +279,7 @@ def test_real_decoder_shares_the_complex_decoders_checks(value):
 
 def ref_canonical_phase(v):
     """canonical_phase of one vector, one amplitude at a time: the single-vector
-    loop canonical_phase ran before it had one stacked path."""
+    loop canonical_phase ran before it had one stacked path, with each -0.0 made 0.0."""
     v = np.asarray(v, dtype=complex)
     for k, x in enumerate(v):
         if abs(x) > PHASE_AMPLITUDE:
@@ -287,8 +287,8 @@ def ref_canonical_phase(v):
                 break
             out = v * (x.conjugate() / abs(x))
             out[k] = out[k].real
-            return out
-    return v.copy()
+            return np.array([complex(z.real + 0.0, z.imag + 0.0) for z in out])
+    return np.array([complex(z.real + 0.0, z.imag + 0.0) for z in v])
 
 
 def sequential_unit(rng, d):
@@ -333,11 +333,12 @@ def test_single_draws_match_sequential_draws(seed, d):
 
 
 def test_canonical_phase_twice_changes_no_bit():
-    # A real positive leading amplitude is phase 1: the vector comes back as it
-    # is, -0.0 entries included.  Any other lead is made exactly real, one
+    # A real positive leading amplitude is phase 1: the vector comes back with
+    # only its -0.0 parts made 0.0.  Any other lead is made exactly real, one
     # row of a stack as the row alone.
     v = np.array([0.0, 0.6, complex(-0.0, -0.0), complex(0.0, -0.8)])
-    assert canonical_phase(v).tobytes() == v.tobytes()
+    assert canonical_phase(v).tobytes() == np.array([0.0, 0.6, 0.0, complex(0.0, -0.8)]).tobytes()
+    assert canonical_phase(v).tobytes() != v.tobytes()
     rows = np.stack([v, v * 1j, v * np.exp(0.3j), -v, np.zeros(4, complex)])
     for stack in (rows, rows[:4].reshape(2, 2, 4)):
         once = canonical_phase(stack)

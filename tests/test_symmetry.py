@@ -1,5 +1,6 @@
 """Symmetry tests: the orientation and product-positivity classes are invariant under
-the setting's symmetries, and reconstruction and sections are covariant under them.
+the setting's symmetries, and reconstruction and sections are covariant under them;
+so are local pairs and the twist search under a permutation of a basis's sites.
 
 Local unitaries U (x) V, the site swap and complex conjugation each map product
 states to product states, and the first and last keep the spectra of t and of its
@@ -10,11 +11,22 @@ design is the transformed reconstruction.  Likewise the section of a transformed
 operator on the transformed contexts is the original section, transposed by the swap.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsgleason.bases import (
+    TwistMove,
+    UnentangledBasis,
+    apply_twist,
+    find_local_pairs,
+    product_basis,
+    twist_search,
+    twisted_example_basis,
+)
 from nsgleason.framefn import OperatorInduced, make_signalling_example, sample_from_operator
 from nsgleason.gleason import (
     classify_product_positivity,
@@ -183,3 +195,36 @@ def test_sections_are_covariant_under_local_unitaries_and_the_swap(dims, seed):
     moved_report = check_section(image, family_edges)
     assert not report.passed and not moved_report.passed
     assert abs(moved_report.max_distance - report.max_distance) <= 1e-12
+
+
+def twisted(rng, dims, n_moves) -> UnentangledBasis:
+    """A random product basis after ``n_moves`` random twist moves."""
+    b = product_basis([random_onb(rng, d).T for d in dims])
+    for _ in range(n_moves):
+        pairs = find_local_pairs(b)
+        site, pair = pairs[int(rng.integers(len(pairs)))]
+        b = apply_twist(b, TwistMove(site, pair, random_onb(rng, 2)))
+    return b
+
+
+def check_site_permutations(b: UnentangledBasis):
+    # Site s of the permuted basis is site perm[s] of b: each local pair keeps its
+    # (i, j) and moves to its site's new place, and the search reaches the same end.
+    pairs, res = find_local_pairs(b), twist_search(b, budget=8)
+    for perm in itertools.permutations(range(len(b.stacks))):
+        moved = UnentangledBasis([b.stacks[s] for s in perm])
+        assert find_local_pairs(moved) == [(perm.index(s), p) for s, p in pairs], perm
+        image = twist_search(moved, budget=8)
+        assert (image.found, image.reason) == (res.found, res.reason), perm
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 2, 2)])
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_local_pairs_and_twist_search_follow_a_site_permutation(dims, seed):
+    rng = make_rng(seed)
+    check_site_permutations(twisted(rng, dims, int(rng.integers(0, 4))))
+
+
+def test_twisted_example_is_untwisted_under_the_site_swap():
+    check_site_permutations(twisted_example_basis())

@@ -221,6 +221,30 @@ def check_site_overlaps(b):
         assert g.shape == r.shape and (g == r).all()
 
 
+def check_per_class(b, raw=None):
+    """b, built from the per-site stacks ``raw`` when given, holds raw phased row by
+    row; its classes are a fresh np.unique's of its stacks; and its pair checks,
+    local pairs (as a list, as arrays and as keller basis's count) are the loops'."""
+    if raw is not None:
+        assert [f.tobytes() for f in b.stacks] == [canonical_phase(r).tobytes() for r in raw]
+    for f, (ids, first, _) in zip(b.stacks, b._classes):
+        keys = np.ascontiguousarray(f).view(np.dtype((np.void, f.itemsize * f.shape[1]))).ravel()
+        _, want_first, want_ids = np.unique(keys, return_index=True, return_inverse=True)
+        assert ids.tolist() == want_ids.ravel().tolist() and first.tolist() == want_first.tolist()
+    assert validate_unentangled(b) == ref_validate(b)
+    pairs = find_local_pairs(b)
+    assert pairs == ref_find_local_pairs(b)
+    i, j = bases._local_pairs(b)
+    assert list(zip(i.tolist(), j.tolist())) == [p for _, p in pairs] and len(i) == len(pairs)
+    check_site_overlaps(b)
+
+
+def sign_flipped(stacks, rng):
+    """The stacks with about half their rows times -1: each row phases to the bits of
+    its unflipped row or within a rounding of them."""
+    return [f * rng.choice([-1.0, 1.0], (len(f), 1)) for f in stacks]
+
+
 # ---------------------------------------------------------------------------
 # Keller engine
 
@@ -390,9 +414,29 @@ def clique_bases():
 @pytest.mark.parametrize("b", clique_bases(),
                          ids=["g3", "gstar3", "bundled", "g3_twisted", "bundled_twisted"])
 def test_clique_basis_checks_match_loops(b):
-    assert validate_unentangled(b) == ref_validate(b)
-    assert find_local_pairs(b) == ref_find_local_pairs(b)
-    check_site_overlaps(b)
+    check_per_class(b)
+    flipped = sign_flipped(b.stacks, make_rng(len(b.stacks[0])))
+    check_per_class(UnentangledBasis(flipped), flipped)
+
+
+def test_factors_that_phase_alike_join_one_class():
+    e = np.eye(2, dtype=complex)
+    raw = [np.array([e[0], -e[0], e[1], -e[1]]), np.array([e[0], e[1], -e[0], -e[1]])]
+    b = UnentangledBasis(raw)
+    check_per_class(b, raw)
+    assert [len(first) for _, first, _ in b._classes] == [2, 2]
+    assert validate_unentangled(b).is_valid
+
+
+@pytest.mark.parametrize("make,graph", [(basis_from_clique, Graph.G),
+                                        (family_from_clique, Graph.G_STAR)])
+def test_clique_bases_are_their_digit_states_phased(make, graph):
+    # The digits are the classes: each site holds the digit states' phased rows.
+    for c in (clique_search(3, 8, graph=Graph.G), clique_search(3, 5, graph=Graph.G_STAR),
+              bundled_candidate()):
+        if verify_clique(c, graph).is_clique and (graph == Graph.G_STAR or c.size == 2 ** c.n):
+            digits = np.array(DIGIT_STATES)
+            check_per_class(make(c), [digits[col] for col in c.vectors.T])
 
 
 def test_twisted_clique_basis_mixes_exact_and_generic_overlaps():
@@ -430,7 +474,13 @@ def test_basis_checks_match_loops(seed, dims, n_moves):
     site_factors = [e.factors[0].tobytes() for e in jit.elements]
     assert len(set(site_factors)) == len(site_factors)
     for c in (b, dup, jit):
-        check_site_overlaps(c)
+        check_per_class(c)
+    # Factors that differ only by a phase of -1, and a moved factor: built per class,
+    # the stacks are every row phased, and the classes are those of the phased rows.
+    for raw in (sign_flipped(b.stacks, rng), sign_flipped(dup.stacks, rng),
+                sign_flipped(moved(b, rng, 1.0).stacks, rng)):
+        c = UnentangledBasis(raw)
+        check_per_class(c, raw)
 
 
 def check_twist_search(b, n_moves):
@@ -507,7 +557,9 @@ def test_target_orthogonal_to_the_span_gives_no_candidate_and_no_warning():
 def moved(b, rng, eps):
     """b with one factor of one element moved by about eps: eps = 3e-9 keeps
     it within ORTHO_PAIR of orthogonal, so rotated factors fail the unit-norm
-    check; eps = 1 makes pairs that fail apply_twist's orthogonality check."""
+    check; eps = 1 makes pairs that fail apply_twist's orthogonality check, and
+    eps = 1e-7 pairs that fail it while some of their rotated factors, close to
+    the pair's own, still pass the unit-norm check."""
     k, s = int(rng.integers(len(b.elements))), int(rng.integers(b.elements[0].nsites))
     facs = list(b.elements[k].factors)
     g = facs[s] + eps * (rng.standard_normal(len(facs[s])) + 1j * rng.standard_normal(len(facs[s])))
@@ -550,7 +602,7 @@ def test_twist_gains_match_full_rescoring(seed, dims, n_moves, eps):
 
 
 @given(seeds, st.sampled_from([(3, 3), (2, 2, 2), (2, 3), (3, 3, 3)]),
-       st.integers(min_value=1, max_value=3), st.sampled_from([0.0, 3e-9, 1.0]))
+       st.integers(min_value=1, max_value=3), st.sampled_from([0.0, 3e-9, 1e-7, 1.0]))
 @settings(max_examples=30, deadline=None)
 def test_twist_search_matches_candidate_by_candidate_search(seed, dims, n_moves, eps):
     b = twisted(seed, dims, n_moves)
