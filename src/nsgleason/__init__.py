@@ -10,6 +10,7 @@ counterexample giving unentangled bases that are not twisted product bases.
 
 from .linalg import (
     HermitianOperator,
+    ProductState,
     Spectrum,
     ValidationError,
     hermitian_eig,
@@ -23,7 +24,6 @@ from .linalg import (
     tensor,
 )
 from .bases import (
-    ProductState,
     TwistCertificate,
     TwistMove,
     UnentangledBasis,

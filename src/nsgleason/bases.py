@@ -18,78 +18,20 @@ import numpy as np
 from . import tolerances as tol
 from .linalg import (
     BitEqual,
+    ProductState,
     ValidationError,
+    _first_rows,
+    _phased_classes,
+    _rows_as_states,
     bit_key,
     canonical_phase,
-    check_unit_rows,
     complex_from_json,
     complex_to_json,
     is_integer,
     is_local_basis,
     product_rows,
-    tensor,
     unit_rows,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class ProductState(BitEqual):
-    """A product state, stored as per-site unit factors with canonical phase."""
-
-    factors: tuple
-
-    def __post_init__(self):
-        sites = _phased_stacks([np.asarray(f, dtype=complex)[None] for f in self.factors])
-        object.__setattr__(self, "factors", tuple(f[0] for f in sites))
-
-    @classmethod
-    def batch(cls, stacks) -> tuple:
-        """States from per-site (N, d_s) stacks, row k of each holding a factor
-        of state k: the constructor's phases and unit checks, one pass a site."""
-        return _rows_as_states(_phased_stacks(stacks))
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(len(f) for f in self.factors)
-
-    @property
-    def nsites(self) -> int:
-        return len(self.factors)
-
-    def full(self) -> np.ndarray:
-        return tensor(self.factors)
-
-    def key(self) -> bytes:
-        """Bit-exact serialization key (canonical phases make this stable)."""
-        return self._key_bytes
-
-    @cached_property
-    def _key_bytes(self) -> bytes:
-        # Built once: the factors are read-only.
-        return b"".join(np.ascontiguousarray(f).tobytes() for f in self.factors)
-
-    def _key(self) -> tuple:
-        return bit_key(self.factors)
-
-
-def _phased_stacks(stacks) -> tuple:
-    """Per-site (N, d_s) stacks of unit factors, one state a row: checked with
-    check_unit's message, given canonical phase, and read-only."""
-    check_unit_rows(stacks)  # before canonical_phase, which would divide by an infinite entry
-    sites = tuple(canonical_phase(f) for f in stacks)
-    if len({len(f) for f in sites}) > 1:
-        raise ValidationError("per-site stacks hold different numbers of states")
-    for f in sites:
-        f.setflags(write=False)
-    return sites
-
-
-def _rows_as_states(sites) -> tuple:
-    """The product states of phased stacks: state k holds row k of each, unchecked."""
-    states = tuple(object.__new__(ProductState) for _ in range(len(sites[0]) if sites else 0))
-    for e, facs in zip(states, zip(*sites)):
-        object.__setattr__(e, "factors", facs)
-    return states
 
 
 def _row_keys(f: np.ndarray) -> np.ndarray:
@@ -97,63 +39,48 @@ def _row_keys(f: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(f).view(np.dtype((np.void, f.itemsize * f.shape[1]))).ravel()
 
 
-def _first_rows(ids: np.ndarray, k: int) -> np.ndarray:
-    """Each of k classes' first row in ``ids`` (len(ids) for a class no row holds)."""
-    first = np.full(k, len(ids))
-    np.minimum.at(first, ids, np.arange(len(ids)))
-    return first
-
-
 @dataclass(frozen=True, eq=False)
 class UnentangledBasis(BitEqual):
     """An orthonormal basis consisting of product states, held as per-site
     (N, d_s) read-only stacks of unit factors with canonical phase: element k
-    is row k of each stack."""
+    is row k of each stack, normalised as ProductState is (each row its own
+    factor, or per site ``(factors, ids)`` by ``_from_classes``)."""
 
     stacks: tuple
 
     def __post_init__(self):
-        sites = [np.asarray(f, dtype=complex) for f in self.stacks]
-        keys = [np.unique(_row_keys(f), return_index=True, return_inverse=True) for f in sites]
-        self._set_classes([(f[first], ids.reshape(-1)) for f, (_, first, ids) in zip(sites, keys)])
+        self._set_classes(self.stacks)
 
     @classmethod
     def _from_classes(cls, classes) -> "UnentangledBasis":
         """The basis whose site s row r is ``factors[ids[r]]``, per site ``(factors, ids)``."""
         b = object.__new__(cls)
-        b._set_classes(classes)
+        b._set_classes([f for f, _ in classes], [ids for _, ids in classes])
         return b
 
-    def _set_classes(self, classes) -> None:
-        """Site s holds ``factors[ids]``, its (k, d) factors (repeated or unused ones allowed)
-        each unit-checked (check_unit's message, state by state) and phased once.  A
-        site's classes are np.unique's on its stack: ``ids`` numbers the bit-equal
-        factors in byte order, joining those that phasing made bit-equal (such as e_0
-        and -e_0), and ``first`` holds each class's first row."""
-        # Before canonical_phase, which would divide by an infinite entry.
-        check_unit_rows([f for f, _ in classes], [_first_rows(ids, len(f)) for f, ids in classes])
-        if len({len(ids) for _, ids in classes}) > 1:
-            raise ValidationError("per-site stacks hold different numbers of states")
-        if not classes or not len(classes[0][1]):
+    def _set_classes(self, factors, ids=None) -> None:
+        """Site s holds ``factors[s][ids[s]]``, normalised by :func:`_phased_classes`.  A
+        site's classes are np.unique's on its phased factors, one sort a site: ``ids``
+        numbers the bit-equal ones in byte order, joining those that phasing made
+        bit-equal (such as e_0 and -e_0), and ``first`` holds each class's first row."""
+        phased, stacks = _phased_classes(factors, ids)
+        if not stacks or not len(stacks[0]):
             raise ValidationError("empty basis")
-        stacks, site_classes = [], []
-        for factors, ids in classes:
-            phased = canonical_phase(factors)
-            stacks.append(phased[ids])
-            stacks[-1].setflags(write=False)
-            ids = np.unique(_row_keys(phased), return_inverse=True)[1].reshape(-1)[ids]
-            held = np.bincount(ids, minlength=len(phased)) > 0
-            ids = (np.cumsum(held) - 1)[ids]  # classes no row holds go
-            site_classes.append((ids, _first_rows(ids, np.count_nonzero(held))))
-        object.__setattr__(self, "stacks", tuple(stacks))
+        site_classes = []
+        for s, f in enumerate(phased):
+            classes = np.unique(_row_keys(f), return_inverse=True)[1].reshape(-1)
+            if ids:
+                classes = classes[ids[s]]
+                held = np.bincount(classes, minlength=len(f)) > 0
+                classes = (np.cumsum(held) - 1)[classes]  # classes no row holds go
+            site_classes.append((classes, _first_rows(classes, int(classes.max()) + 1)))
+        object.__setattr__(self, "stacks", stacks)
         object.__setattr__(self, "_site_classes", site_classes)
 
     @classmethod
     def from_elements(cls, elements) -> "UnentangledBasis":
         """The basis of a sequence of ProductStates or factor tuples."""
         facs = [e.factors if isinstance(e, ProductState) else tuple(e) for e in elements]
-        if not facs:
-            raise ValidationError("empty basis")
         try:  # on factors of different lengths, or numbers of sites (zip is strict)
             stacks = [np.array(f, dtype=complex) for f in zip(*facs, strict=True)]
         except ValueError:
@@ -227,11 +154,6 @@ class BasisReport:
 
 
 _BLOCK = 1 << 16  # the pair checks take this many pairs at a time
-
-
-def site_stacks(states) -> list:
-    """Per-site (N, d) stacks of the factors of a sequence of product states."""
-    return [np.array(f) for f in zip(*(s.factors for s in states))]
 
 
 def _class_counts(b: UnentangledBasis, marked):
@@ -582,18 +504,8 @@ def twisted_example_basis() -> UnentangledBasis:
     m01 = _ket(3, (0, 1), (1, -1))
     p12 = _ket(3, (1, 1), (2, 1))
     m12 = _ket(3, (1, 1), (2, -1))
-    elems = (
-        ProductState((e0, p01)),
-        ProductState((e0, m01)),
-        ProductState((p01, e2)),
-        ProductState((p12, e0)),
-        ProductState((e1, e1)),
-        ProductState((m01, e2)),
-        ProductState((m12, e0)),
-        ProductState((e2, p12)),
-        ProductState((e2, m12)),
-    )
-    return UnentangledBasis.from_elements(elems)
+    return UnentangledBasis.from_elements([(e0, p01), (e0, m01), (p01, e2), (p12, e0), (e1, e1),
+                                           (m01, e2), (m12, e0), (e2, p12), (e2, m12)])
 
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import ProductState, site_stacks
-from .linalg import (HermitianOperator, ValidationError, canonical_phase, check_unit_rows,
-                     product_values)
+from .linalg import (HermitianOperator, ProductState, ValidationError, canonical_phase,
+                     check_unit_rows, product_values, site_stacks)
 
 
 class _Evaluated:
@@ -66,8 +65,8 @@ class Tabulated(_Evaluated):
     """Values stored on an explicit design; lookup is by bit-exact state key.
 
     Canonical phases leave no -0.0 part, so the sign of a zero amplitude changes no
-    key; but a state given in another phase, such as e^{0.3i}, may phase to bits a
-    rounding away from its key's and miss."""
+    key, nor does a phase of -1; but a state given in another phase, such as
+    e^{0.3i}, may phase to bits a rounding away from its key's and miss."""
 
     dims: tuple
     table: dict  # ProductState.key() -> float

@@ -23,10 +23,10 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from . import tolerances as tol
-from .bases import ProductState
 from .linalg import (
     PAULI,
     HermitianOperator,
+    ProductState,
     ValidationError,
     is_integer,
     make_rng,

@@ -2,8 +2,9 @@
 
 Everything here works on plain numpy arrays; :class:`HermitianOperator` is a
 thin validated wrapper that remembers the tensor factorization of the space it
-acts on.  Its tolerances, chosen for double precision at total dimension up
-to ~1024, live in :mod:`nsgleason.tolerances`.
+acts on, and :class:`ProductState` holds a product state's phased unit factors.
+Tolerances, chosen for double precision at total dimension up to ~1024, live in
+:mod:`nsgleason.tolerances`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,8 +101,9 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     -0.0, so the sign of a zero amplitude changes no bit.  Phasing twice
     changes no bit: the leading amplitude is made exactly real, and a vector
     whose leading amplitude is real positive only has its zeros made +0.0.  A
-    stack (along the last axis) is phased row by row, bit-identically to each
-    row; the result is always a new array.
+    real negative lead is divided out by its sign, which is exact, so -v phases
+    to the bits of v.  A stack (along the last axis) is phased row by row,
+    bit-identically to each row; the result is always a new array.
     """
     # np.hypot rounds as abs() of a complex scalar does; np.abs of an array does not.
     v = np.array(v, dtype=complex, order="C")
@@ -110,7 +113,9 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     lead = flat[np.arange(len(flat)), cols]
     rows = np.flatnonzero(big.any(axis=-1) & ((lead.imag != 0) | ~(lead.real > 0)))
     cols, lead = cols[rows], lead[rows]
-    flat[rows] = flat[rows] * (lead.conjugate() / np.hypot(lead.real, lead.imag))[:, None]
+    scale = lead.conjugate() / np.hypot(lead.real, lead.imag)
+    scale[lead.imag == 0] = -1.0  # a real negative lead: dividing by its sign is exact
+    flat[rows] = flat[rows] * scale[:, None]
     flat[rows, cols] = flat[rows, cols].real
     v += 0.0  # each -0.0 becomes 0.0, so a state's bits do not depend on the sign of a zero
     return v
@@ -146,6 +151,89 @@ def check_unit_rows(stacks, states=None) -> None:
     for _, s, k in sorted((states[s][k], s, k) for s, f in enumerate(stacks)
                           for k in _unit_suspects(f)):
         check_unit(stacks[s][k])
+
+
+def _first_rows(ids: np.ndarray, k: int) -> np.ndarray:
+    """Each of k classes' first row in ``ids`` (len(ids) for a class no row holds)."""
+    first = np.full(k, len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    return first
+
+
+def _phased_classes(factors, ids=None) -> tuple:
+    """The product-state normaliser: site s holds the (k, d) stack ``factors[s]``, with
+    d >= 1 (else ValidationError naming s), and state r holds its factor ``ids[s][r]``
+    (by default, factor r).  Unit-checks each factor (check_unit's message) in the order
+    of the first state holding it, checks that every site holds as many states, and
+    phases each factor once.  Returns the phased factors and read-only ``phased[ids]``."""
+    factors = [np.asarray(f, dtype=complex) for f in factors]
+    for site, f in enumerate(factors):
+        if f.ndim != 2 or not f.shape[1]:
+            raise ValidationError(f"site {site}: a stack of shape {f.shape}, not (k, d), d >= 1")
+    # Before canonical_phase, which would divide by an infinite entry.
+    check_unit_rows(factors, ids and [_first_rows(i, len(f)) for f, i in zip(factors, ids)])
+    if len({len(i) for i in ids or factors}) > 1:
+        raise ValidationError("per-site stacks hold different numbers of states")
+    phased = [canonical_phase(f) for f in factors]
+    stacks = tuple(phased if ids is None else (p[i] for p, i in zip(phased, ids)))
+    for f in stacks:
+        f.setflags(write=False)
+    return phased, stacks
+
+
+@dataclass(frozen=True, eq=False)
+class ProductState(BitEqual):
+    """A product state of one or more sites: unit factors in canonical phase, one a site."""
+
+    factors: tuple
+
+    def __post_init__(self):
+        sites = [np.asarray(f, dtype=complex)[None] for f in self.factors]
+        if not sites:
+            raise ValidationError("a product state needs at least one site")
+        object.__setattr__(self, "factors", tuple(f[0] for f in _phased_classes(sites)[1]))
+
+    @classmethod
+    def batch(cls, stacks) -> tuple:
+        """States from per-site (N, d_s) stacks, state k holding row k of each: the
+        constructor's checks and phases, one pass a site."""
+        return _rows_as_states(_phased_classes(stacks)[1])
+
+    @property
+    def dims(self) -> tuple:
+        return tuple(len(f) for f in self.factors)
+
+    @property
+    def nsites(self) -> int:
+        return len(self.factors)
+
+    def full(self) -> np.ndarray:
+        return tensor(self.factors)
+
+    def key(self) -> bytes:
+        """Bit-exact serialization key (canonical phases make this stable)."""
+        return self._key_bytes
+
+    @cached_property
+    def _key_bytes(self) -> bytes:
+        # Built once: the factors are read-only.
+        return b"".join(np.ascontiguousarray(f).tobytes() for f in self.factors)
+
+    def _key(self) -> tuple:
+        return bit_key(self.factors)
+
+
+def _rows_as_states(sites) -> tuple:
+    """The product states of phased stacks: state k holds row k of each, unchecked."""
+    states = tuple(object.__new__(ProductState) for _ in range(len(sites[0]) if sites else 0))
+    for e, facs in zip(states, zip(*sites)):
+        object.__setattr__(e, "factors", facs)
+    return states
+
+
+def site_stacks(states) -> list:
+    """Per-site (N, d) stacks of the factors of a sequence of product states."""
+    return [np.array(f) for f in zip(*(s.factors for s in states))]
 
 
 def is_local_basis(u: np.ndarray) -> bool | np.ndarray:

@@ -91,6 +91,29 @@ def test_product_state_rejects_infinite_factor_without_a_warning(value):
             ProductState.batch([np.array([[1.0, 0.0], bad]), np.eye(2)])
 
 
+@pytest.mark.parametrize("factors, site", [
+    ((np.eye(2),), 0), ((np.array(1.0),), 0), ((np.zeros(0),), 0),
+    ((np.array([1.0, 0.0]), np.ones((1, 1, 1))), 1)], ids=["matrix", "0-d", "empty", "site-1"])
+def test_product_state_rejects_a_factor_that_is_not_a_vector(factors, site):
+    with pytest.raises(ValidationError, match=f"site {site}: a stack of shape"):
+        ProductState(factors)
+    with pytest.raises(ValidationError, match=f"site {site}: a stack of shape"):
+        ProductState.batch([np.asarray(f)[None] for f in factors])  # one state a row
+
+
+def test_product_state_needs_a_site():
+    with pytest.raises(ValidationError, match="at least one site"):
+        ProductState(())
+
+
+@pytest.mark.parametrize("stacks, site", [
+    ([np.eye(4).reshape(2, 2, 4)], 0), ([np.eye(2), np.ones(2)], 1),
+    ([np.eye(2), np.array(1.0)], 1), ([np.zeros((2, 0))], 0)], ids=["3-d", "1-d", "0-d", "d=0"])
+def test_basis_rejects_a_stack_that_is_not_k_by_d(stacks, site):
+    with pytest.raises(ValidationError, match=f"site {site}: a stack of shape"):
+        UnentangledBasis(stacks)
+
+
 def test_duplicated_element_invalid():
     b = computational_basis((2, 2))
     dup = UnentangledBasis.from_elements((b.elements[0],) + b.elements[:3])
@@ -240,21 +263,21 @@ def test_rotations_differing_in_a_signed_zero_are_one_candidate(monkeypatch):
 
 
 def test_twist_search_builds_site_classes_once_a_step(monkeypatch):
-    # Classes are found once a basis, when it is built: a site takes one np.unique
-    # over its rows and one over its phased class factors (which joins classes
-    # that phasing makes bit-equal, such as e_0 and -e_0).  The pair search, the
-    # checks and the move scoring read the cached classes, and call none.
+    # Classes are found once a basis, when it is built: a site takes one np.unique,
+    # over its phased rows (which joins rows that phasing makes bit-equal, such as
+    # e_0 and -e_0).  The pair search, the checks and the move scoring read the
+    # cached classes, and call none.
     b = twisted_example_basis()
     calls = []
     unique = np.unique
     monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
     res = twist_search(b)
-    assert res.found and len(calls) == 2 * len(b.stacks) * len(res.certificate.moves)
+    assert res.found and len(calls) == len(b.stacks) * len(res.certificate.moves)
     calls.clear()
     back = UnentangledBasis(b.stacks)
-    assert len(calls) == 2 * len(b.stacks)
+    assert len(calls) == len(b.stacks)
     validate_unentangled(back), find_local_pairs(back), twist_search(back, budget=0)
-    assert len(calls) == 2 * len(b.stacks)
+    assert len(calls) == len(b.stacks)
     # Clique digits are classes already: one np.unique a site, over its <= 4 digit states.
     calls.clear()
     clique = basis_from_clique(bundled_candidate())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsgleason.bases import ProductState, UnentangledBasis, product_basis, site_stacks
+from nsgleason.bases import UnentangledBasis, product_basis
 from nsgleason.framefn import (
     OperatorInduced,
     SignallingFamily,
@@ -19,7 +19,9 @@ from nsgleason.framefn import (
 from nsgleason.gleason import spanning_design
 from nsgleason.linalg import (
     HermitianOperator,
+    ProductState,
     ValidationError,
+    canonical_phase,
     complex_to_json,
     make_rng,
     partial_transpose,
@@ -29,6 +31,7 @@ from nsgleason.linalg import (
     random_onb,
     random_unit,
     random_units,
+    site_stacks,
 )
 
 SWAP = np.array(
@@ -292,9 +295,9 @@ def test_values_reject_what_product_states_reject():
 
 @pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
 def test_state_keys_ignore_the_sign_of_zero_amplitudes(dims):
-    # On the design, v * -1 phases back to v's bits but for the sign of its zero
-    # parts, which phasing makes 0.0: the state, its key and its tabulated value
-    # are those of v.  A generic phase such as e^{0.3i} may still round to other bits.
+    # v * -1 phases back to v's bits, its zero parts made 0.0: the state, its key
+    # and its tabulated value are those of v.  A generic phase such as e^{0.3i}
+    # may still round to other bits.
     design = spanning_design(dims).states
     f = sample_from_operator(random_density(make_rng(1), dims), design)
     for s in design:
@@ -304,3 +307,16 @@ def test_state_keys_ignore_the_sign_of_zero_amplitudes(dims):
             assert f(flipped) == f(s)
     flipped = [x * -1 for x in site_stacks(design)]
     assert f.values(flipped).tolist() == f.values(site_stacks(design)).tolist()
+
+
+def test_minus_v_phases_to_the_bits_of_v():
+    # A real negative lead is divided out by its sign, which is exact.  Scaled by
+    # its reciprocal instead, it became -(1 - 2**-53) for about one phased unit
+    # vector in eight in C^3, so -v made another state, whose lookup missed.
+    v = random_units(make_rng(3), (3,), 10000)[0]
+    assert canonical_phase(-v).tobytes() == v.tobytes()
+    w = np.array([0.6, 0.8j])
+    f = Tabulated((3, 2), {ProductState((x, w)).key(): float(k) for k, x in enumerate(v)})
+    assert all(ProductState((-x, w)) == ProductState((x, w)) for x in v[:300])
+    assert [f(ProductState((-x, w))) for x in v[:300]] == list(range(300))
+    assert f.values([-v, np.tile(w, (len(v), 1))]).tolist() == list(range(len(v)))

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsgleason.bases import ProductState, site_stacks
 from nsgleason.framefn import make_signalling_example, sample_from_operator
 from nsgleason.gleason import (
     Classification,
@@ -31,6 +30,7 @@ from nsgleason.gleason import (
 )
 from nsgleason.linalg import (
     HermitianOperator,
+    ProductState,
     ValidationError,
     make_rng,
     partial_transpose,
@@ -40,6 +40,7 @@ from nsgleason.linalg import (
     random_hermitian,
     random_onbs,
     random_unit,
+    site_stacks,
     tensor_rows,
 )
 from nsgleason.orientation import Orientation, OrientationClass, classify_orientation

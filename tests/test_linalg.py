@@ -279,13 +279,14 @@ def test_real_decoder_shares_the_complex_decoders_checks(value):
 
 def ref_canonical_phase(v):
     """canonical_phase of one vector, one amplitude at a time: the single-vector
-    loop canonical_phase ran before it had one stacked path, with each -0.0 made 0.0."""
+    loop canonical_phase ran before it had one stacked path, with each -0.0 made 0.0
+    and a real negative lead divided out by its sign, exactly."""
     v = np.asarray(v, dtype=complex)
     for k, x in enumerate(v):
         if abs(x) > PHASE_AMPLITUDE:
             if x.imag == 0 and x.real > 0:
                 break
-            out = v * (x.conjugate() / abs(x))
+            out = v * (-1.0 if x.imag == 0 else x.conjugate() / abs(x))
             out[k] = out[k].real
             return np.array([complex(z.real + 0.0, z.imag + 0.0) for z in out])
     return np.array([complex(z.real + 0.0, z.imag + 0.0) for z in v])

@@ -23,7 +23,6 @@ from nsgleason.bases import (
     apply_twist,
     find_local_pairs,
     product_basis,
-    site_stacks,
     twist_search,
     validate_unentangled,
 )
@@ -45,7 +44,7 @@ from nsgleason.keller import (
     verify_clique,
 )
 from nsgleason.linalg import (ValidationError, canonical_phase, check_unit, complex_from_json,
-                              make_rng, random_onb)
+                              make_rng, random_onb, site_stacks)
 from nsgleason.tolerances import IN_SPAN, MOVE_KEY_DECIMALS, ORTHO_PAIR, SAME_FACTOR
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -241,7 +240,7 @@ def check_per_class(b, raw=None):
 
 def sign_flipped(stacks, rng):
     """The stacks with about half their rows times -1: each row phases to the bits of
-    its unflipped row or within a rounding of them."""
+    its unflipped row."""
     return [f * rng.choice([-1.0, 1.0], (len(f), 1)) for f in stacks]
 
 
