@@ -93,6 +93,11 @@ class Box(BitEqual):
 
     def __post_init__(self):
         _distinct_settings(self.settings)
+        if self.realizations is not None:  # first: bad bases would make a bad table
+            if len(self.realizations) != 2:
+                raise ValidationError("realizations need one dict of bases per site")
+            object.__setattr__(self, "bases", tuple(map(
+                _basis_stack, (0, 1), self.settings, self.outcomes, self.realizations)))
         shape = tuple(len(labels) for labels in (*self.settings, *self.outcomes))
         p = np.array(self.table, dtype=float)
         if p.shape != shape:
@@ -106,11 +111,6 @@ class Box(BitEqual):
                                   f"sums to {sums[bad[0]]!r}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "table", p)
-        if self.realizations is not None:
-            if len(self.realizations) != 2:
-                raise ValidationError("realizations need one dict of bases per site")
-            object.__setattr__(self, "bases", tuple(map(
-                _basis_stack, (0, 1), self.settings, self.outcomes, self.realizations)))
 
     def _key(self) -> tuple:
         return bit_key((self.settings, self.outcomes, self.table, self.bases))
@@ -120,7 +120,7 @@ class Box(BitEqual):
 
     @cached_property
     def products(self) -> list:
-        """:func:`_box_products` of a realized box's bases, built on first use."""
+        """:func:`_box_products` of the bases, built on first use or kept by box_from_operator."""
         return _box_products(self.bases)
 
     def to_json(self) -> dict:
@@ -182,11 +182,12 @@ def _basis_stack(site, labels, outcomes, bases) -> np.ndarray:
     d = len(outcomes)
     if set(bases) != set(labels):
         raise ValidationError(f"site {site}: bases for settings {list(bases)}, not {list(labels)}")
-    for lbl in labels:
-        u = bases[lbl]
-        if np.shape(u) != (d, d) or not is_local_basis(u):
-            raise ValidationError(f"site {site} setting {lbl!r}: no orthonormal ({d}, {d}) basis")
-    stack = np.array([bases[lbl] for lbl in labels]).reshape(-1, d, d)
+    ok = np.array([np.shape(bases[lbl]) == (d, d) for lbl in labels], dtype=bool)
+    if ok.all():  # one stacked check, each basis judged as it would be alone
+        ok = is_local_basis(stack := np.array([bases[lbl] for lbl in labels]).reshape(-1, d, d))
+    if not ok.all():
+        raise ValidationError(f"site {site} setting {labels[np.argmin(ok)]!r}: "
+                              f"no orthonormal ({d}, {d}) basis")
     stack.flags.writeable = False
     return stack
 
@@ -214,14 +215,23 @@ def deterministic_box() -> Box:
 
 
 def box_from_operator(t: HermitianOperator, realizations) -> Box:
-    """Box of tr(t (p_A (x) q_B)) at the given measurement bases, tabulated as a section is:
-    one product_values call on its entries' product states.  Box checks bases and blocks."""
+    """Box of tr(t (p_A (x) q_B)) at the given bases, tabulated as a section is: one
+    product_values call on its entries' product states, kept as ``products``.  ValidationError
+    naming the site (and setting) unless t's two sites hold finite (d, d) bases, d the site's
+    dim; Box checks them orthonormal before the table's blocks."""
+    if len(t.dims) != 2 or len(realizations) != 2:
+        raise ValidationError(f"a box needs bases at t's two sites, not {len(realizations)} sites")
+    for site, (d, real) in enumerate(zip(t.dims, realizations)):
+        bad = [lbl for lbl, u in real.items() if np.shape(u) != (d, d) or not np.isfinite(u).all()]
+        if bad or not real:
+            raise ValidationError(f"site {site} setting {bad[0]!r}: no orthonormal ({d}, {d}) basis"
+                                  if bad else f"site {site}: no settings")
     settings = tuple(tuple(site.keys()) for site in realizations)
-    bases = [np.array(list(site.values()), dtype=complex) for site in realizations]
-    n_out = tuple(u.shape[-1] for u in bases)
-    table = product_values(t.mat, _box_products(bases))
-    return Box(settings, tuple(tuple(range(n)) for n in n_out),
-               table.reshape(tuple(map(len, settings)) + n_out), tuple(realizations))
+    products = _box_products([np.array([*site.values()], dtype=complex) for site in realizations])
+    table = product_values(t.mat, products).reshape(tuple(map(len, settings)) + t.dims)
+    box = Box(settings, tuple(tuple(range(d)) for d in t.dims), table, tuple(realizations))
+    object.__setattr__(box, "products", products)  # the cache of Box.products
+    return box
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,9 +352,8 @@ def chsh_value(t: HermitianOperator, settings) -> float:
         raise ValidationError("CHSH needs a two-qubit operator")
     if len(bases) != 4:
         raise ValidationError(f"CHSH needs four setting bases, not {len(bases)}")
-    for u in bases:
-        if u.shape != (2, 2) or not is_local_basis(u):
-            raise ValidationError("CHSH setting basis is not orthonormal")
+    if any(u.shape != (2, 2) for u in bases) or not is_local_basis(np.array(bases)).all():
+        raise ValidationError("CHSH setting basis is not orthonormal")
     return float(np.trace(t.mat @ bell_operator(bases)).real)
 
 
@@ -512,9 +521,21 @@ def _box_equalities(box: Box):
     return projector_features(box.products), box.table.ravel()
 
 
-def _equality_pinv(bases) -> np.ndarray:
-    """np.linalg.pinv of :func:`_decomposition`'s rows, from one :func:`_feature_svd` a site
-    and a rank-one correction.
+def _site_factors(bases) -> tuple:
+    """:func:`_equality_pinv`'s U_s, as (|S|, d, r_s) arrays, and Hermitian O_j, per site."""
+    us, ops = [], []
+    for b in bases:  # (|S|, d, d)
+        v = b.swapaxes(1, 2).reshape(-1, b.shape[-1], 1)
+        u, sv, vh = _feature_svd((v * v.swapaxes(1, 2).conj()).reshape(len(v), -1).view(float))
+        m = (vh / sv[:, None]).view(complex).reshape(-1, *b.shape[1:])
+        us.append(u.reshape(*b.shape[:2], -1))
+        ops.append(0.5 * (m + m.conj().swapaxes(1, 2)))
+    return us, ops
+
+
+def _equality_pinv(factors) -> np.ndarray:
+    """np.linalg.pinv of :func:`_decomposition`'s rows, from the :func:`_site_factors` of
+    the box's bases and a rank-one correction.
 
     Write Φ(X) for the real view of (X, X^Γ): an entry's row is Φ(p (x) q), and |Φ(X)| =
     √2 |X|.  Site s's rows A_s, the real views of its outcome projectors p (setting major),
@@ -527,16 +548,7 @@ def _equality_pinv(bases) -> np.ndarray:
     O_j = (V_0)_j / (S_0)_j and O'_k = (V_1)_k / (S_1)_k made exactly Hermitian: every
     correction g is then a Hermitian pair, and the pseudo-inverse has the rank of R.
     """
-    us, ops = [], []
-    for b in bases:
-        n_set, d = len(b), b.shape[-1]
-        v = b.swapaxes(1, 2).reshape(-1, d)
-        u, sv, vh = _feature_svd((v[:, :, None] * v[:, None, :].conj()).reshape(len(v), -1)
-                                 .view(float))
-        m = (vh / sv[:, None]).view(complex).reshape(-1, d, d)
-        us.append(u.reshape(n_set, d, -1))
-        ops.append(0.5 * (m + m.conj().swapaxes(1, 2)))
-    (u0, u1), (o0, o1) = us, ops
+    (u0, u1), (o0, o1) = factors
     rank = len(o0) * len(o1)
     u = (u0[:, None, :, None, :, None] * u1[None, :, None, :, None, :]).reshape(-1, rank)
     w = u[:u0.shape[1] * u1.shape[1]].sum(axis=0)
@@ -547,6 +559,18 @@ def _equality_pinv(bases) -> np.ndarray:
     return vs.reshape(rank, -1).view(float).T @ (0.5 * y)
 
 
+def _least_norm_point(factors, table) -> np.ndarray:
+    """_equality_pinv(factors) @ (P, 1) by contractions: Sherman-Morrison on [U^T, w] (P, 1)
+    = U_0^T P U_1 + w, P a (setting, outcome) matrix a site, gives y; Σ y_jk Φ(O_j (x) O'_k) / 2."""
+    (u0, u1), (o0, o1) = factors
+    w = np.outer(u0[0].sum(axis=0), u1[0].sum(axis=0))
+    p = table.transpose(0, 2, 1, 3).reshape(u0.shape[0] * u0.shape[1], -1)
+    z = u0.reshape(len(p), -1).T @ p @ u1.reshape(p.shape[1], -1) + w
+    y = 0.5 * (z - w * (np.vdot(w, z) / (1.0 + np.vdot(w, w))))
+    h = (y @ o1.reshape(len(o1), -1)).reshape(len(o0), *o1.shape[1:])  # Σ_k y_jk O'_k
+    return np.einsum("xjac,jbd->xabcd", np.stack([o0, o0.swapaxes(1, 2)]), h).view(float).ravel()
+
+
 def _decomposition(box: Box) -> Decomposition | Separation | None:
     """A, B >= -PSD with t = A + B^Γ meeting the box equalities and tr t = 1, by
     alternating projections until they stall; then a Separation at site dims
@@ -555,11 +579,12 @@ def _decomposition(box: Box) -> Decomposition | Separation | None:
     The pair (A, B) is one (2, D, D) stack, and each equality is a dot product
     with the real view of its entries: tr(A E) + tr(B E^Γ) = P(A,B|a,b), as
     tr(B^Γ E) = tr(B E^Γ), where E is an entry's product projector and E^Γ the
-    same with site 0's factor conjugated; the pair (I, I) gives the trace.  A
-    step returns the pair once both factors have least eigenvalue >= -PSD;
-    otherwise it clips their negative eigenvalues and projects back onto the
-    equalities by the correction g (the pseudo-inverse of :func:`_equality_pinv`,
-    factored per site; the first step starts at their least-norm point).
+    same with site 0's factor conjugated; the pair (I, I) gives the trace.  Step
+    1 starts at their least-norm point, contracted from :func:`_site_factors`.
+    A step returns the pair once both factors have least eigenvalue >= -PSD;
+    otherwise it clips their negative eigenvalues and projects back by the
+    correction g: the dense rows and their :func:`_equality_pinv`, of the same
+    factors, are built at the first step that does not return.
 
     ||g|| never grows: it falls to 0 when the PSD pairs meet the equalities and
     levels off at their distance when they do not (Bauschke & Borwein, Set-Valued
@@ -573,16 +598,9 @@ def _decomposition(box: Box) -> Decomposition | Separation | None:
     Separation, returned when both least eigenvalues, recomputed, are >= -PSD and
     its floor is > 0, bounds the residual of every product-positive t.
     """
-    stacks = box.products
-    psi = np.stack([tensor_rows(stacks), tensor_rows([stacks[0].conj(), stacks[1]])], axis=1)
-    d_total = psi.shape[-1]
-    ops = np.concatenate([psi[..., :, None] * psi[..., None, :].conj(),
-                          np.broadcast_to(np.eye(d_total), (1, 2, d_total, d_total))])
-    rows, vals = ops.view(float).reshape(len(ops), -1), np.append(box.table.ravel(), 1.0)
-    pinv = _equality_pinv(box.bases)
-    x = pinv @ vals
-    dims = tuple(u.shape[-1] for u in box.bases)
-    norm = np.inf
+    dims, d_total, factors = box.table.shape[2:], box.table[0, 0].size, _site_factors(box.bases)
+    x, vals = _least_norm_point(factors, box.table), np.append(box.table.ravel(), 1.0)
+    norm, pinv = np.inf, None
     for step in range(1, tol.DECOMPOSITION_STEPS + 1):
         pair = x.view(complex).reshape(2, d_total, d_total)
         w, vecs = np.linalg.eigh(pair)
@@ -592,6 +610,12 @@ def _decomposition(box: Box) -> Decomposition | Separation | None:
             least = np.linalg.eigvalsh(np.stack([a.mat, b.mat]))[:, 0]
             if least.min() >= -tol.PSD:
                 return Decomposition(a, b, step, tuple(map(float, least)))
+        if pinv is None:  # the search iterates: its rows (E, E^Γ), then (I, I)
+            stacks = box.products
+            psi = np.stack([tensor_rows(stacks), tensor_rows([stacks[0].conj(), stacks[1]])], 1)
+            ops = np.concatenate([psi[..., :, None] * psi[..., None, :].conj(),
+                                  np.broadcast_to(np.eye(d_total), (1, 2, d_total, d_total))])
+            rows, pinv = ops.view(float).reshape(len(ops), -1), _equality_pinv(factors)
         pair = (vecs * np.maximum(w, 0.0)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
         x = pair.view(float).ravel()
         g = -(pinv @ (rows @ x - vals))
@@ -638,11 +662,12 @@ def quantum_extension(box: Box, positivity_samples: int = 2000, seed: int = 0) -
     """Can a unit-trace, product-positive Hermitian t reproduce the box?
 
     First :func:`_decomposition` looks for t = A + B^Γ with A, B >= -PSD, which
-    is nonnegative on every product state (to -2 PSD): an equality and trace
-    residual, measured on t, of at most ``tolerances.FEASIBLE_RESIDUAL`` gives
-    FEASIBLE with candidate "decomposition", the certificate and no LP (rounds
-    0).  At site dims (2, 2), (2, 3) and (3, 2), where every product-positive t
-    is decomposable, a stalled search yields a Separation: a PPT witness whose
+    is nonnegative on every product state (to -2 PSD): a residual of at most
+    ``tolerances.FEASIBLE_RESIDUAL``, the larger of |tr t - 1| and max|tr(t (p_A
+    (x) q_B)) - P(A,B|a,b)| over the box's own product states, gives FEASIBLE
+    with candidate "decomposition", the certificate and no LP (rounds 0).  At
+    site dims (2, 2), (2, 3) and (3, 2), where every product-positive t is
+    decomposable, a stalled search yields a Separation: a PPT witness whose
     floor bounds the equality residual of every product-positive unit-trace t
     from below.  A floor above ``tolerances.INFEASIBLE_RESIDUAL`` gives
     INFEASIBLE with that floor as residual, the certificate, no t and no LP.
@@ -662,18 +687,18 @@ def quantum_extension(box: Box, positivity_samples: int = 2000, seed: int = 0) -
     if not is_integer(positivity_samples) or positivity_samples < 1:
         raise ValidationError(f"quantum extension needs an integer positivity_samples >= 1, "
                               f"not {positivity_samples!r}")
-    eq_rows, eq_vals = _box_equalities(box)
     cert = _decomposition(box)
     if isinstance(cert, Separation):
         if cert.floor > tol.INFEASIBLE_RESIDUAL:
             return ExtensionVerdict("INFEASIBLE", cert.floor, rounds=0, certificate=cert)
     elif cert is not None:
         t = HermitianOperator(dims, cert.a.mat + partial_transpose(cert.b, 0).mat)
-        fit_rows, fit_vals = np.vstack([eq_rows, trace_row]), np.append(eq_vals, 1.0)
-        residual = float(np.max(np.abs(fit_rows @ feature_of(t.mat) - fit_vals)))
+        residual = float(max(np.abs(product_values(t.mat, box.products) - box.table.ravel()).max(),
+                             abs(np.trace(t.mat).real - 1.0)))
         if residual <= tol.FEASIBLE_RESIDUAL:
             return ExtensionVerdict("FEASIBLE", residual, t=t, rounds=0,
                                     candidate="decomposition", certificate=cert)
+    eq_rows, eq_vals = _box_equalities(box)
     pos_rows = _positivity_rows(make_rng(seed), dims, positivity_samples)
     for rounds in range(1, tol.EXTENSION_ROUNDS + 1):
         if rounds > 1:  # the last round's witness joins the positivity rows

@@ -1,6 +1,7 @@
 """Tests for box/frame-function no-signalling, CHSH, and the extension LP."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, linprog, minimize
 
+from nsgleason import nosig
 from nsgleason import tolerances as tol
 from nsgleason.bases import ProductState
 from nsgleason.framefn import (
@@ -47,8 +49,10 @@ from nsgleason.nosig import (
     _box_products,
     _decomposition,
     _equality_pinv,
+    _least_norm_point,
     _operator_space,
     _positivity_rows,
+    _site_factors,
     bell_operator,
     box_from_operator,
     check_box,
@@ -671,6 +675,33 @@ def test_box_from_operator_rejects_negative_probability():
         box_from_operator(t, (computational, computational))
 
 
+@pytest.mark.parametrize("case, message", [
+    ("2x2 and 3x3 at a site", r"site 0 setting 1: no orthonormal \(2, 2\) basis"),
+    ("bases of another dim", r"site 0 setting 0: no orthonormal \(2, 2\) basis"),
+    ("empty site", "site 1: no settings"),
+    ("one site", "a box needs bases at t's two sites"),
+    ("not orthonormal", r"site 1 setting 0: no orthonormal \(2, 2\) basis"),
+    ("NaN basis", r"site 0 setting 1: no orthonormal \(2, 2\) basis")])
+def test_box_from_operator_names_the_site_and_setting_of_a_bad_basis(case, message):
+    # The shapes are checked before the table is tabulated and the bases before its blocks,
+    # so no numpy error or table message stands in for the bad basis.
+    real = [dict(site) for site in optimal_realizations()]
+    if case == "2x2 and 3x3 at a site":
+        real[0][1] = np.eye(3, dtype=complex)
+    elif case == "bases of another dim":
+        real[0] = {lbl: np.eye(3, dtype=complex) for lbl in real[0]}
+    elif case == "empty site":
+        real[1] = {}
+    elif case == "one site":
+        real = real[:1]
+    elif case == "not orthonormal":
+        real[1][0] = 0.93 * real[1][0]
+    else:
+        real[0][1] = np.full((2, 2), np.nan, dtype=complex)
+    with pytest.raises(ValidationError, match=message):
+        box_from_operator(singlet(), tuple(real))
+
+
 @pytest.mark.parametrize("block", [[[np.nan] * 2] * 2, [[np.nan, 0.5], [0.5, 0.0]],
                                    [[np.inf, 0.0], [0.0, 0.0]]])
 def test_box_rejects_non_finite_probabilities(block):
@@ -1206,14 +1237,20 @@ def assert_pinv_is_the_dense_one(box, rank):
     """The factored pseudo-inverse of the dense rows has the rank of np.linalg.pinv's, and each
     entry lies within 32 eps kappa max|pinv| of it, kappa = σ_max / σ_min of the rows over the
     singular values that pinv keeps: the first-order error of a pseudo-inverse, taken 32 times
-    (at most 6.7 times was seen on 300 random boxes and 75 with settings 1e-5 to 1e-9 apart)."""
-    rows, _ = decomposition_rows(box)
-    ref, ours = np.linalg.pinv(rows), _equality_pinv(box.bases)
+    (at most 6.7 times was seen on 300 random boxes and 75 with settings 1e-5 to 1e-9 apart).
+    The search's first iterate, contracted from the site factors, lies within that bound
+    times ||vals||_1 of the factored pseudo-inverse times the targets."""
+    rows, vals = decomposition_rows(box)
+    factors = _site_factors(box.bases)
+    ref, ours = np.linalg.pinv(rows), _equality_pinv(factors)
     assert ours.shape == ref.shape
     assert np.linalg.matrix_rank(ref) == np.linalg.matrix_rank(ours) == rank
     sv = np.linalg.svd(rows, compute_uv=False)
     kappa = sv[0] / sv[rank - 1]
-    assert np.abs(ours - ref).max() <= 32 * np.finfo(float).eps * kappa * np.abs(ref).max()
+    bound = 32 * np.finfo(float).eps * kappa * np.abs(ref).max()
+    assert np.abs(ours - ref).max() <= bound
+    first = _least_norm_point(factors, box.table)
+    assert np.abs(first - ours @ vals).max() <= bound * np.abs(vals).sum()
 
 
 def site_rank(n_settings, d):
@@ -1273,6 +1310,51 @@ def test_separation_stops_when_its_correction_stalls(visibility, dims):
     assert isinstance(cert, Separation) and cert.steps <= 50
     assert cert.floor == pytest.approx(hundred_step_floor(box), abs=1e-9)
     assert cert.to_json()["steps"] == cert.steps
+
+
+def counted_work(monkeypatch):
+    """The names of the nosig helpers called from here on, one entry per call: the site SVDs,
+    the dense pseudo-inverse, the dense rows (nosig's own tensor_rows calls, two a build),
+    the box's product stacks and the LP equality rows."""
+    calls = []
+    for name in ("_feature_svd", "_equality_pinv", "tensor_rows", "_box_products",
+                 "_box_equalities"):
+        def wrapper(*args, _name=name, _f=getattr(nosig, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(nosig, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_a_first_step_certificate_builds_no_dense_rows(monkeypatch, dims):
+    # A density box decided at step 1 pays for one SVD a site and its own tabulation only:
+    # no dense rows, no dense pseudo-inverse and no LP rows.
+    rng = make_rng(5)
+    real = tuple({a: random_onb(rng, d) for a in (0, 1)} for d in dims)
+    t = random_density(rng, dims)
+    calls = counted_work(monkeypatch)
+    box = box_from_operator(t, real)
+    out = quantum_extension(box, positivity_samples=300, seed=0)
+    assert (out.verdict, out.rounds, out.certificate.steps) == ("FEASIBLE", 0, 1)
+    assert Counter(calls) == {"_feature_svd": 2, "_box_products": 1}
+    want = _box_products(box.bases)  # the stacks the box was tabulated on, kept
+    assert [s.tobytes() for s in box.products] == [s.tobytes() for s in want]
+
+
+@pytest.mark.parametrize("case", ["PR box", "noisy PR 0.9 at (3,3)"])
+def test_an_iterating_search_builds_its_rows_once(monkeypatch, case):
+    box = (with_qubit_realizations(pr_box()) if case == "PR box"
+           else embedded_noisy_pr_box(0.9, (3, 3)))
+    calls = counted_work(monkeypatch)
+    out = quantum_extension(box, positivity_samples=300, seed=0)
+    want = {"_feature_svd": 2, "_equality_pinv": 1, "tensor_rows": 2, "_box_products": 1}
+    if case == "PR box":  # decided by its Separation
+        assert (out.verdict, out.rounds) == ("INFEASIBLE", 0)
+    else:  # no witness at (3,3): the LP rounds decide, on one build of their rows
+        assert out.rounds > 1 and out.certificate is None
+        want["_box_equalities"] = 1
+    assert Counter(calls) == want
 
 
 @pytest.mark.parametrize("visibility", [0.71, 0.8, 1.0])
