@@ -25,6 +25,7 @@ from .linalg import (
     _rows_as_states,
     bit_key,
     canonical_phase,
+    check_unit_rows,
     complex_from_json,
     complex_to_json,
     is_integer,
@@ -34,9 +35,11 @@ from .linalg import (
 )
 
 
-def _row_keys(f: np.ndarray) -> np.ndarray:
-    """Each row of an (N, d) stack as one void scalar: bit-equal rows give equal keys."""
-    return np.ascontiguousarray(f).view(np.dtype((np.void, f.itemsize * f.shape[1]))).ravel()
+def _byte_classes(f: np.ndarray) -> np.ndarray:
+    """Each row's class of bit-equal rows of an (N, d) stack, numbered in byte order: one
+    np.unique over the rows, each viewed as one void scalar."""
+    keys = np.ascontiguousarray(f).view(np.dtype((np.void, f.itemsize * f.shape[1]))).ravel()
+    return np.unique(keys, return_inverse=True)[1].reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,22 +63,27 @@ class UnentangledBasis(BitEqual):
 
     def _set_classes(self, factors, ids=None) -> None:
         """Site s holds ``factors[s][ids[s]]``, normalised by :func:`_phased_classes`.  A
-        site's classes are np.unique's on its phased factors, one sort a site: ``ids``
-        numbers the bit-equal ones in byte order, joining those that phasing made
-        bit-equal (such as e_0 and -e_0), and ``first`` holds each class's first row."""
+        site's classes are np.unique's on its phased factors, one sort a site
+        (:func:`_byte_classes`): this joins those that phasing made bit-equal (such as
+        e_0 and -e_0), and :meth:`_hold` drops the classes no row holds."""
         phased, stacks = _phased_classes(factors, ids)
         if not stacks or not len(stacks[0]):
             raise ValidationError("empty basis")
+        classes = [_byte_classes(f) for f in phased]
+        self._hold(stacks, [c[i] for c, i in zip(classes, ids)] if ids else classes)
+
+    def _hold(self, stacks, classes) -> "UnentangledBasis":
+        """Hold the phased ``stacks``, made read-only, and per site ``ids``: each row's
+        class, the classes no row holds dropped and the others numbered in order (the
+        bit-equal rows' classes in byte order), and each class's ``first`` row."""
         site_classes = []
-        for s, f in enumerate(phased):
-            classes = np.unique(_row_keys(f), return_inverse=True)[1].reshape(-1)
-            if ids:
-                classes = classes[ids[s]]
-                held = np.bincount(classes, minlength=len(f)) > 0
-                classes = (np.cumsum(held) - 1)[classes]  # classes no row holds go
-            site_classes.append((classes, _first_rows(classes, int(classes.max()) + 1)))
-        object.__setattr__(self, "stacks", stacks)
+        for f, ids in zip(stacks, classes):
+            f.setflags(write=False)
+            ids = (np.cumsum(np.bincount(ids) > 0) - 1)[ids]
+            site_classes.append((ids, _first_rows(ids, int(ids.max()) + 1)))
+        object.__setattr__(self, "stacks", tuple(stacks))
         object.__setattr__(self, "_site_classes", site_classes)
+        return self
 
     @classmethod
     def from_elements(cls, elements) -> "UnentangledBasis":
@@ -247,21 +255,24 @@ def _check_twist_pair(b: UnentangledBasis, site: int, i: int, j: int) -> str | N
 def apply_twist(b: UnentangledBasis, m: TwistMove) -> UnentangledBasis:
     """Apply a twist move; all elements except the referenced pair are unchanged.
 
-    Edits copies of the stacks: at the twist site rows i and j take the
-    rotated factors (phased by the constructor), and at every other site row
-    j takes row i's factor, which agrees with it up to phase.
+    Edits copies of the stacks: at the twist site rows i and j take the rotated
+    factors, unit-checked in element order and phased, and at every other site
+    row j takes row i's factor, which agrees with it up to phase, and its class.
+    Only the twist site's classes are sorted again, so the basis equals, bit for
+    bit, the constructor's on the edited stacks (phasing twice changes no bit).
     """
     i, j = m.pair
     if fault := _check_twist_pair(b, m.site, i, j):
         raise ValidationError(fault)
-    stacks = [f.copy() for f in b.stacks]
     u, v = b.stacks[m.site][i], b.stacks[m.site][j]
-    for s, f in enumerate(stacks):
-        if s != m.site:
-            f[j] = f[i]
-    for k, (x, y) in zip((i, j), m.rotation):  # rotation rows 0, 1 give elements i, j
-        stacks[m.site][k] = x * u + y * v
-    return UnentangledBasis(stacks)
+    new = np.array([x * u + y * v for x, y in m.rotation])  # rotation rows 0, 1 give elements i, j
+    check_unit_rows([new], [m.pair])
+    stacks, classes = [f.copy() for f in b.stacks], [ids.copy() for ids, _ in b._site_classes]
+    for f, ids in zip(stacks, classes):
+        f[j], ids[j] = f[i], ids[i]
+    stacks[m.site][[i, j]] = canonical_phase(new)
+    classes[m.site] = _byte_classes(stacks[m.site])
+    return object.__new__(UnentangledBasis)._hold(stacks, classes)
 
 
 def _local_pairs(b: UnentangledBasis, sites: bool = False) -> tuple:
@@ -386,51 +397,65 @@ def _rotation_to_target(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> tuple:
 
 def _twist_gains(aligned, rows, selfs, site, i, j, new, at_site) -> np.ndarray:
     """Change in the alignment score when elements i and j take the rotated
-    factors ``new[k]`` (2, d) at ``site``, one entry per candidate k; i and j
-    are one pair, or one pair a candidate.
+    factors ``new[k]`` (2, d) at ``site``, one entry per candidate k; site, i
+    and j are one move's, or one a candidate.
 
     ``aligned`` is the current basis's (sites, N, N) stack of aligned slots,
     ``rows`` and ``selfs`` its per-site row counts (diagonal excluded) and
-    diagonal, and ``at_site`` its (N, d) factor stack at ``site``.
+    diagonal, and ``at_site`` its (N, d) factor stack at ``site``, or one a
+    candidate.  The counts are integers, so their sums are exact in any order.
     """
-    others = np.arange(len(aligned)) != site
+    others = np.not_equal.outer(np.arange(len(aligned)), site)
     pair = aligned[:, i, j]
-    old = rows[:, i].sum(0) + rows[:, j].sum(0) - pair.sum(0)
+    old = (rows[:, i] + rows[:, j] - pair).sum(0)
     # At the other sites both elements hold element i's factor: they repeat
     # its slots against every third element, and agree with each other.
-    kept = 2 * (rows[others][:, i].sum(0) - pair[others].sum(0)) + selfs[others][:, i].sum(0)
-    hits = _aligned(np.abs(new.conj() @ at_site.T))
+    kept = (others * (2 * (rows[:, i] - pair) + selfs[:, i])).sum(0)
+    hits = _aligned(np.abs(new.conj() @ np.swapaxes(at_site, -1, -2)))
     k = np.arange(len(new))
     hits[k, :, i] = hits[k, :, j] = False
     inner = _aligned(np.abs(np.sum(new[:, 0].conj() * new[:, 1], axis=-1)))
     return kept - old + hits.sum(axis=(1, 2)) + inner
 
 
-def _site_moves(b: UnentangledBasis, site: int, i, j, aligned, rows, selfs) -> tuple:
-    """(rotations, i, j, gains) of the candidate moves at ``site``, in (pair, target)
-    order, from one stacked pass over the local pairs (i, j) at ``site`` whose factors
-    there are orthogonal, gathered from the class rows as :func:`_check_twist_pair` asks.
-    A pair's targets are the site's other factors, then the computational axes.  A
-    candidate's target is in span, its MOVE_KEY_DECIMALS key is new to its pair, and
-    both its rotated factors pass check_unit; its gain is :func:`_twist_gains`'s."""
-    ids, _, overlaps = b._classes[site]
-    ortho = overlaps[ids[i], j] <= tol.ORTHO_PAIR
-    i, j = i[ortho], j[ortho]
-    f = b.stacks[site]
-    d = f.shape[1]
-    rot, ok = _rotation_to_target(f[i, None], f[j, None], np.concatenate([f, np.eye(d)]))
-    ok[np.arange(len(i)), i] = ok[np.arange(len(i)), j] = False  # no pair targets its own factors
-    p, rot = np.nonzero(ok)[0], rot[ok]  # each rotation's pair
-    rounded = np.round(rot, tol.MOVE_KEY_DECIMALS) + 0.0  # + 0.0 makes each -0.0 a 0.0
-    keys = np.column_stack([p, rounded.reshape(-1, 4).view(np.int64)])
-    order = np.lexsort(keys.T)  # bit patterns, compared as bytes; equal keys stay in order
-    repeat = np.zeros(len(p), bool)
-    repeat[order[1:]] = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
-    rot, p = rot[~repeat], p[~repeat]
-    new = canonical_phase(rot[..., :1] * f[i[p], None] + rot[..., 1:] * f[j[p], None])
-    unit = unit_rows(new.reshape(-1, d)).reshape(-1, 2).all(axis=1)
-    rot, i, j, new = rot[unit], i[p[unit]], j[p[unit]], new[unit]
-    return rot, i, j, _twist_gains(aligned, rows, selfs, site, i, j, new, f)
+def _moves(b: UnentangledBasis, sites, i, j) -> tuple:
+    """(sites, rotations, i, j, gains) of the candidate moves in (site, pair, target)
+    order, from one stacked pass a d over the local pairs (i, j) at ``sites`` whose
+    factors there are orthogonal, read off the class rows as :func:`_check_twist_pair`
+    asks; each pair takes its site's (N, d) stack.  A pair's targets are its site's
+    other factors, then the computational axes.  A candidate's target is in span, its
+    MOVE_KEY_DECIMALS key is new to its pair, and both its rotated factors pass
+    check_unit; its gain is :func:`_twist_gains`'s."""
+    overlaps = np.array([rows[ids] for ids, _, rows in b._classes])
+    aligned = _aligned(overlaps)
+    selfs = aligned.diagonal(axis1=1, axis2=2)
+    rows = aligned.sum(axis=2) - selfs
+    dims, parts = np.array(b.dims), []
+    for d in set(dims[sites].tolist()):
+        at = (dims[sites] == d) & (overlaps[sites, i, j] <= tol.ORTHO_PAIR)
+        s, pi, pj = sites[at], i[at], j[at]
+        group = np.flatnonzero(dims == d)
+        g = np.stack([np.concatenate([b.stacks[t], np.eye(d)]) for t in group])
+        g = g[np.searchsorted(group, s)]  # each pair's targets, its site's stack first
+        f = g[:, :len(b.stacks[0])]
+        n = np.arange(len(s))
+        rot, ok = _rotation_to_target(f[n, pi, None], f[n, pj, None], g)
+        ok[n, pi] = ok[n, pj] = False  # no pair targets its own factors
+        p, rot = np.nonzero(ok)[0], rot[ok]  # each rotation's pair
+        rounded = np.round(rot, tol.MOVE_KEY_DECIMALS) + 0.0  # + 0.0 makes each -0.0 a 0.0
+        keys = np.column_stack([p, rounded.reshape(-1, 4).view(np.int64)])
+        order = np.lexsort(keys.T)  # bit patterns, compared as bytes; equal keys stay in order
+        repeat = np.zeros(len(p), bool)
+        repeat[order[1:]] = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
+        rot, p = rot[~repeat], p[~repeat]
+        new = canonical_phase(rot[..., :1] * f[p, pi[p], None] + rot[..., 1:] * f[p, pj[p], None])
+        unit = unit_rows(new.reshape(-1, d)).reshape(-1, 2).all(axis=1)
+        rot, p, new = rot[unit], p[unit], new[unit]
+        s, pi, pj = s[p], pi[p], pj[p]
+        parts.append((s, rot, pi, pj, _twist_gains(aligned, rows, selfs, s, pi, pj, new, f[p])))
+    merged = [np.concatenate(x) for x in zip(*parts)]
+    order = np.argsort(merged[0], kind="stable")  # by site, (pair, target) order kept
+    return tuple(x[order] for x in merged)
 
 
 def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
@@ -443,8 +468,8 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
     it changes: at the twist site, elements i and j take the rotated factors
     and are compared with every other element; at every other site, element
     j takes element i's factors, whose slots are read off the current basis.
-    A step scores a site's candidates in one stacked pass
-    (:func:`_site_moves`); only the chosen move is built and applied.
+    A step scores the candidates at every site in one stacked pass a d
+    (:func:`_moves`); only the chosen move is built and applied.
 
     Ties break deterministically (lowest site, then lowest element pair, then
     earliest target).  A returned certificate is a positive proof of
@@ -467,21 +492,13 @@ def twist_search(b: UnentangledBasis, budget: int = 50) -> SearchResult:
             return SearchResult(
                 False, None, "no local pairs exist; no twist move applies", tried
             )
-        aligned = np.array([_aligned(rows)[ids] for ids, _, rows in b._classes])
-        selfs = aligned.diagonal(axis1=1, axis2=2)
-        rows = aligned.sum(axis=2) - selfs
-        best = None  # (gain, move)
-        for site in sorted(set(sites.tolist())):
-            at = sites == site
-            rot, i, j, gains = _site_moves(b, site, pi[at], pj[at], aligned, rows, selfs)
-            tried += len(gains)
-            if len(gains) and gains.max() > (best[0] if best else 0):
-                k = int(np.argmax(gains))
-                best = (gains[k], TwistMove(site, (i[k], j[k]), rot[k]))
-        if best is None:
+        site, rot, i, j, gains = _moves(b, sites, pi, pj)
+        tried += len(gains)
+        if not len(gains) or gains.max() <= 0:
             return SearchResult(False, None, "no strictly improving move found", tried)
-        moves.append(best[1])
-        b = apply_twist(b, best[1])
+        k = int(np.argmax(gains))  # the first strictly positive maximum
+        moves.append(TwistMove(int(site[k]), (i[k], j[k]), rot[k]))
+        b = apply_twist(b, moves[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
 def check_unit(v: np.ndarray) -> None:
     nrm = np.linalg.norm(v)
     if not abs(nrm - 1.0) <= tol.UNIT_NORM:  # written so that a NaN norm fails
-        raise ValidationError(f"vector norm {nrm!r} deviates from 1 beyond {tol.UNIT_NORM}")
+        raise ValidationError(f"vector norm {float(nrm)!r} deviates from 1 beyond {tol.UNIT_NORM}")
 
 
 def _unit_suspects(f: np.ndarray) -> np.ndarray:
@@ -165,7 +165,8 @@ def _phased_classes(factors, ids=None) -> tuple:
     d >= 1 (else ValidationError naming s), and state r holds its factor ``ids[s][r]``
     (by default, factor r).  Unit-checks each factor (check_unit's message) in the order
     of the first state holding it, checks that every site holds as many states, and
-    phases each factor once.  Returns the phased factors and read-only ``phased[ids]``."""
+    phases each factor once, the sites of one d in one call.  Returns the phased factors
+    and read-only ``phased[ids]``."""
     factors = [np.asarray(f, dtype=complex) for f in factors]
     for site, f in enumerate(factors):
         if f.ndim != 2 or not f.shape[1]:
@@ -174,7 +175,7 @@ def _phased_classes(factors, ids=None) -> tuple:
     check_unit_rows(factors, ids and [_first_rows(i, len(f)) for f, i in zip(factors, ids)])
     if len({len(i) for i in ids or factors}) > 1:
         raise ValidationError("per-site stacks hold different numbers of states")
-    phased = [canonical_phase(f) for f in factors]
+    phased = stacked_per_dim(canonical_phase, factors, [f.shape[1] for f in factors])
     stacks = tuple(phased if ids is None else (p[i] for p, i in zip(phased, ids)))
     for f in stacks:
         f.setflags(write=False)

@@ -108,7 +108,7 @@ class Box(BitEqual):
         bad = np.flatnonzero(~(np.abs(sums - 1.0) <= tol.BLOCK_SUM))
         if len(bad):
             raise ValidationError(f"table block {_block_keys(self.settings)[bad[0]]} "
-                                  f"sums to {sums[bad[0]]!r}, not 1")
+                                  f"sums to {float(sums[bad[0]])!r}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "table", p)
 
@@ -157,10 +157,13 @@ class Box(BitEqual):
 
 
 def _distinct_settings(settings) -> None:
-    """ValidationError naming the site and label if a site repeats a setting label, or two
-    that print alike, and naming the key if two setting pairs share a JSON block key (labels
-    with commas, such as ("a,b", "c") and ("a", "b,c")): either way the keys would collide."""
+    """ValidationError naming the site if it has no settings, naming the site and label if a
+    site repeats a setting label, or two that print alike, and naming the key if two setting
+    pairs share a JSON block key (labels with commas, such as ("a,b", "c") and ("a", "b,c")):
+    either way the keys would collide."""
     for site, labels in enumerate(settings):
+        if not labels:
+            raise ValidationError(f"site {site}: no settings")
         names = [str(lbl) for lbl in labels]
         for i, name in enumerate(names):
             if name in names[:i]:
@@ -221,12 +224,13 @@ def box_from_operator(t: HermitianOperator, realizations) -> Box:
     dim; Box checks them orthonormal before the table's blocks."""
     if len(t.dims) != 2 or len(realizations) != 2:
         raise ValidationError(f"a box needs bases at t's two sites, not {len(realizations)} sites")
+    settings = tuple(tuple(site.keys()) for site in realizations)
+    _distinct_settings(settings)
     for site, (d, real) in enumerate(zip(t.dims, realizations)):
         bad = [lbl for lbl, u in real.items() if np.shape(u) != (d, d) or not np.isfinite(u).all()]
-        if bad or not real:
-            raise ValidationError(f"site {site} setting {bad[0]!r}: no orthonormal ({d}, {d}) basis"
-                                  if bad else f"site {site}: no settings")
-    settings = tuple(tuple(site.keys()) for site in realizations)
+        if bad:
+            raise ValidationError(
+                f"site {site} setting {bad[0]!r}: no orthonormal ({d}, {d}) basis")
     products = _box_products([np.array([*site.values()], dtype=complex) for site in realizations])
     table = product_values(t.mat, products).reshape(tuple(map(len, settings)) + t.dims)
     box = Box(settings, tuple(tuple(range(d)) for d in t.dims), table, tuple(realizations))

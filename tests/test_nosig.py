@@ -23,6 +23,7 @@ from nsgleason.gleason import _coordinates, feature_of, product_seesaw_min, vec_
 from nsgleason.linalg import (
     HermitianOperator,
     ValidationError,
+    check_unit,
     complex_to_json,
     make_rng,
     partial_transpose,
@@ -242,6 +243,25 @@ def test_box_rejects_setting_labels_whose_block_keys_collide():
                       "a,c": [[0.25] * 2] * 2}}
     with pytest.raises(ValidationError, match="two setting pairs share the table block key 'a,b,c'"):
         Box.from_json(data)
+
+
+def test_box_rejects_a_site_with_no_settings():
+    # No settings at a site would pass every check vacuously, and its JSON would not read back.
+    with pytest.raises(ValidationError, match="^site 0: no settings$"):
+        Box(((), (0, 1)), ((0, 1), (0, 1)), np.zeros((0, 2, 2, 2)))
+    data = {"settings": [[0, 1], []], "outcomes": [[0, 1], [0, 1]], "table": {}}
+    with pytest.raises(ValidationError, match="^site 1: no settings$"):
+        Box.from_json(data)
+
+
+def test_error_texts_print_numbers_as_python_floats():
+    # These texts reach the CLI's {"error": ...} line: no numpy scalar repr in them.
+    with pytest.raises(ValidationError) as exc:
+        Box(((0,), (0,)), ((0, 1), (0, 1)), np.zeros((1, 1, 2, 2)))
+    assert str(exc.value) == "table block 0,0 sums to 0.0, not 1"
+    with pytest.raises(ValidationError) as exc:
+        check_unit(np.ones(2))
+    assert str(exc.value) == "vector norm 1.4142135623730951 deviates from 1 beyond 1e-12"
 
 
 def test_box_from_json_rejects_repeated_setting_labels():

@@ -571,7 +571,7 @@ def search_outcome(res):
     return res.found, res.reason, res.moves_tried, res.certificate.to_json() if res.found else None
 
 
-@given(seeds, st.sampled_from([(3, 3), (2, 2, 2), (2, 3), (3, 3, 3)]),
+@given(seeds, st.sampled_from([(3, 3), (2, 2, 2), (2, 3), (3, 3, 3), (2, 3, 2), (3, 2, 3)]),
        st.integers(min_value=0, max_value=3), st.sampled_from([0.0, 3e-9, 1.0]))
 @settings(max_examples=30, deadline=None)
 def test_twist_gains_match_full_rescoring(seed, dims, n_moves, eps):
@@ -600,7 +600,7 @@ def test_twist_gains_match_full_rescoring(seed, dims, n_moves, eps):
             assert gains.tolist() == changes
 
 
-@given(seeds, st.sampled_from([(3, 3), (2, 2, 2), (2, 3), (3, 3, 3)]),
+@given(seeds, st.sampled_from([(3, 3), (2, 2, 2), (2, 3), (3, 3, 3), (2, 3, 2), (3, 2, 3)]),
        st.integers(min_value=1, max_value=3), st.sampled_from([0.0, 3e-9, 1e-7, 1.0]))
 @settings(max_examples=30, deadline=None)
 def test_twist_search_matches_candidate_by_candidate_search(seed, dims, n_moves, eps):
@@ -610,6 +610,80 @@ def test_twist_search_matches_candidate_by_candidate_search(seed, dims, n_moves,
     data = b.to_json()
     got = search_outcome(twist_search(UnentangledBasis.from_json(data), budget=8))
     assert got == search_outcome(ref_twist_search(UnentangledBasis.from_json(data), budget=8))
+
+
+def edited_stacks(b, m):
+    """The stacks of b as a twist move edits them, before phasing: the rotated factors at
+    the twist site, and at every other site row j holding row i's factor."""
+    i, j = m.pair
+    stacks = [f.copy() for f in b.stacks]
+    u, v = b.stacks[m.site][i], b.stacks[m.site][j]
+    for s, f in enumerate(stacks):
+        if s != m.site:
+            f[j] = f[i]
+    for k, (x, y) in zip((i, j), m.rotation):
+        stacks[m.site][k] = x * u + y * v
+    return stacks
+
+
+def check_edit_matches_rebuild(b, m):
+    """apply_twist(b, m) equals the basis the constructor builds from the edited stacks:
+    stacks bit for bit, and each site's classes."""
+    got, want = apply_twist(b, m), UnentangledBasis(edited_stacks(b, m))
+    assert [f.shape for f in got.stacks] == [f.shape for f in want.stacks]
+    assert [f.tobytes() for f in got.stacks] == [f.tobytes() for f in want.stacks]
+    assert all(not f.flags.writeable for f in got.stacks)
+    for (ids, first), (want_ids, want_first) in zip(got._site_classes, want._site_classes):
+        assert ids.tolist() == want_ids.tolist() and first.tolist() == want_first.tolist()
+
+
+def jittered(b, rng):
+    """b with each factor times a random phase plus about 1e-13 of noise: a pair's
+    factors still agree up to phase at its other sites, but no two are bit-equal."""
+    return UnentangledBasis([f * np.exp(2j * np.pi * rng.uniform(size=(len(f), 1)))
+                             + 1e-13 * rng.standard_normal(f.shape) for f in b.stacks])
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (2, 3, 2), (4, 2)])
+@pytest.mark.parametrize("jitter", [False, True])
+def test_apply_twist_matches_the_rebuilt_basis(dims, jitter):
+    # Each move is applied with its pair as (i, j) and as (j, i), and walked on from there.
+    # Jittered, row j's class at the other sites is its own, and a move empties it.
+    for seed in range(8):
+        rng = make_rng(seed)
+        b = twisted(seed, dims, seed % 4)
+        b = jittered(b, rng) if jitter else b
+        for _ in range(4):
+            site, (i, j) = (pairs := find_local_pairs(b))[int(rng.integers(len(pairs)))]
+            rot = random_onb(rng, 2)
+            for pair in ((i, j), (j, i)):
+                check_edit_matches_rebuild(b, TwistMove(site, pair, rot))
+            b = apply_twist(b, TwistMove(site, (i, j), rot))
+
+
+def test_apply_twist_matches_the_rebuilt_example_basis():
+    # The example's exact overlaps make rows bit-equal and classes empty as moves go.
+    rng, cert = make_rng(0), bases.twisted_example_certificate()
+    for b in [cert.initial, *cert.walk()]:
+        for site, (i, j) in find_local_pairs(b):
+            for rot in (bases._HADAMARD, random_onb(rng, 2), np.eye(2)[::-1]):
+                for pair in ((i, j), (j, i)):
+                    if bases._check_twist_pair(b, site, *pair) is None:
+                        check_edit_matches_rebuild(b, TwistMove(site, pair, rot))
+
+
+def test_apply_twist_keeps_the_rebuilt_unit_check_message():
+    # Rows scaled by 1 + 2e-11 and 1 + 4e-11 pass the unitarity check but give factors that
+    # fail check_unit; the rebuild reports the lower element's, whichever row it comes from.
+    rot = np.diag([1 + 2e-11, 1 + 4e-11]) @ bases._HADAMARD
+    b = twisted(0, (2, 3, 2), 1)
+    site, (i, j) = find_local_pairs(b)[0]
+    texts = []
+    for pair in ((i, j), (j, i)):
+        m = TwistMove(site, pair, rot)
+        texts.append(raised(lambda: UnentangledBasis(edited_stacks(b, m))))
+        assert texts[-1].startswith("vector norm") and raised(lambda: apply_twist(b, m)) == texts[-1]
+    assert texts[0] != texts[1]  # element i holds rotation row 0, then row 1
 
 
 # ---------------------------------------------------------------------------
