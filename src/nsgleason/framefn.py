@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (HermitianOperator, ProductState, ValidationError, canonical_phase,
-                     check_unit_rows, product_values, site_stacks)
+                     check_unit_rows, operator_dims, product_values, site_stacks)
 
 
 class _Evaluated:
@@ -106,7 +106,7 @@ class SignallingFamily(_Evaluated):
     __call__ = _Evaluated.__call__
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = operator_dims(self.dims)
         if len(dims) != 2 or min(dims) < 2:
             raise ValidationError("signalling family needs two sites of dim >= 2")
         if not np.isfinite(self.theta):

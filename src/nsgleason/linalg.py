@@ -452,7 +452,7 @@ def random_onb(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def random_hermitian(rng: np.random.Generator, dims) -> HermitianOperator:
-    dims = tuple(int(d) for d in dims)
+    dims = operator_dims(dims)
     d_total = int(np.prod(dims))
     z = rng.standard_normal((d_total, d_total)) + 1j * rng.standard_normal((d_total, d_total))
     return HermitianOperator(dims, 0.5 * (z + z.conj().T))
@@ -460,7 +460,7 @@ def random_hermitian(rng: np.random.Generator, dims) -> HermitianOperator:
 
 def random_density(rng: np.random.Generator, dims) -> HermitianOperator:
     """Random density matrix (Hilbert-Schmidt-style: G G^dagger normalized)."""
-    dims = tuple(int(d) for d in dims)
+    dims = operator_dims(dims)
     d_total = int(np.prod(dims))
     g = rng.standard_normal((d_total, d_total)) + 1j * rng.standard_normal((d_total, d_total))
     rho = g @ g.conj().T

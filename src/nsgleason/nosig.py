@@ -157,10 +157,12 @@ class Box(BitEqual):
 
 
 def _distinct_settings(settings) -> None:
-    """ValidationError naming the site if it has no settings, naming the site and label if a
-    site repeats a setting label, or two that print alike, and naming the key if two setting
-    pairs share a JSON block key (labels with commas, such as ("a,b", "c") and ("a", "b,c")):
-    either way the keys would collide."""
+    """ValidationError unless there are settings at two sites; naming the site if it has no
+    settings, naming the site and label if a site repeats a setting label, or two that print
+    alike, and naming the key if two setting pairs share a JSON block key (labels with commas,
+    such as ("a,b", "c") and ("a", "b,c")): either way the keys would collide."""
+    if len(settings) != 2:
+        raise ValidationError(f"a box needs settings at two sites, not {len(settings)}")
     for site, labels in enumerate(settings):
         if not labels:
             raise ValidationError(f"site {site}: no settings")
@@ -168,7 +170,7 @@ def _distinct_settings(settings) -> None:
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise ValidationError(f"site {site} repeats setting label {labels[i]!r}")
-    keys = _block_keys(settings) if len(settings) == 2 else []
+    keys = _block_keys(settings)
     if len(set(keys)) < len(keys):
         key = next(k for i, k in enumerate(keys) if k in keys[:i])
         raise ValidationError(f"two setting pairs share the table block key {key!r}")
@@ -526,53 +528,42 @@ def _box_equalities(box: Box):
 
 
 def _site_factors(bases) -> tuple:
-    """:func:`_equality_pinv`'s U_s, as (|S|, d, r_s) arrays, and Hermitian O_j, per site."""
+    """:func:`_least_norm_point`'s U_s, rows (setting, outcome), and Hermitian O_j, per site."""
     us, ops = [], []
     for b in bases:  # (|S|, d, d)
         v = b.swapaxes(1, 2).reshape(-1, b.shape[-1], 1)
         u, sv, vh = _feature_svd((v * v.swapaxes(1, 2).conj()).reshape(len(v), -1).view(float))
         m = (vh / sv[:, None]).view(complex).reshape(-1, *b.shape[1:])
-        us.append(u.reshape(*b.shape[:2], -1))
+        us.append(u)
         ops.append(0.5 * (m + m.conj().swapaxes(1, 2)))
     return us, ops
 
 
-def _equality_pinv(factors) -> np.ndarray:
-    """np.linalg.pinv of :func:`_decomposition`'s rows, from the :func:`_site_factors` of
-    the box's bases and a rank-one correction.
+def _least_norm_point(factors, tables, traces) -> np.ndarray:
+    """pinv(rows) @ (P, c), rows :func:`_decomposition`'s, at n targets: tables P (n, |S_A|,
+    |S_B|, d_A, d_B) and traces c (n,); (n, 4 D^2) real pair views, from :func:`_site_factors`.
 
-    Write Φ(X) for the real view of (X, X^Γ): an entry's row is Φ(p (x) q), and |Φ(X)| =
-    √2 |X|.  Site s's rows A_s, the real views of its outcome projectors p (setting major),
-    have the Gram matrix of their feature rows.  Cut to its rank, A_s = U_s S_s V_s^T, and each
-    row of V_s^T is the real view of a Hermitian operator.  The table rows are then R = U S V^T
-    with U = U_0 (x) U_1 in table order, S = √2 S_0 (x) S_1, and column (j, k) of V the Φ of
-    operator j of V_0 (x) operator k of V_1, over √2.  The trace row is block 0's rows summed,
-    s^T R, so the rows are M R with M = [I; s^T], and pinv(M R) = V S^-1 (I + w w^T)^-1 [U^T, w]
-    with w = U^T s (Sherman-Morrison).  Column (j, k) of V S^-1 is Φ(O_j (x) O'_k) / 2, with
-    O_j = (V_0)_j / (S_0)_j and O'_k = (V_1)_k / (S_1)_k made exactly Hermitian: every
-    correction g is then a Hermitian pair, and the pseudo-inverse has the rank of R.
+    Write Φ(X) for the real view of (X, X^Γ): an entry's row is Φ(p (x) q), and |Φ(X)| = √2 |X|.
+    Site s's rows A_s, the real views of its outcome projectors p (setting major), have the Gram
+    matrix of their feature rows.  Cut to its rank, A_s = U_s S_s V_s^T, and each row of V_s^T is
+    the real view of a Hermitian operator.  The table rows are then R = U S V^T with U = U_0 (x) U_1
+    in table order, S = √2 S_0 (x) S_1, and column (j, k) of V the Φ of operator j of V_0 (x)
+    operator k of V_1, over √2.  The trace row is block 0's rows summed, s^T R, so the rows are M R
+    with M = [I; s^T], and pinv(M R) = V S^-1 (I + w w^T)^-1 [U^T, w] with w = U^T s
+    (Sherman-Morrison).  At a target, y = (I + w w^T)^-1 (U_0^T P U_1 + c w), P a (setting, outcome)
+    matrix a site, weighs the columns Φ(O_j (x) O'_k) / 2 of V S^-1, with O_j = (V_0)_j / (S_0)_j
+    and O'_k = (V_1)_k / (S_1)_k made exactly Hermitian, so every solve is a Hermitian pair and
+    pinv, the unit-target solves, has R's rank.
     """
     (u0, u1), (o0, o1) = factors
-    rank = len(o0) * len(o1)
-    u = (u0[:, None, :, None, :, None] * u1[None, :, None, :, None, :]).reshape(-1, rank)
-    w = u[:u0.shape[1] * u1.shape[1]].sum(axis=0)
-    y = np.vstack([u, w]).T
-    y -= np.outer(w, w @ y) / (1.0 + w @ w)
-    o0 = np.stack([o0, o0.swapaxes(1, 2)], axis=1)  # O_j and O_j^T, for X and X^Γ
-    vs = o0[:, None, :, :, None, :, None] * o1[None, :, None, None, :, None, :]
-    return vs.reshape(rank, -1).view(float).T @ (0.5 * y)
-
-
-def _least_norm_point(factors, table) -> np.ndarray:
-    """_equality_pinv(factors) @ (P, 1) by contractions: Sherman-Morrison on [U^T, w] (P, 1)
-    = U_0^T P U_1 + w, P a (setting, outcome) matrix a site, gives y; Σ y_jk Φ(O_j (x) O'_k) / 2."""
-    (u0, u1), (o0, o1) = factors
-    w = np.outer(u0[0].sum(axis=0), u1[0].sum(axis=0))
-    p = table.transpose(0, 2, 1, 3).reshape(u0.shape[0] * u0.shape[1], -1)
-    z = u0.reshape(len(p), -1).T @ p @ u1.reshape(p.shape[1], -1) + w
-    y = 0.5 * (z - w * (np.vdot(w, z) / (1.0 + np.vdot(w, w))))
-    h = (y @ o1.reshape(len(o1), -1)).reshape(len(o0), *o1.shape[1:])  # Σ_k y_jk O'_k
-    return np.einsum("xjac,jbd->xabcd", np.stack([o0, o0.swapaxes(1, 2)]), h).view(float).ravel()
+    n, (r0, d0, _), (r1, d1, _) = len(tables), o0.shape, o1.shape
+    w = u0[:d0].sum(axis=0)[:, None] * u1[:d1].sum(axis=0)  # U^T s
+    z = (u0.T @ tables.transpose(1, 3, 0, 2, 4).reshape(len(u0), -1)).reshape(r0 * n, -1) @ u1
+    z = z.reshape(r0, n, r1).swapaxes(0, 1) + traces[:, None, None] * w  # U_0^T P U_1 + c w
+    y = 0.5 * (z - w * (z.reshape(n, -1) @ w.ravel() / (1.0 + np.vdot(w, w)))[:, None, None])
+    ops = np.concatenate([o0.transpose(1, 2, 0), o0.transpose(2, 1, 0)]).reshape(-1, r0)  # X, X^Γ
+    x = ops @ (y.swapaxes(0, 1).reshape(-1, r1) @ o1.reshape(r1, -1)).reshape(r0, -1)
+    return x.reshape(2, d0, d0, n, d1, d1).transpose(3, 0, 1, 4, 2, 5).view(float).reshape(n, -1)
 
 
 def _decomposition(box: Box) -> Decomposition | Separation | None:
@@ -584,11 +575,11 @@ def _decomposition(box: Box) -> Decomposition | Separation | None:
     with the real view of its entries: tr(A E) + tr(B E^Γ) = P(A,B|a,b), as
     tr(B^Γ E) = tr(B E^Γ), where E is an entry's product projector and E^Γ the
     same with site 0's factor conjugated; the pair (I, I) gives the trace.  Step
-    1 starts at their least-norm point, contracted from :func:`_site_factors`.
+    1 starts at their least-norm point, :func:`_least_norm_point` of the box.
     A step returns the pair once both factors have least eigenvalue >= -PSD;
     otherwise it clips their negative eigenvalues and projects back by the
-    correction g: the dense rows and their :func:`_equality_pinv`, of the same
-    factors, are built at the first step that does not return.
+    correction g: the dense rows and their pseudo-inverse, the same solve at
+    the unit targets, are built at the first step that does not return.
 
     ||g|| never grows: it falls to 0 when the PSD pairs meet the equalities and
     levels off at their distance when they do not (Bauschke & Borwein, Set-Valued
@@ -603,8 +594,8 @@ def _decomposition(box: Box) -> Decomposition | Separation | None:
     its floor is > 0, bounds the residual of every product-positive t.
     """
     dims, d_total, factors = box.table.shape[2:], box.table[0, 0].size, _site_factors(box.bases)
-    x, vals = _least_norm_point(factors, box.table), np.append(box.table.ravel(), 1.0)
-    norm, pinv = np.inf, None
+    vals, norm, pinv = np.append(box.table.ravel(), 1.0), np.inf, None
+    x = _least_norm_point(factors, box.table[None], vals[-1:])[0]
     for step in range(1, tol.DECOMPOSITION_STEPS + 1):
         pair = x.view(complex).reshape(2, d_total, d_total)
         w, vecs = np.linalg.eigh(pair)
@@ -615,11 +606,11 @@ def _decomposition(box: Box) -> Decomposition | Separation | None:
             if least.min() >= -tol.PSD:
                 return Decomposition(a, b, step, tuple(map(float, least)))
         if pinv is None:  # the search iterates: its rows (E, E^Γ), then (I, I)
-            stacks = box.products
-            psi = np.stack([tensor_rows(stacks), tensor_rows([stacks[0].conj(), stacks[1]])], 1)
+            psi = np.stack([tensor_rows(s := box.products), tensor_rows([s[0].conj(), s[1]])], 1)
             ops = np.concatenate([psi[..., :, None] * psi[..., None, :].conj(),
                                   np.broadcast_to(np.eye(d_total), (1, 2, d_total, d_total))])
-            rows, pinv = ops.view(float).reshape(len(ops), -1), _equality_pinv(factors)
+            rows, e = ops.view(float).reshape(len(ops), -1), np.eye(len(vals))  # e: unit targets
+            pinv = _least_norm_point(factors, e[:, :-1].reshape(-1, *box.table.shape), e[:, -1]).T
         pair = (vecs * np.maximum(w, 0.0)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
         x = pair.view(float).ravel()
         g = -(pinv @ (rows @ x - vals))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from nsgleason.framefn import SignallingFamily
 from nsgleason.linalg import (
     HermitianOperator,
     ValidationError,
@@ -143,6 +144,21 @@ def test_operator_dims_must_be_integers_at_least_1(dims, mat):
     # int() would read True as 1 and 2.0 as 2; (0, 3) and (-2, -2) have no such space.
     with pytest.raises(ValidationError, match=r"dims \[.*\] are not integers >= 1"):
         HermitianOperator(dims, mat)
+
+
+@pytest.mark.parametrize("make", [
+    lambda dims: random_hermitian(make_rng(0), dims),
+    lambda dims: random_density(make_rng(0), dims),
+    lambda dims: SignallingFamily(dims, 0.7),
+], ids=["random_hermitian", "random_density", "SignallingFamily"])
+@pytest.mark.parametrize("dims, site", [((2.5, 2), "2.5"), ((True, 3), "True"), ((-2, 2), "-2"),
+                                        ((3.9, 2), "3.9"), ((2, 2.0), "2.0")])
+def test_operator_makers_check_dims_as_operators_do(make, dims, site):
+    # Each maker checks dims as HermitianOperator does: no truncation, no bool, no negative.
+    where = 0 if site != "2.0" else 1
+    message = rf"^dims \[{dims[0]!r}, {dims[1]!r}\] are not integers >= 1: site {where} is {site}$"
+    with pytest.raises(ValidationError, match=message):
+        make(dims)
 
 
 def test_operator_matrix_shape_must_match_dims():

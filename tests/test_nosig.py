@@ -49,7 +49,6 @@ from nsgleason.nosig import (
     _box_equalities,
     _box_products,
     _decomposition,
-    _equality_pinv,
     _least_norm_point,
     _operator_space,
     _positivity_rows,
@@ -262,6 +261,20 @@ def test_error_texts_print_numbers_as_python_floats():
     with pytest.raises(ValidationError) as exc:
         check_unit(np.ones(2))
     assert str(exc.value) == "vector norm 1.4142135623730951 deviates from 1 beyond 1e-12"
+
+
+@pytest.mark.parametrize("n_sites", [1, 3])
+def test_box_needs_settings_at_two_sites(n_sites):
+    # One site has no table blocks to key, three have blocks the table cannot index.
+    settings, outcomes = ((0, 1),) * n_sites, ((0, 1),) * n_sites
+    table = np.full((2,) * 2 * n_sites, 0.5 ** n_sites)
+    message = f"^a box needs settings at two sites, not {n_sites}$"
+    with pytest.raises(ValidationError, match=message):
+        Box(settings, outcomes, table)
+    data = {"settings": [list(s) for s in settings], "outcomes": [list(o) for o in outcomes],
+            "table": {}}
+    with pytest.raises(ValidationError, match=message):
+        Box.from_json(data)
 
 
 def test_box_from_json_rejects_repeated_setting_labels():
@@ -1258,18 +1271,20 @@ def assert_pinv_is_the_dense_one(box, rank):
     entry lies within 32 eps kappa max|pinv| of it, kappa = σ_max / σ_min of the rows over the
     singular values that pinv keeps: the first-order error of a pseudo-inverse, taken 32 times
     (at most 6.7 times was seen on 300 random boxes and 75 with settings 1e-5 to 1e-9 apart).
-    The search's first iterate, contracted from the site factors, lies within that bound
-    times ||vals||_1 of the factored pseudo-inverse times the targets."""
+    The factored one is the factored solve at the unit targets, and the search's first
+    iterate, the same solve at the box's own targets, lies within that bound times ||vals||_1
+    of the factored pseudo-inverse times the targets."""
     rows, vals = decomposition_rows(box)
-    factors = _site_factors(box.bases)
-    ref, ours = np.linalg.pinv(rows), _equality_pinv(factors)
+    factors, unit = _site_factors(box.bases), np.eye(len(vals))
+    ref = np.linalg.pinv(rows)
+    ours = _least_norm_point(factors, unit[:, :-1].reshape(-1, *box.table.shape), unit[:, -1]).T
     assert ours.shape == ref.shape
     assert np.linalg.matrix_rank(ref) == np.linalg.matrix_rank(ours) == rank
     sv = np.linalg.svd(rows, compute_uv=False)
     kappa = sv[0] / sv[rank - 1]
     bound = 32 * np.finfo(float).eps * kappa * np.abs(ref).max()
     assert np.abs(ours - ref).max() <= bound
-    first = _least_norm_point(factors, box.table)
+    first = _least_norm_point(factors, box.table[None], np.ones(1))[0]
     assert np.abs(first - ours @ vals).max() <= bound * np.abs(vals).sum()
 
 
@@ -1334,10 +1349,11 @@ def test_separation_stops_when_its_correction_stalls(visibility, dims):
 
 def counted_work(monkeypatch):
     """The names of the nosig helpers called from here on, one entry per call: the site SVDs,
-    the dense pseudo-inverse, the dense rows (nosig's own tensor_rows calls, two a build),
-    the box's product stacks and the LP equality rows."""
+    the factored solves (the first iterate, then the dense pseudo-inverse), the dense rows
+    (nosig's own tensor_rows calls, two a build), the box's product stacks and the LP
+    equality rows."""
     calls = []
-    for name in ("_feature_svd", "_equality_pinv", "tensor_rows", "_box_products",
+    for name in ("_feature_svd", "_least_norm_point", "tensor_rows", "_box_products",
                  "_box_equalities"):
         def wrapper(*args, _name=name, _f=getattr(nosig, name), **kwargs):
             calls.append(_name)
@@ -1348,8 +1364,8 @@ def counted_work(monkeypatch):
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
 def test_a_first_step_certificate_builds_no_dense_rows(monkeypatch, dims):
-    # A density box decided at step 1 pays for one SVD a site and its own tabulation only:
-    # no dense rows, no dense pseudo-inverse and no LP rows.
+    # A density box decided at step 1 pays for one SVD a site, its own tabulation and one
+    # factored solve only: no dense rows, no dense pseudo-inverse and no LP rows.
     rng = make_rng(5)
     real = tuple({a: random_onb(rng, d) for a in (0, 1)} for d in dims)
     t = random_density(rng, dims)
@@ -1357,7 +1373,7 @@ def test_a_first_step_certificate_builds_no_dense_rows(monkeypatch, dims):
     box = box_from_operator(t, real)
     out = quantum_extension(box, positivity_samples=300, seed=0)
     assert (out.verdict, out.rounds, out.certificate.steps) == ("FEASIBLE", 0, 1)
-    assert Counter(calls) == {"_feature_svd": 2, "_box_products": 1}
+    assert Counter(calls) == {"_feature_svd": 2, "_least_norm_point": 1, "_box_products": 1}
     want = _box_products(box.bases)  # the stacks the box was tabulated on, kept
     assert [s.tobytes() for s in box.products] == [s.tobytes() for s in want]
 
@@ -1368,7 +1384,7 @@ def test_an_iterating_search_builds_its_rows_once(monkeypatch, case):
            else embedded_noisy_pr_box(0.9, (3, 3)))
     calls = counted_work(monkeypatch)
     out = quantum_extension(box, positivity_samples=300, seed=0)
-    want = {"_feature_svd": 2, "_equality_pinv": 1, "tensor_rows": 2, "_box_products": 1}
+    want = {"_feature_svd": 2, "_least_norm_point": 2, "tensor_rows": 2, "_box_products": 1}
     if case == "PR box":  # decided by its Separation
         assert (out.verdict, out.rounds) == ("INFEASIBLE", 0)
     else:  # no witness at (3,3): the LP rounds decide, on one build of their rows
